@@ -1,9 +1,12 @@
 """Design-choice ablations beyond the paper's four variants.
 
 * ConcurrentMap shard count (the Go concurrent-map default is 32);
-* labeler choice: FNV-hash vs last-octet split balance;
+* labeler choice: hashed (the production CRC-32 label, and the FNV-1a
+  over packed address bytes it replaced) vs last-octet split balance;
 * CNAME loop-limit sensitivity (the paper chose 6).
 """
+
+import ipaddress
 
 import pytest
 
@@ -15,6 +18,14 @@ from repro.core.labeler import ip_label, last_octet_label
 from repro.core.variants import Variant
 from repro.storage.concurrent_map import ConcurrentMap
 from repro.workloads.isp import large_isp
+
+
+def _fnv1a_label(ip: str) -> int:
+    """The comparator: 32-bit FNV-1a over the packed address bytes."""
+    h = 0x811C9DC5
+    for byte in ipaddress.ip_address(ip).packed:
+        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+    return h
 
 
 @pytest.mark.parametrize("shards", [1, 4, 16, 64])
@@ -42,20 +53,23 @@ def test_ablation_labeler_balance(benchmark):
     def spreads():
         out = {}
         for name, pool in (("dense /24", pool_dense), ("same host id", pool_same_host)):
-            hash_splits = {ip_label(ip) % 10 for ip in pool}
-            octet_splits = {last_octet_label(ip) % 10 for ip in pool}
-            out[name] = (len(hash_splits), len(octet_splits))
+            out[name] = tuple(
+                len({label(ip) % 10 for ip in pool})
+                for label in (ip_label, _fnv1a_label, last_octet_label)
+            )
         return out
 
     result = benchmark.pedantic(spreads, rounds=1, iterations=1)
     rows = [
-        f"{name:<14s} hash-splits={h:2d}/10  last-octet-splits={o:2d}/10"
-        for name, (h, o) in result.items()
+        f"{name:<14s} crc32-splits={c:2d}/10  fnv1a-splits={f:2d}/10  "
+        f"last-octet-splits={o:2d}/10"
+        for name, (c, f, o) in result.items()
     ]
     print_rows("Ablation: labeler split balance", rows)
-    assert result["dense /24"][0] == 10
-    assert result["same host id"][0] == 10
-    assert result["same host id"][1] == 1  # the failure mode hashing avoids
+    for pool in ("dense /24", "same host id"):
+        assert result[pool][0] == 10
+        assert result[pool][1] == 10
+    assert result["same host id"][2] == 1  # the failure mode hashing avoids
 
 
 @pytest.mark.parametrize("loop_limit", [1, 3, 6, 10])

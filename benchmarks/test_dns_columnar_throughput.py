@@ -6,9 +6,9 @@ PR 9's acceptance gate: the columnar fill lane
 no ``Header``/``DnsMessage``/``ResourceRecord`` objects anywhere) must
 run the same wire corpus at ≥3× the object reference path
 (``decode_message`` → ``records_from_message`` → ``process_batch``).
-Both paths run end-to-end into a fresh storage, so the ratio includes
-the batched label hashing and one-lock-per-shard store the columnar
-side buys — exactly what this PR removes from the 20K msgs/s plateau.
+Both paths run end-to-end into a fresh storage through the same
+``put_rows`` writer, so the ratio is what skipping the per-message
+objects buys in decode.
 
 The corpus mirrors live resolver traffic as the paper's FillUp sees it:
 NOERROR responses with compressed names, CDN CNAME chains in front of
@@ -17,6 +17,7 @@ stand-ins) and EDNS OPT riding in additional — plus the queries and
 error rcodes FillUp filters out.
 """
 
+import statistics
 import time
 
 from repro.core.config import FlowDNSConfig
@@ -83,7 +84,8 @@ def _run(chunks, columnar):
 
 
 def test_columnar_fill_beats_object_path():
-    """Gate: columnar decode→fill ≥3× the object path, same corpus."""
+    """Gate: columnar decode→fill ≥3× the object path, same corpus
+    (median of 5 pairs; measured ~4.1× since both paths share one writer)."""
     chunks = _corpus()
 
     # Correctness first (doubles as the warmup pass): identical counters
@@ -101,26 +103,34 @@ def test_columnar_fill_beats_object_path():
         assert (col_storage.lookup_ip(ip, probe_now)
                 == ref_storage.lookup_ip(ip, probe_now))
 
-    # Interleaved best-of-7 pairs (the anti-flake scheme the flow-lane
-    # gate uses): a machine-wide noise burst hits adjacent samples of
-    # both paths instead of deflating one side of the ratio.
-    t_object = t_columnar = float("inf")
-    for _ in range(7):
+    # Median of 5 interleaved pairs: a machine-wide noise burst hits the
+    # adjacent samples of both paths, so it moves one pair's ratio a
+    # little instead of deflating one side of a single-shot ratio — and
+    # a pair it does distort is outvoted. The spread is recorded so a
+    # reader can tell a real drop from a noisy run.
+    pairs = []
+    for _ in range(5):
         start = time.perf_counter()
         _run(chunks, columnar=False)
-        t_object = min(t_object, time.perf_counter() - start)
+        t_object = time.perf_counter() - start
         start = time.perf_counter()
         _run(chunks, columnar=True)
-        t_columnar = min(t_columnar, time.perf_counter() - start)
+        pairs.append((t_object, time.perf_counter() - start))
 
-    ratio = t_object / t_columnar
+    ratios = sorted(t_object / t_columnar for t_object, t_columnar in pairs)
+    ratio = statistics.median(ratios)
+    t_object = statistics.median(t for t, _ in pairs)
+    t_columnar = statistics.median(t for _, t in pairs)
     msgs_per_sec = N_MESSAGES / t_columnar
     record_bench("dns_columnar_speedup", round(ratio, 2))
+    record_bench("dns_columnar_speedup_spread",
+                 [round(ratios[0], 2), round(ratios[-1], 2)])
     record_bench("dns_fill_msgs_per_sec", round(msgs_per_sec))
     record_bench("dns_fill_object_msgs_per_sec", round(N_MESSAGES / t_object))
     print(f"\ndns columnar fill: object {t_object * 1e3:.1f} ms, columnar "
-          f"{t_columnar * 1e3:.1f} ms, {ratio:.1f}x, {msgs_per_sec:,.0f} msgs/s")
+          f"{t_columnar * 1e3:.1f} ms, median {ratio:.1f}x of 5 pairs "
+          f"({ratios[0]:.1f}x-{ratios[-1]:.1f}x), {msgs_per_sec:,.0f} msgs/s")
     assert ratio >= MIN_SPEEDUP, (
         f"columnar DNS fill only {ratio:.2f}x the object path "
-        f"({t_object:.4f}s vs {t_columnar:.4f}s)"
+        f"(median of {ratios}; {t_object:.4f}s vs {t_columnar:.4f}s)"
     )

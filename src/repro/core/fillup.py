@@ -97,9 +97,8 @@ class FillUpProcessor:
         """Batched steps 4–6: one storage round-trip for many records.
 
         Equivalent to calling :meth:`process` per record (same counters,
-        same stored set) but with the per-record lock acquisitions and the
-        rotation check amortised over the batch via
-        :meth:`DnsStorage.add_many`. Returns how many records were stored.
+        same stored set) but through the store's batched writer
+        (:meth:`DnsStorage.add_many`). Returns how many records were stored.
         """
         batch = records if isinstance(records, list) else list(records)
         if not batch:

@@ -46,8 +46,9 @@ class FlowDNS:
     def add_dns_many(self, records: Iterable[DnsRecord]) -> int:
         """Insert many records through the batched fast path.
 
-        One rotation check and one lock acquisition per map shard for the
-        whole batch; same counters as per-record :meth:`add_dns` calls.
+        The rotation check is amortised and the rows go through the
+        store's batched writer; same counters as per-record
+        :meth:`add_dns` calls.
         """
         return self._fillup.process_batch(records)
 

@@ -7,45 +7,38 @@ sides agree on the split. CNAME records carry no IP, so they are labelled
 by a hash of the *answer name* — and lookups of a name use the same hash,
 keeping fill and lookup consistent (the property Algorithm 1/2's shared
 ``label()`` notation implies).
+
+The label is :func:`repro.storage.concurrent_map.key_hash` of the text
+that is also the hashmap key, so the batched store paths compute it once
+per key and take split and shard from it; these functions are the same
+value for callers that label one record at a time.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from functools import lru_cache
 from typing import Union
+
+from repro.storage.concurrent_map import key_hash
 
 IPLike = Union[str, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 
-def _fnv1a_bytes(data: bytes) -> int:
-    h = 0x811C9DC5
-    for byte in data:
-        h ^= byte
-        h = (h * 0x01000193) & 0xFFFFFFFF
-    return h
-
-
-@lru_cache(maxsize=1 << 16)
 def ip_label(ip: IPLike) -> int:
     """Label an IP address (A/AAAA records and flow lookup addresses).
 
-    Hashes the packed address bytes so IPv4 and IPv6 both spread evenly —
-    a last-octet scheme would skew badly for CDN pools that allocate from
-    a few /24s (an ablation in ``benchmarks`` quantifies this).
-
-    Cached (bounded LRU): fill and lookup relabel the same hot addresses
-    millions of times, and the per-byte FNV loop is pure Python.
+    Hashes the canonical address text — the map key itself — so IPv4 and
+    IPv6 both spread evenly; a last-octet scheme would skew badly for CDN
+    pools that allocate from a few /24s (an ablation in ``benchmarks``
+    quantifies this). A ``str`` is taken to be canonical already, as every
+    text the decoders produce is.
     """
-    if not isinstance(ip, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
-        ip = ipaddress.ip_address(ip)
-    return _fnv1a_bytes(ip.packed)
+    return key_hash(ip if type(ip) is str else str(ip))
 
 
-@lru_cache(maxsize=1 << 16)
 def name_label(name: str) -> int:
-    """Label a domain name (CNAME records and chain lookups). Cached."""
-    return _fnv1a_bytes(name.encode("utf-8", errors="surrogateescape"))
+    """Label a domain name (CNAME records and chain lookups)."""
+    return key_hash(name)
 
 
 def last_octet_label(ip: IPLike) -> int:

@@ -92,7 +92,7 @@ def render_engine(engine: ThreadedEngine) -> str:
     out.counter("storage_overwrites", engine.storage.overwrites(),
                 "IP-key overwrites (accuracy-relevant)")
     out.counter("storage_lock_contention", engine.storage.contended_acquisitions(),
-                "contended shard-lock acquisitions")
+                "contended storage-lock acquisitions")
     for stream in engine.dns_streams + engine.flow_streams:
         labels = {"stream": stream.name}
         out.counter("stream_offered", stream.buffer.stats.offered,
@@ -131,7 +131,7 @@ def render_async_engine(engine, sources: Tuple = ()) -> str:
     out.counter("storage_evictions", storage.evictions(),
                 "entries dropped by the max_entries memory bound")
     out.counter("storage_lock_contention", storage.contended_acquisitions(),
-                "contended shard-lock acquisitions")
+                "contended storage-lock acquisitions")
     for buffer in getattr(engine, "_buffers", ()):
         labels = {"stream": buffer.name}
         out.counter("stream_offered", buffer.stats.offered,

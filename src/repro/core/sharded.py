@@ -339,8 +339,8 @@ class ShardedEngine:
         The columnar lane: datagrams decode via ``ingest_columns``, rows
         partition into per-shard :class:`FlowBatch` accumulators keyed on
         the direction-selected interned IP *text* (``ip_label`` hashes the
-        same packed bytes either way, so the partition matches the DNS
-        side's), and each full accumulator crosses IPC as one flat column
+        canonical text, which is also what the DNS side keys on, so the
+        partition matches), and each full accumulator crosses IPC as one flat column
         tuple — pickle never walks a record object graph.
         """
         direction = self.config.direction

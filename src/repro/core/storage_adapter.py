@@ -9,10 +9,12 @@ the Appendix-A.8 exact-TTL experiment swaps in without touching them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from itertools import compress
+from typing import Collection, Dict, Iterable, Optional
 
 from repro.core.config import FlowDNSConfig
 from repro.core.labeler import ip_label, name_label
+from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.storage.exact_ttl import ExactTtlStore
@@ -64,105 +66,64 @@ class DnsStorage:
             )
             self._ip_exact = None
             self._cname_exact = None
+        # Whichever policy is in force: both stores take put/put_rows and
+        # report entries, contention and evictions alike.
+        self._ip_store = self._ip_bank if self._ip_exact is None else self._ip_exact
+        self._cname_store = self._cname_bank if self._cname_exact is None else self._cname_exact
 
     # --- fill side -----------------------------------------------------------
 
     def add_record(self, record: DnsRecord) -> None:
         """Insert one DNS stream record (Algorithm 1's body)."""
         if record.is_address:
-            label = ip_label(record.answer)
-            if self._ip_exact is not None:
-                self._ip_exact.put(label, record.answer, record.query, record.ttl, record.ts)
-            else:
-                self._ip_bank.put(label, record.answer, record.query, record.ttl, record.ts)
+            self._ip_store.put(
+                ip_label(record.answer), record.answer, record.query, record.ttl, record.ts
+            )
         elif record.is_cname:
-            label = name_label(record.answer)
-            if self._cname_exact is not None:
-                self._cname_exact.put(label, record.answer, record.query, record.ttl, record.ts)
-            else:
-                self._cname_bank.put(label, record.answer, record.query, record.ttl, record.ts)
+            self._cname_store.put(
+                name_label(record.answer), record.answer, record.query, record.ttl, record.ts
+            )
         # Other record types were filtered before the FillUp queue.
 
     def add_many(self, records: Iterable[DnsRecord]) -> None:
-        """Batched Algorithm-1 insert (the engines' fast path).
-
-        For the rotating store this costs one rotation check per bank and
-        one lock acquisition per touched map shard for the whole batch;
-        the exact-TTL store batches the same way (its expiry sweeps are
-        timestamp-driven through :meth:`tick`, never by puts).
-        """
-        ip_entries = []
-        cname_entries = []
+        """Batched Algorithm-1 insert of stream records: the object-form
+        entry to :meth:`add_many_columns`, rotation checks and all."""
+        batch = DnsBatch()
         for record in records:
-            if record.is_address:
-                ip_entries.append(
-                    (ip_label(record.answer), record.answer, record.query,
-                     record.ttl, record.ts)
-                )
-            elif record.is_cname:
-                cname_entries.append(
-                    (name_label(record.answer), record.answer, record.query,
-                     record.ttl, record.ts)
-                )
-        if self._ip_exact is not None:
-            if ip_entries:
-                self._ip_exact.put_many(ip_entries)
-            if cname_entries:
-                self._cname_exact.put_many(cname_entries)
-            return
-        if ip_entries:
-            self._ip_bank.put_many(ip_entries)
-        if cname_entries:
-            self._cname_bank.put_many(cname_entries)
+            if record.is_address or record.is_cname:
+                batch.append_row(record.ts, record.query, record.rtype, record.ttl, record.answer)
+        self.add_many_columns(batch)
 
     def add_many_columns(self, batch) -> None:
         """Batched Algorithm-1 insert straight from DnsBatch columns.
 
-        The columnar twin of :meth:`add_many`: same entry tuples, same
-        bank routing (including the exact-TTL branch), same one-lock-
-        round-trip-per-shard batching via ``put_many`` — but reading
-        parallel columns instead of ``DnsRecord`` attributes/properties.
-        Labels come from the same cached FNV hashers, and because the
-        decoder interned every name and IP text, the label caches and
-        map-key hashing share objects with the reference path.
+        Every row is an A/AAAA or CNAME answer; the key is the answer
+        text, the value the owner name. Address rows go to the IP-NAME
+        store and CNAME rows to the NAME-CNAME store, each as parallel
+        columns through ``put_rows`` — one hash per key, written where it
+        lands. Because the decoder interned every name and IP text, the
+        map keys share objects with the reference path.
         """
-        names = batch.name
         rtypes = batch.rtype
-        ttls = batch.ttl
-        answers = batch.rdata_text
-        stamps = batch.ts
-        cname_type = _CNAME_TYPE
-        ip_entries = []
-        cname_entries = []
-        for i in range(len(names)):
-            answer = answers[i]
-            if rtypes[i] == cname_type:
-                cname_entries.append(
-                    (name_label(answer), answer, names[i], ttls[i], stamps[i])
-                )
-            else:
-                ip_entries.append(
-                    (ip_label(answer), answer, names[i], ttls[i], stamps[i])
-                )
-        if self._ip_exact is not None:
-            if ip_entries:
-                self._ip_exact.put_many(ip_entries)
-            if cname_entries:
-                self._cname_exact.put_many(cname_entries)
+        columns = (batch.rdata_text, batch.name, batch.ttl, batch.ts)
+        if _CNAME_TYPE not in rtypes:
+            if rtypes:
+                self._ip_store.put_rows(*columns)
             return
-        if ip_entries:
-            self._ip_bank.put_many(ip_entries)
-        if cname_entries:
-            self._cname_bank.put_many(cname_entries)
+        # Split the columns by record family without a Python-level loop.
+        is_address = list(map(_CNAME_TYPE.__ne__, rtypes))
+        if any(is_address):
+            self._ip_store.put_rows(*(list(compress(c, is_address)) for c in columns))
+        is_cname = list(map(_CNAME_TYPE.__eq__, rtypes))
+        self._cname_store.put_rows(*(list(compress(c, is_cname)) for c in columns))
 
     # --- lookup side ----------------------------------------------------------
 
-    def lookup_ips(self, ip_texts: Iterable[str], now: float) -> Dict[str, str]:
+    def lookup_ips(self, ip_texts: Collection[str], now: float) -> Dict[str, str]:
         """Batched first stage of Algorithm 2 over unique IPs.
 
         Returns ``{ip: queried name}`` for the hits; missing IPs are
-        absent. One lock acquisition per map shard per tier instead of one
-        per IP.
+        absent.
         """
         if self._ip_exact is not None:
             out: Dict[str, str] = {}
@@ -171,25 +132,19 @@ class DnsStorage:
                 if name is not None:
                     out[ip_text] = name
             return out
-        return self._ip_bank.deep_lookup_many(
-            (ip_label(ip_text), ip_text) for ip_text in ip_texts
-        )
+        return self._ip_bank.lookup_many(ip_texts)
 
     def lookup_ip(self, ip_text: str, now: float) -> Optional[str]:
         """IP → queried name (first stage of Algorithm 2)."""
-        label = ip_label(ip_text)
         if self._ip_exact is not None:
-            return self._ip_exact.lookup(label, ip_text, now)
-        value, _tier = self._ip_bank.deep_lookup(label, ip_text)
-        return value
+            return self._ip_exact.lookup(ip_label(ip_text), ip_text, now)
+        return self._ip_bank.lookup(ip_text)
 
     def lookup_cname(self, name: str, now: float) -> Optional[str]:
         """Name → the name that aliased to it (one CNAME chain step)."""
-        label = name_label(name)
         if self._cname_exact is not None:
-            return self._cname_exact.lookup(label, name, now)
-        value, _tier = self._cname_bank.deep_lookup(label, name)
-        return value
+            return self._cname_exact.lookup(name_label(name), name, now)
+        return self._cname_bank.lookup(name)
 
     def memoize_chain(self, name: str, final: str) -> None:
         """Step 7: cache a multi-hop chain result for later lookups."""
@@ -217,37 +172,23 @@ class DnsStorage:
     # --- accounting ---------------------------------------------------------------
 
     def total_entries(self) -> int:
-        if self._ip_exact is not None:
-            return self._ip_exact.total_entries() + self._cname_exact.total_entries()
-        return self._ip_bank.total_entries() + self._cname_bank.total_entries()
+        return self._ip_store.total_entries() + self._cname_store.total_entries()
 
     def entry_counts(self) -> Dict[str, Dict[str, int]]:
-        if self._ip_exact is not None:
-            return {
-                "ip_name": self._ip_exact.entry_counts(),
-                "name_cname": self._cname_exact.entry_counts(),
-            }
         return {
-            "ip_name": self._ip_bank.entry_counts(),
-            "name_cname": self._cname_bank.entry_counts(),
+            "ip_name": self._ip_store.entry_counts(),
+            "name_cname": self._cname_store.entry_counts(),
         }
 
     def contended_acquisitions(self) -> int:
-        if self._ip_exact is not None:
-            return (
-                self._ip_exact.contended_acquisitions()
-                + self._cname_exact.contended_acquisitions()
-            )
         return (
-            self._ip_bank.contended_acquisitions()
-            + self._cname_bank.contended_acquisitions()
+            self._ip_store.contended_acquisitions()
+            + self._cname_store.contended_acquisitions()
         )
 
     def evictions(self) -> int:
         """Entries dropped by the max_entries memory bound, both banks."""
-        if self._ip_exact is not None:
-            return self._ip_exact.stats.evictions + self._cname_exact.stats.evictions
-        return self._ip_bank.stats.evictions + self._cname_bank.stats.evictions
+        return self._ip_store.stats.evictions + self._cname_store.stats.evictions
 
     def overwrites(self) -> int:
         """IP-key overwrites (accuracy-relevant events; 0 for exact-TTL)."""

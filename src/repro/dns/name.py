@@ -2,16 +2,17 @@
 
 Names on the wire are sequences of length-prefixed labels terminated by a
 zero-length root label, optionally ending in a compression pointer
-(RFC 1035 §4.1.4). The decoder follows pointers with a strict visited-set so
-malicious or corrupt messages with pointer loops raise :class:`ParseError`
-instead of spinning.
+(RFC 1035 §4.1.4). The decoder only follows pointers that point strictly
+backwards, so malicious or corrupt messages with pointer loops raise
+:class:`ParseError` instead of spinning.
 
 The decoder works over ``bytes`` or ``memoryview`` alike (so a whole
 message can be parsed without intermediate copies), takes an optional
 per-message offset cache so a compression-pointer chain is chased once
 per message rather than once per referring record, and interns decoded
-names so identical names across messages are one shared string object —
-the form the storage layer's hash caches key on.
+names so identical names across messages are one shared string object:
+a wire spelling seen before resolves to its canonical name in one table
+probe, with no per-label decoding or re-normalisation.
 """
 
 from __future__ import annotations
@@ -19,17 +20,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.util.errors import ParseError
-from repro.util.interning import intern_string
+from repro.util.interning import intern_wire_name, wire_name_probe
 
 WireData = Union[bytes, bytearray, memoryview]
 
 #: Per-message name cache: start offset -> (name, next_offset, wire_len,
-#: raw_name). ``wire_len`` is the name's uncompressed encoded length
+#: raw). ``wire_len`` is the name's uncompressed encoded length
 #: including the root byte (keeps the 255-byte limit exact on cache
-#: hits); ``raw_name`` is the label join *before* normalization, so a
-#: pointer splicing a cached suffix under new head labels normalizes the
-#: combined name exactly once, the way the uncached path does.
-NameCache = Dict[int, Tuple[str, int, int, str]]
+#: hits); ``raw`` is the dot-joined label bytes *before* decoding and
+#: normalization (empty for the root), so a pointer splicing a cached
+#: suffix under new head labels normalizes the combined name exactly
+#: once, the way the uncached path does.
+NameCache = Dict[int, Tuple[str, int, int, bytes]]
 
 MAX_NAME_WIRE_LENGTH = 255
 MAX_LABEL_LENGTH = 63
@@ -91,72 +93,70 @@ def decode_name(
     name's offset splices the cached suffix instead of re-chasing the
     chain, and the 255-byte wire limit stays exact because the cache
     carries each name's uncompressed encoded length.
+
+    The walk always ends. A pointer must target a strictly lower offset
+    (anything else is a forward pointer), so a run of pointers only
+    descends; the only way back up is a label, and labels spend the
+    255-byte budget. A loop therefore runs out of budget after at most
+    127 labels and is rejected as an oversized name.
     """
     if cache is not None:
         hit = cache.get(offset)
         if hit is not None:
             return hit[0], hit[1]
-    labels: List[str] = []
+    labels: List[bytes] = []
     pos = offset
     next_offset = -1
-    visited = set()
     wire_budget = 0
-    tail: Optional[Tuple[str, int, int, str]] = None
+    tail: Optional[Tuple[str, int, int, bytes]] = None
     data_len = len(data)
     while True:
         if pos >= data_len:
             raise ParseError("truncated name")
         length = data[pos]
-        if length & _POINTER_MASK == _POINTER_MASK:
-            if pos + 1 >= data_len:
-                raise ParseError("truncated compression pointer")
-            target = ((length & 0x3F) << 8) | data[pos + 1]
-            if next_offset < 0:
-                next_offset = pos + 2
-            if target in visited:
-                raise ParseError("compression pointer loop")
-            if target >= pos:
-                raise ParseError("forward compression pointer")
-            visited.add(target)
-            if cache is not None:
-                tail = cache.get(target)
-                if tail is not None:
-                    break
-            pos = target
+        if length < 0x40:
+            if length == 0:
+                if next_offset < 0:
+                    next_offset = pos + 1
+                break
+            end = pos + 1 + length
+            if end > data_len:
+                raise ParseError("truncated label")
+            wire_budget += 1 + length
+            if wire_budget + 1 > MAX_NAME_WIRE_LENGTH:
+                raise ParseError("decoded name exceeds 255 bytes")
+            labels.append(data[pos + 1 : end])
+            pos = end
             continue
-        if length & _POINTER_MASK:
+        if length < _POINTER_MASK:
             raise ParseError(f"reserved label type 0x{length & _POINTER_MASK:02x}")
-        if length == 0:
-            if next_offset < 0:
-                next_offset = pos + 1
-            break
-        if pos + 1 + length > data_len:
-            raise ParseError("truncated label")
-        wire_budget += 1 + length
-        if wire_budget + 1 > MAX_NAME_WIRE_LENGTH:
-            raise ParseError("decoded name exceeds 255 bytes")
-        labels.append(
-            str(data[pos + 1 : pos + 1 + length], "utf-8", "surrogateescape")
-        )
-        pos += 1 + length
+        if pos + 1 >= data_len:
+            raise ParseError("truncated compression pointer")
+        target = ((length & 0x3F) << 8) | data[pos + 1]
+        if next_offset < 0:
+            next_offset = pos + 2
+        if target >= pos:
+            raise ParseError("forward compression pointer")
+        if cache is not None:
+            tail = cache.get(target)
+            if tail is not None:
+                break
+        pos = target
     if tail is not None:
-        tail_raw = tail[3]
         # tail wire length includes the root byte; total must still fit 255.
         wire_budget += tail[2] - 1
         if wire_budget + 1 > MAX_NAME_WIRE_LENGTH:
             raise ParseError("decoded name exceeds 255 bytes")
-        if labels:
-            if tail_raw == ".":
-                raw_name = ".".join(labels)
-            else:
-                raw_name = ".".join(labels) + "." + tail_raw
-        else:
-            raw_name = tail_raw
-    else:
-        raw_name = ".".join(labels) if labels else "."
-    name = intern_string(normalize_name(raw_name))
+        if tail[3]:
+            labels.append(tail[3])
+    raw = b".".join(labels)
+    name = wire_name_probe(raw)
+    if name is None:
+        name = intern_wire_name(
+            raw, normalize_name(str(raw, "utf-8", "surrogateescape"))
+        )
     if cache is not None:
-        cache[offset] = (name, next_offset, wire_budget + 1, raw_name)
+        cache[offset] = (name, next_offset, wire_budget + 1, raw)
     return name, next_offset
 
 

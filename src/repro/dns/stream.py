@@ -42,8 +42,8 @@ class DnsRecord:
 
     def __post_init__(self):
         # Interned: the query/answer strings are the storage layer's map
-        # keys, and sharing one object per distinct name keeps the shard
-        # hash caches hot and the maps free of duplicate key storage.
+        # keys, and sharing one object per distinct name keeps the maps
+        # free of duplicate key storage.
         object.__setattr__(self, "query", intern_string(normalize_name(self.query)))
         if self.rtype == RRType.CNAME:
             object.__setattr__(self, "answer", intern_string(normalize_name(self.answer)))

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.util.clock import Clock, MonotonicClock
 from repro.util.errors import ParseError
@@ -57,21 +56,29 @@ _FRAME_HEAD = struct.Struct("!BdI")
 MAX_FRAME_PAYLOAD = 1 << 17
 
 
-@dataclass(frozen=True)
-class CaptureFrame:
-    """One captured wire unit: when it arrived, which lane, what bytes."""
-
+class _FrameFields(NamedTuple):
     ts: float
     lane: str
     payload: bytes
 
-    def __post_init__(self):
-        if self.lane not in _LANE_TO_BYTE:
-            raise ParseError(f"unknown capture lane {self.lane!r}")
-        if len(self.payload) > MAX_FRAME_PAYLOAD:
+
+class CaptureFrame(_FrameFields):
+    """One captured wire unit: when it arrived, which lane, what bytes.
+
+    Construction validates lane and payload size; the decoder, having
+    checked both in the frame header, builds frames with ``_make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ts: float, lane: str, payload: bytes):
+        if lane not in _LANE_TO_BYTE:
+            raise ParseError(f"unknown capture lane {lane!r}")
+        if len(payload) > MAX_FRAME_PAYLOAD:
             raise ParseError(
-                f"capture payload too large: {len(self.payload)} > {MAX_FRAME_PAYLOAD}"
+                f"capture payload too large: {len(payload)} > {MAX_FRAME_PAYLOAD}"
             )
+        return super().__new__(cls, ts, lane, payload)
 
 
 def encode_frame(frame: CaptureFrame) -> bytes:
@@ -92,67 +99,85 @@ class CaptureDecoder:
     *before* the corrupt bytes in the same chunk are still returned and
     the raise is deferred to the next :meth:`feed` or :meth:`close`,
     exactly like :class:`repro.dns.tcp.TcpFrameDecoder`.
+
+    With ``lane`` given, only that lane's frames are returned. The other
+    lane's frames are still framed (a truncated or corrupt one fails the
+    same way at the same byte) but their payloads are never copied out.
+    ``frames_out`` counts frames returned, ``frames_skipped`` other-lane
+    frames passed over, ``bytes_in`` every byte fed, whichever lane.
     """
 
-    def __init__(self) -> None:
-        self._buffer = bytearray()
+    def __init__(self, lane: Optional[str] = None) -> None:
+        if lane is not None and lane not in _LANE_TO_BYTE:
+            raise ParseError(f"unknown capture lane {lane!r}")
+        self._wanted = _LANE_TO_BYTE.get(lane)
+        #: Bytes fed but not yet consumed: the head of an incomplete
+        #: frame (or of the magic), never more than one frame's worth.
+        self._pending = b""
         self._corrupt: str = ""
         self._magic_seen = False
         self.frames_out = 0
+        self.frames_skipped = 0
         self.bytes_in = 0
 
-    def _check_magic(self) -> bool:
-        """True once the magic has been consumed; raises on mismatch."""
-        if self._magic_seen:
-            return True
-        have = min(len(self._buffer), len(MAGIC))
-        if self._buffer[:have] != MAGIC[:have]:
-            self._corrupt = f"not a FlowDNS capture (bad magic {bytes(self._buffer[:8])!r})"
-            raise ParseError(self._corrupt)
-        if len(self._buffer) < len(MAGIC):
-            return False
-        del self._buffer[: len(MAGIC)]
-        self._magic_seen = True
-        return True
-
     def feed(self, chunk: bytes) -> List[CaptureFrame]:
-        """Add bytes; return every frame completed by them."""
+        """Add bytes; return every (wanted) frame completed by them."""
         if self._corrupt:
             raise ParseError(self._corrupt)
-        self._buffer.extend(chunk)
         self.bytes_in += len(chunk)
+        buf = self._pending + chunk if self._pending else bytes(chunk)
         out: List[CaptureFrame] = []
-        if not self._check_magic():
-            return out
-        head = _FRAME_HEAD
-        while True:
-            if len(self._buffer) < head.size:
-                break
-            lane_byte, ts, length = head.unpack_from(self._buffer, 0)
-            lane = _BYTE_TO_LANE.get(lane_byte)
+        pos = 0
+        if not self._magic_seen:
+            have = min(len(buf), len(MAGIC))
+            if buf[:have] != MAGIC[:have]:
+                self._corrupt = f"not a FlowDNS capture (bad magic {buf[:8]!r})"
+                raise ParseError(self._corrupt)
+            if have < len(MAGIC):
+                self._pending = buf
+                return out
+            pos = len(MAGIC)
+            self._magic_seen = True
+        unpack = _FRAME_HEAD.unpack_from
+        head_size = _FRAME_HEAD.size
+        lane_of = _BYTE_TO_LANE.get
+        wanted = self._wanted
+        make = CaptureFrame._make
+        size = len(buf)
+        skipped = 0
+        # Walk the buffer by offset: the unconsumed tail is cut off once
+        # per feed, not once per frame.
+        while size - pos >= head_size:
+            lane_byte, ts, length = unpack(buf, pos)
+            lane = lane_of(lane_byte)
             if lane is None or length > MAX_FRAME_PAYLOAD:
                 self._corrupt = (
                     f"unknown capture lane tag 0x{lane_byte:02x}"
                     if lane is None
                     else f"framed length {length} exceeds cap {MAX_FRAME_PAYLOAD}"
                 ) + ": capture corrupt"
-                if out:
-                    # Hand back what framed cleanly; the caller learns of
-                    # the corruption on its next feed()/close().
-                    return out
-                raise ParseError(self._corrupt)
-            if len(self._buffer) < head.size + length:
                 break
-            payload = bytes(self._buffer[head.size : head.size + length])
-            del self._buffer[: head.size + length]
-            out.append(CaptureFrame(ts=ts, lane=lane, payload=payload))
-            self.frames_out += 1
+            end = pos + head_size + length
+            if end > size:
+                break
+            if wanted is None or lane_byte == wanted:
+                out.append(make((ts, lane, buf[pos + head_size : end])))
+            else:
+                skipped += 1
+            pos = end
+        self._pending = buf[pos:]
+        self.frames_out += len(out)
+        self.frames_skipped += skipped
+        if self._corrupt and not out:
+            raise ParseError(self._corrupt)
+        # With corruption behind clean frames, hand those back; the
+        # caller learns of it on its next feed()/close().
         return out
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered awaiting the rest of a frame (or the magic)."""
-        return len(self._buffer)
+        return len(self._pending)
 
     def close(self) -> None:
         """Signal EOF; leftover bytes mean a truncated tail."""
@@ -161,12 +186,12 @@ class CaptureDecoder:
         if not self._magic_seen:
             raise ParseError(
                 "capture truncated inside the magic header"
-                if self._buffer
+                if self._pending
                 else "empty capture: missing magic header"
             )
-        if self._buffer:
+        if self._pending:
             raise ParseError(
-                f"capture ended mid-frame with {len(self._buffer)} bytes pending"
+                f"capture ended mid-frame with {len(self._pending)} bytes pending"
             )
 
 
@@ -339,14 +364,17 @@ def probe_capture(path: str) -> None:
         )
 
 
-def read_capture(path: str, chunk_size: int = 1 << 16) -> Iterator[CaptureFrame]:
-    """Stream frames off a capture file.
+def read_capture(
+    path: str, chunk_size: int = 1 << 16, lane: Optional[str] = None
+) -> Iterator[CaptureFrame]:
+    """Stream frames off a capture file — all of them, or one ``lane``'s.
 
     Frames are yielded as they complete, so a truncated file still
     delivers everything that framed cleanly before :class:`ParseError`
-    surfaces for the damaged tail.
+    surfaces for the damaged tail (wherever in the file the damage is:
+    a lane filter skips payloads, not checks).
     """
-    decoder = CaptureDecoder()
+    decoder = CaptureDecoder(lane)
     with open(path, "rb") as handle:
         while True:
             chunk = handle.read(chunk_size)

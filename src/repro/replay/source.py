@@ -33,10 +33,12 @@ from repro.util.errors import ConfigError
 CaptureLike = Union[str, Iterable[CaptureFrame]]
 
 
-def _frames(capture: CaptureLike) -> Iterator[CaptureFrame]:
+def _frames(capture: CaptureLike, lane: str) -> Iterator[CaptureFrame]:
+    """``lane``'s frames: filtered in the reader for a file (the other
+    lane's payloads are never copied out), here for frames in memory."""
     if isinstance(capture, str):
-        return read_capture(capture)
-    return iter(capture)
+        return read_capture(capture, lane=lane)
+    return (frame for frame in capture if frame.lane == lane)
 
 
 class ReplaySource:
@@ -91,9 +93,7 @@ class ReplaySource:
         # collect_ingest reads the attribute after the run.
         stats.received = stats.accepted = stats.dropped = 0
         stats.malformed = stats.bytes_in = 0
-        for frame in _frames(self._capture):
-            if frame.lane != self.lane:
-                continue
+        for frame in _frames(self._capture, self.lane):
             if realtime:
                 if prev_ts is not None:
                     # Clamp: mixed-clock captures may interleave lanes

@@ -8,211 +8,150 @@ simulation's CPU model charges for contended acquisitions, and the
 threaded engine genuinely benefits for compound operations
 (get-then-set, snapshot, clear). So the sharding and its statistics are
 implemented faithfully.
+
+Routing is one C-speed hash per key: :func:`key_hash` (CRC-32 of the
+key's text bytes). A caller that first spends the hash's low digit on a
+choice of its own — the rotating store picks the label split with
+``h % num_splits`` — passes that radix as ``hash_divisor`` so the shard
+comes from the *next* digit, ``h // hash_divisor % shard_count``. Taking
+both from the same low bits would correlate them (``h % 10`` and
+``h % 32`` share a factor of 2: half of every map's shards would sit
+empty). Callers that already hold ``h`` index :attr:`ConcurrentMap.shards`
+directly with that same formula.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from zlib import crc32
 
 from repro.util.errors import ConfigError
 
 #: Go concurrent-map's default shard count.
 DEFAULT_SHARD_COUNT = 32
 
-#: Sentinel distinguishing "key absent" from "key stores None".
-_MISSING = object()
 
+def key_hash(key: str) -> int:
+    """The routing hash: CRC-32 of the key's text bytes.
 
-def _fnv1a(key: str) -> int:
-    """FNV-1a over the UTF-8 bytes — the same shard hash concurrent-map uses.
-
-    This is the uncached reference; the hot paths go through
-    :func:`fnv1a_cached` so each distinct (interned) key pays the
-    per-byte Python loop once, not once per map operation.
+    Stable across processes and runs (unlike ``hash()``), computed in C,
+    and defined for every string that reaches storage — malformed names
+    carry their undecodable bytes as surrogate escapes.
     """
-    h = 0x811C9DC5
-    for byte in key.encode("utf-8", errors="surrogateescape"):
-        h ^= byte
-        h = (h * 0x01000193) & 0xFFFFFFFF
-    return h
+    return crc32(key.encode("utf-8", "surrogateescape"))
 
 
-#: Bounded LRU over the pure-Python per-byte loop. Keys are the interned
-#: hot strings (IP texts, domain names), so the common case is a C-level
-#: dict hit on an object whose hash is already memoised.
-fnv1a_cached = lru_cache(maxsize=1 << 16)(_fnv1a)
+def key_hashes(keys: Iterable[str]) -> Iterator[int]:
+    """:func:`key_hash` of each key, lazily and without a Python frame per key."""
+    return map(crc32, map(str.encode, keys, repeat("utf-8"), repeat("surrogateescape")))
+
+
+class CountingLock:
+    """A mutex (``with lock:``) that counts the acquisitions that had to wait."""
+
+    __slots__ = ("_lock", "contended")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.contended = 0
+
+    def __enter__(self) -> None:
+        if not self._lock.acquire(blocking=False):
+            self.contended += 1
+            self._lock.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self._lock.release()
 
 
 class ConcurrentMap:
     """Thread-safe string-keyed map sharded over independent locks."""
 
-    def __init__(self, shard_count: int = DEFAULT_SHARD_COUNT):
+    def __init__(self, shard_count: int = DEFAULT_SHARD_COUNT, hash_divisor: int = 1):
         if shard_count <= 0:
             raise ConfigError("shard_count must be positive")
+        if hash_divisor <= 0:
+            raise ConfigError("hash_divisor must be positive")
         self.shard_count = shard_count
-        self._shards: List[Dict[str, object]] = [{} for _ in range(shard_count)]
-        self._locks = [threading.Lock() for _ in range(shard_count)]
-        self.contended_acquisitions = 0
+        self.hash_divisor = hash_divisor
+        #: The shard dicts, indexed ``key_hash(key) // hash_divisor %
+        #: shard_count``. The list is never rebound (entries may be), so a
+        #: caller that routes for itself can hold on to it; single dict
+        #: operations are atomic under the GIL, anything compound needs
+        #: the caller's own exclusion against this map's other writers.
+        self.shards: List[Dict[str, object]] = [{} for _ in range(shard_count)]
+        self._locks = [CountingLock() for _ in range(shard_count)]
         #: Where the next eviction sweep starts; see :meth:`evict_oldest`.
         self._evict_cursor = 0
 
     def _shard_index(self, key: str) -> int:
-        return fnv1a_cached(key) % self.shard_count
+        return key_hash(key) // self.hash_divisor % self.shard_count
 
-    def shard_index_many(self, keys: Iterable[str]) -> List[int]:
-        """Shard index per key, hashing each distinct key at most once.
-
-        The batch entry point ``set_many``/``get_many`` use so a batch
-        touching one hot key N times costs one cache probe per touch and
-        zero re-hashing.
-        """
-        hash_of = fnv1a_cached
-        count = self.shard_count
-        return [hash_of(key) % count for key in keys]
-
-    def _acquire(self, idx: int) -> None:
-        lock = self._locks[idx]
-        if not lock.acquire(blocking=False):
-            self.contended_acquisitions += 1
-            lock.acquire()
+    @property
+    def contended_acquisitions(self) -> int:
+        return sum(lock.contended for lock in self._locks)
 
     def set(self, key: str, value) -> None:
         idx = self._shard_index(key)
-        self._acquire(idx)
-        try:
-            self._shards[idx][key] = value
-        finally:
-            self._locks[idx].release()
-
-    def set_many(self, pairs: Iterable[Tuple[str, object]]) -> int:
-        """Store many ``(key, value)`` pairs, one lock acquisition per shard.
-
-        Insertion order is preserved within each shard, so repeated keys
-        keep last-write-wins semantics. Returns the number of keys whose
-        previous value existed and differed (the fill path's overwrite
-        counter); a stored value of ``None`` counts as existing.
-        """
-        batch = pairs if isinstance(pairs, list) else list(pairs)
-        by_shard: Dict[int, List[Tuple[str, object]]] = {}
-        for pair, idx in zip(batch, self.shard_index_many(p[0] for p in batch)):
-            by_shard.setdefault(idx, []).append(pair)
-        replaced = 0
-        for idx, kvs in by_shard.items():
-            self._acquire(idx)
-            try:
-                shard = self._shards[idx]
-                for key, value in kvs:
-                    previous = shard.get(key, _MISSING)
-                    if previous is not _MISSING and previous != value:
-                        replaced += 1
-                    shard[key] = value
-            finally:
-                self._locks[idx].release()
-        return replaced
-
-    def get_many(self, keys: Iterable[str]) -> Dict[str, object]:
-        """Fetch many keys with one lock acquisition per shard.
-
-        Returns a dict of the keys that were present; missing keys are
-        simply absent from the result.
-        """
-        key_list = keys if isinstance(keys, list) else list(keys)
-        by_shard: Dict[int, List[str]] = {}
-        for key, idx in zip(key_list, self.shard_index_many(key_list)):
-            by_shard.setdefault(idx, []).append(key)
-        out: Dict[str, object] = {}
-        for idx, ks in by_shard.items():
-            self._acquire(idx)
-            try:
-                shard = self._shards[idx]
-                for key in ks:
-                    value = shard.get(key)
-                    if value is not None:
-                        out[key] = value
-            finally:
-                self._locks[idx].release()
-        return out
+        with self._locks[idx]:
+            self.shards[idx][key] = value
 
     def get(self, key: str, default=None):
         idx = self._shard_index(key)
-        self._acquire(idx)
-        try:
-            return self._shards[idx].get(key, default)
-        finally:
-            self._locks[idx].release()
+        with self._locks[idx]:
+            return self.shards[idx].get(key, default)
 
     def pop(self, key: str, default=None):
         idx = self._shard_index(key)
-        self._acquire(idx)
-        try:
-            return self._shards[idx].pop(key, default)
-        finally:
-            self._locks[idx].release()
+        with self._locks[idx]:
+            return self.shards[idx].pop(key, default)
 
     def set_if_absent(self, key: str, value) -> bool:
         """Atomically insert; returns True when the key was newly set."""
         idx = self._shard_index(key)
-        self._acquire(idx)
-        try:
-            if key in self._shards[idx]:
+        with self._locks[idx]:
+            if key in self.shards[idx]:
                 return False
-            self._shards[idx][key] = value
+            self.shards[idx][key] = value
             return True
-        finally:
-            self._locks[idx].release()
 
     def update_with(self, key: str, fn: Callable[[Optional[object]], object]) -> object:
         """Atomically read-modify-write one key; returns the new value."""
         idx = self._shard_index(key)
-        self._acquire(idx)
-        try:
-            new_value = fn(self._shards[idx].get(key))
-            self._shards[idx][key] = new_value
+        with self._locks[idx]:
+            new_value = fn(self.shards[idx].get(key))
+            self.shards[idx][key] = new_value
             return new_value
-        finally:
-            self._locks[idx].release()
 
     def __contains__(self, key: str) -> bool:
         idx = self._shard_index(key)
-        self._acquire(idx)
-        try:
-            return key in self._shards[idx]
-        finally:
-            self._locks[idx].release()
+        with self._locks[idx]:
+            return key in self.shards[idx]
 
     def __len__(self) -> int:
         total = 0
         for idx in range(self.shard_count):
-            self._acquire(idx)
-            try:
-                total += len(self._shards[idx])
-            finally:
-                self._locks[idx].release()
+            with self._locks[idx]:
+                total += len(self.shards[idx])
         return total
 
     def clear(self) -> int:
         """Empty every shard; returns how many entries were removed."""
         removed = 0
         for idx in range(self.shard_count):
-            self._acquire(idx)
-            try:
-                removed += len(self._shards[idx])
-                self._shards[idx].clear()
-            finally:
-                self._locks[idx].release()
+            with self._locks[idx]:
+                removed += len(self.shards[idx])
+                self.shards[idx].clear()
         return removed
 
     def snapshot(self) -> Dict[str, object]:
         """A point-in-time copy (shard-by-shard consistent)."""
         out: Dict[str, object] = {}
         for idx in range(self.shard_count):
-            self._acquire(idx)
-            try:
-                out.update(self._shards[idx])
-            finally:
-                self._locks[idx].release()
+            with self._locks[idx]:
+                out.update(self.shards[idx])
         return out
 
     def items(self) -> Iterator[Tuple[str, object]]:
@@ -224,7 +163,16 @@ class ConcurrentMap:
 
         Used by buffer rotation: "the current contents of the inactive
         hashmap will be overwritten by the new contents" (Section 3.1).
+        Maps that route alike are copied shard to shard — one dict copy
+        each, insertion order (eviction's FIFO) intact, no re-hashing.
         """
+        if (other.shard_count, other.hash_divisor) == (self.shard_count, self.hash_divisor):
+            for idx in range(self.shard_count):
+                with other._locks[idx]:
+                    copy = dict(other.shards[idx])
+                with self._locks[idx]:
+                    self.shards[idx] = copy
+            return
         incoming = other.snapshot()
         self.clear()
         for key, value in incoming.items():
@@ -265,9 +213,8 @@ class ConcurrentMap:
                 # shard so tiny shards cannot stall the loop.
                 share = min(size, max(1, remaining * size // total))
                 self._evict_cursor = (idx + 1) % self.shard_count
-                self._acquire(idx)
-                try:
-                    shard = self._shards[idx]
+                with self._locks[idx]:
+                    shard = self.shards[idx]
                     victims = []
                     for key in shard:
                         if len(victims) >= share:
@@ -277,17 +224,12 @@ class ConcurrentMap:
                         del shard[key]
                     removed += len(victims)
                     remaining -= len(victims)
-                finally:
-                    self._locks[idx].release()
         return removed
 
     def shard_sizes(self) -> List[int]:
         """Per-shard entry counts — used to test hash spread uniformity."""
         sizes = []
         for idx in range(self.shard_count):
-            self._acquire(idx)
-            try:
-                sizes.append(len(self._shards[idx]))
-            finally:
-                self._locks[idx].release()
+            with self._locks[idx]:
+                sizes.append(len(self.shards[idx]))
         return sizes

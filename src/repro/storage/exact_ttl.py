@@ -13,9 +13,9 @@ charged to the CPU budget, starving the ingest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.storage.concurrent_map import DEFAULT_SHARD_COUNT, ConcurrentMap
+from repro.storage.concurrent_map import DEFAULT_SHARD_COUNT, ConcurrentMap, key_hashes
 from repro.util.errors import ConfigError
 
 
@@ -56,7 +56,7 @@ class ExactTtlStore:
         #: can grow without bound, so the service cap applies here too.
         self.max_entries = max_entries
         self.stats = ExactTtlStats()
-        self._maps = [ConcurrentMap(shard_count) for _ in range(num_splits)]
+        self._maps = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
         self._last_sweep_ts: Optional[float] = None
 
     def _split(self, label: int) -> int:
@@ -76,25 +76,24 @@ class ExactTtlStore:
         if overflow > 0:
             self.stats.evictions += cmap.evict_oldest(overflow)
 
-    def put_many(self, entries: Iterable[Tuple[int, str, str, float, float]]) -> None:
-        """Batched :meth:`put` of ``(label, key, value, ttl, ts)`` records.
-
-        Same final state and counters as per-record puts (sweeps stay
-        timestamp-driven via :meth:`maybe_sweep`, which puts never run),
-        but one lock acquisition per touched shard and one cached shard
-        hash per distinct key.
-        """
-        by_split: Dict[int, List[Tuple[str, Tuple[str, float]]]] = {}
-        split = self._split
-        count = 0
-        for label, key, value, ttl, ts in entries:
-            by_split.setdefault(split(label), []).append((key, (value, ts + ttl)))
-            count += 1
-        for n, pairs in by_split.items():
-            self._maps[n].set_many(pairs)
-            if self.max_entries:
-                self._enforce_cap(self._maps[n])
-        self.stats.puts += count
+    def put_rows(
+        self,
+        keys: Sequence[str],
+        values: Sequence[str],
+        ttls: Sequence[float],
+        stamps: Sequence[float],
+    ) -> None:
+        """Batched :meth:`put` of parallel key/value/ttl/ts columns, each
+        row labelled with its key's hash (sweeps stay timestamp-driven via
+        :meth:`maybe_sweep`, which puts never run)."""
+        maps = self._maps
+        splits = self.num_splits
+        for h, key, value, ttl, ts in zip(key_hashes(keys), keys, values, ttls, stamps):
+            maps[h % splits].set(key, (value, ts + ttl))
+        self.stats.puts += len(keys)
+        if self.max_entries:
+            for cmap in maps:
+                self._enforce_cap(cmap)
 
     def lookup(self, label: int, key: str, now: float) -> Optional[str]:
         """Return the value only while the record's own TTL is live.

@@ -22,13 +22,21 @@ variants without code duplication.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
-from repro.storage.concurrent_map import DEFAULT_SHARD_COUNT, ConcurrentMap
+from repro.storage.concurrent_map import (
+    DEFAULT_SHARD_COUNT,
+    ConcurrentMap,
+    CountingLock,
+    key_hash,
+    key_hashes,
+)
 from repro.util.errors import ConfigError
+
+#: A timestamp distance no record reaches: "never due", "never long".
+_NEVER = float("inf")
 
 
 class Tier(Enum):
@@ -66,7 +74,16 @@ class RotatingStoreStats:
 
 
 class StoreBank:
-    """Active/Inactive/Long hashmap triple over ``num_splits`` splits."""
+    """Active/Inactive/Long hashmap triple over ``num_splits`` splits.
+
+    :meth:`put_rows`, :meth:`lookup` and :meth:`lookup_many` are the
+    production path: one :func:`~repro.storage.concurrent_map.key_hash`
+    per key, split and shard taken from it, the row written to (or probed
+    in) that shard dict directly. :meth:`put` / :meth:`deep_lookup` /
+    :meth:`put_active` are Algorithm 1/2 one record at a time with the
+    label passed in — the reference the batched path is tested against.
+    They agree whenever the label is the key's hash.
+    """
 
     def __init__(
         self,
@@ -87,6 +104,7 @@ class StoreBank:
             raise ConfigError("max_entries must be non-negative")
         self.clear_up_interval = float(clear_up_interval)
         self.num_splits = num_splits
+        self.shard_count = shard_count
         #: Memory bound per constituent hashmap (each tier × split map);
         #: 0 = unbounded (the paper's deployment relies on clear-up alone,
         #: but a week-long service under CNAME churn needs a hard cap).
@@ -98,12 +116,16 @@ class StoreBank:
         # k > 0 = cleared on every k-th clear-up round.
         self.long_clear_every = long_clear_every
         self.stats = RotatingStoreStats()
-        self._active = [ConcurrentMap(shard_count) for _ in range(num_splits)]
-        self._inactive = [ConcurrentMap(shard_count) for _ in range(num_splits)]
-        self._long = [ConcurrentMap(shard_count) for _ in range(num_splits)]
+        # The split spends the hash's low digit; each map shards on the next.
+        self._active = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
+        self._inactive = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
+        self._long = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
         self._last_clear_ts: Optional[float] = None
         self._clear_rounds = 0
-        self._clear_lock = threading.Lock()
+        #: Held around every compound mutation (a fill segment, a rotation,
+        #: a cap trim) so the direct writer, which takes no shard locks,
+        #: never runs under another worker's eviction scan or rotation.
+        self._lock = CountingLock()
 
     def _split(self, label: int) -> int:
         return label % self.num_splits
@@ -114,21 +136,70 @@ class StoreBank:
         The clear-up clock is driven by *record timestamps*, not wall time,
         so offline replays behave identically to live operation.
         """
-        self.maybe_clear_up(ts)
-        n = self._split(label)
-        goes_long = self.long_enabled and ttl >= self.clear_up_interval
-        target = self._long[n] if goes_long else self._active[n]
-        previous = target.get(key)
-        if previous is not None and previous != value:
-            # Same key, new name: the overwrite the paper's accuracy
-            # analysis quantifies (multiple domains on one IP).
-            self.stats.overwrites += 1
-        target.set(key, value)
-        self.stats.puts += 1
-        if goes_long:
-            self.stats.puts_long += 1
-        if self.max_entries:
-            self._enforce_cap(target)
+        with self._lock:
+            self._clear_up_locked(ts)
+            n = self._split(label)
+            goes_long = self.long_enabled and ttl >= self.clear_up_interval
+            target = self._long[n] if goes_long else self._active[n]
+            previous = target.get(key)
+            if previous is not None and previous != value:
+                # Same key, new name: the overwrite the paper's accuracy
+                # analysis quantifies (multiple domains on one IP).
+                self.stats.overwrites += 1
+            target.set(key, value)
+            self.stats.puts += 1
+            if goes_long:
+                self.stats.puts_long += 1
+            if self.max_entries:
+                self._enforce_cap(target)
+
+    def put_rows(
+        self,
+        keys: Sequence[str],
+        values: Sequence[str],
+        ttls: Sequence[float],
+        stamps: Sequence[float],
+    ) -> None:
+        """Insert parallel key/value/ttl/ts columns: batched Algorithm 1.
+
+        One pass, one hash per row: a rotation runs at exactly the row
+        where per-record :meth:`put` would run it, and each row is
+        compared and stored in its shard dict (last write wins per key).
+        ``max_entries`` is enforced where a rotation-free run of rows
+        ends: before each rotation and after the last row.
+        """
+        splits = self.num_splits
+        shard_count = self.shard_count
+        interval = self.clear_up_interval
+        long_floor = interval if self.long_enabled else _NEVER
+        active = [cmap.shards for cmap in self._active]
+        long_ = [cmap.shards for cmap in self._long]
+        puts_long = overwrites = 0
+        with self._lock:
+            # ``ts - last >= interval`` is Algorithm 1's test. No clock yet
+            # (first record ever) reads as due, and _clear_up_locked starts
+            # the clock there; with clear-up off nothing is ever due.
+            last = self._last_clear_ts if self.clear_up_enabled else _NEVER
+            if last is None:
+                last = -_NEVER
+            for h, key, value, ttl, ts in zip(key_hashes(keys), keys, values, ttls, stamps):
+                if ts - last >= interval:
+                    self._enforce_caps()
+                    self._clear_up_locked(ts)
+                    last = self._last_clear_ts
+                if ttl >= long_floor:
+                    shard = long_[h % splits][h // splits % shard_count]
+                    puts_long += 1
+                else:
+                    shard = active[h % splits][h // splits % shard_count]
+                previous = shard.get(key)
+                if previous is not None and previous != value:
+                    overwrites += 1
+                shard[key] = value
+            self._enforce_caps()
+            self.stats.puts += len(keys)
+            self.stats.puts_long += puts_long
+            self.stats.overwrites += overwrites
 
     def _enforce_cap(self, cmap: ConcurrentMap) -> None:
         """Trim one constituent map back to ``max_entries``, oldest first."""
@@ -136,111 +207,84 @@ class StoreBank:
         if overflow > 0:
             self.stats.evictions += cmap.evict_oldest(overflow)
 
-    def _clear_up_due(self, ts: float) -> bool:
-        """Cheap unguarded check mirroring maybe_clear_up's precondition."""
-        if not self.clear_up_enabled:
-            return False
-        last = self._last_clear_ts
-        return last is None or ts - last >= self.clear_up_interval
+    def _enforce_caps(self) -> None:
+        """Trim the maps fills write to; the caller holds the bank lock."""
+        if self.max_entries:
+            for cmap in self._active:
+                self._enforce_cap(cmap)
+            for cmap in self._long:
+                self._enforce_cap(cmap)
 
-    def put_many(self, entries: Iterable[Tuple[int, str, str, float, float]]) -> None:
-        """Insert many ``(label, key, value, ttl, ts)`` records, batched.
-
-        Algorithm 1 with the per-record costs amortised: the clear-up
-        check per record is a float compare, the rotation itself runs at
-        exactly the record boundaries where per-record puts would run it
-        (the batch is split there), and map writes cost one lock
-        acquisition per touched shard per segment.
-        """
-        batch = entries if isinstance(entries, list) else list(entries)
-        if not batch:
-            return
-        start = 0
-        for i, entry in enumerate(batch):
-            if self._clear_up_due(entry[4]):
-                if start < i:
-                    self._put_group(batch[start:i])
-                    start = i
-                self.maybe_clear_up(entry[4])
-        self._put_group(batch[start:])
-
-    def _put_group(self, entries: List[Tuple[int, str, str, float, float]]) -> None:
-        """Insert one rotation-free segment with batched map writes."""
-        groups: Dict[Tuple[int, bool], List[Tuple[str, str]]] = {}
-        split = self._split
-        long_enabled = self.long_enabled
-        interval = self.clear_up_interval
-        for label, key, value, ttl, _ts in entries:
-            goes_long = long_enabled and ttl >= interval
-            groups.setdefault((split(label), goes_long), []).append((key, value))
-        puts_long = 0
-        for (n, goes_long), pairs in groups.items():
-            target = self._long[n] if goes_long else self._active[n]
-            self.stats.overwrites += target.set_many(pairs)
-            if goes_long:
-                puts_long += len(pairs)
-            if self.max_entries:
-                self._enforce_cap(target)
-        self.stats.puts += len(entries)
-        self.stats.puts_long += puts_long
-
-    def deep_lookup_many(self, labeled_keys: Iterable[Tuple[int, str]]) -> Dict[str, str]:
-        """Batched deepLookUp over unique ``(label, key)`` pairs.
-
-        Walks Active → Inactive → Long like :meth:`deep_lookup` but with
-        one lock acquisition per map shard per tier. Returns ``{key:
-        value}`` for the hits; missing keys are absent. Tier hit counters
-        are updated in bulk.
-        """
-        by_split: Dict[int, List[str]] = {}
-        split = self._split
-        for label, key in labeled_keys:
-            by_split.setdefault(split(label), []).append(key)
-        out: Dict[str, str] = {}
-        hits = self.stats.hits
-        for n, keys in by_split.items():
-            found = self._active[n].get_many(keys)
-            hits[Tier.ACTIVE.value] += len(found)
-            out.update(found)
-            missing = [k for k in keys if k not in found]
-            if missing:
-                found = self._inactive[n].get_many(missing)
-                hits[Tier.INACTIVE.value] += len(found)
-                out.update(found)
-                missing = [k for k in missing if k not in found]
-            if missing:
-                found = self._long[n].get_many(missing)
-                hits[Tier.LONG.value] += len(found)
-                out.update(found)
-                missing = [k for k in missing if k not in found]
-            self.stats.misses += len(missing)
-        return out
-
-    def deep_lookup(self, label: int, key: str) -> Tuple[Optional[str], Optional[Tier]]:
-        """Algorithm 2's deepLookUp: Active, then Inactive, then Long."""
-        n = self._split(label)
-        value = self._active[n].get(key)
+    def _probe(self, n: int, idx: int, key: str) -> Tuple[Optional[str], Optional[Tier]]:
+        """Algorithm 2's deepLookUp in one (split, shard) cell."""
+        value = self._active[n].shards[idx].get(key)
         if value is not None:
             self.stats.hits[Tier.ACTIVE.value] += 1
             return value, Tier.ACTIVE
-        value = self._inactive[n].get(key)
+        value = self._inactive[n].shards[idx].get(key)
         if value is not None:
             self.stats.hits[Tier.INACTIVE.value] += 1
             return value, Tier.INACTIVE
-        value = self._long[n].get(key)
+        value = self._long[n].shards[idx].get(key)
         if value is not None:
             self.stats.hits[Tier.LONG.value] += 1
             return value, Tier.LONG
         self.stats.misses += 1
         return None, None
 
+    def deep_lookup(self, label: int, key: str) -> Tuple[Optional[str], Optional[Tier]]:
+        """Algorithm 2's deepLookUp: Active, then Inactive, then Long."""
+        h = key_hash(key)
+        return self._probe(self._split(label), h // self.num_splits % self.shard_count, key)
+
+    def lookup(self, key: str) -> Optional[str]:
+        """:meth:`deep_lookup` with the key's own hash as its label."""
+        h = key_hash(key)
+        return self._probe(h % self.num_splits, h // self.num_splits % self.shard_count, key)[0]
+
+    def lookup_many(self, keys: Collection[str]) -> Dict[str, str]:
+        """Batched :meth:`lookup` over unique keys.
+
+        Returns ``{key: value}`` for the hits; missing keys are absent.
+        Tier hit counters are updated in bulk.
+        """
+        splits = self.num_splits
+        shard_count = self.shard_count
+        active = [cmap.shards for cmap in self._active]
+        inactive = [cmap.shards for cmap in self._inactive]
+        long_ = [cmap.shards for cmap in self._long]
+        out: Dict[str, str] = {}
+        from_inactive = from_long = misses = 0
+        for h, key in zip(key_hashes(keys), keys):
+            n = h % splits
+            idx = h // splits % shard_count
+            value = active[n][idx].get(key)
+            if value is None:
+                value = inactive[n][idx].get(key)
+                if value is not None:
+                    from_inactive += 1
+                else:
+                    value = long_[n][idx].get(key)
+                    if value is None:
+                        misses += 1
+                        continue
+                    from_long += 1
+            out[key] = value
+        hits = self.stats.hits
+        hits[Tier.ACTIVE.value] += len(out) - from_inactive - from_long
+        hits[Tier.INACTIVE.value] += from_inactive
+        hits[Tier.LONG.value] += from_long
+        self.stats.misses += misses
+        return out
+
     def put_active(self, label: int, key: str, value: str) -> None:
         """Direct Active insert, used for CNAME chain memoisation (step 7)."""
         target = self._active[self._split(label)]
-        target.set(key, value)
-        self.stats.puts += 1
-        if self.max_entries:
-            self._enforce_cap(target)
+        with self._lock:
+            target.set(key, value)
+            self.stats.puts += 1
+            if self.max_entries:
+                self._enforce_cap(target)
 
     def maybe_clear_up(self, ts: float) -> bool:
         """Rotate + clear when a clear-up interval has elapsed.
@@ -249,22 +293,25 @@ class StoreBank:
         Inactive = Active; Active = {}. With rotation disabled the Active
         maps are simply cleared; with clear-up disabled nothing happens.
         """
-        if not self.clear_up_enabled:
-            return False
-        # Cheap unguarded pre-check; the lock only serialises the rare
-        # rotation itself, not the per-record fast path.
+        # Cheap unguarded pre-check: only a due rotation takes the lock.
         last = self._last_clear_ts
         if last is not None and ts - last < self.clear_up_interval:
             return False
-        with self._clear_lock:
-            if self._last_clear_ts is None:
-                self._last_clear_ts = ts
-                return False
-            if ts - self._last_clear_ts < self.clear_up_interval:
-                return False  # another worker rotated while we waited
-            self._run_clear_up()
+        with self._lock:
+            return self._clear_up_locked(ts)
+
+    def _clear_up_locked(self, ts: float) -> bool:
+        """:meth:`maybe_clear_up` for callers that hold the bank lock."""
+        if not self.clear_up_enabled:
+            return False
+        if self._last_clear_ts is None:
             self._last_clear_ts = ts
-            return True
+            return False
+        if ts - self._last_clear_ts < self.clear_up_interval:
+            return False  # another worker rotated while we waited
+        self._run_clear_up()
+        self._last_clear_ts = ts
+        return True
 
     def _run_clear_up(self) -> None:
         self._clear_rounds += 1
@@ -279,7 +326,7 @@ class StoreBank:
         if self.max_entries:
             # Rotation boundary enforcement: the rotated-in inactive copy
             # and the never-cleared long tier are trimmed here (puts only
-            # police the map they touched).
+            # police the maps they write to).
             for n in range(self.num_splits):
                 self._enforce_cap(self._inactive[n])
                 self._enforce_cap(self._long[n])
@@ -287,7 +334,8 @@ class StoreBank:
 
     def force_clear_up(self) -> None:
         """Run a clear-up round immediately (used by tests and A.8 harness)."""
-        self._run_clear_up()
+        with self._lock:
+            self._run_clear_up()
 
     def entry_counts(self) -> Dict[str, int]:
         """Entry totals per tier — the memory model's primary input."""
@@ -302,7 +350,7 @@ class StoreBank:
 
     def contended_acquisitions(self) -> int:
         maps = self._active + self._inactive + self._long
-        return sum(m.contended_acquisitions for m in maps)
+        return self._lock.contended + sum(m.contended_acquisitions for m in maps)
 
     def split_sizes(self) -> List[int]:
         """Active entries per split — used to test label spread."""

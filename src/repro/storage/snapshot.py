@@ -91,8 +91,8 @@ def _apply_bank_state(bank: StoreBank, state: Dict) -> None:
     ):
         for cmap, entries in zip(maps, state["tiers"][tier_name]):
             cmap.clear()
-            if entries:
-                cmap.set_many(list(entries.items()))
+            for key, value in entries.items():
+                cmap.set(key, value)
 
 
 def dump_storage(storage, sink: TextIO) -> int:

@@ -3,8 +3,8 @@
 FlowDNS pushes the same few thousand distinct strings (domain names, IP
 texts) and packed addresses through the pipeline millions of times. The
 codecs and adapters intern them here so every downstream dict operation
-(shard hashing, map lookups, chain walks) sees one shared object whose
-hash is computed once. Both tables are bounded: at the cap they are
+(map writes and lookups, chain walks) sees one shared object whose
+``hash()`` is computed once. All tables are bounded: at the cap they are
 dropped wholesale — an O(1) reset that keeps worst-case memory flat
 while the steady-state working set (names live in the DNS maps anyway)
 re-interns within one batch.
@@ -21,6 +21,7 @@ IPAddressLike = Union[str, bytes, int, ipaddress.IPv4Address, ipaddress.IPv6Addr
 INTERN_TABLE_MAX = 1 << 16
 
 _strings: Dict[str, str] = {}
+_wire_names: Dict[bytes, str] = {}
 _addresses: Dict[object, object] = {}
 _ip_texts: Dict[object, str] = {}
 
@@ -32,8 +33,29 @@ def intern_string(text: str) -> str:
         return cached
     if len(_strings) >= INTERN_TABLE_MAX:
         _strings.clear()
+        # A wire spelling must never resolve to a retired object.
+        _wire_names.clear()
     _strings[text] = text
     return text
+
+
+#: Probe by wire spelling (the dot-joined raw label bytes): the canonical
+#: interned name, or None. Misses fill through :func:`intern_wire_name`.
+wire_name_probe = _wire_names.get
+
+
+def intern_wire_name(raw: bytes, name: str) -> str:
+    """Intern ``name`` and remember it as what ``raw`` decodes to.
+
+    ``name`` must be a pure function of ``raw`` (decode + normalize). The
+    entry lives no longer than the string table's current generation, so
+    the probe always returns the object :func:`intern_string` would.
+    """
+    name = intern_string(name)
+    if len(_wire_names) >= INTERN_TABLE_MAX:
+        _wire_names.clear()
+    _wire_names[raw] = name
+    return name
 
 
 def cached_ip_address(raw: IPAddressLike):
@@ -93,5 +115,6 @@ def cached_ip_text(raw: IPAddressLike) -> str:
 def clear_intern_tables() -> None:
     """Drop all tables (tests and long-lived processes)."""
     _strings.clear()
+    _wire_names.clear()
     _addresses.clear()
     _ip_texts.clear()

@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from repro.core.labeler import name_label
 from repro.core.metrics import CostModelParams
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
@@ -207,7 +206,7 @@ class IspWorkload:
         # only some malformed domains are interactive services at all
         # (paper: 2.7 % of receiving clients reply, to 23.6 % of the
         # malformed domains).
-        interactive = name_label(service.name) % 4 == 0
+        interactive = _name_coin(service.name) % 4 == 0
         if (
             service.category == "mal-formatted"
             and interactive
@@ -325,6 +324,18 @@ class IspWorkload:
     def flow_record_streams(self, n_streams: int) -> List[Iterator[FlowRecord]]:
         """Shard the flow stream like the ISP's 26-way load balancing."""
         return _shard_stream(self.flow_records, n_streams, key=lambda f: hash(f.src_ip))
+
+
+def _name_coin(name: str) -> int:
+    """A fixed per-name pseudo-random value (32-bit FNV-1a of the name).
+
+    The workload's own: which services are "interactive" is part of the
+    corpus, and must not move when the storage layer changes its hash.
+    """
+    h = 0x811C9DC5
+    for byte in name.encode("utf-8", errors="surrogateescape"):
+        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+    return h
 
 
 def _shard_stream(factory, n_streams: int, key) -> List[Iterator]:

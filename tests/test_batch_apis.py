@@ -12,7 +12,7 @@ from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowDirection, FlowRecord
-from repro.storage.concurrent_map import ConcurrentMap
+from repro.storage.concurrent_map import key_hash
 from repro.storage.rotating import StoreBank
 from repro.streams.buffer import BoundedBuffer
 from repro.streams.queues import WorkerQueue
@@ -37,92 +37,64 @@ def _flows(n=1000, services=50):
     ]
 
 
-class TestConcurrentMapBatch:
-    def test_set_many_get_many_roundtrip(self):
-        cmap = ConcurrentMap(shard_count=4)
-        pairs = [(f"k{i}", f"v{i}") for i in range(100)]
-        assert cmap.set_many(pairs) == 0
-        found = cmap.get_many([f"k{i}" for i in range(120)])
-        assert found == dict(pairs)
-
-    def test_set_many_counts_changed_values_only(self):
-        cmap = ConcurrentMap(shard_count=4)
-        cmap.set_many([("a", 1), ("b", 2)])
-        # One overwrite-with-different, one same-value rewrite, one new.
-        assert cmap.set_many([("a", 9), ("b", 2), ("c", 3)]) == 1
-
-    def test_set_many_last_write_wins_for_repeated_keys(self):
-        cmap = ConcurrentMap(shard_count=4)
-        cmap.set_many([("k", 1), ("k", 2), ("k", 3)])
-        assert cmap.get("k") == 3
-
-    def test_set_many_counts_overwrite_of_stored_none(self):
-        """Regression: a stored None is a real previous value, not absence."""
-        cmap = ConcurrentMap(shard_count=4)
-        cmap.set_many([("a", None)])
-        assert cmap.set_many([("a", 1)]) == 1  # None -> 1 is an overwrite
-        assert cmap.set_many([("b", 2)]) == 0  # absent -> value is not
-
-    def test_shard_index_many_matches_scalar(self):
-        cmap = ConcurrentMap(shard_count=8)
-        keys = [f"key-{i}" for i in range(64)] + ["key-0", "key-1"]
-        assert cmap.shard_index_many(keys) == [cmap._shard_index(k) for k in keys]
-
-    def test_get_many_empty(self):
-        assert ConcurrentMap().get_many([]) == {}
+def _columns(entries):
+    """``(key, value, ttl, ts)`` rows as put_rows' four parallel columns."""
+    return [list(column) for column in zip(*entries)]
 
 
 class TestStoreBankBatch:
-    def test_put_many_matches_per_record_puts(self):
+    def test_put_rows_matches_per_record_puts(self):
         single = StoreBank(clear_up_interval=3600.0, num_splits=4)
         batched = StoreBank(clear_up_interval=3600.0, num_splits=4)
-        entries = [(i, f"key{i % 30}", f"val{i % 7}", float(i % 5000), float(i))
+        entries = [(f"key{i % 30}", f"val{i % 7}", float(i % 5000), float(i))
                    for i in range(200)]
-        for label, key, value, ttl, ts in entries:
-            single.put(label, key, value, ttl, ts)
-        batched.put_many(entries)
+        for key, value, ttl, ts in entries:
+            single.put(key_hash(key), key, value, ttl, ts)
+        batched.put_rows(*_columns(entries))
         assert single.entry_counts() == batched.entry_counts()
+        assert single.split_sizes() == batched.split_sizes()
         assert single.stats.puts == batched.stats.puts
         assert single.stats.puts_long == batched.stats.puts_long
         assert single.stats.overwrites == batched.stats.overwrites
 
-    def test_deep_lookup_many_matches_deep_lookup(self):
+    def test_lookup_many_matches_deep_lookup(self):
         bank = StoreBank(clear_up_interval=3600.0, num_splits=4)
-        entries = [(i, f"key{i}", f"val{i}", 60.0, 0.0) for i in range(50)]
-        bank.put_many(entries)
-        labeled = [(i, f"key{i}") for i in range(70)]
-        batch = bank.deep_lookup_many(labeled)
-        for label, key in labeled:
-            value, _tier = bank.deep_lookup(label, key)
-            assert batch.get(key) == value
+        bank.put_rows(*_columns([(f"key{i}", f"val{i}", 60.0, 0.0) for i in range(50)]))
+        keys = [f"key{i}" for i in range(70)]
+        batch = bank.lookup_many(keys)
+        for key in keys:
+            value, _tier = bank.deep_lookup(key_hash(key), key)
+            assert batch.get(key) == value == bank.lookup(key)
 
-    def test_deep_lookup_many_walks_all_tiers(self):
+    def test_lookup_many_walks_all_tiers(self):
         bank = StoreBank(clear_up_interval=100.0, num_splits=2)
-        bank.put(1, "long-key", "long-val", 5000.0, 0.0)      # → Long
-        bank.put(2, "rotated", "old-val", 10.0, 0.0)          # → Active
-        bank.put_many([(3, "fresh", "new-val", 10.0, 200.0)])  # rotates
-        found = bank.deep_lookup_many([(1, "long-key"), (2, "rotated"), (3, "fresh")])
+        bank.put(key_hash("long-key"), "long-key", "long-val", 5000.0, 0.0)  # → Long
+        bank.put(key_hash("rotated"), "rotated", "old-val", 10.0, 0.0)     # → Active
+        bank.put_rows(["fresh"], ["new-val"], [10.0], [200.0])              # rotates
+        found = bank.lookup_many(["long-key", "rotated", "fresh", "absent"])
         assert found == {"long-key": "long-val", "rotated": "old-val",
                          "fresh": "new-val"}
+        assert bank.stats.hits == {"active": 1, "inactive": 1, "long": 1}
+        assert bank.stats.misses == 1
 
-    def test_put_many_rotates_at_each_interval_boundary(self):
+    def test_put_rows_rotates_at_each_interval_boundary(self):
         """A batch spanning several clear-up intervals must rotate exactly
         where per-record puts would — not once per batch."""
         single = StoreBank(clear_up_interval=100.0, num_splits=2)
         batched = StoreBank(clear_up_interval=100.0, num_splits=2)
-        entries = [(i, f"k{i % 10}", f"v{i % 3}", 10.0, float(i * 40))
+        entries = [(f"k{i % 10}", f"v{i % 3}", 10.0, float(i * 40))
                    for i in range(20)]
-        for label, key, value, ttl, ts in entries:
-            single.put(label, key, value, ttl, ts)
-        batched.put_many(entries)
+        for key, value, ttl, ts in entries:
+            single.put(key_hash(key), key, value, ttl, ts)
+        batched.put_rows(*_columns(entries))
         assert single.stats.rotations == batched.stats.rotations
         assert batched.stats.rotations > 1
         assert single.entry_counts() == batched.entry_counts()
         assert single.stats.entries_rotated == batched.stats.entries_rotated
 
-    def test_put_many_empty_is_noop(self):
+    def test_put_rows_empty_is_noop(self):
         bank = StoreBank(clear_up_interval=3600.0)
-        bank.put_many([])
+        bank.put_rows([], [], [], [])
         assert bank.stats.puts == 0
 
 

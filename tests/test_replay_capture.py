@@ -223,6 +223,91 @@ class TestDecoderProperty:
         assert load_capture(path) == frames
 
 
+class TestLaneFilter:
+    """A decoder told which lane it serves frames the other lane without
+    copying it out — same checks at the same bytes, fewer frames."""
+
+    @given(frames=_FRAMES, lane=st.sampled_from(LANES),
+           cuts=st.lists(st.integers(0, 2 ** 12), max_size=24))
+    @settings(max_examples=120, deadline=None)
+    def test_filter_under_arbitrary_split_offsets(self, frames, lane, cuts):
+        stream = _stream(frames)
+        offsets = sorted({min(c, len(stream)) for c in cuts} | {0, len(stream)})
+        decoder = CaptureDecoder(lane)
+        out = []
+        for start, end in zip(offsets, offsets[1:]):
+            out.extend(decoder.feed(stream[start:end]))
+        decoder.close()
+        wanted = [f for f in frames if f.lane == lane]
+        assert out == wanted
+        assert decoder.frames_out == len(wanted)
+        assert decoder.frames_skipped == len(frames) - len(wanted)
+        # Skipped frames are consumed all the same.
+        assert decoder.bytes_in == len(stream)
+        assert decoder.pending_bytes == 0
+
+    def test_unknown_lane_rejected(self):
+        with pytest.raises(ParseError, match="lane"):
+            CaptureDecoder("carrier-pigeon")
+
+    def test_corrupt_header_after_skipped_frames_still_raises(self):
+        skipped = CaptureFrame(1.0, LANE_FLOW, b"not wanted")
+        decoder = CaptureDecoder(LANE_DNS)
+        with pytest.raises(ParseError, match="lane"):
+            decoder.feed(_stream([skipped]) + b"\x7f garbage....")
+        assert decoder.frames_skipped == 1
+
+    def test_oversized_claim_on_the_other_lane_is_corruption(self):
+        decoder = CaptureDecoder(LANE_DNS)
+        decoder.feed(MAGIC)
+        bad = bytes([1]) + b"\x00" * 8 + (MAX_FRAME_PAYLOAD + 1).to_bytes(4, "big")
+        with pytest.raises(ParseError, match="cap"):
+            decoder.feed(bad)
+
+    @given(frames=_FRAMES, trunc=st.integers(min_value=1, max_value=2 ** 12))
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_tail_detected_whichever_lane_it_is(self, frames, trunc):
+        stream = _stream(frames)
+        last_frame = 13 + len(frames[-1].payload)
+        trunc = 1 + (trunc - 1) % (last_frame - 1)
+        for lane in LANES:
+            decoder = CaptureDecoder(lane)
+            out = decoder.feed(stream[: len(stream) - trunc])
+            assert out == [f for f in frames[:-1] if f.lane == lane]
+            with pytest.raises(ParseError, match="mid-frame"):
+                decoder.close()
+
+    def test_read_capture_and_replay_source_filter_a_file(self, tmp_path):
+        frames = [
+            CaptureFrame(1.0, LANE_FLOW, b"first"),
+            CaptureFrame(2.0, LANE_DNS, b"second"),
+            CaptureFrame(3.0, LANE_FLOW, b"third"),
+        ]
+        path = str(tmp_path / "lanes.fdc")
+        write_capture(path, frames)
+        assert list(read_capture(path, lane=LANE_DNS)) == [frames[1]]
+        assert list(read_capture(path, chunk_size=5, lane=LANE_FLOW)) == [frames[0], frames[2]]
+        flow = ReplaySource(path, LANE_FLOW)
+        assert list(flow) == [b"first", b"third"]
+        assert flow.ingest_stats.received == 2
+        assert flow.ingest_stats.bytes_in == len(b"first") + len(b"third")
+        assert list(ReplaySource(path, LANE_DNS)) == [(2.0, b"second")]
+
+    def test_truncated_file_fails_a_lane_that_skips_the_damage(self, tmp_path):
+        """The damaged frame belongs to the flow lane; the DNS lane's
+        reader still reports the file as truncated."""
+        frames = [
+            CaptureFrame(1.0, LANE_DNS, b"kept"),
+            CaptureFrame(2.0, LANE_FLOW, b"lost-tail"),
+        ]
+        path = tmp_path / "trunc.fdc"
+        path.write_bytes(_stream(frames)[:-4])
+        reader = read_capture(str(path), lane=LANE_DNS)
+        assert next(reader) == frames[0]
+        with pytest.raises(ParseError, match="mid-frame"):
+            next(reader)
+
+
 class TestReadCapture:
     def test_truncated_file_yields_clean_frames_then_raises(self, tmp_path):
         frames = [

@@ -97,7 +97,7 @@ class TestBulkOps:
         assert sum(cmap.shard_sizes()) == 500
 
     def test_shard_spread_is_reasonable(self):
-        """FNV-1a should spread keys; no shard should dominate."""
+        """The key hash should spread keys; no shard should dominate."""
         cmap = ConcurrentMap(shard_count=16)
         for i in range(3200):
             cmap.set(f"domain{i}.example.com", i)

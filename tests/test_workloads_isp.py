@@ -1,5 +1,8 @@
 """Tests for the ISP workload generator."""
 
+import hashlib
+from itertools import islice
+
 import pytest
 
 from repro.util.errors import ConfigError
@@ -30,6 +33,26 @@ class TestDeterminism:
         w2 = IspWorkload(tiny_universe, tiny_hosting, seed=2, duration=600.0,
                          resolution_rate=1.0, warmup=0.0)
         assert list(w1.dns_records()) != list(w2.dns_records())
+
+
+    def test_large_isp_corpus_is_pinned(self):
+        """The corpus is a function of the seed alone — in particular not
+        of the storage layer's hash (the "interactive" coin once was). The
+        first 20 000 flows of the ablation benchmarks' workload, replies
+        on the non-web ports included, digest to a fixed value."""
+        workload = large_isp(seed=37, duration=6 * 3600.0, n_benign=600)
+        digest = hashlib.sha256()
+        replies = 0
+        for f in islice(workload.flow_records(), 20000):
+            digest.update(
+                f"{f.ts!r}|{f.src_ip}|{f.dst_ip}|{f.src_port}|{f.dst_port}|"
+                f"{f.protocol}|{f.packets}|{f.bytes_}\n".encode()
+            )
+            replies += f.dst_port in (1194, 88)
+        assert replies == 8  # the coin's flows are inside the window
+        assert digest.hexdigest() == (
+            "80fbe3cbc836776c08548dde847f2edaa5905a469ca27d4f5139c7bf0108b73c"
+        )
 
 
 class TestOrdering:
