@@ -145,8 +145,7 @@ def _offline_columnar_rate(datagrams, n_flows, chunk=64):
     no sockets or event loop: the inline columnar reference rate."""
     config = FlowDNSConfig()
     storage = DnsStorage(config)
-    fill = FillLane(FillUpProcessor(storage))
-    fill.process_records(_dns_records())
+    FillUpProcessor(storage).process_batch(_dns_records())
     lane = LookupLane(LookUpProcessor(storage, config), FlowCollector())
     t0 = time.perf_counter()
     for start in range(0, len(datagrams), chunk):

@@ -1,46 +1,13 @@
-"""Columnar decode→correlate throughput vs the per-record object path.
+"""Prefix-trie lookup rate (Section 5's IP→origin-AS correlation).
 
-PR 3's acceptance gate: the columnar flow path (``decode_batch_columns``
-→ ``correlate_batch_columns``, no ``FlowRecord``/``ipaddress``/
-``CorrelationResult`` objects anywhere) must run the same datagram
-corpus at ≥2× the object reference path (``decode`` →
-``correlate_batch``). Both paths use the compiled template decoders, so
-the ratio isolates exactly what this PR removes: per-record object
-materialisation and the re-derivation of lookup text.
-
-The corpus mirrors the paper's pipeline: one learned v9 template, many
-datagrams, flows drawn from a CDN-style repeating address pool, a DNS
-map pre-filled so most flows match.
-
-The prefix-trie micro-bench (Section 5's IP→origin-AS correlation) is
-recorded alongside, gate-free: absolute trie walk rates on a 1-CPU
-shared runner are noise, the number is trajectory data.
+Recorded gate-free: absolute trie walk rates on a 1-CPU shared runner
+are noise, the number is trajectory data.
 """
 
 import time
 
 from repro.bgp.prefix_trie import PrefixTrie
-from repro.core.config import FlowDNSConfig
-from repro.core.fillup import FillUpProcessor
-from repro.core.lookup import LookUpProcessor
-from repro.core.storage_adapter import DnsStorage
-from repro.dns.rr import RRType
-from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowBatch, FlowRecord
-from repro.netflow.v9 import (
-    STANDARD_V4_TEMPLATE,
-    V9Session,
-    encode_v9_data,
-    encode_v9_template,
-)
 from repro.util.benchio import record_bench
-
-N_DATAGRAMS = 150
-FLOWS_PER_DATAGRAM = 24
-N_POOL_IPS = 96  # distinct source addresses cycling through the corpus
-
-#: The gate ratio ISSUE 3 demands.
-MIN_SPEEDUP = 2.0
 
 
 def _timed(fn, repeats=5):
@@ -51,102 +18,6 @@ def _timed(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _corpus():
-    template = encode_v9_template([STANDARD_V4_TEMPLATE], unix_secs=1000)
-    datagrams = []
-    for seq in range(N_DATAGRAMS):
-        flows = [
-            FlowRecord(
-                ts=1000.0 + seq,
-                src_ip=f"10.0.{ip_index // 250}.{ip_index % 250 + 1}",
-                dst_ip="100.64.0.1",
-                src_port=443,
-                dst_port=50000 + seq,
-                protocol=6,
-                packets=10,
-                bytes_=1400 + i,
-            )
-            for i in range(FLOWS_PER_DATAGRAM)
-            for ip_index in ((seq * FLOWS_PER_DATAGRAM + i) % N_POOL_IPS,)
-        ]
-        datagrams.append(
-            encode_v9_data(STANDARD_V4_TEMPLATE, flows, unix_secs=1000, sequence=seq)
-        )
-    return template, datagrams
-
-
-def _filled_storage():
-    storage = DnsStorage(FlowDNSConfig())
-    fillup = FillUpProcessor(storage)
-    fillup.process_batch(
-        [
-            DnsRecord(999.0, f"svc{i}.example", RRType.A, 3600,
-                      f"10.0.{i // 250}.{i % 250 + 1}")
-            for i in range(N_POOL_IPS)
-        ]
-    )
-    return storage
-
-
-def test_columnar_beats_object_path():
-    """Gate: columnar decode→correlate ≥2× the object path, same corpus."""
-    template, datagrams = _corpus()
-    storage = _filled_storage()
-    config = FlowDNSConfig()
-    expected = N_DATAGRAMS * FLOWS_PER_DATAGRAM
-
-    def object_path():
-        session = V9Session()
-        session.decode(template)
-        flows = []
-        for datagram in datagrams:
-            flows.extend(session.decode(datagram))
-        processor = LookUpProcessor(storage, config)
-        results = processor.correlate_batch(flows)
-        assert len(results) == expected
-        return processor.stats.matched
-
-    def columnar_path():
-        session = V9Session()
-        session.decode(template)
-        batch = FlowBatch()
-        for datagram in datagrams:
-            batch.extend(session.decode_batch_columns(datagram))
-        processor = LookUpProcessor(storage, config)
-        correlated = processor.correlate_batch_columns(batch)
-        assert len(correlated) == expected
-        return processor.stats.matched
-
-    # Correctness first: both paths must correlate every flow identically
-    # (this also serves as the warmup pass for both).
-    assert object_path() == columnar_path() == expected
-
-    # Interleaved best-of-7 pairs rather than two separate best-of-N
-    # blocks: a machine-wide noise burst (CI neighbour, GC, page cache)
-    # then hits adjacent samples of *both* paths instead of deflating
-    # only one side of the ratio — this gate flaked once on a 1-CPU
-    # container when the columnar block alone caught a spike.
-    t_object = t_columnar = float("inf")
-    for _ in range(7):
-        start = time.perf_counter()
-        object_path()
-        t_object = min(t_object, time.perf_counter() - start)
-        start = time.perf_counter()
-        columnar_path()
-        t_columnar = min(t_columnar, time.perf_counter() - start)
-    ratio = t_object / t_columnar
-    flows_per_sec = expected / t_columnar
-    record_bench("columnar_speedup", round(ratio, 2))
-    record_bench("columnar_flows_per_sec", round(flows_per_sec))
-    record_bench("object_path_flows_per_sec", round(expected / t_object))
-    print(f"\ncolumnar: object {t_object * 1e3:.1f} ms, columnar "
-          f"{t_columnar * 1e3:.1f} ms, {ratio:.1f}x, {flows_per_sec:,.0f} flows/s")
-    assert ratio >= MIN_SPEEDUP, (
-        f"columnar decode→correlate only {ratio:.2f}x the object path "
-        f"({t_object:.4f}s vs {t_columnar:.4f}s)"
-    )
 
 
 def test_prefix_trie_lookup_rate_reported():

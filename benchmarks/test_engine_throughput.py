@@ -5,13 +5,10 @@ DNS records/s on 128 cores. This bench measures what the pure-Python
 pipeline sustains (the reproduction band predicted exactly this gap) so
 EXPERIMENTS.md can report it, and uses real pytest-benchmark timing.
 
-Three pipeline shapes are compared on identical fixtures: the per-record
-path (one call, one lock round-trip per record), the batched path
-(``correlate_batch``/``process_batch``, the engines' fast path), and the
-multiprocessing :class:`ShardedEngine`.
+Three pipeline shapes run on identical fixtures: the per-record path
+(one call, one lock round-trip per record), the batched fill
+(``process_batch``), and the multiprocessing :class:`ShardedEngine`.
 """
-
-import time
 
 import pytest
 
@@ -24,7 +21,6 @@ from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
-from repro.util.benchio import record_bench
 
 N_RECORDS = 20_000
 
@@ -49,7 +45,8 @@ def test_fillup_throughput(benchmark, prepared_records):
 
     def fill():
         processor = FillUpProcessor(DnsStorage(FlowDNSConfig()))
-        processor.process_many(dns)
+        for record in dns:
+            processor.process(record)
         return processor.stats.records_stored
 
     stored = benchmark(fill)
@@ -59,7 +56,7 @@ def test_fillup_throughput(benchmark, prepared_records):
 def test_lookup_throughput(benchmark, prepared_records):
     dns, flows = prepared_records
     storage = DnsStorage(FlowDNSConfig())
-    FillUpProcessor(storage).process_many(dns)
+    FillUpProcessor(storage).process_batch(dns)
 
     def look():
         processor = LookUpProcessor(storage, FlowDNSConfig())
@@ -81,59 +78,6 @@ def test_fillup_batched_throughput(benchmark, prepared_records):
 
     stored = benchmark(fill)
     assert stored == len(dns)
-
-
-def test_lookup_batched_throughput(benchmark, prepared_records):
-    dns, flows = prepared_records
-    storage = DnsStorage(FlowDNSConfig())
-    FillUpProcessor(storage).process_batch(dns)
-
-    def look():
-        processor = LookUpProcessor(storage, FlowDNSConfig())
-        processor.correlate_batch(flows)
-        return processor.stats.matched
-
-    matched = benchmark(look)
-    assert matched == len(flows)
-
-
-def test_batched_beats_per_record(prepared_records):
-    """Acceptance gate: the batched path must be ≥2× the per-record path.
-
-    Measured directly (best of three) rather than via pytest-benchmark so
-    the ratio survives ``--benchmark-disable`` smoke runs.
-    """
-    dns, flows = prepared_records
-    storage = DnsStorage(FlowDNSConfig())
-    FillUpProcessor(storage).process_batch(dns)
-
-    # Best-of-5 against a >=2x bar with a ~5-10x measured margin, so a
-    # noisy shared CI runner has to be wrong five times in a row to flake.
-    def timed(fn, repeats=5):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def per_record():
-        processor = LookUpProcessor(storage, FlowDNSConfig())
-        for flow in flows:
-            processor.process(flow)
-
-    def batched():
-        processor = LookUpProcessor(storage, FlowDNSConfig())
-        processor.correlate_batch(flows)
-
-    t_single = timed(per_record)
-    t_batch = timed(batched)
-    record_bench("engine_batched_speedup", round(t_single / t_batch, 2))
-    record_bench("engine_batched_flows_per_sec", round(len(flows) / t_batch))
-    assert t_single / t_batch >= 2.0, (
-        f"batched path only {t_single / t_batch:.2f}x faster "
-        f"({t_single:.3f}s vs {t_batch:.3f}s)"
-    )
 
 
 def test_sharded_engine_throughput(benchmark, prepared_records):

@@ -45,9 +45,9 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, TextIO, Tuple
 
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowRecord
 from repro.util.errors import ConfigError, ParseError
-from repro.util.interning import cached_ip_text, intern_string
+from repro.util.interning import intern_string
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 
@@ -169,55 +169,6 @@ class FlowAdapter:
                 yield self.adapt(record)
             except ParseError:
                 self.stats.malformed += 1
-
-    def adapt_batch(self, records: Iterable[Mapping]) -> FlowBatch:
-        """Lenient bulk conversion straight into a columnar FlowBatch.
-
-        The columnar twin of :meth:`adapt_many`: same field extraction,
-        validation, and malformed-record counting, but the accepted rows
-        land as parallel columns — addresses become interned canonical
-        text via the bytes/text→text cache and no ``FlowRecord`` or
-        ``ipaddress`` objects are built. ``FlowBatch.record(i)``
-        materialises records identical to :meth:`adapt`'s output.
-        """
-        batch = FlowBatch()
-        specs = self.specs
-        optional = self.OPTIONAL_INTS
-        for record in records:
-            self.stats.records_in += 1
-            try:
-                ts = specs["ts"].extract_time(record)
-                src_ip = cached_ip_text(str(specs["src_ip"].extract(record)))
-                dst_ip = cached_ip_text(str(specs["dst_ip"].extract(record)))
-                ints = {}
-                for name, default in optional.items():
-                    spec = specs.get(name)
-                    ints[name] = spec.extract_int(record) if spec is not None else default
-                # FlowRecord.__post_init__'s validation, applied here so a
-                # row the object path would reject never enters a column.
-                if ints["packets"] < 0 or ints["bytes"] < 0:
-                    raise ParseError("flow counters must be non-negative")
-                if not (0 <= ints["src_port"] <= 65535 and 0 <= ints["dst_port"] <= 65535):
-                    raise ParseError("ports must fit in 16 bits")
-            except ParseError:
-                self.stats.malformed += 1
-                continue
-            except ValueError:
-                # cached_ip_text on an unparseable address
-                self.stats.malformed += 1
-                continue
-            batch.append_row(
-                ts,
-                src_ip,
-                dst_ip,
-                ints["src_port"],
-                ints["dst_port"],
-                ints["protocol"],
-                ints["packets"],
-                ints["bytes"],
-            )
-            self.stats.records_out += 1
-        return batch
 
 
 class DnsAdapter:

@@ -755,12 +755,7 @@ class AsyncEngine:
         for i, source in enumerate(dns_sources):
             processor = FillUpProcessor(self.storage)
             self._fillup_processors.append(processor)
-            lane = FillLane(
-                processor,
-                self.storage,
-                exact_ttl=cfg.exact_ttl,
-                columnar=cfg.dns_fill_columnar,
-            )
+            lane = FillLane(processor)
             if is_live_source(source):
                 buffer = make_buffer(f"dns[{i}]", source.capacity)
                 source.connect_buffer(buffer)

@@ -83,13 +83,6 @@ class FlowDNSConfig:
     #: batches amortise lock round-trips and deduplicate repeated lookup
     #: IPs better, at the cost of coarser rotation/tick granularity.
     engine_batch_size: int = 2048
-    #: Decode DNS wire payloads through the selective columnar path
-    #: (:func:`repro.dns.columnar.decode_fill_columns`) instead of the
-    #: per-message object decoder. Off = the reference path the
-    #: differential suites compare against. Exact-TTL runs always use
-    #: the reference path regardless: its per-record store+sweep timing
-    #: is the A.8 experiment's subject and must not be batch-amortised.
-    dns_fill_columnar: bool = True
 
     def __post_init__(self):
         if self.a_clear_up_interval <= 0 or self.c_clear_up_interval <= 0:

@@ -8,8 +8,8 @@ Faithful to the paper's worker architecture:
 * LookUp workers per Netflow stream pop, correlate, and enqueue results;
 * Write workers drain the write queue to the output sink.
 
-The lane bodies — item normalisation, batch accumulation, exact-TTL
-semantics, the columnar decode→correlate path, report assembly — live in
+The lane bodies — item normalisation, batch accumulation, the columnar
+decode→correlate path, report assembly — live in
 :mod:`repro.core.pipeline`, shared with the sharded and async engines.
 What remains here is this engine's *scheduling policy*: real threads
 over bounded buffers, draining in batches (``engine_batch_size`` records
@@ -42,7 +42,7 @@ from typing import Iterable, List, Optional, Sequence, TextIO
 
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
-from repro.core.lookup import CorrelationBatch, LookUpProcessor
+from repro.core.lookup import LookUpProcessor
 from repro.core.metrics import EngineReport
 from repro.core.pipeline import (
     POP_TIMEOUT,
@@ -161,12 +161,8 @@ class ThreadedEngine:
         def handle(items: List) -> None:
             now = time.monotonic()
             with self._writer_lock:
-                for payload, created_monotonic in items:
-                    queueing_delay = now - created_monotonic
-                    if isinstance(payload, CorrelationBatch):
-                        self.writer.write_batch(payload, delay=queueing_delay)
-                    else:
-                        self.writer.write(payload, now=payload.flow.ts + queueing_delay)
+                for correlated, created_monotonic in items:
+                    self.writer.write_batch(correlated, delay=now - created_monotonic)
 
         drain_buffer(
             write_queue, self.config.engine_batch_size, handle, timeout=_POP_TIMEOUT
@@ -205,12 +201,7 @@ class ThreadedEngine:
             for _ in range(cfg.fillup_workers_per_stream):
                 processor = FillUpProcessor(self.storage)
                 self._fillup_processors.append(processor)
-                lane = FillLane(
-                    processor,
-                    self.storage,
-                    exact_ttl=cfg.exact_ttl,
-                    columnar=cfg.dns_fill_columnar,
-                )
+                lane = FillLane(processor)
                 t = threading.Thread(
                     target=self._fillup_worker, args=(stream, lane), daemon=True
                 )

@@ -86,13 +86,6 @@ class FillUpProcessor:
         self.stats.records_stored += 1
         return True
 
-    def process_many(self, records: Iterable[DnsRecord]) -> int:
-        stored = 0
-        for record in records:
-            if self.process(record):
-                stored += 1
-        return stored
-
     def process_batch(self, records: Iterable[DnsRecord]) -> int:
         """Batched steps 4–6: one storage round-trip for many records.
 

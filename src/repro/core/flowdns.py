@@ -22,7 +22,7 @@ from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 
 
 class FlowDNS:
@@ -54,8 +54,7 @@ class FlowDNS:
 
     def add_dns_message(self, ts: float, payload) -> int:
         """Filter + insert a wire-format response (bytes or DnsMessage)."""
-        records = self._fillup.filter_message(ts, payload)
-        return self._fillup.process_many(records)
+        return self._fillup.process_batch(self._fillup.filter_message(ts, payload))
 
     # --- flow side ------------------------------------------------------------
 
@@ -67,11 +66,11 @@ class FlowDNS:
         """Correlate many flows through the batched fast path.
 
         Each distinct lookup IP is resolved once for the whole batch (see
-        :meth:`LookUpProcessor.correlate_batch` for the exact semantics).
+        :meth:`LookUpProcessor.correlate_batch_columns` for the exact
+        semantics).
         """
-        return self._lookup.correlate_batch(
-            flows if isinstance(flows, list) else list(flows)
-        )
+        batch = FlowBatch.from_records(flows)
+        return self._lookup.correlate_batch_columns(batch).results()
 
     def service_of(self, ip, now: float) -> Optional[str]:
         """Resolve one bare IP to its service name (or None).
@@ -92,11 +91,7 @@ class FlowDNS:
         a caller whose DNS stream can go quiet should tick with its own
         clock so clear-ups still happen on schedule.
         """
-        if self.config.exact_ttl:
-            self.storage.tick(ts)
-        else:
-            self.storage.ip_bank.maybe_clear_up(ts)
-            self.storage.cname_bank.maybe_clear_up(ts)
+        self.storage.tick(ts)
 
     @property
     def fillup_stats(self):

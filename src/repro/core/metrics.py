@@ -303,11 +303,6 @@ class EngineReport:
     flow_decode_errors: int = 0
     duration: float = 0.0
     variant_name: str = "main"
-    #: Which representation the engine's flow lane carried: "columnar"
-    #: (FlowBatch columns end-to-end, the live engines' default) or
-    #: "object" (per-record FlowRecord/CorrelationResult, the reference
-    #: path the simulation engine and direct processor calls use).
-    flow_lane: str = "object"
     #: Per-source ingest counters for socket-fed sources (keyed by source
     #: name); empty for runs whose sources are plain iterables.
     ingest: Dict[str, IngestStats] = field(default_factory=dict)

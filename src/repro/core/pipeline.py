@@ -8,9 +8,8 @@ same two lanes from the paper's Figure 1:
 * the **fill lane** (DNS): batch a wake-up's raw wire payloads into one
   :class:`~repro.dns.columnar.DnsBatch` via the selective columnar
   decoder and store its columns directly (non-wire items — records,
-  decoded messages — take the object FillUp filter); per-record with
-  expiry sweeps in exact-TTL mode, which always stays on the reference
-  object path;
+  decoded messages — take the object FillUp filter and land in the same
+  storage entry);
 * the **lookup lane** (Netflow): normalise stream items (raw export
   datagrams, :class:`FlowRecord` objects, or whole :class:`FlowBatch`
   es) into one columnar batch per wake-up, correlate it, and hand the
@@ -20,8 +19,9 @@ Before this module existed each engine re-implemented the lanes, the
 buffer drain loop, and the report assembly; an engine now only supplies
 *scheduling policy* — how lane invocations map onto threads, worker
 processes + IPC column tuples, or asyncio tasks — and everything else
-(item normalisation, exact-TTL semantics, stats plumbing, report
-merging) stays in one place, pinned by one parity suite.
+(item normalisation, stats plumbing, report merging) stays in one place,
+pinned by one parity suite. Which expiry policy the storage runs is the
+storage's business (:meth:`DnsStorage.add_many_columns`), not a lane's.
 """
 
 from __future__ import annotations
@@ -221,81 +221,34 @@ def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
 
 
 class FillLane:
-    """The DNS fill stage: items → validated records → storage.
+    """The DNS fill stage: items → validated rows → storage.
 
-    The default path is columnar: a wake-up's raw wire payloads
-    accumulate into one :class:`~repro.dns.columnar.DnsBatch` (the DNS
-    twin of the shape :class:`LookupLane` feeds
-    ``correlate_batch_columns``) and go to storage without materialising
-    a single per-record object. ``columnar=False`` keeps the object
-    reference path (``filter_message`` → ``process_batch``) the
-    differential suite compares against.
-
-    Exact-TTL mode always keeps per-record processing and per-record
-    sweeps: the A.8 experiment's result *is* the sweep-cost meltdown,
-    so its timing must not be amortised away.
+    A wake-up's raw wire payloads accumulate into one
+    :class:`~repro.dns.columnar.DnsBatch` (the DNS twin of the shape
+    :class:`LookupLane` feeds ``correlate_batch_columns``) and go to
+    storage without materialising a single per-record object. Items that
+    arrive already decoded — :class:`DnsRecord` objects, ``(ts,
+    DnsMessage)`` tuples — take the object filter and ``process_batch``,
+    which lays them out as the same columns.
     """
 
-    __slots__ = ("processor", "storage", "exact_ttl", "columnar")
+    __slots__ = ("processor",)
 
-    def __init__(
-        self,
-        processor: FillUpProcessor,
-        storage: Optional[DnsStorage] = None,
-        exact_ttl: bool = False,
-        columnar: bool = True,
-    ):
+    def __init__(self, processor: FillUpProcessor):
         self.processor = processor
-        self.storage = storage if storage is not None else processor.storage
-        self.exact_ttl = exact_ttl
-        self.columnar = columnar and not exact_ttl
-
-    def process_records(self, records: Sequence[DnsRecord]) -> None:
-        """Store already-normalised records (one batch round-trip)."""
-        if not records:
-            return
-        if self.exact_ttl:
-            for record in records:
-                self.processor.process(record)
-                self.storage.tick(record.ts)
-        else:
-            self.processor.process_batch(records)
-
-    def process_columns(self, batch) -> None:
-        """Store one already-decoded :class:`~repro.dns.columnar.DnsBatch`.
-
-        The sharded engine's shards receive pre-partitioned column
-        tuples over IPC and land here. In exact-TTL mode rows rehydrate
-        to records so the per-record store + sweep cadence is preserved.
-        """
-        if self.exact_ttl:
-            stats = self.processor.stats
-            stats.raw_messages += batch.messages
-            stats.invalid += batch.invalid
-            stats.records_unknown_type += batch.unknown_records
-            for i in range(len(batch)):
-                record = batch.record(i)
-                self.processor.process(record)
-                self.storage.tick(record.ts)
-            return
-        self.processor.process_columns(batch)
 
     def process_items(self, items: Iterable) -> None:
-        """Normalise and store one wake-up's worth of stream items."""
-        if not self.columnar:
-            records: List[DnsRecord] = []
-            for item in items:
-                records.extend(dns_item_records(item, self.processor))
-            self.process_records(records)
-            return
-        # Columnar: contiguous runs of (ts, wire) items batch-decode
-        # straight to columns; anything else (DnsRecord objects, decoded
-        # messages) takes the object path. Runs flush on kind switches so
-        # storage sees items in arrival order — overwrite and clear-up
-        # semantics are order-sensitive.
+        """Normalise and store one wake-up's worth of stream items.
+
+        Contiguous runs of (ts, wire) items batch-decode straight to
+        columns; anything else (DnsRecord objects, decoded messages)
+        takes the object path. Runs flush on kind switches so storage
+        sees items in arrival order — overwrite and clear-up semantics
+        are order-sensitive.
+        """
         payloads: List = []
         stamps: List[float] = []
-        records = []
+        records: List[DnsRecord] = []
         for item in items:
             if (
                 type(item) is tuple
@@ -303,7 +256,7 @@ class FillLane:
                 and isinstance(item[1], (bytes, bytearray, memoryview))
             ):
                 if records:
-                    self.process_records(records)
+                    self.processor.process_batch(records)
                     records = []
                 stamps.append(item[0])
                 payloads.append(item[1])
@@ -318,17 +271,16 @@ class FillLane:
         if payloads:
             self.processor.process_columns(decode_fill_columns(payloads, stamps))
         if records:
-            self.process_records(records)
+            self.processor.process_batch(records)
 
 
 class LookupLane:
     """The flow lookup stage: items → one columnar batch → correlation.
 
-    The columnar fast path end-to-end: whatever mix of item types a
-    stream carries, decode→correlate touches only :class:`FlowBatch`
-    columns and per-record objects are never materialised. The object
-    reference path stays available via the processor's
-    ``process``/``correlate_batch`` for parity tooling.
+    Whatever mix of item types a stream carries, decode→correlate
+    touches only :class:`FlowBatch` columns and per-record objects are
+    never materialised. The per-record oracle is the processor's
+    ``process``.
     """
 
     __slots__ = ("processor", "collector", "ingest_stats")
@@ -348,23 +300,19 @@ class LookupLane:
         #: move with it.
         self.ingest_stats = ingest_stats
 
-    def correlate_batch(self, batch: FlowBatch) -> Optional[CorrelationBatch]:
-        """Correlate one columnar batch; None when it is empty."""
-        if not len(batch):
-            return None
-        return self.processor.correlate_batch_columns(batch)
-
     def correlate_items(self, items: Iterable) -> Optional[CorrelationBatch]:
-        """Accumulate one wake-up's items into a batch and correlate it."""
-        if self.ingest_stats is None:
-            return self.correlate_batch(flow_items_to_batch(items, self.collector))
+        """Fold one wake-up's items into a batch and correlate it; None
+        when the items carried no flows."""
         cstats = self.collector.stats
         errors_before = cstats.malformed + cstats.unknown_version
         batch = flow_items_to_batch(items, self.collector)
-        self.ingest_stats.malformed += (
-            cstats.malformed + cstats.unknown_version - errors_before
-        )
-        return self.correlate_batch(batch)
+        if self.ingest_stats is not None:
+            self.ingest_stats.malformed += (
+                cstats.malformed + cstats.unknown_version - errors_before
+            )
+        if not len(batch):
+            return None
+        return self.processor.correlate_batch_columns(batch)
 
 
 # --- drain loop -------------------------------------------------------------
@@ -530,7 +478,6 @@ def stack_summary(
 def merge_summaries(
     summaries: Sequence[Dict],
     variant_name: str,
-    flow_lane: str = "columnar",
     dns_records: Optional[int] = None,
     dns_invalid: Optional[int] = None,
     broadcast_overwrites: bool = False,
@@ -547,7 +494,7 @@ def merge_summaries(
     address records every stack observes the same IP-key overwrites, so
     summing would multiply them.
     """
-    report = EngineReport(variant_name=variant_name, flow_lane=flow_lane)
+    report = EngineReport(variant_name=variant_name)
     report.total_bytes = sum(s["bytes_in"] for s in summaries)
     report.correlated_bytes = sum(s["bytes_matched"] for s in summaries)
     report.flow_records = sum(s["flows_in"] for s in summaries)
@@ -557,11 +504,10 @@ def merge_summaries(
         if dns_records is not None
         else sum(s["records_in"] for s in summaries)
     )
-    # .get: summaries from pre-invalid-count worker builds lack the key.
     report.dns_invalid = (
         dns_invalid
         if dns_invalid is not None
-        else sum(s.get("records_invalid", 0) for s in summaries)
+        else sum(s["records_invalid"] for s in summaries)
     )
     for summary in summaries:
         for length, count in summary["chain_lengths"].items():
@@ -569,8 +515,7 @@ def merge_summaries(
     # Resident entries across all stacks: replicated (broadcast) entries
     # genuinely occupy memory in each holding process, so they always sum.
     report.final_map_entries = sum(s["map_entries"] for s in summaries)
-    # .get: summaries from pre-eviction worker builds lack the key.
-    report.evictions = sum(s.get("evictions", 0) for s in summaries)
+    report.evictions = sum(s["evictions"] for s in summaries)
     if broadcast_overwrites:
         report.overwrites = max((s["overwrites"] for s in summaries), default=0)
     else:

@@ -9,10 +9,11 @@ FillUp/LookUp/storage stack for its slice of the address space. The
 parent routes record batches to shards over IPC and merges the per-shard
 counters into one :class:`EngineReport`.
 
-The lane bodies each shard runs — exact-TTL-aware fill, columnar
-correlate, summary/report assembly — come from
-:mod:`repro.core.pipeline`, shared with the threaded and async engines;
-this module owns only the *scheduling policy*: process fan-out, hash
+Each shard drives the processors' columnar entries
+(``process_columns``, ``correlate_batch_columns``) on what the router
+sends it; item normalisation and summary/report assembly come from
+:mod:`repro.core.pipeline`, shared with the threaded and async engines.
+This module owns only the *scheduling policy*: process fan-out, hash
 routing, and the batched IPC framing.
 
 Routing invariants (what makes the partition correct):
@@ -53,8 +54,6 @@ from repro.core.labeler import ip_label
 from repro.core.lookup import LookUpProcessor
 from repro.core.metrics import EngineReport
 from repro.core.pipeline import (
-    FillLane,
-    LookupLane,
     collect_ingest,
     dns_item_records,
     empty_summary,
@@ -64,7 +63,7 @@ from repro.core.pipeline import (
     stack_summary,
 )
 from repro.core.storage_adapter import DnsStorage
-from repro.core.writer import HEADER, format_batch, format_result
+from repro.core.writer import HEADER, format_batch
 from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.rr import RRType
 from repro.netflow.collector import FlowCollector
@@ -73,19 +72,18 @@ from repro.util.errors import ConfigError
 
 #: Message kinds on the shard input/output queues.
 _DNS = 0
-_FLOWS = 1
-_ROWS = 2
-_REPORT = 3
+_ROWS = 1
+_REPORT = 2
 #: A flow batch as flat primitive columns (``FlowBatch.columns()``): the
 #: columnar lane's IPC payload — one tuple of lists per batch, no object
 #: graph for pickle to walk.
-_FLOW_COLS = 4
+_FLOW_COLS = 3
 #: A DNS batch as flat primitive columns (``DnsBatch.columns()``): the
 #: fill lane's columnar IPC payload. The router decodes wire payloads
 #: once, partitions the rows by answer hash, and ships per-shard column
 #: tuples whose message counters are zero — the router already counted
 #: messages/invalid/unknowns, shards only store rows.
-_DNS_COLS = 5
+_DNS_COLS = 4
 
 #: Bounded batches buffered per shard input queue (backpressure depth).
 _QUEUE_DEPTH = 16
@@ -95,7 +93,7 @@ _CNAME_TYPE = int(RRType.CNAME)
 
 
 def _shard_worker(shard_id, config, in_queue, out_queue, want_rows) -> None:
-    """One shard process: a private lane stack fed by batch messages.
+    """One shard process: a private processor stack fed by batch messages.
 
     Runs until the ``None`` sentinel, then reports its counters. Any
     exception is reported back instead of hanging the parent.
@@ -103,11 +101,6 @@ def _shard_worker(shard_id, config, in_queue, out_queue, want_rows) -> None:
     storage = DnsStorage(config)
     fillup = FillUpProcessor(storage)
     lookup = LookUpProcessor(storage, config)
-    fill_lane = FillLane(
-        fillup, storage, exact_ttl=config.exact_ttl,
-        columnar=config.dns_fill_columnar,
-    )
-    lookup_lane = LookupLane(lookup)
     error: Optional[str] = None
     try:
         while True:
@@ -116,19 +109,13 @@ def _shard_worker(shard_id, config, in_queue, out_queue, want_rows) -> None:
                 break
             kind, batch = message
             if kind == _DNS:
-                fill_lane.process_records(batch)
+                fillup.process_batch(batch)
             elif kind == _DNS_COLS:
-                fill_lane.process_columns(DnsBatch.from_columns(batch))
-            elif kind == _FLOW_COLS:
-                correlated = lookup_lane.correlate_batch(FlowBatch.from_columns(batch))
-                if want_rows and correlated is not None:
-                    out_queue.put((_ROWS, format_batch(correlated)))
-            else:
-                # Object-lane reference path; the parent routes columns,
-                # but record batches stay decodable for parity tooling.
-                results = lookup.correlate_batch(batch)
+                fillup.process_columns(DnsBatch.from_columns(batch))
+            else:  # _FLOW_COLS
+                correlated = lookup.correlate_batch_columns(FlowBatch.from_columns(batch))
                 if want_rows:
-                    out_queue.put((_ROWS, [format_result(r) for r in results]))
+                    out_queue.put((_ROWS, format_batch(correlated)))
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         # Keep draining until the sentinel: the input queue is bounded, so
@@ -244,13 +231,11 @@ class ShardedEngine:
         accumulator crosses IPC as one flat column tuple. Non-wire
         items (records, decoded messages) keep the object path; runs
         flush on kind switches so every shard queue preserves arrival
-        order. Exact-TTL runs stay entirely on the record path — the
-        shards' per-record store+sweep cadence is the A.8 subject.
+        order.
         """
         broadcast_addresses = self.config.direction is FlowDirection.BOTH
         num_shards = self.num_shards
         cname_type = _CNAME_TYPE
-        columnar = self.config.dns_fill_columnar and not self.config.exact_ttl
         batch_size = self.config.engine_batch_size
         # A storage-less processor gives us the same wire filter the
         # threaded engine applies; it only ever touches its stats here.
@@ -299,8 +284,7 @@ class ShardedEngine:
         try:
             for item in source:
                 if (
-                    columnar
-                    and type(item) is tuple
+                    type(item) is tuple
                     and len(item) == 2
                     and isinstance(item[1], (bytes, bytearray, memoryview))
                 ):

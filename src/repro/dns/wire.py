@@ -226,14 +226,13 @@ def _decode_rr(
     return ResourceRecord(name, rtype, rclass, ttl, rdata), offset + rdlength
 
 
-def decode_message(data: WireData, use_name_cache: bool = True) -> DnsMessage:
+def decode_message(data: WireData) -> DnsMessage:
     """Parse a wire-format DNS message; raises ParseError on corruption.
 
     ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview`` — the
-    decoder reads through one memoryview without copying section slices.
-    ``use_name_cache=False`` disables the per-message name-offset cache
-    (every compression chain re-chased); it is the reference path the
-    differential tests compare against and decodes identically.
+    decoder reads through one memoryview without copying section slices,
+    and one per-message name-offset cache means a compression chain is
+    chased once however many records point into it.
     """
     if len(data) < _HEADER.size:
         raise ParseError("message shorter than header")
@@ -241,7 +240,7 @@ def decode_message(data: WireData, use_name_cache: bool = True) -> DnsMessage:
     msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(buf, 0)
     header = Header.from_flags_word(msg_id, flags)
     msg = DnsMessage(header=header)
-    cache: Optional[NameCache] = {} if use_name_cache else None
+    cache: NameCache = {}
     offset = _HEADER.size
     for _ in range(qd):
         question, offset = _decode_question(buf, offset, cache)

@@ -54,16 +54,17 @@ def probe_version(datagram: bytes) -> int:
 class FlowCollector:
     """Decode NetFlow v5 / v9 / IPFIX datagrams into flow records."""
 
-    def __init__(self, use_compiled: bool = True) -> None:
-        self._v9 = V9Session(use_compiled=use_compiled)
-        self._ipfix = IpfixSession(use_compiled=use_compiled)
+    def __init__(self) -> None:
+        self._v9 = V9Session()
+        self._ipfix = IpfixSession()
         self.stats = CollectorStats()
 
     def ingest(self, datagram: bytes) -> List[FlowRecord]:
-        """Decode one datagram; malformed input is counted, not raised.
+        """Decode one datagram per field; malformed input is counted, not raised.
 
-        Returns the decoded flows (possibly empty, e.g. for a pure
-        template datagram).
+        The reference lane (:class:`FlowRecord` objects out) that the
+        parity tests hold :meth:`ingest_columns` to. Returns the decoded
+        flows (possibly empty, e.g. for a pure template datagram).
         """
         try:
             version = probe_version(datagram)
@@ -85,9 +86,10 @@ class FlowCollector:
     def ingest_columns(self, datagram: bytes) -> FlowBatch:
         """Columnar :meth:`ingest`: decode one datagram into a FlowBatch.
 
-        Same version sniffing, session state, and counters as the object
-        path, but the flows come out as columns — the engines' columnar
-        flow lanes feed on this.
+        The production lane: same version sniffing, session state, and
+        counters as :meth:`ingest`, but v9/IPFIX data sets run the
+        compiled per-template decoders and the flows come out as columns
+        — what the engines' flow lanes feed on.
         """
         try:
             version = probe_version(datagram)

@@ -2,50 +2,42 @@
 
 The per-field reference decoders (``V9Session._decode_data_reference``,
 ``IpfixSession._decode_data_reference``) run a Python loop over the
-template for every record: one ``unpack_from``/slice per field, a dict of
-named values, then a round of ``pop`` calls into :class:`FlowRecord`.
-That loop is the dominant cost of the collector hot path once the engine
-itself is batched.
+template for every record: one slice per field, a dict of named values,
+then a round of ``pop`` calls into :class:`FlowRecord`. They are what
+``decode()`` runs and what the differential tests compare against.
 
-This module compiles a template **once, at registration time**, into
+This module is the production twin. It compiles a template **once, at
+registration time**, into
 
 * a single :class:`struct.Struct` covering the whole record (addresses
   and odd-length integers as ``Ns`` byte slots, 1/2/4/8-byte integers as
   ``B/H/I/Q``), so a data FlowSet decodes with one ``iter_unpack`` bulk
   pass instead of a per-field loop; and
-* a generated straight-line decode function specialised to the template's
-  slot layout — constant tuple indices, no per-record dict of field names,
-  decoded addresses shared through a bounded cache.
+* a generated straight-line function specialised to the template's slot
+  layout — constant tuple indices, no per-record dict of field names —
+  that appends straight into the parallel lists of a :class:`FlowBatch`:
+  no ``FlowRecord``, no ``ipaddress`` objects (addresses go packed
+  bytes → interned canonical text through a bounded cache).
 
-Each compiled decoder also carries a **columnar twin** as its
-``decode_columns`` attribute: the same specialised loop, but appending
-straight into the parallel lists of a :class:`FlowBatch` — no
-``FlowRecord``, no ``ipaddress`` objects at all (addresses go packed
-bytes → interned canonical text through a bounded cache). This is the
-decode half of the columnar decode→correlate hot path; the object
-decoder stays the parity reference.
-
-The generated code reproduces the reference decoder exactly (the
-differential tests in ``tests/test_codec_parity.py`` hold them
-byte-for-byte equal), with two deliberate deviations on *statically
-degenerate* templates only:
-
-* a template with no source or no destination address field can never
-  produce a record, so the compiled decoder returns ``[]`` without
-  touching the payload (the reference walks it and drops every record);
-* records are materialised through ``object.__new__`` instead of the
-  frozen-dataclass constructor, so the wire-impossible validations are
-  emitted only when a template could actually violate them (ports wider
-  than 16 bits); unsigned wire counters can never be negative.
+``FlowBatch.record(i)`` over the generated decoder's output equals the
+reference decoder's records field for field (``tests/test_codec_parity
+.py``), and a payload the reference rejects — a port wider than 16 bits,
+an address field that is not 4 or 16 bytes — raises the same
+``ValueError`` here, which the sessions' shared FlowSet walk reports as
+:class:`ParseError`. One deliberate deviation, on *statically
+degenerate* templates only: a template with no source or no destination
+address field can never produce a record, so the compiled decoder
+returns an empty batch without touching the payload (the reference walks
+it and drops every record).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, FrozenSet, List, Mapping
+from typing import Callable, FrozenSet, Mapping
 
-from repro.netflow.records import FlowBatch, FlowRecord
-from repro.util.interning import cached_ip_address, cached_ip_text, ip_text_probe
+from repro.netflow.records import FlowBatch
+from repro.util.interning import cached_ip_text, ip_text_probe
 
 #: struct codes for the integer widths the format can express directly.
 _INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -79,8 +71,8 @@ def compile_decoder(
     dst_types: FrozenSet[int],
     ts_type: int,
     ts_mode: str,
-) -> Callable[..., List[FlowRecord]]:
-    """Compile ``template`` into a bulk FlowSet decoder.
+) -> Callable[..., FlowBatch]:
+    """Compile ``template`` into a bulk FlowSet → :class:`FlowBatch` decoder.
 
     ``ts_mode`` selects the timestamp semantics: ``"uptime_ms"`` generates
     ``decode(payload, unix_secs, sys_uptime)`` (NetFlow v9 LAST_SWITCHED
@@ -119,13 +111,9 @@ def compile_decoder(
 
     if src_idx < 0 or dst_idx < 0 or rec_len == 0:
         # Statically address-less (or empty): no record can ever emerge.
-        def decode_nothing(payload, *_ts_args) -> List[FlowRecord]:
-            return []
-
-        def decode_nothing_columns(payload, *_ts_args) -> FlowBatch:
+        def decode_nothing(payload, *_ts_args) -> FlowBatch:
             return FlowBatch()
 
-        decode_nothing.decode_columns = decode_nothing_columns  # type: ignore[attr-defined]
         return decode_nothing
 
     # ---- generate the per-record body ------------------------------------
@@ -166,32 +154,10 @@ def compile_decoder(
     )
     guard_block = "\n".join(guards) + "\n" if guards else ""
 
-    source = (
-        f"def _decode({signature}):\n"
-        f"{preamble}"
-        f"    out = []\n"
-        f"    append = out.append\n"
-        f"    for r in _iter_unpack(payload):\n"
-        f"{guard_block}"
-        f"        rec = _new(_FlowRecord)\n"
-        f"        rec.__dict__.update({{\n"
-        f"            'ts': {ts_expr},\n"
-        f"            'src_ip': _ip(r[{src_idx}]),\n"
-        f"            'dst_ip': _ip(r[{dst_idx}]),\n"
-        f"            'src_port': {core_exprs['src_port']},\n"
-        f"            'dst_port': {core_exprs['dst_port']},\n"
-        f"            'protocol': {core_exprs['protocol']},\n"
-        f"            'packets': {core_exprs['packets']},\n"
-        f"            'bytes_': {core_exprs['bytes_']},\n"
-        f"            'extra': {{{extra_items}}},\n"
-        f"        }})\n"
-        f"        append(rec)\n"
-        f"    return out\n"
-    )
-    # ---- generate the columnar twin --------------------------------------
-    # Same slot exprs and port guards, but appending into parallel lists:
-    # no FlowRecord, no per-record dict unless the template has extra
-    # fields, addresses as interned text straight from the packed bytes.
+    # ---- generate the function ---------------------------------------------
+    # Appends into parallel lists: no per-record dict unless the template
+    # has extra fields, addresses as interned text straight from the
+    # packed bytes.
     if named:
         extras_init = "    _ex = []\n    _a_ex = _ex.append\n"
         extras_append = f"        _a_ex({{{extra_items}}})\n"
@@ -200,8 +166,8 @@ def compile_decoder(
         extras_init = ""
         extras_append = ""
         extras_ret = "None"
-    col_source = (
-        f"def _decode_cols({signature}):\n"
+    source = (
+        f"def _decode({signature}):\n"
         f"{preamble}"
         f"    _ts = []\n    _src = []\n    _dst = []\n    _sp = []\n"
         f"    _dp = []\n    _pr = []\n    _pk = []\n    _by = []\n"
@@ -233,43 +199,22 @@ def compile_decoder(
 
     namespace = {
         "_iter_unpack": record_struct.iter_unpack,
-        "_FlowRecord": FlowRecord,
-        "_new": object.__new__,
-        "_ip": cached_ip_address,
         "_ip_text": cached_ip_text,
         "_tg": ip_text_probe,
         "_fb": int.from_bytes,
     }
     exec(compile(source, f"<compiled-template-{template.template_id}>", "exec"), namespace)
-    exec(
-        compile(col_source, f"<compiled-template-{template.template_id}-columns>", "exec"),
-        namespace,
-    )
     inner = namespace["_decode"]
-    inner_cols = namespace["_decode_cols"]
 
-    def decode(payload, *ts_args) -> List[FlowRecord]:
-        count = len(payload) // rec_len
-        if count == 0:
-            return []
-        end = count * rec_len
-        if end != len(payload):
-            # memoryview trim: FlowSet padding must not copy the payload
-            # (iter_unpack still hands the Ns slots out as bytes).
-            payload = memoryview(payload)[:end]
-        return inner(payload, *ts_args)
-
-    def decode_columns(payload, *ts_args) -> FlowBatch:
+    def decode(payload, *ts_args) -> FlowBatch:
         count = len(payload) // rec_len
         if count == 0:
             return FlowBatch()
         end = count * rec_len
         if end != len(payload):
+            # memoryview trim: FlowSet padding must not copy the payload
+            # (iter_unpack still hands the Ns slots out as bytes).
             payload = memoryview(payload)[:end]
-        return FlowBatch(*inner_cols(payload, *ts_args))
+        return FlowBatch(*inner(payload, *ts_args))
 
-    decode.record_struct = record_struct  # type: ignore[attr-defined]
-    decode.source = source  # type: ignore[attr-defined]
-    decode.decode_columns = decode_columns  # type: ignore[attr-defined]
-    decode_columns.source = col_source  # type: ignore[attr-defined]
     return decode

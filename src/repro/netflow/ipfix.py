@@ -128,7 +128,7 @@ def encode_ipfix_data(
 
 
 @lru_cache(maxsize=256)
-def compiled_ipfix_decoder(template: TemplateRecord) -> Callable[..., List[FlowRecord]]:
+def compiled_ipfix_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]:
     """One compiled ``decode(payload, export_secs)`` per template."""
     return compile_decoder(
         template,
@@ -143,15 +143,14 @@ def compiled_ipfix_decoder(template: TemplateRecord) -> Callable[..., List[FlowR
 class IpfixSession:
     """Stateful IPFIX collector: template cache keyed by observation domain.
 
-    Like :class:`repro.netflow.v9.V9Session`, data sets decode through the
-    compiled per-template decoder unless ``use_compiled=False`` selects the
-    per-field reference implementation.
+    Like :class:`repro.netflow.v9.V9Session`: :meth:`decode_batch_columns`
+    is the production path (compiled per-template decoder, columns out),
+    :meth:`decode` the per-field reference the parity tests compare it to.
     """
 
-    def __init__(self, use_compiled: bool = True) -> None:
-        self.use_compiled = use_compiled
+    def __init__(self) -> None:
         self._templates: Dict[Tuple[int, int], TemplateRecord] = {}
-        self._decoders: Dict[Tuple[int, int], Callable[..., List[FlowRecord]]] = {}
+        self._decoders: Dict[Tuple[int, int], Callable[..., FlowBatch]] = {}
 
     def template_for(self, domain_id: int, template_id: int) -> Optional[TemplateRecord]:
         return self._templates.get((domain_id, template_id))
@@ -184,26 +183,21 @@ class IpfixSession:
                 key = (domain_id, set_id)
                 tmpl = self._templates.get(key)
                 if tmpl is not None:
-                    on_data(key, tmpl, payload, export_secs)
+                    try:
+                        on_data(key, tmpl, payload, export_secs)
+                    except (ValueError, OverflowError) as exc:
+                        # Same contract as V9Session._walk_flowsets: a
+                        # wire value either lane's record decode rejects
+                        # is malformed input.
+                        raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
 
-    def _compiled_decoder(self, key, tmpl):
-        """Get-or-compile the cached compiled decoder for one template."""
-        decoder = self._decoders.get(key)
-        if decoder is None:
-            decoder = compiled_ipfix_decoder(tmpl)
-            self._decoders[key] = decoder
-        return decoder
-
     def decode(self, message: bytes) -> List[FlowRecord]:
+        """Decode one message per field (the reference lane)."""
         flows: List[FlowRecord] = []
 
         def on_data(key, tmpl, payload, export_secs):
-            if self.use_compiled:
-                decoder = self._compiled_decoder(key, tmpl)
-                flows.extend(decoder(payload, export_secs))
-            else:
-                flows.extend(self._decode_data_reference(tmpl, payload, export_secs))
+            flows.extend(self._decode_data_reference(tmpl, payload, export_secs))
 
         self._walk_sets(message, on_data)
         return flows
@@ -212,14 +206,13 @@ class IpfixSession:
         """Decode one message straight into a columnar :class:`FlowBatch`.
 
         The IPFIX analogue of :meth:`V9Session.decode_batch_columns`:
-        data sets run the compiled decoder's columnar twin, template sets
+        data sets run the compiled per-template decoder, template sets
         are learned as usual.
         """
         batches: List[FlowBatch] = [FlowBatch()]
 
         def on_data(key, tmpl, payload, export_secs):
-            decoder = self._compiled_decoder(key, tmpl)
-            decoded = decoder.decode_columns(payload, export_secs)
+            decoded = self._decoders[key](payload, export_secs)
             batch = batches[0]
             if len(batch):
                 batch.extend(decoded)
@@ -246,13 +239,7 @@ class IpfixSession:
             key = (domain_id, template_id)
             tmpl = TemplateRecord(template_id, tuple(fields))
             self._templates[key] = tmpl
-            if self.use_compiled:
-                self._decoders[key] = compiled_ipfix_decoder(tmpl)
-            else:
-                # decode_batch_columns lazily caches compiled decoders even
-                # on reference sessions; a re-announced template must not
-                # leave that cache decoding the old layout.
-                self._decoders.pop(key, None)
+            self._decoders[key] = compiled_ipfix_decoder(tmpl)
 
     def _decode_data_reference(
         self, tmpl: TemplateRecord, payload: bytes, export_secs: int

@@ -267,8 +267,9 @@ class FlowBatch:
         """Build the parity-identical :class:`FlowRecord` for row ``i``.
 
         Fields were validated at decode/adapt time, so the record is
-        assembled through ``object.__new__`` like the compiled decoders
-        do; ``extra`` is copied so repeated materialisations never alias.
+        assembled through ``object.__new__``, skipping the constructor's
+        checks; ``extra`` is copied so repeated materialisations never
+        alias.
         """
         rec = object.__new__(FlowRecord)
         extra = self.extras[i] if self.extras is not None else None

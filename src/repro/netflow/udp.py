@@ -3,11 +3,10 @@
 Routers export flow records over UDP; :class:`UdpFlowSource` binds a
 socket, decodes datagrams through a :class:`FlowCollector`, and exposes
 the decoded flows as an iterable suitable for handing straight to the
-live engines as one of their flow streams. By default it yields columnar
+live engines as one of their flow streams. It yields columnar
 :class:`FlowBatch` items (one per datagram, via
-:meth:`FlowCollector.ingest_columns`) so live UDP ingest rides the
-engines' columnar fast lane; ``yield_records=True`` restores the
-per-record object iteration for consumers that want ``FlowRecord`` s.
+:meth:`FlowCollector.ingest_columns`), the shape the engines' flow
+lanes carry.
 
 The source is deliberately minimal: one socket, one thread (the caller's
 — iteration does the receiving), a stop flag, and per-source ingest
@@ -25,11 +24,11 @@ iterating after stop, is safe and yields nothing.
 from __future__ import annotations
 
 import socket
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple
 
 from repro.core.metrics import IngestStats
 from repro.netflow.collector import FlowCollector
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowBatch
 from repro.util.errors import ConfigError
 
 #: Largest datagram we accept; NetFlow exports stay well under this.
@@ -113,12 +112,10 @@ class UdpFlowSource:
         bind_addr: Tuple[str, int] = ("127.0.0.1", 0),
         collector: Optional[FlowCollector] = None,
         recv_timeout: float = 0.2,
-        yield_records: bool = False,
         capture=None,
         recv_buffer_bytes: int = 0,
     ):
         self.collector = collector if collector is not None else FlowCollector()
-        self.yield_records = yield_records
         #: Optional :class:`repro.replay.capture.CaptureWriter` tee: every
         #: received datagram is recorded pre-decode (malformed included).
         self.capture = capture
@@ -199,14 +196,11 @@ class UdpFlowSource:
             self.capture.record_flow(data)
         return data
 
-    def __iter__(self) -> Iterator[Union[FlowBatch, FlowRecord]]:
+    def __iter__(self) -> Iterator[FlowBatch]:
         """Yield decoded flows until :meth:`stop` is called.
 
-        Columnar by default: one :class:`FlowBatch` per flow-carrying
-        datagram (template-only and malformed datagrams yield nothing but
-        are counted). With ``yield_records=True``, per-record
-        :class:`FlowRecord` objects come out instead — the slow-lane
-        escape hatch for object consumers.
+        One :class:`FlowBatch` per flow-carrying datagram (template-only
+        and malformed datagrams yield nothing but are counted).
         """
         stats = self.ingest_stats
         collector = self.collector
@@ -215,15 +209,10 @@ class UdpFlowSource:
             if datagram is None:
                 continue
             errors_before = collector.stats.malformed + collector.stats.unknown_version
-            if self.yield_records:
-                flows = collector.ingest(datagram)
-                stats.accepted += len(flows)
-                yield from flows
-            else:
-                batch = collector.ingest_columns(datagram)
-                if len(batch):
-                    stats.accepted += 1
-                    yield batch
+            batch = collector.ingest_columns(datagram)
+            if len(batch):
+                stats.accepted += 1
+                yield batch
             errors_after = collector.stats.malformed + collector.stats.unknown_version
             if errors_after > errors_before:
                 stats.malformed += 1

@@ -201,7 +201,7 @@ _DST_ADDR_TYPES = frozenset({IPV4_DST_ADDR, IPV6_DST_ADDR})
 
 
 @lru_cache(maxsize=256)
-def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., List[FlowRecord]]:
+def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]:
     """One compiled ``decode(payload, unix_secs, sys_uptime)`` per template.
 
     Memoised so periodic template refreshes (re-learning an identical
@@ -220,16 +220,16 @@ def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., List[FlowReco
 class V9Session:
     """Stateful v9 collector side: caches templates, decodes data FlowSets.
 
-    Data FlowSets decode through the template-specialized compiled decoder
-    by default; ``use_compiled=False`` keeps the per-field reference
-    implementation, which the parity tests and the codec benchmark's
-    baseline measure against.
+    Two decode lanes over one FlowSet walk: :meth:`decode_batch_columns`
+    is the production path (template-specialized compiled decoder,
+    columns out), :meth:`decode` the per-field reference that emits
+    :class:`FlowRecord` objects and that the parity tests compare the
+    compiled path against.
     """
 
-    def __init__(self, use_compiled: bool = True) -> None:
-        self.use_compiled = use_compiled
+    def __init__(self) -> None:
         self._templates: Dict[Tuple[int, int], TemplateRecord] = {}
-        self._decoders: Dict[Tuple[int, int], Callable[..., List[FlowRecord]]] = {}
+        self._decoders: Dict[Tuple[int, int], Callable[..., FlowBatch]] = {}
 
     def template_for(self, source_id: int, template_id: int) -> Optional[TemplateRecord]:
         return self._templates.get((source_id, template_id))
@@ -264,29 +264,25 @@ class V9Session:
                 key = (source_id, set_id)
                 tmpl = self._templates.get(key)
                 if tmpl is not None:
-                    on_data(key, tmpl, payload, unix_secs, sys_uptime)
+                    try:
+                        on_data(key, tmpl, payload, unix_secs, sys_uptime)
+                    except (ValueError, OverflowError) as exc:
+                        # A wire value either lane's record decode
+                        # rejects — a port over 16 bits in a wide port
+                        # field, an address field that is not 4/16
+                        # bytes, a timestamp too wide for a float — is
+                        # malformed input, not a programming error.
+                        raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
 
-    def _compiled_decoder(self, key, tmpl):
-        """Get-or-compile the cached compiled decoder for one template."""
-        decoder = self._decoders.get(key)
-        if decoder is None:
-            decoder = compiled_v9_decoder(tmpl)
-            self._decoders[key] = decoder
-        return decoder
-
     def decode(self, datagram: bytes) -> List[FlowRecord]:
-        """Decode one datagram, learning templates and emitting flows."""
+        """Decode one datagram per field (the reference lane)."""
         flows: List[FlowRecord] = []
 
         def on_data(key, tmpl, payload, unix_secs, sys_uptime):
-            if self.use_compiled:
-                decoder = self._compiled_decoder(key, tmpl)
-                flows.extend(decoder(payload, unix_secs, sys_uptime))
-            else:
-                flows.extend(
-                    self._decode_data_reference(tmpl, payload, unix_secs, sys_uptime)
-                )
+            flows.extend(
+                self._decode_data_reference(tmpl, payload, unix_secs, sys_uptime)
+            )
 
         self._walk_flowsets(datagram, on_data)
         return flows
@@ -295,16 +291,13 @@ class V9Session:
         """Decode one datagram straight into a columnar :class:`FlowBatch`.
 
         Same template learning and FlowSet walk as :meth:`decode`, but
-        data FlowSets run the compiled decoder's columnar twin — no
-        ``FlowRecord`` or ``ipaddress`` objects are materialised. Always
-        uses the compiled path (there is no per-field columnar reference;
-        the object decoders remain the parity ground truth).
+        data FlowSets run the compiled per-template decoder — no
+        ``FlowRecord`` or ``ipaddress`` objects are materialised.
         """
         batches: List[FlowBatch] = [FlowBatch()]
 
         def on_data(key, tmpl, payload, unix_secs, sys_uptime):
-            decoder = self._compiled_decoder(key, tmpl)
-            decoded = decoder.decode_columns(payload, unix_secs, sys_uptime)
+            decoded = self._decoders[key](payload, unix_secs, sys_uptime)
             batch = batches[0]
             if len(batch):
                 batch.extend(decoded)
@@ -334,13 +327,7 @@ class V9Session:
             tmpl = TemplateRecord(template_id, tuple(fields))
             self._templates[key] = tmpl
             # Compile at registration so the first data FlowSet pays nothing.
-            if self.use_compiled:
-                self._decoders[key] = compiled_v9_decoder(tmpl)
-            else:
-                # decode_batch_columns lazily caches compiled decoders even
-                # on reference sessions; a re-announced template must not
-                # leave that cache decoding the old layout.
-                self._decoders.pop(key, None)
+            self._decoders[key] = compiled_v9_decoder(tmpl)
 
     def _decode_data_reference(
         self, tmpl: TemplateRecord, payload: bytes, unix_secs: int, sys_uptime: int

@@ -13,9 +13,9 @@ charged to the CPU budget, starving the ingest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.storage.concurrent_map import DEFAULT_SHARD_COUNT, ConcurrentMap, key_hashes
+from repro.storage.concurrent_map import DEFAULT_SHARD_COUNT, ConcurrentMap
 from repro.util.errors import ConfigError
 
 
@@ -75,25 +75,6 @@ class ExactTtlStore:
         overflow = len(cmap) - self.max_entries
         if overflow > 0:
             self.stats.evictions += cmap.evict_oldest(overflow)
-
-    def put_rows(
-        self,
-        keys: Sequence[str],
-        values: Sequence[str],
-        ttls: Sequence[float],
-        stamps: Sequence[float],
-    ) -> None:
-        """Batched :meth:`put` of parallel key/value/ttl/ts columns, each
-        row labelled with its key's hash (sweeps stay timestamp-driven via
-        :meth:`maybe_sweep`, which puts never run)."""
-        maps = self._maps
-        splits = self.num_splits
-        for h, key, value, ttl, ts in zip(key_hashes(keys), keys, values, ttls, stamps):
-            maps[h % splits].set(key, (value, ts + ttl))
-        self.stats.puts += len(keys)
-        if self.max_entries:
-            for cmap in maps:
-                self._enforce_cap(cmap)
 
     def lookup(self, label: int, key: str, now: float) -> Optional[str]:
         """Return the value only while the record's own TTL is live.

@@ -1,15 +1,13 @@
 """Benchmark result sink shared by the perf gate tests.
 
-The acceptance gates (codec, engine, and columnar throughput) measure
-real ratios on whatever machine runs them; this module lets each gate
-drop its numbers into one JSON file so CI can upload the file as an
-artifact and the perf trajectory accumulates across PRs.
+The remaining ``benchmarks/`` gates measure real ratios on whatever
+machine runs them; this module lets each gate drop its numbers into one
+JSON file so CI can upload the file as an artifact and the perf
+trajectory accumulates across PRs.
 
-The default file name is parameterised per PR (``BENCH_pr10.json`` for
-this one; ``$BENCH_JSON`` still overrides). Measurement *keys* are
-stable across PRs — the PR 2 gates keep writing their
-``v9_decode_speedup``/``engine_batched_speedup``/… entries into the
-current file — so plotting one key across the per-PR artifacts gives the
+The default file name is parameterised per PR (``BENCH_pr10.json``;
+``$BENCH_JSON`` still overrides). Measurement *keys* are stable across
+PRs, so plotting one key across the per-PR artifacts gives the
 trajectory.
 """
 

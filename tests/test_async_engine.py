@@ -117,7 +117,6 @@ class TestAsyncOffline:
             [list(dns)], [list(flows)], dns_first=True
         )
         assert async_report.variant_name == "async"
-        assert async_report.flow_lane == "columnar"
         _assert_reports_equal(async_report, threaded_report)
         assert _rows(async_sink) == _rows(threaded_sink)
 

@@ -1,6 +1,6 @@
 """Tests for the batched hot path: buffer/queue batch pops, storage batch
-ops, and the processor-level ``process_batch``/``correlate_batch`` —
-including equivalence against the per-record path."""
+ops, and the processor-level ``process_batch``/``correlate_batch_columns``
+— including equivalence against the per-record path."""
 
 import threading
 
@@ -11,7 +11,7 @@ from repro.core.lookup import LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
 from repro.storage.concurrent_map import key_hash
 from repro.storage.rotating import StoreBank
 from repro.streams.buffer import BoundedBuffer
@@ -171,7 +171,8 @@ class TestBatchEquivalence:
         lookup = LookUpProcessor(storage, config)
         results = []
         for i in range(0, len(flows), batch_size):
-            results.extend(lookup.correlate_batch(flows[i:i + batch_size]))
+            batch = FlowBatch.from_records(flows[i:i + batch_size])
+            results.extend(lookup.correlate_batch_columns(batch).results())
         return storage, fillup, lookup, results
 
     def test_results_and_counters_match(self):
@@ -218,7 +219,7 @@ class TestBatchEquivalence:
         assert fillup.process_batch(mixed) == 1
         assert fillup.stats.records_skipped == 1
         lookup = LookUpProcessor(storage, config)
-        assert lookup.correlate_batch([]) == []
+        assert lookup.correlate_batch_columns(FlowBatch()).results() == []
         assert lookup.stats.flows_in == 0
 
     def test_exact_ttl_falls_back_to_per_record(self):
@@ -232,7 +233,7 @@ class TestBatchEquivalence:
             FlowRecord(ts=5.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10),
             FlowRecord(ts=50.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10),
         ]
-        results = lookup.correlate_batch(flows)
+        results = lookup.correlate_batch_columns(FlowBatch.from_records(flows)).results()
         # Per-flow expiry clocks: the 5s flow matches, the 50s flow is past
         # the 10s TTL — exactly what per-record processing yields.
         assert results[0].matched and not results[1].matched
@@ -261,7 +262,9 @@ class TestConcurrentBatchSafety:
         def correlate(processor):
             try:
                 for i in range(0, len(flows), 64):
-                    processor.correlate_batch(flows[i:i + 64])
+                    processor.correlate_batch_columns(
+                        FlowBatch.from_records(flows[i:i + 64])
+                    )
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -277,8 +280,8 @@ class TestConcurrentBatchSafety:
         assert sum(p.stats.flows_in for p in lookups) == 2 * len(flows)
         # After the fill completes, every flow IP must resolve.
         verify = LookUpProcessor(storage, config)
-        results = verify.correlate_batch(flows)
-        assert all(r.matched for r in results)
+        correlated = verify.correlate_batch_columns(FlowBatch.from_records(flows))
+        assert all(correlated.matched_mask())
 
 
 class TestFacadeBatchPath:

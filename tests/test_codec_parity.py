@@ -1,10 +1,12 @@
 """Differential tests: compiled decoders vs the per-field references.
 
 PR 2's parity contract: for every template and payload the collector can
-see, the template-specialized compiled v9/IPFIX decoders and the
-memoryview/name-cache DNS decoder must produce records byte-for-byte
-identical to the per-field reference implementations. Templates and
-payloads are randomized (hypothesis) so the parity claim covers odd
+see, the template-specialized compiled v9/IPFIX decoders
+(``decode_batch_columns``, rows materialised through
+``FlowBatch.record``) must produce records byte-for-byte identical to
+the per-field reference ``decode()``, and the memoryview/name-cache DNS
+decoder names identical to an uncached ``decode_name`` chase. Templates
+and payloads are randomized (hypothesis) so the parity claim covers odd
 field widths, unknown field types, duplicate fields, padding, and
 compression-pointer-heavy DNS messages — not just the standard layouts.
 """
@@ -104,12 +106,10 @@ def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_
     datagram = _pack_header(n_records, sys_uptime, unix_secs, 0, 0) + flowset
     template_datagram = encode_v9_template([template], unix_secs=unix_secs)
 
-    reference = V9Session(use_compiled=False)
-    compiled = V9Session(use_compiled=True)
-    reference.decode(template_datagram)
-    compiled.decode(template_datagram)
-    ref_flows = reference.decode(datagram)
-    comp_flows = compiled.decode(datagram)
+    session = V9Session()
+    session.decode(template_datagram)
+    ref_flows = session.decode(datagram)
+    comp_flows = session.decode_batch_columns(datagram).to_records()
     assert ref_flows == comp_flows
     for a, b in zip(ref_flows, comp_flows):
         assert a.ts == b.ts
@@ -133,12 +133,10 @@ def test_ipfix_compiled_matches_reference(template, rng, n_records, trailing, ex
     )
     template_message = encode_ipfix_template([template], export_secs=export_secs)
 
-    reference = IpfixSession(use_compiled=False)
-    compiled = IpfixSession(use_compiled=True)
-    reference.decode(template_message)
-    compiled.decode(template_message)
-    ref_flows = reference.decode(message)
-    comp_flows = compiled.decode(message)
+    session = IpfixSession()
+    session.decode(template_message)
+    ref_flows = session.decode(message)
+    comp_flows = session.decode_batch_columns(message).to_records()
     assert ref_flows == comp_flows
     for a, b in zip(ref_flows, comp_flows):
         assert a.ts == b.ts
@@ -159,10 +157,10 @@ def test_zero_field_template_decodes_to_nothing_on_both_paths():
         + struct.pack("!HH", 300, 4 + 8)
         + b"\x00" * 8
     )
-    for use_compiled in (False, True):
-        session = V9Session(use_compiled=use_compiled)
-        session.decode(template_datagram)
-        assert session.decode(data_datagram) == []
+    session = V9Session()
+    session.decode(template_datagram)
+    assert session.decode(data_datagram) == []
+    assert len(session.decode_batch_columns(data_datagram)) == 0
 
 
 def test_compiled_decoder_skips_addressless_templates():
@@ -173,14 +171,14 @@ def test_compiled_decoder_skips_addressless_templates():
         + struct.pack("!HH", 310, 4 + 8)
         + b"\x00" * 8
     )
-    for use_compiled in (False, True):
-        session = V9Session(use_compiled=use_compiled)
-        session.decode(encode_v9_template([template], unix_secs=1000))
-        assert session.decode(datagram) == []
+    session = V9Session()
+    session.decode(encode_v9_template([template], unix_secs=1000))
+    assert session.decode(datagram) == []
+    assert len(session.decode_batch_columns(datagram)) == 0
 
 
 # ---------------------------------------------------------------------------
-# DNS: memoryview + per-message name cache vs the uncached reference.
+# DNS: memoryview + per-message name cache vs an uncached name chase.
 # ---------------------------------------------------------------------------
 
 # Includes space: FlowDNS must transport malformed names (Section 5), and
@@ -211,13 +209,34 @@ def _messages(draw):
     )
 
 
+def _uncached_names(wire, answer_count):
+    """Every name of a question + answers message, each compression
+    chain chased from scratch (``decode_name`` without a cache)."""
+    qname, offset = decode_name(wire, 12)
+    offset += 4  # qtype, qclass
+    names = [qname]
+    for _ in range(answer_count):
+        owner, offset = decode_name(wire, offset)
+        rtype, _rclass, _ttl, rdlength = struct.unpack_from("!HHIH", wire, offset)
+        offset += 10
+        names.append(owner)
+        if rtype == RRType.CNAME:
+            names.append(decode_name(wire, offset)[0])
+        offset += rdlength
+    return names
+
+
 @given(msg=_messages())
 @settings(max_examples=150, deadline=None)
 def test_dns_cached_decode_matches_uncached(msg):
     wire = encode_message(msg)
     cached = decode_message(wire)
-    uncached = decode_message(wire, use_name_cache=False)
-    assert cached == uncached
+    cached_names = [cached.questions[0].qname]
+    for rr in cached.answers:
+        cached_names.append(rr.name)
+        if rr.rtype == RRType.CNAME:
+            cached_names.append(rr.rdata)
+    assert cached_names == _uncached_names(wire, len(cached.answers))
     via_memoryview = decode_message(memoryview(wire))
     assert via_memoryview == cached
 

@@ -4,14 +4,15 @@ PR 3's parity contract: for any flow population the pipeline can see,
 ``correlate_batch_columns`` over a :class:`FlowBatch` must produce the
 same chains, the same :class:`LookUpStats`, and (when materialised) the
 same records — including ``FlowRecord.extra``, which is ``compare=False``
-and therefore asserted explicitly — as ``correlate_batch`` over the
-equivalent ``FlowRecord`` list. Randomization (hypothesis) covers
-IPv4+IPv6 pools, SOURCE/DESTINATION/BOTH directions, CNAME chains,
-invalid counters, per-flow extras, and the exact-TTL per-record
-fallback. The decoders' columnar twins are pinned against the object
-decoders over randomized flows for all three wire formats, and the
-engines' columnar lanes (including ShardedEngine's flat-column IPC) are
-pinned against each other on a mixed-item corpus.
+and therefore asserted explicitly — as the per-record oracle
+(``LookUpProcessor.process`` / ``resolve``) applied under the batch
+contract spelled out in :func:`_reference_correlate`. Randomization
+(hypothesis) covers IPv4+IPv6 pools, SOURCE/DESTINATION/BOTH directions,
+CNAME chains, invalid counters, per-flow extras, and the exact-TTL
+per-record branch. The compiled columnar decoders are pinned against the
+per-field reference decoders over randomized flows for all three wire
+formats, and the engines' columnar lanes (including ShardedEngine's
+flat-column IPC) are pinned against each other on a mixed-item corpus.
 """
 
 import io
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.config import FlowDNSConfig
 from repro.core.engine import ThreadedEngine, gated_flow_source
 from repro.core.fillup import FillUpProcessor
-from repro.core.lookup import LookUpProcessor
+from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.sharded import ShardedEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import format_batch, format_result
@@ -104,8 +105,8 @@ def _rows(draw):
 
 
 def _record_from_row(row) -> FlowRecord:
-    """Build the reference FlowRecord, bypassing validation like the
-    compiled decoders do so deliberately-invalid counters can exist."""
+    """Build the reference FlowRecord, bypassing validation like
+    ``FlowBatch.record`` does so deliberately-invalid counters can exist."""
     ts, src, dst, sp, dp, proto, packets, bytes_, extra = row
     rec = object.__new__(FlowRecord)
     rec.__dict__.update(
@@ -143,6 +144,62 @@ def _filled_storage(config: FlowDNSConfig) -> DnsStorage:
     return storage
 
 
+def _reference_correlate(processor: LookUpProcessor, flows):
+    """The per-record oracle, run under the batch contract.
+
+    Exact-TTL: plain :meth:`LookUpProcessor.process` per flow, each at
+    its own timestamp. Otherwise the contract a batch adds on top of
+    ``process``: every *unique* lookup IP of the valid flows is resolved
+    exactly once — one ``resolve()`` each, in first-appearance order, at
+    ``now`` = the first row's ``ts`` — and the chain is shared by all the
+    batch's flows carrying that IP; under ``BOTH`` the destination
+    fallbacks of source-missed flows resolve after every source, again
+    unique and in first-appearance order. ``resolve()`` moves only the
+    chain-walk counters, so the flow-level counters are tallied here,
+    the way ``process`` tallies them per flow, and the processor's
+    ``stats`` end up comparable field for field.
+    """
+    if not flows:
+        return []
+    if processor.config.exact_ttl:
+        return [processor.process(flow) for flow in flows]
+    direction = processor.config.direction
+    both = direction is FlowDirection.BOTH
+    now = flows[0].ts
+    lookup_ips = [
+        str(flow.src_ip if both else flow.lookup_ip(direction))
+        if processor.is_valid(flow) else None
+        for flow in flows
+    ]
+    chains = {}
+    for ip in lookup_ips:
+        if ip is not None and ip not in chains:
+            chains[ip] = tuple(processor.resolve(ip, now))
+    if both:
+        for flow, ip in zip(flows, lookup_ips):
+            dst = str(flow.dst_ip)
+            if ip is not None and not chains[ip] and dst not in chains:
+                chains[dst] = tuple(processor.resolve(dst, now))
+    stats = processor.stats
+    results = []
+    for flow, ip in zip(flows, lookup_ips):
+        stats.flows_in += 1
+        stats.bytes_in += flow.bytes_
+        chain = ()
+        if ip is None:
+            stats.invalid += 1
+        else:
+            chain = chains[ip] or (chains[str(flow.dst_ip)] if both else ())
+            if chain:
+                stats.matched += 1
+                stats.bytes_matched += flow.bytes_
+                stats.note_chain(len(chain))
+            else:
+                stats.unmatched += 1
+        results.append(CorrelationResult(flow, chain, flow.ts))
+    return results
+
+
 @given(
     rows=st.lists(_rows(), min_size=0, max_size=14),
     direction=st.sampled_from(list(FlowDirection)),
@@ -158,7 +215,7 @@ def test_correlate_batch_columns_matches_reference(rows, direction, exact_ttl):
     col_storage = _filled_storage(config)
 
     reference = LookUpProcessor(ref_storage, config)
-    results = reference.correlate_batch([_record_from_row(r) for r in rows])
+    results = _reference_correlate(reference, [_record_from_row(r) for r in rows])
 
     columnar = LookUpProcessor(col_storage, config)
     correlated = columnar.correlate_batch_columns(_batch_from_rows(rows))
@@ -272,12 +329,11 @@ def test_v5_columns_match_object_decode(fields):
 
 
 def test_template_refresh_invalidates_columnar_decoder_cache():
-    """Regression: a re-announced template must recompile the columnar twin.
+    """Regression: a re-announced template must recompile the columnar decoder.
 
-    On a ``use_compiled=False`` session only ``decode_batch_columns``
-    populates the compiled-decoder cache (lazily); re-learning a template
-    id with a different layout used to leave that cache serving the old
-    struct, silently garbling every later columnar decode.
+    Re-learning a template id with a different layout once left the
+    session's compiled-decoder cache serving the old struct, silently
+    garbling every later columnar decode.
     """
     from repro.netflow.v9 import (
         IN_BYTES,
@@ -309,17 +365,16 @@ def test_template_refresh_invalidates_columnar_decoder_cache():
             TemplateField(LAST_SWITCHED, 4),
         ),
     )
-    for use_compiled in (False, True):
-        session = V9Session(use_compiled=use_compiled)
-        session.decode(encode_v9_template([layout_a], unix_secs=1000))
-        datagram_a = encode_v9_data(layout_a, flows, unix_secs=1000, sequence=1)
-        _assert_record_parity(session.decode(datagram_a),
-                              session.decode_batch_columns(datagram_a))
-        session.decode(encode_v9_template([layout_b], unix_secs=1000))
-        datagram_b = encode_v9_data(layout_b, flows, unix_secs=1000, sequence=2)
-        objects = session.decode(datagram_b)
-        assert objects == flows  # the refresh itself decoded correctly
-        _assert_record_parity(objects, session.decode_batch_columns(datagram_b))
+    session = V9Session()
+    session.decode(encode_v9_template([layout_a], unix_secs=1000))
+    datagram_a = encode_v9_data(layout_a, flows, unix_secs=1000, sequence=1)
+    _assert_record_parity(session.decode(datagram_a),
+                          session.decode_batch_columns(datagram_a))
+    session.decode(encode_v9_template([layout_b], unix_secs=1000))
+    datagram_b = encode_v9_data(layout_b, flows, unix_secs=1000, sequence=2)
+    objects = session.decode(datagram_b)
+    assert objects == flows  # the refresh itself decoded correctly
+    _assert_record_parity(objects, session.decode_batch_columns(datagram_b))
 
 
 def test_ipfix_template_refresh_invalidates_columnar_decoder_cache():
@@ -345,7 +400,7 @@ def test_ipfix_template_refresh_invalidates_columnar_decoder_cache():
             TemplateField(FLOW_END_MILLISECONDS, 8),
         ),
     )
-    session = IpfixSession(use_compiled=False)
+    session = IpfixSession()
     session.decode(encode_ipfix_template([layout_a], export_secs=1000))
     message_a = encode_ipfix_data(layout_a, flows, export_secs=1000, sequence=1)
     _assert_record_parity(session.decode(message_a),
@@ -406,7 +461,6 @@ def test_sharded_columnar_ipc_matches_threaded():
     assert sharded_report.correlated_bytes == threaded_report.correlated_bytes
     assert sharded_report.chain_lengths == threaded_report.chain_lengths
     assert sharded_report.dns_records == threaded_report.dns_records
-    assert threaded_report.flow_lane == sharded_report.flow_lane == "columnar"
 
     def rows(sink):
         return sorted(line for line in sink.getvalue().splitlines()

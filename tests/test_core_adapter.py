@@ -106,30 +106,6 @@ class TestFlowAdapter:
         assert len(flows) == 2
         assert adapter.stats.malformed == 1
 
-    def test_adapt_batch_matches_adapt_many(self):
-        rows = [
-            {"end_time": "1500", "sa": "1.1.1.1", "da": "2.2.2.2",
-             "ibyt": "900", "ipkt": "3", "dp": "443"},
-            {"end_time": "0", "sa": "garbage", "da": "2.2.2.2"},
-            {"end_time": "2500", "sa": "2001:db8::1", "da": "4.4.4.4"},
-            {"end_time": "0", "sa": "5.5.5.5", "da": "6.6.6.6", "ibyt": "-1"},
-            {"end_time": "0", "sa": "7.7.7.7", "da": "8.8.8.8", "dp": "70000"},
-        ]
-        reference = FlowAdapter.from_config(FLOW_CONFIG)
-        expected = list(reference.adapt_many(rows))
-
-        adapter = FlowAdapter.from_config(FLOW_CONFIG)
-        batch = adapter.adapt_batch(rows)
-        materialised = batch.to_records()
-        assert materialised == expected
-        assert [r.extra for r in materialised] == [r.extra for r in expected]
-        assert adapter.stats.records_in == reference.stats.records_in
-        assert adapter.stats.records_out == reference.stats.records_out == 2
-        assert adapter.stats.malformed == reference.stats.malformed == 3
-        # Address columns carry canonical interned text.
-        assert batch.src_ip_text == [str(r.src_ip) for r in expected]
-        assert batch.dst_ip_text == [str(r.dst_ip) for r in expected]
-
 
 class TestDnsAdapter:
     def test_adapt_a_record(self):

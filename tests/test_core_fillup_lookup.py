@@ -83,7 +83,8 @@ class TestFillUpProcess:
             DnsRecord(0.0, f"a{i}.example", RRType.A, 60, f"10.0.0.{i + 1}")
             for i in range(5)
         ]
-        assert fillup.process_many(records) == 5
+        assert sum(fillup.process(record) for record in records) == 5
+        assert fillup.stats.records_stored == 5
 
 
 class TestLookUp:

@@ -15,7 +15,8 @@ messages, truncation slices and single-byte corruption.
 Storage snapshots are compared minus ``saved_at`` — the only field of a
 dump that is wall-clock, not state. Engine-level legs pin every engine
 (threaded, sharded with its flat-column DNS IPC, async) to identical
-output rows and reports with ``dns_fill_columnar`` on vs off.
+output rows and reports whether it is fed the capture as ``(ts, wire)``
+tuples (columnar decode) or as the object filter's ``DnsRecord`` s.
 """
 
 import io
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.config import FlowDNSConfig
 from repro.core.engine import ThreadedEngine, gated_flow_source
 from repro.core.fillup import FillUpProcessor
-from repro.core.pipeline import FillLane
+from repro.core.pipeline import FillLane, dns_item_records
 from repro.core.sharded import ShardedEngine
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
@@ -195,16 +196,19 @@ def test_fill_lane_differential(payloads, scalar_ts):
     items = [(t, p) for t, p in zip(stamps, payloads)]
     items = items[: len(items) // 2] + extra + items[len(items) // 2 :]
 
-    results = {}
-    for columnar in (False, True):
-        storage = DnsStorage(FlowDNSConfig())
-        processor = FillUpProcessor(storage)
-        lane = FillLane(processor, storage, exact_ttl=False, columnar=columnar)
-        lane.process_items(list(items))
-        results[columnar] = (processor.stats, _dump_without_clock(storage))
+    # Reference: every item through the object filter, one process_batch.
+    ref_storage = DnsStorage(FlowDNSConfig())
+    reference = FillUpProcessor(ref_storage)
+    reference.process_batch(
+        [r for item in items for r in dns_item_records(item, reference)]
+    )
 
-    assert results[True][0] == results[False][0]
-    assert results[True][1] == results[False][1]
+    storage = DnsStorage(FlowDNSConfig())
+    processor = FillUpProcessor(storage)
+    FillLane(processor).process_items(list(items))
+
+    assert processor.stats == reference.stats
+    assert _dump_without_clock(storage) == _dump_without_clock(ref_storage)
 
 
 def _exact_ttl_corpus():
@@ -221,27 +225,40 @@ def _exact_ttl_corpus():
 
 
 def test_exact_ttl_forces_reference_path():
-    """A.8 exact-TTL semantics must not be amortised: the lane disables
-    columnar batching and per-record store+tick cadence is preserved."""
+    """A.8 exact-TTL semantics must not be amortised: a wire run through
+    the lane keeps the per-record store+tick cadence of the reference
+    loop (``process`` then ``tick`` per record)."""
     corpus = _exact_ttl_corpus()
-    results = {}
-    for columnar in (False, True):
-        config = FlowDNSConfig(exact_ttl=True)
-        storage = DnsStorage(config)
-        processor = FillUpProcessor(storage)
-        lane = FillLane(processor, storage, exact_ttl=True, columnar=columnar)
-        assert lane.columnar is False  # exact_ttl always wins
-        lane.process_items(list(corpus))
+    config = FlowDNSConfig(exact_ttl=True, exact_ttl_sweep_interval=5.0)
+
+    ref_storage = DnsStorage(config)
+    reference = FillUpProcessor(ref_storage)
+    for ts, wire in corpus:
+        for record in reference.filter_message(ts, wire):
+            reference.process(record)
+            ref_storage.tick(record.ts)
+
+    storage = DnsStorage(config)
+    processor = FillUpProcessor(storage)
+    FillLane(processor).process_items(list(corpus))
+
+    def state(store):
         # Exact-TTL storages are not snapshot-able (entries expire by
-        # wall time), so parity is probed through lookups at several
-        # clock positions around the TTL edges instead of via dumps.
-        probes = tuple(
-            storage.lookup_ip(f"10.0.0.{i + 1}", now)
+        # wall time), so parity is probed through the sweep counters and
+        # lookups at several clock positions around the TTL edges.
+        exact = store._ip_exact.stats
+        return (
+            exact.sweeps, exact.swept_entries, exact.sweep_scanned,
+            store.total_entries(),
+        ) + tuple(
+            store.lookup_ip(f"10.0.0.{i + 1}", now)
             for i in range(30)
             for now in (float(i), float(i) + 4.5, float(i) + 400.0)
         )
-        results[columnar] = (processor.stats, probes)
-    assert results[True] == results[False]
+
+    assert processor.stats == reference.stats
+    assert state(storage) == state(ref_storage)
+    assert storage._ip_exact.stats.sweeps > 1  # the cadence was exercised
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +318,8 @@ def _rows(sink: io.StringIO):
     )
 
 
-def _run_one(engine_name: str, columnar: bool):
-    config = FlowDNSConfig(dns_fill_columnar=columnar)
-    dns = _golden_dns_wires()
+def _run_one(engine_name: str, dns):
+    config = FlowDNSConfig()
     flows = _golden_flows()
     sink = io.StringIO()
     if engine_name == "threaded":
@@ -320,7 +336,6 @@ def _run_one(engine_name: str, columnar: bool):
 
 COMPARABLE_FIELDS = (
     "dns_records",
-    "dns_invalid",
     "flow_records",
     "matched_flows",
     "total_bytes",
@@ -330,13 +345,21 @@ COMPARABLE_FIELDS = (
 
 
 def test_engines_agree_columnar_vs_reference():
+    wires = _golden_dns_wires()
+    # The same capture, object-decoded up front: what the engines' fill
+    # lanes see when a source hands them DnsRecord items. The invalid
+    # messages never become items, so dns_invalid is held to the
+    # filter's own count instead of the reference run's.
+    dns_filter = FillUpProcessor(storage=None)
+    records = [r for ts, wire in wires for r in dns_filter.filter_message(ts, wire)]
     for engine_name in ("threaded", "sharded", "async"):
-        ref_report, ref_rows = _run_one(engine_name, columnar=False)
-        col_report, col_rows = _run_one(engine_name, columnar=True)
+        ref_report, ref_rows = _run_one(engine_name, records)
+        col_report, col_rows = _run_one(engine_name, wires)
         assert ref_rows, f"{engine_name}: golden corpus produced no rows"
         assert col_rows == ref_rows, (
             f"{engine_name}: columnar fill lane changed the output rows"
         )
+        assert col_report.dns_invalid == dns_filter.stats.invalid == 3
         for fieldname in COMPARABLE_FIELDS:
             assert getattr(col_report, fieldname) == getattr(
                 ref_report, fieldname

@@ -6,10 +6,13 @@ tests push each failure class through the real code paths and assert the
 pipeline keeps correlating everything else.
 """
 
+import io
 import random
+import struct
 
 from engine_gates import gated_flows
 
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
 from repro.core.engine import ThreadedEngine
 from repro.core.flowdns import FlowDNS
@@ -18,8 +21,19 @@ from repro.dns.rr import RRType, a_record
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import TcpFrameDecoder, frame_messages
 from repro.dns.wire import DnsMessage, Question, encode_message
+from repro.netflow.collector import FlowCollector
 from repro.netflow.exporter import FlowExporter
 from repro.netflow.records import FlowRecord
+from repro.netflow.v9 import (
+    IN_BYTES,
+    IPV4_DST_ADDR,
+    IPV4_SRC_ADDR,
+    L4_SRC_PORT,
+    TemplateField,
+    TemplateRecord,
+    _pack_header,
+    encode_v9_template,
+)
 
 
 def _good_wire(i):
@@ -163,3 +177,50 @@ class TestMixedVersionDatagramStream:
         report = engine.run([dns], [gated_flows(engine, datagrams)])
         assert report.flow_records == 30
         assert report.matched_flows == 30
+
+
+class TestHostileWidePortTemplate:
+    """A template may declare a port wider than 16 bits; a record that
+    then carries a value over 65535 is malformed input, not a crash."""
+
+    TEMPLATE = TemplateRecord(300, (
+        TemplateField(IPV4_SRC_ADDR, 4),
+        TemplateField(IPV4_DST_ADDR, 4),
+        TemplateField(L4_SRC_PORT, 4),
+        TemplateField(IN_BYTES, 4),
+    ))
+
+    def _data(self, src_port):
+        record = bytes([10, 7, 0, 1]) + bytes([100, 64, 0, 1]) + struct.pack("!II", src_port, 700)
+        return _pack_header(1, 0, 1000, 0, 0) + struct.pack("!HH", 300, 4 + len(record)) + record
+
+    def _datagrams(self):
+        return [
+            encode_v9_template([self.TEMPLATE], unix_secs=1000),
+            self._data(src_port=70000),  # hostile: does not fit 16 bits
+            self._data(src_port=443),
+        ]
+
+    def test_collector_counts_it_on_both_lanes(self):
+        for ingest in ("ingest", "ingest_columns"):
+            collector = FlowCollector()
+            decoded = [len(getattr(collector, ingest)(d)) for d in self._datagrams()]
+            assert decoded == [0, 0, 1]
+            assert collector.stats.malformed == 1
+            assert collector.stats.datagrams == 2
+
+    def test_engines_count_it_and_deliver_the_next_datagram(self):
+        dns = [DnsRecord(0.0, "wide.example", RRType.A, 3600, "10.7.0.1")]
+        sink = io.StringIO()
+        threaded = ThreadedEngine(FlowDNSConfig(), sink=sink)
+        reports = {
+            "threaded": threaded.run([dns], [gated_flows(threaded, self._datagrams())]),
+            "async": AsyncEngine(FlowDNSConfig()).run(
+                [dns], [self._datagrams()], dns_first=True
+            ),
+        }
+        for name, report in reports.items():
+            assert report.flow_decode_errors == 1, name
+            assert report.flow_records == 1, name
+            assert report.matched_flows == 1, name
+        assert "wide.example" in sink.getvalue()

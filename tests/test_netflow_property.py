@@ -1,13 +1,37 @@
 """Property-based tests for the NetFlow codecs."""
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netflow.collector import FlowCollector
 from repro.netflow.exporter import FlowExporter
-from repro.netflow.ipfix import IpfixSession
+from repro.netflow.ipfix import (
+    FLOW_END_MILLISECONDS,
+    IPFIX_HEADER,
+    IPFIX_VERSION,
+    IpfixSession,
+    encode_ipfix_template,
+)
 from repro.netflow.records import FlowRecord
-from repro.netflow.v9 import V9Session
+from repro.netflow.v9 import (
+    IN_BYTES,
+    IN_PKTS,
+    IPV4_DST_ADDR,
+    IPV4_SRC_ADDR,
+    IPV6_DST_ADDR,
+    IPV6_SRC_ADDR,
+    L4_DST_PORT,
+    L4_SRC_PORT,
+    LAST_SWITCHED,
+    PROTOCOL,
+    TemplateField,
+    TemplateRecord,
+    V9Session,
+    _pack_header,
+    encode_v9_template,
+)
 from repro.util.errors import ParseError
 from repro.netflow.v5 import decode_v5
 
@@ -52,9 +76,54 @@ def test_v5_round_trip_volume_conserved(flows):
     assert sum(f.packets for f in decoded) == sum(f.packets & 0xFFFFFFFF for f in flows)
 
 
-@given(st.binary(min_size=0, max_size=120))
-@settings(max_examples=200)
-def test_decoders_never_crash_on_garbage(data):
+# Random bytes never learn a template, so on their own they never reach a
+# data decoder. A hostile *session* does: a learned template whose fields
+# are 1–8 bytes wide whatever their type (wide and odd-length ports,
+# counters and timestamps; addresses mostly 4/16 bytes, sometimes not),
+# then data sets of arbitrary bytes against it, some with one byte of the
+# datagram (headers included) overwritten.
+_FIELD_TYPES = [L4_SRC_PORT, L4_DST_PORT, PROTOCOL, IN_PKTS, IN_BYTES,
+                LAST_SWITCHED, FLOW_END_MILLISECONDS, 100]
+
+
+@st.composite
+def _hostile_sessions(draw):
+    """``(version, template datagram, data datagrams)`` for v9 or IPFIX."""
+    version = draw(st.sampled_from([9, IPFIX_VERSION]))
+    v6 = draw(st.booleans())
+    addr_len = st.one_of(st.just(16 if v6 else 4), st.integers(min_value=1, max_value=8))
+    fields = [
+        TemplateField(IPV6_SRC_ADDR if v6 else IPV4_SRC_ADDR, draw(addr_len)),
+        TemplateField(IPV6_DST_ADDR if v6 else IPV4_DST_ADDR, draw(addr_len)),
+    ]
+    for ftype in draw(st.lists(st.sampled_from(_FIELD_TYPES), max_size=6)):
+        fields.append(TemplateField(ftype, draw(st.integers(min_value=1, max_value=8))))
+    draw(st.randoms(use_true_random=False)).shuffle(fields)
+    template = TemplateRecord(draw(st.integers(min_value=256, max_value=260)), tuple(fields))
+
+    datagrams = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        records = draw(st.integers(min_value=0, max_value=3))
+        payload = draw(st.binary(min_size=records * template.record_length,
+                                 max_size=records * template.record_length + 3))
+        data_set = struct.pack("!HH", template.template_id, 4 + len(payload)) + payload
+        if version == 9:
+            datagram = _pack_header(records, draw(st.integers(0, 2**32 - 1)),
+                                    draw(st.integers(0, 2**32 - 1)), 0, 0) + data_set
+        else:
+            datagram = IPFIX_HEADER.pack(IPFIX_VERSION, IPFIX_HEADER.size + len(data_set),
+                                         draw(st.integers(0, 2**32 - 1)), 0, 0) + data_set
+        if draw(st.booleans()):
+            i = draw(st.integers(min_value=0, max_value=len(datagram) - 1))
+            datagram = datagram[:i] + bytes([draw(st.integers(0, 255))]) + datagram[i + 1:]
+        datagrams.append(datagram)
+    encode_template = encode_v9_template if version == 9 else encode_ipfix_template
+    return version, encode_template([template]), datagrams
+
+
+@given(st.binary(min_size=0, max_size=120), _hostile_sessions())
+@settings(max_examples=200, deadline=None)
+def test_decoders_never_crash_on_garbage(data, hostile):
     try:
         decode_v5(data)
     except ParseError:
@@ -67,10 +136,28 @@ def test_decoders_never_crash_on_garbage(data):
         IpfixSession().decode(data)
     except ParseError:
         pass
+    version, template_datagram, datagrams = hostile
+    session = V9Session() if version == 9 else IpfixSession()
+    session.decode(template_datagram)
+    for datagram in datagrams:
+        for decode in (session.decode_batch_columns, session.decode):
+            try:
+                decode(datagram)
+            except ParseError:
+                pass
 
 
-@given(st.binary(min_size=0, max_size=120))
-@settings(max_examples=100)
-def test_collector_never_raises(data):
+@given(st.binary(min_size=0, max_size=120), _hostile_sessions())
+@settings(max_examples=100, deadline=None)
+def test_collector_never_raises(data, hostile):
     collector = FlowCollector()
     assert isinstance(collector.ingest(data), list)
+    _version, template_datagram, datagrams = hostile
+    for lane in ("ingest_columns", "ingest"):
+        collector = FlowCollector()
+        ingest = getattr(collector, lane)
+        for datagram in [template_datagram] + datagrams:
+            ingest(datagram)
+        stats = collector.stats
+        # Every datagram is either decoded or counted under a reason.
+        assert stats.datagrams + stats.malformed + stats.unknown_version == 1 + len(datagrams)

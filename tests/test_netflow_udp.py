@@ -64,23 +64,6 @@ class TestUdpFlowSource:
         assert stats.accepted == 2
         assert stats.bytes_in == sum(len(d) for d in datagrams)
 
-    def test_yield_records_escape_hatch(self):
-        """yield_records=True restores per-record object iteration."""
-        flows = _flows(5)
-        datagrams = list(FlowExporter(version=5, batch_size=5).export(flows))
-        with UdpFlowSource(yield_records=True) as source:
-            send_datagrams(datagrams, source.address)
-            received = []
-            consumer = threading.Thread(
-                target=_collect_flows, args=(source, len(flows), received)
-            )
-            consumer.start()
-            consumer.join(timeout=5.0)
-            assert not consumer.is_alive()
-        assert all(isinstance(f, FlowRecord) for f in received)
-        assert [str(f.src_ip) for f in received] == [str(f.src_ip) for f in flows]
-        assert source.ingest_stats.accepted == 5
-
     def test_garbage_datagrams_counted_not_fatal(self):
         with UdpFlowSource() as source:
             send_datagrams([b"\xff" * 20], source.address)

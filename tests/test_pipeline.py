@@ -73,21 +73,23 @@ class TestFillLane:
         config = FlowDNSConfig(exact_ttl=True)
         storage = DnsStorage(config)
         processor = FillUpProcessor(storage)
-        lane = FillLane(processor, storage, exact_ttl=True)
-        lane.process_items([
+        # The exact-TTL cadence lives behind the storage's one fill
+        # entry, so the lane carries no policy of its own.
+        FillLane(processor).process_items([
             _a(0.0, "a.example", "10.0.0.1", ttl=30),
             # 200s later: the first record's TTL has expired and the
-            # per-record tick sweeps it out — batched fill would not.
+            # per-row tick sweeps it out — an amortised fill would not.
             _a(200.0, "b.example", "10.0.0.2", ttl=300),
         ])
         assert processor.stats.records_stored == 2
         assert storage.total_entries() == 1
+        assert storage._ip_exact.stats.sweeps == 1
 
     def test_batched_fill_counts_match_per_record(self):
         config = FlowDNSConfig()
         storage = DnsStorage(config)
         processor = FillUpProcessor(storage)
-        lane = FillLane(processor, storage)
+        lane = FillLane(processor)
         records = [_a(float(i), f"n{i}.example", f"10.0.0.{i + 1}") for i in range(5)]
         lane.process_items(records + [DnsRecord(9.0, "t.example", RRType.TXT, 60, "x")])
         assert processor.stats.records_in == 6
@@ -128,10 +130,10 @@ class TestReportAssembly:
             fillup = FillUpProcessor(storage)
             lookup = LookUpProcessor(storage, config)
             fillup.process(_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}"))
-            lookup.correlate_batch([
+            lookup.process(
                 FlowRecord(ts=2.0, src_ip=f"10.0.0.{offset + 1}",
-                           dst_ip="100.64.0.1", bytes_=100),
-            ])
+                           dst_ip="100.64.0.1", bytes_=100)
+            )
             summaries.append(stack_summary([fillup], [lookup], storage, shard_id=offset))
         report = merge_summaries(summaries, variant_name="x")
         assert report.flow_records == 2
@@ -204,10 +206,10 @@ class TestReportAssembly:
         fillup = FillUpProcessor(storage)
         lookup = LookUpProcessor(storage, config)
         fillup.process(_a(1.0, "live.example", "10.0.0.1"))
-        lookup.correlate_batch([
+        lookup.process(
             FlowRecord(ts=2.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
-                       bytes_=100),
-        ])
+                       bytes_=100)
+        )
         live = stack_summary([fillup], [lookup], storage, shard_id=0)
         report = merge_summaries(
             [live, empty_summary(1, "boom")], variant_name="sharded"
