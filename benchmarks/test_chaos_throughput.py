@@ -37,7 +37,7 @@ def test_chaos_replay_throughput(tmp_path):
 
     sink = io.StringIO()
     t0 = time.perf_counter()
-    report = replay_capture(frames, engine="threaded", sink=sink)
+    report = replay_capture(frames, engine="async", sink=sink)
     replay_elapsed = time.perf_counter() - t0
 
     # Under faults the engine processes fewer flows than the clean
@@ -54,7 +54,7 @@ def test_chaos_replay_throughput(tmp_path):
     record_bench("chaos_replay_flows_per_sec", round(rate))
     print(f"\nchaos replay: {report.flow_records:,} flows in {elapsed:.2f}s "
           f"({inject_elapsed:.2f}s inject + {replay_elapsed:.2f}s replay) "
-          f"= {rate:,.0f} flows/s (everything profile, threaded)")
+          f"= {rate:,.0f} flows/s (everything profile, async)")
     assert rate >= MIN_FLOWS_PER_SEC, (
         f"chaos replay throughput collapsed: "
         f"{rate:,.0f} < {MIN_FLOWS_PER_SEC:,} flows/s"

@@ -3,7 +3,7 @@
 PR 5's recorded benchmark: a synthetic capture (NetFlow v9 export
 datagrams + wire-format DNS messages, the same length-framed ``.fdc``
 format the golden corpus uses) replayed at max speed through the
-threaded engine — capture decode, per-datagram collector decode,
+async engine — capture decode, per-datagram collector decode,
 correlate, TSV write, end to end. ``replay_flows_per_sec`` lands in the
 per-PR bench JSON as trajectory data.
 
@@ -71,7 +71,7 @@ def test_replay_throughput(tmp_path, benchmark=None):
     n_flows = _build_capture(path)
 
     t0 = time.perf_counter()
-    report = replay_capture(path, engine="threaded")
+    report = replay_capture(path, engine="async")
     elapsed = time.perf_counter() - t0
 
     assert report.flow_records == n_flows
@@ -81,7 +81,7 @@ def test_replay_throughput(tmp_path, benchmark=None):
     rate = n_flows / elapsed if elapsed > 0 else 0.0
     record_bench("replay_flows_per_sec", round(rate))
     print(f"\nreplay: {n_flows:,} flows in {elapsed:.2f}s "
-          f"= {rate:,.0f} flows/s (max speed, threaded)")
+          f"= {rate:,.0f} flows/s (max speed, async)")
     assert rate >= MIN_FLOWS_PER_SEC, (
         f"replay throughput collapsed: {rate:,.0f} < {MIN_FLOWS_PER_SEC:,} flows/s"
     )
@@ -108,6 +108,6 @@ def test_replay_smoke_golden_corpus_all_engines():
                 line for line in sink.getvalue().splitlines()
                 if not line.startswith("#")
             )
-        assert rows["threaded"] == rows["sharded"] == rows["async"], name
+        assert rows["sharded"] == rows["async"], name
         total_flows += report.flow_records
     record_bench("replay_smoke_golden_flows", total_flows)

@@ -9,16 +9,16 @@ stand in for the paper's ISP feeds at scale:
 * a configuration with one million clients streams to disk in bounded
   memory — the generator's footprint is the domain universe plus the
   reorder buffer, never the client population — and the capture then
-  replays through all three live engines to identical rows with clean
+  replays through both live engines to identical rows with clean
   accounting (the acceptance bar for trusting sweep numbers at
   internet scale);
 * a three-point client-count sweep records its per-config throughput
   rows into the bench JSON, so the per-PR artifacts accumulate a
   scaling trajectory alongside the scalar gates.
 
-Replay legs pin ``fillup_workers_per_stream=1`` and disable CNAME-chain
-memoisation — the two knobs ``tests/test_generated_differential.py``
-shows are required for byte-identical rows across engines.
+Replay legs disable CNAME-chain memoisation — the knob
+``tests/test_generated_differential.py`` shows is required for
+byte-identical rows across engines.
 """
 
 import dataclasses
@@ -54,13 +54,10 @@ MILLION_PEAK_BYTES = 64 * 1024 * 1024
 
 
 def _deterministic_leg(engine):
-    """The row-identical replay config (single fill worker, no memo)."""
+    """The row-identical replay config (no chain memoisation)."""
     config = EngineConfig.for_replay_leg(engine)
     return dataclasses.replace(
-        config,
-        flowdns=config.flowdns.replace(
-            fillup_workers_per_stream=1, memoize_cname_chains=False
-        ),
+        config, flowdns=config.flowdns.replace(memoize_cname_chains=False)
     )
 
 

@@ -1,30 +1,31 @@
 #!/usr/bin/env python3
-"""The live pipeline: threaded FlowDNS over real wire-format streams.
+"""The live pipeline: FlowDNS over real wire-format streams.
 
 Everything here travels in wire format, exactly like an ISP deployment:
 DNS responses are RFC 1035 messages (with name compression), flows are
-NetFlow v9 export datagrams decoded by a stateful collector. The
-threaded engine runs receiver, FillUp, LookUp and Write workers over
-bounded stream buffers (the paper's loss points) and writes TSV output.
+NetFlow v9 export datagrams decoded by a stateful collector. The asyncio
+engine runs a FillUp lane, a LookUp lane and a Write task over bounded
+stream buffers (the paper's loss points) and writes TSV output; the
+whole DNS stream is stored before the first flow correlates.
 
 Run with:  python examples/live_pipeline.py
 """
 
 import io
 import time
+from itertools import islice
 
-from repro import FlowDNSConfig, FlowExporter, ThreadedEngine
+from repro import AsyncEngine, FlowDNSConfig, FlowExporter
 from repro.core.writer import parse_result_line
 from repro.dns.wire import encode_message, DnsMessage, Question
 from repro.dns.rr import RRType, a_record, cname_record
-from repro.streams.stream import take
 from repro.workloads.isp import large_isp
 
 
 def dns_wire_stream(workload, limit=3000):
     """(ts, wire-bytes) tuples, one message per resolution."""
     out = []
-    for resolution in take(workload._resolutions(), limit):
+    for resolution in islice(workload._resolutions(), limit):
         if not resolution.visible:
             continue
         msg = DnsMessage()
@@ -46,29 +47,21 @@ def main() -> None:
 
     print("building wire-format streams ...")
     dns_stream = dns_wire_stream(workload)
-    flows = take(workload.flow_records(), 20000)
+    flows = list(islice(workload.flow_records(), 20000))
     v4_flows = [f for f in flows if f.src_ip.version == 4]
     exporter = FlowExporter(version=9, batch_size=24)
     datagrams = list(exporter.export(v4_flows))
     print(f"  {len(dns_stream)} DNS messages, {len(datagrams)} NetFlow v9 datagrams "
           f"({len(v4_flows)} flows)")
 
-    class DelayedDatagrams:
-        """Let the FillUp side settle before flows arrive (like warm-up)."""
-
-        def __iter__(self):
-            time.sleep(0.5)
-            return iter(datagrams)
-
     sink = io.StringIO()
-    config = FlowDNSConfig(fillup_workers_per_stream=2, lookup_workers_per_stream=4)
-    engine = ThreadedEngine(config, sink=sink)
+    engine = AsyncEngine(FlowDNSConfig(), sink=sink)
 
     start = time.perf_counter()
-    report = engine.run([dns_stream], [DelayedDatagrams()])
+    report = engine.run([dns_stream], [datagrams], dns_first=True)
     elapsed = time.perf_counter() - start
 
-    print(f"\npipeline drained in {elapsed:.1f} s wall time")
+    print(f"\npipeline drained in {elapsed:.2f} s wall time")
     print(f"  flows processed   : {report.flow_records:,} "
           f"({report.flow_records / elapsed:,.0f} rec/s — the paper's Go system "
           f"does ~1M rec/s on 128 cores)")

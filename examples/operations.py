@@ -3,66 +3,58 @@
 
 Demonstrates the operational features around the correlator:
 
-1. run the threaded pipeline and scrape its Prometheus-style metrics;
+1. run the live (asyncio) pipeline and scrape its Prometheus-style
+   metrics;
 2. snapshot the DNS state at "shutdown";
-3. "restart" with a fresh engine and show that, restored, it correlates
-   flows immediately — while a cold engine misses everything until the
-   maps re-fill (the availability gap snapshots exist to close);
+3. "restart" with a fresh engine and show that, restored on start from
+   the snapshot, it correlates flows immediately — while a cold engine
+   misses everything until the maps re-fill (the availability gap
+   snapshots exist to close);
 4. render the terminal dashboard for a simulated run.
 
 Run with:  python examples/operations.py
 """
 
-import io
-import time
+import os
+import tempfile
+from itertools import islice
 
-from repro import FlowDNSConfig, SimulationEngine, ThreadedEngine, large_isp
+from repro import AsyncEngine, FlowDNSConfig, SimulationEngine, large_isp
 from repro.analysis.figures import render_report_summary
 from repro.analysis import strip_warmup
-from repro.core.monitor import render_engine
-from repro.storage.snapshot import dump_storage, load_storage
-from repro.streams.stream import take
+from repro.core.config import EngineConfig
+from repro.core.monitor import render_async_engine
+from repro.storage.snapshot import save_snapshot
 
 
 def main() -> None:
     workload = large_isp(seed=5, duration=900.0, n_benign=300, warmup=600.0)
     dns = list(workload.dns_records())
-    flows = take(workload.flow_records(), 4000)
+    flows = list(islice(workload.flow_records(), 4000))
     cut = len(flows) // 2
     flows_before, flows_after = flows[:cut], flows[cut:]
 
     # --- 1. first run + metrics scrape ------------------------------------
-    class Delayed:
-        def __init__(self, items):
-            self.items = items
-
-        def __iter__(self):
-            time.sleep(0.3)
-            return iter(self.items)
-
-    engine = ThreadedEngine(FlowDNSConfig())
-    report1 = engine.run([dns], [Delayed(flows_before)])
+    engine = AsyncEngine(FlowDNSConfig())
+    report1 = engine.run([dns], [flows_before], dns_first=True)
     print(f"run 1: correlated {report1.correlation_rate:.1%} of bytes "
           f"({report1.matched_flows}/{report1.flow_records} flows)")
     print("\nscraped metrics (excerpt):")
-    for line in render_engine(engine).splitlines():
+    for line in render_async_engine(engine).splitlines():
         if "storage_entries" in line and not line.startswith("#"):
             print(f"  {line}")
 
-    # --- 2. snapshot at shutdown -------------------------------------------
-    snapshot = io.StringIO()
-    entries = dump_storage(engine.storage, snapshot)
-    print(f"\nsnapshot written: {entries} entries, "
-          f"{len(snapshot.getvalue()) / 1024:.0f} KiB of JSON")
+    with tempfile.TemporaryDirectory() as tmp:
+        # --- 2. snapshot at shutdown ---------------------------------------
+        path = os.path.join(tmp, "flowdns-snapshot.json")
+        entries = save_snapshot(engine.storage, path)
+        print(f"\nsnapshot written: {entries} entries, "
+              f"{os.path.getsize(path) / 1024:.0f} KiB of JSON")
 
-    # --- 3. cold restart vs restored restart --------------------------------
-    cold = ThreadedEngine(FlowDNSConfig())
-    cold_report = cold.run([[]], [flows_after])
-
-    restored = ThreadedEngine(FlowDNSConfig())
-    snapshot.seek(0)
-    load_storage(restored.storage, snapshot)
-    restored_report = restored.run([[]], [flows_after])
+        # --- 3. cold restart vs restored restart ----------------------------
+        cold_report = AsyncEngine(FlowDNSConfig()).run([[]], [flows_after])
+        restored = AsyncEngine(EngineConfig(snapshot_path=path))
+        restored_report = restored.run([[]], [flows_after])
 
     print(f"\nafter restart (no new DNS records yet):")
     print(f"  cold engine     : {cold_report.correlation_rate:6.1%} of bytes correlated")

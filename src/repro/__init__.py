@@ -35,7 +35,6 @@ from repro.core import (
     IntervalSample,
     LookUpProcessor,
     SimulationEngine,
-    ThreadedEngine,
     Variant,
     config_for,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "FlowDNS",
     "FlowDNSConfig",
     "SimulationEngine",
-    "ThreadedEngine",
     "AsyncEngine",
     "DnsStorage",
     "FillUpProcessor",

@@ -16,8 +16,8 @@ Subcommands:
 * ``flowdns capture`` — produce a capture file: either record live
   sockets for a bounded duration, or synthesize a scenario from the
   library in :mod:`repro.replay.scenarios`;
-* ``flowdns replay`` — feed a capture through any live engine
-  (threaded, sharded, async), timestamp-faithful or at max speed;
+* ``flowdns replay`` — feed a capture through either live engine
+  (async, sharded), timestamp-faithful or at max speed;
 * ``flowdns generate`` — synthesize an internet-scale workload capture:
   Zipf domain popularity, heavy-tailed flow sizes, Poisson arrivals,
   streamed to disk in bounded memory;
@@ -40,7 +40,6 @@ from collections import defaultdict
 from repro.core.adapter import iter_csv, iter_jsonl, load_mapping_file
 from repro.core.config import (
     DEFAULT_DNS_PORT,
-    DEFAULT_FILL_TIMEOUT,
     DEFAULT_FLOW_PORT,
     DEFAULT_LIVE_HOST,
     EngineConfig,
@@ -49,6 +48,7 @@ from repro.core.simulation import SimulationEngine
 from repro.core.variants import (
     ENGINE_VARIANTS,
     FIGURE3_VARIANTS,
+    REPLAY_ENGINES,
     Variant,
     config_for,
     engine_for,
@@ -161,19 +161,7 @@ def _add_correlate(subparsers) -> None:
         "--shards", type=int, default=None,
         help="worker processes for --engine sharded (default: CPU count)",
     )
-    _add_fill_timeout(p)
     p.set_defaults(func=cmd_correlate)
-
-
-def _add_fill_timeout(parser) -> None:
-    # default=None: EngineConfig.from_args needs flag *presence* to
-    # reject --fill-timeout under engines that have no fill gate.
-    parser.add_argument(
-        "--fill-timeout", type=float, default=None,
-        help="seconds the threaded engine's flow gate waits for the DNS "
-             "fill before correlating against a partially-filled store "
-             f"(default: {DEFAULT_FILL_TIMEOUT:.0f})",
-    )
 
 
 def _engine_config(args, command: str):
@@ -190,26 +178,6 @@ def _engine_config(args, command: str):
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return None, 2
-
-
-def _gated_flow_source(engine, flow_records, timeout, warnings_out):
-    """Gate the flow source behind fill completion for the threaded engine.
-
-    The threaded engine consumes its sources concurrently; offline
-    correlation wants every DNS record ingested before flows are looked
-    up, so the flow source blocks until the FillUp workers have drained
-    the DNS side (bounded by ``timeout`` as a hang safeguard). A timeout
-    prints immediately *and* is collected into ``warnings_out`` so the
-    caller can attach it to the run's ``EngineReport.warnings``.
-    """
-    from repro.core.pipeline import gated_with_warning
-
-    def warn():
-        print(f"warning: {warnings_out[-1]}", file=sys.stderr)
-
-    return gated_with_warning(
-        engine, flow_records, timeout, warnings_out, on_timeout=warn
-    )
 
 
 def _open_rows(path):
@@ -235,23 +203,15 @@ def cmd_correlate(args) -> int:
     try:
         dns_records = dns_adapter.adapt_many(dns_rows)
         flow_records = flow_adapter.adapt_many(flow_rows)
-        gate_warnings = []
         if args.engine == "simulation":
             engine = SimulationEngine(engine_config.flowdns, sink=sink)
             report = engine.run(dns_records, flow_records)
-        elif args.engine in ("sharded", "async"):
+        else:
             engine = engine_for(args.engine, config=engine_config, sink=sink)
             # dns_first gives the hard DNS-before-flows ordering offline
             # correlation expects (per-shard FIFO queues / the async fill
             # barrier).
             report = engine.run([dns_records], [flow_records], dns_first=True)
-        else:
-            engine = engine_for(args.engine, config=engine_config, sink=sink)
-            flow_source = _gated_flow_source(
-                engine, flow_records, engine_config.fill_timeout, gate_warnings
-            )
-            report = engine.run([dns_records], [flow_source])
-        report.warnings.extend(gate_warnings)
     finally:
         dns_handle.close()
         flow_handle.close()
@@ -569,7 +529,6 @@ def cmd_capture(args) -> int:
 
 def _add_replay(subparsers) -> None:
     from repro.replay.faults import FAULT_PROFILES
-    from repro.replay.runner import REPLAY_ENGINES
 
     p = subparsers.add_parser(
         "replay",
@@ -577,11 +536,12 @@ def _add_replay(subparsers) -> None:
     )
     p.add_argument("capture", nargs="?", default=None,
                    help="capture file to replay")
-    p.add_argument("--engine", choices=REPLAY_ENGINES, default="threaded",
-                   help="engine to replay through (default: threaded)")
+    p.add_argument("--engine", choices=REPLAY_ENGINES, default="async",
+                   help="engine to replay through (default: async)")
     p.add_argument("--realtime", action="store_true",
-                   help="sleep out the recorded inter-arrival gaps instead "
-                        "of replaying at max speed")
+                   help="wait out the recorded inter-arrival gaps instead "
+                        "of replaying at max speed; bursts that overflow the "
+                        "ingress buffers are dropped and counted")
     p.add_argument("--speed", type=float, default=None,
                    help="realtime pacing divisor (default 1.0; 2.0 = twice "
                         "as fast; requires --realtime)")
@@ -609,7 +569,6 @@ def _add_replay(subparsers) -> None:
                         "requires --fault-profile or --fault)")
     p.add_argument("--list-fault-profiles", action="store_true",
                    help="list the named fault profiles and exit")
-    _add_fill_timeout(p)
     p.set_defaults(func=cmd_replay)
 
 
@@ -623,9 +582,9 @@ def cmd_replay(args) -> int:
         for name in sorted(FAULT_PROFILES):
             print(f"{name:<18s} {FAULT_PROFILES[name].description}")
         return 0
-    # Engine/mode flag mismatches (--shards off sharded, --fill-timeout
-    # off threaded, --speed without --realtime, --fault-seed without a
-    # fault flag) are rejected here, before any sink opens.
+    # Engine/mode flag mismatches (--shards off sharded, --speed without
+    # --realtime, --fault-seed without a fault flag) are rejected here,
+    # before any sink opens.
     engine_config, rc = _engine_config(args, "replay")
     if rc:
         return rc
@@ -647,9 +606,7 @@ def cmd_replay(args) -> int:
             engine=args.engine,
             config=engine_config,
             sink=sink,
-            # Pacing/sharding/gating all ride in engine_config.
-            # No immediate on_fill_timeout print: the warning lands in
-            # report.warnings and the loop below prints it exactly once.
+            # Pacing, sharding and faults all ride in engine_config.
         )
     except (OSError, ParseError, ConfigError) as exc:
         print(f"cannot replay {args.capture}: {exc}", file=sys.stderr)
@@ -781,7 +738,6 @@ def cmd_generate(args) -> int:
 
 def _add_sweep(subparsers) -> None:
     from repro.replay.faults import FAULT_PROFILES
-    from repro.replay.runner import REPLAY_ENGINES
 
     p = subparsers.add_parser(
         "sweep",
@@ -802,7 +758,7 @@ def _add_sweep(subparsers) -> None:
     p.add_argument("--engine", choices=REPLAY_ENGINES, nargs="+",
                    default=None, dest="engines",
                    help="engines to replay each point through "
-                        "(default: all three)")
+                        "(default: both)")
     p.add_argument("--fault-profile", nargs="+", default=None,
                    dest="fault_profiles", metavar="PROFILE",
                    choices=sorted(FAULT_PROFILES) + ["none"],
@@ -812,7 +768,6 @@ def _add_sweep(subparsers) -> None:
                    help="seed for the fault legs' deterministic RNG")
     p.add_argument("--shards", type=int, default=None,
                    help="worker processes for the sharded engine's legs")
-    _add_fill_timeout(p)
     _add_workload_base_options(p)
     p.add_argument("--bench", default=None, metavar="PATH",
                    help="bench JSON to record the row list into "

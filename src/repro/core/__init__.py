@@ -7,8 +7,6 @@ The pipeline (Figure 1) is assembled from:
   storage behind one facade;
 * :class:`FillUpProcessor` / :class:`LookUpProcessor` — the record-level
   worker logic (Algorithms 1 and 2);
-* :class:`ThreadedEngine` — real threads, real buffers, batched worker
-  loops, Python-scale;
 * :class:`ShardedEngine` — worker processes over hash-partitioned
   storage, multi-core scale;
 * :class:`AsyncEngine` — one asyncio loop with live socket ingest
@@ -26,10 +24,9 @@ from repro.core.adapter import (
 )
 from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
 from repro.core.config import EngineConfig, FlowDNSConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.flowdns import FlowDNS
 from repro.core.ingest import ReuseportUdpIngest
-from repro.core.monitor import render_engine, render_report
+from repro.core.monitor import render_report
 from repro.core.fillup import FillUpProcessor, FillUpStats
 from repro.core.labeler import ip_label, last_octet_label, name_label
 from repro.core.lookup import CorrelationResult, LookUpProcessor, LookUpStats
@@ -65,7 +62,6 @@ __all__ = [
     "FlowDNS",
     "FlowDNSConfig",
     "EngineConfig",
-    "ThreadedEngine",
     "ShardedEngine",
     "AsyncEngine",
     "UdpFlowIngest",
@@ -104,5 +100,4 @@ __all__ = [
     "load_mapping",
     "load_mapping_file",
     "render_report",
-    "render_engine",
 ]

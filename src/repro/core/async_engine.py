@@ -22,8 +22,11 @@ asyncio event loop:
   under :attr:`EngineReport.ingest` and in ``overall_loss_rate``;
 * plain iterables (records, wire tuples, datagrams, batches) remain
   first-class sources, pumped cooperatively, so the engine also runs
-  offline corpora — that is what the parity suite compares against the
-  threaded engine;
+  offline corpora and captures — that is what the parity suites compare
+  against the sharded and simulation engines. A ``realtime`` replay
+  source is paced in its pump task with ``asyncio.sleep`` and offered
+  like socket input (drop and count on overflow), so recorded bursts hit
+  the bounded buffers as bursts without stalling the loop;
 * any object implementing the ingest-source protocol's live hooks
   (``connect_buffer``/``start``/``stop``; see
   :mod:`repro.core.pipeline`) can serve as a live source — e.g. the
@@ -31,7 +34,7 @@ asyncio event loop:
   workers ship ready-decoded :class:`FlowBatch` items.
 
 The lane bodies are :mod:`repro.core.pipeline`'s :class:`FillLane` and
-:class:`LookupLane`, identical to the threaded and sharded engines';
+:class:`LookupLane`, identical to the sharded engine's;
 this module owns only the asyncio *scheduling policy*: one pump or
 socket server per source, one lane task per buffer, one write task, and
 graceful drain-then-shutdown — :meth:`AsyncEngine.request_stop` (safe
@@ -58,7 +61,7 @@ from repro.core.config import (
 )
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor
-from repro.core.metrics import EngineReport, IngestStats
+from repro.core.metrics import BufferStats, EngineReport, IngestStats
 from repro.core.pipeline import (
     FillLane,
     LookupLane,
@@ -76,7 +79,6 @@ from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.dns.tcp import MAX_MESSAGE_SIZE, TcpFrameDecoder
 from repro.netflow.collector import FlowCollector
 from repro.netflow.udp import MAX_DATAGRAM, bind_udp_socket, set_recv_buffer
-from repro.streams.buffer import BufferStats
 from repro.util.errors import ParseError
 
 #: How many items an iterable pump moves before yielding to the loop.
@@ -86,12 +88,13 @@ _PUMP_CHUNK = 512
 class AsyncBuffer:
     """A bounded FIFO for one event loop, with drop accounting.
 
-    The asyncio analogue of :class:`repro.streams.buffer.BoundedBuffer`:
-    single-loop, so no locks — just events. Socket callbacks offer items
-    with the non-blocking :meth:`try_put` (overflow drops the incoming
-    item and counts it, the paper's loss semantics); iterable pumps use
-    the awaitable :meth:`put`, which applies backpressure instead of
-    dropping because an offline replay has no real-time deadline.
+    The per-stream internal buffer of the paper's Section 2, single-loop,
+    so no locks — just events. Socket callbacks and paced (``realtime``)
+    replay offer items with the non-blocking :meth:`try_put` (overflow
+    drops the incoming item and counts it, the paper's loss semantics);
+    max-speed iterable pumps use the awaitable :meth:`put`, which applies
+    backpressure instead of dropping because an offline replay at max
+    speed has no real-time deadline.
     """
 
     def __init__(self, capacity: int, name: str = "buffer"):
@@ -115,8 +118,6 @@ class AsyncBuffer:
             return False
         self._items.append(item)
         stats.accepted += 1
-        if len(self._items) > stats.high_watermark:
-            stats.high_watermark = len(self._items)
         self._not_empty.set()
         return True
 
@@ -141,7 +142,6 @@ class AsyncBuffer:
         items = self._items
         n = min(max_items, len(items))
         batch = [items.popleft() for _ in range(n)]
-        self.stats.popped += n
         self._not_full.set()
         return batch
 
@@ -451,7 +451,7 @@ class AsyncEngine:
     """Run FlowDNS inside one asyncio loop, with live socket sources.
 
     ``run()`` (or ``await run_async()``) accepts the same source mix the
-    threaded engine does — iterables of records / wire tuples / export
+    sharded engine does — iterables of records / wire tuples / export
     datagrams / batches — plus :class:`TcpDnsIngest` (DNS sources) and
     :class:`UdpFlowIngest` (flow sources) for live traffic. A run with
     only finite sources terminates when they drain; a run with live
@@ -627,19 +627,30 @@ class AsyncEngine:
     async def _pump(self, source: Iterable, buffer: AsyncBuffer) -> None:
         """Move a finite iterable into its buffer, cooperatively.
 
+        At max speed every item takes the backpressuring
+        :meth:`AsyncBuffer.put`. A ``realtime`` source's ``paced()`` pairs
+        are waited out with ``asyncio.sleep`` — the lanes keep running
+        through the gap — and offered with ``try_put``, exactly like a
+        socket callback: a recorded burst lands back to back and overflow
+        is dropped and counted at the ingress buffer.
+
         A source that raises mid-stream (a truncated capture file, a
         corrupt export) is recorded — the buffer still closes, everything
         pumped before the failure still drains through its lane, and the
         failure surfaces in :attr:`EngineReport.warnings` instead of
         aborting the run.
         """
-        count = 0
         try:
-            for item in source:
-                await buffer.put(item)
-                count += 1
-                if count % _PUMP_CHUNK == 0:
-                    await asyncio.sleep(0)
+            if getattr(source, "realtime", False):
+                for delay, item in source.paced():
+                    if delay > 0:
+                        await asyncio.sleep(delay)
+                    buffer.try_put(item)
+            else:
+                for count, item in enumerate(source, 1):
+                    await buffer.put(item)
+                    if count % _PUMP_CHUNK == 0:
+                        await asyncio.sleep(0)
         except Exception as exc:
             self._source_errors.append((buffer.name, exc))
         finally:

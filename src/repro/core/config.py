@@ -14,9 +14,9 @@ variants; :mod:`repro.core.variants` sets them.
 
 :class:`FlowDNSConfig` describes *correlation* behaviour; on top of it,
 :class:`EngineConfig` describes one *deployment* of an engine — shard
-count, fill-gate timeout, live-session bind addresses, socket buffer
-sizing, ingest worker count, capture tap, replay pacing. Every engine
-constructor and :func:`repro.core.variants.engine_for` accept either
+count, live-session bind addresses, socket buffer sizing, ingest worker
+count, capture tap, replay pacing. Every engine constructor and
+:func:`repro.core.variants.engine_for` accept either
 (:meth:`EngineConfig.of` normalises), and the CLI's per-engine flag
 validation is :meth:`EngineConfig.from_args` — presence-based rejection
 of flags that do not apply to the selected engine or mode lives here,
@@ -45,7 +45,7 @@ DEFAULT_CNAME_LOOP_LIMIT = 6
 class FlowDNSConfig:
     """Complete configuration for a FlowDNS instance.
 
-    Engine knobs (worker counts, buffer capacities) default to values that
+    Engine knobs (buffer capacities, batch size) default to values that
     behave well at this reproduction's scaled-down rates; Table-1
     parameters default to the paper's deployed constants.
     """
@@ -73,15 +73,12 @@ class FlowDNSConfig:
 
     # --- engine knobs --------------------------------------------------------
     direction: FlowDirection = FlowDirection.SOURCE
-    fillup_workers_per_stream: int = 2
-    lookup_workers_per_stream: int = 2
-    write_workers: int = 1
     stream_buffer_capacity: int = 65536
     map_shard_count: int = 32
     memoize_cname_chains: bool = True
-    #: Records drained per worker wake-up on the batched fast path. Larger
-    #: batches amortise lock round-trips and deduplicate repeated lookup
-    #: IPs better, at the cost of coarser rotation/tick granularity.
+    #: Records drained per lane wake-up on the batched fast path. Larger
+    #: batches amortise per-wake-up overhead and deduplicate repeated
+    #: lookup IPs better, at the cost of coarser rotation/tick granularity.
     engine_batch_size: int = 2048
 
     def __post_init__(self):
@@ -91,10 +88,6 @@ class FlowDNSConfig:
             raise ConfigError("num_split must be positive")
         if self.cname_loop_limit < 1:
             raise ConfigError("cname_loop_limit must be at least 1")
-        if self.fillup_workers_per_stream < 1 or self.lookup_workers_per_stream < 1:
-            raise ConfigError("worker counts must be at least 1")
-        if self.write_workers < 1:
-            raise ConfigError("write_workers must be at least 1")
         if self.stream_buffer_capacity < 1:
             raise ConfigError("stream_buffer_capacity must be at least 1")
         if self.exact_ttl_sweep_interval <= 0:
@@ -113,11 +106,6 @@ class FlowDNSConfig:
         """Return a copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
 
-
-#: Default bound on how long a flow gate waits for the DNS fill before
-#: correlating against a partial store (re-exported by
-#: :mod:`repro.core.pipeline` for its gate helpers).
-DEFAULT_FILL_TIMEOUT = 300.0
 
 #: Live socket-session defaults shared by ``flowdns serve`` and live
 #: ``flowdns capture`` (and by :class:`EngineConfig`'s field defaults).
@@ -139,17 +127,15 @@ class EngineConfig:
     The single construction surface for all engines: buffer sizes and
     correlation parameters ride in :attr:`flowdns`, everything that was
     previously kwarg sprawl across engine constructors and CLI handlers
-    (``shards``, ``fill_timeout``, capture tap, live bind addresses,
-    socket buffer sizing, ingest worker count, replay pacing) is a field
-    here. Engines accept an ``EngineConfig``, a bare ``FlowDNSConfig``,
-    or ``None`` — :meth:`of` normalises.
+    (``shards``, capture tap, live bind addresses, socket buffer sizing,
+    ingest worker count, replay pacing) is a field here. Engines accept
+    an ``EngineConfig``, a bare ``FlowDNSConfig``, or ``None`` —
+    :meth:`of` normalises.
     """
 
     flowdns: FlowDNSConfig = field(default_factory=FlowDNSConfig)
     #: Worker processes for the sharded engine (None = CPU count).
     shards: Optional[int] = None
-    #: Seconds the threaded engine's flow gate waits for the DNS fill.
-    fill_timeout: float = DEFAULT_FILL_TIMEOUT
     #: SO_REUSEPORT socket-sharding workers for live UDP flow ingest.
     ingest_workers: int = 1
     #: Optional :class:`repro.replay.capture.CaptureWriter` tee for live
@@ -193,8 +179,6 @@ class EngineConfig:
     def __post_init__(self):
         if self.shards is not None and self.shards < 1:
             raise ConfigError("shards must be at least 1")
-        if self.fill_timeout < 0:
-            raise ConfigError("fill_timeout must be non-negative")
         if self.ingest_workers < 1:
             raise ConfigError("ingest_workers must be at least 1")
         if self.duration < 0:
@@ -250,7 +234,6 @@ class EngineConfig:
         cls,
         engine: str,
         shards: Optional[int] = None,
-        fill_timeout: Optional[float] = None,
         fault_profile: Optional[str] = None,
         fault_seed: Optional[int] = None,
     ) -> "EngineConfig":
@@ -258,21 +241,17 @@ class EngineConfig:
 
         The sweep driver's (and differential harnesses') equivalent of
         :meth:`from_args`: the same per-engine applicability rules —
-        ``shards`` only means anything to the sharded engine,
-        ``fill_timeout`` only to the threaded gate, a fault seed needs a
-        fault plan — enforced for callers that assemble legs in code
-        rather than from flags, so a sweep axis that silently would not
-        apply fails loudly instead of producing a misleading row.
+        ``shards`` only means anything to the sharded engine, a fault
+        seed needs a fault plan — enforced for callers that assemble legs
+        in code rather than from flags, so a sweep axis that silently would
+        not apply fails loudly instead of producing a misleading row.
         """
-        if engine not in ("threaded", "sharded", "async"):
+        from repro.core.variants import REPLAY_ENGINES
+
+        if engine not in REPLAY_ENGINES:
             raise ConfigError(f"unknown replay engine {engine!r}")
         if shards is not None and engine != "sharded":
             raise ConfigError("shards only apply to the sharded engine")
-        if fill_timeout is not None and engine != "threaded":
-            raise ConfigError(
-                "fill_timeout only applies to the threaded engine (the "
-                "other engines order DNS before flows without a gate)"
-            )
         if fault_seed is not None and fault_profile is None:
             raise ConfigError(
                 "fault_seed requires a fault_profile; a seed alone "
@@ -280,9 +259,6 @@ class EngineConfig:
             )
         return cls(
             shards=shards,
-            fill_timeout=(
-                fill_timeout if fill_timeout is not None else DEFAULT_FILL_TIMEOUT
-            ),
             fault_profile=fault_profile,
             fault_seed=fault_seed if fault_profile is not None else None,
         )
@@ -310,12 +286,6 @@ class EngineConfig:
                 raise ConfigError("--shards only applies to --engine sharded")
             if shards < 1:
                 raise ConfigError("--shards must be at least 1")
-        fill_timeout = getattr(args, "fill_timeout", None)
-        if fill_timeout is not None and engine != "threaded":
-            raise ConfigError(
-                "--fill-timeout only applies to --engine threaded (the other "
-                "engines order DNS before flows without a gate)"
-            )
         speed = getattr(args, "speed", None)
         realtime = bool(getattr(args, "realtime", False))
         if speed is not None:
@@ -372,9 +342,6 @@ class EngineConfig:
         return cls(
             flowdns=flowdns,
             shards=shards,
-            fill_timeout=(
-                fill_timeout if fill_timeout is not None else DEFAULT_FILL_TIMEOUT
-            ),
             ingest_workers=ingest_workers if ingest_workers is not None else 1,
             host=host if host is not None else DEFAULT_LIVE_HOST,
             flow_port=flow_port if flow_port is not None else DEFAULT_FLOW_PORT,

@@ -1,9 +1,9 @@
 """FillUp processing: DNS records into the shared storage (Section 3.2).
 
 The pure record-level logic lives in :class:`FillUpProcessor` so the
-threaded engine (which wraps it in worker threads) and the simulation
+live engines (which drive it from their fill lanes) and the simulation
 engine (which calls it inline) share one implementation — any divergence
-between the two engines would make the ablation comparisons meaningless.
+between them would make the ablation comparisons meaningless.
 """
 
 from __future__ import annotations

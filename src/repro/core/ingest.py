@@ -18,7 +18,7 @@ sharded storage without re-decoding.
 
 The source implements the full ingest-source protocol
 (:mod:`repro.core.pipeline`): iterate it like any flow source under the
-threaded or sharded engine, or hand it to the async engine as a live
+sharded engine, or hand it to the async engine as a live
 source (``connect_buffer``/``start``/``stop``). Per-worker
 :class:`IngestStats` merge into one source-level view
 (:func:`repro.core.metrics.merge_ingest_stats`), and a worker that dies
@@ -158,8 +158,8 @@ def _ingest_worker(
 class ReuseportUdpIngest:
     """N-worker SO_REUSEPORT UDP flow source (one port, N processes).
 
-    Iterable of decoded :class:`FlowBatch` items for the threaded and
-    sharded engines, and a live source (``connect_buffer``/``start``/
+    Iterable of decoded :class:`FlowBatch` items for the sharded
+    engine, and a live source (``connect_buffer``/``start``/
     ``stop``) for the async engine. ``workers=1`` binds a plain socket —
     no SO_REUSEPORT needed — so the single-worker configuration runs on
     any platform and is the natural parity baseline for N.
@@ -501,7 +501,7 @@ class ReuseportUdpIngest:
             self._out_queue.close()
             self._out_queue = None
 
-    # --- the sync face (threaded / sharded engines) -----------------------
+    # --- the sync face (sharded engine) ------------------------------------
 
     def wait_ready(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Block until every worker has bound; returns the shared address.

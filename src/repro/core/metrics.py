@@ -244,6 +244,20 @@ class IngestStats:
         return self.dropped / self.received if self.received else 0.0
 
 
+@dataclass
+class BufferStats:
+    """Counters describing one bounded ingress buffer's lifetime.
+
+    Section 2's loss point: a full buffer drops the *incoming* record
+    and counts it; :func:`repro.core.pipeline.buffer_loss_rate` folds
+    these into :attr:`EngineReport.overall_loss_rate`.
+    """
+
+    offered: int = 0
+    accepted: int = 0
+    dropped: int = 0
+
+
 def merge_ingest_stats(name: str, parts) -> "IngestStats":
     """Fold per-worker :class:`IngestStats` into one source-level view.
 
@@ -307,8 +321,8 @@ class EngineReport:
     #: name); empty for runs whose sources are plain iterables.
     ingest: Dict[str, IngestStats] = field(default_factory=dict)
     #: Run-level anomalies a caller should not have to scrape stderr for
-    #: (e.g. the offline fill gate timing out and correlating against a
-    #: partially-filled store). Empty for a clean run.
+    #: (e.g. ingress buffer overflow, a source failing mid-stream). Empty
+    #: for a clean run.
     warnings: List[str] = field(default_factory=list)
 
     @property

@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.engine import ThreadedEngine
 from repro.core.metrics import EngineReport
 
 _PREFIX = "flowdns"
@@ -81,38 +80,15 @@ def render_report(report: EngineReport) -> str:
     return out.render()
 
 
-def render_engine(engine: ThreadedEngine) -> str:
-    """Expose a (possibly running) threaded engine's live state."""
-    out = MetricsRenderer()
-    counts = engine.storage.entry_counts()
-    for bank, tiers in counts.items():
-        for tier, entries in tiers.items():
-            out.gauge("storage_entries", entries, "entries per bank/tier",
-                      labels={"bank": bank, "tier": tier})
-    out.counter("storage_overwrites", engine.storage.overwrites(),
-                "IP-key overwrites (accuracy-relevant)")
-    out.counter("storage_lock_contention", engine.storage.contended_acquisitions(),
-                "contended storage-lock acquisitions")
-    for stream in engine.dns_streams + engine.flow_streams:
-        labels = {"stream": stream.name}
-        out.counter("stream_offered", stream.buffer.stats.offered,
-                    "records offered to the ingress buffer", labels=labels)
-        out.counter("stream_dropped", stream.buffer.stats.dropped,
-                    "records dropped at the ingress buffer", labels=labels)
-        out.gauge("stream_buffer_fill", stream.buffer.fill_fraction,
-                  "ingress buffer occupancy fraction", labels=labels)
-    out.gauge("write_rows", engine.writer.stats.rows, "output rows written")
-    return out.render()
-
-
 def render_async_engine(engine, sources: Tuple = ()) -> str:
     """Expose a *running* async engine's live service state.
 
     This is what ``serve --metrics-port`` publishes mid-run: lane
-    progress, per-bank entry counts, the memory-bound eviction counter,
-    worker supervision restarts, and snapshot freshness — the numbers an
-    operator needs to answer "is this service healthy" without stopping
-    it. Duck-typed on the AsyncEngine surface so tests can feed a stub.
+    progress, per-bank entry counts, ingress buffer occupancy and drops,
+    the memory-bound eviction counter, worker supervision restarts, and
+    snapshot freshness — the numbers an operator needs to answer "is
+    this service healthy" without stopping it. Duck-typed on the
+    AsyncEngine surface so tests can feed a stub.
     """
     out = MetricsRenderer()
     out.counter("dns_records", engine.dns_records_seen,
@@ -138,6 +114,11 @@ def render_async_engine(engine, sources: Tuple = ()) -> str:
                     "records offered to the ingress buffer", labels=labels)
         out.counter("stream_dropped", buffer.stats.dropped,
                     "records dropped at the ingress buffer", labels=labels)
+        out.gauge("stream_buffer_fill", len(buffer) / buffer.capacity,
+                  "ingress buffer occupancy fraction", labels=labels)
+    writer = getattr(engine, "writer", None)
+    if writer is not None:
+        out.gauge("write_rows", writer.stats.rows, "output rows written")
     restarts = 0
     for source in sources:
         stats = getattr(source, "ingest_stats", None)

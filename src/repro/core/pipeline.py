@@ -1,9 +1,9 @@
 """Shared pipeline runtime for the live engines (stages and lanes).
 
-Every live engine — threads (:class:`repro.core.engine.ThreadedEngine`),
-processes (:class:`repro.core.sharded.ShardedEngine`), or a single
-asyncio loop (:class:`repro.core.async_engine.AsyncEngine`) — runs the
-same two lanes from the paper's Figure 1:
+Both live engines — worker processes
+(:class:`repro.core.sharded.ShardedEngine`) and a single asyncio loop
+(:class:`repro.core.async_engine.AsyncEngine`) — run the same two lanes
+from the paper's Figure 1:
 
 * the **fill lane** (DNS): batch a wake-up's raw wire payloads into one
   :class:`~repro.dns.columnar.DnsBatch` via the selective columnar
@@ -15,10 +15,10 @@ same two lanes from the paper's Figure 1:
   es) into one columnar batch per wake-up, correlate it, and hand the
   resulting :class:`CorrelationBatch` to the write sink.
 
-Before this module existed each engine re-implemented the lanes, the
-buffer drain loop, and the report assembly; an engine now only supplies
-*scheduling policy* — how lane invocations map onto threads, worker
-processes + IPC column tuples, or asyncio tasks — and everything else
+Before this module existed each engine re-implemented the lanes and the
+report assembly; an engine now only supplies *scheduling policy* — how
+lane invocations map onto worker processes + IPC column tuples or onto
+asyncio tasks — and everything else
 (item normalisation, stats plumbing, report merging) stays in one place,
 pinned by one parity suite. Which expiry policy the storage runs is the
 storage's business (:meth:`DnsStorage.add_many_columns`), not a lane's.
@@ -26,10 +26,8 @@ storage's business (:meth:`DnsStorage.add_many_columns`), not a lane's.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.config import DEFAULT_FILL_TIMEOUT  # noqa: F401 - re-export
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationBatch, LookUpProcessor
 from repro.core.metrics import EngineReport, IngestStats, dedupe_warnings
@@ -38,10 +36,6 @@ from repro.dns.columnar import decode_fill_columns
 from repro.dns.stream import DnsRecord
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowBatch, FlowRecord
-
-#: Default blocking-pop slice for thread-based drain loops.
-POP_TIMEOUT = 0.1
-
 
 # --- the ingest-source protocol ---------------------------------------------
 #
@@ -70,7 +64,10 @@ POP_TIMEOUT = 0.1
 # Sources that can feed the asyncio engine *live* (rather than being
 # pumped as finite iterables) additionally implement the live hooks
 # ``connect_buffer(buffer)``, ``await start(loop)`` and ``await stop()``
-# — :func:`is_live_source` duck-types on those.
+# — :func:`is_live_source` duck-types on those. A finite source that is
+# ``realtime`` (a paced :class:`~repro.replay.source.ReplaySource`)
+# additionally offers ``paced()``, its items as ``(delay, item)`` pairs,
+# so the asyncio engine can wait out the gaps without blocking its loop.
 
 
 def is_live_source(source) -> bool:
@@ -78,101 +75,6 @@ def is_live_source(source) -> bool:
     return callable(getattr(source, "connect_buffer", None)) and callable(
         getattr(source, "start", None)
     )
-
-
-# --- flow gating ------------------------------------------------------------
-
-
-class GatedSource:
-    """A flow source that waits for the engine's DNS fill to finish.
-
-    Yields nothing until ``engine.fillup_complete`` (or ``timeout``
-    seconds pass, after which ``on_timeout`` — if given — is called once
-    before yielding anyway). The wait runs in the receiver thread at the
-    first ``next()``.
-
-    A class, not a generator, so the gate is *transparent* to the
-    ingest-source protocol: ``ingest_stats``, ``ingest_errors``, and
-    ``close()`` proxy through to the wrapped source. A gated
-    :class:`~repro.replay.source.ReplaySource` therefore still surfaces
-    its per-lane counters under :attr:`EngineReport.ingest` — the
-    accounting must not disappear just because the stream is gated.
-    """
-
-    def __init__(self, engine, items: Iterable, timeout: float,
-                 poll: float = 0.005, on_timeout=None):
-        self._engine = engine
-        self._items = items
-        self._timeout = timeout
-        self._poll = poll
-        self._on_timeout = on_timeout
-
-    @property
-    def ingest_stats(self):
-        return getattr(self._items, "ingest_stats", None)
-
-    @property
-    def ingest_errors(self):
-        return getattr(self._items, "ingest_errors", ())
-
-    def close(self) -> None:
-        close = getattr(self._items, "close", None)
-        if close is not None:
-            close()
-
-    def __iter__(self):
-        deadline = time.monotonic() + self._timeout
-        while not self._engine.fillup_complete and time.monotonic() < deadline:
-            time.sleep(self._poll)
-        if not self._engine.fillup_complete and self._on_timeout is not None:
-            self._on_timeout()
-        yield from self._items
-
-
-def gated_flow_source(
-    engine,
-    items: Iterable,
-    timeout: float = DEFAULT_FILL_TIMEOUT,
-    poll: float = 0.005,
-    on_timeout=None,
-) -> Iterable:
-    """The shared deterministic-matching gate (see :class:`GatedSource`).
-
-    This is the one implementation used by the CLI's offline mode, the
-    test suite, and the benchmarks.
-    """
-    return GatedSource(engine, items, timeout, poll=poll, on_timeout=on_timeout)
-
-
-def fill_gate_warning(timeout: float) -> str:
-    """The report warning recorded when the fill gate times out."""
-    return (
-        f"DNS fill still running after {timeout:.0f}s; correlated against a "
-        f"partially-filled store (match counts may be low)"
-    )
-
-
-def gated_with_warning(
-    engine,
-    items: Iterable,
-    timeout: float,
-    warnings_out: List[str],
-    on_timeout=None,
-) -> Iterable:
-    """A fill-gated flow source whose timeout is recorded, not just printed.
-
-    ``warnings_out`` collects the warning text so the caller can attach
-    it to the run's :attr:`EngineReport.warnings` after the engine
-    returns; ``on_timeout`` (optional) additionally fires for immediate
-    operator feedback (the CLI prints to stderr).
-    """
-
-    def note():
-        warnings_out.append(fill_gate_warning(timeout))
-        if on_timeout is not None:
-            on_timeout()
-
-    return gated_flow_source(engine, items, timeout=timeout, on_timeout=note)
 
 
 # --- item normalisation -----------------------------------------------------
@@ -315,31 +217,6 @@ class LookupLane:
         return self.processor.correlate_batch_columns(batch)
 
 
-# --- drain loop -------------------------------------------------------------
-
-
-def drain_buffer(
-    buffer,
-    batch_size: int,
-    handle: Callable[[List], None],
-    timeout: float = POP_TIMEOUT,
-) -> None:
-    """The standard worker body: batch-pop a bounded buffer until closed.
-
-    One blocking ``pop_many`` per wake-up (lock round-trip amortised over
-    the batch), re-checking closure on every timeout slice. Shared by the
-    threaded engine's fill/lookup/write workers; the asyncio engine runs
-    the same shape over its own awaitable buffers.
-    """
-    while True:
-        items = buffer.pop_many(batch_size, timeout=timeout)
-        if not items:
-            if buffer.closed and len(buffer) == 0:
-                return
-            continue
-        handle(items)
-
-
 def source_failure_warning(name: str, exc: BaseException) -> str:
     """The report warning recorded when a stream source raises mid-run.
 
@@ -449,8 +326,8 @@ def stack_summary(
     """Flatten one worker stack's counters into a plain-dict summary.
 
     The dict is the engines' lingua franca for report assembly: the
-    sharded engine pickles it over IPC, the threaded and async engines
-    build it in-process, and :func:`merge_summaries` folds any number of
+    sharded engine pickles it over IPC, the async engine builds it
+    in-process, and :func:`merge_summaries` folds any number of
     them into one :class:`EngineReport`.
     """
     chain_lengths: Dict[int, int] = {}

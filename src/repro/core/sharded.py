@@ -1,9 +1,9 @@
 """ShardedEngine: FlowDNS across worker processes (per-core scaling).
 
 The paper's Go implementation reaches ~1M records/s by spreading workers
-over 128 cores against sharded shared maps. CPython's ThreadedEngine
-cannot scale past one core — the GIL serialises every worker — so this
-engine escapes it with *processes*: the DNS storage is partitioned by
+over 128 cores against sharded shared maps. CPython threads cannot
+scale past one core — the GIL serialises every worker — so this engine
+escapes it with *processes*: the DNS storage is partitioned by
 lookup-IP hash across N shards, each shard process owning a complete
 FillUp/LookUp/storage stack for its slice of the address space. The
 parent routes record batches to shards over IPC and merges the per-shard
@@ -12,7 +12,7 @@ counters into one :class:`EngineReport`.
 Each shard drives the processors' columnar entries
 (``process_columns``, ``correlate_batch_columns``) on what the router
 sends it; item normalisation and summary/report assembly come from
-:mod:`repro.core.pipeline`, shared with the threaded and async engines.
+:mod:`repro.core.pipeline`, shared with the async engine.
 This module owns only the *scheduling policy*: process fan-out, hash
 routing, and the batched IPC framing.
 
@@ -38,7 +38,7 @@ Input queues are bounded so a slow shard applies backpressure to the
 router instead of buffering the whole input in memory. There are no
 bounded drop-counting ingress buffers in this engine, so
 ``overall_loss_rate`` is always 0 — loss modelling stays with the
-threaded and simulation engines.
+async and simulation engines.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ class ShardedEngine:
         cname_type = _CNAME_TYPE
         batch_size = self.config.engine_batch_size
         # A storage-less processor gives us the same wire filter the
-        # threaded engine applies; it only ever touches its stats here.
+        # other engines apply; it only ever touches its stats here.
         dns_filter = FillUpProcessor(storage=None)
         payloads: List = []
         stamps: List[float] = []
@@ -305,7 +305,7 @@ class ShardedEngine:
                         router.broadcast(_DNS, record)
                     elif record.is_address:
                         router.route(_DNS, ip_label(record.answer) % num_shards, record)
-                    # Other record types are counted (parity with the threaded
+                    # Other record types are counted (parity with the async
                     # engine's records_in) but never stored — no IPC for them.
         finally:
             # Also on a raising source: records already routed must reach
@@ -414,10 +414,10 @@ class ShardedEngine:
     ) -> EngineReport:
         """Run the sharded pipeline until every source is drained.
 
-        By default DNS and flow sources are routed concurrently, like the
-        threaded engine's receivers, so mid-stream matching is timing
-        dependent. With ``dns_first=True`` every DNS batch is enqueued
-        before any flow routing starts; each shard's input queue is FIFO,
+        By default DNS and flow sources are routed concurrently, one
+        thread per source, so mid-stream matching is timing dependent.
+        With ``dns_first=True`` every DNS batch is enqueued before any
+        flow routing starts; each shard's input queue is FIFO,
         so all DNS records are stored before the first flow correlates —
         the deterministic offline-replay mode the CLI uses.
         """
@@ -458,7 +458,7 @@ class ShardedEngine:
                     # A failing source ends its routing thread; whatever
                     # was routed before the failure still correlates, and
                     # the failure surfaces in EngineReport.warnings (same
-                    # contract as the threaded and async engines).
+                    # contract as the async engine).
                     source_errors.append((name, exc))
 
             return threading.Thread(target=body, daemon=True)

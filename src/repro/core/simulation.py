@@ -1,7 +1,7 @@
 """Deterministic simulation engine.
 
 Replays timestamp-ordered DNS and Netflow record streams through the same
-FillUp/LookUp processors the threaded engine uses, entirely
+FillUp/LookUp processors the live engines use, entirely
 single-threaded, with simulated time driven by record timestamps. A
 week-long ISP deployment (Figure 2) replays in seconds and is
 reproducible bit-for-bit from the workload seed.

@@ -50,18 +50,20 @@ FIGURE7_VARIANTS = (
 
 #: Engine implementations, for CLI/embedding selection. ``simulation``
 #: replays flat record iterables deterministically with modelled
-#: resources; ``threaded``, ``sharded`` and ``async`` take sequences of
-#: stream sources and run the live pipeline (one process, batched
-#: workers), the multiprocessing variant (storage partitioned by
-#: lookup-IP hash), or the single-loop asyncio variant whose sources may
+#: resources; ``sharded`` and ``async`` take sequences of stream sources
+#: and run the multiprocessing pipeline (storage partitioned by
+#: lookup-IP hash) or the single-loop asyncio pipeline whose sources may
 #: also be live loopback/network listeners (NetFlow over UDP, DNS over
 #: TCP).
 ENGINE_VARIANTS = {
     "simulation": "deterministic single-threaded replay, modelled resources",
-    "threaded": "live multi-threaded pipeline with batched workers",
     "sharded": "multiprocessing pipeline sharded by lookup-IP hash",
     "async": "asyncio pipeline with live UDP/TCP socket ingest",
 }
+
+#: Engines a capture can be replayed through (the live pair; the
+#: simulation engine consumes record objects, not wire bytes).
+REPLAY_ENGINES = ("sharded", "async")
 
 
 def engine_for(
@@ -77,17 +79,14 @@ def engine_for(
     engine normalises via :meth:`EngineConfig.of`. ``num_shards`` is a
     back-compat override for ``EngineConfig.shards``. Note the run()
     signatures differ: ``simulation`` consumes flat record iterables;
-    ``threaded``/``sharded`` consume sequences of sources.
+    ``sharded``/``async`` consume sequences of sources and take
+    ``dns_first=True`` for deterministic DNS-before-flows ordering.
     """
     engine_config = EngineConfig.of(config)
     if name == "simulation":
         from repro.core.simulation import SimulationEngine
 
         return SimulationEngine(engine_config.flowdns, sink=sink)
-    if name == "threaded":
-        from repro.core.engine import ThreadedEngine
-
-        return ThreadedEngine(engine_config, sink=sink)
     if name == "sharded":
         from repro.core.sharded import ShardedEngine
 

@@ -44,13 +44,8 @@ from repro.replay.faults import (
     parse_fault_specs,
     resolve_fault_plan,
 )
-from repro.replay.runner import (
-    DEFAULT_FILL_TIMEOUT,
-    REPLAY_ENGINES,
-    fill_gate_warning,
-    gated_with_warning,
-    replay_capture,
-)
+from repro.core.variants import REPLAY_ENGINES
+from repro.replay.runner import replay_capture
 from repro.replay.scenarios import (
     GOLDEN_SEED,
     SCENARIOS,
@@ -63,7 +58,6 @@ __all__ = [
     "CaptureDecoder",
     "CaptureFrame",
     "CaptureWriter",
-    "DEFAULT_FILL_TIMEOUT",
     "FAULT_PROFILES",
     "FaultInjector",
     "FaultPlan",
@@ -81,8 +75,6 @@ __all__ = [
     "SCENARIOS",
     "build_scenario",
     "encode_frame",
-    "fill_gate_warning",
-    "gated_with_warning",
     "load_capture",
     "parse_fault_specs",
     "probe_capture",

@@ -1,14 +1,9 @@
 """Run a capture through any live engine, deterministically.
 
-One entry point — :func:`replay_capture` — hides the per-engine ordering
-policy that makes offline replay reproducible:
-
-* ``threaded`` consumes its sources concurrently, so the flow lane is
-  gated behind fill completion (:func:`repro.core.pipeline.gated_flow_source`);
-  a gate timeout lands in :attr:`EngineReport.warnings` instead of being
-  lost to stderr;
-* ``sharded`` and ``async`` take ``dns_first=True`` (per-shard FIFO
-  queues / the async fill barrier give the same hard ordering).
+One entry point — :func:`replay_capture` — runs both live engines with
+``dns_first=True``: per-shard FIFO queues (``sharded``) and the fill
+barrier (``async``) store every DNS record before the first flow
+correlates, which is what makes offline replay reproducible.
 
 With identical ordering and identical wire bytes, every engine must
 produce identical output rows and merged report stats — that is the
@@ -18,57 +13,43 @@ pins on the golden corpus.
 
 from __future__ import annotations
 
-from typing import List, Optional, TextIO
+from typing import Optional, TextIO
 
 from repro.core.config import EngineConfig, FlowDNSConfig
-from repro.core.metrics import EngineReport, dedupe_warnings
-from repro.core.pipeline import (  # noqa: F401 - re-exported replay API
-    DEFAULT_FILL_TIMEOUT,
-    fill_gate_warning,
-    gated_with_warning,
-)
-from repro.core.variants import engine_for
+from repro.core.metrics import EngineReport
+from repro.core.variants import REPLAY_ENGINES, engine_for
 from repro.replay.capture import probe_capture
 from repro.replay.faults import FaultInjector, FaultPlan, resolve_fault_plan
 from repro.replay.source import CaptureLike, replay_sources
 from repro.util.errors import ConfigError
 
-#: Engines a capture can be replayed through (the live trio; the
-#: simulation engine consumes record objects, not wire bytes).
-REPLAY_ENGINES = ("threaded", "sharded", "async")
-
 
 def replay_capture(
     capture: CaptureLike,
-    engine: str = "threaded",
+    engine: str = "async",
     config: Optional[FlowDNSConfig | EngineConfig] = None,
     sink: Optional[TextIO] = None,
     realtime: Optional[bool] = None,
     speed: Optional[float] = None,
     num_shards: Optional[int] = None,
-    fill_timeout: Optional[float] = None,
-    on_fill_timeout=None,
     faults: Optional[FaultPlan | str] = None,
     fault_seed: Optional[int] = None,
 ) -> EngineReport:
     """Replay a capture (path or frames) through one engine; returns its report.
 
     ``config`` may be a full :class:`EngineConfig`, in which case its
-    ``shards``/``fill_timeout``/``realtime``/``speed`` fields are the
-    defaults and the explicit keyword arguments override them (the
-    keywords keep their pre-EngineConfig behaviour for existing callers).
+    ``shards``/``realtime``/``speed`` fields are the defaults and the
+    explicit keyword arguments override them (the keywords keep their
+    pre-EngineConfig behaviour for existing callers).
 
     ``realtime=True`` paces items by the recorded inter-arrival gaps
     (divided by ``speed``); the default replays at max speed, which with
-    the DNS-before-flows ordering is fully deterministic.
-
-    Realtime caveat for ``engine="async"``: the pacing sleep is a
-    blocking ``time.sleep`` executed by the pump coroutine, so each gap
-    stalls the whole event loop, not just the source. Output rows and
-    report counters are unaffected (nothing else needs the loop during
-    an offline replay's gaps), but intra-run buffer-occupancy dynamics
-    are not faithful — study burst-induced loss under the threaded or
-    sharded engine, whose receiver threads sleep independently.
+    the DNS-before-flows ordering is fully deterministic. Under
+    ``engine="async"`` the pump task waits out each gap with
+    ``asyncio.sleep`` and offers paced items without backpressure, so a
+    recorded burst that overflows the bounded ingress buffer is dropped
+    and counted there (``overall_loss_rate`` plus a warning) — the
+    paper's buffer-loss behaviour, reproducible run after run.
 
     ``faults`` perturbs the capture *before* it reaches the engine: a
     :class:`~repro.replay.faults.FaultPlan`, a profile name from
@@ -84,7 +65,7 @@ def replay_capture(
         )
     if isinstance(capture, str):
         # Missing file / not-a-capture must fail here, cleanly — not
-        # inside a receiver thread after the engine has spun up. (A
+        # inside a pump task after the engine has spun up. (A
         # *truncated* capture still replays: every cleanly-framed item
         # flows through and the failure lands in report.warnings.)
         probe_capture(capture)
@@ -95,8 +76,6 @@ def replay_capture(
         speed = engine_config.speed
     if num_shards is None:
         num_shards = engine_config.shards
-    if fill_timeout is None:
-        fill_timeout = engine_config.fill_timeout
     if faults is None and (
         engine_config.fault_profile or engine_config.fault_rates
     ):
@@ -114,17 +93,4 @@ def replay_capture(
         capture = injector.apply(capture)
     instance = engine_for(engine, config=engine_config, sink=sink, num_shards=num_shards)
     dns_sources, flow_sources = replay_sources(capture, realtime=realtime, speed=speed)
-    warnings: List[str] = []
-    if engine == "threaded":
-        flow_sources = [
-            gated_with_warning(
-                instance, source, fill_timeout, warnings, on_timeout=on_fill_timeout
-            )
-            for source in flow_sources
-        ]
-        report = instance.run(dns_sources, flow_sources)
-    else:
-        report = instance.run(dns_sources, flow_sources, dns_first=True)
-    report.warnings.extend(warnings)
-    report.warnings[:] = dedupe_warnings(report.warnings)
-    return report
+    return instance.run(dns_sources, flow_sources, dns_first=True)

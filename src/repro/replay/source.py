@@ -14,11 +14,17 @@ Two speeds:
 
 * **max speed** (default) — yield as fast as the consumer pulls; the
   deterministic differential-testing mode;
-* **timestamp-faithful** (``realtime=True``) — sleep out each recorded
+* **timestamp-faithful** (``realtime=True``) — wait out each recorded
   inter-arrival gap (scaled by ``speed``) before yielding, so bursts
   land on the engine's bounded buffers as bursts and reproduce the
   original buffer-overflow loss instead of being smoothed away by
   backpressure.
+
+The pacing is computed once, by :meth:`ReplaySource.paced`, as ``(delay,
+item)`` pairs. Plain iteration waits each delay out with the injectable
+blocking ``sleep`` (the sharded engine's routing threads); the asyncio
+engine's pump consumes ``paced()`` directly and awaits
+``asyncio.sleep(delay)``, so a gap never stalls its event loop.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class ReplaySource:
     one source object can feed several engine runs) or an in-memory
     frame iterable (list/tuple re-iterate too; a one-shot generator
     supports a single run). ``sleep`` is injectable for deterministic
-    pacing tests.
+    pacing tests; it is what plain iteration waits with.
     """
 
     def __init__(
@@ -82,6 +88,20 @@ class ReplaySource:
         """Ingest-source protocol close(); nothing to release (no-op)."""
 
     def __iter__(self) -> Iterator:
+        sleep = self._sleep
+        for delay, item in self.paced():
+            if delay > 0:
+                sleep(delay)
+            yield item
+
+    def paced(self) -> Iterator[Tuple[float, object]]:
+        """This lane's items as ``(delay, item)`` pairs.
+
+        ``delay`` is the seconds to wait before offering ``item``: the
+        recorded gap to the previous frame divided by ``speed`` when
+        ``realtime``, else 0. The consumer does the waiting, so a
+        blocking thread and an event loop can pace the same source.
+        """
         dns = self.lane == LANE_DNS
         realtime = self.realtime
         prev_ts = None
@@ -94,13 +114,12 @@ class ReplaySource:
         stats.received = stats.accepted = stats.dropped = 0
         stats.malformed = stats.bytes_in = 0
         for frame in _frames(self._capture, self.lane):
+            delay = 0.0
             if realtime:
                 if prev_ts is not None:
                     # Clamp: mixed-clock captures may interleave lanes
                     # non-monotonically; a negative gap is just "no wait".
-                    gap = (frame.ts - prev_ts) / self.speed
-                    if gap > 0:
-                        self._sleep(gap)
+                    delay = max(0.0, (frame.ts - prev_ts) / self.speed)
                 prev_ts = frame.ts
             self.items_replayed += 1
             stats.received += 1
@@ -111,7 +130,7 @@ class ReplaySource:
                     tee.record_dns(frame.payload, ts=frame.ts)
                 else:
                     tee.record_flow(frame.payload, ts=frame.ts)
-            yield (frame.ts, frame.payload) if dns else frame.payload
+            yield delay, ((frame.ts, frame.payload) if dns else frame.payload)
 
 
 def replay_sources(
@@ -132,7 +151,7 @@ def replay_sources(
 
     For a path capture each lane streams the file independently (two
     reads, two decodes). That is deliberate, not an oversight: the
-    engines drain the lanes on *their* schedule — the threaded fill gate
+    engines drain the lanes on *their* schedule — ``dns_first=True``
     pulls nothing from the flow lane until the DNS lane has fully
     drained — so a shared single pass would have to buffer one lane's
     entire frame set in memory anyway. Two O(1)-memory streams beat one

@@ -4,10 +4,10 @@ The Go module FlowDNS builds on shards the key space over N independently
 locked maps so concurrent readers/writers rarely touch the same lock. A
 CPython dict is already thread-safe for single operations under the GIL,
 but the *contention behaviour* matters for this reproduction: the
-simulation's CPU model charges for contended acquisitions, and the
-threaded engine genuinely benefits for compound operations
-(get-then-set, snapshot, clear). So the sharding and its statistics are
-implemented faithfully.
+simulation's CPU model charges for contended acquisitions, and compound
+operations (get-then-set, snapshot, clear) must stay atomic while the
+async engine's snapshot writer reads the maps from an executor thread.
+So the sharding and its statistics are implemented faithfully.
 
 Routing is one C-speed hash per key: :func:`key_hash` (CRC-32 of the
 key's text bytes). A caller that first spends the hash's low digit on a

@@ -6,7 +6,7 @@ workload generators, the correlation engine, and the analysis code alike.
 """
 
 from repro.util.clock import SimClock, SystemClock, Clock
-from repro.util.errors import ReproError, ConfigError, ParseError, StreamClosed
+from repro.util.errors import ReproError, ConfigError, ParseError
 from repro.util.rng import make_rng, derive_rng, zipf_sampler
 from repro.util.stats import (
     Ecdf,
@@ -31,7 +31,6 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "ParseError",
-    "StreamClosed",
     "make_rng",
     "derive_rng",
     "zipf_sampler",

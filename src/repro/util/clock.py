@@ -3,8 +3,8 @@
 FlowDNS's mechanisms are all time-driven: clear-up intervals, buffer
 rotation, TTL expiry, diurnal load. To reproduce week-long deployments
 (Figure 2) in seconds, the simulation engine runs against a
-:class:`SimClock` whose time is advanced by record timestamps, while the
-threaded engine can use a :class:`SystemClock` for live operation.
+:class:`SimClock` whose time is advanced by record timestamps, while
+live operation can use a :class:`SystemClock`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class Clock:
 
 
 class SystemClock(Clock):
-    """Wall-clock time, for live/threaded operation."""
+    """Wall-clock time, for live operation."""
 
     def now(self) -> float:
         return _time.time()

@@ -16,7 +16,3 @@ class ConfigError(ReproError):
 
 class ParseError(ReproError):
     """A wire-format payload (DNS message, Netflow datagram) is malformed."""
-
-
-class StreamClosed(ReproError):
-    """An operation was attempted on a stream that has been closed."""

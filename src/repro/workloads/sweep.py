@@ -27,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import EngineConfig
 from repro.core.invariants import assert_invariants
-from repro.replay.runner import REPLAY_ENGINES, replay_capture
+from repro.core.variants import REPLAY_ENGINES
+from repro.replay.runner import replay_capture
 from repro.util.benchio import record_bench
 from repro.util.errors import ConfigError
 from repro.workloads.generator import GeneratorParams, WorkloadGenerator
@@ -41,9 +42,9 @@ class SweepSpec:
     """One sweep: workload axes × replay legs over a shared base config.
 
     ``fault_profiles`` may contain ``None`` for the fault-free baseline
-    leg (the default). Replay-leg knobs (``shards``, ``fill_timeout``)
+    leg (the default). Replay-leg knobs (``shards``, ``fault_seed``)
     follow :meth:`EngineConfig.for_replay_leg` applicability rules —
-    they are applied only to the engines they mean something to, and the
+    they are applied only to the legs they mean something to, and the
     spec rejects combinations that would silently not apply.
     """
 
@@ -58,7 +59,6 @@ class SweepSpec:
     base: GeneratorParams = field(default_factory=GeneratorParams)
     # --- replay-leg knobs ------------------------------------------------
     shards: Optional[int] = None
-    fill_timeout: Optional[float] = None
     fault_seed: Optional[int] = None
 
     def __post_init__(self):
@@ -80,9 +80,6 @@ class SweepSpec:
         if self.shards is not None and "sharded" not in self.engines:
             raise ConfigError("shards only apply when the sweep includes "
                               "the sharded engine")
-        if self.fill_timeout is not None and "threaded" not in self.engines:
-            raise ConfigError("fill_timeout only applies when the sweep "
-                              "includes the threaded engine")
         if self.fault_seed is not None and tuple(self.fault_profiles) == (None,):
             raise ConfigError(
                 "fault_seed requires at least one fault profile leg; a "
@@ -101,7 +98,6 @@ class SweepSpec:
         return EngineConfig.for_replay_leg(
             engine,
             shards=self.shards if engine == "sharded" else None,
-            fill_timeout=self.fill_timeout if engine == "threaded" else None,
             fault_profile=fault_profile,
             fault_seed=self.fault_seed if fault_profile is not None else None,
         )
@@ -127,7 +123,7 @@ class SweepSpec:
             overrides["fault_profiles"] = tuple(
                 None if p in ("none", "") else p for p in profiles
             )
-        for flag in ("shards", "fill_timeout", "fault_seed"):
+        for flag in ("shards", "fault_seed"):
             value = getattr(args, flag, None)
             if value is not None:
                 overrides[flag] = value

@@ -1,4 +1,4 @@
-"""Tests for the asyncio engine: offline parity with the threaded engine,
+"""Tests for the asyncio engine: offline parity with the sharded engine,
 live loopback ingest (NetFlow over UDP + DNS over TCP), bounded-buffer
 backpressure accounting, and graceful drain-then-shutdown."""
 
@@ -9,8 +9,6 @@ import time
 
 import pytest
 
-from engine_gates import gated_flows
-
 from repro.core.async_engine import (
     AsyncBuffer,
     AsyncEngine,
@@ -18,7 +16,7 @@ from repro.core.async_engine import (
     UdpFlowIngest,
 )
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine
+from repro.core.sharded import ShardedEngine
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
@@ -107,18 +105,19 @@ def _rows(sink):
 
 
 class TestAsyncOffline:
-    def test_offline_parity_with_threaded(self):
-        """Same corpus, same counters, same rows as the threaded engine."""
+    def test_offline_parity_with_sharded(self):
+        """Same corpus, same counters, same rows as a one-shard sharded
+        engine (one storage stack, so map entries compare too)."""
         dns, flows = _dns_records(), _flows()
-        threaded_sink, async_sink = io.StringIO(), io.StringIO()
-        threaded = ThreadedEngine(FlowDNSConfig(), sink=threaded_sink)
-        threaded_report = threaded.run([list(dns)], [gated_flows(threaded, flows)])
+        sharded_sink, async_sink = io.StringIO(), io.StringIO()
+        sharded = ShardedEngine(FlowDNSConfig(), sink=sharded_sink, num_shards=1)
+        sharded_report = sharded.run([list(dns)], [list(flows)], dns_first=True)
         async_report = AsyncEngine(FlowDNSConfig(), sink=async_sink).run(
             [list(dns)], [list(flows)], dns_first=True
         )
         assert async_report.variant_name == "async"
-        _assert_reports_equal(async_report, threaded_report)
-        assert _rows(async_sink) == _rows(threaded_sink)
+        _assert_reports_equal(async_report, sharded_report)
+        assert _rows(async_sink) == _rows(sharded_sink)
 
     def test_datagram_and_wire_tuple_items(self):
         """The async lanes accept the full stream-item mix."""
@@ -136,6 +135,21 @@ class TestAsyncOffline:
         assert report.dns_records == 2
         assert report.matched_flows == 1
         assert report.chain_lengths.get(2) == 1
+
+    def test_multiple_streams_share_storage(self):
+        """Every lane shares one storage: each flow stream matches only
+        records learned on the *other* DNS stream."""
+        dns = _dns_records()
+        learned_on_0 = FlowRecord(ts=1.0, src_ip="10.9.9.9", dst_ip="100.64.0.1",
+                                  bytes_=7)
+        learned_on_1 = FlowRecord(ts=1.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
+                                  bytes_=7)
+        report = AsyncEngine(FlowDNSConfig()).run(
+            [dns[-2:], dns[:-2]], [[learned_on_1], [learned_on_0]],
+            dns_first=True,
+        )
+        assert report.dns_records == len(dns)
+        assert report.matched_flows == 2
 
     def test_exact_ttl_mode_runs(self):
         report = AsyncEngine(FlowDNSConfig(exact_ttl=True)).run(
@@ -198,9 +212,9 @@ class TestAsyncLiveLoopback:
         assert not thread.is_alive(), "async engine did not shut down"
         return result["report"], dns_ingest, flow_ingest
 
-    def test_loopback_ingest_parity_with_threaded(self):
+    def test_loopback_ingest_parity_with_offline(self):
         """NetFlow-over-UDP + DNS-over-TCP through real loopback sockets
-        produces the same report and rows as the threaded engine fed the
+        produces the same report and rows as an offline run fed the
         identical corpus directly."""
         wires = _dns_wires()
         flows = _wire_flows()
@@ -215,14 +229,14 @@ class TestAsyncLiveLoopback:
             sink=live_sink,
         )
 
-        threaded_sink = io.StringIO()
-        threaded = ThreadedEngine(FlowDNSConfig(), sink=threaded_sink)
-        threaded_report = threaded.run(
+        offline_sink = io.StringIO()
+        offline_report = AsyncEngine(FlowDNSConfig(), sink=offline_sink).run(
             [[(_CLOCK_TS, w) for w in wires]],
-            [gated_flows(threaded, list(datagrams))],
+            [list(datagrams)],
+            dns_first=True,
         )
-        _assert_reports_equal(report, threaded_report)
-        assert _rows(live_sink) == _rows(threaded_sink)
+        _assert_reports_equal(report, offline_report)
+        assert _rows(live_sink) == _rows(offline_sink)
 
         # Live ingest counters surfaced in the report.
         assert report.ingest[dns_ingest.ingest_stats.name].received == len(wires)
@@ -486,11 +500,10 @@ class TestBackpressure:
         assert ingest.feed_chunk(decoder, b"\xff\xff garbage") is False
         assert ingest.ingest_stats.malformed == 1
 
-    def test_ingest_stats_surfaced_by_threaded_and_sharded(self):
-        """Any source exposing ingest_stats lands in EngineReport.ingest
-        for the thread- and process-based engines too."""
+    def test_ingest_stats_surfaced_by_async_and_sharded(self):
+        """Any source exposing ingest_stats lands in EngineReport.ingest,
+        finite sources and the process-based engine included."""
         from repro.core.metrics import IngestStats
-        from repro.core.sharded import ShardedEngine
 
         class StatsSource:
             def __init__(self, name, items):
@@ -503,8 +516,7 @@ class TestBackpressure:
         flows = [FlowRecord(ts=1.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
                             bytes_=10)]
         source = StatsSource("udp[test]", flows)
-        threaded = ThreadedEngine(FlowDNSConfig())
-        report = threaded.run([[]], [source])
+        report = AsyncEngine(FlowDNSConfig()).run([[]], [source])
         assert report.ingest["udp[test]"].received == 1
 
         source2 = StatsSource("udp[test2]", list(flows))

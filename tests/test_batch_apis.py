@@ -1,6 +1,6 @@
-"""Tests for the batched hot path: buffer/queue batch pops, storage batch
-ops, and the processor-level ``process_batch``/``correlate_batch_columns``
-— including equivalence against the per-record path."""
+"""Tests for the batched hot path: storage batch ops and the processor-level
+``process_batch``/``correlate_batch_columns`` — including equivalence
+against the per-record path."""
 
 import threading
 
@@ -14,8 +14,6 @@ from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
 from repro.storage.concurrent_map import key_hash
 from repro.storage.rotating import StoreBank
-from repro.streams.buffer import BoundedBuffer
-from repro.streams.queues import WorkerQueue
 
 
 def _dns_records(n=400, services=40):
@@ -96,59 +94,6 @@ class TestStoreBankBatch:
         bank = StoreBank(clear_up_interval=3600.0)
         bank.put_rows([], [], [], [])
         assert bank.stats.puts == 0
-
-
-class TestBufferBatch:
-    def test_pop_many_drains_up_to_n(self):
-        buf = BoundedBuffer(capacity=100)
-        buf.push_many(range(10))
-        assert buf.pop_many(4) == [0, 1, 2, 3]
-        assert buf.pop_many(100) == [4, 5, 6, 7, 8, 9]
-        assert buf.stats.popped == 10
-
-    def test_pop_many_timeout_returns_empty(self):
-        buf = BoundedBuffer(capacity=4)
-        assert buf.pop_many(4, timeout=0.01) == []
-
-    def test_pop_many_closed_and_drained(self):
-        buf = BoundedBuffer(capacity=4)
-        buf.push(1)
-        buf.close()
-        assert buf.pop_many(4, timeout=0.01) == [1]
-        assert buf.pop_many(4, timeout=0.01) == []
-
-    def test_push_many_counts_drops(self):
-        buf = BoundedBuffer(capacity=3)
-        assert buf.push_many(range(5)) == 3
-        assert buf.stats.dropped == 2
-        assert buf.stats.offered == 5
-
-    def test_pop_many_wakes_on_push(self):
-        buf = BoundedBuffer(capacity=10)
-        got = []
-
-        def consumer():
-            got.extend(buf.pop_many(10, timeout=2.0))
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        buf.push_many([1, 2, 3])
-        thread.join(timeout=5.0)
-        assert got  # woke up and drained at least the first push
-
-
-class TestWorkerQueueBatch:
-    def test_push_many_pop_many_roundtrip(self):
-        queue = WorkerQueue()
-        assert queue.push_many(range(7)) == 7
-        assert queue.pop_many(3, timeout=0.01) == [0, 1, 2]
-        assert queue.pop_many(10, timeout=0.01) == [3, 4, 5, 6]
-        assert queue.pushed == 7 and queue.popped == 7
-
-    def test_pop_many_closed(self):
-        queue = WorkerQueue()
-        queue.close()
-        assert queue.pop_many(5, timeout=0.01) == []
 
 
 class TestBatchEquivalence:
@@ -242,8 +187,8 @@ class TestBatchEquivalence:
 class TestConcurrentBatchSafety:
     def test_concurrent_fillup_and_correlate_batch(self):
         """Concurrent batched fill and batched lookups must not corrupt
-        storage or lose records (the threaded engine's actual access
-        pattern)."""
+        storage or lose records (storage is shared across threads: the
+        async engine's snapshot writer reads it from an executor)."""
         config = FlowDNSConfig()
         storage = DnsStorage(config)
         dns = _dns_records(n=4000)

@@ -4,8 +4,8 @@
 Three guarantees per cell of the matrix:
 
 * the *same* faulted byte stream yields *identical* sorted output rows
-  from every engine (threaded, sharded, async, and async with the
-  snapshot lifecycle enabled) — perturbation happens before the
+  from every engine (async, sharded, and async with the snapshot
+  lifecycle enabled) — perturbation happens before the
   engines, so engine parity must survive hostile input;
 * every report is accounting-invariant-clean
   (:mod:`repro.core.invariants`) — loss may happen, silent loss may
@@ -117,12 +117,9 @@ class TestChaosDifferential:
         )
 
         label = f"{scenario}×{profile}"
-        baseline, baseline_rows = _run_engine(
-            frames, "threaded", f"threaded:{label}"
-        )
+        baseline, baseline_rows = _run_engine(frames, "async", f"async:{label}")
         legs = [
             ("sharded", None, {"num_shards": 2}),
-            ("async", None, {}),
             (
                 "async",
                 EngineConfig(
@@ -139,7 +136,7 @@ class TestChaosDifferential:
                 frames, engine, f"{tag}:{label}", config=config, **kwargs
             )
             assert rows == baseline_rows, (
-                f"{tag} rows diverged from threaded on {label}"
+                f"{tag} rows diverged from async on {label}"
             )
             for fieldname in COMPARABLE_FIELDS:
                 assert getattr(report, fieldname) == getattr(baseline, fieldname), (
@@ -158,7 +155,7 @@ class TestChaosEdgeCases:
         capture = load_capture(str(GOLDEN_DIR / "two-site.fdc"))
         plan = FaultPlan(flow=LaneFaults(drop_rate=1.0))
         frames = FaultInjector(plan, seed=0).apply(capture)
-        for engine, shards in (("threaded", None), ("sharded", 2), ("async", None)):
+        for engine, shards in (("sharded", 2), ("async", None)):
             report, rows = _run_engine(
                 frames, engine, f"{engine}:total-flow-loss", num_shards=shards
             )
@@ -177,13 +174,12 @@ class TestChaosEdgeCases:
         frames = FaultInjector(plan, seed=0).apply(capture)
         assert any(len(f.payload) == 0 for f in frames)
         baseline, baseline_rows = _run_engine(
-            frames, "threaded", "threaded:all-truncated"
+            frames, "async", "async:all-truncated"
         )
-        for engine, shards in (("sharded", 2), ("async", None)):
-            report, rows = _run_engine(
-                frames, engine, f"{engine}:all-truncated", num_shards=shards
-            )
-            assert rows == baseline_rows
+        report, rows = _run_engine(
+            frames, "sharded", "sharded:all-truncated", num_shards=2
+        )
+        assert rows == baseline_rows
 
     def test_faulted_capture_round_trips_through_disk(self, tmp_path):
         """A faulted frame list survives the capture codec, so chaos

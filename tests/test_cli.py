@@ -143,7 +143,7 @@ class TestCorrelate:
         assert rc == 0
         assert "a.example" in output.read_text()
 
-    @pytest.mark.parametrize("engine", ["threaded", "sharded", "async"])
+    @pytest.mark.parametrize("engine", ["sharded", "async"])
     def test_correlate_live_engines(self, mapping_file, csv_inputs, tmp_path,
                                     capsys, engine):
         dns, flows = csv_inputs
@@ -281,13 +281,13 @@ class TestCaptureReplay:
         capture = tmp_path / "churn.fdc"
         assert main(["capture", str(capture), "--scenario", "cname-churn"]) == 0
         outputs = {}
-        for engine, extra in (("threaded", []), ("sharded", ["--shards", "2"])):
+        for engine, extra in (("async", []), ("sharded", ["--shards", "2"])):
             output = tmp_path / f"{engine}.tsv"
             rc = main(["replay", str(capture), "--engine", engine,
                        "--output", str(output), *extra])
             assert rc == 0
             outputs[engine] = self._rows(output)
-        assert outputs["threaded"] == outputs["sharded"]
+        assert outputs["async"] == outputs["sharded"]
 
     def test_replay_exact_ttl_variant(self, tmp_path, capsys):
         capture = tmp_path / "ttl.fdc"
@@ -353,33 +353,6 @@ class TestCaptureReplay:
         assert rc == 2
         assert "--seed" in capsys.readouterr().err
 
-    def test_replay_fill_gate_warning_printed_once(self, tmp_path, capsys,
-                                                   monkeypatch):
-        """A timed-out fill gate warns exactly once on stderr (from
-        report.warnings), not once immediately plus once at the end."""
-        import repro.replay.runner as runner
-        from repro.core.metrics import EngineReport
-        from repro.core.pipeline import fill_gate_warning
-
-        capture = tmp_path / "gate.fdc"
-        assert main(["capture", str(capture), "--scenario", "two-site"]) == 0
-        capsys.readouterr()
-
-        def fake_replay(capture, on_fill_timeout=None, fill_timeout=0.0, **kw):
-            report = EngineReport()
-            # What gated_with_warning does on a timeout:
-            report.warnings.append(fill_gate_warning(fill_timeout))
-            if on_fill_timeout is not None:
-                on_fill_timeout()
-            return report
-
-        monkeypatch.setattr(runner, "replay_capture", fake_replay)
-        rc = main(["replay", str(capture),
-                   "--output", str(tmp_path / "g.tsv")])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert err.count("partially-filled store") == 1
-
     def test_replay_speed_requires_realtime(self, tmp_path, capsys):
         capture = tmp_path / "ok.fdc"
         assert main(["capture", str(capture), "--scenario", "two-site"]) == 0
@@ -389,18 +362,14 @@ class TestCaptureReplay:
         assert "--realtime" in capsys.readouterr().err
 
     def test_replay_rejects_inapplicable_engine_flags(self, tmp_path, capsys):
-        """--shards and --fill-timeout error out for engines they cannot
-        affect instead of being silently dropped."""
+        """--shards errors out for an engine it cannot affect instead of
+        being silently dropped."""
         capture = tmp_path / "ok.fdc"
         assert main(["capture", str(capture), "--scenario", "two-site"]) == 0
-        rc = main(["replay", str(capture), "--engine", "threaded",
+        rc = main(["replay", str(capture), "--engine", "async",
                    "--shards", "8", "--output", str(tmp_path / "o.tsv")])
         assert rc == 2
         assert "--shards" in capsys.readouterr().err
-        rc = main(["replay", str(capture), "--engine", "async",
-                   "--fill-timeout", "5", "--output", str(tmp_path / "o.tsv")])
-        assert rc == 2
-        assert "--fill-timeout" in capsys.readouterr().err
 
     def test_serve_bind_failure_preserves_output_file(self, tmp_path, capsys):
         """serve's --output sink opens lazily: a bind failure exits 2
@@ -563,49 +532,3 @@ class TestFaultCli:
         assert rc == 0
         err = capsys.readouterr().err
         assert "profile=custom" in err and "seed=0" in err
-
-
-class TestFillTimeout:
-    def test_flag_parses_with_default(self):
-        # argparse keeps None (presence sentinel); the effective default
-        # is EngineConfig's, applied by from_args.
-        args = build_parser().parse_args([
-            "correlate", "--dns", "d", "--flows", "f", "--mapping", "m",
-        ])
-        from repro.core.config import DEFAULT_FILL_TIMEOUT, EngineConfig
-
-        assert args.fill_timeout is None
-        assert EngineConfig.from_args(
-            args, "correlate"
-        ).fill_timeout == DEFAULT_FILL_TIMEOUT
-        args = build_parser().parse_args([
-            "replay", "x.fdc", "--engine", "threaded", "--fill-timeout", "7.5",
-        ])
-        assert args.fill_timeout == 7.5
-        assert EngineConfig.from_args(args, "replay").fill_timeout == 7.5
-
-    def test_gate_timeout_lands_in_report_warnings(self, capsys):
-        """A timed-out fill gate is recorded on the report (and printed),
-        instead of existing only as a stderr line."""
-        from repro.cli import _gated_flow_source
-        from repro.core.pipeline import fill_gate_warning
-
-        class NeverDone:
-            fillup_complete = False
-
-        warnings_out = []
-        source = _gated_flow_source(NeverDone(), [1, 2], 0.01, warnings_out)
-        assert list(source) == [1, 2]
-        assert warnings_out == [fill_gate_warning(0.01)]
-        assert warnings_out[0] in capsys.readouterr().err
-
-    def test_gate_without_timeout_stays_silent(self, capsys):
-        from repro.cli import _gated_flow_source
-
-        class Done:
-            fillup_complete = True
-
-        warnings_out = []
-        source = _gated_flow_source(Done(), [3], 0.01, warnings_out)
-        assert list(source) == [3]
-        assert warnings_out == []

@@ -21,8 +21,8 @@ import ipaddress
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine, gated_flow_source
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.sharded import ShardedEngine
@@ -412,11 +412,11 @@ def test_ipfix_template_refresh_invalidates_columnar_decoder_cache():
 
 
 # ---------------------------------------------------------------------------
-# Engine lanes: ShardedEngine's flat-column IPC vs ThreadedEngine, mixed
+# Engine lanes: ShardedEngine's flat-column IPC vs AsyncEngine, mixed
 # stream item types (records, whole batches, raw datagrams).
 # ---------------------------------------------------------------------------
 
-def test_sharded_columnar_ipc_matches_threaded():
+def test_sharded_columnar_ipc_matches_async():
     dns = [
         DnsRecord(float(i), f"svc{i % 40}.example", RRType.A, 300, f"10.0.{i % 40}.5")
         for i in range(120)
@@ -443,10 +443,9 @@ def test_sharded_columnar_ipc_matches_threaded():
     def flow_items():
         return list(flows) + [prebatched, v9_template, v9_data, v5_data]
 
-    threaded_sink = io.StringIO()
-    threaded = ThreadedEngine(FlowDNSConfig(), sink=threaded_sink)
-    threaded_report = threaded.run(
-        [list(dns)], [gated_flow_source(threaded, flow_items())]
+    async_sink = io.StringIO()
+    async_report = AsyncEngine(FlowDNSConfig(), sink=async_sink).run(
+        [list(dns)], [flow_items()], dns_first=True
     )
 
     sharded_sink = io.StringIO()
@@ -454,16 +453,16 @@ def test_sharded_columnar_ipc_matches_threaded():
     sharded_report = sharded.run([list(dns)], [flow_items()], dns_first=True)
 
     expected_flows = len(flows) + len(prebatched) + 2 * len(session_flows)
-    assert threaded_report.flow_records == expected_flows
+    assert async_report.flow_records == expected_flows
     assert sharded_report.flow_records == expected_flows
-    assert sharded_report.matched_flows == threaded_report.matched_flows
-    assert sharded_report.total_bytes == threaded_report.total_bytes
-    assert sharded_report.correlated_bytes == threaded_report.correlated_bytes
-    assert sharded_report.chain_lengths == threaded_report.chain_lengths
-    assert sharded_report.dns_records == threaded_report.dns_records
+    assert sharded_report.matched_flows == async_report.matched_flows
+    assert sharded_report.total_bytes == async_report.total_bytes
+    assert sharded_report.correlated_bytes == async_report.correlated_bytes
+    assert sharded_report.chain_lengths == async_report.chain_lengths
+    assert sharded_report.dns_records == async_report.dns_records
 
     def rows(sink):
         return sorted(line for line in sink.getvalue().splitlines()
                       if line and not line.startswith("#"))
 
-    assert rows(threaded_sink) == rows(sharded_sink)
+    assert rows(async_sink) == rows(sharded_sink)

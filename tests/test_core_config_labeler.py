@@ -45,8 +45,8 @@ class TestValidation:
             {"c_clear_up_interval": -1},
             {"num_split": 0},
             {"cname_loop_limit": 0},
-            {"fillup_workers_per_stream": 0},
-            {"write_workers": 0},
+            {"engine_batch_size": 0},
+            {"max_entries_per_map": -1},
             {"stream_buffer_capacity": 0},
             {"exact_ttl_sweep_interval": 0},
         ],

@@ -1,14 +1,12 @@
 """Tests for the multiprocessing ShardedEngine, including report parity
-with the ThreadedEngine on identical input."""
+with the AsyncEngine on identical input."""
 
 import io
 
 import pytest
 
-from engine_gates import gated_flows
-
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.sharded import ShardedEngine
 from repro.core.variants import ENGINE_VARIANTS, engine_for
 from repro.core.writer import parse_result_line
@@ -48,20 +46,21 @@ def _flows(matched=900, unmatched=100):
 
 
 class TestShardedEngine:
-    def test_merged_report_matches_threaded(self):
+    def test_merged_report_matches_async(self):
         dns, flows = _dns_records(), _flows()
-        engine = ThreadedEngine(FlowDNSConfig())
-        threaded = engine.run([list(dns)], [gated_flows(engine, flows)])
+        single = AsyncEngine(FlowDNSConfig()).run(
+            [list(dns)], [list(flows)], dns_first=True
+        )
         sharded = ShardedEngine(
             FlowDNSConfig(engine_batch_size=128), num_shards=3
         ).run([list(dns)], [list(flows)], dns_first=True)
-        assert sharded.matched_flows == threaded.matched_flows
-        assert sharded.flow_records == threaded.flow_records
-        assert sharded.dns_records == threaded.dns_records
-        assert sharded.total_bytes == threaded.total_bytes
-        assert sharded.correlated_bytes == threaded.correlated_bytes
-        assert sharded.chain_lengths == threaded.chain_lengths
-        assert sharded.overwrites == threaded.overwrites
+        assert sharded.matched_flows == single.matched_flows
+        assert sharded.flow_records == single.flow_records
+        assert sharded.dns_records == single.dns_records
+        assert sharded.total_bytes == single.total_bytes
+        assert sharded.correlated_bytes == single.correlated_bytes
+        assert sharded.chain_lengths == single.chain_lengths
+        assert sharded.overwrites == single.overwrites
         assert sharded.variant_name == "sharded"
 
     def test_rows_written_to_sink(self):
@@ -160,14 +159,12 @@ class TestShardedEngine:
 
 class TestEngineRegistry:
     def test_registry_names(self):
-        assert set(ENGINE_VARIANTS) == {"simulation", "threaded", "sharded", "async"}
+        assert set(ENGINE_VARIANTS) == {"simulation", "sharded", "async"}
 
     def test_engine_for_instantiates(self):
-        from repro.core.async_engine import AsyncEngine
         from repro.core.simulation import SimulationEngine
 
         assert isinstance(engine_for("simulation"), SimulationEngine)
-        assert isinstance(engine_for("threaded"), ThreadedEngine)
         assert isinstance(engine_for("async"), AsyncEngine)
         sharded = engine_for("sharded", num_shards=2)
         assert isinstance(sharded, ShardedEngine)

@@ -2,8 +2,6 @@
 
 import io
 
-from engine_gates import gated_flows
-
 from repro.analysis.figures import (
     ecdf_rows,
     figure2_rows,
@@ -13,10 +11,10 @@ from repro.analysis.figures import (
     sparkline,
     write_tsv,
 )
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.metrics import EngineReport, IntervalSample
-from repro.core.monitor import parse_exposition, render_engine, render_report
+from repro.core.monitor import parse_exposition, render_async_engine, render_report
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
@@ -59,11 +57,12 @@ class TestRenderEngine:
     def test_live_engine_metrics(self):
         dns = [DnsRecord(1.0, "a.example", RRType.A, 60, "10.1.1.1")]
 
-        engine = ThreadedEngine(FlowDNSConfig())
+        engine = AsyncEngine(FlowDNSConfig())
         flows = [FlowRecord(ts=2.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10)]
-        engine.run([dns], [gated_flows(engine, flows)])
-        metrics = parse_exposition(render_engine(engine))
+        engine.run([dns], [flows], dns_first=True)
+        metrics = parse_exposition(render_async_engine(engine))
         assert metrics['flowdns_stream_offered_total{stream="dns[0]"}'] == 1.0
+        assert metrics['flowdns_stream_buffer_fill{stream="netflow[0]"}'] == 0.0
         assert metrics["flowdns_write_rows"] == 1.0
         active_key = 'flowdns_storage_entries{bank="ip_name",tier="active"}'
         assert metrics[active_key] == 1.0

@@ -13,8 +13,8 @@ size), populated authority/additional sections, error rcodes, query
 messages, truncation slices and single-byte corruption.
 
 Storage snapshots are compared minus ``saved_at`` — the only field of a
-dump that is wall-clock, not state. Engine-level legs pin every engine
-(threaded, sharded with its flat-column DNS IPC, async) to identical
+dump that is wall-clock, not state. Engine-level legs pin both live
+engines (sharded with its flat-column DNS IPC, async) to identical
 output rows and reports whether it is fed the capture as ``(ts, wire)``
 tuples (columnar decode) or as the object filter's ``DnsRecord`` s.
 """
@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine, gated_flow_source
 from repro.core.fillup import FillUpProcessor
 from repro.core.pipeline import FillLane, dns_item_records
 from repro.core.sharded import ShardedEngine
@@ -322,10 +321,7 @@ def _run_one(engine_name: str, dns):
     config = FlowDNSConfig()
     flows = _golden_flows()
     sink = io.StringIO()
-    if engine_name == "threaded":
-        engine = ThreadedEngine(config, sink=sink)
-        report = engine.run([dns], [gated_flow_source(engine, flows)])
-    elif engine_name == "sharded":
+    if engine_name == "sharded":
         engine = ShardedEngine(config, sink=sink, num_shards=2)
         report = engine.run([dns], [flows], dns_first=True)
     else:
@@ -352,7 +348,7 @@ def test_engines_agree_columnar_vs_reference():
     # filter's own count instead of the reference run's.
     dns_filter = FillUpProcessor(storage=None)
     records = [r for ts, wire in wires for r in dns_filter.filter_message(ts, wire)]
-    for engine_name in ("threaded", "sharded", "async"):
+    for engine_name in ("sharded", "async"):
         ref_report, ref_rows = _run_one(engine_name, records)
         col_report, col_rows = _run_one(engine_name, wires)
         assert ref_rows, f"{engine_name}: golden corpus produced no rows"

@@ -11,7 +11,6 @@ import argparse
 import pytest
 
 from repro.core.config import (
-    DEFAULT_FILL_TIMEOUT,
     DEFAULT_FLOW_PORT,
     DEFAULT_LIVE_HOST,
     EngineConfig,
@@ -30,7 +29,6 @@ class TestOf:
         ec = EngineConfig.of(None)
         assert isinstance(ec.flowdns, FlowDNSConfig)
         assert ec.shards is None
-        assert ec.fill_timeout == DEFAULT_FILL_TIMEOUT
         assert ec.ingest_workers == 1
 
     def test_flowdns_config_is_wrapped(self):
@@ -50,7 +48,7 @@ class TestOf:
 
     @pytest.mark.parametrize("kw", [
         {"shards": 0},
-        {"fill_timeout": -1.0},
+        {"stats_interval": -1.0},
         {"ingest_workers": 0},
         {"duration": -1.0},
         {"recv_buffer_bytes": -1},
@@ -62,15 +60,7 @@ class TestOf:
 
 
 class TestEnginesAcceptEngineConfig:
-    """All three live engine constructors take EngineConfig directly."""
-
-    def test_threaded(self):
-        from repro.core.engine import ThreadedEngine
-
-        ec = EngineConfig(flowdns=FlowDNSConfig(num_split=4))
-        engine = ThreadedEngine(ec)
-        assert engine.engine_config is ec
-        assert engine.config.num_split == 4
+    """Both live engine constructors take EngineConfig directly."""
 
     def test_sharded_shards_come_from_config(self):
         from repro.core.sharded import ShardedEngine
@@ -89,7 +79,7 @@ class TestEnginesAcceptEngineConfig:
         assert engine.engine_config is ec
         assert engine.config.num_split == 5
 
-    @pytest.mark.parametrize("name", ["simulation", "threaded", "sharded", "async"])
+    @pytest.mark.parametrize("name", ["simulation", "sharded", "async"])
     def test_engine_for_normalises(self, name):
         from repro.core.variants import engine_for
 
@@ -98,10 +88,10 @@ class TestEnginesAcceptEngineConfig:
         assert engine.config.num_split == 7
 
     def test_bare_flowdns_config_still_works(self):
-        from repro.core.engine import ThreadedEngine
+        from repro.core.async_engine import AsyncEngine
 
         fc = FlowDNSConfig(num_split=2)
-        engine = ThreadedEngine(fc)
+        engine = AsyncEngine(fc)
         assert engine.config is fc
         assert engine.engine_config.flowdns is fc
 
@@ -129,7 +119,7 @@ class TestFromArgs:
         assert ec.duration == 60.0
 
     def test_shards_rejected_off_sharded_engine(self):
-        args = ns(engine="threaded", shards=2, num_split=10)
+        args = ns(engine="async", shards=2, num_split=10)
         with pytest.raises(ConfigError, match="--shards only applies"):
             EngineConfig.from_args(args, "replay")
 
@@ -142,29 +132,20 @@ class TestFromArgs:
         with pytest.raises(ConfigError, match="at least 1"):
             EngineConfig.from_args(args, "replay")
 
-    def test_fill_timeout_rejected_off_threaded_engine(self):
-        args = ns(engine="async", fill_timeout=5.0, num_split=10)
-        with pytest.raises(ConfigError, match="--fill-timeout only applies"):
-            EngineConfig.from_args(args, "replay")
-
-    def test_fill_timeout_accepted_on_threaded_engine(self):
-        args = ns(engine="threaded", fill_timeout=5.0, num_split=10)
-        assert EngineConfig.from_args(args, "replay").fill_timeout == 5.0
-
     def test_speed_requires_realtime_even_at_default_value(self):
         # Presence-based: --speed 1.0 without --realtime is still an
         # explicitly-passed flag the run would ignore.
-        args = ns(engine="threaded", speed=1.0, realtime=False, num_split=10)
+        args = ns(engine="async", speed=1.0, realtime=False, num_split=10)
         with pytest.raises(ConfigError, match="--realtime"):
             EngineConfig.from_args(args, "replay")
 
     def test_speed_with_realtime_accepted(self):
-        args = ns(engine="threaded", speed=2.0, realtime=True, num_split=10)
+        args = ns(engine="async", speed=2.0, realtime=True, num_split=10)
         ec = EngineConfig.from_args(args, "replay")
         assert ec.speed == 2.0 and ec.realtime is True
 
     def test_nonpositive_speed_rejected(self):
-        args = ns(engine="threaded", speed=-1.0, realtime=True, num_split=10)
+        args = ns(engine="async", speed=-1.0, realtime=True, num_split=10)
         with pytest.raises(ConfigError, match="--speed must be positive"):
             EngineConfig.from_args(args, "replay")
 
@@ -188,5 +169,5 @@ class TestFromArgs:
             EngineConfig.from_args(args, "capture")
 
     def test_exact_ttl_reaches_flowdns_config(self):
-        args = ns(engine="threaded", num_split=10, exact_ttl=True)
+        args = ns(engine="async", num_split=10, exact_ttl=True)
         assert EngineConfig.from_args(args, "replay").flowdns.exact_ttl is True

@@ -5,32 +5,20 @@ engines on hand-built scenarios of a few hundred flows; this suite runs
 the same contract at generated scale: three checked-in ``(seed, config)``
 points — ~10K flows each, regenerated into tmp on every run, never
 stored — must replay to identical sorted rows and merged stats through
-threaded, sharded, and async, fault-free runs must satisfy every
+sharded and async, fault-free runs must satisfy every
 accounting invariant including the row-count check, and a deterministic
 fault leg must keep the books balanced while actually losing traffic.
 
-Two genuine behaviours this suite discovered and now pins:
-
-* CNAME-chain *memoisation* (Algorithm 2 step 7) makes the reported
-  chain text depend on batch and shard layout — once a multi-hop chain
-  is memoised, later look-ups report the shortcut, and *when* that
-  happens differs per engine. Endpoints, match outcomes, and every byte
-  counter stay identical; only the chain interior varies. So the
-  exact-rows contract is asserted with ``memoize_cname_chains=False``,
-  and a dedicated test pins the memoised mode's guarantee: identical
-  stats and identical rows modulo the chain interior.
-* The threaded engine's *fill* is only deterministic with a single
-  FillUp worker per DNS stream. With the default two, workers race on
-  the shared store, so when one IP is announced by several names
-  (shared CDN pools do this constantly) the winning name is
-  thread-scheduling-dependent — the same capture replays to different
-  rows run over run, no warning, identical counts. Every leg here
-  therefore pins ``fillup_workers_per_stream=1``; the contract under
-  concurrent fill is counts-and-invariants only, never row text.
-
-The golden corpus never caught either: no golden scenario walks a
-≥2-CNAME chain twice or announces one IP under two names close enough
-together to straddle a worker batch boundary.
+One genuine behaviour this suite discovered and now pins: CNAME-chain
+*memoisation* (Algorithm 2 step 7) makes the reported chain text depend
+on batch and shard layout — once a multi-hop chain is memoised, later
+look-ups report the shortcut, and *when* that happens differs per
+engine. Endpoints, match outcomes, and every byte counter stay
+identical; only the chain interior varies. So the exact-rows contract
+is asserted with ``memoize_cname_chains=False``, and a dedicated test
+pins the memoised mode's guarantee: identical stats and identical rows
+modulo the chain interior. The golden corpus never caught it: no golden
+scenario walks a ≥2-CNAME chain twice.
 
 The sweep driver rides the same captures: its row list, bench-JSON
 landing, and CLI surface are covered here rather than in a separate
@@ -106,17 +94,12 @@ def generated_captures(tmp_path_factory):
 
 
 def _leg_config(engine, memoize=True, **overrides):
-    """A replay leg pinned for row-level determinism.
-
-    ``fillup_workers_per_stream=1`` always: concurrent fill workers
-    apply same-IP overwrites in scheduling order (see module docstring),
-    and every assertion here that compares row text — across engines or
-    across reruns — needs arrival-order overwrites to be the spec.
-    """
+    """A replay leg, optionally with CNAME-chain memoisation off (see
+    module docstring)."""
     config = EngineConfig.for_replay_leg(engine, **overrides)
-    flowdns = config.flowdns.replace(fillup_workers_per_stream=1)
-    if not memoize:
-        flowdns = flowdns.replace(memoize_cname_chains=False)
+    if memoize:
+        return config
+    flowdns = config.flowdns.replace(memoize_cname_chains=False)
     return dataclasses.replace(config, flowdns=flowdns)
 
 
@@ -149,28 +132,27 @@ class TestGeneratedDifferential:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
     def test_engines_agree_and_invariants_hold(self, generated_captures, name):
         """The headline assertion at generated scale: identical sorted
-        rows and merged stats from all three engines, and every report
-        passes the accounting invariants including row-count.
+        rows and merged stats from both engines, and every report passes
+        the accounting invariants including row-count.
 
         Memoisation is off here — it rewrites chain interiors on a
         batch-layout-dependent schedule (pinned separately below), and
         this test's contract is bit-identical output."""
         path, gen_report = generated_captures[name]
         baseline, baseline_rows = _replay(
-            path, "threaded", _leg_config("threaded", memoize=False)
+            path, "async", _leg_config("async", memoize=False)
         )
         assert_invariants(baseline, rows=len(baseline_rows))
         assert baseline.flow_records > 0
         assert baseline.matched_flows > 0
-        for engine in ("sharded", "async"):
-            report, rows = _replay(path, engine, _leg_config(engine, memoize=False))
-            assert rows == baseline_rows, f"{engine} rows diverged from threaded"
-            for field in COMPARABLE_FIELDS:
-                assert getattr(report, field) == getattr(baseline, field), (
-                    f"{engine} {field}: {getattr(report, field)!r} "
-                    f"!= threaded {getattr(baseline, field)!r}"
-                )
-            assert_invariants(report, rows=len(rows))
+        report, rows = _replay(path, "sharded", _leg_config("sharded", memoize=False))
+        assert rows == baseline_rows, "sharded rows diverged from async"
+        for field in COMPARABLE_FIELDS:
+            assert getattr(report, field) == getattr(baseline, field), (
+                f"sharded {field}: {getattr(report, field)!r} "
+                f"!= async {getattr(baseline, field)!r}"
+            )
+        assert_invariants(report, rows=len(rows))
 
     def test_memoisation_rewrites_only_chain_interiors(self, generated_captures):
         """With memoisation on (the default), engines may disagree on
@@ -179,24 +161,20 @@ class TestGeneratedDifferential:
         identical, and the divergence must actually exist (otherwise
         the exact-rows test above is testing nothing)."""
         path, _ = generated_captures["datamining-deep-chains"]
-        baseline, baseline_rows = _replay(path, "threaded")
+        baseline, baseline_rows = _replay(path, "async")
         assert_invariants(baseline, rows=len(baseline_rows))
-        stripped_baseline = [_strip_chain_interior(r) for r in baseline_rows]
-        diverged = False
-        for engine in ("sharded", "async"):
-            report, rows = _replay(path, engine)
-            diverged = diverged or rows != baseline_rows
-            assert [_strip_chain_interior(r) for r in rows] == stripped_baseline, (
-                f"{engine} diverged beyond the chain interior"
-            )
-            for field in COMPARABLE_FIELDS:
-                if field == "chain_lengths":
-                    continue  # memoised walks legitimately shorten
-                assert getattr(report, field) == getattr(baseline, field), field
-            assert_invariants(report, rows=len(rows))
-        assert diverged, (
-            "no engine diverged under memoisation: deepen the config or "
-            "drop the memoize=False special-casing"
+        report, rows = _replay(path, "sharded")
+        assert [_strip_chain_interior(r) for r in rows] == [
+            _strip_chain_interior(r) for r in baseline_rows
+        ], "sharded diverged beyond the chain interior"
+        for field in COMPARABLE_FIELDS:
+            if field == "chain_lengths":
+                continue  # memoised walks legitimately shorten
+            assert getattr(report, field) == getattr(baseline, field), field
+        assert_invariants(report, rows=len(rows))
+        assert rows != baseline_rows, (
+            "sharded did not diverge under memoisation: deepen the config "
+            "or drop the memoize=False special-casing"
         )
 
     def test_visibility_shapes_match_rate(self, generated_captures):
@@ -205,7 +183,7 @@ class TestGeneratedDifferential:
         has to discriminate, not just agree."""
         rates = {}
         for name, (path, _) in generated_captures.items():
-            report, _ = _replay(path, "threaded")
+            report, _ = _replay(path, "async")
             rates[name] = report.matched_flows / report.flow_records
         assert rates["websearch-default"] > 0.95
         assert rates["v6-short-ttl"] > 0.95
@@ -240,7 +218,7 @@ class TestSweepSpec:
     def test_points_are_the_cartesian_grid_in_stable_order(self):
         spec = SweepSpec(
             clients=(100, 200), zipf_alphas=(0.7, 1.1), chain_depths=(2,),
-            engines=("threaded",),
+            engines=("async",),
         )
         points = sweep_points(spec)
         assert [(p.clients, p.zipf_alpha, p.chain_depth) for p in points] == [
@@ -250,8 +228,8 @@ class TestSweepSpec:
     @pytest.mark.parametrize("kwargs,match", [
         ({"engines": ()}, "empty"),
         ({"engines": ("warp",)}, "unknown replay engine"),
-        ({"shards": 2, "engines": ("threaded",)}, "sharded"),
-        ({"fill_timeout": 0.5, "engines": ("async",)}, "threaded"),
+        ({"shards": 2, "engines": ("async",)}, "sharded"),
+        ({"engines": ("simulation",)}, "unknown replay engine"),
         ({"fault_seed": 3}, "fault profile"),
         ({"clients": (0,)}, "clients"),
     ])
@@ -261,16 +239,16 @@ class TestSweepSpec:
 
     def test_leg_config_scopes_knobs_to_their_engines(self):
         spec = SweepSpec(
-            engines=("threaded", "sharded"), shards=3, fill_timeout=0.25,
+            engines=("async", "sharded"), shards=3,
             fault_profiles=(None, "lossy-udp"), fault_seed=7,
         )
         sharded = spec.leg_config("sharded", None)
         assert sharded.shards == 3
-        threaded = spec.leg_config("threaded", "lossy-udp")
-        assert threaded.fill_timeout == 0.25
-        assert threaded.fault_profile == "lossy-udp"
-        assert threaded.fault_seed == 7
-        baseline = spec.leg_config("threaded", None)
+        faulted = spec.leg_config("async", "lossy-udp")
+        assert faulted.shards is None
+        assert faulted.fault_profile == "lossy-udp"
+        assert faulted.fault_seed == 7
+        baseline = spec.leg_config("async", None)
         assert baseline.fault_profile is None
         assert baseline.fault_seed is None
 
@@ -279,7 +257,7 @@ class TestRunSweep:
     #: Small but real: 2 workload points x (2 engines x 2 fault legs).
     SPEC = SweepSpec(
         clients=(300, 600),
-        engines=("threaded", "async"),
+        engines=("sharded", "async"),
         fault_profiles=(None, "lossy-udp"),
         fault_seed=5,
         base=GeneratorParams(seed=109, duration=20.0),
@@ -296,7 +274,7 @@ class TestRunSweep:
         assert {(r["clients"], r["engine"], r["fault_profile"]) for r in rows} == {
             (c, e, p)
             for c in (300, 600)
-            for e in ("threaded", "async")
+            for e in ("sharded", "async")
             for p in ("none", "lossy-udp")
         }
         baseline = {

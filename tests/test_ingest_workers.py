@@ -27,8 +27,8 @@ import time
 
 import pytest
 
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import EngineConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.ingest import ReuseportUdpIngest
 from repro.core.metrics import IngestStats, merge_ingest_stats
 from repro.core.sharded import ShardedEngine
@@ -78,12 +78,12 @@ def _blast(datagrams, address, senders=8):
             sock.close()
 
 
-def _run_threaded_live(workers, datagrams, settle=0.6):
-    """One ThreadedEngine run fed by a live reuseport flow source."""
+def _run_async_live(workers, datagrams, settle=0.6):
+    """One AsyncEngine run fed by a live reuseport flow source."""
     source = ReuseportUdpIngest(workers=workers, batch_rows=64,
                                 poll_interval=0.02)
     sink = io.StringIO()
-    engine = ThreadedEngine(EngineConfig(), sink=sink)
+    engine = AsyncEngine(EngineConfig(), sink=sink)
     result = {}
 
     def run():
@@ -109,7 +109,7 @@ def _run_threaded_live(workers, datagrams, settle=0.6):
         # delivered-datagram lower bound.
         assert source.ingest_stats.received == len(datagrams)
         time.sleep(settle)
-        source.request_stop()
+        engine.request_stop()
         thread.join(30.0)
         assert not thread.is_alive(), "engine run hung after request_stop"
     finally:
@@ -124,8 +124,8 @@ class TestReuseportParity:
         """Same traffic through 1 and 2 reuseport workers: identical
         sorted correlation rows and identical merged ingest totals."""
         datagrams = _datagrams()
-        rows_one, report_one, source_one = _run_threaded_live(1, datagrams)
-        rows_two, report_two, source_two = _run_threaded_live(2, datagrams)
+        rows_one, report_one, source_one = _run_async_live(1, datagrams)
+        rows_two, report_two, source_two = _run_async_live(2, datagrams)
         assert rows_one == rows_two
         assert len(rows_one) > 0
         for report, source in ((report_one, source_one),
@@ -143,7 +143,7 @@ class TestReuseportParity:
     def test_two_workers_really_share_the_port(self):
         """Both workers bind; the achieved SO_RCVBUF is surfaced."""
         datagrams = _datagrams(count=40)
-        _rows, _report, source = _run_threaded_live(2, datagrams)
+        _rows, _report, source = _run_async_live(2, datagrams)
         assert len(source._stats_parts) == 2
         assert source.ingest_stats.recv_buffer_bytes > 0
 
@@ -190,7 +190,7 @@ class TestWorkerDeath:
         source = ReuseportUdpIngest(workers=2, batch_rows=32,
                                     poll_interval=0.02)
         sink = io.StringIO()
-        engine = ThreadedEngine(EngineConfig(), sink=sink)
+        engine = AsyncEngine(EngineConfig(), sink=sink)
         result = {}
 
         def run():
@@ -204,7 +204,7 @@ class TestWorkerDeath:
             time.sleep(0.3)
             os.kill(source.processes[0].pid, signal.SIGKILL)
             time.sleep(0.3)
-            source.request_stop()
+            engine.request_stop()
             thread.join(30.0)
             assert not thread.is_alive(), "run hung on a dead worker"
         finally:

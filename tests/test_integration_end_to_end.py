@@ -7,8 +7,6 @@ quantitative ones on longer horizons.
 
 import pytest
 
-from engine_gates import gated_flows
-
 from repro.analysis import (
     ResultRecorder,
     ServiceBytesCollector,
@@ -20,8 +18,8 @@ from repro.analysis.invalid_domains import analyze_invalid_domains
 from repro.analysis.spamdbl import DomainBlockList, analyze_abuse_traffic
 from repro.bgp.correlate import correlate_with_bgp
 from repro.bgp.rib import Rib
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.simulation import SimulationEngine
 from repro.core.variants import Variant
 from repro.workloads.isp import large_isp
@@ -174,14 +172,15 @@ class TestBgpIntegration:
         assert len(s2) == 2
 
 
-class TestThreadedMatchesSimulation:
+class TestAsyncMatchesSimulation:
     def test_same_correlation_on_same_input(self, tiny_workload):
         dns = list(tiny_workload.dns_records())
         flows = list(tiny_workload.flow_records())
         sim = SimulationEngine(FlowDNSConfig()).run(iter(dns), iter(flows))
 
-        engine = ThreadedEngine(FlowDNSConfig())
-        threaded = engine.run([dns], [gated_flows(engine, flows)])
-        # Threaded runs race DNS vs flows only at the margin; totals match.
-        assert threaded.flow_records == sim.flow_records
-        assert abs(threaded.correlation_rate - sim.correlation_rate) < 0.05
+        live = AsyncEngine(FlowDNSConfig()).run([dns], [flows], dns_first=True)
+        # The simulation interleaves DNS and flows by timestamp, the live
+        # engine stores all DNS first: totals match, rates differ only at
+        # the margin.
+        assert live.flow_records == sim.flow_records
+        assert abs(live.correlation_rate - sim.correlation_rate) < 0.05

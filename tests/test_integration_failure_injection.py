@@ -10,11 +10,8 @@ import io
 import random
 import struct
 
-from engine_gates import gated_flows
-
 from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.flowdns import FlowDNS
 from repro.core.simulation import SimulationEngine
 from repro.dns.rr import RRType, a_record
@@ -57,8 +54,8 @@ class TestCorruptedDnsStream:
             FlowRecord(ts=100.0 + i, src_ip=f"10.9.0.{i + 1}", dst_ip="100.64.0.1", bytes_=10)
             for i in range(40)
         ]
-        engine = ThreadedEngine(FlowDNSConfig())
-        report = engine.run([items], [gated_flows(engine, flows)])
+        engine = AsyncEngine(FlowDNSConfig())
+        report = engine.run([items], [flows], dns_first=True)
         # At least the 30 untouched messages must correlate. (A flipped
         # message may still parse if the flips hit benign fields.)
         assert report.matched_flows >= 28
@@ -67,9 +64,9 @@ class TestCorruptedDnsStream:
 
     def test_truncated_messages_counted(self):
         items = [(0.0, _good_wire(0)[:10]), (1.0, _good_wire(1))]
-        engine = ThreadedEngine(FlowDNSConfig())
+        engine = AsyncEngine(FlowDNSConfig())
         flows = [FlowRecord(ts=10.0, src_ip="10.9.0.2", dst_ip="100.64.0.1", bytes_=5)]
-        report = engine.run([items], [gated_flows(engine, flows)])
+        report = engine.run([items], [flows], dns_first=True)
         assert report.matched_flows == 1
 
 
@@ -173,8 +170,8 @@ class TestMixedVersionDatagramStream:
             for j in range(3)
             for i in range(10)
         ]
-        engine = ThreadedEngine(FlowDNSConfig())
-        report = engine.run([dns], [gated_flows(engine, datagrams)])
+        engine = AsyncEngine(FlowDNSConfig())
+        report = engine.run([dns], [datagrams], dns_first=True)
         assert report.flow_records == 30
         assert report.matched_flows == 30
 
@@ -212,15 +209,10 @@ class TestHostileWidePortTemplate:
     def test_engines_count_it_and_deliver_the_next_datagram(self):
         dns = [DnsRecord(0.0, "wide.example", RRType.A, 3600, "10.7.0.1")]
         sink = io.StringIO()
-        threaded = ThreadedEngine(FlowDNSConfig(), sink=sink)
-        reports = {
-            "threaded": threaded.run([dns], [gated_flows(threaded, self._datagrams())]),
-            "async": AsyncEngine(FlowDNSConfig()).run(
-                [dns], [self._datagrams()], dns_first=True
-            ),
-        }
-        for name, report in reports.items():
-            assert report.flow_decode_errors == 1, name
-            assert report.flow_records == 1, name
-            assert report.matched_flows == 1, name
+        report = AsyncEngine(FlowDNSConfig(), sink=sink).run(
+            [dns], [self._datagrams()], dns_first=True
+        )
+        assert report.flow_decode_errors == 1
+        assert report.flow_records == 1
+        assert report.matched_flows == 1
         assert "wide.example" in sink.getvalue()

@@ -35,7 +35,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 
 def _clean_report(**overrides) -> EngineReport:
-    report = EngineReport(variant_name="threaded")
+    report = EngineReport(variant_name="async")
     for name, value in overrides.items():
         setattr(report, name, value)
     return report

@@ -2,12 +2,13 @@
 
 The engines exercise the lanes end-to-end (and the parity suites pin
 them equal); these tests cover the runtime's pieces directly — item
-normalisation, exact-TTL fill semantics, the drain loop, summary
-merging, and ingest-stat collection.
+normalisation, exact-TTL fill semantics, summary merging, and
+ingest-stat collection.
 """
 
 import pytest
 
+from repro.core.async_engine import AsyncBuffer
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor
@@ -18,7 +19,6 @@ from repro.core.pipeline import (
     buffer_loss_rate,
     collect_ingest,
     dns_item_records,
-    drain_buffer,
     empty_summary,
     flow_items_to_batch,
     merge_summaries,
@@ -31,7 +31,6 @@ from repro.dns.wire import DnsMessage, Question, encode_message
 from repro.netflow.collector import FlowCollector
 from repro.netflow.exporter import FlowExporter
 from repro.netflow.records import FlowBatch, FlowRecord
-from repro.streams.buffer import BoundedBuffer
 
 
 def _a(ts, name, ip, ttl=300):
@@ -110,17 +109,6 @@ class TestLookupLane:
         assert correlated.chains[0] == ("svc.example",)
 
 
-class TestDrainLoop:
-    def test_drains_until_closed(self):
-        buffer = BoundedBuffer(64, name="t")
-        for i in range(10):
-            buffer.push(i)
-        buffer.close()
-        seen = []
-        drain_buffer(buffer, batch_size=3, handle=seen.extend, timeout=0.01)
-        assert seen == list(range(10))
-
-
 class TestReportAssembly:
     def test_merge_two_stacks(self):
         config = FlowDNSConfig()
@@ -164,9 +152,9 @@ class TestReportAssembly:
         assert set(empty_summary(0, "boom")) == set(real)
 
     def test_buffer_loss_rate(self):
-        buffer = BoundedBuffer(2, name="small")
+        buffer = AsyncBuffer(2, name="small")
         for i in range(5):
-            buffer.push(i)
+            buffer.try_put(i)
         assert buffer_loss_rate([buffer]) == pytest.approx(3 / 5)
         assert buffer_loss_rate([]) == 0.0
 

@@ -7,7 +7,9 @@ because the capture reader makes the same promise: nothing the transport
 or filesystem does to the byte stream may change what comes out.
 """
 
+import asyncio
 import io
+import pathlib
 import threading
 
 import pytest
@@ -28,8 +30,16 @@ from repro.replay.capture import (
     read_capture,
     write_capture,
 )
+from repro.core.async_engine import AsyncEngine
+from repro.core.config import FlowDNSConfig
+from repro.core.invariants import assert_invariants
+from repro.dns.rr import RRType, a_record
+from repro.dns.wire import DnsMessage, Question, encode_message
+from repro.replay.runner import replay_capture
 from repro.replay.source import ReplaySource, replay_sources
 from repro.util.errors import ConfigError, ParseError
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 #: Finite doubles only: the !d encoding round-trips every finite float
 #: exactly, and a NaN timestamp would break frame equality.
@@ -395,8 +405,9 @@ class TestCaptureWriter:
         assert [f.payload for f in load_capture(path)] == [b"kept"]
 
     def test_concurrent_writers_interleave_whole_frames(self, tmp_path):
-        """Two threads tee into one writer (the threaded engine's shape:
-        UDP iterator thread + a DNS tap); every frame must land intact."""
+        """Two threads tee into one writer (a UDP iterator in one of the
+        sharded engine's routing threads + a DNS tap); every frame must
+        land intact."""
         path = str(tmp_path / "mt.fdc")
         writer = CaptureWriter(path)
 
@@ -478,6 +489,14 @@ class TestReplaySource:
         list(ReplaySource(frames, LANE_FLOW, realtime=True, sleep=sleeps.append))
         assert sleeps == []
 
+    def test_paced_pairs_carry_the_delays(self):
+        """paced() is the one pacing computation: iteration sleeps its
+        delays, the async pump awaits them."""
+        realtime = ReplaySource(self.FRAMES, LANE_FLOW, realtime=True, speed=2.0)
+        assert list(realtime.paced()) == [(0.0, b"f0"), (1.25, b"f1")]
+        max_speed = ReplaySource(self.FRAMES, LANE_DNS)
+        assert list(max_speed.paced()) == [(0.0, (1.0, b"d0")), (0.0, (2.0, b"d1"))]
+
     def test_unknown_lane_rejected(self):
         with pytest.raises(ConfigError):
             ReplaySource(self.FRAMES, "telepathy")
@@ -500,3 +519,69 @@ class TestReplaySource:
         (dns_sources, flow_sources) = replay_sources(iter(self.FRAMES))
         assert list(dns_sources[0]) == [(1.0, b"d0"), (2.0, b"d1")]
         assert list(flow_sources[0]) == [b"f0", b"f1"]
+
+
+def _a_wire(name, ip):
+    msg = DnsMessage()
+    msg.questions.append(Question(name, RRType.A))
+    msg.answers.append(a_record(name, ip, 300))
+    return encode_message(msg)
+
+
+class TestRealtimeAsyncReplay:
+    """``--realtime`` through the async engine paces in the pump task."""
+
+    def test_loop_not_blocked_during_recorded_gap(self):
+        """While the pump waits out a recorded gap, the rest of the loop
+        runs: the fill lane stores the first DNS frame before the second
+        one is due."""
+        gap = 0.4
+        frames = [
+            CaptureFrame(0.0, LANE_DNS, _a_wire("first.example", "10.0.0.1")),
+            CaptureFrame(gap, LANE_DNS, _a_wire("second.example", "10.0.0.2")),
+        ]
+        dns_sources, flow_sources = replay_sources(frames, realtime=True)
+        engine = AsyncEngine(FlowDNSConfig())
+
+        async def first_record_seen_after():
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            run = loop.create_task(
+                engine.run_async(dns_sources, flow_sources, dns_first=True)
+            )
+            seen = None
+            while not run.done():
+                if seen is None and engine.dns_records_seen > 0:
+                    seen = loop.time() - start
+                await asyncio.sleep(0.005)
+            report = await run
+            assert report.dns_records == 2
+            return seen
+
+        seen = asyncio.run(first_record_seen_after())
+        assert seen is not None and seen < gap
+
+    def test_burst_overflow_dropped_and_counted_deterministically(self):
+        """The golden ``bursts`` capture replayed realtime: its 12-datagram
+        zero-gap burst lands back to back on a 4-slot ingress buffer and
+        overflows, while the steady gaps (5 ms at speed 50) leave time to
+        drain. The loss is the same on every run, visible, and accounted."""
+        path = str(GOLDEN_DIR / "bursts.fdc")
+        config = FlowDNSConfig(stream_buffer_capacity=4)
+        rates = set()
+        for _ in range(5):
+            sink = io.StringIO()
+            report = replay_capture(
+                path, engine="async", config=config, sink=sink,
+                realtime=True, speed=50.0,
+            )
+            rows = sum(
+                1 for line in sink.getvalue().splitlines()
+                if line and not line.startswith("#")
+            )
+            assert report.overall_loss_rate > 0
+            assert any("buffers overflowed" in w for w in report.warnings)
+            assert_invariants(report, rows=rows)
+            assert rows == report.flow_records
+            rates.add(report.overall_loss_rate)
+        assert len(rates) == 1, rates

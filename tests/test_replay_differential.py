@@ -2,16 +2,15 @@
 
 The contract under test: identical wire bytes through identical
 DNS-before-flows ordering must produce *identical* sorted output rows
-and merged report stats from every live engine — threads, shard
-processes, or one asyncio loop. Each golden capture under
+and merged report stats from both live engines — shard processes or
+one asyncio loop. Each golden capture under
 ``tests/data/golden/`` is one scenario from
 :mod:`repro.replay.scenarios` at the golden seed; a parity break on any
 of them bisects straight to the engine that diverged.
 
-``final_map_entries`` is compared threaded↔async only: the sharded
-engine broadcasts CNAME records into every shard, so its resident-entry
-count is genuinely larger by design (same exclusion as
-``tests/test_core_engine_sharded.py``).
+``final_map_entries`` is not compared: the sharded engine broadcasts
+CNAME records into every shard, so its resident-entry count is genuinely
+larger by design (same exclusion as ``tests/test_core_engine_sharded.py``).
 
 The live round-trip test closes the loop the subsystem exists for: a
 capture teed off a real loopback session replays — offline, no sockets —
@@ -83,22 +82,19 @@ def _replay(capture, engine: str, config=None):
 
 
 def assert_differential(capture, config_factory=FlowDNSConfig):
-    """All engines, identical rows + stats; returns the threaded baseline.
+    """Both engines, identical rows + stats; returns the async baseline.
 
     ``config_factory`` builds a *fresh* config per engine run — engines
     mutate nothing on it today, but the harness should not rely on that.
     """
-    baseline, baseline_rows = _replay(capture, "threaded", config_factory())
-    for engine in ("sharded", "async"):
-        report, rows = _replay(capture, engine, config_factory())
-        assert rows == baseline_rows, f"{engine} rows diverged from threaded"
-        for field in COMPARABLE_FIELDS:
-            assert getattr(report, field) == getattr(baseline, field), (
-                f"{engine} {field}: {getattr(report, field)!r} "
-                f"!= threaded {getattr(baseline, field)!r}"
-            )
-        if engine == "async":
-            assert report.final_map_entries == baseline.final_map_entries
+    baseline, baseline_rows = _replay(capture, "async", config_factory())
+    report, rows = _replay(capture, "sharded", config_factory())
+    assert rows == baseline_rows, "sharded rows diverged from async"
+    for field in COMPARABLE_FIELDS:
+        assert getattr(report, field) == getattr(baseline, field), (
+            f"sharded {field}: {getattr(report, field)!r} "
+            f"!= async {getattr(baseline, field)!r}"
+        )
     return baseline, baseline_rows
 
 
@@ -113,7 +109,7 @@ class TestGoldenCorpus:
     def test_corpus_has_both_kinds_of_rows(self, name):
         """A scenario that matches everything (or nothing) cannot catch a
         correlation bug; the corpus must discriminate."""
-        report, rows = _replay(golden_path(name), "threaded")
+        report, rows = _replay(golden_path(name), "async")
         assert report.flow_records > 0
         assert report.matched_flows > 0
         assert rows, "no output rows"
@@ -126,8 +122,8 @@ class TestGoldenCorpus:
 class TestDifferential:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_engines_agree_on_golden_capture(self, name):
-        """The headline assertion: threaded, sharded, and async produce
-        identical sorted rows and merged stats on every golden capture."""
+        """The headline assertion: sharded and async produce identical
+        sorted rows and merged stats on every golden capture."""
         report, rows = assert_differential(golden_path(name))
         assert report.flow_records == len(rows)
 
@@ -177,15 +173,15 @@ class TestFailingCapture:
 
     def test_missing_file_fails_fast(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            replay_capture(str(tmp_path / "nope.fdc"), engine="threaded")
+            replay_capture(str(tmp_path / "nope.fdc"), engine="async")
 
     def test_not_a_capture_fails_fast(self, tmp_path):
         path = tmp_path / "garbage.fdc"
         path.write_bytes(b"these are not the frames you are looking for")
         with pytest.raises(ParseError, match="magic"):
-            replay_capture(str(path), engine="threaded")
+            replay_capture(str(path), engine="async")
 
-    @pytest.mark.parametrize("engine", ("threaded", "sharded", "async"))
+    @pytest.mark.parametrize("engine", ("sharded", "async"))
     def test_truncated_capture_replays_head_and_warns(self, tmp_path, engine):
         """A capture with a torn tail (killed recorder, full disk) still
         replays everything that framed cleanly — the run terminates, the

@@ -235,6 +235,9 @@ class TestMetricsEndpoint:
         assert metrics["flowdns_worker_restarts_total"] == 0.0
         assert metrics["flowdns_snapshots_written_total"] == 0.0
         assert metrics["flowdns_snapshot_age_seconds"] == -1.0
+        # Drained by the time the fill lane counted all 10 records.
+        assert metrics['flowdns_stream_buffer_fill{stream="dns[0]"}'] == 0.0
+        assert metrics["flowdns_write_rows"] == 0.0
         assert 'flowdns_ingest_received_total{source="tcp-dns' in body
         assert result["report"].dns_records == 10
 
@@ -397,7 +400,7 @@ class TestServeFlagValidation:
     def test_replay_accepts_max_entries(self):
         import argparse
 
-        args = argparse.Namespace(engine="threaded", num_split=10,
+        args = argparse.Namespace(engine="async", num_split=10,
                                   max_entries=500)
         ec = EngineConfig.from_args(args, "replay")
         assert ec.flowdns.max_entries_per_map == 500

@@ -12,10 +12,8 @@ because eviction is oldest-first.
 
 import io
 
-from engine_gates import gated_flows
-
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
-from repro.core.engine import ThreadedEngine
 from repro.core.writer import parse_result_line
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
@@ -30,15 +28,9 @@ _BOUND = _CAP * _NUM_SPLIT * 3 * 2
 
 def _config(max_entries):
     # Small rotation intervals so the soak crosses several clear-ups:
-    # eviction must compose with rotation, not replace it. One fill
-    # worker keeps dict insertion order equal to arrival order — with
-    # concurrent fill workers batches interleave and "oldest-inserted"
-    # is only approximately "oldest-arrived", which would make the
-    # recency assertion below nondeterministic.
+    # eviction must compose with rotation, not replace it.
     return FlowDNSConfig(num_split=_NUM_SPLIT, a_clear_up_interval=20.0,
                          c_clear_up_interval=20.0,
-                         fillup_workers_per_stream=1,
-                         lookup_workers_per_stream=1,
                          max_entries_per_map=max_entries)
 
 
@@ -59,7 +51,7 @@ class TestChurnSoak:
     def test_memory_stays_bounded_under_cname_churn(self):
         steps = 10_000
         sink = io.StringIO()
-        engine = ThreadedEngine(_config(_CAP), sink=sink)
+        engine = AsyncEngine(_config(_CAP), sink=sink)
         samples = []
 
         def sampled():
@@ -76,7 +68,7 @@ class TestChurnSoak:
                        dst_ip="100.64.0.1", bytes_=10)
             for i in recent
         ]
-        report = engine.run([sampled()], [gated_flows(engine, flows)])
+        report = engine.run([sampled()], [flows], dns_first=True)
 
         assert report.dns_records == steps * 2
         assert report.evictions > 0
@@ -102,7 +94,7 @@ class TestChurnSoak:
     def test_uncapped_control_exceeds_the_bound(self):
         """The same churn without a cap blows through the envelope —
         proof the soak's workload actually exercises eviction."""
-        engine = ThreadedEngine(_config(0))
+        engine = AsyncEngine(_config(0))
         report = engine.run([_churn_records(2000)], [])
         assert report.evictions == 0
         assert report.final_map_entries > _BOUND
@@ -110,7 +102,7 @@ class TestChurnSoak:
     def test_eviction_counter_reaches_the_report(self):
         """Evictions surface on the summary dict path every engine uses
         (plain-dict summaries cross IPC for the sharded engine)."""
-        engine = ThreadedEngine(_config(50))
+        engine = AsyncEngine(_config(50))
         report = engine.run([_churn_records(1000)], [])
         assert report.evictions > 0
         assert report.evictions == engine.storage.evictions()

@@ -207,13 +207,14 @@ class TestSnapshotFiles:
             load_snapshot(_filled_storage(), str(tmp_path / "absent.json"))
 
     def test_rotation_roundtrip_preserves_correlation_rows(self, tmp_path):
-        """Fill → rotate → snapshot → restore: the restored storage
-        correlates a flow corpus to byte-identical rows and reports the
-        same final_map_entries as the original."""
+        """Fill → rotate → snapshot → restore: a service restored from the
+        snapshot (restore-on-start) correlates a flow corpus to the same
+        rows as the original storage, with the same resident entries."""
+        from repro.core.async_engine import AsyncEngine
         from repro.core.config import EngineConfig
-        from repro.core.engine import ThreadedEngine
-        from repro.core.pipeline import gated_flow_source
-        from repro.netflow.records import FlowRecord
+        from repro.core.lookup import LookUpProcessor
+        from repro.core.writer import WriteWorker
+        from repro.netflow.records import FlowBatch, FlowRecord
 
         records = [
             DnsRecord(float(i % 50), f"svc{i}.example", RRType.A, 300,
@@ -226,7 +227,8 @@ class TestSnapshotFiles:
             for i in range(400)
         ]
 
-        storage = DnsStorage(FlowDNSConfig())
+        config = FlowDNSConfig()
+        storage = DnsStorage(config)
         for record in records:
             storage.add_record(record)
         storage.ip_bank.force_clear_up()
@@ -234,20 +236,18 @@ class TestSnapshotFiles:
         path = str(tmp_path / "rotated.json")
         save_snapshot(storage, path)
 
-        def correlate(store) -> str:
-            sink = io.StringIO()
-            engine = ThreadedEngine(EngineConfig(), sink=sink)
-            engine.storage = store
-            report = engine.run(
-                [], [gated_flow_source(engine, flows, timeout=10.0)]
-            )
-            return sink.getvalue(), report
+        sink_orig = io.StringIO()
+        lookup = LookUpProcessor(storage, config)
+        WriteWorker(sink_orig).write_batch(
+            lookup.correlate_batch_columns(FlowBatch.from_records(flows))
+        )
 
-        rows_orig, report_orig = correlate(storage)
-        restored = DnsStorage(FlowDNSConfig())
-        load_snapshot(restored, path)
-        rows_restored, report_restored = correlate(restored)
-        assert sorted(rows_orig.splitlines()) == sorted(rows_restored.splitlines())
-        assert report_orig.matched_flows == 400
+        sink_restored = io.StringIO()
+        engine = AsyncEngine(EngineConfig(snapshot_path=path), sink=sink_restored)
+        report_restored = engine.run([], [flows])
+        assert report_restored.restored_entries == storage.total_entries()
+        assert (sorted(sink_orig.getvalue().splitlines())
+                == sorted(sink_restored.getvalue().splitlines()))
+        assert lookup.stats.matched == 400
         assert report_restored.matched_flows == 400
-        assert report_orig.final_map_entries == report_restored.final_map_entries
+        assert report_restored.final_map_entries == storage.total_entries()
