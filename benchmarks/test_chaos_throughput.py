@@ -37,7 +37,7 @@ def test_chaos_replay_throughput(tmp_path):
 
     sink = io.StringIO()
     t0 = time.perf_counter()
-    report = replay_capture(frames, engine="async", sink=sink)
+    report = replay_capture(frames, sink=sink)
     replay_elapsed = time.perf_counter() - t0
 
     # Under faults the engine processes fewer flows than the clean

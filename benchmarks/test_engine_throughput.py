@@ -7,7 +7,7 @@ EXPERIMENTS.md can report it, and uses real pytest-benchmark timing.
 
 Three pipeline shapes run on identical fixtures: the per-record path
 (one call, one lock round-trip per record), the batched fill
-(``process_batch``), and the multiprocessing :class:`ShardedEngine`.
+(``process_batch``), and the :class:`SimulationEngine` replay.
 """
 
 import pytest
@@ -15,7 +15,6 @@ import pytest
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor
-from repro.core.sharded import ShardedEngine
 from repro.core.simulation import SimulationEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
@@ -78,25 +77,6 @@ def test_fillup_batched_throughput(benchmark, prepared_records):
 
     stored = benchmark(fill)
     assert stored == len(dns)
-
-
-def test_sharded_engine_throughput(benchmark, prepared_records):
-    """ShardedEngine over the same fixtures, with a merged-report check.
-
-    On a single-core host the process fan-out cannot beat the in-process
-    batched path; this documents the IPC overhead and guards correctness
-    of the merged counters (same matched totals as the flat fixtures).
-    """
-    dns, flows = prepared_records
-
-    def run():
-        engine = ShardedEngine(FlowDNSConfig(), num_shards=2)
-        return engine.run([dns], [flows], dns_first=True)
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.flow_records == len(flows)
-    assert report.matched_flows == len(flows)
-    assert report.dns_records == len(dns)
 
 
 def test_simulation_engine_throughput(benchmark, prepared_records):

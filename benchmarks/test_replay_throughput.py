@@ -1,4 +1,4 @@
-"""Replay throughput: captured wire bytes through the live engines.
+"""Replay throughput: captured wire bytes through the live engine.
 
 PR 5's recorded benchmark: a synthetic capture (NetFlow v9 export
 datagrams + wire-format DNS messages, the same length-framed ``.fdc``
@@ -10,8 +10,8 @@ per-PR bench JSON as trajectory data.
 No hard ratio gate: replay speed tracks the engine-throughput gates
 that already exist (`test_engine_throughput.py`); this file pins the
 *capture layer's* overhead as a recorded number plus a sanity floor,
-and smoke-replays the checked-in golden corpus through every engine —
-the CI ``replay-smoke`` step.
+and smoke-replays the checked-in golden corpus — the CI
+``replay-smoke`` step.
 """
 
 import io
@@ -26,7 +26,6 @@ from repro.netflow.records import FlowRecord
 from repro.replay import (
     LANE_DNS,
     LANE_FLOW,
-    REPLAY_ENGINES,
     SCENARIOS,
     CaptureFrame,
     replay_capture,
@@ -71,7 +70,7 @@ def test_replay_throughput(tmp_path, benchmark=None):
     n_flows = _build_capture(path)
 
     t0 = time.perf_counter()
-    report = replay_capture(path, engine="async")
+    report = replay_capture(path)
     elapsed = time.perf_counter() - t0
 
     assert report.flow_records == n_flows
@@ -87,27 +86,21 @@ def test_replay_throughput(tmp_path, benchmark=None):
     )
 
 
-def test_replay_smoke_golden_corpus_all_engines():
-    """Every golden capture replays through every engine — the cheap
-    always-on cross-check behind the full differential harness in
+def test_replay_smoke_golden_corpus():
+    """Every golden capture replays with a row per flow — the cheap
+    always-on check behind the full batch-layout differential harness in
     ``tests/test_replay_differential.py``."""
     total_flows = 0
     for name in sorted(SCENARIOS):
-        rows = {}
-        for engine in REPLAY_ENGINES:
-            sink = io.StringIO()
-            report = replay_capture(
-                str(GOLDEN_DIR / f"{name}.fdc"),
-                engine=engine,
-                config=FlowDNSConfig(),
-                sink=sink,
-                num_shards=2,
-            )
-            assert report.flow_records > 0, (name, engine)
-            rows[engine] = sorted(
-                line for line in sink.getvalue().splitlines()
-                if not line.startswith("#")
-            )
-        assert rows["sharded"] == rows["async"], name
+        sink = io.StringIO()
+        report = replay_capture(
+            str(GOLDEN_DIR / f"{name}.fdc"), config=FlowDNSConfig(), sink=sink
+        )
+        assert report.flow_records > 0, name
+        rows = [
+            line for line in sink.getvalue().splitlines()
+            if not line.startswith("#")
+        ]
+        assert len(rows) == report.flow_records, name
         total_flows += report.flow_records
     record_bench("replay_smoke_golden_flows", total_flows)

@@ -16,14 +16,14 @@ Subcommands:
 * ``flowdns capture`` — produce a capture file: either record live
   sockets for a bounded duration, or synthesize a scenario from the
   library in :mod:`repro.replay.scenarios`;
-* ``flowdns replay`` — feed a capture through either live engine
-  (async, sharded), timestamp-faithful or at max speed;
+* ``flowdns replay`` — feed a capture through the live (async) engine,
+  timestamp-faithful or at max speed;
 * ``flowdns generate`` — synthesize an internet-scale workload capture:
   Zipf domain popularity, heavy-tailed flow sizes, Poisson arrivals,
   streamed to disk in bounded memory;
 * ``flowdns sweep`` — generate a parameter grid of workloads and replay
-  every point through the requested engines and fault profiles,
-  recording per-config rows into the bench JSON;
+  every point through the requested fault profiles, recording
+  per-config rows into the bench JSON;
 * ``flowdns analyze`` — post-process a FlowDNS output file: per-service
   volume, RFC 1035 violations, correlation rate.
 
@@ -48,7 +48,6 @@ from repro.core.simulation import SimulationEngine
 from repro.core.variants import (
     ENGINE_VARIANTS,
     FIGURE3_VARIANTS,
-    REPLAY_ENGINES,
     Variant,
     config_for,
     engine_for,
@@ -157,17 +156,13 @@ def _add_correlate(subparsers) -> None:
             f"{name} = {desc}" for name, desc in sorted(ENGINE_VARIANTS.items())
         ),
     )
-    p.add_argument(
-        "--shards", type=int, default=None,
-        help="worker processes for --engine sharded (default: CPU count)",
-    )
     p.set_defaults(func=cmd_correlate)
 
 
 def _engine_config(args, command: str):
     """Interpret CLI flags via EngineConfig.from_args; (config, rc) pair.
 
-    All per-engine/per-mode flag applicability lives in
+    All per-mode flag applicability lives in
     :meth:`EngineConfig.from_args`; the CLI's job is only to print the
     ConfigError and map it to exit code 2.
     """
@@ -209,8 +204,7 @@ def cmd_correlate(args) -> int:
         else:
             engine = engine_for(args.engine, config=engine_config, sink=sink)
             # dns_first gives the hard DNS-before-flows ordering offline
-            # correlation expects (per-shard FIFO queues / the async fill
-            # barrier).
+            # correlation expects (the async fill barrier).
             report = engine.run([dns_records], [flow_records], dns_first=True)
     finally:
         dns_handle.close()
@@ -532,12 +526,13 @@ def _add_replay(subparsers) -> None:
 
     p = subparsers.add_parser(
         "replay",
-        help="feed a capture file through a live engine",
+        help="feed a capture file through the async engine",
     )
     p.add_argument("capture", nargs="?", default=None,
                    help="capture file to replay")
-    p.add_argument("--engine", choices=REPLAY_ENGINES, default="async",
-                   help="engine to replay through (default: async)")
+    p.add_argument("--engine", choices=("async",), default="async",
+                   help="engine to replay through (async, the only one "
+                        "that consumes wire bytes)")
     p.add_argument("--realtime", action="store_true",
                    help="wait out the recorded inter-arrival gaps instead "
                         "of replaying at max speed; bursts that overflow the "
@@ -548,8 +543,6 @@ def _add_replay(subparsers) -> None:
     p.add_argument("--output", default="-",
                    help="output TSV ('-' = stdout)")
     p.add_argument("--num-split", type=int, default=10)
-    p.add_argument("--shards", type=int, default=None,
-                   help="worker processes for --engine sharded")
     p.add_argument("--exact-ttl", action="store_true",
                    help="run the Appendix A.8 exact-TTL variant")
     p.add_argument("--max-entries", type=int, default=None,
@@ -582,9 +575,8 @@ def cmd_replay(args) -> int:
         for name in sorted(FAULT_PROFILES):
             print(f"{name:<18s} {FAULT_PROFILES[name].description}")
         return 0
-    # Engine/mode flag mismatches (--shards off sharded, --speed without
-    # --realtime, --fault-seed without a fault flag) are rejected here,
-    # before any sink opens.
+    # Mode flag mismatches (--speed without --realtime, --fault-seed
+    # without a fault flag) are rejected here, before any sink opens.
     engine_config, rc = _engine_config(args, "replay")
     if rc:
         return rc
@@ -601,13 +593,8 @@ def cmd_replay(args) -> int:
         return 2
     sink = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
-        report = replay_capture(
-            args.capture,
-            engine=args.engine,
-            config=engine_config,
-            sink=sink,
-            # Pacing, sharding and faults all ride in engine_config.
-        )
+        # Pacing and faults ride in engine_config.
+        report = replay_capture(args.capture, config=engine_config, sink=sink)
     except (OSError, ParseError, ConfigError) as exc:
         print(f"cannot replay {args.capture}: {exc}", file=sys.stderr)
         return 2
@@ -741,8 +728,8 @@ def _add_sweep(subparsers) -> None:
 
     p = subparsers.add_parser(
         "sweep",
-        help="generate a workload grid and replay it through engines and "
-             "fault profiles, recording bench rows",
+        help="generate a workload grid and replay it through fault "
+             "profiles, recording bench rows",
     )
     p.add_argument("out_dir", nargs="?", default=None,
                    help="directory for the grid's capture files")
@@ -755,10 +742,6 @@ def _add_sweep(subparsers) -> None:
     p.add_argument("--chain-depth", type=int, nargs="+", default=None,
                    dest="depth_axis", metavar="D",
                    help="CNAME-chain-depth axis (default: 4)")
-    p.add_argument("--engine", choices=REPLAY_ENGINES, nargs="+",
-                   default=None, dest="engines",
-                   help="engines to replay each point through "
-                        "(default: both)")
     p.add_argument("--fault-profile", nargs="+", default=None,
                    dest="fault_profiles", metavar="PROFILE",
                    choices=sorted(FAULT_PROFILES) + ["none"],
@@ -766,8 +749,6 @@ def _add_sweep(subparsers) -> None:
                         "(default: none)")
     p.add_argument("--fault-seed", type=int, default=None,
                    help="seed for the fault legs' deterministic RNG")
-    p.add_argument("--shards", type=int, default=None,
-                   help="worker processes for the sharded engine's legs")
     _add_workload_base_options(p)
     p.add_argument("--bench", default=None, metavar="PATH",
                    help="bench JSON to record the row list into "
@@ -809,11 +790,11 @@ def cmd_sweep(args) -> int:
         log=say,
         keep_captures=bool(args.keep_captures),
     )
-    print(f"{'clients':>8s} {'alpha':>6s} {'depth':>5s} {'engine':<9s} "
+    print(f"{'clients':>8s} {'alpha':>6s} {'depth':>5s} "
           f"{'faults':<12s} {'flows':>9s} {'match':>6s} {'loss':>6s}")
     for row in rows:
         print(f"{row['clients']:>8d} {row['zipf_alpha']:>6.2f} "
-              f"{row['chain_depth']:>5d} {row['engine']:<9s} "
+              f"{row['chain_depth']:>5d} "
               f"{row['fault_profile']:<12s} {row['generated_flows']:>9,d} "
               f"{row['match_rate']:>6.1%} {row['loss_rate']:>6.1%}")
     return 0

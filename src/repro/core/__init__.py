@@ -7,8 +7,6 @@ The pipeline (Figure 1) is assembled from:
   storage behind one facade;
 * :class:`FillUpProcessor` / :class:`LookUpProcessor` — the record-level
   worker logic (Algorithms 1 and 2);
-* :class:`ShardedEngine` — worker processes over hash-partitioned
-  storage, multi-core scale;
 * :class:`AsyncEngine` — one asyncio loop with live socket ingest
   (NetFlow over UDP, DNS over TCP), the deployed-service shape;
 * :class:`SimulationEngine` — deterministic replay with a calibrated
@@ -40,7 +38,6 @@ from repro.core.metrics import (
     merge_ingest_stats,
 )
 from repro.core.pipeline import is_live_source
-from repro.core.sharded import ShardedEngine
 from repro.core.simulation import SimulationEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.core.variants import (
@@ -62,7 +59,6 @@ __all__ = [
     "FlowDNS",
     "FlowDNSConfig",
     "EngineConfig",
-    "ShardedEngine",
     "AsyncEngine",
     "UdpFlowIngest",
     "TcpDnsIngest",

@@ -23,7 +23,7 @@ asyncio event loop:
 * plain iterables (records, wire tuples, datagrams, batches) remain
   first-class sources, pumped cooperatively, so the engine also runs
   offline corpora and captures — that is what the parity suites compare
-  against the sharded and simulation engines. A ``realtime`` replay
+  across batch layouts and against the simulation engine. A ``realtime`` replay
   source is paced in its pump task with ``asyncio.sleep`` and offered
   like socket input (drop and count on overflow), so recorded bursts hit
   the bounded buffers as bursts without stalling the loop;
@@ -34,8 +34,8 @@ asyncio event loop:
   workers ship ready-decoded :class:`FlowBatch` items.
 
 The lane bodies are :mod:`repro.core.pipeline`'s :class:`FillLane` and
-:class:`LookupLane`, identical to the sharded engine's;
-this module owns only the asyncio *scheduling policy*: one pump or
+:class:`LookupLane`; this module owns only the asyncio *scheduling
+policy*: one pump or
 socket server per source, one lane task per buffer, one write task, and
 graceful drain-then-shutdown — :meth:`AsyncEngine.request_stop` (safe
 from any thread or a signal handler) stops the listeners, every buffered
@@ -69,9 +69,8 @@ from repro.core.pipeline import (
     buffer_loss_warning,
     collect_ingest,
     is_live_source,
-    merge_summaries,
     source_failure_warning,
-    stack_summary,
+    stack_report,
 )
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import DiscardSink, WriteWorker
@@ -450,9 +449,8 @@ LIVE_INGEST_TYPES = (UdpFlowIngest, TcpDnsIngest)
 class AsyncEngine:
     """Run FlowDNS inside one asyncio loop, with live socket sources.
 
-    ``run()`` (or ``await run_async()``) accepts the same source mix the
-    sharded engine does — iterables of records / wire tuples / export
-    datagrams / batches — plus :class:`TcpDnsIngest` (DNS sources) and
+    ``run()`` (or ``await run_async()``) accepts iterables of records /
+    wire tuples / export datagrams / batches, plus :class:`TcpDnsIngest` (DNS sources) and
     :class:`UdpFlowIngest` (flow sources) for live traffic. A run with
     only finite sources terminates when they drain; a run with live
     listeners keeps serving until :meth:`request_stop`, then drains
@@ -800,7 +798,7 @@ class AsyncEngine:
                         processor, collector, ingest_stats=source.ingest_stats
                     )
                 else:
-                    # Worker-sharded sources ship ready-decoded batches;
+                    # Reuseport worker sources ship ready-decoded batches;
                     # decode accounting already happened in the workers.
                     lane = LookupLane(processor)
             else:
@@ -893,10 +891,10 @@ class AsyncEngine:
         return report
 
     def _build_report(self) -> EngineReport:
-        summary = stack_summary(
-            self._fillup_processors, self._lookup_processors, self.storage
+        report = stack_report(
+            self._fillup_processors, self._lookup_processors, self.storage,
+            variant_name="async",
         )
-        report = merge_summaries([summary], variant_name="async")
         report.flow_decode_errors = sum(
             c.stats.malformed + c.stats.unknown_version
             for c in self._flow_collectors

@@ -13,14 +13,14 @@ The ablation flags correspond one-to-one to the paper's benchmark
 variants; :mod:`repro.core.variants` sets them.
 
 :class:`FlowDNSConfig` describes *correlation* behaviour; on top of it,
-:class:`EngineConfig` describes one *deployment* of an engine — shard
-count, live-session bind addresses, socket buffer sizing, ingest worker
-count, capture tap, replay pacing. Every engine constructor and
+:class:`EngineConfig` describes one *deployment* of an engine —
+live-session bind addresses, socket buffer sizing, ingest worker count,
+capture tap, replay pacing. Every engine constructor and
 :func:`repro.core.variants.engine_for` accept either
-(:meth:`EngineConfig.of` normalises), and the CLI's per-engine flag
+(:meth:`EngineConfig.of` normalises), and the CLI's per-mode flag
 validation is :meth:`EngineConfig.from_args` — presence-based rejection
-of flags that do not apply to the selected engine or mode lives here,
-not in ``cli.py``.
+of flags that do not apply to the selected mode lives here, not in
+``cli.py``.
 """
 
 from __future__ import annotations
@@ -127,15 +127,13 @@ class EngineConfig:
     The single construction surface for all engines: buffer sizes and
     correlation parameters ride in :attr:`flowdns`, everything that was
     previously kwarg sprawl across engine constructors and CLI handlers
-    (``shards``, capture tap, live bind addresses, socket buffer sizing,
-    ingest worker count, replay pacing) is a field here. Engines accept
-    an ``EngineConfig``, a bare ``FlowDNSConfig``, or ``None`` —
+    (capture tap, live bind addresses, socket buffer sizing, ingest
+    worker count, replay pacing) is a field here. Engines accept an
+    ``EngineConfig``, a bare ``FlowDNSConfig``, or ``None`` —
     :meth:`of` normalises.
     """
 
     flowdns: FlowDNSConfig = field(default_factory=FlowDNSConfig)
-    #: Worker processes for the sharded engine (None = CPU count).
-    shards: Optional[int] = None
     #: SO_REUSEPORT socket-sharding workers for live UDP flow ingest.
     ingest_workers: int = 1
     #: Optional :class:`repro.replay.capture.CaptureWriter` tee for live
@@ -177,8 +175,6 @@ class EngineConfig:
     fault_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.shards is not None and self.shards < 1:
-            raise ConfigError("shards must be at least 1")
         if self.ingest_workers < 1:
             raise ConfigError("ingest_workers must be at least 1")
         if self.duration < 0:
@@ -232,33 +228,23 @@ class EngineConfig:
     @classmethod
     def for_replay_leg(
         cls,
-        engine: str,
-        shards: Optional[int] = None,
         fault_profile: Optional[str] = None,
         fault_seed: Optional[int] = None,
     ) -> "EngineConfig":
         """Build the config for one programmatic replay leg.
 
         The sweep driver's (and differential harnesses') equivalent of
-        :meth:`from_args`: the same per-engine applicability rules —
-        ``shards`` only means anything to the sharded engine, a fault
-        seed needs a fault plan — enforced for callers that assemble legs
-        in code rather than from flags, so a sweep axis that silently would
+        :meth:`from_args`: the same applicability rule — a fault seed
+        needs a fault plan — enforced for callers that assemble legs in
+        code rather than from flags, so a sweep axis that silently would
         not apply fails loudly instead of producing a misleading row.
         """
-        from repro.core.variants import REPLAY_ENGINES
-
-        if engine not in REPLAY_ENGINES:
-            raise ConfigError(f"unknown replay engine {engine!r}")
-        if shards is not None and engine != "sharded":
-            raise ConfigError("shards only apply to the sharded engine")
         if fault_seed is not None and fault_profile is None:
             raise ConfigError(
                 "fault_seed requires a fault_profile; a seed alone "
                 "injects nothing"
             )
         return cls(
-            shards=shards,
             fault_profile=fault_profile,
             fault_seed=fault_seed if fault_profile is not None else None,
         )
@@ -268,24 +254,15 @@ class EngineConfig:
     @classmethod
     def from_args(cls, args, command: str) -> "EngineConfig":
         """Build an EngineConfig from a parsed CLI namespace, validating
-        per-engine/per-mode flag applicability.
+        per-mode flag applicability.
 
         ``argparse`` keeps ``None`` defaults for every flag whose
         *presence* matters, so this layer — not the CLI — decides what an
         omitted flag means and rejects explicitly-passed flags the
-        selected engine or mode would silently ignore. Raises
+        selected mode would silently ignore. Raises
         :class:`ConfigError` with the operator-facing message; the CLI
         prints it and exits 2.
         """
-        engine = "async" if command in ("serve", "capture") else getattr(
-            args, "engine", None
-        )
-        shards = getattr(args, "shards", None)
-        if shards is not None:
-            if engine != "sharded":
-                raise ConfigError("--shards only applies to --engine sharded")
-            if shards < 1:
-                raise ConfigError("--shards must be at least 1")
         speed = getattr(args, "speed", None)
         realtime = bool(getattr(args, "realtime", False))
         if speed is not None:
@@ -301,7 +278,7 @@ class EngineConfig:
                 raise ConfigError("--ingest-workers must be at least 1")
             if getattr(args, "capture", None):
                 raise ConfigError(
-                    "--capture cannot tee --ingest-workers: sharded sockets "
+                    "--capture cannot tee --ingest-workers: reuseport sockets "
                     "receive in worker processes the capture writer cannot see"
                 )
         if command == "capture":
@@ -341,7 +318,6 @@ class EngineConfig:
         duration = getattr(args, "duration", None)
         return cls(
             flowdns=flowdns,
-            shards=shards,
             ingest_workers=ingest_workers if ingest_workers is not None else 1,
             host=host if host is not None else DEFAULT_LIVE_HOST,
             flow_port=flow_port if flow_port is not None else DEFAULT_FLOW_PORT,

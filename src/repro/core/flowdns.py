@@ -1,6 +1,6 @@
 """The FlowDNS facade: the one-object API for embedding the correlator.
 
-The engines (simulation, sharded, async) own scheduling and reporting; this
+The engines (simulation, async) own scheduling and reporting; this
 facade owns nothing but the correlation state, for callers that already
 have their own event loop and just want the paper's core behaviour:
 

@@ -12,13 +12,12 @@ state coherent without any cross-process coordination.
 process (bulk ``recv_into`` drains, batched
 :meth:`~repro.netflow.collector.FlowCollector.ingest_columns_many`
 decode) and ships ready-made :class:`FlowBatch` items to the parent as
-flat column tuples over a bounded queue — the same per-scalar IPC lane
-the sharded engine routes flows on, so worker output feeds the existing
-sharded storage without re-decoding.
+flat column tuples (:meth:`FlowBatch.columns`) over a bounded queue, so
+pickle never walks a record object graph and the parent never
+re-decodes.
 
-The source implements the full ingest-source protocol
-(:mod:`repro.core.pipeline`): iterate it like any flow source under the
-sharded engine, or hand it to the async engine as a live
+The source implements the ingest-source protocol
+(:mod:`repro.core.pipeline`): hand it to the async engine as a live
 source (``connect_buffer``/``start``/``stop``). Per-worker
 :class:`IngestStats` merge into one source-level view
 (:func:`repro.core.metrics.merge_ingest_stats`), and a worker that dies
@@ -158,9 +157,9 @@ def _ingest_worker(
 class ReuseportUdpIngest:
     """N-worker SO_REUSEPORT UDP flow source (one port, N processes).
 
-    Iterable of decoded :class:`FlowBatch` items for the sharded
-    engine, and a live source (``connect_buffer``/``start``/
-    ``stop``) for the async engine. ``workers=1`` binds a plain socket —
+    A live source (``connect_buffer``/``start``/``stop``) for the async
+    engine, feeding it decoded :class:`FlowBatch` items. ``workers=1``
+    binds a plain socket —
     no SO_REUSEPORT needed — so the single-worker configuration runs on
     any platform and is the natural parity baseline for N.
 
@@ -429,8 +428,8 @@ class ReuseportUdpIngest:
     def _maybe_respawn(self) -> None:
         """Start replacement workers whose backoff has elapsed.
 
-        Called from every polling path (sync iteration, async drain,
-        startup wait), so supervision needs no thread of its own. Once
+        Called from every polling path (async drain, startup wait,
+        teardown), so supervision needs no thread of its own. Once
         the source is stopping, pending respawns resolve to accounted
         slots instead — a replacement spawned during teardown would
         never be joined.
@@ -501,26 +500,13 @@ class ReuseportUdpIngest:
             self._out_queue.close()
             self._out_queue = None
 
-    # --- the sync face (sharded engine) ------------------------------------
+    # --- teardown -----------------------------------------------------------
 
-    def wait_ready(self, timeout: float = 10.0) -> Tuple[str, int]:
-        """Block until every worker has bound; returns the shared address.
+    def _signal_stop(self) -> None:
+        """Ask the workers to flush and exit.
 
-        Readiness messages are consumed by whichever loop is draining the
-        output queue — hand the source to an engine (or ``start`` it on a
-        loop) before waiting, exactly like the other live ingests.
-        """
-        if not self._ready_evt.wait(timeout):
-            raise TimeoutError("reuseport ingest workers did not bind in time")
-        return self.address
-
-    def request_stop(self) -> None:
-        """Ask the workers to flush and exit; iteration then terminates.
-
-        The sync-face stop signal (mirrors ``AsyncEngine.request_stop``);
-        the async face's awaitable teardown is :meth:`stop`. Stopping
-        also ends supervision: pending respawns are cancelled and dead
-        slots account as final.
+        Stopping also ends supervision: pending respawns are cancelled
+        and dead slots account as final.
         """
         self._stopping = True
         if self._stop_event is not None:
@@ -533,7 +519,7 @@ class ReuseportUdpIngest:
         self._closed = True
         if not self._started:
             return
-        self.request_stop()
+        self._signal_stop()
         deadline_polls = 100  # 100 × 0.1s: never hang teardown
         while not self._all_accounted() and deadline_polls:
             if not self._pump_blocking(timeout=0.1):
@@ -548,31 +534,19 @@ class ReuseportUdpIngest:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __iter__(self):
-        """Yield decoded :class:`FlowBatch` items until stopped.
-
-        One-shot: iteration ends when every worker is accounted for
-        (stats sentinel, reported error, or observed death) — i.e. after
-        :meth:`request_stop`, or when the whole worker set died.
-        Iterating a closed source yields nothing.
-        """
-        self._start_workers()
-        salvaged = self._salvaged
-        while True:
-            while salvaged:
-                batch, _ndatagrams = salvaged.popleft()
-                yield batch
-            if self._all_accounted():
-                if self._drain_nowait():
-                    continue  # a dead worker's last flushed batches
-                return
-            # Respawns must not wait for an idle queue: surviving workers
-            # keep the queue busy exactly when a dead slot matters most.
-            self._maybe_respawn()
-            if not self._pump_blocking(timeout=0.2):
-                self._reap_dead_workers()
-
     # --- the live face (async engine) -------------------------------------
+
+    def wait_ready(self, timeout: float = 10.0) -> Tuple[str, int]:
+        """Block (from another thread) until every worker has bound;
+        returns the shared address.
+
+        Readiness messages are consumed by the engine's startup wait —
+        hand the source to an engine run before waiting, exactly like
+        the other live ingests.
+        """
+        if not self._ready_evt.wait(timeout):
+            raise TimeoutError("reuseport ingest workers did not bind in time")
+        return self.address
 
     def connect_buffer(self, buffer) -> None:
         self._buffer = buffer
@@ -619,9 +593,7 @@ class ReuseportUdpIngest:
         """Async stop: workers flush, the drain task finishes, then join."""
         import asyncio
 
-        self._stopping = True
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self._signal_stop()
         if self._drain_task is not None:
             try:
                 await asyncio.wait_for(self._drain_task, timeout=30.0)

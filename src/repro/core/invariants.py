@@ -22,11 +22,9 @@ Conservation semantics, as the engines actually account:
   total_bytes`` — you cannot match more than you decoded;
 * output rows ``== flow_records`` — every decoded flow produces exactly
   one TSV row (matched or NULL-service);
-* ``evictions <= dns_records + restored_entries`` for single-stack
-  engines — an eviction happens only at an insert, and inserts come
-  from ingested or restored records (the sharded engine broadcasts
-  CNAMEs to every shard, inflating per-shard inserts, so the bound is
-  skipped there);
+* ``evictions <= dns_records + restored_entries`` — an eviction
+  happens only at an insert, and inserts come from ingested or
+  restored records;
 * loss visibility — any dropped item or non-zero ``overall_loss_rate``
   must be accompanied by at least one warning.
 
@@ -115,18 +113,13 @@ def check_report(report: EngineReport, rows: Optional[int] = None) -> List[str]:
             f"overall_loss_rate out of [0, 1]: {report.overall_loss_rate}"
         )
 
-    # Eviction conservation (single-stack engines only: the sharded
-    # engine broadcasts CNAME records to every shard, so per-shard
-    # inserts — and therefore summed evictions — can legitimately
-    # exceed the once-counted dns_records).
-    if report.variant_name != "sharded":
-        insert_budget = report.dns_records + report.restored_entries
-        if report.evictions > insert_budget:
-            violations.append(
-                f"evictions={report.evictions} exceeds possible inserts "
-                f"(dns_records={report.dns_records} + "
-                f"restored_entries={report.restored_entries})"
-            )
+    insert_budget = report.dns_records + report.restored_entries
+    if report.evictions > insert_budget:
+        violations.append(
+            f"evictions={report.evictions} exceeds possible inserts "
+            f"(dns_records={report.dns_records} + "
+            f"restored_entries={report.restored_entries})"
+        )
 
     if rows is not None and rows != report.flow_records:
         violations.append(

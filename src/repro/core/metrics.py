@@ -263,7 +263,7 @@ def merge_ingest_stats(name: str, parts) -> "IngestStats":
 
     Counters sum; ``recv_buffer_bytes`` takes the *minimum* non-zero
     achieved size — the most pessimistic worker bounds the burst the
-    sharded socket set can absorb, which is the number an operator
+    reuseport socket set can absorb, which is the number an operator
     diagnosing drops needs.
     """
     merged = IngestStats(name=name)
@@ -306,9 +306,8 @@ class EngineReport:
     #: Entries restored from a snapshot at start-up (restore-on-start).
     restored_entries: int = 0
     #: DNS wire messages that failed the FillUp filter (unparseable or
-    #: invalid) — counted where decode happens (the engine's fill stacks,
-    #: or the sharded engine's router-side filter) so corrupted input is
-    #: never silently absorbed.
+    #: invalid) — counted where decode happens (the engine's fill lanes)
+    #: so corrupted input is never silently absorbed.
     dns_invalid: int = 0
     #: Flow export datagrams that failed to decode (malformed or
     #: unknown-version), summed over the run's lane collectors. Covers

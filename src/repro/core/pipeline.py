@@ -1,9 +1,7 @@
-"""Shared pipeline runtime for the live engines (stages and lanes).
+"""Pipeline runtime for the live engine (stages and lanes).
 
-Both live engines — worker processes
-(:class:`repro.core.sharded.ShardedEngine`) and a single asyncio loop
-(:class:`repro.core.async_engine.AsyncEngine`) — run the same two lanes
-from the paper's Figure 1:
+The live engine (:class:`repro.core.async_engine.AsyncEngine`, one
+asyncio loop) runs the two lanes from the paper's Figure 1:
 
 * the **fill lane** (DNS): batch a wake-up's raw wire payloads into one
   :class:`~repro.dns.columnar.DnsBatch` via the selective columnar
@@ -15,18 +13,16 @@ from the paper's Figure 1:
   es) into one columnar batch per wake-up, correlate it, and hand the
   resulting :class:`CorrelationBatch` to the write sink.
 
-Before this module existed each engine re-implemented the lanes and the
-report assembly; an engine now only supplies *scheduling policy* — how
-lane invocations map onto worker processes + IPC column tuples or onto
-asyncio tasks — and everything else
-(item normalisation, stats plumbing, report merging) stays in one place,
-pinned by one parity suite. Which expiry policy the storage runs is the
-storage's business (:meth:`DnsStorage.add_many_columns`), not a lane's.
+The engine module supplies only *scheduling policy* — how lane
+invocations map onto asyncio tasks — and everything else (item
+normalisation, stats plumbing, report assembly) lives here, pinned by
+one parity suite. Which expiry policy the storage runs is the storage's
+business (:meth:`DnsStorage.add_many_columns`), not a lane's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationBatch, LookUpProcessor
@@ -53,9 +49,9 @@ from repro.netflow.records import FlowBatch, FlowRecord
 #   :class:`repro.replay.capture.CaptureWriter`; every received wire
 #   unit is recorded *pre-decode* (malformed input included) so a replay
 #   reproduces the same counters.
-# * ``close()`` — idempotent teardown; a closed source's iteration ends
-#   and its sockets/processes are released. Iterating after close is
-#   safe and yields nothing.
+# * ``close()`` — idempotent teardown; a closed source delivers nothing
+#   more and its sockets/processes are released. Iterating an iterable
+#   source after close is safe and yields nothing.
 # * optional ``ingest_errors`` — strings describing partial-ingest
 #   failures (e.g. a dead worker process); :func:`collect_ingest` folds
 #   them into ``EngineReport.warnings`` so a degraded run warns instead
@@ -292,111 +288,34 @@ def collect_ingest(report: EngineReport, sources: Iterable) -> None:
 
 # --- report assembly --------------------------------------------------------
 
-#: The counter keys one worker stack (fillup + lookup + storage) reports.
-_SUMMARY_ZEROS = {
-    "flows_in": 0,
-    "bytes_in": 0,
-    "bytes_matched": 0,
-    "matched": 0,
-    "unmatched": 0,
-    "chain_lengths": {},
-    "records_in": 0,
-    "records_stored": 0,
-    "records_invalid": 0,
-    "map_entries": 0,
-    "overwrites": 0,
-    "evictions": 0,
-}
-
-
-def empty_summary(shard_id: int, error: Optional[str]) -> Dict:
-    """A zeroed per-stack report, used when a worker dies before reporting."""
-    summary: Dict = {"shard": shard_id, "error": error}
-    summary.update({k: ({} if isinstance(v, dict) else v) for k, v in _SUMMARY_ZEROS.items()})
-    return summary
-
-
-def stack_summary(
+def stack_report(
     fillup_processors: Sequence[FillUpProcessor],
     lookup_processors: Sequence[LookUpProcessor],
     storage: DnsStorage,
-    shard_id: int = 0,
-    error: Optional[str] = None,
-) -> Dict:
-    """Flatten one worker stack's counters into a plain-dict summary.
-
-    The dict is the engines' lingua franca for report assembly: the
-    sharded engine pickles it over IPC, the async engine builds it
-    in-process, and :func:`merge_summaries` folds any number of
-    them into one :class:`EngineReport`.
-    """
-    chain_lengths: Dict[int, int] = {}
-    for processor in lookup_processors:
-        for length, count in processor.stats.chain_lengths.items():
-            chain_lengths[length] = chain_lengths.get(length, 0) + count
-    return {
-        "shard": shard_id,
-        "error": error,
-        "flows_in": sum(p.stats.flows_in for p in lookup_processors),
-        "bytes_in": sum(p.stats.bytes_in for p in lookup_processors),
-        "bytes_matched": sum(p.stats.bytes_matched for p in lookup_processors),
-        "matched": sum(p.stats.matched for p in lookup_processors),
-        "unmatched": sum(p.stats.unmatched for p in lookup_processors),
-        "chain_lengths": chain_lengths,
-        "records_in": sum(p.stats.records_in for p in fillup_processors),
-        "records_stored": sum(p.stats.records_stored for p in fillup_processors),
-        "records_invalid": sum(p.stats.invalid for p in fillup_processors),
-        "map_entries": storage.total_entries(),
-        "overwrites": storage.overwrites(),
-        "evictions": storage.evictions(),
-    }
-
-
-def merge_summaries(
-    summaries: Sequence[Dict],
     variant_name: str,
-    dns_records: Optional[int] = None,
-    dns_invalid: Optional[int] = None,
-    broadcast_overwrites: bool = False,
 ) -> EngineReport:
-    """Fold worker-stack summaries into one :class:`EngineReport`.
+    """Fold one fill/lookup/storage stack into an :class:`EngineReport`.
 
-    ``dns_records`` overrides the summed ``records_in`` when the engine
-    counted DNS records upstream of the stacks (the sharded engine's
-    router counts each record once, while broadcast records re-count in
-    every shard); ``dns_invalid`` overrides the summed
-    ``records_invalid`` for the same reason (the router's wire filter is
-    where sharded decode failures happen). ``broadcast_overwrites=True``
-    takes the max overwrite count instead of the sum — with broadcast
-    address records every stack observes the same IP-key overwrites, so
-    summing would multiply them.
+    The stack is every lane processor of one run over their shared
+    storage: lane counters sum across the processors; resident entries,
+    overwrites and evictions are the storage's own.
     """
     report = EngineReport(variant_name=variant_name)
-    report.total_bytes = sum(s["bytes_in"] for s in summaries)
-    report.correlated_bytes = sum(s["bytes_matched"] for s in summaries)
-    report.flow_records = sum(s["flows_in"] for s in summaries)
-    report.matched_flows = sum(s["matched"] for s in summaries)
-    report.dns_records = (
-        dns_records
-        if dns_records is not None
-        else sum(s["records_in"] for s in summaries)
-    )
-    report.dns_invalid = (
-        dns_invalid
-        if dns_invalid is not None
-        else sum(s["records_invalid"] for s in summaries)
-    )
-    for summary in summaries:
-        for length, count in summary["chain_lengths"].items():
-            report.chain_lengths[length] = report.chain_lengths.get(length, 0) + count
-    # Resident entries across all stacks: replicated (broadcast) entries
-    # genuinely occupy memory in each holding process, so they always sum.
-    report.final_map_entries = sum(s["map_entries"] for s in summaries)
-    report.evictions = sum(s["evictions"] for s in summaries)
-    if broadcast_overwrites:
-        report.overwrites = max((s["overwrites"] for s in summaries), default=0)
-    else:
-        report.overwrites = sum(s["overwrites"] for s in summaries)
+    chain_lengths = report.chain_lengths
+    for processor in lookup_processors:
+        stats = processor.stats
+        report.flow_records += stats.flows_in
+        report.total_bytes += stats.bytes_in
+        report.correlated_bytes += stats.bytes_matched
+        report.matched_flows += stats.matched
+        for length, count in stats.chain_lengths.items():
+            chain_lengths[length] = chain_lengths.get(length, 0) + count
+    for processor in fillup_processors:
+        report.dns_records += processor.stats.records_in
+        report.dns_invalid += processor.stats.invalid
+    report.final_map_entries = storage.total_entries()
+    report.overwrites = storage.overwrites()
+    report.evictions = storage.evictions()
     return report
 
 

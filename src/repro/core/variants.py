@@ -50,47 +50,34 @@ FIGURE7_VARIANTS = (
 
 #: Engine implementations, for CLI/embedding selection. ``simulation``
 #: replays flat record iterables deterministically with modelled
-#: resources; ``sharded`` and ``async`` take sequences of stream sources
-#: and run the multiprocessing pipeline (storage partitioned by
-#: lookup-IP hash) or the single-loop asyncio pipeline whose sources may
-#: also be live loopback/network listeners (NetFlow over UDP, DNS over
-#: TCP).
+#: resources; ``async`` takes sequences of stream sources and runs the
+#: single-loop asyncio pipeline whose sources may also be live
+#: loopback/network listeners (NetFlow over UDP, DNS over TCP).
 ENGINE_VARIANTS = {
     "simulation": "deterministic single-threaded replay, modelled resources",
-    "sharded": "multiprocessing pipeline sharded by lookup-IP hash",
     "async": "asyncio pipeline with live UDP/TCP socket ingest",
 }
-
-#: Engines a capture can be replayed through (the live pair; the
-#: simulation engine consumes record objects, not wire bytes).
-REPLAY_ENGINES = ("sharded", "async")
 
 
 def engine_for(
     name: str,
     config: Optional[FlowDNSConfig | EngineConfig] = None,
     sink=None,
-    num_shards: Optional[int] = None,
 ):
     """Instantiate an engine variant by registry name.
 
     ``config`` may be a bare :class:`FlowDNSConfig` (correlator knobs
     only) or a full :class:`EngineConfig` (runtime knobs too); every
-    engine normalises via :meth:`EngineConfig.of`. ``num_shards`` is a
-    back-compat override for ``EngineConfig.shards``. Note the run()
+    engine normalises via :meth:`EngineConfig.of`. Note the run()
     signatures differ: ``simulation`` consumes flat record iterables;
-    ``sharded``/``async`` consume sequences of sources and take
-    ``dns_first=True`` for deterministic DNS-before-flows ordering.
+    ``async`` consumes sequences of sources and takes ``dns_first=True``
+    for deterministic DNS-before-flows ordering.
     """
     engine_config = EngineConfig.of(config)
     if name == "simulation":
         from repro.core.simulation import SimulationEngine
 
         return SimulationEngine(engine_config.flowdns, sink=sink)
-    if name == "sharded":
-        from repro.core.sharded import ShardedEngine
-
-        return ShardedEngine(engine_config, sink=sink, num_shards=num_shards)
     if name == "async":
         from repro.core.async_engine import AsyncEngine
 

@@ -39,7 +39,7 @@ per record instead of invalidating the message, in both paths).
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 from repro.dns.name import decode_name
 from repro.dns.rr import RClass, RRType
@@ -78,11 +78,6 @@ class DnsBatch:
     an rtype or rclass outside the enums. ``rtype`` holds the raw wire
     integer (1/5/28), never an enum — :meth:`record` rehydrates a
     :class:`DnsRecord` when parity tooling needs the object form.
-
-    Mirrors :class:`repro.netflow.records.FlowBatch`: columns cross
-    process boundaries as one flat tuple of primitive lists
-    (:meth:`columns` / :meth:`from_columns`) so pickle never walks an
-    object graph.
     """
 
     __slots__ = (
@@ -118,14 +113,6 @@ class DnsBatch:
         self.ttl.append(ttl)
         self.rdata_text.append(rdata_text)
 
-    def append_from(self, other: "DnsBatch", index: int) -> None:
-        """Copy one row out of another batch (router partitioning)."""
-        self.ts.append(other.ts[index])
-        self.name.append(other.name[index])
-        self.rtype.append(other.rtype[index])
-        self.ttl.append(other.ttl[index])
-        self.rdata_text.append(other.rdata_text[index])
-
     def extend(self, other: "DnsBatch") -> None:
         """Append all of ``other``'s rows and fold its message counters."""
         self.ts.extend(other.ts)
@@ -136,34 +123,6 @@ class DnsBatch:
         self.messages += other.messages
         self.invalid += other.invalid
         self.unknown_records += other.unknown_records
-
-    def columns(self) -> Tuple:
-        """Flat primitive-column tuple for IPC (no object graph)."""
-        return (
-            self.ts,
-            self.name,
-            self.rtype,
-            self.ttl,
-            self.rdata_text,
-            self.messages,
-            self.invalid,
-            self.unknown_records,
-        )
-
-    @classmethod
-    def from_columns(cls, cols: Tuple) -> "DnsBatch":
-        batch = cls()
-        (
-            batch.ts,
-            batch.name,
-            batch.rtype,
-            batch.ttl,
-            batch.rdata_text,
-            batch.messages,
-            batch.invalid,
-            batch.unknown_records,
-        ) = cols
-        return batch
 
     def record(self, index: int) -> DnsRecord:
         """Materialise row ``index`` as the object path's record."""

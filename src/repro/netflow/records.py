@@ -95,8 +95,9 @@ class FlowBatch:
     v9/IPFIX templates — otherwise a parallel list of per-flow dicts
     (``None`` entries meaning empty).
 
-    The flat columns are what the sharded engine pickles across IPC: one
-    tuple of primitive lists per batch instead of an object graph.
+    The flat columns are what reuseport ingest workers pickle across
+    IPC: one tuple of primitive lists per batch instead of an object
+    graph.
     """
 
     __slots__ = (
@@ -183,21 +184,6 @@ class FlowBatch:
             flow.extra,
         )
 
-    def append_from(self, other: "FlowBatch", i: int) -> None:
-        """Append row ``i`` of ``other`` (the sharded router's partitioner)."""
-        extra = other.extras[i] if other.extras is not None else None
-        self.append_row(
-            other.ts[i],
-            other.src_ip_text[i],
-            other.dst_ip_text[i],
-            other.src_port[i],
-            other.dst_port[i],
-            other.protocol[i],
-            other.packets[i],
-            other.bytes_[i],
-            extra,
-        )
-
     def extend(self, other: "FlowBatch") -> None:
         """Concatenate another batch's columns onto this one."""
         if not len(other):
@@ -243,7 +229,7 @@ class FlowBatch:
         )
 
     def columns(self) -> Tuple:
-        """The flat column tuple — what the sharded engine pickles."""
+        """The flat column tuple — what reuseport ingest workers pickle."""
         return (
             self.ts,
             self.src_ip_text,

@@ -3,9 +3,9 @@
 Routers export flow records over UDP; :class:`UdpFlowSource` binds a
 socket, decodes datagrams through a :class:`FlowCollector`, and exposes
 the decoded flows as an iterable suitable for handing straight to the
-live engines as one of their flow streams. It yields columnar
+async engine as one of its flow streams. It yields columnar
 :class:`FlowBatch` items (one per datagram, via
-:meth:`FlowCollector.ingest_columns`), the shape the engines' flow
+:meth:`FlowCollector.ingest_columns`), the shape the engine's flow
 lanes carry.
 
 The source is deliberately minimal: one socket, one thread (the caller's

@@ -1,4 +1,4 @@
-"""Record-and-replay: durable capture artifacts for every engine.
+"""Record-and-replay: durable capture artifacts for the live engine.
 
 The paper's system runs against live, unrepeatable socket feeds; this
 subpackage turns a feed into a file and a file back into a feed:
@@ -9,7 +9,7 @@ subpackage turns a feed into a file and a file back into a feed:
 * :mod:`repro.replay.source` — :class:`ReplaySource`, one capture lane
   as an engine stream source, timestamp-faithful or max speed;
 * :mod:`repro.replay.runner` — :func:`replay_capture`, one capture
-  through any live engine with deterministic DNS-before-flows ordering;
+  through the async engine with deterministic DNS-before-flows ordering;
 * :mod:`repro.replay.scenarios` — the scenario library behind the
   golden corpus (``tests/data/golden/``) and ``flowdns capture
   --scenario``;
@@ -44,7 +44,6 @@ from repro.replay.faults import (
     parse_fault_specs,
     resolve_fault_plan,
 )
-from repro.core.variants import REPLAY_ENGINES
 from repro.replay.runner import replay_capture
 from repro.replay.scenarios import (
     GOLDEN_SEED,
@@ -70,7 +69,6 @@ __all__ = [
     "LANE_FLOW",
     "MAGIC",
     "MAX_FRAME_PAYLOAD",
-    "REPLAY_ENGINES",
     "ReplaySource",
     "SCENARIOS",
     "build_scenario",

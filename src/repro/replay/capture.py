@@ -2,8 +2,8 @@
 
 A capture is a durable recording of everything a FlowDNS collector saw
 on the wire — NetFlow/IPFIX export datagrams and DNS messages — so a
-scenario that trips one engine can be replayed bit-for-bit against any
-other. The format is deliberately dumb:
+scenario that trips the engine can be replayed bit-for-bit, as often as
+needed. The format is deliberately dumb:
 
 * an 8-byte magic header (``FDNSCAP`` + format version);
 * then frames, each ``lane (1 byte) | timestamp (8-byte IEEE double,
@@ -200,8 +200,8 @@ class CaptureWriter:
 
     Accepts a path (opened/closed by the writer) or an already-open
     binary file object (left open). Thread-safe: a ``UdpFlowSource``
-    may iterate in one of the sharded engine's routing threads while a
-    DNS tap writes from another, so every record takes the lock.
+    may iterate in a thread of its own while a DNS tap writes from
+    another, so every record takes the lock.
 
     Items are stamped with ``clock.now()`` (default:
     :class:`~repro.util.clock.MonotonicClock`) unless the caller passes

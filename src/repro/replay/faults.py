@@ -20,9 +20,9 @@ those failure modes into a reproducible instrument:
 The reproducibility contract: the faulted stream is a pure function of
 ``(input frames, plan, seed)``. The same ``--fault-seed`` reproduces the
 identical perturbed byte stream bit-for-bit, so any chaos failure is
-replayable — and because perturbation happens *before* the engines,
-every engine fed the same faulted stream must still produce identical
-rows (the differential harness pins exactly that).
+replayable — and because perturbation happens *before* the engine,
+every batch layout fed the same faulted stream must still produce
+identical rows (the differential harness pins exactly that).
 
 Frame order, not timestamps, is delivery order for a capture (the
 engines replay frames in file order; timestamps pace ``--realtime`` runs
@@ -37,7 +37,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.replay.capture import LANE_DNS, LANE_FLOW, LANES, CaptureFrame, read_capture
+from repro.replay.capture import LANE_DNS, LANES, CaptureFrame, read_capture
 from repro.util.errors import ConfigError
 from repro.util.rng import derive_rng
 
@@ -426,8 +426,8 @@ class FaultInjector:
     def apply(self, capture: CaptureLike) -> List[CaptureFrame]:
         """Fault every frame of a capture, preserving file order.
 
-        The faulted list is safe to hand to several engines: it is a
-        plain re-iterable frame sequence, so every engine replays the
+        The faulted list is safe to hand to several engine runs: it is a
+        plain re-iterable frame sequence, so every run replays the
         *identical* perturbed stream (the differential contract).
         Reordered frames move within their lane only; the output is
         **not** re-sorted by timestamp — frame order is delivery order.

@@ -1,9 +1,9 @@
-"""Replay captured wire bytes into any engine.
+"""Replay captured wire bytes into the live engine.
 
 A :class:`ReplaySource` is a plain iterable over one lane of a capture,
-yielding exactly the item shapes the engines' lanes normalise natively:
+yielding exactly the item shapes the engine's lanes normalise natively:
 
-* ``flow`` lane → raw export datagram ``bytes`` (each engine's
+* ``flow`` lane → raw export datagram ``bytes`` (the engine's
   per-stream :class:`~repro.netflow.collector.FlowCollector` re-decodes
   them, template state and malformed counting included);
 * ``dns`` lane → ``(ts, wire_bytes)`` tuples, carrying the *captured*
@@ -14,23 +14,21 @@ Two speeds:
 
 * **max speed** (default) — yield as fast as the consumer pulls; the
   deterministic differential-testing mode;
-* **timestamp-faithful** (``realtime=True``) — wait out each recorded
-  inter-arrival gap (scaled by ``speed``) before yielding, so bursts
-  land on the engine's bounded buffers as bursts and reproduce the
-  original buffer-overflow loss instead of being smoothed away by
-  backpressure.
+* **timestamp-faithful** (``realtime=True``) — every item carries its
+  recorded inter-arrival gap (scaled by ``speed``) for the consumer to
+  wait out, so bursts land on the engine's bounded buffers as bursts
+  and reproduce the original buffer-overflow loss instead of being
+  smoothed away by backpressure.
 
 The pacing is computed once, by :meth:`ReplaySource.paced`, as ``(delay,
-item)`` pairs. Plain iteration waits each delay out with the injectable
-blocking ``sleep`` (the sharded engine's routing threads); the asyncio
-engine's pump consumes ``paced()`` directly and awaits
-``asyncio.sleep(delay)``, so a gap never stalls its event loop.
+item)`` pairs, and waiting is the consumer's job: the asyncio engine's
+pump awaits ``asyncio.sleep(delay)``, so a gap never stalls its event
+loop. Plain iteration yields the items without waiting.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from repro.core.metrics import IngestStats
 from repro.replay.capture import LANE_DNS, LANE_FLOW, LANES, CaptureFrame, read_capture
@@ -53,8 +51,7 @@ class ReplaySource:
     ``capture`` is a file path (re-read lazily on every iteration, so
     one source object can feed several engine runs) or an in-memory
     frame iterable (list/tuple re-iterate too; a one-shot generator
-    supports a single run). ``sleep`` is injectable for deterministic
-    pacing tests; it is what plain iteration waits with.
+    supports a single run).
     """
 
     def __init__(
@@ -63,7 +60,6 @@ class ReplaySource:
         lane: str,
         realtime: bool = False,
         speed: float = 1.0,
-        sleep: Callable[[float], None] = time.sleep,
         capture_tee=None,
     ):
         if lane not in LANES:
@@ -74,7 +70,6 @@ class ReplaySource:
         self.lane = lane
         self.realtime = realtime
         self.speed = speed
-        self._sleep = sleep
         #: Items yielded by the most recent iteration.
         self.items_replayed = 0
         #: Ingest-source protocol: a replayed frame is by definition both
@@ -88,19 +83,14 @@ class ReplaySource:
         """Ingest-source protocol close(); nothing to release (no-op)."""
 
     def __iter__(self) -> Iterator:
-        sleep = self._sleep
-        for delay, item in self.paced():
-            if delay > 0:
-                sleep(delay)
-            yield item
+        return (item for _delay, item in self.paced())
 
     def paced(self) -> Iterator[Tuple[float, object]]:
         """This lane's items as ``(delay, item)`` pairs.
 
         ``delay`` is the seconds to wait before offering ``item``: the
         recorded gap to the previous frame divided by ``speed`` when
-        ``realtime``, else 0. The consumer does the waiting, so a
-        blocking thread and an event loop can pace the same source.
+        ``realtime``, else 0. The consumer does the waiting.
         """
         dns = self.lane == LANE_DNS
         realtime = self.realtime
@@ -137,7 +127,6 @@ def replay_sources(
     capture: CaptureLike,
     realtime: bool = False,
     speed: float = 1.0,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> Tuple[List[ReplaySource], List[ReplaySource]]:
     """Both lanes of a capture as ``(dns_sources, flow_sources)``.
 
@@ -160,7 +149,7 @@ def replay_sources(
     """
     if not isinstance(capture, str) and iter(capture) is capture:
         capture = list(capture)
-    make = lambda lane: ReplaySource(  # noqa: E731 - two-call local factory
-        capture, lane, realtime=realtime, speed=speed, sleep=sleep
+    return (
+        [ReplaySource(capture, LANE_DNS, realtime=realtime, speed=speed)],
+        [ReplaySource(capture, LANE_FLOW, realtime=realtime, speed=speed)],
     )
-    return [make(LANE_DNS)], [make(LANE_FLOW)]

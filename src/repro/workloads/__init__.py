@@ -15,7 +15,7 @@ substitution table):
   internet-scale streaming ``.fdc`` generator (Zipf popularity,
   heavy-tailed flow sizes, Poisson arrivals) and
   :class:`SweepSpec` / :func:`run_sweep` — the parameter-sweep harness
-  that replays a generated grid through the live engines.
+  that replays a generated grid through the async engine.
 """
 
 from repro.workloads.cdn import CdnHosting, CdnProvider, Resolution, default_providers

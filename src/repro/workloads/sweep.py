@@ -2,9 +2,9 @@
 
 ``run_many`` for the synthetic generator: take a cartesian grid —
 client count × Zipf exponent × CNAME-chain depth on the workload side,
-engine × fault profile on the replay side — generate each point's
-capture once (streaming, via :mod:`repro.workloads.generator`), replay
-it through every requested engine/fault leg with
+fault profiles on the replay side — generate each point's capture once
+(streaming, via :mod:`repro.workloads.generator`), replay it through
+every requested fault leg with
 :func:`repro.replay.runner.replay_capture`, assert the accounting
 invariants from :mod:`repro.core.invariants` on every report, and
 collect one row of throughput / loss / match-rate numbers per
@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import EngineConfig
 from repro.core.invariants import assert_invariants
-from repro.core.variants import REPLAY_ENGINES
 from repro.replay.runner import replay_capture
 from repro.util.benchio import record_bench
 from repro.util.errors import ConfigError
@@ -42,10 +41,10 @@ class SweepSpec:
     """One sweep: workload axes × replay legs over a shared base config.
 
     ``fault_profiles`` may contain ``None`` for the fault-free baseline
-    leg (the default). Replay-leg knobs (``shards``, ``fault_seed``)
-    follow :meth:`EngineConfig.for_replay_leg` applicability rules —
-    they are applied only to the legs they mean something to, and the
-    spec rejects combinations that would silently not apply.
+    leg (the default). ``fault_seed`` follows
+    :meth:`EngineConfig.for_replay_leg` applicability rules — it is
+    applied only to the fault legs, and the spec rejects a seed with no
+    fault leg to apply to.
     """
 
     # --- workload axes ---------------------------------------------------
@@ -53,12 +52,10 @@ class SweepSpec:
     zipf_alphas: Tuple[float, ...] = (0.9,)
     chain_depths: Tuple[int, ...] = (4,)
     # --- replay legs -----------------------------------------------------
-    engines: Tuple[str, ...] = REPLAY_ENGINES
     fault_profiles: Tuple[Optional[str], ...] = (None,)
     # --- shared workload base --------------------------------------------
     base: GeneratorParams = field(default_factory=GeneratorParams)
     # --- replay-leg knobs ------------------------------------------------
-    shards: Optional[int] = None
     fault_seed: Optional[int] = None
 
     def __post_init__(self):
@@ -66,20 +63,10 @@ class SweepSpec:
             ("clients", self.clients),
             ("zipf_alphas", self.zipf_alphas),
             ("chain_depths", self.chain_depths),
-            ("engines", self.engines),
             ("fault_profiles", self.fault_profiles),
         ):
             if not axis:
                 raise ConfigError(f"sweep axis {name} is empty")
-        for engine in self.engines:
-            if engine not in REPLAY_ENGINES:
-                raise ConfigError(
-                    f"unknown replay engine {engine!r}; choose from "
-                    f"{REPLAY_ENGINES}"
-                )
-        if self.shards is not None and "sharded" not in self.engines:
-            raise ConfigError("shards only apply when the sweep includes "
-                              "the sharded engine")
         if self.fault_seed is not None and tuple(self.fault_profiles) == (None,):
             raise ConfigError(
                 "fault_seed requires at least one fault profile leg; a "
@@ -87,17 +74,14 @@ class SweepSpec:
             )
         # Validate every replay leg and workload point eagerly: a sweep
         # that would die on its last cell hours in is a wasted run.
-        for engine in self.engines:
-            for profile in self.fault_profiles:
-                self.leg_config(engine, profile)
+        for profile in self.fault_profiles:
+            self.leg_config(profile)
         for params in sweep_points(self):
             _ = params  # GeneratorParams validates in __post_init__
 
-    def leg_config(self, engine: str, fault_profile: Optional[str]) -> EngineConfig:
-        """The :class:`EngineConfig` for one (engine, fault profile) leg."""
+    def leg_config(self, fault_profile: Optional[str]) -> EngineConfig:
+        """The :class:`EngineConfig` for one fault-profile leg."""
         return EngineConfig.for_replay_leg(
-            engine,
-            shards=self.shards if engine == "sharded" else None,
             fault_profile=fault_profile,
             fault_seed=self.fault_seed if fault_profile is not None else None,
         )
@@ -115,18 +99,14 @@ class SweepSpec:
             values = getattr(args, flag, None)
             if values is not None:
                 overrides[fname] = tuple(cast(v) for v in values)
-        engines = getattr(args, "engines", None)
-        if engines is not None:
-            overrides["engines"] = tuple(engines)
         profiles = getattr(args, "fault_profiles", None)
         if profiles is not None:
             overrides["fault_profiles"] = tuple(
                 None if p in ("none", "") else p for p in profiles
             )
-        for flag in ("shards", "fault_seed"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                overrides[flag] = value
+        fault_seed = getattr(args, "fault_seed", None)
+        if fault_seed is not None:
+            overrides["fault_seed"] = fault_seed
         return cls(**overrides)
 
 
@@ -184,7 +164,7 @@ def run_sweep(
     """Run the whole sweep; returns (and bench-records) the row list.
 
     Each grid point's capture is generated once into ``out_dir`` and
-    replayed through every (engine, fault profile) leg. Every report
+    replayed through every fault-profile leg. Every report
     must pass :func:`assert_invariants` — for fault-free legs also the
     row-count check against the sink — before its row is recorded, so a
     sweep cannot quietly produce numbers from a run that lost
@@ -195,8 +175,8 @@ def run_sweep(
     say = log if log is not None else (lambda message: None)
     rows: List[Dict[str, object]] = []
     points = sweep_points(spec)
-    legs = [(e, p) for e in spec.engines for p in spec.fault_profiles]
-    say(f"sweep: {len(points)} workload points x {len(legs)} legs")
+    say(f"sweep: {len(points)} workload points x "
+        f"{len(spec.fault_profiles)} legs")
 
     for params in points:
         label = _point_label(params)
@@ -208,15 +188,15 @@ def run_sweep(
             f"peak {gen_report.peak_pending} pending)"
         )
         try:
-            for engine, profile in legs:
-                config = spec.leg_config(engine, profile)
+            for profile in spec.fault_profiles:
+                config = spec.leg_config(profile)
                 sink = StringIO()
                 # Wall-clock the replay here: EngineReport.duration is
                 # the *simulated* span (only the simulation engine sets
                 # it); a live replay's throughput is flows over real
                 # elapsed time.
                 leg_start = time.perf_counter()
-                report = replay_capture(capture_path, engine, config, sink)
+                report = replay_capture(capture_path, config, sink)
                 leg_elapsed = time.perf_counter() - leg_start
                 out_rows = sum(
                     1
@@ -235,7 +215,6 @@ def run_sweep(
                         "clients": params.clients,
                         "zipf_alpha": params.zipf_alpha,
                         "chain_depth": params.chain_depth,
-                        "engine": engine,
                         "fault_profile": profile if profile else "none",
                         "generated_flows": gen_report.flows,
                         "gen_flows_per_sec": round(gen_report.flows_per_sec),
@@ -257,7 +236,7 @@ def run_sweep(
                     }
                 )
                 say(
-                    f"[{label}] {engine}/{profile or 'none'}: "
+                    f"[{label}] {profile or 'none'}: "
                     f"{delivered} delivered, match "
                     f"{rows[-1]['match_rate']:.3f}, loss "
                     f"{rows[-1]['loss_rate']:.3f}"

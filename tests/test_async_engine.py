@@ -1,4 +1,4 @@
-"""Tests for the asyncio engine: offline parity with the sharded engine,
+"""Tests for the asyncio engine: offline parity across batch layouts,
 live loopback ingest (NetFlow over UDP + DNS over TCP), bounded-buffer
 backpressure accounting, and graceful drain-then-shutdown."""
 
@@ -16,7 +16,6 @@ from repro.core.async_engine import (
     UdpFlowIngest,
 )
 from repro.core.config import FlowDNSConfig
-from repro.core.sharded import ShardedEngine
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
@@ -96,6 +95,7 @@ def _assert_reports_equal(left, right):
     assert left.chain_lengths == right.chain_lengths
     assert left.overwrites == right.overwrites
     assert left.final_map_entries == right.final_map_entries
+    assert left.evictions == right.evictions
 
 
 def _rows(sink):
@@ -105,19 +105,28 @@ def _rows(sink):
 
 
 class TestAsyncOffline:
-    def test_offline_parity_with_sharded(self):
-        """Same corpus, same counters, same rows as a one-shard sharded
-        engine (one storage stack, so map entries compare too)."""
+    def test_offline_parity_across_batch_layouts(self):
+        """Same corpus, same counters, same rows whatever the lane batch
+        size (memoisation off: it rewrites chain interiors on a
+        layout-dependent schedule)."""
         dns, flows = _dns_records(), _flows()
-        sharded_sink, async_sink = io.StringIO(), io.StringIO()
-        sharded = ShardedEngine(FlowDNSConfig(), sink=sharded_sink, num_shards=1)
-        sharded_report = sharded.run([list(dns)], [list(flows)], dns_first=True)
-        async_report = AsyncEngine(FlowDNSConfig(), sink=async_sink).run(
-            [list(dns)], [list(flows)], dns_first=True
-        )
-        assert async_report.variant_name == "async"
-        _assert_reports_equal(async_report, sharded_report)
-        assert _rows(async_sink) == _rows(sharded_sink)
+
+        def run(batch_size):
+            sink = io.StringIO()
+            config = FlowDNSConfig(
+                engine_batch_size=batch_size, memoize_cname_chains=False
+            )
+            report = AsyncEngine(config, sink=sink).run(
+                [list(dns)], [list(flows)], dns_first=True
+            )
+            return report, _rows(sink)
+
+        baseline_report, baseline_rows = run(FlowDNSConfig().engine_batch_size)
+        assert baseline_report.variant_name == "async"
+        for batch_size in (1, 7):
+            report, rows = run(batch_size)
+            _assert_reports_equal(report, baseline_report)
+            assert rows == baseline_rows
 
     def test_datagram_and_wire_tuple_items(self):
         """The async lanes accept the full stream-item mix."""
@@ -500,9 +509,9 @@ class TestBackpressure:
         assert ingest.feed_chunk(decoder, b"\xff\xff garbage") is False
         assert ingest.ingest_stats.malformed == 1
 
-    def test_ingest_stats_surfaced_by_async_and_sharded(self):
+    def test_ingest_stats_surfaced_by_async(self):
         """Any source exposing ingest_stats lands in EngineReport.ingest,
-        finite sources and the process-based engine included."""
+        finite sources included, with or without the DNS barrier."""
         from repro.core.metrics import IngestStats
 
         class StatsSource:
@@ -520,6 +529,5 @@ class TestBackpressure:
         assert report.ingest["udp[test]"].received == 1
 
         source2 = StatsSource("udp[test2]", list(flows))
-        sharded = ShardedEngine(FlowDNSConfig(), num_shards=1)
-        report2 = sharded.run([[]], [source2], dns_first=True)
+        report2 = AsyncEngine(FlowDNSConfig()).run([[]], [source2], dns_first=True)
         assert report2.ingest["udp[test2]"].received == 1

@@ -1,12 +1,15 @@
 """The chaos differential suite: every golden scenario × fault profile
-× engine, watchdogged.
+× batch layout, watchdogged.
 
 Three guarantees per cell of the matrix:
 
 * the *same* faulted byte stream yields *identical* sorted output rows
-  from every engine (async, sharded, and async with the snapshot
-  lifecycle enabled) — perturbation happens before the
-  engines, so engine parity must survive hostile input;
+  and report stats from every leg (the default batch layout, batch
+  sizes 1 and 7, and the default layout with the snapshot lifecycle
+  enabled) — perturbation happens before the engine, so layout
+  independence must survive hostile input. Every leg runs with
+  ``memoize_cname_chains=False``, the identity condition
+  ``tests/test_generated_differential.py`` documents;
 * every report is accounting-invariant-clean
   (:mod:`repro.core.invariants`) — loss may happen, silent loss may
   not;
@@ -47,17 +50,22 @@ CHAOS_SEED = 42
 #: its job is turning a hang into a named failure.
 RUN_DEADLINE = 120.0
 
-#: Report fields every engine must agree on under faults. (Unlike the
-#: clean differential, `overwrites` is excluded: duplicated/reordered
-#: DNS frames make the sharded engine's broadcast re-count legitimately
-#: diverge on ties.)
+#: Report fields every leg must agree on under faults.
 COMPARABLE_FIELDS = (
     "matched_flows",
     "flow_records",
     "dns_records",
     "total_bytes",
     "correlated_bytes",
+    "chain_lengths",
+    "overwrites",
+    "final_map_entries",
+    "evictions",
 )
+
+#: The baseline leg's correlator config: the default batch layout with
+#: chain memoisation off.
+BASE_CONFIG = FlowDNSConfig(memoize_cname_chains=False)
 
 
 def _rows(sink: io.StringIO):
@@ -67,16 +75,10 @@ def _rows(sink: io.StringIO):
     )
 
 
-def _run_engine(frames, engine, label, config=None, num_shards=None):
+def _run_engine(frames, label, config=BASE_CONFIG):
     sink = io.StringIO()
     report = call_with_deadline(
-        lambda: replay_capture(
-            frames,
-            engine=engine,
-            config=config if config is not None else FlowDNSConfig(),
-            sink=sink,
-            num_shards=num_shards,
-        ),
+        lambda: replay_capture(frames, config=config, sink=sink),
         timeout=RUN_DEADLINE,
         label=label,
     )
@@ -117,26 +119,23 @@ class TestChaosDifferential:
         )
 
         label = f"{scenario}×{profile}"
-        baseline, baseline_rows = _run_engine(frames, "async", f"async:{label}")
+        baseline, baseline_rows = _run_engine(frames, f"default:{label}")
         legs = [
-            ("sharded", None, {"num_shards": 2}),
+            ("batch1", BASE_CONFIG.replace(engine_batch_size=1)),
+            ("batch7", BASE_CONFIG.replace(engine_batch_size=7)),
             (
-                "async",
+                "snapshots",
                 EngineConfig(
-                    flowdns=FlowDNSConfig(),
+                    flowdns=BASE_CONFIG,
                     snapshot_path=str(tmp_path / "chaos-snap.bin"),
                     snapshot_interval=3600.0,
                 ),
-                {},
             ),
         ]
-        for engine, config, kwargs in legs:
-            tag = "async+snapshots" if config is not None else engine
-            report, rows = _run_engine(
-                frames, engine, f"{tag}:{label}", config=config, **kwargs
-            )
+        for tag, config in legs:
+            report, rows = _run_engine(frames, f"{tag}:{label}", config=config)
             assert rows == baseline_rows, (
-                f"{tag} rows diverged from async on {label}"
+                f"{tag} rows diverged from the default layout on {label}"
             )
             for fieldname in COMPARABLE_FIELDS:
                 assert getattr(report, fieldname) == getattr(baseline, fieldname), (
@@ -149,15 +148,16 @@ class TestChaosDifferential:
 class TestChaosEdgeCases:
     def test_total_flow_loss_stays_clean(self):
         """Dropping every flow frame leaves zero rows — and a clean,
-        non-hanging report from every engine."""
+        non-hanging report under every batch layout."""
         from repro.replay import FaultPlan, LaneFaults
 
         capture = load_capture(str(GOLDEN_DIR / "two-site.fdc"))
         plan = FaultPlan(flow=LaneFaults(drop_rate=1.0))
         frames = FaultInjector(plan, seed=0).apply(capture)
-        for engine, shards in (("sharded", 2), ("async", None)):
+        for batch_size in (BASE_CONFIG.engine_batch_size, 1):
             report, rows = _run_engine(
-                frames, engine, f"{engine}:total-flow-loss", num_shards=shards
+                frames, f"batch{batch_size}:total-flow-loss",
+                config=BASE_CONFIG.replace(engine_batch_size=batch_size),
             )
             assert rows == []
             assert report.flow_records == 0
@@ -173,11 +173,10 @@ class TestChaosEdgeCases:
         plan = FaultPlan.symmetric(truncate_rate=1.0)
         frames = FaultInjector(plan, seed=0).apply(capture)
         assert any(len(f.payload) == 0 for f in frames)
-        baseline, baseline_rows = _run_engine(
-            frames, "async", "async:all-truncated"
-        )
+        baseline, baseline_rows = _run_engine(frames, "default:all-truncated")
         report, rows = _run_engine(
-            frames, "sharded", "sharded:all-truncated", num_shards=2
+            frames, "batch1:all-truncated",
+            config=BASE_CONFIG.replace(engine_batch_size=1),
         )
         assert rows == baseline_rows
 
@@ -193,7 +192,7 @@ class TestChaosEdgeCases:
         path = str(tmp_path / "faulted.fdc")
         write_capture(path, frames)
         assert load_capture(path) == frames
-        direct, direct_rows = _run_engine(frames, "async", "async:in-memory")
-        from_disk, disk_rows = _run_engine(path, "async", "async:from-disk")
+        direct, direct_rows = _run_engine(frames, "in-memory")
+        from_disk, disk_rows = _run_engine(path, "from-disk")
         assert disk_rows == direct_rows
         assert from_disk.flow_records == direct.flow_records

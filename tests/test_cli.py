@@ -143,18 +143,14 @@ class TestCorrelate:
         assert rc == 0
         assert "a.example" in output.read_text()
 
-    @pytest.mark.parametrize("engine", ["sharded", "async"])
-    def test_correlate_live_engines(self, mapping_file, csv_inputs, tmp_path,
-                                    capsys, engine):
+    def test_correlate_async_engine(self, mapping_file, csv_inputs, tmp_path,
+                                    capsys):
         dns, flows = csv_inputs
         output = tmp_path / "out.tsv"
-        # --shards is sharded-only (EngineConfig.from_args rejects it
-        # elsewhere; see TestReplayFlagValidation-style checks below).
-        extra = ["--shards", "2"] if engine == "sharded" else []
         rc = main([
             "correlate", "--dns", dns, "--flows", flows,
             "--mapping", mapping_file, "--output", str(output),
-            "--engine", engine, *extra,
+            "--engine", "async",
         ])
         assert rc == 0
         lines = [line for line in output.read_text().splitlines()
@@ -276,18 +272,38 @@ class TestCaptureReplay:
         assert "replayed" in err and "engine=async" in err
         assert self._rows(output)
 
-    def test_replay_engines_agree_via_cli(self, tmp_path):
-        """The differential contract holds end-to-end through the CLI."""
+    def test_replay_engines_agree_via_cli(self, tmp_path, monkeypatch):
+        """The differential contract holds end-to-end through the CLI:
+        `flowdns replay` rows equal the library's replay at batch sizes
+        1 and 7. Both sides run with memoisation off (the identity
+        condition; the CLI has no flag for it, so the test patches it
+        into the config the CLI builds)."""
+        from repro.core.config import EngineConfig, FlowDNSConfig
+        from repro.replay import replay_capture
+
+        from_args = EngineConfig.from_args
+
+        def without_memoisation(args, command):
+            config = from_args(args, command)
+            return config.replace(
+                flowdns=config.flowdns.replace(memoize_cname_chains=False)
+            )
+
+        monkeypatch.setattr(EngineConfig, "from_args", without_memoisation)
         capture = tmp_path / "churn.fdc"
         assert main(["capture", str(capture), "--scenario", "cname-churn"]) == 0
-        outputs = {}
-        for engine, extra in (("async", []), ("sharded", ["--shards", "2"])):
-            output = tmp_path / f"{engine}.tsv"
-            rc = main(["replay", str(capture), "--engine", engine,
-                       "--output", str(output), *extra])
-            assert rc == 0
-            outputs[engine] = self._rows(output)
-        assert outputs["async"] == outputs["sharded"]
+        output = tmp_path / "cli.tsv"
+        assert main(["replay", str(capture), "--engine", "async",
+                     "--output", str(output)]) == 0
+        cli_rows = self._rows(output)
+        assert cli_rows
+        for batch_size in (1, 7):
+            layout = tmp_path / f"batch{batch_size}.tsv"
+            with open(layout, "w", encoding="utf-8") as sink:
+                replay_capture(str(capture), config=FlowDNSConfig(
+                    engine_batch_size=batch_size, memoize_cname_chains=False,
+                ), sink=sink)
+            assert self._rows(layout) == cli_rows, batch_size
 
     def test_replay_exact_ttl_variant(self, tmp_path, capsys):
         capture = tmp_path / "ttl.fdc"
@@ -360,16 +376,6 @@ class TestCaptureReplay:
                    "--output", str(tmp_path / "o.tsv")])
         assert rc == 2
         assert "--realtime" in capsys.readouterr().err
-
-    def test_replay_rejects_inapplicable_engine_flags(self, tmp_path, capsys):
-        """--shards errors out for an engine it cannot affect instead of
-        being silently dropped."""
-        capture = tmp_path / "ok.fdc"
-        assert main(["capture", str(capture), "--scenario", "two-site"]) == 0
-        rc = main(["replay", str(capture), "--engine", "async",
-                   "--shards", "8", "--output", str(tmp_path / "o.tsv")])
-        assert rc == 2
-        assert "--shards" in capsys.readouterr().err
 
     def test_serve_bind_failure_preserves_output_file(self, tmp_path, capsys):
         """serve's --output sink opens lazily: a bind failure exits 2

@@ -11,8 +11,8 @@ contract spelled out in :func:`_reference_correlate`. Randomization
 CNAME chains, invalid counters, per-flow extras, and the exact-TTL
 per-record branch. The compiled columnar decoders are pinned against the
 per-field reference decoders over randomized flows for all three wire
-formats, and the engines' columnar lanes (including ShardedEngine's
-flat-column IPC) are pinned against each other on a mixed-item corpus.
+formats, and the engine's columnar lanes are pinned across batch
+layouts on a mixed-item corpus.
 """
 
 import io
@@ -25,7 +25,6 @@ from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
-from repro.core.sharded import ShardedEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import format_batch, format_result
 from repro.dns.rr import RRType
@@ -412,11 +411,11 @@ def test_ipfix_template_refresh_invalidates_columnar_decoder_cache():
 
 
 # ---------------------------------------------------------------------------
-# Engine lanes: ShardedEngine's flat-column IPC vs AsyncEngine, mixed
-# stream item types (records, whole batches, raw datagrams).
+# Engine lanes across batch layouts, mixed stream item types (records,
+# whole batches, raw datagrams — a v9 template among them).
 # ---------------------------------------------------------------------------
 
-def test_sharded_columnar_ipc_matches_async():
+def test_engine_lanes_agree_across_batch_layouts():
     dns = [
         DnsRecord(float(i), f"svc{i % 40}.example", RRType.A, 300, f"10.0.{i % 40}.5")
         for i in range(120)
@@ -443,26 +442,27 @@ def test_sharded_columnar_ipc_matches_async():
     def flow_items():
         return list(flows) + [prebatched, v9_template, v9_data, v5_data]
 
-    async_sink = io.StringIO()
-    async_report = AsyncEngine(FlowDNSConfig(), sink=async_sink).run(
-        [list(dns)], [flow_items()], dns_first=True
-    )
-
-    sharded_sink = io.StringIO()
-    sharded = ShardedEngine(FlowDNSConfig(), sink=sharded_sink, num_shards=2)
-    sharded_report = sharded.run([list(dns)], [flow_items()], dns_first=True)
-
-    expected_flows = len(flows) + len(prebatched) + 2 * len(session_flows)
-    assert async_report.flow_records == expected_flows
-    assert sharded_report.flow_records == expected_flows
-    assert sharded_report.matched_flows == async_report.matched_flows
-    assert sharded_report.total_bytes == async_report.total_bytes
-    assert sharded_report.correlated_bytes == async_report.correlated_bytes
-    assert sharded_report.chain_lengths == async_report.chain_lengths
-    assert sharded_report.dns_records == async_report.dns_records
-
-    def rows(sink):
-        return sorted(line for line in sink.getvalue().splitlines()
+    def run(batch_size):
+        sink = io.StringIO()
+        config = FlowDNSConfig(
+            engine_batch_size=batch_size, memoize_cname_chains=False
+        )
+        report = AsyncEngine(config, sink=sink).run(
+            [list(dns)], [flow_items()], dns_first=True
+        )
+        rows = sorted(line for line in sink.getvalue().splitlines()
                       if line and not line.startswith("#"))
+        return report, rows
 
-    assert rows(async_sink) == rows(sharded_sink)
+    baseline_report, baseline_rows = run(FlowDNSConfig().engine_batch_size)
+    expected_flows = len(flows) + len(prebatched) + 2 * len(session_flows)
+    assert baseline_report.flow_records == expected_flows
+    for batch_size in (1, 7):
+        report, rows = run(batch_size)
+        assert report.flow_records == expected_flows
+        assert report.matched_flows == baseline_report.matched_flows
+        assert report.total_bytes == baseline_report.total_bytes
+        assert report.correlated_bytes == baseline_report.correlated_bytes
+        assert report.chain_lengths == baseline_report.chain_lengths
+        assert report.dns_records == baseline_report.dns_records
+        assert rows == baseline_rows

@@ -49,26 +49,14 @@ class TestDnsBatch:
         assert rec == DnsRecord(11.0, "b.example", RRType.CNAME, 90, "a.example")
         assert batch.to_records() == [batch.record(0), batch.record(1)]
 
-    def test_columns_round_trip_includes_counters(self):
-        batch = DnsBatch()
-        batch.append_row(1.0, "x.example", int(RRType.A), 5, "192.0.2.9")
-        batch.messages, batch.invalid, batch.unknown_records = 7, 2, 3
-        clone = DnsBatch.from_columns(batch.columns())
-        assert clone.to_records() == batch.to_records()
-        assert (clone.messages, clone.invalid, clone.unknown_records) == (7, 2, 3)
-
-    def test_extend_folds_counters_append_from_does_not(self):
+    def test_extend_folds_rows_and_counters(self):
         a, b = DnsBatch(), DnsBatch()
         a.messages, a.invalid, a.unknown_records = 1, 1, 0
         b.append_row(2.0, "y.example", int(RRType.A), 5, "192.0.2.8")
         b.messages, b.invalid, b.unknown_records = 4, 2, 5
         a.extend(b)
         assert (a.messages, a.invalid, a.unknown_records) == (5, 3, 5)
-        assert len(a) == 1
-        c = DnsBatch()
-        c.append_from(b, 0)  # row copy only: counters stay zero
-        assert len(c) == 1 and c.record(0) == b.record(0)
-        assert (c.messages, c.invalid, c.unknown_records) == (0, 0, 0)
+        assert len(a) == 1 and a.record(0) == b.record(0)
 
     def test_scalar_and_sequence_timestamps(self):
         wire = encode_message(_response(answers=[_a("svc.example", b"\n\x00\x00\x01")]))

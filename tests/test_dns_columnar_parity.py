@@ -13,10 +13,10 @@ size), populated authority/additional sections, error rcodes, query
 messages, truncation slices and single-byte corruption.
 
 Storage snapshots are compared minus ``saved_at`` — the only field of a
-dump that is wall-clock, not state. Engine-level legs pin both live
-engines (sharded with its flat-column DNS IPC, async) to identical
-output rows and reports whether it is fed the capture as ``(ts, wire)``
-tuples (columnar decode) or as the object filter's ``DnsRecord`` s.
+dump that is wall-clock, not state. Engine-level legs pin the async
+engine, under several batch layouts, to identical output rows and
+reports whether it is fed the capture as ``(ts, wire)`` tuples
+(columnar decode) or as the object filter's ``DnsRecord`` s.
 """
 
 import io
@@ -28,10 +28,9 @@ from hypothesis import strategies as st
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.pipeline import FillLane, dns_item_records
-from repro.core.sharded import ShardedEngine
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
-from repro.dns.columnar import DnsBatch, decode_fill_columns
+from repro.dns.columnar import decode_fill_columns
 from repro.dns.rr import RClass, RRType, ResourceRecord
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import (
@@ -317,16 +316,21 @@ def _rows(sink: io.StringIO):
     )
 
 
-def _run_one(engine_name: str, dns):
-    config = FlowDNSConfig()
-    flows = _golden_flows()
+#: Engine batch layouts: the default, one item per lane wake-up, and a
+#: size that splits every run of messages at an odd boundary.
+BATCH_SIZES = (FlowDNSConfig().engine_batch_size, 1, 7)
+
+
+def _run_one(batch_size: int, dns):
+    # Memoisation off: it rewrites chain interiors on a batch-layout-
+    # dependent schedule (tests/test_generated_differential.py).
+    config = FlowDNSConfig(
+        engine_batch_size=batch_size, memoize_cname_chains=False
+    )
     sink = io.StringIO()
-    if engine_name == "sharded":
-        engine = ShardedEngine(config, sink=sink, num_shards=2)
-        report = engine.run([dns], [flows], dns_first=True)
-    else:
-        report = AsyncEngine(config, sink=sink).run([dns], [flows],
-                                                    dns_first=True)
+    report = AsyncEngine(config, sink=sink).run(
+        [dns], [_golden_flows()], dns_first=True
+    )
     return report, _rows(sink)
 
 
@@ -337,38 +341,39 @@ COMPARABLE_FIELDS = (
     "total_bytes",
     "correlated_bytes",
     "chain_lengths",
+    "overwrites",
+    "final_map_entries",
+    "evictions",
 )
 
 
 def test_engines_agree_columnar_vs_reference():
     wires = _golden_dns_wires()
-    # The same capture, object-decoded up front: what the engines' fill
+    # The same capture, object-decoded up front: what the engine's fill
     # lanes see when a source hands them DnsRecord items. The invalid
     # messages never become items, so dns_invalid is held to the
     # filter's own count instead of the reference run's.
     dns_filter = FillUpProcessor(storage=None)
     records = [r for ts, wire in wires for r in dns_filter.filter_message(ts, wire)]
-    for engine_name in ("sharded", "async"):
-        ref_report, ref_rows = _run_one(engine_name, records)
-        col_report, col_rows = _run_one(engine_name, wires)
-        assert ref_rows, f"{engine_name}: golden corpus produced no rows"
+    baseline = None
+    for batch_size in BATCH_SIZES:
+        layout = f"batch size {batch_size}"
+        ref_report, ref_rows = _run_one(batch_size, records)
+        col_report, col_rows = _run_one(batch_size, wires)
+        assert ref_rows, f"{layout}: golden corpus produced no rows"
         assert col_rows == ref_rows, (
-            f"{engine_name}: columnar fill lane changed the output rows"
+            f"{layout}: columnar fill lane changed the output rows"
         )
         assert col_report.dns_invalid == dns_filter.stats.invalid == 3
         for fieldname in COMPARABLE_FIELDS:
             assert getattr(col_report, fieldname) == getattr(
                 ref_report, fieldname
-            ), f"{engine_name}: {fieldname} diverged with columnar fill"
-
-
-def test_batch_ipc_round_trip_preserves_rows_and_counters():
-    """The sharded engine's flat-column DNS IPC: columns() → from_columns()
-    is loss-free for rows and per-message accounting alike."""
-    payloads = [wire for _, wire in _golden_dns_wires()]
-    batch = decode_fill_columns(payloads, 42.0)
-    clone = DnsBatch.from_columns(batch.columns())
-    assert clone.to_records() == batch.to_records()
-    assert (clone.messages, clone.invalid, clone.unknown_records) == (
-        batch.messages, batch.invalid, batch.unknown_records
-    )
+            ), f"{layout}: {fieldname} diverged with columnar fill"
+        if baseline is None:
+            baseline = col_report, col_rows
+            continue
+        assert col_rows == baseline[1], f"{layout}: rows depend on batch layout"
+        for fieldname in COMPARABLE_FIELDS:
+            assert getattr(col_report, fieldname) == getattr(
+                baseline[0], fieldname
+            ), f"{layout}: {fieldname} depends on batch layout"

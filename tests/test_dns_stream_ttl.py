@@ -124,7 +124,7 @@ class TestTtlSummary:
         combined = combined_fraction_below(summary, 300)
         assert abs(combined - (3 + 1) / 8) < 1e-9
 
-    def test_empty_summary(self):
+    def test_summary_of_no_records(self):
         summary = summarize_ttls([])
         assert summary.counts == {}
         assert combined_fraction_below(summary, 100) == 0.0

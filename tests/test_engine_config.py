@@ -16,6 +16,7 @@ from repro.core.config import (
     EngineConfig,
     FlowDNSConfig,
 )
+from repro.core.variants import ENGINE_VARIANTS, engine_for
 from repro.util.errors import ConfigError
 
 
@@ -28,7 +29,6 @@ class TestOf:
     def test_none_gives_defaults(self):
         ec = EngineConfig.of(None)
         assert isinstance(ec.flowdns, FlowDNSConfig)
-        assert ec.shards is None
         assert ec.ingest_workers == 1
 
     def test_flowdns_config_is_wrapped(self):
@@ -37,7 +37,7 @@ class TestOf:
         assert ec.flowdns is fc
 
     def test_engine_config_passes_through(self):
-        ec = EngineConfig(shards=2)
+        ec = EngineConfig(ingest_workers=2)
         assert EngineConfig.of(ec) is ec
 
     def test_replace_returns_modified_copy(self):
@@ -47,7 +47,7 @@ class TestOf:
         assert ec.ingest_workers == 1
 
     @pytest.mark.parametrize("kw", [
-        {"shards": 0},
+        {"snapshot_interval": 0.0},
         {"stats_interval": -1.0},
         {"ingest_workers": 0},
         {"duration": -1.0},
@@ -60,16 +60,7 @@ class TestOf:
 
 
 class TestEnginesAcceptEngineConfig:
-    """Both live engine constructors take EngineConfig directly."""
-
-    def test_sharded_shards_come_from_config(self):
-        from repro.core.sharded import ShardedEngine
-
-        engine = ShardedEngine(EngineConfig(shards=3))
-        assert engine.num_shards == 3
-        # An explicit num_shards kwarg still wins over the config field.
-        engine = ShardedEngine(EngineConfig(shards=3), num_shards=2)
-        assert engine.num_shards == 2
+    """Engine constructors take EngineConfig directly."""
 
     def test_async(self):
         from repro.core.async_engine import AsyncEngine
@@ -79,12 +70,10 @@ class TestEnginesAcceptEngineConfig:
         assert engine.engine_config is ec
         assert engine.config.num_split == 5
 
-    @pytest.mark.parametrize("name", ["simulation", "sharded", "async"])
+    @pytest.mark.parametrize("name", ["simulation", "async"])
     def test_engine_for_normalises(self, name):
-        from repro.core.variants import engine_for
-
         engine = engine_for(name, config=EngineConfig(flowdns=FlowDNSConfig(
-            num_split=7), shards=1))
+            num_split=7)))
         assert engine.config.num_split == 7
 
     def test_bare_flowdns_config_still_works(self):
@@ -94,6 +83,22 @@ class TestEnginesAcceptEngineConfig:
         engine = AsyncEngine(fc)
         assert engine.config is fc
         assert engine.engine_config.flowdns is fc
+
+
+class TestEngineRegistry:
+    def test_registry_names(self):
+        assert set(ENGINE_VARIANTS) == {"simulation", "async"}
+
+    def test_engine_for_instantiates(self):
+        from repro.core.async_engine import AsyncEngine
+        from repro.core.simulation import SimulationEngine
+
+        assert isinstance(engine_for("simulation"), SimulationEngine)
+        assert isinstance(engine_for("async"), AsyncEngine)
+
+    def test_engine_for_unknown(self):
+        with pytest.raises(ValueError):
+            engine_for("quantum")
 
 
 class TestFromArgs:
@@ -117,20 +122,6 @@ class TestFromArgs:
             self._live_ns(scenario=None, seed=None), "capture"
         )
         assert ec.duration == 60.0
-
-    def test_shards_rejected_off_sharded_engine(self):
-        args = ns(engine="async", shards=2, num_split=10)
-        with pytest.raises(ConfigError, match="--shards only applies"):
-            EngineConfig.from_args(args, "replay")
-
-    def test_shards_accepted_on_sharded_engine(self):
-        args = ns(engine="sharded", shards=2, num_split=10)
-        assert EngineConfig.from_args(args, "replay").shards == 2
-
-    def test_shards_lower_bound(self):
-        args = ns(engine="sharded", shards=0, num_split=10)
-        with pytest.raises(ConfigError, match="at least 1"):
-            EngineConfig.from_args(args, "replay")
 
     def test_speed_requires_realtime_even_at_default_value(self):
         # Presence-based: --speed 1.0 without --realtime is still an

@@ -1,24 +1,25 @@
-"""Cross-engine differential harness over *generated* workloads.
+"""Batch-layout differential harness over *generated* workloads.
 
 The golden corpus (:mod:`tests.test_replay_differential`) pins the
-engines on hand-built scenarios of a few hundred flows; this suite runs
-the same contract at generated scale: three checked-in ``(seed, config)``
-points — ~10K flows each, regenerated into tmp on every run, never
-stored — must replay to identical sorted rows and merged stats through
-sharded and async, fault-free runs must satisfy every
-accounting invariant including the row-count check, and a deterministic
-fault leg must keep the books balanced while actually losing traffic.
+engine's layout independence on hand-built scenarios of a few hundred
+flows; this suite runs the same contract at generated scale: three
+checked-in ``(seed, config)`` points — ~10K flows each, regenerated
+into tmp on every run, never stored — must replay to identical sorted
+rows and stats under the default batch layout and at batch sizes 1 and
+7, fault-free runs must satisfy every accounting invariant including
+the row-count check, and a deterministic fault leg must keep the books
+balanced while actually losing traffic.
 
 One genuine behaviour this suite discovered and now pins: CNAME-chain
 *memoisation* (Algorithm 2 step 7) makes the reported chain text depend
-on batch and shard layout — once a multi-hop chain is memoised, later
-look-ups report the shortcut, and *when* that happens differs per
-engine. Endpoints, match outcomes, and every byte counter stay
-identical; only the chain interior varies. So the exact-rows contract
-is asserted with ``memoize_cname_chains=False``, and a dedicated test
-pins the memoised mode's guarantee: identical stats and identical rows
-modulo the chain interior. The golden corpus never caught it: no golden
-scenario walks a ≥2-CNAME chain twice.
+on batch layout — once a multi-hop chain is memoised, later look-ups
+report the shortcut, and *when* that happens differs per layout.
+Endpoints, match outcomes, and every byte counter stay identical; only
+the chain interior varies. So the exact-rows contract is asserted with
+``memoize_cname_chains=False``, and a dedicated test pins the memoised
+mode's guarantee: identical stats and identical rows modulo the chain
+interior. The golden corpus never caught it: no golden scenario walks
+a ≥2-CNAME chain twice.
 
 The sweep driver rides the same captures: its row list, bench-JSON
 landing, and CLI surface are covered here rather than in a separate
@@ -34,7 +35,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core.config import EngineConfig
 from repro.core.invariants import assert_invariants
-from repro.replay.runner import REPLAY_ENGINES, replay_capture
+from repro.replay.runner import replay_capture
 from repro.util.errors import ConfigError
 from repro.workloads.generator import GeneratorParams, WorkloadGenerator
 from repro.workloads.sweep import (
@@ -44,8 +45,8 @@ from repro.workloads.sweep import (
     sweep_points,
 )
 
-#: Report fields every engine must agree on, bit for bit (the same set
-#: the golden-corpus differential compares).
+#: Report fields every batch layout must agree on, bit for bit (the
+#: same set the golden-corpus differential compares).
 COMPARABLE_FIELDS = (
     "matched_flows",
     "flow_records",
@@ -54,7 +55,12 @@ COMPARABLE_FIELDS = (
     "correlated_bytes",
     "chain_lengths",
     "overwrites",
+    "final_map_entries",
+    "evictions",
 )
+
+#: The second legs: one item per lane wake-up, and an odd size.
+LAYOUT_BATCH_SIZES = (1, 7)
 
 #: The checked-in differential grid: seeds and configs live here in the
 #: repo, captures are regenerated per run (byte-identical every time —
@@ -93,24 +99,24 @@ def generated_captures(tmp_path_factory):
     return captures
 
 
-def _leg_config(engine, memoize=True, **overrides):
+def _leg_config(memoize=True, batch_size=None, **overrides):
     """A replay leg, optionally with CNAME-chain memoisation off (see
-    module docstring)."""
-    config = EngineConfig.for_replay_leg(engine, **overrides)
-    if memoize:
-        return config
-    flowdns = config.flowdns.replace(memoize_cname_chains=False)
-    return dataclasses.replace(config, flowdns=flowdns)
+    module docstring) and a non-default lane batch size."""
+    config = EngineConfig.for_replay_leg(**overrides)
+    changes = {}
+    if not memoize:
+        changes["memoize_cname_chains"] = False
+    if batch_size is not None:
+        changes["engine_batch_size"] = batch_size
+    return dataclasses.replace(config, flowdns=config.flowdns.replace(**changes))
 
 
-def _replay(capture, engine, config=None):
+def _replay(capture, config=None):
     sink = io.StringIO()
     report = replay_capture(
         capture,
-        engine=engine,
-        config=config if config is not None else _leg_config(engine),
+        config=config if config is not None else _leg_config(),
         sink=sink,
-        num_shards=2,
     )
     rows = sorted(
         line for line in sink.getvalue().splitlines()
@@ -132,49 +138,53 @@ class TestGeneratedDifferential:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CONFIGS))
     def test_engines_agree_and_invariants_hold(self, generated_captures, name):
         """The headline assertion at generated scale: identical sorted
-        rows and merged stats from both engines, and every report passes
-        the accounting invariants including row-count.
+        rows and stats under every batch layout, and every report
+        passes the accounting invariants including row-count.
 
         Memoisation is off here — it rewrites chain interiors on a
         batch-layout-dependent schedule (pinned separately below), and
         this test's contract is bit-identical output."""
         path, gen_report = generated_captures[name]
-        baseline, baseline_rows = _replay(
-            path, "async", _leg_config("async", memoize=False)
-        )
+        baseline, baseline_rows = _replay(path, _leg_config(memoize=False))
         assert_invariants(baseline, rows=len(baseline_rows))
         assert baseline.flow_records > 0
         assert baseline.matched_flows > 0
-        report, rows = _replay(path, "sharded", _leg_config("sharded", memoize=False))
-        assert rows == baseline_rows, "sharded rows diverged from async"
-        for field in COMPARABLE_FIELDS:
-            assert getattr(report, field) == getattr(baseline, field), (
-                f"sharded {field}: {getattr(report, field)!r} "
-                f"!= async {getattr(baseline, field)!r}"
+        for batch_size in LAYOUT_BATCH_SIZES:
+            report, rows = _replay(
+                path, _leg_config(memoize=False, batch_size=batch_size)
             )
-        assert_invariants(report, rows=len(rows))
+            assert rows == baseline_rows, (
+                f"batch size {batch_size} rows diverged from the default layout"
+            )
+            for field in COMPARABLE_FIELDS:
+                assert getattr(report, field) == getattr(baseline, field), (
+                    f"batch size {batch_size} {field}: "
+                    f"{getattr(report, field)!r} "
+                    f"!= default {getattr(baseline, field)!r}"
+                )
+            assert_invariants(report, rows=len(rows))
 
     def test_memoisation_rewrites_only_chain_interiors(self, generated_captures):
-        """With memoisation on (the default), engines may disagree on
-        *when* a multi-hop chain starts reporting its shortcut — but
+        """With memoisation on (the default), batch layouts may disagree
+        on *when* a multi-hop chain starts reporting its shortcut — but
         endpoints, match outcomes, and every byte counter must still be
         identical, and the divergence must actually exist (otherwise
         the exact-rows test above is testing nothing)."""
         path, _ = generated_captures["datamining-deep-chains"]
-        baseline, baseline_rows = _replay(path, "async")
+        baseline, baseline_rows = _replay(path)
         assert_invariants(baseline, rows=len(baseline_rows))
-        report, rows = _replay(path, "sharded")
+        report, rows = _replay(path, _leg_config(batch_size=1))
         assert [_strip_chain_interior(r) for r in rows] == [
             _strip_chain_interior(r) for r in baseline_rows
-        ], "sharded diverged beyond the chain interior"
+        ], "batch size 1 diverged beyond the chain interior"
         for field in COMPARABLE_FIELDS:
             if field == "chain_lengths":
                 continue  # memoised walks legitimately shorten
             assert getattr(report, field) == getattr(baseline, field), field
         assert_invariants(report, rows=len(rows))
         assert rows != baseline_rows, (
-            "sharded did not diverge under memoisation: deepen the config "
-            "or drop the memoize=False special-casing"
+            "batch size 1 did not diverge under memoisation: deepen the "
+            "config or drop the memoize=False special-casing"
         )
 
     def test_visibility_shapes_match_rate(self, generated_captures):
@@ -183,7 +193,7 @@ class TestGeneratedDifferential:
         has to discriminate, not just agree."""
         rates = {}
         for name, (path, _) in generated_captures.items():
-            report, _ = _replay(path, "async")
+            report, _ = _replay(path)
             rates[name] = report.matched_flows / report.flow_records
         assert rates["websearch-default"] > 0.95
         assert rates["v6-short-ttl"] > 0.95
@@ -191,25 +201,22 @@ class TestGeneratedDifferential:
         fully_visible = min(rates["websearch-default"], rates["v6-short-ttl"])
         assert rates["datamining-deep-chains"] < fully_visible - 0.05
 
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
-    def test_fault_leg_loses_traffic_but_keeps_the_books(
-        self, generated_captures, engine
-    ):
+    def test_fault_leg_loses_traffic_but_keeps_the_books(self, generated_captures):
         """lossy-udp at a fixed fault seed: flows are genuinely dropped
         (vs the fault-free baseline) yet the loss counters account for
-        every one of them — and the same (engine, seed) leg is
-        deterministic run over run."""
+        every one of them — and the same seeded leg is deterministic
+        run over run."""
         path, _ = generated_captures["websearch-default"]
-        clean, _ = _replay(path, engine)
-        config = _leg_config(engine, fault_profile="lossy-udp", fault_seed=99)
-        faulted, rows = _replay(path, engine, config)
+        clean, _ = _replay(path)
+        config = _leg_config(fault_profile="lossy-udp", fault_seed=99)
+        faulted, rows = _replay(path, config)
         assert_invariants(faulted)
         # Fault drops happen at the wire, upstream of the stream buffers
         # that overall_loss_rate measures — the observable is the record
         # count vs the clean leg. At ~10K flows, drop 0.08 / dup 0.04
         # on frames nets out to a real deficit.
         assert faulted.flow_records < clean.flow_records
-        again, rows_again = _replay(path, engine, config)
+        again, rows_again = _replay(path, config)
         assert rows_again == rows
         assert again.flow_records == faulted.flow_records
 
@@ -218,7 +225,6 @@ class TestSweepSpec:
     def test_points_are_the_cartesian_grid_in_stable_order(self):
         spec = SweepSpec(
             clients=(100, 200), zipf_alphas=(0.7, 1.1), chain_depths=(2,),
-            engines=("async",),
         )
         points = sweep_points(spec)
         assert [(p.clients, p.zipf_alpha, p.chain_depth) for p in points] == [
@@ -226,10 +232,10 @@ class TestSweepSpec:
         ]
 
     @pytest.mark.parametrize("kwargs,match", [
-        ({"engines": ()}, "empty"),
-        ({"engines": ("warp",)}, "unknown replay engine"),
-        ({"shards": 2, "engines": ("async",)}, "sharded"),
-        ({"engines": ("simulation",)}, "unknown replay engine"),
+        ({"fault_profiles": ()}, "empty"),
+        ({"clients": ()}, "empty"),
+        ({"zipf_alphas": ()}, "empty"),
+        ({"chain_depths": ()}, "empty"),
         ({"fault_seed": 3}, "fault profile"),
         ({"clients": (0,)}, "clients"),
     ])
@@ -237,27 +243,20 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match=match):
             SweepSpec(**kwargs)
 
-    def test_leg_config_scopes_knobs_to_their_engines(self):
-        spec = SweepSpec(
-            engines=("async", "sharded"), shards=3,
-            fault_profiles=(None, "lossy-udp"), fault_seed=7,
-        )
-        sharded = spec.leg_config("sharded", None)
-        assert sharded.shards == 3
-        faulted = spec.leg_config("async", "lossy-udp")
-        assert faulted.shards is None
+    def test_leg_config_scopes_the_seed_to_fault_legs(self):
+        spec = SweepSpec(fault_profiles=(None, "lossy-udp"), fault_seed=7)
+        faulted = spec.leg_config("lossy-udp")
         assert faulted.fault_profile == "lossy-udp"
         assert faulted.fault_seed == 7
-        baseline = spec.leg_config("async", None)
+        baseline = spec.leg_config(None)
         assert baseline.fault_profile is None
         assert baseline.fault_seed is None
 
 
 class TestRunSweep:
-    #: Small but real: 2 workload points x (2 engines x 2 fault legs).
+    #: Small but real: 2 workload points x 2 fault legs.
     SPEC = SweepSpec(
         clients=(300, 600),
-        engines=("sharded", "async"),
         fault_profiles=(None, "lossy-udp"),
         fault_seed=5,
         base=GeneratorParams(seed=109, duration=20.0),
@@ -270,17 +269,11 @@ class TestRunSweep:
             self.SPEC, str(tmp_path / "sweeps"),
             bench_path=str(bench), log=messages.append,
         )
-        assert len(rows) == 2 * 2 * 2
-        assert {(r["clients"], r["engine"], r["fault_profile"]) for r in rows} == {
-            (c, e, p)
-            for c in (300, 600)
-            for e in ("sharded", "async")
-            for p in ("none", "lossy-udp")
+        assert len(rows) == 2 * 2
+        assert {(r["clients"], r["fault_profile"]) for r in rows} == {
+            (c, p) for c in (300, 600) for p in ("none", "lossy-udp")
         }
-        baseline = {
-            (r["clients"], r["engine"]): r for r in rows
-            if r["fault_profile"] == "none"
-        }
+        baseline = {r["clients"]: r for r in rows if r["fault_profile"] == "none"}
         for row in rows:
             assert row["generated_flows"] > 0
             assert 0.0 <= row["match_rate"] <= 1.0
@@ -293,7 +286,7 @@ class TestRunSweep:
                 # count; on a small capture the *net* can even be a
                 # surplus (loss_rate clamps to 0), so the contract is
                 # "the faults visibly touched traffic", not "net loss".
-                twin = baseline[(row["clients"], row["engine"])]
+                twin = baseline[row["clients"]]
                 assert row["delivered_flows"] != twin["delivered_flows"]
         # Captures are deleted once their legs finish...
         assert list((tmp_path / "sweeps").glob("*.fdc")) == []
@@ -305,8 +298,7 @@ class TestRunSweep:
 
     def test_keep_captures_retains_the_grid(self, tmp_path):
         spec = SweepSpec(
-            clients=(200,), engines=("async",),
-            base=GeneratorParams(seed=113, duration=10.0),
+            clients=(200,), base=GeneratorParams(seed=113, duration=10.0),
         )
         run_sweep(
             spec, str(tmp_path), bench_path=str(tmp_path / "b.json"),
@@ -322,7 +314,7 @@ class TestSweepCli:
         bench = tmp_path / "bench.json"
         code = cli_main([
             "sweep", str(tmp_path / "out"),
-            "--clients", "250", "--engine", "async",
+            "--clients", "250",
             "--seed", "11", "--duration", "10",
             "--bench", str(bench),
         ])
@@ -331,7 +323,7 @@ class TestSweepCli:
         assert "match" in captured.out  # the summary table printed
         rows = json.loads(bench.read_text())[SWEEP_BENCH_KEY]
         assert len(rows) == 1
-        assert rows[0]["engine"] == "async"
+        assert rows[0]["fault_profile"] == "none"
         assert rows[0]["clients"] == 250
 
     def test_list_fault_profiles(self, capsys):
@@ -343,8 +335,6 @@ class TestSweepCli:
         assert "output directory" in capsys.readouterr().err
 
     def test_bad_axis_exits_2(self, tmp_path, capsys):
-        code = cli_main([
-            "sweep", str(tmp_path), "--shards", "2", "--engine", "async",
-        ])
+        code = cli_main(["sweep", str(tmp_path), "--clients", "0"])
         assert code == 2
-        assert "sharded" in capsys.readouterr().err
+        assert "clients" in capsys.readouterr().err

@@ -31,7 +31,6 @@ from repro.core.async_engine import AsyncEngine
 from repro.core.config import EngineConfig
 from repro.core.ingest import ReuseportUdpIngest
 from repro.core.metrics import IngestStats, merge_ingest_stats
-from repro.core.sharded import ShardedEngine
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
@@ -76,6 +75,33 @@ def _blast(datagrams, address, senders=8):
     finally:
         for sock in socks:
             sock.close()
+
+
+def _wait_for(predicate, what, timeout=15.0):
+    """Poll observable state under a deadline (no fixed sleeps)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
+
+
+def _start_run(source):
+    """``AsyncEngine.run`` over one live flow source, in a thread."""
+    engine = AsyncEngine(EngineConfig())
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.update(report=engine.run([[]], [source]))
+    )
+    thread.start()
+    return engine, thread, result
+
+
+def _stop_run(engine, thread, result):
+    """Graceful stop; the run must not hang. Returns its report."""
+    engine.request_stop()
+    thread.join(30.0)
+    assert not thread.is_alive(), "engine run hung after request_stop"
+    return result["report"]
 
 
 def _run_async_live(workers, datagrams, settle=0.6):
@@ -147,40 +173,6 @@ class TestReuseportParity:
         assert len(source._stats_parts) == 2
         assert source.ingest_stats.recv_buffer_bytes > 0
 
-    def test_sharded_engine_consumes_reuseport_source(self):
-        """The reuseport source's FlowBatch items ride the sharded
-        engine's flat-column IPC lane unchanged (smoke, 1 shard)."""
-        datagrams = _datagrams(count=30)
-        source = ReuseportUdpIngest(workers=1, batch_rows=32,
-                                    poll_interval=0.02)
-        sink = io.StringIO()
-        engine = ShardedEngine(EngineConfig(shards=1), sink=sink)
-        result = {}
-
-        def run():
-            result["report"] = engine.run(
-                [_dns_records()], [source], dns_first=True
-            )
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        try:
-            address = source.wait_ready(10.0)
-            _blast(datagrams, address, senders=2)
-            deadline = time.monotonic() + 10.0
-            while (source.ingest_stats.received < len(datagrams)
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            time.sleep(0.3)
-            source.request_stop()
-            thread.join(30.0)
-            assert not thread.is_alive()
-        finally:
-            source.close()
-        report = result["report"]
-        assert report.flow_records == len(datagrams) * 10
-        assert source.ingest_stats.received == len(datagrams)
-
 
 class TestWorkerDeath:
     def test_dead_worker_surfaces_warning_not_hang(self):
@@ -214,27 +206,25 @@ class TestWorkerDeath:
             report.warnings
         )
 
-    def test_all_workers_dead_ends_iteration(self):
-        """Unsupervised, even with every worker killed, iteration
-        terminates (with supervision the workers would respawn)."""
+    def test_all_workers_dead_run_still_stops(self):
+        """Unsupervised, even with every worker killed, the source's
+        drain ends and the run stops cleanly (with supervision the
+        workers would respawn)."""
         source = ReuseportUdpIngest(workers=2, poll_interval=0.02,
                                     supervise=False)
-        got = []
-
-        def run():
-            got.extend(source)
-
-        thread = threading.Thread(target=run)
-        thread.start()
+        engine, thread, result = _start_run(source)
         try:
             source.wait_ready(10.0)
             for process in source.processes:
                 os.kill(process.pid, signal.SIGKILL)
-            thread.join(30.0)
-            assert not thread.is_alive()
-            assert len(source.ingest_errors) == 2
+            _wait_for(lambda: len(source.ingest_errors) == 2,
+                      "both deaths reported")
+            report = _stop_run(engine, thread, result)
         finally:
             source.close()
+        assert sum("died" in warning for warning in report.warnings) == 2, (
+            report.warnings
+        )
 
 
 class TestSupervision:
@@ -247,59 +237,37 @@ class TestSupervision:
     to its surviving workers instead of burning CPU on respawn loops.
     """
 
-    def _iterate_in_thread(self, source):
-        got = []
-        thread = threading.Thread(target=lambda: got.extend(source))
-        thread.start()
-        return got, thread
-
     def test_sigkilled_worker_respawns_with_counter_continuity(self):
         first = _datagrams(count=30)
         second = _datagrams(count=30)
         source = ReuseportUdpIngest(workers=2, batch_rows=32,
                                     poll_interval=0.02,
                                     restart_backoff=0.05)
-        got, thread = self._iterate_in_thread(source)
+        engine, thread, result = _start_run(source)
         try:
             address = source.wait_ready(10.0)
             _blast(first, address)
-            deadline = time.monotonic() + 10.0
-            while (source.ingest_stats.received < len(first)
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            assert source.ingest_stats.received == len(first)
+            _wait_for(lambda: source.ingest_stats.received == len(first),
+                      "the first blast")
 
             victim_pid = source.processes[0].pid
             os.kill(victim_pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while source.restarts < 1 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert source.restarts >= 1, source.ingest_errors
+            _wait_for(lambda: source.restarts >= 1, "a respawn")
             # The slot was refilled by a *new* process, not abandoned.
-            deadline = time.monotonic() + 10.0
-            while (not source.processes[0].is_alive()
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            assert source.processes[0].is_alive()
+            _wait_for(lambda: source.processes[0].is_alive(),
+                      "the replacement worker")
             assert source.processes[0].pid != victim_pid
 
             _blast(second, address)
             expected = len(first) + len(second)
-            deadline = time.monotonic() + 10.0
-            while (source.ingest_stats.received < expected
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
             # Counter continuity: the merged view kept summing across the
             # generation boundary instead of resetting at the respawn.
-            assert source.ingest_stats.received == expected
-            source.request_stop()
-            thread.join(30.0)
-            assert not thread.is_alive()
+            _wait_for(lambda: source.ingest_stats.received == expected,
+                      "the second blast")
+            report = _stop_run(engine, thread, result)
         finally:
             source.close()
-        assert sum(len(batch) for batch in got) == (
-            (len(first) + len(second)) * 10
-        )
+        assert report.flow_records == (len(first) + len(second)) * 10
         assert any("respawning" in e for e in source.ingest_errors), (
             source.ingest_errors
         )
@@ -308,34 +276,32 @@ class TestSupervision:
         source = ReuseportUdpIngest(workers=2, poll_interval=0.02,
                                     max_restarts=1, restart_window=60.0,
                                     restart_backoff=0.05)
-        got, thread = self._iterate_in_thread(source)
+        engine, thread, result = _start_run(source)
         try:
             source.wait_ready(10.0)
-            for _round in range(2):  # budget is 1: second death abandons
-                victim = source.processes[0]
-                victim_pid = victim.pid
-                os.kill(victim_pid, signal.SIGKILL)
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    if 0 in source._abandoned:
-                        break
-                    if (source.processes[0].pid != victim_pid
-                            and source.processes[0].is_alive()):
-                        break
-                    time.sleep(0.02)
-            deadline = time.monotonic() + 10.0
-            while 0 not in source._abandoned and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert 0 in source._abandoned, source.ingest_errors
+            # First death: within the budget of 1, so the slot respawns.
+            victim_pid = source.processes[0].pid
+            os.kill(victim_pid, signal.SIGKILL)
+            _wait_for(
+                lambda: source.restarts == 1
+                and source.processes[0].pid != victim_pid
+                and source.processes[0].is_alive(),
+                "the first respawn",
+            )
+            # Second death: the budget is spent, so the slot is abandoned.
+            os.kill(source.processes[0].pid, signal.SIGKILL)
+            _wait_for(
+                lambda: any("abandoned" in e for e in source.ingest_errors),
+                "the slot to be abandoned",
+            )
             assert source.restarts == 1
             assert any("abandoned" in e and "surviving" in e
                        for e in source.ingest_errors), source.ingest_errors
             # The surviving worker still drains and stops cleanly.
-            source.request_stop()
-            thread.join(30.0)
-            assert not thread.is_alive()
+            report = _stop_run(engine, thread, result)
         finally:
             source.close()
+        assert any("abandoned" in w for w in report.warnings), report.warnings
 
 
 class TestConstructionAndStats:
@@ -370,19 +336,12 @@ class TestConstructionAndStats:
         """workers=1 must work even where SO_REUSEPORT is missing — it
         binds a plain socket (portability baseline)."""
         source = ReuseportUdpIngest(workers=1, poll_interval=0.02)
-        got = []
-        thread = threading.Thread(target=lambda: got.extend(source))
-        thread.start()
+        engine, thread, result = _start_run(source)
         try:
             address = source.wait_ready(10.0)
             _blast(_datagrams(count=5), address, senders=1)
-            deadline = time.monotonic() + 10.0
-            while (source.ingest_stats.received < 5
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
-            source.request_stop()
-            thread.join(15.0)
-            assert not thread.is_alive()
+            _wait_for(lambda: source.ingest_stats.received == 5, "the blast")
+            report = _stop_run(engine, thread, result)
         finally:
             source.close()
-        assert sum(len(batch) for batch in got) == 50
+        assert report.flow_records == 50

@@ -2,8 +2,8 @@
 
 Two layers: :func:`check_report` must flag every class of conservation
 break on hand-built reports, and — the baseline the chaos suite builds
-on — every golden capture through every engine *without* faults, plus a
-real loopback serve session, must come back invariant-clean.
+on — every golden capture replayed *without* faults, plus a real
+loopback serve session, must come back invariant-clean.
 """
 
 import io
@@ -29,7 +29,6 @@ from repro.netflow.exporter import FlowExporter
 from repro.netflow.records import FlowRecord
 from repro.netflow.udp import send_datagrams
 from repro.replay import SCENARIOS, replay_capture
-from repro.replay.runner import REPLAY_ENGINES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -79,11 +78,6 @@ class TestCheckReport:
     def test_eviction_bound_single_stack(self):
         report = _clean_report(dns_records=3, evictions=5)
         assert any("evictions" in v for v in check_report(report))
-
-    def test_eviction_bound_skipped_for_sharded(self):
-        report = _clean_report(dns_records=3, evictions=5)
-        report.variant_name = "sharded"
-        assert check_report(report) == []
 
     def test_row_count_mismatch_flagged(self):
         report = _clean_report(flow_records=4, matched_flows=0)
@@ -138,18 +132,13 @@ class TestDedupeWarnings:
 
 
 class TestCleanPathBaseline:
-    """Every golden capture × engine, no faults: invariant-clean."""
+    """Every golden capture, no faults: invariant-clean."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    @pytest.mark.parametrize("engine", REPLAY_ENGINES)
-    def test_golden_replay_is_invariant_clean(self, name, engine):
+    def test_golden_replay_is_invariant_clean(self, name):
         sink = io.StringIO()
         report = replay_capture(
-            str(GOLDEN_DIR / f"{name}.fdc"),
-            engine=engine,
-            config=FlowDNSConfig(),
-            sink=sink,
-            num_shards=2,
+            str(GOLDEN_DIR / f"{name}.fdc"), config=FlowDNSConfig(), sink=sink
         )
         rows = [
             line for line in sink.getvalue().splitlines()

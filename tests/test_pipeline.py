@@ -2,7 +2,7 @@
 
 The engines exercise the lanes end-to-end (and the parity suites pin
 them equal); these tests cover the runtime's pieces directly — item
-normalisation, exact-TTL fill semantics, summary merging, and
+normalisation, exact-TTL fill semantics, report assembly, and
 ingest-stat collection.
 """
 
@@ -19,10 +19,8 @@ from repro.core.pipeline import (
     buffer_loss_rate,
     collect_ingest,
     dns_item_records,
-    empty_summary,
     flow_items_to_batch,
-    merge_summaries,
-    stack_summary,
+    stack_report,
 )
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType, a_record
@@ -110,46 +108,28 @@ class TestLookupLane:
 
 
 class TestReportAssembly:
-    def test_merge_two_stacks(self):
+    def test_stack_report_sums_every_lane_processor(self):
+        """Two fill and two lookup lanes over one storage (two sources
+        per lane): lane counters sum, storage counters are counted once."""
         config = FlowDNSConfig()
-        summaries = []
-        for offset in (0, 10):
-            storage = DnsStorage(config)
-            fillup = FillUpProcessor(storage)
-            lookup = LookUpProcessor(storage, config)
+        storage = DnsStorage(config)
+        fillups = [FillUpProcessor(storage) for _ in range(2)]
+        lookups = [LookUpProcessor(storage, config) for _ in range(2)]
+        for offset, (fillup, lookup) in enumerate(zip(fillups, lookups)):
             fillup.process(_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}"))
             lookup.process(
                 FlowRecord(ts=2.0, src_ip=f"10.0.0.{offset + 1}",
                            dst_ip="100.64.0.1", bytes_=100)
             )
-            summaries.append(stack_summary([fillup], [lookup], storage, shard_id=offset))
-        report = merge_summaries(summaries, variant_name="x")
+        report = stack_report(fillups, lookups, storage, variant_name="x")
+        assert report.variant_name == "x"
         assert report.flow_records == 2
         assert report.matched_flows == 2
         assert report.dns_records == 2
         assert report.total_bytes == 200
+        assert report.correlated_bytes == 200
         assert report.chain_lengths == {1: 2}
-        assert report.final_map_entries == 2
-
-    def test_dns_override_and_broadcast_overwrites(self):
-        base = empty_summary(0, None)
-        base.update(records_in=5, overwrites=3)
-        other = empty_summary(1, None)
-        other.update(records_in=5, overwrites=3)
-        report = merge_summaries(
-            [base, other], variant_name="x",
-            dns_records=5, broadcast_overwrites=True,
-        )
-        assert report.dns_records == 5  # router-side count, not 10
-        assert report.overwrites == 3  # max, not sum
-
-    def test_empty_summary_shape_matches_stack_summary(self):
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        real = stack_summary(
-            [FillUpProcessor(storage)], [LookUpProcessor(storage, config)], storage
-        )
-        assert set(empty_summary(0, "boom")) == set(real)
+        assert report.final_map_entries == storage.total_entries() == 2
 
     def test_buffer_loss_rate(self):
         buffer = AsyncBuffer(2, name="small")
@@ -158,10 +138,12 @@ class TestReportAssembly:
         assert buffer_loss_rate([buffer]) == pytest.approx(3 / 5)
         assert buffer_loss_rate([]) == 0.0
 
-    def test_merge_no_summaries_yields_zero_report(self):
-        """An engine whose workers all died before reporting still merges
-        — to an all-zero report, not a crash on empty sums."""
-        report = merge_summaries([], variant_name="x")
+    def test_stack_report_with_no_processors(self):
+        """A run with no sources reports all zeros over empty processor
+        sequences, not a crash."""
+        config = FlowDNSConfig()
+        storage = DnsStorage(config)
+        report = stack_report([], [], storage, variant_name="x")
         assert report.flow_records == 0
         assert report.dns_records == 0
         assert report.matched_flows == 0
@@ -170,53 +152,6 @@ class TestReportAssembly:
         assert report.final_map_entries == 0
         assert report.overwrites == 0
         assert report.correlation_rate == 0.0
-
-    def test_merge_empty_broadcast_overwrites_default(self):
-        """broadcast_overwrites takes max() over no stacks: the explicit
-        default=0 guard, not a ValueError."""
-        report = merge_summaries([], variant_name="x", broadcast_overwrites=True)
-        assert report.overwrites == 0
-
-    def test_merge_all_dead_workers(self):
-        """Every shard reporting the synthetic empty_summary (worker died
-        mid-run) merges to zeros with the errors still visible per dict."""
-        summaries = [empty_summary(i, f"shard {i} died") for i in range(3)]
-        report = merge_summaries(summaries, variant_name="sharded")
-        assert report.flow_records == 0
-        assert report.matched_flows == 0
-        assert report.correlation_rate == 0.0
-        assert all(s["error"] for s in summaries)
-
-    def test_merge_mixed_dead_and_live_workers(self):
-        """One dead stack must not zero out the survivors' counters."""
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        fillup = FillUpProcessor(storage)
-        lookup = LookUpProcessor(storage, config)
-        fillup.process(_a(1.0, "live.example", "10.0.0.1"))
-        lookup.process(
-            FlowRecord(ts=2.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
-                       bytes_=100)
-        )
-        live = stack_summary([fillup], [lookup], storage, shard_id=0)
-        report = merge_summaries(
-            [live, empty_summary(1, "boom")], variant_name="sharded"
-        )
-        assert report.flow_records == 1
-        assert report.matched_flows == 1
-        assert report.dns_records == 1
-
-    def test_stack_summary_with_no_processors(self):
-        """A stack that never got a worker (empty source list) summarises
-        to zeros over empty processor sequences."""
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        summary = stack_summary([], [], storage)
-        assert summary["flows_in"] == 0
-        assert summary["records_in"] == 0
-        assert summary["chain_lengths"] == {}
-        report = merge_summaries([summary], variant_name="x")
-        assert report.flow_records == 0
 
 
 class TestCollectIngest:

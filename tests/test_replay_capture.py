@@ -405,9 +405,8 @@ class TestCaptureWriter:
         assert [f.payload for f in load_capture(path)] == [b"kept"]
 
     def test_concurrent_writers_interleave_whole_frames(self, tmp_path):
-        """Two threads tee into one writer (a UDP iterator in one of the
-        sharded engine's routing threads + a DNS tap); every frame must
-        land intact."""
+        """Two threads tee into one writer (a UDP iterator in a thread of
+        its own + a DNS tap); every frame must land intact."""
         path = str(tmp_path / "mt.fdc")
         writer = CaptureWriter(path)
 
@@ -454,28 +453,22 @@ class TestReplaySource:
         assert source.items_replayed == 2
         assert len(list(source)) == 2  # list re-iterates
 
+    @staticmethod
+    def _delays(source):
+        return [delay for delay, _item in source.paced()]
+
     def test_max_speed_never_sleeps(self):
-        sleeps = []
-        source = ReplaySource(self.FRAMES, LANE_FLOW, sleep=sleeps.append)
-        list(source)
-        assert sleeps == []
+        source = ReplaySource(self.FRAMES, LANE_FLOW)
+        assert self._delays(source) == [0.0, 0.0]
 
     def test_realtime_sleeps_out_recorded_gaps(self):
-        sleeps = []
-        source = ReplaySource(
-            self.FRAMES, LANE_FLOW, realtime=True, sleep=sleeps.append
-        )
-        list(source)
-        # First item yields immediately; then the 1.5→4.0 gap.
-        assert sleeps == [2.5]
+        source = ReplaySource(self.FRAMES, LANE_FLOW, realtime=True)
+        # First item is due immediately; then the 1.5→4.0 gap.
+        assert self._delays(source) == [0.0, 2.5]
 
     def test_realtime_speed_scales_gaps(self):
-        sleeps = []
-        source = ReplaySource(
-            self.FRAMES, LANE_FLOW, realtime=True, speed=2.0, sleep=sleeps.append
-        )
-        list(source)
-        assert sleeps == [1.25]
+        source = ReplaySource(self.FRAMES, LANE_FLOW, realtime=True, speed=2.0)
+        assert self._delays(source) == [0.0, 1.25]
 
     def test_realtime_negative_gap_clamped(self):
         """Mixed-clock captures can interleave non-monotonic stamps; a
@@ -485,15 +478,15 @@ class TestReplaySource:
             CaptureFrame(1.0, LANE_FLOW, b"early"),
             CaptureFrame(1.0, LANE_FLOW, b"same"),
         ]
-        sleeps = []
-        list(ReplaySource(frames, LANE_FLOW, realtime=True, sleep=sleeps.append))
-        assert sleeps == []
+        source = ReplaySource(frames, LANE_FLOW, realtime=True)
+        assert self._delays(source) == [0.0, 0.0, 0.0]
 
     def test_paced_pairs_carry_the_delays(self):
-        """paced() is the one pacing computation: iteration sleeps its
-        delays, the async pump awaits them."""
+        """paced() is the one pacing computation: the async pump awaits
+        its delays; plain iteration yields the same items unpaced."""
         realtime = ReplaySource(self.FRAMES, LANE_FLOW, realtime=True, speed=2.0)
         assert list(realtime.paced()) == [(0.0, b"f0"), (1.25, b"f1")]
+        assert list(realtime) == [b"f0", b"f1"]
         max_speed = ReplaySource(self.FRAMES, LANE_DNS)
         assert list(max_speed.paced()) == [(0.0, (1.0, b"d0")), (0.0, (2.0, b"d1"))]
 
@@ -572,7 +565,7 @@ class TestRealtimeAsyncReplay:
         for _ in range(5):
             sink = io.StringIO()
             report = replay_capture(
-                path, engine="async", config=config, sink=sink,
+                path, config=config, sink=sink,
                 realtime=True, speed=50.0,
             )
             rows = sum(

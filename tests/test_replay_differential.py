@@ -1,16 +1,17 @@
-"""The cross-engine differential harness over the golden capture corpus.
+"""The batch-layout differential harness over the golden capture corpus.
 
 The contract under test: identical wire bytes through identical
 DNS-before-flows ordering must produce *identical* sorted output rows
-and merged report stats from both live engines — shard processes or
-one asyncio loop. Each golden capture under
-``tests/data/golden/`` is one scenario from
+and report stats whatever the engine's batch layout — the default lane
+batch, one item per wake-up, or an odd size that splits every run.
+Output is a function of input, not of how the lanes happen to batch it.
+Each golden capture under ``tests/data/golden/`` is one scenario from
 :mod:`repro.replay.scenarios` at the golden seed; a parity break on any
-of them bisects straight to the engine that diverged.
+of them bisects straight to the layout that diverged.
 
-``final_map_entries`` is not compared: the sharded engine broadcasts
-CNAME records into every shard, so its resident-entry count is genuinely
-larger by design (same exclusion as ``tests/test_core_engine_sharded.py``).
+Both sides run with ``memoize_cname_chains=False``: memoisation
+rewrites chain interiors on a layout-dependent schedule (pinned in
+``tests/test_generated_differential.py``).
 
 The live round-trip test closes the loop the subsystem exists for: a
 capture teed off a real loopback session replays — offline, no sockets —
@@ -47,7 +48,7 @@ from repro.util.errors import ParseError
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
-#: Report fields every engine must agree on, bit for bit.
+#: Report fields every batch layout must agree on, bit for bit.
 COMPARABLE_FIELDS = (
     "matched_flows",
     "flow_records",
@@ -56,7 +57,12 @@ COMPARABLE_FIELDS = (
     "correlated_bytes",
     "chain_lengths",
     "overwrites",
+    "final_map_entries",
+    "evictions",
 )
+
+#: The second legs: one item per lane wake-up, and an odd size.
+LAYOUT_BATCH_SIZES = (1, 7)
 
 
 def golden_path(name: str) -> str:
@@ -69,32 +75,38 @@ def _rows(sink: io.StringIO):
     )
 
 
-def _replay(capture, engine: str, config=None):
+def _replay(capture, config=None):
     sink = io.StringIO()
     report = replay_capture(
         capture,
-        engine=engine,
         config=config if config is not None else FlowDNSConfig(),
         sink=sink,
-        num_shards=2,
     )
     return report, _rows(sink)
 
 
 def assert_differential(capture, config_factory=FlowDNSConfig):
-    """Both engines, identical rows + stats; returns the async baseline.
+    """Every batch layout, identical rows + stats; returns the
+    default-layout baseline.
 
-    ``config_factory`` builds a *fresh* config per engine run — engines
-    mutate nothing on it today, but the harness should not rely on that.
+    ``config_factory`` builds a *fresh* config per run — the engine
+    mutates nothing on it today, but the harness should not rely on that.
     """
-    baseline, baseline_rows = _replay(capture, "async", config_factory())
-    report, rows = _replay(capture, "sharded", config_factory())
-    assert rows == baseline_rows, "sharded rows diverged from async"
-    for field in COMPARABLE_FIELDS:
-        assert getattr(report, field) == getattr(baseline, field), (
-            f"sharded {field}: {getattr(report, field)!r} "
-            f"!= async {getattr(baseline, field)!r}"
+    def leg(**changes):
+        config = config_factory().replace(memoize_cname_chains=False, **changes)
+        return _replay(capture, config)
+
+    baseline, baseline_rows = leg()
+    for batch_size in LAYOUT_BATCH_SIZES:
+        report, rows = leg(engine_batch_size=batch_size)
+        assert rows == baseline_rows, (
+            f"batch size {batch_size} rows diverged from the default layout"
         )
+        for field in COMPARABLE_FIELDS:
+            assert getattr(report, field) == getattr(baseline, field), (
+                f"batch size {batch_size} {field}: {getattr(report, field)!r} "
+                f"!= default {getattr(baseline, field)!r}"
+            )
     return baseline, baseline_rows
 
 
@@ -109,7 +121,7 @@ class TestGoldenCorpus:
     def test_corpus_has_both_kinds_of_rows(self, name):
         """A scenario that matches everything (or nothing) cannot catch a
         correlation bug; the corpus must discriminate."""
-        report, rows = _replay(golden_path(name), "async")
+        report, rows = _replay(golden_path(name))
         assert report.flow_records > 0
         assert report.matched_flows > 0
         assert rows, "no output rows"
@@ -122,13 +134,13 @@ class TestGoldenCorpus:
 class TestDifferential:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_engines_agree_on_golden_capture(self, name):
-        """The headline assertion: sharded and async produce identical
-        sorted rows and merged stats on every golden capture."""
+        """The headline assertion: every batch layout produces identical
+        sorted rows and stats on every golden capture."""
         report, rows = assert_differential(golden_path(name))
         assert report.flow_records == len(rows)
 
     def test_exact_ttl_differential_and_discrimination(self):
-        """The exact-TTL variant agrees across engines too — and disagrees
+        """The exact-TTL variant agrees across layouts too — and disagrees
         with the default config, proving the scenario actually exercises
         the expiry boundary instead of being trivially all-matched."""
         path = golden_path("ttl-expiry")
@@ -141,7 +153,7 @@ class TestDifferential:
 
     def test_two_site_overwrite_semantics(self):
         """The paper's same-IP two-website scenario: the second site's A
-        record overwrites the first, and every engine counts it once."""
+        record overwrites the first, and every layout counts it once."""
         report, _ = assert_differential(golden_path("two-site"))
         assert report.overwrites == 1
 
@@ -152,18 +164,18 @@ class TestDifferential:
         from repro.replay import read_capture
 
         path = golden_path("two-site")
-        baseline, baseline_rows = _replay(path, "async")
-        report, rows = _replay(read_capture(path), "async")
+        baseline, baseline_rows = _replay(path)
+        report, rows = _replay(read_capture(path))
         assert rows == baseline_rows
         assert report.flow_records == baseline.flow_records
         assert report.dns_records == baseline.dns_records
 
     def test_replay_source_reiterates(self):
-        """One capture path replays through several engines in sequence —
-        the file-backed source re-reads lazily per run."""
+        """One capture path replays several times in sequence — the
+        file-backed source re-reads lazily per run."""
         path = golden_path("two-site")
-        first, first_rows = _replay(path, "async")
-        second, second_rows = _replay(path, "async")
+        first, first_rows = _replay(path)
+        second, second_rows = _replay(path)
         assert first_rows == second_rows
         assert first.matched_flows == second.matched_flows
 
@@ -173,24 +185,23 @@ class TestFailingCapture:
 
     def test_missing_file_fails_fast(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            replay_capture(str(tmp_path / "nope.fdc"), engine="async")
+            replay_capture(str(tmp_path / "nope.fdc"))
 
     def test_not_a_capture_fails_fast(self, tmp_path):
         path = tmp_path / "garbage.fdc"
         path.write_bytes(b"these are not the frames you are looking for")
         with pytest.raises(ParseError, match="magic"):
-            replay_capture(str(path), engine="async")
+            replay_capture(str(path))
 
-    @pytest.mark.parametrize("engine", ("sharded", "async"))
-    def test_truncated_capture_replays_head_and_warns(self, tmp_path, engine):
+    def test_truncated_capture_replays_head_and_warns(self, tmp_path):
         """A capture with a torn tail (killed recorder, full disk) still
         replays everything that framed cleanly — the run terminates, the
         report covers the head, and the failure lands in warnings."""
         golden = pathlib.Path(golden_path("two-site")).read_bytes()
         path = tmp_path / "torn.fdc"
         path.write_bytes(golden[:-7])
-        full_report, _ = _replay(golden_path("two-site"), engine)
-        report, rows = _replay(str(path), engine)
+        full_report, _ = _replay(golden_path("two-site"))
+        report, rows = _replay(str(path))
         # The torn frame is the last flow datagram: the head's flows all
         # correlate, nothing hangs, nothing is double-counted.
         assert 0 < report.flow_records < full_report.flow_records
@@ -275,7 +286,7 @@ class TestLiveRoundTrip:
     def test_live_capture_replays_to_identical_report(self, tmp_path):
         """A capture teed off a live loopback session replays (offline, no
         sockets) to the same report the live session produced — loss
-        counters included — and the same report from every other engine."""
+        counters included — and the same report under every batch layout."""
         wires = self._dns_wires()
         flows = self._flows()
         datagrams = list(FlowExporter(version=9, batch_size=16).export(flows))
@@ -296,7 +307,7 @@ class TestLiveRoundTrip:
         # records at identical timestamps.
         assert all(f.ts == self.CLOCK_TS for f in frames if f.lane == LANE_DNS)
 
-        replayed, _ = _replay(capture_path, "async")
+        replayed, _ = _replay(capture_path)
         for field in COMPARABLE_FIELDS:
             assert getattr(replayed, field) == getattr(live_report, field), field
         assert replayed.final_map_entries == live_report.final_map_entries
@@ -308,5 +319,5 @@ class TestLiveRoundTrip:
         assert live_report.overall_loss_rate == 0.0
         assert replayed.overall_loss_rate == 0.0
 
-        # And the capture is engine-portable like any golden scenario.
+        # And the capture is layout-independent like any golden scenario.
         assert_differential(capture_path)

@@ -100,8 +100,7 @@ class TestChurnSoak:
         assert report.final_map_entries > _BOUND
 
     def test_eviction_counter_reaches_the_report(self):
-        """Evictions surface on the summary dict path every engine uses
-        (plain-dict summaries cross IPC for the sharded engine)."""
+        """Evictions surface in the report, exactly the storage's count."""
         engine = AsyncEngine(_config(50))
         report = engine.run([_churn_records(1000)], [])
         assert report.evictions > 0
