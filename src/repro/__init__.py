@@ -40,7 +40,7 @@ from repro.core import (
 )
 from repro.dns import DnsRecord, DnsMessage, RRType, check_domain, is_valid_domain
 from repro.netflow import FlowCollector, FlowExporter, FlowRecord
-from repro.storage import ConcurrentMap, RotatingStore, StoreBank
+from repro.storage import RotatingStore, StoreBank
 from repro.workloads import large_isp, small_isp, two_site_capture
 from repro.bgp import PrefixTrie, Rib
 
@@ -69,7 +69,6 @@ __all__ = [
     "FlowRecord",
     "FlowCollector",
     "FlowExporter",
-    "ConcurrentMap",
     "RotatingStore",
     "StoreBank",
     "large_isp",

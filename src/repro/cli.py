@@ -149,7 +149,6 @@ def _add_correlate(subparsers) -> None:
     p.add_argument("--flows", required=True, help="flow records file (CSV or JSONL)")
     p.add_argument("--mapping", required=True, help="field-mapping JSON config")
     p.add_argument("--output", default="-", help="output TSV ('-' = stdout)")
-    p.add_argument("--num-split", type=int, default=10)
     p.add_argument(
         "--engine", choices=sorted(ENGINE_VARIANTS), default="simulation",
         help="engine variant: " + "; ".join(
@@ -240,7 +239,6 @@ def _add_live_options(p, default_duration: float) -> None:
     p.add_argument("--duration", type=float, default=None,
                    help="seconds to serve before draining "
                         f"(default: {default_duration:g}; 0 = until Ctrl-C)")
-    p.add_argument("--num-split", type=int, default=10)
 
 
 def _add_serve(subparsers) -> None:
@@ -275,9 +273,9 @@ def _add_serve(subparsers) -> None:
                    help="serve live Prometheus-style metrics over HTTP on "
                         "this port (0 = ephemeral; default: disabled)")
     p.add_argument("--max-entries", type=int, default=None,
-                   help="bound every storage map to this many entries, "
-                        "evicting oldest-first at overflow (default: 0 = "
-                        "unbounded)")
+                   help="bound each storage tier (3 per bank, 2 banks) to "
+                        "this many entries, evicting oldest-first at "
+                        "overflow (default: 0 = unbounded)")
     p.set_defaults(func=cmd_serve)
 
 
@@ -542,13 +540,12 @@ def _add_replay(subparsers) -> None:
                         "as fast; requires --realtime)")
     p.add_argument("--output", default="-",
                    help="output TSV ('-' = stdout)")
-    p.add_argument("--num-split", type=int, default=10)
     p.add_argument("--exact-ttl", action="store_true",
                    help="run the Appendix A.8 exact-TTL variant")
     p.add_argument("--max-entries", type=int, default=None,
-                   help="bound every storage map to this many entries, "
-                        "evicting oldest-first at overflow (default: 0 = "
-                        "unbounded)")
+                   help="bound each storage tier (3 per bank, 2 banks) to "
+                        "this many entries, evicting oldest-first at "
+                        "overflow (default: 0 = unbounded)")
     p.add_argument("--fault-profile", choices=sorted(FAULT_PROFILES),
                    default=None,
                    help="perturb the capture with this named fault profile "

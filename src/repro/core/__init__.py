@@ -26,7 +26,6 @@ from repro.core.flowdns import FlowDNS
 from repro.core.ingest import ReuseportUdpIngest
 from repro.core.monitor import render_report
 from repro.core.fillup import FillUpProcessor, FillUpStats
-from repro.core.labeler import ip_label, last_octet_label, name_label
 from repro.core.lookup import CorrelationResult, LookUpProcessor, LookUpStats
 from repro.core.metrics import (
     CostModel,
@@ -84,9 +83,6 @@ __all__ = [
     "FIGURE3_VARIANTS",
     "FIGURE7_VARIANTS",
     "config_for",
-    "ip_label",
-    "name_label",
-    "last_octet_label",
     "WriteWorker",
     "DiscardSink",
     "format_result",

@@ -74,7 +74,7 @@ from repro.core.pipeline import (
 )
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import DiscardSink, WriteWorker
-from repro.storage.snapshot import load_snapshot, save_snapshot
+from repro.storage.snapshot import load_snapshot, snapshot_document, write_snapshot
 from repro.dns.tcp import MAX_MESSAGE_SIZE, TcpFrameDecoder
 from repro.netflow.collector import FlowCollector
 from repro.netflow.udp import MAX_DATAGRAM, bind_udp_socket, set_recv_buffer
@@ -572,14 +572,25 @@ class AsyncEngine:
             )
 
     async def _write_snapshot(self, loop: asyncio.AbstractEventLoop, path: str) -> None:
-        """One crash-safe snapshot write, off-loop.
+        """One crash-safe snapshot write.
 
-        ``save_snapshot`` reads shard-consistent map snapshots and does
-        file I/O — both safe and desirable off the event loop, so the
-        executor hop keeps the lanes serving while the state is dumped.
+        The loop owns the store, so the tier dicts are copied here, on
+        the loop; only the encode and the file I/O run in the executor,
+        which keeps the lanes serving while the state is written.
         """
         try:
-            await loop.run_in_executor(None, save_snapshot, self.storage, path)
+            document = snapshot_document(self.storage)
+            write = loop.run_in_executor(None, write_snapshot, document, path)
+            try:
+                await asyncio.shield(write)
+            except asyncio.CancelledError:
+                # Teardown cancels the periodic task, then writes the
+                # final snapshot through the same temp file: let the
+                # write in flight finish first. Its failure, if any, is
+                # dropped: the final write reports its own.
+                await asyncio.wait([write])
+                write.exception()
+                raise
             self.snapshots_written += 1
             self._last_snapshot_monotonic = time.monotonic()
             self._snapshot_failed = False

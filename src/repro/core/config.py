@@ -53,6 +53,9 @@ class FlowDNSConfig:
     # --- Table 1 parameters -------------------------------------------------
     a_clear_up_interval: float = DEFAULT_A_CLEAR_UP_INTERVAL
     c_clear_up_interval: float = DEFAULT_C_CLEAR_UP_INTERVAL
+    #: Read only by :class:`repro.core.simulation.SimulationEngine`'s cost
+    #: model (with :attr:`split_enabled`): one thread owns the store, so
+    #: the maps themselves are not split.
     num_split: int = DEFAULT_NUM_SPLIT
     cname_loop_limit: int = DEFAULT_CNAME_LOOP_LIMIT
 
@@ -63,18 +66,17 @@ class FlowDNSConfig:
     long_enabled: bool = True
     exact_ttl: bool = False
     exact_ttl_sweep_interval: float = 60.0
-    #: Memory bound per constituent hashmap (each tier × split map of
-    #: each bank; each split map for exact-TTL). 0 = unbounded — the
-    #: paper's batch runs rely on clear-up alone, but a week-long
-    #: ``serve`` under CNAME churn needs the hard cap. Overflow evicts
-    #: oldest-inserted entries and counts into
+    #: Memory bound per hashmap: each of the three tiers of each bank, or
+    #: each bank's one map under exact-TTL. 0 = unbounded — the paper's
+    #: batch runs rely on clear-up alone, but a week-long ``serve`` under
+    #: CNAME churn needs the hard cap. Overflow evicts oldest-inserted
+    #: entries (exact FIFO) and counts into
     #: :attr:`repro.core.metrics.EngineReport.evictions`.
     max_entries_per_map: int = 0
 
     # --- engine knobs --------------------------------------------------------
     direction: FlowDirection = FlowDirection.SOURCE
     stream_buffer_capacity: int = 65536
-    map_shard_count: int = 32
     memoize_cname_chains: bool = True
     #: Records drained per lane wake-up on the batched fast path. Larger
     #: batches amortise per-wake-up overhead and deduplicate repeated
@@ -308,7 +310,6 @@ class EngineConfig:
         if max_entries is not None and max_entries < 0:
             raise ConfigError("--max-entries must be non-negative")
         flowdns = FlowDNSConfig(
-            num_split=getattr(args, "num_split", DEFAULT_NUM_SPLIT),
             exact_ttl=bool(getattr(args, "exact_ttl", False)),
             max_entries_per_map=max_entries if max_entries is not None else 0,
         )

@@ -73,7 +73,7 @@ class FillUpProcessor:
         return records
 
     def process(self, record: DnsRecord) -> bool:
-        """Steps 4–6: label and store one record; True when stored.
+        """Steps 4–6: store one record; True when stored.
 
         Only A/AAAA and CNAME records reach the hashmaps; anything else is
         skipped (the FillUp queue normally only carries the former).

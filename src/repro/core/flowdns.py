@@ -9,8 +9,9 @@ have their own event loop and just want the paper's core behaviour:
     result = fd.correlate(flow)          # CorrelationResult
     fd.service_of("10.1.2.3", now=ts)    # or just ask for an IP
 
-Thread-safe to the same degree the underlying storage is: concurrent
-``add_dns``/``correlate`` calls from different threads are fine.
+One thread owns the store: call ``add_dns``/``correlate`` from the
+thread that created the facade (or serialise the calls yourself). The
+storage is plain dicts with no locks.
 """
 
 from __future__ import annotations

@@ -6,8 +6,7 @@ records/s — three orders of magnitude beyond what pure Python sustains
 therefore split measurement into two layers:
 
 * **counters** — exact, measured on the events the engines actually
-  process: records, bytes, matches, map entries, rotations, sweep scans,
-  contended lock acquisitions;
+  process: records, bytes, matches, map entries, rotations, sweep scans;
 * **cost model** — converts those counters into paper-scale CPU-% and
   memory-GB figures via calibrated constants, so Figures 2 and 3 can be
   regenerated shape-faithfully.

@@ -106,8 +106,6 @@ def render_async_engine(engine, sources: Tuple = ()) -> str:
                 "IP-key overwrites (accuracy-relevant)")
     out.counter("storage_evictions", storage.evictions(),
                 "entries dropped by the max_entries memory bound")
-    out.counter("storage_lock_contention", storage.contended_acquisitions(),
-                "contended storage-lock acquisitions")
     for buffer in getattr(engine, "_buffers", ()):
         labels = {"stream": buffer.name}
         out.counter("stream_offered", buffer.stats.offered,

@@ -13,7 +13,6 @@ from itertools import compress
 from typing import Collection, Dict, Iterable, Optional
 
 from repro.core.config import FlowDNSConfig
-from repro.core.labeler import ip_label, name_label
 from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
@@ -29,17 +28,12 @@ class DnsStorage:
 
     def __init__(self, config: FlowDNSConfig):
         self.config = config
-        splits = config.effective_num_split
         if config.exact_ttl:
             self._ip_exact = ExactTtlStore(
-                num_splits=splits,
-                shard_count=config.map_shard_count,
                 sweep_interval=config.exact_ttl_sweep_interval,
                 max_entries=config.max_entries_per_map,
             )
             self._cname_exact = ExactTtlStore(
-                num_splits=splits,
-                shard_count=config.map_shard_count,
                 sweep_interval=config.exact_ttl_sweep_interval,
                 max_entries=config.max_entries_per_map,
             )
@@ -48,8 +42,6 @@ class DnsStorage:
         else:
             self._ip_bank = StoreBank(
                 clear_up_interval=config.a_clear_up_interval,
-                num_splits=splits,
-                shard_count=config.map_shard_count,
                 rotation_enabled=config.rotation_enabled,
                 clear_up_enabled=config.clear_up_enabled,
                 long_enabled=config.long_enabled,
@@ -57,8 +49,6 @@ class DnsStorage:
             )
             self._cname_bank = StoreBank(
                 clear_up_interval=config.c_clear_up_interval,
-                num_splits=splits,
-                shard_count=config.map_shard_count,
                 rotation_enabled=config.rotation_enabled,
                 clear_up_enabled=config.clear_up_enabled,
                 long_enabled=config.long_enabled,
@@ -67,7 +57,7 @@ class DnsStorage:
             self._ip_exact = None
             self._cname_exact = None
         # Whichever policy is in force: both stores take put and report
-        # entries, contention and evictions alike.
+        # entries and evictions alike.
         self._ip_store = self._ip_bank if self._ip_exact is None else self._ip_exact
         self._cname_store = self._cname_bank if self._cname_exact is None else self._cname_exact
 
@@ -76,13 +66,9 @@ class DnsStorage:
     def add_record(self, record: DnsRecord) -> None:
         """Insert one DNS stream record (Algorithm 1's body)."""
         if record.is_address:
-            self._ip_store.put(
-                ip_label(record.answer), record.answer, record.query, record.ttl, record.ts
-            )
+            self._ip_store.put(record.answer, record.query, record.ttl, record.ts)
         elif record.is_cname:
-            self._cname_store.put(
-                name_label(record.answer), record.answer, record.query, record.ttl, record.ts
-            )
+            self._cname_store.put(record.answer, record.query, record.ttl, record.ts)
         # Other record types were filtered before the FillUp queue.
 
     def add_many(self, records: Iterable[DnsRecord]) -> None:
@@ -101,9 +87,8 @@ class DnsStorage:
         A/AAAA or CNAME answer; the key is the answer text, the value
         the owner name. Address rows go to the IP-NAME store and CNAME
         rows to the NAME-CNAME store, each as parallel columns through
-        ``put_rows`` — one hash per key, written where it lands. Because
-        the decoder interned every name and IP text, the map keys share
-        objects with the reference path.
+        ``put_rows``. Because the decoder interned every name and IP
+        text, the map keys share objects with the reference path.
 
         Under exact-TTL the rows are instead walked in arrival order,
         one put then one :meth:`tick` each: the per-record store+sweep
@@ -115,9 +100,9 @@ class DnsStorage:
         if self._ip_exact is not None:
             for rtype, answer, name, ttl, ts in zip(rtypes, *columns):
                 if rtype == _CNAME_TYPE:
-                    self._cname_exact.put(name_label(answer), answer, name, ttl, ts)
+                    self._cname_exact.put(answer, name, ttl, ts)
                 else:
-                    self._ip_exact.put(ip_label(answer), answer, name, ttl, ts)
+                    self._ip_exact.put(answer, name, ttl, ts)
                 self.tick(ts)
             return
         if _CNAME_TYPE not in rtypes:
@@ -151,20 +136,20 @@ class DnsStorage:
     def lookup_ip(self, ip_text: str, now: float) -> Optional[str]:
         """IP → queried name (first stage of Algorithm 2)."""
         if self._ip_exact is not None:
-            return self._ip_exact.lookup(ip_label(ip_text), ip_text, now)
+            return self._ip_exact.lookup(ip_text, now)
         return self._ip_bank.lookup(ip_text)
 
     def lookup_cname(self, name: str, now: float) -> Optional[str]:
         """Name → the name that aliased to it (one CNAME chain step)."""
         if self._cname_exact is not None:
-            return self._cname_exact.lookup(name_label(name), name, now)
+            return self._cname_exact.lookup(name, now)
         return self._cname_bank.lookup(name)
 
     def memoize_chain(self, name: str, final: str) -> None:
         """Step 7: cache a multi-hop chain result for later lookups."""
         if self._cname_exact is not None:
             return  # the exact-TTL variant has no safe TTL for a synthetic entry
-        self._cname_bank.put_active(name_label(name), name, final)
+        self._cname_bank.put_active(name, final)
 
     # --- maintenance ------------------------------------------------------------
 
@@ -193,12 +178,6 @@ class DnsStorage:
             "ip_name": self._ip_store.entry_counts(),
             "name_cname": self._cname_store.entry_counts(),
         }
-
-    def contended_acquisitions(self) -> int:
-        return (
-            self._ip_store.contended_acquisitions()
-            + self._cname_store.contended_acquisitions()
-        )
 
     def evictions(self) -> int:
         """Entries dropped by the max_entries memory bound, both banks."""

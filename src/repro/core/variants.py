@@ -4,7 +4,9 @@ Each variant removes exactly one technique from the fully featured
 system:
 
 * **Main** — everything on (the deployed configuration);
-* **No Split** — hashmaps (and queues) are not divided into splits;
+* **No Split** — hashmaps (and queues) are not divided into splits.
+  This reproduction's store is never split (one thread owns it), so the
+  variant differs from Main only in the simulation's cost model;
 * **No Clear-Up** — hashmaps are kept in memory forever;
 * **No Rotation** — hashmaps are cleared, but no Inactive copy is kept;
 * **No Long Hashmaps** — large-TTL records land in Active like the rest;

@@ -1,21 +1,21 @@
 """Storage substrate: the hashmaps at the heart of FlowDNS.
 
-* :class:`ConcurrentMap` — a lock-sharded hashmap modelled on the Go
-  ``concurrent-map`` module the paper uses ("which allows for
-  high-performance concurrent reads and writes by sharding the map");
 * :class:`RotatingStore` — the Active / Inactive / Long triple with
   buffer rotation and clear-up (Section 3.1, Table 1);
 * :class:`ExactTtlStore` — the per-record TTL-expiry store the paper
   rejects in Appendix A.8, kept here so the A.8 experiment can be run.
+
+The paper shards its maps over locks so that many Go workers can write
+at once. Here one thread — the engine's event loop — owns the store, so
+every tier is one plain dict; a snapshot copies the tiers on that thread
+before anything else touches them.
 """
 
-from repro.storage.concurrent_map import ConcurrentMap
 from repro.storage.rotating import RotatingStore, RotatingStoreStats, StoreBank
 from repro.storage.exact_ttl import ExactTtlStore
 from repro.storage.snapshot import dump_storage, load_storage
 
 __all__ = [
-    "ConcurrentMap",
     "RotatingStore",
     "RotatingStoreStats",
     "StoreBank",

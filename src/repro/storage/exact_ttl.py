@@ -13,9 +13,9 @@ charged to the CPU budget, starving the ingest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.storage.concurrent_map import DEFAULT_SHARD_COUNT, ConcurrentMap
+from repro.storage.rotating import trim_oldest
 from repro.util.errors import ConfigError
 
 
@@ -34,49 +34,30 @@ class ExactTtlStats:
 
 
 class ExactTtlStore:
-    """Map of key → (value, expiry_ts) with exact expiry semantics."""
+    """One dict of key → (value, expiry_ts) with exact expiry semantics."""
 
-    def __init__(
-        self,
-        num_splits: int = 1,
-        shard_count: int = DEFAULT_SHARD_COUNT,
-        sweep_interval: float = 60.0,
-        max_entries: int = 0,
-    ):
-        if num_splits <= 0:
-            raise ConfigError("num_splits must be positive")
+    def __init__(self, sweep_interval: float = 60.0, max_entries: int = 0):
         if sweep_interval <= 0:
             raise ConfigError("sweep_interval must be positive")
         if max_entries < 0:
             raise ConfigError("max_entries must be non-negative")
-        self.num_splits = num_splits
         self.sweep_interval = float(sweep_interval)
-        #: Memory bound per split map; 0 = unbounded. Exact-TTL's sweeps
+        #: Memory bound on the map; 0 = unbounded. Exact-TTL's sweeps
         #: only remove *expired* entries — under churn the live set alone
         #: can grow without bound, so the service cap applies here too.
         self.max_entries = max_entries
         self.stats = ExactTtlStats()
-        self._maps = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
+        self.entries: Dict[str, Tuple[str, float]] = {}
         self._last_sweep_ts: Optional[float] = None
 
-    def _split(self, label: int) -> int:
-        return label % self.num_splits
-
-    def put(self, label: int, key: str, value: str, ttl: float, ts: float) -> None:
+    def put(self, key: str, value: str, ttl: float, ts: float) -> None:
         """Store a record that will expire at ``ts + ttl``."""
-        target = self._maps[self._split(label)]
-        target.set(key, (value, ts + ttl))
+        self.entries[key] = (value, ts + ttl)
         self.stats.puts += 1
         if self.max_entries:
-            self._enforce_cap(target)
+            self.stats.evictions += trim_oldest(self.entries, self.max_entries)
 
-    def _enforce_cap(self, cmap: ConcurrentMap) -> None:
-        """Trim one split map back to ``max_entries``, oldest first."""
-        overflow = len(cmap) - self.max_entries
-        if overflow > 0:
-            self.stats.evictions += cmap.evict_oldest(overflow)
-
-    def lookup(self, label: int, key: str, now: float) -> Optional[str]:
+    def lookup(self, key: str, now: float) -> Optional[str]:
         """Return the value only while the record's own TTL is live.
 
         The correlation condition is the paper's A.8 inequality
@@ -84,13 +65,13 @@ class ExactTtlStore:
         usable until it expires). Expired entries found on the read path
         are removed eagerly.
         """
-        entry = self._maps[self._split(label)].get(key)
+        entry = self.entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
         value, expiry = entry
         if expiry < now:
-            self._maps[self._split(label)].pop(key)
+            del self.entries[key]
             self.stats.expired_on_read += 1
             self.stats.misses += 1
             return None
@@ -114,27 +95,20 @@ class ExactTtlStore:
 
     def sweep(self, now: float) -> int:
         """Walk every entry, dropping expired ones; returns entries scanned."""
-        scanned = 0
-        for cmap in self._maps:
-            snapshot = cmap.snapshot()
-            scanned += len(snapshot)
-            for key, (_value, expiry) in snapshot.items():
-                if expiry < now:
-                    cmap.pop(key)
-                    self.stats.swept_entries += 1
+        scanned = len(self.entries)
+        expired = [key for key, (_value, expiry) in self.entries.items() if expiry < now]
+        for key in expired:
+            del self.entries[key]
+        self.stats.swept_entries += len(expired)
         self.stats.sweeps += 1
         self.stats.sweep_scanned += scanned
         if self.max_entries:
-            for cmap in self._maps:
-                self._enforce_cap(cmap)
+            self.stats.evictions += trim_oldest(self.entries, self.max_entries)
         return scanned
 
     def total_entries(self) -> int:
-        return sum(len(m) for m in self._maps)
+        return len(self.entries)
 
     def entry_counts(self) -> Dict[str, int]:
         """Shape-compatible with StoreBank.entry_counts for the mem model."""
         return {"active": self.total_entries(), "inactive": 0, "long": 0}
-
-    def contended_acquisitions(self) -> int:
-        return sum(m.contended_acquisitions for m in self._maps)

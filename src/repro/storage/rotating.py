@@ -5,7 +5,7 @@ collapses under contention) and cannot keep them forever (memory). Its
 answer is a three-tier store:
 
 * **Active** — where new records with TTL below the clear-up interval go;
-* **Inactive** — a copy of the previous Active generation, made at each
+* **Inactive** — the previous Active generation, handed over at each
   clear-up ("buffer rotation"), so lookups shortly after a clear-up still
   hit recently-seen records;
 * **Long** — records whose TTL is at least the clear-up interval; never
@@ -14,29 +14,41 @@ answer is a three-tier store:
 Lookups walk Active → Inactive → Long (Algorithm 2's ``deepLookUp``).
 
 One :class:`StoreBank` implements the triple for one record family
-(IP-NAME or NAME-CNAME) across ``num_splits`` label splits. Ablation flags
-(``rotation_enabled``, ``clear_up_enabled``, ``long_enabled``) turn the
-bank into the paper's *No Rotation* / *No Clear-Up* / *No Long Hashmaps*
-variants without code duplication.
+(IP-NAME or NAME-CNAME) as three plain dicts. The paper splits and
+lock-shards its maps so that many Go workers can write at once; here one
+thread (the engine's event loop) owns the store, so a tier is one dict
+keyed by Python's own string hash. Ablation flags (``rotation_enabled``,
+``clear_up_enabled``, ``long_enabled``) turn the bank into the paper's
+*No Rotation* / *No Clear-Up* / *No Long Hashmaps* variants without code
+duplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Collection, Dict, Optional, Sequence, Tuple
 
-from repro.storage.concurrent_map import (
-    DEFAULT_SHARD_COUNT,
-    ConcurrentMap,
-    CountingLock,
-    key_hash,
-    key_hashes,
-)
 from repro.util.errors import ConfigError
 
 #: A timestamp distance no record reaches: "never due", "never long".
 _NEVER = float("inf")
+
+
+def trim_oldest(entries: Dict, cap: int) -> int:
+    """Drop the oldest-inserted keys of ``entries`` until at most ``cap``
+    remain; returns how many were dropped.
+
+    A dict keeps insertion order (an overwrite keeps the key's place), so
+    this is exact FIFO — the memory-bound primitive, not a cache policy.
+    """
+    overflow = len(entries) - cap
+    if overflow <= 0:
+        return 0
+    for key in list(islice(entries, overflow)):
+        del entries[key]
+    return overflow
 
 
 class Tier(Enum):
@@ -74,22 +86,18 @@ class RotatingStoreStats:
 
 
 class StoreBank:
-    """Active/Inactive/Long hashmap triple over ``num_splits`` splits.
+    """Active/Inactive/Long hashmap triple: the dicts :attr:`active`,
+    :attr:`inactive` and :attr:`long`.
 
     :meth:`put_rows`, :meth:`lookup` and :meth:`lookup_many` are the
-    production path: one :func:`~repro.storage.concurrent_map.key_hash`
-    per key, split and shard taken from it, the row written to (or probed
-    in) that shard dict directly. :meth:`put` / :meth:`deep_lookup` /
-    :meth:`put_active` are Algorithm 1/2 one record at a time with the
-    label passed in — the reference the batched path is tested against.
-    They agree whenever the label is the key's hash.
+    production path. :meth:`put` / :meth:`deep_lookup` /
+    :meth:`put_active` are Algorithm 1/2 one record at a time — the
+    reference the batched path is tested against.
     """
 
     def __init__(
         self,
         clear_up_interval: float,
-        num_splits: int = 1,
-        shard_count: int = DEFAULT_SHARD_COUNT,
         rotation_enabled: bool = True,
         clear_up_enabled: bool = True,
         long_enabled: bool = True,
@@ -98,16 +106,12 @@ class StoreBank:
     ):
         if clear_up_interval <= 0:
             raise ConfigError("clear_up_interval must be positive")
-        if num_splits <= 0:
-            raise ConfigError("num_splits must be positive")
         if max_entries < 0:
             raise ConfigError("max_entries must be non-negative")
         self.clear_up_interval = float(clear_up_interval)
-        self.num_splits = num_splits
-        self.shard_count = shard_count
-        #: Memory bound per constituent hashmap (each tier × split map);
-        #: 0 = unbounded (the paper's deployment relies on clear-up alone,
-        #: but a week-long service under CNAME churn needs a hard cap).
+        #: Memory bound per tier; 0 = unbounded (the paper's deployment
+        #: relies on clear-up alone, but a week-long service under CNAME
+        #: churn needs a hard cap).
         self.max_entries = max_entries
         self.rotation_enabled = rotation_enabled
         self.clear_up_enabled = clear_up_enabled
@@ -116,42 +120,33 @@ class StoreBank:
         # k > 0 = cleared on every k-th clear-up round.
         self.long_clear_every = long_clear_every
         self.stats = RotatingStoreStats()
-        # The split spends the hash's low digit; each map shards on the next.
-        self._active = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
-        self._inactive = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
-        self._long = [ConcurrentMap(shard_count, num_splits) for _ in range(num_splits)]
+        #: The tiers. A clear-up rebinds them, so hold a tier only
+        #: between clear-ups.
+        self.active: Dict[str, str] = {}
+        self.inactive: Dict[str, str] = {}
+        self.long: Dict[str, str] = {}
         self._last_clear_ts: Optional[float] = None
         self._clear_rounds = 0
-        #: Held around every compound mutation (a fill segment, a rotation,
-        #: a cap trim) so the direct writer, which takes no shard locks,
-        #: never runs under another worker's eviction scan or rotation.
-        self._lock = CountingLock()
 
-    def _split(self, label: int) -> int:
-        return label % self.num_splits
-
-    def put(self, label: int, key: str, value: str, ttl: float, ts: float) -> None:
+    def put(self, key: str, value: str, ttl: float, ts: float) -> None:
         """Insert one record, running the clear-up check first (Algorithm 1).
 
         The clear-up clock is driven by *record timestamps*, not wall time,
         so offline replays behave identically to live operation.
         """
-        with self._lock:
-            self._clear_up_locked(ts)
-            n = self._split(label)
-            goes_long = self.long_enabled and ttl >= self.clear_up_interval
-            target = self._long[n] if goes_long else self._active[n]
-            previous = target.get(key)
-            if previous is not None and previous != value:
-                # Same key, new name: the overwrite the paper's accuracy
-                # analysis quantifies (multiple domains on one IP).
-                self.stats.overwrites += 1
-            target.set(key, value)
-            self.stats.puts += 1
-            if goes_long:
-                self.stats.puts_long += 1
-            if self.max_entries:
-                self._enforce_cap(target)
+        self.maybe_clear_up(ts)
+        goes_long = self.long_enabled and ttl >= self.clear_up_interval
+        target = self.long if goes_long else self.active
+        if target.get(key, value) != value:
+            # Same key, new name: the overwrite the paper's accuracy
+            # analysis quantifies (multiple domains on one IP).
+            self.stats.overwrites += 1
+        target[key] = value
+        self.stats.puts += 1
+        if goes_long:
+            self.stats.puts_long += 1
+        if self.max_entries:
+            self.stats.evictions += trim_oldest(target, self.max_entries)
 
     def put_rows(
         self,
@@ -162,85 +157,67 @@ class StoreBank:
     ) -> None:
         """Insert parallel key/value/ttl/ts columns: batched Algorithm 1.
 
-        One pass, one hash per row: a rotation runs at exactly the row
-        where per-record :meth:`put` would run it, and each row is
-        compared and stored in its shard dict (last write wins per key).
-        ``max_entries`` is enforced where a rotation-free run of rows
-        ends: before each rotation and after the last row.
+        One pass: a rotation runs at exactly the row where per-record
+        :meth:`put` would run it, and each row is compared and stored in
+        its tier (last write wins per key). ``max_entries`` is enforced
+        where a rotation-free run of rows ends: before each rotation and
+        after the last row.
         """
-        splits = self.num_splits
-        shard_count = self.shard_count
         interval = self.clear_up_interval
         long_floor = interval if self.long_enabled else _NEVER
-        active = [cmap.shards for cmap in self._active]
-        long_ = [cmap.shards for cmap in self._long]
+        active, long_ = self.active, self.long
         puts_long = overwrites = 0
-        with self._lock:
-            # ``ts - last >= interval`` is Algorithm 1's test. No clock yet
-            # (first record ever) reads as due, and _clear_up_locked starts
-            # the clock there; with clear-up off nothing is ever due.
-            last = self._last_clear_ts if self.clear_up_enabled else _NEVER
-            if last is None:
-                last = -_NEVER
-            for h, key, value, ttl, ts in zip(key_hashes(keys), keys, values, ttls, stamps):
-                if ts - last >= interval:
-                    self._enforce_caps()
-                    self._clear_up_locked(ts)
-                    last = self._last_clear_ts
-                if ttl >= long_floor:
-                    shard = long_[h % splits][h // splits % shard_count]
-                    puts_long += 1
-                else:
-                    shard = active[h % splits][h // splits % shard_count]
-                previous = shard.get(key)
-                if previous is not None and previous != value:
-                    overwrites += 1
-                shard[key] = value
-            self._enforce_caps()
-            self.stats.puts += len(keys)
-            self.stats.puts_long += puts_long
-            self.stats.overwrites += overwrites
-
-    def _enforce_cap(self, cmap: ConcurrentMap) -> None:
-        """Trim one constituent map back to ``max_entries``, oldest first."""
-        overflow = len(cmap) - self.max_entries
-        if overflow > 0:
-            self.stats.evictions += cmap.evict_oldest(overflow)
+        # ``ts - last >= interval`` is Algorithm 1's test. No clock yet
+        # (first record ever) reads as due, and maybe_clear_up starts the
+        # clock there; with clear-up off nothing is ever due.
+        last = self._last_clear_ts if self.clear_up_enabled else _NEVER
+        if last is None:
+            last = -_NEVER
+        for key, value, ttl, ts in zip(keys, values, ttls, stamps):
+            if ts - last >= interval:
+                self._enforce_caps()
+                self.maybe_clear_up(ts)
+                last = self._last_clear_ts
+                active, long_ = self.active, self.long
+            if ttl >= long_floor:
+                target = long_
+                puts_long += 1
+            else:
+                target = active
+            if target.get(key, value) != value:
+                overwrites += 1
+            target[key] = value
+        self._enforce_caps()
+        self.stats.puts += len(keys)
+        self.stats.puts_long += puts_long
+        self.stats.overwrites += overwrites
 
     def _enforce_caps(self) -> None:
-        """Trim the maps fills write to; the caller holds the bank lock."""
+        """Trim every tier back to ``max_entries``, oldest first."""
         if self.max_entries:
-            for cmap in self._active:
-                self._enforce_cap(cmap)
-            for cmap in self._long:
-                self._enforce_cap(cmap)
+            for tier in (self.active, self.inactive, self.long):
+                self.stats.evictions += trim_oldest(tier, self.max_entries)
 
-    def _probe(self, n: int, idx: int, key: str) -> Tuple[Optional[str], Optional[Tier]]:
-        """Algorithm 2's deepLookUp in one (split, shard) cell."""
-        value = self._active[n].shards[idx].get(key)
+    def deep_lookup(self, key: str) -> Tuple[Optional[str], Optional[Tier]]:
+        """Algorithm 2's deepLookUp: Active, then Inactive, then Long."""
+        value = self.active.get(key)
         if value is not None:
             self.stats.hits[Tier.ACTIVE.value] += 1
             return value, Tier.ACTIVE
-        value = self._inactive[n].shards[idx].get(key)
+        value = self.inactive.get(key)
         if value is not None:
             self.stats.hits[Tier.INACTIVE.value] += 1
             return value, Tier.INACTIVE
-        value = self._long[n].shards[idx].get(key)
+        value = self.long.get(key)
         if value is not None:
             self.stats.hits[Tier.LONG.value] += 1
             return value, Tier.LONG
         self.stats.misses += 1
         return None, None
 
-    def deep_lookup(self, label: int, key: str) -> Tuple[Optional[str], Optional[Tier]]:
-        """Algorithm 2's deepLookUp: Active, then Inactive, then Long."""
-        h = key_hash(key)
-        return self._probe(self._split(label), h // self.num_splits % self.shard_count, key)
-
     def lookup(self, key: str) -> Optional[str]:
-        """:meth:`deep_lookup` with the key's own hash as its label."""
-        h = key_hash(key)
-        return self._probe(h % self.num_splits, h // self.num_splits % self.shard_count, key)[0]
+        """:meth:`deep_lookup`'s value alone."""
+        return self.deep_lookup(key)[0]
 
     def lookup_many(self, keys: Collection[str]) -> Dict[str, str]:
         """Batched :meth:`lookup` over unique keys.
@@ -248,23 +225,17 @@ class StoreBank:
         Returns ``{key: value}`` for the hits; missing keys are absent.
         Tier hit counters are updated in bulk.
         """
-        splits = self.num_splits
-        shard_count = self.shard_count
-        active = [cmap.shards for cmap in self._active]
-        inactive = [cmap.shards for cmap in self._inactive]
-        long_ = [cmap.shards for cmap in self._long]
+        active, inactive, long_ = self.active, self.inactive, self.long
         out: Dict[str, str] = {}
         from_inactive = from_long = misses = 0
-        for h, key in zip(key_hashes(keys), keys):
-            n = h % splits
-            idx = h // splits % shard_count
-            value = active[n][idx].get(key)
+        for key in keys:
+            value = active.get(key)
             if value is None:
-                value = inactive[n][idx].get(key)
+                value = inactive.get(key)
                 if value is not None:
                     from_inactive += 1
                 else:
-                    value = long_[n][idx].get(key)
+                    value = long_.get(key)
                     if value is None:
                         misses += 1
                         continue
@@ -277,84 +248,56 @@ class StoreBank:
         self.stats.misses += misses
         return out
 
-    def put_active(self, label: int, key: str, value: str) -> None:
+    def put_active(self, key: str, value: str) -> None:
         """Direct Active insert, used for CNAME chain memoisation (step 7)."""
-        target = self._active[self._split(label)]
-        with self._lock:
-            target.set(key, value)
-            self.stats.puts += 1
-            if self.max_entries:
-                self._enforce_cap(target)
+        self.active[key] = value
+        self.stats.puts += 1
+        if self.max_entries:
+            self.stats.evictions += trim_oldest(self.active, self.max_entries)
 
     def maybe_clear_up(self, ts: float) -> bool:
         """Rotate + clear when a clear-up interval has elapsed.
 
         Mirrors Algorithm 1: ``if d.ts - lastClearUpTs >= interval`` then
-        Inactive = Active; Active = {}. With rotation disabled the Active
-        maps are simply cleared; with clear-up disabled nothing happens.
+        Inactive = Active; Active = {}. With rotation disabled Active is
+        simply emptied; with clear-up disabled nothing happens.
         """
-        # Cheap unguarded pre-check: only a due rotation takes the lock.
-        last = self._last_clear_ts
-        if last is not None and ts - last < self.clear_up_interval:
-            return False
-        with self._lock:
-            return self._clear_up_locked(ts)
-
-    def _clear_up_locked(self, ts: float) -> bool:
-        """:meth:`maybe_clear_up` for callers that hold the bank lock."""
         if not self.clear_up_enabled:
             return False
         if self._last_clear_ts is None:
             self._last_clear_ts = ts
             return False
         if ts - self._last_clear_ts < self.clear_up_interval:
-            return False  # another worker rotated while we waited
-        self._run_clear_up()
+            return False
+        self.force_clear_up()
         self._last_clear_ts = ts
         return True
 
-    def _run_clear_up(self) -> None:
-        self._clear_rounds += 1
-        for n in range(self.num_splits):
-            if self.rotation_enabled:
-                self._inactive[n].replace_contents(self._active[n])
-                self.stats.entries_rotated += len(self._inactive[n])
-            self.stats.entries_cleared += self._active[n].clear()
-        if self.long_clear_every and self._clear_rounds % self.long_clear_every == 0:
-            for n in range(self.num_splits):
-                self.stats.entries_cleared += self._long[n].clear()
-        if self.max_entries:
-            # Rotation boundary enforcement: the rotated-in inactive copy
-            # and the never-cleared long tier are trimmed here (puts only
-            # police the maps they write to).
-            for n in range(self.num_splits):
-                self._enforce_cap(self._inactive[n])
-                self._enforce_cap(self._long[n])
-        self.stats.rotations += 1
-
     def force_clear_up(self) -> None:
-        """Run a clear-up round immediately (used by tests and A.8 harness)."""
-        with self._lock:
-            self._run_clear_up()
+        """Run a clear-up round now (due rounds, tests, the A.8 harness)."""
+        self._clear_rounds += 1
+        self.stats.entries_cleared += len(self.active)
+        if self.rotation_enabled:
+            self.inactive = self.active
+            self.stats.entries_rotated += len(self.inactive)
+        self.active = {}
+        if self.long_clear_every and self._clear_rounds % self.long_clear_every == 0:
+            self.stats.entries_cleared += len(self.long)
+            self.long = {}
+        # A restored snapshot may hand over tiers above the bound.
+        self._enforce_caps()
+        self.stats.rotations += 1
 
     def entry_counts(self) -> Dict[str, int]:
         """Entry totals per tier — the memory model's primary input."""
         return {
-            Tier.ACTIVE.value: sum(len(m) for m in self._active),
-            Tier.INACTIVE.value: sum(len(m) for m in self._inactive),
-            Tier.LONG.value: sum(len(m) for m in self._long),
+            Tier.ACTIVE.value: len(self.active),
+            Tier.INACTIVE.value: len(self.inactive),
+            Tier.LONG.value: len(self.long),
         }
 
     def total_entries(self) -> int:
-        return sum(self.entry_counts().values())
-
-    def contended_acquisitions(self) -> int:
-        maps = self._active + self._inactive + self._long
-        return self._lock.contended + sum(m.contended_acquisitions for m in maps)
-
-    def split_sizes(self) -> List[int]:
-        """Active entries per split — used to test label spread."""
-        return [len(m) for m in self._active]
+        return len(self.active) + len(self.inactive) + len(self.long)
 
 
 class RotatingStore:

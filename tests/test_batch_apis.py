@@ -2,8 +2,6 @@
 ``process_batch``/``correlate_batch_columns`` — including equivalence
 against the per-record path."""
 
-import threading
-
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.flowdns import FlowDNS
@@ -12,7 +10,6 @@ from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
-from repro.storage.concurrent_map import key_hash
 from repro.storage.rotating import StoreBank
 
 
@@ -42,33 +39,33 @@ def _columns(entries):
 
 class TestStoreBankBatch:
     def test_put_rows_matches_per_record_puts(self):
-        single = StoreBank(clear_up_interval=3600.0, num_splits=4)
-        batched = StoreBank(clear_up_interval=3600.0, num_splits=4)
+        single = StoreBank(clear_up_interval=3600.0)
+        batched = StoreBank(clear_up_interval=3600.0)
         entries = [(f"key{i % 30}", f"val{i % 7}", float(i % 5000), float(i))
                    for i in range(200)]
         for key, value, ttl, ts in entries:
-            single.put(key_hash(key), key, value, ttl, ts)
+            single.put(key, value, ttl, ts)
         batched.put_rows(*_columns(entries))
-        assert single.entry_counts() == batched.entry_counts()
-        assert single.split_sizes() == batched.split_sizes()
+        assert list(single.active.items()) == list(batched.active.items())
+        assert list(single.long.items()) == list(batched.long.items())
         assert single.stats.puts == batched.stats.puts
         assert single.stats.puts_long == batched.stats.puts_long
         assert single.stats.overwrites == batched.stats.overwrites
 
     def test_lookup_many_matches_deep_lookup(self):
-        bank = StoreBank(clear_up_interval=3600.0, num_splits=4)
+        bank = StoreBank(clear_up_interval=3600.0)
         bank.put_rows(*_columns([(f"key{i}", f"val{i}", 60.0, 0.0) for i in range(50)]))
         keys = [f"key{i}" for i in range(70)]
         batch = bank.lookup_many(keys)
         for key in keys:
-            value, _tier = bank.deep_lookup(key_hash(key), key)
+            value, _tier = bank.deep_lookup(key)
             assert batch.get(key) == value == bank.lookup(key)
 
     def test_lookup_many_walks_all_tiers(self):
-        bank = StoreBank(clear_up_interval=100.0, num_splits=2)
-        bank.put(key_hash("long-key"), "long-key", "long-val", 5000.0, 0.0)  # → Long
-        bank.put(key_hash("rotated"), "rotated", "old-val", 10.0, 0.0)     # → Active
-        bank.put_rows(["fresh"], ["new-val"], [10.0], [200.0])              # rotates
+        bank = StoreBank(clear_up_interval=100.0)
+        bank.put("long-key", "long-val", 5000.0, 0.0)            # → Long
+        bank.put("rotated", "old-val", 10.0, 0.0)                # → Active
+        bank.put_rows(["fresh"], ["new-val"], [10.0], [200.0])   # rotates
         found = bank.lookup_many(["long-key", "rotated", "fresh", "absent"])
         assert found == {"long-key": "long-val", "rotated": "old-val",
                          "fresh": "new-val"}
@@ -78,12 +75,12 @@ class TestStoreBankBatch:
     def test_put_rows_rotates_at_each_interval_boundary(self):
         """A batch spanning several clear-up intervals must rotate exactly
         where per-record puts would — not once per batch."""
-        single = StoreBank(clear_up_interval=100.0, num_splits=2)
-        batched = StoreBank(clear_up_interval=100.0, num_splits=2)
+        single = StoreBank(clear_up_interval=100.0)
+        batched = StoreBank(clear_up_interval=100.0)
         entries = [(f"k{i % 10}", f"v{i % 3}", 10.0, float(i * 40))
                    for i in range(20)]
         for key, value, ttl, ts in entries:
-            single.put(key_hash(key), key, value, ttl, ts)
+            single.put(key, value, ttl, ts)
         batched.put_rows(*_columns(entries))
         assert single.stats.rotations == batched.stats.rotations
         assert batched.stats.rotations > 1
@@ -182,51 +179,6 @@ class TestBatchEquivalence:
         # Per-flow expiry clocks: the 5s flow matches, the 50s flow is past
         # the 10s TTL — exactly what per-record processing yields.
         assert results[0].matched and not results[1].matched
-
-
-class TestConcurrentBatchSafety:
-    def test_concurrent_fillup_and_correlate_batch(self):
-        """Concurrent batched fill and batched lookups must not corrupt
-        storage or lose records (storage is shared across threads: the
-        async engine's snapshot writer reads it from an executor)."""
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        dns = _dns_records(n=4000)
-        flows = _flows(n=8000, services=40)
-        fillup = FillUpProcessor(storage)
-        lookups = [LookUpProcessor(storage, config) for _ in range(2)]
-        errors = []
-
-        def fill():
-            try:
-                for i in range(0, len(dns), 64):
-                    fillup.process_batch(dns[i:i + 64])
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        def correlate(processor):
-            try:
-                for i in range(0, len(flows), 64):
-                    processor.correlate_batch_columns(
-                        FlowBatch.from_records(flows[i:i + 64])
-                    )
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=fill)] + [
-            threading.Thread(target=correlate, args=(p,)) for p in lookups
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        assert not errors
-        assert fillup.stats.records_in == len(dns)
-        assert sum(p.stats.flows_in for p in lookups) == 2 * len(flows)
-        # After the fill completes, every flow IP must resolve.
-        verify = LookUpProcessor(storage, config)
-        correlated = verify.correlate_batch_columns(FlowBatch.from_records(flows))
-        assert all(correlated.matched_mask())
 
 
 class TestFacadeBatchPath:

@@ -1,6 +1,4 @@
-"""Tests for repro.core.config and repro.core.labeler."""
-
-import ipaddress
+"""Tests for repro.core.config."""
 
 import pytest
 
@@ -11,7 +9,6 @@ from repro.core.config import (
     DEFAULT_NUM_SPLIT,
     FlowDNSConfig,
 )
-from repro.core.labeler import ip_label, last_octet_label, name_label
 from repro.util.errors import ConfigError
 
 
@@ -72,41 +69,3 @@ class TestReplace:
         assert changed.num_split == 5
         assert base.num_split == 10
 
-
-class TestIpLabel:
-    def test_deterministic(self):
-        assert ip_label("10.0.0.1") == ip_label("10.0.0.1")
-
-    def test_accepts_address_objects(self):
-        assert ip_label(ipaddress.ip_address("10.0.0.1")) == ip_label("10.0.0.1")
-
-    def test_ipv6_supported(self):
-        assert isinstance(ip_label("2001:db8::1"), int)
-
-    def test_spreads_over_splits(self):
-        """A /24's hosts must not all land in one split (the reason the
-        default labeler hashes instead of using the last octet)."""
-        labels = {ip_label(f"198.51.100.{i}") % 10 for i in range(1, 255)}
-        assert len(labels) == 10
-
-    def test_differs_from_last_octet_on_dense_pools(self):
-        same_last_octet = [f"10.{i}.0.7" for i in range(50)]
-        hashed = {ip_label(ip) % 10 for ip in same_last_octet}
-        last = {last_octet_label(ip) % 10 for ip in same_last_octet}
-        assert len(last) == 1  # all 7
-        assert len(hashed) > 1
-
-
-class TestNameLabel:
-    def test_deterministic(self):
-        assert name_label("edge.cdn.net") == name_label("edge.cdn.net")
-
-    def test_distinct_names_spread(self):
-        labels = {name_label(f"e{i}.cdn.net") % 10 for i in range(200)}
-        assert len(labels) == 10
-
-
-class TestLastOctetLabel:
-    def test_is_final_byte(self):
-        assert last_octet_label("10.0.0.77") == 77
-        assert last_octet_label("2001:db8::ff") == 0xFF

@@ -106,7 +106,7 @@ class TestFromArgs:
 
     def _live_ns(self, **kw):
         base = dict(host=None, flow_port=None, dns_port=None, duration=None,
-                    num_split=10, ingest_workers=None, capture=None)
+                    ingest_workers=None, capture=None)
         base.update(kw)
         return ns(**base)
 
@@ -126,17 +126,17 @@ class TestFromArgs:
     def test_speed_requires_realtime_even_at_default_value(self):
         # Presence-based: --speed 1.0 without --realtime is still an
         # explicitly-passed flag the run would ignore.
-        args = ns(engine="async", speed=1.0, realtime=False, num_split=10)
+        args = ns(engine="async", speed=1.0, realtime=False)
         with pytest.raises(ConfigError, match="--realtime"):
             EngineConfig.from_args(args, "replay")
 
     def test_speed_with_realtime_accepted(self):
-        args = ns(engine="async", speed=2.0, realtime=True, num_split=10)
+        args = ns(engine="async", speed=2.0, realtime=True)
         ec = EngineConfig.from_args(args, "replay")
         assert ec.speed == 2.0 and ec.realtime is True
 
     def test_nonpositive_speed_rejected(self):
-        args = ns(engine="async", speed=-1.0, realtime=True, num_split=10)
+        args = ns(engine="async", speed=-1.0, realtime=True)
         with pytest.raises(ConfigError, match="--speed must be positive"):
             EngineConfig.from_args(args, "replay")
 
@@ -160,5 +160,5 @@ class TestFromArgs:
             EngineConfig.from_args(args, "capture")
 
     def test_exact_ttl_reaches_flowdns_config(self):
-        args = ns(engine="async", num_split=10, exact_ttl=True)
+        args = ns(engine="async", exact_ttl=True)
         assert EngineConfig.from_args(args, "replay").flowdns.exact_ttl is True

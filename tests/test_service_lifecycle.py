@@ -298,15 +298,16 @@ class TestRestoreDegradation:
 
     def test_mismatched_snapshot_warns_and_starts_empty(self, tmp_path):
         path = str(tmp_path / "snap.json")
-        donor = DnsStorage(FlowDNSConfig(num_split=3))
+        donor = DnsStorage(FlowDNSConfig(a_clear_up_interval=1800.0))
         donor.add_record(self._record())
         save_snapshot(donor, path)
         engine = AsyncEngine(EngineConfig(
-            snapshot_path=path, flowdns=FlowDNSConfig(num_split=5)
+            snapshot_path=path, flowdns=FlowDNSConfig(a_clear_up_interval=900.0)
         ))
         report = engine.run([[]], [[]])
         assert report.restored_entries == 0
-        assert any("starting empty" in w for w in report.warnings)
+        assert any("clear_up_interval" in w and "starting empty" in w
+                   for w in report.warnings)
 
     def test_missing_snapshot_is_a_quiet_cold_start(self, tmp_path):
         path = str(tmp_path / "absent.json")
@@ -349,7 +350,7 @@ class TestServeFlagValidation:
         import argparse
 
         base = dict(host=None, flow_port=None, dns_port=None, duration=None,
-                    num_split=10, ingest_workers=None, capture=None)
+                    ingest_workers=None, capture=None)
         base.update(kw)
         return argparse.Namespace(**base)
 
@@ -400,7 +401,6 @@ class TestServeFlagValidation:
     def test_replay_accepts_max_entries(self):
         import argparse
 
-        args = argparse.Namespace(engine="async", num_split=10,
-                                  max_entries=500)
+        args = argparse.Namespace(engine="async", max_entries=500)
         ec = EngineConfig.from_args(args, "replay")
         assert ec.flowdns.max_entries_per_map == 500

@@ -7,7 +7,7 @@ forever (the paper's collectors run for weeks; Section 3's maps must
 not). With ``max_entries_per_map`` set, the store must stay under a
 fixed bound *throughout* the run — sampled live, not just at the end —
 while the most recent window keeps correlating at full accuracy,
-because eviction is oldest-first.
+because eviction is exact FIFO per tier.
 """
 
 import io
@@ -19,18 +19,16 @@ from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
 
-#: The soak's memory envelope: per-map cap x split maps x three tiers
+#: The soak's memory envelope: per-tier cap x three tiers
 #: (active/inactive/long) x two banks (ip_name + name_cname).
-_CAP = 150
-_NUM_SPLIT = 2
-_BOUND = _CAP * _NUM_SPLIT * 3 * 2
+_CAP = 300
+_BOUND = _CAP * 3 * 2
 
 
 def _config(max_entries):
     # Small rotation intervals so the soak crosses several clear-ups:
     # eviction must compose with rotation, not replace it.
-    return FlowDNSConfig(num_split=_NUM_SPLIT, a_clear_up_interval=20.0,
-                         c_clear_up_interval=20.0,
+    return FlowDNSConfig(a_clear_up_interval=20.0, c_clear_up_interval=20.0,
                          max_entries_per_map=max_entries)
 
 
@@ -61,7 +59,7 @@ class TestChurnSoak:
                 yield record
 
         # The newest churn window must still correlate after the soak:
-        # oldest-first eviction may cost (essentially only) the stale tail.
+        # oldest-first eviction costs only the stale tail.
         recent = range(steps - 20, steps)
         flows = [
             FlowRecord(ts=steps * 0.01, src_ip=_ip(i),
@@ -76,13 +74,10 @@ class TestChurnSoak:
         assert report.final_map_entries <= _BOUND
         assert len(samples) == (steps * 2) // 1000
         assert max(samples) <= _BOUND
-        # Near-full correlation of the fresh window: eviction is
-        # *approximately* FIFO (exact within a shard, spread across
-        # shards), so a large trim may clip an entry or two even from
-        # the newest window — but never decimate it the way LIFO or
-        # random eviction would.
-        assert report.matched_flows >= 0.9 * len(flows)
-        assert report.chain_lengths.get(2, 0) >= 0.8 * len(flows)
+        # Full correlation of the fresh window, whole chains included:
+        # eviction is exact FIFO per tier.
+        assert report.matched_flows == len(flows)
+        assert report.chain_lengths.get(2, 0) == len(flows)
         # Every flow emits exactly one row (unmatched rows carry "-"),
         # and the matched-row count agrees with the report's counter.
         rows = [parse_result_line(line)

@@ -3,77 +3,47 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.concurrent_map import ConcurrentMap
 from repro.storage.rotating import StoreBank
 
 _key = st.text(min_size=1, max_size=24)
 _value = st.text(min_size=1, max_size=24)
 
 
-@given(st.dictionaries(_key, _value, max_size=60), st.integers(min_value=1, max_value=64))
-@settings(max_examples=50)
-def test_concurrent_map_behaves_like_dict(entries, shards):
-    cmap = ConcurrentMap(shard_count=shards)
-    for k, v in entries.items():
-        cmap.set(k, v)
-    assert len(cmap) == len(entries)
-    for k, v in entries.items():
-        assert cmap.get(k) == v
-        assert k in cmap
-    assert cmap.snapshot() == entries
-
-
-@given(st.lists(st.tuples(_key, _value), min_size=1, max_size=80))
-@settings(max_examples=50)
-def test_concurrent_map_last_write_wins(writes):
-    cmap = ConcurrentMap(shard_count=8)
-    expected = {}
-    for k, v in writes:
-        cmap.set(k, v)
-        expected[k] = v
-    assert cmap.snapshot() == expected
-
-
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=9),  # label
-            _key,
-            _value,
-            st.integers(min_value=0, max_value=10_000),  # ttl
-        ),
+        st.tuples(_key, _value, st.integers(min_value=0, max_value=10_000)),  # ttl
         min_size=1,
         max_size=60,
     )
 )
 @settings(max_examples=50)
 def test_store_bank_lookup_finds_last_put_before_any_clear(puts):
-    """Without clear-ups, the bank is exactly a per-split last-write-wins map."""
-    bank = StoreBank(clear_up_interval=1e9, num_splits=4, shard_count=4)
+    """Without clear-ups, the bank is exactly a last-write-wins map."""
+    bank = StoreBank(clear_up_interval=1e9)
     expected = {}
-    for ts, (label, key, value, ttl) in enumerate(puts):
-        bank.put(label, key, value, ttl=ttl, ts=float(ts))
-        expected[(label % 4, key, ttl >= 1e9)] = value
-    for (split, key, _is_long), value in expected.items():
-        found, _tier = bank.deep_lookup(split, key)
-        assert found == value
+    for ts, (key, value, ttl) in enumerate(puts):
+        bank.put(key, value, ttl=ttl, ts=float(ts))
+        expected[key] = value
+    for key, value in expected.items():
+        assert bank.lookup(key) == value
+    assert bank.total_entries() == len(expected)
 
 
 @given(st.lists(st.tuples(_key, _value), min_size=1, max_size=40))
 @settings(max_examples=30)
 def test_rotation_preserves_exactly_one_generation(puts):
-    bank = StoreBank(clear_up_interval=100.0, num_splits=1, shard_count=4)
+    bank = StoreBank(clear_up_interval=100.0)
     for key, value in puts:
-        bank.put(0, key, value, ttl=1, ts=0.0)
+        bank.put(key, value, ttl=1, ts=0.0)
     generation = {k: v for k, v in puts}
     bank.force_clear_up()
     # Everything from the pre-rotation generation is in Inactive.
     for key, value in generation.items():
-        found, tier = bank.deep_lookup(0, key)
+        found, tier = bank.deep_lookup(key)
         assert found == value and tier.value == "inactive"
     bank.force_clear_up()
     for key in generation:
-        assert bank.deep_lookup(0, key) == (None, None)
+        assert bank.deep_lookup(key) == (None, None)
 
 
 @given(
@@ -88,13 +58,13 @@ def test_rotation_preserves_exactly_one_generation(puts):
 def test_exact_ttl_store_never_serves_expired(puts, now):
     from repro.storage.exact_ttl import ExactTtlStore
 
-    store = ExactTtlStore(num_splits=2)
+    store = ExactTtlStore()
     latest = {}
     for key, ttl in puts:
-        store.put(0, key, f"v-{ttl}", ttl=ttl, ts=0.0)
+        store.put(key, f"v-{ttl}", ttl=ttl, ts=0.0)
         latest[key] = ttl
     for key, ttl in latest.items():
-        result = store.lookup(0, key, now=now)
+        result = store.lookup(key, now=now)
         if ttl >= now:
             assert result == f"v-{ttl}"
         else:

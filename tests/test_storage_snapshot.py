@@ -1,7 +1,11 @@
 """Tests for storage snapshot/restore."""
 
 import io
+import json
 import os
+import shutil
+import threading
+import time
 
 import pytest
 
@@ -15,6 +19,7 @@ from repro.storage.snapshot import (
     load_storage,
     save_snapshot,
     snapshot_saved_at,
+    write_snapshot,
 )
 from repro.util.errors import ParseError
 
@@ -97,13 +102,13 @@ class TestErrors:
         with pytest.raises(ParseError):
             load_storage(storage, io.StringIO('{"version": 99}'))
 
-    def test_split_mismatch_rejected(self):
+    def test_cname_clear_up_interval_mismatch_rejected(self):
         original = _filled_storage()
         buffer = io.StringIO()
         dump_storage(original, buffer)
         buffer.seek(0)
-        incompatible = DnsStorage(FlowDNSConfig(num_split=3))
-        with pytest.raises(ParseError):
+        incompatible = DnsStorage(FlowDNSConfig(c_clear_up_interval=123.0))
+        with pytest.raises(ParseError, match="name_cname"):
             load_storage(incompatible, buffer)
 
     def test_clear_up_interval_mismatch_rejected(self):
@@ -114,6 +119,68 @@ class TestErrors:
         incompatible = DnsStorage(FlowDNSConfig(a_clear_up_interval=123.0))
         with pytest.raises(ParseError, match="clear_up_interval"):
             load_storage(incompatible, buffer)
+
+
+class TestVersion1:
+    """Version 1 documents held one object per label split of each tier;
+    they restore by merging each tier's splits in order."""
+
+    SPLITS = 10
+
+    def _v1_document(self, storage):
+        """``storage``'s state as a version 1 document over 10 splits."""
+
+        def bank_state(bank):
+            tiers = {}
+            for name in ("active", "inactive", "long"):
+                splits = [{} for _ in range(self.SPLITS)]
+                for i, (key, value) in enumerate(getattr(bank, name).items()):
+                    splits[i % self.SPLITS][key] = value
+                tiers[name] = splits
+            return {
+                "clear_up_interval": bank.clear_up_interval,
+                "num_splits": self.SPLITS,
+                "last_clear_ts": bank._last_clear_ts,
+                "tiers": tiers,
+            }
+
+        return {
+            "version": 1,
+            "saved_at": 1.0,
+            "ip_name": bank_state(storage.ip_bank),
+            "name_cname": bank_state(storage.cname_bank),
+        }
+
+    def test_split_objects_merge_into_one_tier(self):
+        original = DnsStorage(FlowDNSConfig())
+        for i in range(60):
+            original.add_record(DnsRecord(0.0, f"svc{i}.example", RRType.A,
+                                          86400 if i % 4 == 0 else 60, f"10.7.0.{i}"))
+            original.add_record(DnsRecord(0.0, f"www{i}.example", RRType.CNAME,
+                                          600, f"edge{i}.cdn.net"))
+        original.ip_bank.force_clear_up()
+        original.add_record(DnsRecord(10.0, "late.example", RRType.A, 60, "10.7.1.1"))
+        document = self._v1_document(original)
+        assert all(document["ip_name"]["tiers"]["inactive"])  # every split holds entries
+
+        restored = DnsStorage(FlowDNSConfig())
+        assert load_storage(restored, io.StringIO(json.dumps(document))) == 121
+        assert restored.entry_counts() == original.entry_counts()
+        assert restored.ip_bank._last_clear_ts == original.ip_bank._last_clear_ts
+        for i in range(60):
+            for storage in (original, restored):
+                assert storage.lookup_ip(f"10.7.0.{i}", now=20.0) == f"svc{i}.example"
+                assert storage.lookup_cname(f"edge{i}.cdn.net", now=20.0) == f"www{i}.example"
+        assert restored.lookup_ip("10.7.1.1", now=20.0) == "late.example"
+
+    def test_v1_tier_that_is_not_a_list_rejected(self):
+        target = _filled_storage()
+        before_counts = target.entry_counts()
+        document = self._v1_document(_filled_storage())
+        document["name_cname"]["tiers"]["long"] = {}
+        with pytest.raises(ParseError, match="list of splits"):
+            load_storage(target, io.StringIO(json.dumps(document)))
+        assert target.entry_counts() == before_counts
 
 
 class TestAllOrNothing:
@@ -129,10 +196,8 @@ class TestAllOrNothing:
     def _mangle(document_text: str) -> str:
         # Corrupt the SECOND bank only: a restore that mutates as it
         # validates would wipe the first bank before noticing.
-        import json
-
         document = json.loads(document_text)
-        document["name_cname"]["tiers"]["active"] = "not-a-list"
+        document["name_cname"]["tiers"]["active"] = "not-an-object"
         return json.dumps(document)
 
     def test_failed_restore_leaves_target_untouched(self):
@@ -163,8 +228,6 @@ class TestAllOrNothing:
         before_counts = target.entry_counts()
         buffer = io.StringIO()
         dump_storage(_filled_storage(), buffer)
-        import json
-
         document = json.loads(buffer.getvalue())
         del document["name_cname"]
         with pytest.raises(ParseError, match="name_cname"):
@@ -205,6 +268,90 @@ class TestSnapshotFiles:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_snapshot(_filled_storage(), str(tmp_path / "absent.json"))
+
+    def test_periodic_snapshots_during_a_fill_all_load(self, tmp_path, monkeypatch):
+        """Snapshots taken while the fill lane writes and rotates the
+        store: every file written loads cleanly, and the run warns of
+        nothing."""
+        from repro.core import async_engine
+        from repro.core.async_engine import AsyncEngine
+        from repro.core.config import EngineConfig
+
+        path = str(tmp_path / "state.json")
+        written = []
+
+        def write_and_keep(document, target):
+            entries = write_snapshot(document, target)
+            kept = f"{target}.{len(written)}"
+            shutil.copyfile(target, kept)
+            written.append((kept, entries))
+            return entries
+
+        monkeypatch.setattr(async_engine, "write_snapshot", write_and_keep)
+        class PacedFill:
+            """A DNS feed with idle gaps, as live ingest has: the loop
+            waits in ``select`` and the executor gets to write."""
+
+            realtime = True
+
+            def paced(self, steps=20_000):
+                for i in range(steps):
+                    ts = i * 2.0  # a clear-up round every 1800 steps
+                    yield (0.002 if i % 500 == 0 else 0.0), DnsRecord(
+                        ts, f"svc{i}.example", RRType.A, 60,
+                        f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}")
+                    yield 0.0, DnsRecord(ts, f"www{i}.example", RRType.CNAME, 600,
+                                         f"svc{i}.example")
+
+        engine = AsyncEngine(EngineConfig(snapshot_path=path, snapshot_interval=0.005))
+        report = engine.run([PacedFill()], [])
+
+        assert report.warnings == []
+        assert len(written) >= 3
+        assert len({entries for _kept, entries in written}) >= 2  # taken mid-fill
+        for kept, entries in written:
+            assert load_snapshot(DnsStorage(FlowDNSConfig()), kept) == entries
+        assert written[-1][1] == report.final_map_entries
+
+    def test_teardown_waits_for_the_write_in_flight(self, tmp_path, monkeypatch):
+        """Teardown cancels the periodic snapshot task, then writes the
+        final snapshot through the same temp file: the two writes must
+        not overlap."""
+        from repro.core import async_engine
+        from repro.core.async_engine import AsyncEngine
+        from repro.core.config import EngineConfig
+
+        path = str(tmp_path / "state.json")
+        lock = threading.Lock()
+        running = [0]
+        seen = []
+
+        def slow_write(document, target):
+            with lock:
+                running[0] += 1
+                seen.append(running[0])
+            try:
+                time.sleep(0.05)
+                return write_snapshot(document, target)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        class LateRecord:
+            realtime = True
+
+            def paced(self):
+                # The run ends ~20 ms in, inside the first periodic write.
+                yield 0.02, DnsRecord(1.0, "a.example", RRType.A, 60, "10.1.1.1")
+
+        monkeypatch.setattr(async_engine, "write_snapshot", slow_write)
+        engine = AsyncEngine(EngineConfig(snapshot_path=path, snapshot_interval=0.001))
+        report = engine.run([LateRecord()], [])
+
+        assert len(seen) >= 2  # a periodic write, then the final one
+        assert max(seen) == 1
+        assert report.warnings == []
+        assert load_snapshot(DnsStorage(FlowDNSConfig()), path) == 1
 
     def test_rotation_roundtrip_preserves_correlation_rows(self, tmp_path):
         """Fill → rotate → snapshot → restore: a service restored from the
