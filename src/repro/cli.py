@@ -710,9 +710,11 @@ def cmd_generate(args) -> int:
         return 2
     report = generate_capture(params, args.output)
     print(f"wrote {args.output}: {report.flows:,} flows, "
-          f"{report.dns_frames:,} dns frames "
+          f"{report.dns_frames:,} dns frames, "
+          f"{report.cache_misses:,} encoded answers "
           f"({format_bytes(report.wire_bytes)}) in {report.elapsed:.1f}s "
           f"({report.flows_per_sec:,.0f} flows/s, "
+          f"{report.answers_per_sec:,.0f} answers/s, "
           f"peak {report.peak_pending:,} flows buffered)", file=sys.stderr)
     if report.invisible_resolutions:
         print(f"  {report.invisible_resolutions:,} resolutions via public "

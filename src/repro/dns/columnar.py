@@ -38,19 +38,14 @@ per record instead of invalidating the message, in both paths).
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, List, Sequence, Union
 
 from repro.dns.name import decode_name
 from repro.dns.rr import RClass, RRType
 from repro.dns.stream import DnsRecord
-from repro.dns.wire import Opcode
+from repro.dns.wire import HEADER, QFIXED, RRFIXED, Opcode
 from repro.util.errors import ParseError
 from repro.util.interning import cached_ip_text, intern_string, ip_text_probe
-
-_HEADER = struct.Struct("!HHHHHH")
-_QFIXED = struct.Struct("!HH")
-_RRFIXED = struct.Struct("!HHIH")
 
 _TYPE_A = int(RRType.A)
 _TYPE_NS = int(RRType.NS)
@@ -157,7 +152,7 @@ def _decode_answers_into(
     n = len(data)
     if n < 12:
         return None
-    _msg_id, flags, qd, an, ns_count, ar_count = _HEADER.unpack_from(data, 0)
+    _msg_id, flags, qd, an, ns_count, ar_count = HEADER.unpack_from(data, 0)
     # The object path ends with zero records for queries, error rcodes
     # and unknown opcodes (ParseError for the latter) — always exactly
     # one invalid message either way, so short-circuit before walking.
@@ -175,7 +170,7 @@ def _decode_answers_into(
             _qname, offset = decode_name(data, offset, cache)
             if offset + 4 > n:
                 return None  # truncated question
-            qtype, qclass = _QFIXED.unpack_from(data, offset)
+            qtype, qclass = QFIXED.unpack_from(data, offset)
             # Questions keep the strict enum filter the object path's
             # _decode_question applies (tolerance is per-RR, not here).
             if qtype not in _KNOWN_TYPES or qclass not in _KNOWN_CLASSES:
@@ -187,7 +182,7 @@ def _decode_answers_into(
     unknown = 0
     known_types = _KNOWN_TYPES
     known_classes = _KNOWN_CLASSES
-    unpack_rr = _RRFIXED.unpack_from
+    unpack_rr = RRFIXED.unpack_from
     ip_probe = ip_text_probe
     ts_append = out_ts.append
     name_append = out_name.append

@@ -63,15 +63,18 @@ def encode_name(name: str) -> bytes:
     transport malformed names (Section 5 measures their traffic), so the
     codec only enforces structural limits the wire format itself imposes.
     """
+    norm = normalize_name(name)
+    if norm == ".":
+        return b"\x00"
     out = bytearray()
-    for label in labels_of(name):
-        raw = label.encode("utf-8", errors="surrogateescape")
-        if len(raw) == 0:
+    for raw in norm.encode("utf-8", errors="surrogateescape").split(b"."):
+        length = len(raw)
+        if length == 0:
             raise ParseError(f"empty label in name {name!r}")
-        if len(raw) > MAX_LABEL_LENGTH:
+        if length > MAX_LABEL_LENGTH:
             raise ParseError(f"label exceeds 63 bytes in name {name!r}")
-        out.append(len(raw))
-        out.extend(raw)
+        out.append(length)
+        out += raw
     out.append(0)
     if len(out) > MAX_NAME_WIRE_LENGTH:
         raise ParseError(f"encoded name exceeds 255 bytes: {name!r}")
@@ -163,30 +166,60 @@ def decode_name(
 class NameCompressor:
     """Tracks previously written names to emit RFC 1035 compression pointers.
 
-    Pointers can only target offsets < 0x4000; beyond that the name is
-    written uncompressed (the same rule real encoders follow).
+    A name is written label by label until one of its suffixes has been
+    written before; that suffix becomes a 2-byte pointer. Every suffix
+    written below offset 0x4000 is remembered; pointers cannot reach
+    further, so names beyond that are written uncompressed (the same
+    rule real encoders follow).
+
+    :meth:`encode` is one pass over the name's one UTF-8 encoding: each
+    suffix is a slice of it, and suffixes are remembered by those bytes
+    (equal bytes are equal wire labels, which is all a pointer needs).
+    One compressor serves one message, so its table is bounded by the
+    message.
     """
 
     def __init__(self) -> None:
-        self._offsets = {}
+        self._offsets: Dict[bytes, int] = {}
 
     def encode(self, name: str, current_offset: int) -> bytes:
+        """Wire form of ``name`` written at ``current_offset``.
+
+        Raises :class:`ParseError` for an empty label, a label over 63
+        bytes, or a name whose *uncompressed* encoding exceeds 255 bytes
+        (RFC 1035 §2.3.4, the limit :func:`encode_name` and
+        :func:`decode_name` enforce), even when a pointer would shorten it.
+        """
+        norm = normalize_name(name)
+        if norm == ".":
+            return b"\x00"
+        raw = norm.encode("utf-8", errors="surrogateescape")
+        end = len(raw)
+        # Labels, one length byte each (the dots' places) and the root byte.
+        if end + 2 > MAX_NAME_WIRE_LENGTH:
+            raise ParseError(f"encoded name exceeds 255 bytes: {name!r}")
+        offsets = self._offsets
         out = bytearray()
-        labels = labels_of(name)
-        for i in range(len(labels)):
-            suffix = ".".join(labels[i:])
-            known = self._offsets.get(suffix)
-            if known is not None and known < 0x4000:
+        pos = 0  # start of the current suffix; also len(out)
+        while True:
+            suffix = raw[pos:]
+            known = offsets.get(suffix)
+            if known is not None:
                 out.append(_POINTER_MASK | (known >> 8))
                 out.append(known & 0xFF)
                 return bytes(out)
-            offset_here = current_offset + len(out)
-            if offset_here < 0x4000:
-                self._offsets[suffix] = offset_here
-            raw = labels[i].encode("utf-8", errors="surrogateescape")
-            if not 1 <= len(raw) <= MAX_LABEL_LENGTH:
+            here = current_offset + pos
+            if here < 0x4000:
+                offsets[suffix] = here
+            dot = raw.find(b".", pos)
+            if dot < 0:
+                dot = end
+            length = dot - pos
+            if not 1 <= length <= MAX_LABEL_LENGTH:
                 raise ParseError(f"bad label length in {name!r}")
-            out.append(len(raw))
-            out.extend(raw)
-        out.append(0)
-        return bytes(out)
+            out.append(length)
+            out += raw[pos:dot]
+            if dot == end:
+                out.append(0)
+                return bytes(out)
+            pos = dot + 1

@@ -25,9 +25,11 @@ from repro.dns.name import (
 from repro.dns.rr import RClass, RRType, ResourceRecord, decode_rdata
 from repro.util.errors import ParseError
 
-_HEADER = struct.Struct("!HHHHHH")
-_QFIXED = struct.Struct("!HH")
-_RRFIXED = struct.Struct("!HHIH")
+#: Header, question tail (type, class) and RR head (type, class, TTL,
+#: rdlength) layouts; the generator's direct writer packs with them too.
+HEADER = struct.Struct("!HHHHHH")
+QFIXED = struct.Struct("!HH")
+RRFIXED = struct.Struct("!HHIH")
 
 
 class Opcode(IntEnum):
@@ -139,7 +141,7 @@ class DnsMessage:
 def _encode_rr(rr: ResourceRecord, compressor: NameCompressor, offset: int) -> bytes:
     out = bytearray(compressor.encode(rr.name, offset))
     rdata = _encode_rdata(rr)
-    out.extend(_RRFIXED.pack(int(rr.rtype), int(rr.rclass), rr.ttl, len(rdata)))
+    out.extend(RRFIXED.pack(int(rr.rtype), int(rr.rclass), rr.ttl, len(rdata)))
     out.extend(rdata)
     return bytes(out)
 
@@ -163,7 +165,7 @@ def _encode_rdata(rr: ResourceRecord) -> bytes:
 def encode_message(msg: DnsMessage) -> bytes:
     """Serialize a message to wire format with name compression."""
     out = bytearray(
-        _HEADER.pack(
+        HEADER.pack(
             msg.header.msg_id & 0xFFFF,
             msg.header.flags_word(),
             len(msg.questions),
@@ -175,7 +177,7 @@ def encode_message(msg: DnsMessage) -> bytes:
     compressor = NameCompressor()
     for q in msg.questions:
         out.extend(compressor.encode(q.qname, len(out)))
-        out.extend(_QFIXED.pack(int(q.qtype), int(q.qclass)))
+        out.extend(QFIXED.pack(int(q.qtype), int(q.qclass)))
     for section in (msg.answers, msg.authorities, msg.additionals):
         for rr in section:
             out.extend(_encode_rr(rr, compressor, len(out)))
@@ -186,15 +188,15 @@ def _decode_question(
     data: WireData, offset: int, cache: Optional[NameCache]
 ) -> Tuple[Question, int]:
     qname, offset = decode_name(data, offset, cache)
-    if offset + _QFIXED.size > len(data):
+    if offset + QFIXED.size > len(data):
         raise ParseError("truncated question")
-    qtype_raw, qclass_raw = _QFIXED.unpack_from(data, offset)
+    qtype_raw, qclass_raw = QFIXED.unpack_from(data, offset)
     try:
         qtype = RRType(qtype_raw)
         qclass = RClass(qclass_raw)
     except ValueError as exc:
         raise ParseError(f"unknown qtype/qclass {qtype_raw}/{qclass_raw}") from exc
-    return Question(qname, qtype, qclass), offset + _QFIXED.size
+    return Question(qname, qtype, qclass), offset + QFIXED.size
 
 
 def _decode_rr(
@@ -211,10 +213,10 @@ def _decode_rr(
     corruption, not exotica.
     """
     name, offset = decode_name(data, offset, cache)
-    if offset + _RRFIXED.size > len(data):
+    if offset + RRFIXED.size > len(data):
         raise ParseError("truncated resource record")
-    rtype_raw, rclass_raw, ttl, rdlength = _RRFIXED.unpack_from(data, offset)
-    offset += _RRFIXED.size
+    rtype_raw, rclass_raw, ttl, rdlength = RRFIXED.unpack_from(data, offset)
+    offset += RRFIXED.size
     if offset + rdlength > len(data):
         raise ParseError("RDATA overruns message")
     try:
@@ -234,14 +236,14 @@ def decode_message(data: WireData) -> DnsMessage:
     and one per-message name-offset cache means a compression chain is
     chased once however many records point into it.
     """
-    if len(data) < _HEADER.size:
+    if len(data) < HEADER.size:
         raise ParseError("message shorter than header")
     buf = data if isinstance(data, memoryview) else memoryview(data)
-    msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(buf, 0)
+    msg_id, flags, qd, an, ns, ar = HEADER.unpack_from(buf, 0)
     header = Header.from_flags_word(msg_id, flags)
     msg = DnsMessage(header=header)
     cache: NameCache = {}
-    offset = _HEADER.size
+    offset = HEADER.size
     for _ in range(qd):
         question, offset = _decode_question(buf, offset, cache)
         msg.questions.append(question)

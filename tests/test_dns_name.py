@@ -9,7 +9,14 @@ from repro.dns.name import (
     labels_of,
     normalize_name,
 )
+from repro.dns.rr import RRType, a_record
+from repro.dns.wire import DnsMessage, Question, decode_message, encode_message
 from repro.util.errors import ParseError
+
+#: Four labels whose uncompressed wire form is exactly 255 octets
+#: (63 + 63 + 63 + 61 label bytes, four length bytes, the root byte).
+NAME_255 = ".".join(["a" * 63, "b" * 63, "c" * 63, "d" * 61])
+NAME_256 = NAME_255 + "d"
 
 
 class TestNormalizeName:
@@ -137,3 +144,30 @@ class TestNameCompressor:
         buf += comp.encode("edge.cdn.example.net", second_start)
         name, _ = decode_name(bytes(buf), second_start)
         assert name == "edge.cdn.example.net"
+
+    def test_255_octet_name_round_trips(self):
+        assert len(encode_name(NAME_255)) == 255
+        msg = DnsMessage()
+        msg.questions.append(Question(NAME_255, RRType.A))
+        msg.answers.append(a_record(NAME_255, "192.0.2.1", 60))
+        decoded = decode_message(encode_message(msg))
+        assert decoded.questions[0].qname == NAME_255
+        assert decoded.answers[0].name == NAME_255
+
+    def test_256_octet_name_refused_at_encode(self):
+        """The limit is the uncompressed length: a name the decoder would
+        reject as "decoded name exceeds 255 bytes" is not written, even
+        where a pointer would make its wire form short."""
+        with pytest.raises(ParseError, match="255"):
+            encode_name(NAME_256)
+        with pytest.raises(ParseError, match="255"):
+            NameCompressor().encode(NAME_256, 0)
+        comp = NameCompressor()
+        suffix = NAME_256.split(".", 1)[1]
+        comp.encode(suffix, 0)
+        with pytest.raises(ParseError, match="255"):
+            comp.encode(NAME_256, 200)
+        msg = DnsMessage()
+        msg.questions.append(Question(NAME_256, RRType.A))
+        with pytest.raises(ParseError, match="255"):
+            encode_message(msg)

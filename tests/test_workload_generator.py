@@ -34,7 +34,7 @@ from repro.cli import main as cli_main
 from repro.netflow.exporter import FlowExporter, PackedV9Exporter
 from repro.netflow.records import FlowRecord
 from repro.netflow.v9 import V9Session
-from repro.replay.capture import LANE_DNS, LANE_FLOW, MAGIC
+from repro.replay.capture import LANE_FLOW, MAGIC
 from repro.util.errors import ConfigError
 from repro.util.rng import make_rng
 from repro.workloads.generator import (
@@ -240,6 +240,25 @@ DETERMINISM_CONFIGS = {
         seed=31, clients=400, duration=20.0, diurnal_amplitude=0.5,
         public_resolver_fraction=0.3, chain_depth=1,
     ),
+    # DNS-bound: ~3.4K encoded answers with 8-deep chains, ephemeral
+    # names, AAAA answers and short TTLs, and a universe whose over-long
+    # abuse labels make 7 ``b"\xff\xff" + name`` malformed frames.
+    "dns-bound": GeneratorParams(
+        seed=18, clients=1000, duration=600.0, base_rate=8.0,
+        n_domains=2000, zipf_alpha=0.5, chain_depth=8,
+        ephemeral_fraction=0.5, aaaa_fraction=0.3, ttl_profile="short",
+        abuse_byte_share=0.05,
+    ),
+}
+
+#: sha256 of each ``DETERMINISM_CONFIGS`` capture. ``TestDeterminism``
+#: compares two runs of one commit; these pin the bytes across commits,
+#: so an encoder rewrite that changes a single answer fails here.
+PINNED_DIGESTS = {
+    "default-small": "cb466f430073d575a53066c7cce7a352cf0ebf3a81a9f2da3e882558b41119b2",
+    "v6-short-ttl": "7cdb5287baa2d9a4b05352d5fe4e25da31d1d757b0df88e3978023292a007bac",
+    "diurnal-invisible": "fd6253d53d92ef1ddd15ec35f257c22fac1ccc5c79fc96f8d9ec5f05894177c3",
+    "dns-bound": "2ba8502a7c1e135173399f15c18a298eb1f74a13c6efcba0df5c8ef28c7df53b",
 }
 
 
@@ -257,6 +276,14 @@ class TestDeterminism:
         assert report_a.flows == report_b.flows > 0
         assert report_a.dns_frames == report_b.dns_frames > 0
         assert report_a.wire_bytes == report_b.wire_bytes == len(first.getvalue())
+
+    @pytest.mark.parametrize("name", sorted(DETERMINISM_CONFIGS))
+    def test_bytes_match_pinned_digest(self, name):
+        out = io.BytesIO()
+        report = generate_capture(DETERMINISM_CONFIGS[name], out)
+        assert hashlib.sha256(out.getvalue()).hexdigest() == PINNED_DIGESTS[name]
+        if name == "dns-bound":
+            assert report.malformed_dns_frames > 0
 
     def test_seed_changes_bytes(self):
         base = DETERMINISM_CONFIGS["default-small"]
@@ -432,6 +459,9 @@ generate_capture(
 print(hashlib.sha256(out.getvalue()).hexdigest())
 """
 
+#: What ``_GENERATOR_DIGEST_CODE`` prints, under every hash seed and commit.
+GENERATOR_DIGEST = "43ea0bf3357bbf02d8f7d3ae67bca6bd9a8e10adcddf6136384151e39b937b56"
+
 
 class TestCrossHashSeedStability:
     """The rng.py docstring's promise: nothing on the seeded paths routes
@@ -443,7 +473,7 @@ class TestCrossHashSeedStability:
             _run_python(["-c", _GENERATOR_DIGEST_CODE], hash_seed).strip()
             for hash_seed in (0, 1, "random")
         }
-        assert len(digests) == 1
+        assert digests == {GENERATOR_DIGEST}
 
     def test_scenario_regeneration_matches_checked_in_corpus(self, tmp_path):
         """``python -m repro.replay.scenarios`` under two different hash
@@ -542,7 +572,15 @@ class TestGenerateCli:
         ])
         assert code == 0
         assert path.read_bytes().startswith(MAGIC)
-        assert "flows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "flows/s" in err
+        # The DNS side of the cost: encoded answers and their rate.
+        expected = generate_capture(
+            GeneratorParams(seed=3, clients=200, duration=5.0), io.BytesIO()
+        )
+        assert expected.cache_misses > 0
+        assert f"{expected.cache_misses:,} encoded answers" in err
+        assert "answers/s" in err
 
     def test_listings_need_no_output_path(self, capsys):
         assert cli_main(["generate", "--list-size-cdfs"]) == 0
