@@ -1,9 +1,8 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper reproductions.
 
 The expensive simulated deployments run once per session; each figure's
-bench consumes the shared reports and prints its ``paper= measured=``
-rows. Every bench test wraps its (re)computation in the ``benchmark``
-fixture so the harness runs under ``pytest benchmarks/ --benchmark-only``.
+test consumes the shared reports, prints its ``paper= measured=`` rows
+(visible under ``pytest -s``) and asserts the paper's claim.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ def _run_pair():
     return exact, main
 
 
-def test_a8_exact_ttl_meltdown(benchmark):
-    exact, main = benchmark.pedantic(_run_pair, rounds=1, iterations=1)
+def test_a8_exact_ttl_meltdown():
+    exact, main = _run_pair()
     steady_loss = [s.loss_rate for s in exact.samples[2:]]
     mean_loss = sum(steady_loss) / len(steady_loss)
     exact_mem = exact.samples[-1].memory_bytes / 2**30

@@ -23,7 +23,7 @@ _INTERVAL_RESULTS = {}
 
 
 @pytest.mark.parametrize("interval", [900.0, 1800.0, 3600.0, 7200.0])
-def test_ablation_clear_up_interval(benchmark, interval):
+def test_ablation_clear_up_interval(interval):
     def run():
         workload = large_isp(seed=37, duration=6 * 3600.0, n_benign=600)
         config = FlowDNSConfig(
@@ -31,7 +31,7 @@ def test_ablation_clear_up_interval(benchmark, interval):
         )
         return run_variant(workload, Variant.MAIN, base_config=config).report
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     _INTERVAL_RESULTS[interval] = (
         report.correlation_rate,
         report.mean_memory_gb,

@@ -12,7 +12,7 @@ from repro.workloads.isp import large_isp
 
 
 @pytest.mark.parametrize("loop_limit", [1, 3, 6, 10])
-def test_ablation_loop_limit(benchmark, loop_limit):
+def test_ablation_loop_limit(loop_limit):
     """Correlation is insensitive above ~6 (the paper's chain ECDF)."""
 
     def run():
@@ -20,7 +20,7 @@ def test_ablation_loop_limit(benchmark, loop_limit):
         config = FlowDNSConfig(cname_loop_limit=loop_limit)
         return run_variant(workload, Variant.MAIN, base_config=config).report
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     # Store per-limit results on the module for the final comparison.
     _RESULTS[loop_limit] = report.correlation_rate
     assert report.correlation_rate > 0.5

@@ -23,10 +23,8 @@ def _run_scenario(same_ip: bool):
     return capture, predicted
 
 
-def test_scenario1_different_ips(benchmark):
-    capture, predicted = benchmark.pedantic(
-        _run_scenario, args=(False,), rounds=1, iterations=1
-    )
+def test_scenario1_different_ips():
+    capture, predicted = _run_scenario(False)
     accuracy = capture.accuracy_of(predicted)
     print_rows(
         "Accuracy scenario 1 (different IPs)",
@@ -35,10 +33,8 @@ def test_scenario1_different_ips(benchmark):
     assert accuracy == 1.0
 
 
-def test_scenario2_same_ip(benchmark):
-    capture, predicted = benchmark.pedantic(
-        _run_scenario, args=(True,), rounds=1, iterations=1
-    )
+def test_scenario2_same_ip():
+    capture, predicted = _run_scenario(True)
     accuracy = capture.accuracy_of(predicted)
     # All traffic is attributed to the *second* site (its record overwrote
     # the first), so measured accuracy is site B's byte share ≈ 50 %.

@@ -17,8 +17,8 @@ PAPER_MAX_LOSS = 0.0001
 PAPER_MAX_WRITE_DELAY = 45.0
 
 
-def test_large_isp_headline(benchmark, main_day):
-    report = benchmark.pedantic(lambda: main_day["report"], rounds=1, iterations=1)
+def test_large_isp_headline(main_day):
+    report = main_day["report"]
     rows = [
         comparison_row("correlation rate (bytes)", PAPER_CORRELATION, report.correlation_rate),
         comparison_row("stream loss rate", PAPER_MAX_LOSS, report.overall_loss_rate),
@@ -30,12 +30,12 @@ def test_large_isp_headline(benchmark, main_day):
     assert report.max_write_delay <= PAPER_MAX_WRITE_DELAY
 
 
-def test_small_isp_headline(benchmark):
+def test_small_isp_headline():
     def run():
         workload = small_isp(seed=11, duration=43200.0)
         return run_variant(workload, Variant.MAIN).report
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     rows = [
         comparison_row("correlation rate (bytes)", PAPER_CORRELATION, report.correlation_rate),
         comparison_row("mean CPU (%, paper ~300)", 300.0, report.mean_cpu_percent),

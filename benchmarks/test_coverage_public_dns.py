@@ -11,12 +11,12 @@ from repro.analysis import comparison_row, estimate_coverage
 from repro.workloads.isp import large_isp
 
 
-def test_coverage_95pct(benchmark):
+def test_coverage_95pct():
     def analyze():
         workload = large_isp(seed=17, duration=3600.0)
         return estimate_coverage(workload.flow_records())
 
-    report = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    report = analyze()
     rows = [
         comparison_row("public-resolver DNS share", 0.05, report.public_fraction),
         comparison_row("DNS data coverage", 0.95, report.coverage),

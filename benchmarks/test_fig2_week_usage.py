@@ -35,8 +35,8 @@ def _pearson(xs, ys):
     return cov / (vx * vy) if vx and vy else 0.0
 
 
-def test_fig2_week_cpu_and_memory(benchmark):
-    workload, report = benchmark.pedantic(_run_week, rounds=1, iterations=1)
+def test_fig2_week_cpu_and_memory():
+    workload, report = _run_week()
     cpus = [s.cpu_percent for s in report.samples]
     mems = [s.memory_bytes / 2**30 for s in report.samples]
     traffic = [s.traffic_bytes for s in report.samples]

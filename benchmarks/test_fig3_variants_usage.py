@@ -14,8 +14,8 @@ from conftest import print_rows
 from repro.core.variants import Variant
 
 
-def test_fig3_memory_orderings(benchmark, variant_runs):
-    reports = benchmark.pedantic(lambda: variant_runs, rounds=1, iterations=1)
+def test_fig3_memory_orderings(variant_runs):
+    reports = variant_runs
     final_mem = {v: r.samples[-1].memory_bytes / 2**30 for v, r in reports.items()}
     mean_mem = {v: r.mean_memory_gb for v, r in reports.items()}
     rows = [
@@ -41,8 +41,8 @@ def test_fig3_memory_orderings(benchmark, variant_runs):
     assert abs(final_mem[Variant.NO_SPLIT] - final_mem[Variant.MAIN]) < 0.05 * final_mem[Variant.MAIN]
 
 
-def test_fig3_cpu_orderings(benchmark, variant_runs):
-    reports = benchmark.pedantic(lambda: variant_runs, rounds=1, iterations=1)
+def test_fig3_cpu_orderings(variant_runs):
+    reports = variant_runs
     cpu = {v: r.mean_cpu_percent for v, r in reports.items()}
     rows = [f"{v.value:<14s} mean CPU = {cpu[v]:7.0f} %" for v in reports]
     print_rows("Figure 3a: CPU by variant (half simulated day)", rows)

@@ -10,8 +10,8 @@ from collections import defaultdict
 from conftest import print_rows
 
 
-def test_fig4_s1_one_as_s2_two_ases(benchmark, main_day):
-    bgp = benchmark.pedantic(lambda: main_day["bgp"], rounds=1, iterations=1)
+def test_fig4_s1_one_as_s2_two_ases(main_day):
+    bgp = main_day["bgp"]
 
     s1_totals = bgp.totals_by_asn("s1-streaming.tv")
     s2_totals = bgp.totals_by_asn("s2-streaming.tv")
@@ -30,8 +30,8 @@ def test_fig4_s1_one_as_s2_two_ases(benchmark, main_day):
     assert shares[1] / sum(shares) > 0.15
 
 
-def test_fig4_diurnal_pattern(benchmark, main_day):
-    bgp = benchmark.pedantic(lambda: main_day["bgp"], rounds=1, iterations=1)
+def test_fig4_diurnal_pattern(main_day):
+    bgp = main_day["bgp"]
     # Hourly series for S1's dominant AS must show a diurnal swing.
     asn = bgp.dominant_asns("s1-streaming.tv")[0]
     hourly = defaultdict(int)

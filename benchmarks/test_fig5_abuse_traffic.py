@@ -20,13 +20,13 @@ from repro.workloads.isp import large_isp
 from repro.workloads.malicious import PAPER_DBL_COUNTS_PER_MILLION
 
 
-def test_fig5_category_curves(benchmark, main_day):
+def test_fig5_category_curves(main_day):
     def analyze():
         workload = main_day["workload"]
         dbl = DomainBlockList.from_categories(workload.universe.abuse.by_category)
         return analyze_abuse_traffic(main_day["service_bytes"].bytes_by_service, dbl)
 
-    report = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    report = analyze()
     counts = report.category_counts()
     universe_size = len(main_day["workload"].universe.services)
     rows = []
@@ -55,14 +55,14 @@ def test_fig5_category_curves(benchmark, main_day):
     assert 0.001 < report.abuse_byte_share() < 0.012
 
 
-def test_section5_invalid_domains(benchmark):
+def test_section5_invalid_domains():
     def run():
         workload = large_isp(seed=23, duration=6 * 3600.0, n_benign=2000)
         recorder = ResultRecorder()
         run_variant(workload, Variant.MAIN, on_result=recorder)
         return analyze_invalid_domains(recorder.results)
 
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
+    report = run()
     rows = [
         comparison_row("invalid / seen names", 666_000 / 39_000_000, report.invalid_name_fraction),
         comparison_row("underscore share of violators", 0.87, report.underscore_share),

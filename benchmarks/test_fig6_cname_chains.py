@@ -9,10 +9,8 @@ from conftest import print_rows
 from repro.analysis import chain_length_ecdf, comparison_row
 
 
-def test_fig6_chain_length_ecdf(benchmark, main_day):
-    ecdf = benchmark.pedantic(
-        lambda: chain_length_ecdf(main_day["report"]), rounds=1, iterations=1
-    )
+def test_fig6_chain_length_ecdf(main_day):
+    ecdf = chain_length_ecdf(main_day["report"])
     as_dict = dict(ecdf)
     at_6 = max(frac for length, frac in ecdf if length <= 6)
     rows = [

@@ -18,8 +18,8 @@ PAPER_RATES = {
 }
 
 
-def test_fig7_correlation_rates(benchmark, variant_runs):
-    reports = benchmark.pedantic(lambda: variant_runs, rounds=1, iterations=1)
+def test_fig7_correlation_rates(variant_runs):
+    reports = variant_runs
     measured = {v: reports[v].correlation_rate for v in PAPER_RATES}
     rows = [
         comparison_row(f"correlation rate: {v.value}", paper, measured[v])
@@ -41,8 +41,8 @@ def test_fig7_correlation_rates(benchmark, variant_runs):
     assert abs(no_split - measured[Variant.MAIN]) < 1e-9
 
 
-def test_fig7_hourly_series_stable(benchmark, variant_runs):
-    reports = benchmark.pedantic(lambda: variant_runs, rounds=1, iterations=1)
+def test_fig7_hourly_series_stable(variant_runs):
+    reports = variant_runs
     main_hourly = reports[Variant.MAIN].hourly_correlation_rates()
     rows = [
         "main hourly: " + " ".join(f"{r:.3f}" for r in main_hourly),

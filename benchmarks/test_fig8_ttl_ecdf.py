@@ -23,8 +23,8 @@ def _summarize():
     return summarize_ttls(workload.dns_records())
 
 
-def test_fig8_ttl_anchors(benchmark):
-    summary = benchmark.pedantic(_summarize, rounds=1, iterations=1)
+def test_fig8_ttl_anchors():
+    summary = _summarize()
     a_below_3600 = address_fraction_below(summary, 3599)
     cname_below_7200 = summary.fraction_below(RRType.CNAME, 7199)
     # The "70 % below 300 s" quote appears in the accuracy analysis,
@@ -53,8 +53,8 @@ def test_fig8_ttl_anchors(benchmark):
     assert summary.fraction_below(RRType.CNAME, 600) < address_fraction_below(summary, 600)
 
 
-def test_fig8_derives_clear_up_intervals(benchmark):
-    summary = benchmark.pedantic(_summarize, rounds=1, iterations=1)
+def test_fig8_derives_clear_up_intervals():
+    summary = _summarize()
     # Our stream carries slightly more >=3600 s address mass than the
     # pure TTL model because long-lived origin services resolve with
     # deliberately long TTLs; derive at 98 % (the curve's knee) — the

@@ -12,12 +12,12 @@ from repro.analysis import comparison_row, names_per_ip
 from repro.workloads.isp import large_isp
 
 
-def test_fig9_names_per_ip_300s(benchmark):
+def test_fig9_names_per_ip_300s():
     def analyze():
         workload = large_isp(seed=19, duration=2400.0)
         return names_per_ip(workload.dns_records(), window=300.0, t_start=0.0)
 
-    report = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    report = analyze()
     ecdf = report.names_per_ip_ecdf()
     rows = [
         comparison_row("IPs with a single name (300 s)", 0.88, report.single_name_fraction),
@@ -31,7 +31,7 @@ def test_fig9_names_per_ip_300s(benchmark):
     assert 0.25 <= report.multi_ip_name_fraction <= 0.48
 
 
-def test_fig9_one_hour_similar(benchmark):
+def test_fig9_one_hour_similar():
     """Paper: 'We also did the analysis with a 1-hour sample and observed
     similar results.'"""
 
@@ -41,7 +41,7 @@ def test_fig9_one_hour_similar(benchmark):
         long_ = names_per_ip(workload.dns_records(), window=3600.0, t_start=0.0)
         return short, long_
 
-    short, long_ = benchmark.pedantic(analyze, rounds=1, iterations=1)
+    short, long_ = analyze()
     rows = [
         comparison_row("single-name IPs, 300 s", 0.88, short.single_name_fraction),
         comparison_row("single-name IPs, 1 h", 0.88, long_.single_name_fraction),

@@ -29,8 +29,8 @@ def _check_table1():
     return config, rows
 
 
-def test_table1_parameters(benchmark):
-    config, rows = benchmark.pedantic(_check_table1, rounds=1, iterations=1)
+def test_table1_parameters():
+    config, rows = _check_table1()
     print_rows("Table 1: parameters", rows)
     assert config.a_clear_up_interval == 3600.0
     assert config.c_clear_up_interval == 7200.0

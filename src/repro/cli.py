@@ -22,8 +22,8 @@ Subcommands:
   Zipf domain popularity, heavy-tailed flow sizes, Poisson arrivals,
   streamed to disk in bounded memory;
 * ``flowdns sweep`` — generate a parameter grid of workloads and replay
-  every point through the requested fault profiles, recording
-  per-config rows into the bench JSON;
+  every point through the requested fault profiles, writing
+  per-config rows to ``<out_dir>/sweep-rows.json``;
 * ``flowdns analyze`` — post-process a FlowDNS output file: per-service
   volume, RFC 1035 violations, correlation rate.
 
@@ -728,10 +728,11 @@ def _add_sweep(subparsers) -> None:
     p = subparsers.add_parser(
         "sweep",
         help="generate a workload grid and replay it through fault "
-             "profiles, recording bench rows",
+             "profiles",
     )
     p.add_argument("out_dir", nargs="?", default=None,
-                   help="directory for the grid's capture files")
+                   help="directory for the grid's capture files and "
+                        "its sweep-rows.json")
     p.add_argument("--clients", type=int, nargs="+", default=None,
                    dest="clients_axis", metavar="N",
                    help="client-count axis (default: 2000)")
@@ -749,9 +750,6 @@ def _add_sweep(subparsers) -> None:
     p.add_argument("--fault-seed", type=int, default=None,
                    help="seed for the fault legs' deterministic RNG")
     _add_workload_base_options(p)
-    p.add_argument("--bench", default=None, metavar="PATH",
-                   help="bench JSON to record the row list into "
-                        "(default: $BENCH_JSON or the per-PR file)")
     p.add_argument("--keep-captures", action="store_true",
                    help="keep the generated capture files after their legs "
                         "finish")
@@ -785,7 +783,6 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(
         spec,
         args.out_dir,
-        bench_path=args.bench,
         log=say,
         keep_captures=bool(args.keep_captures),
     )

@@ -8,9 +8,8 @@ every requested fault leg with
 :func:`repro.replay.runner.replay_capture`, assert the accounting
 invariants from :mod:`repro.core.invariants` on every report, and
 collect one row of throughput / loss / match-rate numbers per
-(config, leg). Rows land in the bench JSON under
-``workload_sweep_rows`` so CI trends them alongside the other
-benchmarks.
+(config, leg). The row list lands in ``<out_dir>/sweep-rows.json``,
+next to the grid's captures.
 
 A sweep is the repo's honest scale claim: every number in the row set
 comes from wire bytes that went through the same decode → fill →
@@ -19,6 +18,7 @@ correlate path production traffic would.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -28,12 +28,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.config import EngineConfig
 from repro.core.invariants import assert_invariants
 from repro.replay.runner import replay_capture
-from repro.util.benchio import record_bench
 from repro.util.errors import ConfigError
 from repro.workloads.generator import GeneratorParams, WorkloadGenerator
 
-#: Bench-JSON key the sweep's row list is recorded under.
-SWEEP_BENCH_KEY = "workload_sweep_rows"
+#: File name, inside the sweep's output directory, of its row list.
+SWEEP_ROWS_FILE = "sweep-rows.json"
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,11 @@ def _point_label(params: GeneratorParams) -> str:
 def run_sweep(
     spec: SweepSpec,
     out_dir: str,
-    bench_path: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
     keep_captures: bool = False,
 ) -> List[Dict[str, object]]:
-    """Run the whole sweep; returns (and bench-records) the row list.
+    """Run the whole sweep; returns the row list and writes it to
+    ``<out_dir>/sweep-rows.json``.
 
     Each grid point's capture is generated once into ``out_dir`` and
     replayed through every fault-profile leg. Every report
@@ -245,5 +244,8 @@ def run_sweep(
             if not keep_captures and os.path.exists(capture_path):
                 os.unlink(capture_path)
 
-    record_bench(SWEEP_BENCH_KEY, rows, path=bench_path)
+    with open(os.path.join(out_dir, SWEEP_ROWS_FILE), "w",
+              encoding="utf-8") as handle:
+        json.dump(rows, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     return rows

@@ -253,6 +253,8 @@ class TestAsyncLiveLoopback:
         assert udp_stats.received == len(datagrams)
         assert udp_stats.dropped == 0
         assert report.overall_loss_rate == 0.0
+        # The achieved SO_RCVBUF is surfaced for drop diagnostics.
+        assert udp_stats.recv_buffer_bytes > 0
 
     def test_stop_burst_race_loses_nothing_accepted(self):
         """Messages sent right before request_stop must either be dropped

@@ -21,9 +21,10 @@ mode's guarantee: identical stats and identical rows modulo the chain
 interior. The golden corpus never caught it: no golden scenario walks
 a ≥2-CNAME chain twice.
 
-The sweep driver rides the same captures: its row list, bench-JSON
-landing, and CLI surface are covered here rather than in a separate
-suite so one generated grid pays for all of it.
+The sweep driver rides the same captures: its row list, the
+``sweep-rows.json`` it writes into its output directory, and its CLI
+surface are covered here rather than in a separate suite so one
+generated grid pays for all of it.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ from repro.replay.runner import replay_capture
 from repro.util.errors import ConfigError
 from repro.workloads.generator import GeneratorParams, WorkloadGenerator
 from repro.workloads.sweep import (
-    SWEEP_BENCH_KEY,
+    SWEEP_ROWS_FILE,
     SweepSpec,
     run_sweep,
     sweep_points,
@@ -262,12 +263,10 @@ class TestRunSweep:
         base=GeneratorParams(seed=109, duration=20.0),
     )
 
-    def test_rows_cover_the_grid_and_land_in_bench_json(self, tmp_path):
-        bench = tmp_path / "bench.json"
+    def test_rows_cover_the_grid_and_land_in_out_dir(self, tmp_path):
         messages = []
         rows = run_sweep(
-            self.SPEC, str(tmp_path / "sweeps"),
-            bench_path=str(bench), log=messages.append,
+            self.SPEC, str(tmp_path / "sweeps"), log=messages.append,
         )
         assert len(rows) == 2 * 2
         assert {(r["clients"], r["fault_profile"]) for r in rows} == {
@@ -281,6 +280,7 @@ class TestRunSweep:
             if row["fault_profile"] == "none":
                 assert row["output_rows"] == row["delivered_flows"]
                 assert row["loss_rate"] == 0.0
+                assert row["match_rate"] > 0.9
             else:
                 # Frame drop and duplication both change the delivered
                 # count; on a small capture the *net* can even be a
@@ -290,9 +290,9 @@ class TestRunSweep:
                 assert row["delivered_flows"] != twin["delivered_flows"]
         # Captures are deleted once their legs finish...
         assert list((tmp_path / "sweeps").glob("*.fdc")) == []
-        # ...the rows landed under the bench key...
-        recorded = json.loads(bench.read_text())
-        assert recorded[SWEEP_BENCH_KEY] == rows
+        # ...the rows landed next to them...
+        recorded = json.loads((tmp_path / "sweeps" / SWEEP_ROWS_FILE).read_text())
+        assert recorded == rows
         # ...and the log narrated every point.
         assert any("2 workload points" in m for m in messages)
 
@@ -300,31 +300,32 @@ class TestRunSweep:
         spec = SweepSpec(
             clients=(200,), base=GeneratorParams(seed=113, duration=10.0),
         )
-        run_sweep(
-            spec, str(tmp_path), bench_path=str(tmp_path / "b.json"),
-            keep_captures=True,
-        )
+        run_sweep(spec, str(tmp_path), keep_captures=True)
         kept = list(tmp_path.glob("*.fdc"))
         assert len(kept) == 1
         assert kept[0].name == "sweep-c200-a0.9-d4.fdc"
 
 
 class TestSweepCli:
+    ARGS = ["--clients", "250", "--seed", "11", "--duration", "10"]
+
     def test_sweep_smoke(self, tmp_path, capsys):
-        bench = tmp_path / "bench.json"
-        code = cli_main([
-            "sweep", str(tmp_path / "out"),
-            "--clients", "250",
-            "--seed", "11", "--duration", "10",
-            "--bench", str(bench),
-        ])
+        code = cli_main(["sweep", str(tmp_path / "out"), *self.ARGS])
         assert code == 0
         captured = capsys.readouterr()
         assert "match" in captured.out  # the summary table printed
-        rows = json.loads(bench.read_text())[SWEEP_BENCH_KEY]
+        rows = json.loads((tmp_path / "out" / SWEEP_ROWS_FILE).read_text())
         assert len(rows) == 1
         assert rows[0]["fault_profile"] == "none"
         assert rows[0]["clients"] == 250
+
+    def test_sweep_writes_only_into_its_out_dir(self, tmp_path, monkeypatch):
+        """Nothing lands in the working directory or anywhere else
+        outside the output directory the sweep was given."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["sweep", "out", *self.ARGS]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [SWEEP_ROWS_FILE]
 
     def test_list_fault_profiles(self, capsys):
         assert cli_main(["sweep", "--list-fault-profiles"]) == 0

@@ -125,6 +125,7 @@ class TestGoldenCorpus:
         assert report.flow_records > 0
         assert report.matched_flows > 0
         assert rows, "no output rows"
+        assert len(rows) == report.flow_records  # a row per flow
         # Every scenario except the all-matched template/two-site/ttl ones
         # also carries background traffic no DNS record announces.
         if name in ("bursts", "malformed", "cname-churn"):
