@@ -248,11 +248,6 @@ def _add_serve(subparsers) -> None:
              "(NetFlow/IPFIX via UDP, DNS via TCP)",
     )
     _add_live_options(p, default_duration=0.0)
-    p.add_argument("--ingest-workers", type=int, default=None,
-                   help="SO_REUSEPORT socket-sharding worker processes for "
-                        "UDP flow ingest (default: 1 = single in-loop "
-                        "socket; >1 runs one receive+decode process per "
-                        "worker)")
     p.add_argument("--output", default=None,
                    help="write correlation TSV to this file (default: discard)")
     p.add_argument("--capture", default=None,
@@ -313,9 +308,8 @@ def _run_live_session(engine_config, sink, capture):
 
     The one live-session implementation behind ``flowdns serve`` (sink =
     correlation TSV, capture optional) and ``flowdns capture`` (sink
-    discarded, capture required). ``engine_config.ingest_workers > 1``
-    swaps the in-loop UDP socket for SO_REUSEPORT socket sharding —
-    N worker processes each running their own receive + decode stack.
+    discarded, capture required). NetFlow arrives through one in-loop
+    UDP socket and DNS through one TCP server, both on the engine's loop.
     Raises :class:`_BindFailure` when a listener's port is taken.
     """
     import asyncio
@@ -326,22 +320,12 @@ def _run_live_session(engine_config, sink, capture):
     dns_ingest = TcpDnsIngest(
         host=engine_config.host, port=engine_config.dns_port, capture=capture
     )
-    if engine_config.ingest_workers > 1:
-        from repro.core.ingest import ReuseportUdpIngest
-
-        flow_ingest = ReuseportUdpIngest(
-            host=engine_config.host,
-            port=engine_config.flow_port,
-            workers=engine_config.ingest_workers,
-            recv_buffer_bytes=engine_config.recv_buffer_bytes,
-        )
-    else:
-        flow_ingest = UdpFlowIngest(
-            host=engine_config.host,
-            port=engine_config.flow_port,
-            capture=capture,
-            recv_buffer_bytes=engine_config.recv_buffer_bytes,
-        )
+    flow_ingest = UdpFlowIngest(
+        host=engine_config.host,
+        port=engine_config.flow_port,
+        capture=capture,
+        recv_buffer_bytes=engine_config.recv_buffer_bytes,
+    )
     engine = AsyncEngine(engine_config, sink=sink)
     duration = engine_config.duration
 
@@ -408,9 +392,6 @@ def _print_live_summary(report) -> None:
               file=sys.stderr)
     if report.evictions:
         print(f"entries evicted      : {report.evictions:,} (memory bound)",
-              file=sys.stderr)
-    if report.worker_restarts:
-        print(f"workers respawned    : {report.worker_restarts:,}",
               file=sys.stderr)
     for name, stats in report.ingest.items():
         rcvbuf = (

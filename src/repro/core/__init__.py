@@ -23,7 +23,6 @@ from repro.core.adapter import (
 from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.flowdns import FlowDNS
-from repro.core.ingest import ReuseportUdpIngest
 from repro.core.monitor import render_report
 from repro.core.fillup import FillUpProcessor, FillUpStats
 from repro.core.lookup import CorrelationResult, LookUpProcessor, LookUpStats
@@ -34,7 +33,6 @@ from repro.core.metrics import (
     IngestStats,
     IntervalCounters,
     IntervalSample,
-    merge_ingest_stats,
 )
 from repro.core.pipeline import is_live_source
 from repro.core.simulation import SimulationEngine
@@ -61,10 +59,8 @@ __all__ = [
     "AsyncEngine",
     "UdpFlowIngest",
     "TcpDnsIngest",
-    "ReuseportUdpIngest",
     "SimulationEngine",
     "IngestStats",
-    "merge_ingest_stats",
     "is_live_source",
     "ENGINE_VARIANTS",
     "engine_for",

@@ -29,9 +29,8 @@ asyncio event loop:
   the bounded buffers as bursts without stalling the loop;
 * any object implementing the ingest-source protocol's live hooks
   (``connect_buffer``/``start``/``stop``; see
-  :mod:`repro.core.pipeline`) can serve as a live source — e.g. the
-  multi-process :class:`repro.core.ingest.ReuseportUdpIngest`, whose
-  workers ship ready-decoded :class:`FlowBatch` items.
+  :mod:`repro.core.pipeline`) can serve as a live source; a live flow
+  source also carries the ``collector`` its lane decodes through.
 
 The lane bodies are :mod:`repro.core.pipeline`'s :class:`FillLane` and
 :class:`LookupLane`; this module owns only the asyncio *scheduling
@@ -220,18 +219,6 @@ class UdpFlowIngest:
     def connect_buffer(self, buffer: AsyncBuffer) -> None:
         """Attach the engine buffer raw datagrams are offered to."""
         self._buffer = buffer
-
-    def on_datagram(self, data: bytes) -> None:
-        """Offer one raw datagram to the buffer (no decode here)."""
-        stats = self.ingest_stats
-        stats.received += 1
-        stats.bytes_in += len(data)
-        if self.capture is not None:
-            self.capture.record_flow(data)
-        if self._buffer.try_put(data):
-            stats.accepted += 1
-        else:
-            stats.dropped += 1
 
     def _on_readable(self) -> None:
         """Drain the socket: many ``recv_into`` calls per loop wakeup."""
@@ -439,10 +426,9 @@ class TcpDnsIngest:
         return self.address
 
 
-#: The built-in live socket listeners (kept for import compatibility;
-#: the engine itself duck-types via
+#: The built-in live socket listeners. The engine itself duck-types via
 #: :func:`repro.core.pipeline.is_live_source`, so any object with the
-#: protocol's live hooks — e.g. ReuseportUdpIngest — works as a source).
+#: protocol's live hooks works as a source.
 LIVE_INGEST_TYPES = (UdpFlowIngest, TcpDnsIngest)
 
 
@@ -611,9 +597,6 @@ class AsyncEngine:
 
     def _stats_line(self) -> str:
         storage = self.storage
-        restarts = sum(
-            int(getattr(s, "restarts", 0) or 0) for s in self._run_sources
-        )
         dropped = sum(b.stats.dropped for b in self._buffers)
         age = self.snapshot_age()
         age_text = f"{age:.0f}s" if age >= 0 else "n/a"
@@ -621,7 +604,7 @@ class AsyncEngine:
             f"[flowdns] dns={self.dns_records_seen} flows={self.flows_seen} "
             f"entries={storage.total_entries()} "
             f"evictions={storage.evictions()} dropped={dropped} "
-            f"worker_restarts={restarts} snapshots={self.snapshots_written} "
+            f"snapshots={self.snapshots_written} "
             f"snapshot_age={age_text}"
         )
 
@@ -799,19 +782,13 @@ class AsyncEngine:
                 source.connect_buffer(buffer)
                 await source.start(loop)
                 live_ingests.append((source, buffer))
-                collector = getattr(source, "collector", None)
-                if collector is not None:
-                    # Off-loop decode: the source buffers *raw* datagrams
-                    # and this lane batch-decodes them through the
-                    # source's collector, charging malformed input to the
-                    # source's ingest stats at decode time.
-                    lane = LookupLane(
-                        processor, collector, ingest_stats=source.ingest_stats
-                    )
-                else:
-                    # Reuseport worker sources ship ready-decoded batches;
-                    # decode accounting already happened in the workers.
-                    lane = LookupLane(processor)
+                # Off-loop decode: the source buffers *raw* datagrams and
+                # this lane batch-decodes them through the source's
+                # collector, charging malformed input to the source's
+                # ingest stats at decode time.
+                lane = LookupLane(
+                    processor, source.collector, ingest_stats=source.ingest_stats
+                )
             else:
                 buffer = make_buffer(f"netflow[{i}]", None)
                 flow_finite.append((source, buffer))

@@ -14,8 +14,8 @@ variants; :mod:`repro.core.variants` sets them.
 
 :class:`FlowDNSConfig` describes *correlation* behaviour; on top of it,
 :class:`EngineConfig` describes one *deployment* of an engine —
-live-session bind addresses, socket buffer sizing, ingest worker count,
-capture tap, replay pacing. Every engine constructor and
+live-session bind addresses, socket buffer sizing, capture tap, replay
+pacing. Every engine constructor and
 :func:`repro.core.variants.engine_for` accept either
 (:meth:`EngineConfig.of` normalises), and the CLI's per-mode flag
 validation is :meth:`EngineConfig.from_args` — presence-based rejection
@@ -129,15 +129,13 @@ class EngineConfig:
     The single construction surface for all engines: buffer sizes and
     correlation parameters ride in :attr:`flowdns`, everything that was
     previously kwarg sprawl across engine constructors and CLI handlers
-    (capture tap, live bind addresses, socket buffer sizing, ingest
-    worker count, replay pacing) is a field here. Engines accept an
+    (capture tap, live bind addresses, socket buffer sizing, replay
+    pacing) is a field here. Engines accept an
     ``EngineConfig``, a bare ``FlowDNSConfig``, or ``None`` —
     :meth:`of` normalises.
     """
 
     flowdns: FlowDNSConfig = field(default_factory=FlowDNSConfig)
-    #: SO_REUSEPORT socket-sharding workers for live UDP flow ingest.
-    ingest_workers: int = 1
     #: Optional :class:`repro.replay.capture.CaptureWriter` tee for live
     #: sources (every received wire unit recorded pre-decode).
     capture: Optional[object] = None
@@ -177,8 +175,6 @@ class EngineConfig:
     fault_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.ingest_workers < 1:
-            raise ConfigError("ingest_workers must be at least 1")
         if self.duration < 0:
             raise ConfigError("duration must be non-negative")
         if self.recv_buffer_bytes < 0:
@@ -274,15 +270,6 @@ class EngineConfig:
                 raise ConfigError(
                     "--speed only applies to --realtime pacing; pass both"
                 )
-        ingest_workers = getattr(args, "ingest_workers", None)
-        if ingest_workers is not None:
-            if ingest_workers < 1:
-                raise ConfigError("--ingest-workers must be at least 1")
-            if getattr(args, "capture", None):
-                raise ConfigError(
-                    "--capture cannot tee --ingest-workers: reuseport sockets "
-                    "receive in worker processes the capture writer cannot see"
-                )
         if command == "capture":
             cls._validate_capture_mode(args)
         snapshot_path = getattr(args, "snapshot", None)
@@ -319,7 +306,6 @@ class EngineConfig:
         duration = getattr(args, "duration", None)
         return cls(
             flowdns=flowdns,
-            ingest_workers=ingest_workers if ingest_workers is not None else 1,
             host=host if host is not None else DEFAULT_LIVE_HOST,
             flow_port=flow_port if flow_port is not None else DEFAULT_FLOW_PORT,
             dns_port=dns_port if dns_port is not None else DEFAULT_DNS_PORT,

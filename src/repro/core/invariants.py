@@ -50,7 +50,6 @@ _NON_NEGATIVE_FIELDS = (
     "final_map_entries",
     "overwrites",
     "evictions",
-    "worker_restarts",
     "snapshots_written",
     "restored_entries",
     "dns_invalid",

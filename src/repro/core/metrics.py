@@ -213,9 +213,8 @@ class IngestStats:
     """Per-source ingest counters for socket-fed pipeline sources.
 
     Models the paper's loss point at the collector's edge: a receiver
-    (UDP datagram listener, DNS-over-TCP server, or the blocking
-    :class:`repro.netflow.udp.UdpFlowSource`) counts what arrived off the
-    wire, what it managed to hand to the pipeline, and what it had to
+    (the UDP datagram listener or the DNS-over-TCP server) counts what
+    arrived off the wire, what it managed to hand to the pipeline, and what it had to
     drop when its bounded buffer was full (backpressure). Engines attach
     one of these per socket source under :attr:`EngineReport.ingest`.
     """
@@ -257,28 +256,6 @@ class BufferStats:
     dropped: int = 0
 
 
-def merge_ingest_stats(name: str, parts) -> "IngestStats":
-    """Fold per-worker :class:`IngestStats` into one source-level view.
-
-    Counters sum; ``recv_buffer_bytes`` takes the *minimum* non-zero
-    achieved size — the most pessimistic worker bounds the burst the
-    reuseport socket set can absorb, which is the number an operator
-    diagnosing drops needs.
-    """
-    merged = IngestStats(name=name)
-    buffers = []
-    for part in parts:
-        merged.received += part.received
-        merged.accepted += part.accepted
-        merged.dropped += part.dropped
-        merged.malformed += part.malformed
-        merged.bytes_in += part.bytes_in
-        if part.recv_buffer_bytes:
-            buffers.append(part.recv_buffer_bytes)
-    merged.recv_buffer_bytes = min(buffers) if buffers else 0
-    return merged
-
-
 @dataclass
 class EngineReport:
     """Everything one engine run produced, for benches and tests."""
@@ -297,9 +274,6 @@ class EngineReport:
     #: Entries dropped by the ``max_entries_per_map`` memory bound across
     #: all stores; 0 when the bound is unset or never hit.
     evictions: int = 0
-    #: Ingest worker processes respawned by supervision after dying
-    #: mid-run; 0 for unsupervised or clean runs.
-    worker_restarts: int = 0
     #: Periodic snapshots written during the run (``serve --snapshot``).
     snapshots_written: int = 0
     #: Entries restored from a snapshot at start-up (restore-on-start).

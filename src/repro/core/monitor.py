@@ -72,8 +72,6 @@ def render_report(report: EngineReport) -> str:
     out.gauge("map_entries", report.final_map_entries, "live hashmap entries")
     out.counter("storage_evictions", report.evictions,
                 "entries dropped by the max_entries memory bound")
-    out.counter("worker_restarts", report.worker_restarts,
-                "supervised ingest workers respawned")
     for length, count in sorted(report.chain_lengths.items()):
         out.counter("chains", count, "lookup chains by length",
                     labels={"length": str(length)})
@@ -85,8 +83,7 @@ def render_async_engine(engine, sources: Tuple = ()) -> str:
 
     This is what ``serve --metrics-port`` publishes mid-run: lane
     progress, per-bank entry counts, ingress buffer occupancy and drops,
-    the memory-bound eviction counter, worker supervision restarts, and
-    snapshot freshness — the numbers an operator needs to answer "is
+    the memory-bound eviction counter, and snapshot freshness — the numbers an operator needs to answer "is
     this service healthy" without stopping it. Duck-typed on the
     AsyncEngine surface so tests can feed a stub.
     """
@@ -117,7 +114,6 @@ def render_async_engine(engine, sources: Tuple = ()) -> str:
     writer = getattr(engine, "writer", None)
     if writer is not None:
         out.gauge("write_rows", writer.stats.rows, "output rows written")
-    restarts = 0
     for source in sources:
         stats = getattr(source, "ingest_stats", None)
         if stats is not None:
@@ -130,9 +126,6 @@ def render_async_engine(engine, sources: Tuple = ()) -> str:
                         "wire units dropped at ingest", labels=labels)
             out.counter("ingest_malformed", stats.malformed,
                         "wire units that failed to decode", labels=labels)
-        restarts += int(getattr(source, "restarts", 0) or 0)
-    out.counter("worker_restarts", restarts,
-                "supervised ingest workers respawned")
     out.counter("snapshots_written", getattr(engine, "snapshots_written", 0),
                 "periodic snapshots written this run")
     out.gauge("snapshot_age_seconds", getattr(engine, "snapshot_age", lambda: -1.0)(),

@@ -35,11 +35,10 @@ from repro.netflow.records import FlowBatch, FlowRecord
 
 # --- the ingest-source protocol ---------------------------------------------
 #
-# Every socket- or capture-fed stream source — :class:`repro.netflow.udp
-# .UdpFlowSource`, :class:`repro.replay.source.ReplaySource`, the async
-# engine's :class:`~repro.core.async_engine.UdpFlowIngest` /
-# :class:`~repro.core.async_engine.TcpDnsIngest`, and the multi-process
-# :class:`~repro.core.ingest.ReuseportUdpIngest` — implements one
+# Every socket- or capture-fed stream source — :class:`repro.replay.source
+# .ReplaySource` and the async engine's
+# :class:`~repro.core.async_engine.UdpFlowIngest` /
+# :class:`~repro.core.async_engine.TcpDnsIngest` — implements one
 # protocol, so engines and the capture tee never special-case types:
 #
 # * ``ingest_stats`` — an :class:`IngestStats` of what arrived off the
@@ -50,12 +49,8 @@ from repro.netflow.records import FlowBatch, FlowRecord
 #   unit is recorded *pre-decode* (malformed input included) so a replay
 #   reproduces the same counters.
 # * ``close()`` — idempotent teardown; a closed source delivers nothing
-#   more and its sockets/processes are released. Iterating an iterable
-#   source after close is safe and yields nothing.
-# * optional ``ingest_errors`` — strings describing partial-ingest
-#   failures (e.g. a dead worker process); :func:`collect_ingest` folds
-#   them into ``EngineReport.warnings`` so a degraded run warns instead
-#   of failing silently.
+#   more and its sockets are released. Iterating an iterable source
+#   after close is safe and yields nothing.
 #
 # Sources that can feed the asyncio engine *live* (rather than being
 # pumped as finite iterables) additionally implement the live hooks
@@ -258,9 +253,7 @@ def collect_ingest(report: EngineReport, sources: Iterable) -> None:
     :class:`IngestStats`, per the ingest-source protocol above) gets its
     counters surfaced under :attr:`EngineReport.ingest`, keyed by the
     stats' name (suffixed on collision so two unnamed sources don't
-    shadow each other). A source's ``ingest_errors`` strings — partial
-    failures like a dead worker process — fold into
-    :attr:`EngineReport.warnings`.
+    shadow each other).
 
     Loss visibility, then bounded readability: every source whose
     counters say it dropped items gets an
@@ -276,10 +269,6 @@ def collect_ingest(report: EngineReport, sources: Iterable) -> None:
             if key in report.ingest:
                 key = f"{key}#{len(report.ingest)}"
             report.ingest[key] = stats
-        for error in getattr(source, "ingest_errors", ()):
-            report.warnings.append(str(error))
-        # Supervised sources (ReuseportUdpIngest) count worker respawns.
-        report.worker_restarts += int(getattr(source, "restarts", 0) or 0)
     for key, stats in report.ingest.items():
         if stats.dropped > 0:
             report.warnings.append(ingest_drop_warning(key, stats))

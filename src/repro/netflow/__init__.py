@@ -20,7 +20,7 @@ from repro.netflow.v9 import (
 from repro.netflow.ipfix import IpfixSession, encode_ipfix_data, encode_ipfix_template
 from repro.netflow.collector import FlowCollector
 from repro.netflow.exporter import FlowExporter
-from repro.netflow.udp import UdpFlowSource, send_datagrams
+from repro.netflow.udp import send_datagrams
 
 __all__ = [
     "FlowRecord",
@@ -39,6 +39,5 @@ __all__ = [
     "encode_ipfix_data",
     "FlowCollector",
     "FlowExporter",
-    "UdpFlowSource",
     "send_datagrams",
 ]

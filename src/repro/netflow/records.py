@@ -16,7 +16,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.util.interning import cached_ip_address, cached_ip_text
 
@@ -94,10 +94,6 @@ class FlowBatch:
     flow's ``extra`` dict is empty — the common case for the standard
     v9/IPFIX templates — otherwise a parallel list of per-flow dicts
     (``None`` entries meaning empty).
-
-    The flat columns are what reuseport ingest workers pickle across
-    IPC: one tuple of primitive lists per batch instead of an object
-    graph.
     """
 
     __slots__ = (
@@ -227,25 +223,6 @@ class FlowBatch:
             [self.bytes_[i] for i in indices],
             None if extras is None else [extras[i] for i in indices],
         )
-
-    def columns(self) -> Tuple:
-        """The flat column tuple — what reuseport ingest workers pickle."""
-        return (
-            self.ts,
-            self.src_ip_text,
-            self.dst_ip_text,
-            self.src_port,
-            self.dst_port,
-            self.protocol,
-            self.packets,
-            self.bytes_,
-            self.extras,
-        )
-
-    @classmethod
-    def from_columns(cls, columns: Tuple) -> "FlowBatch":
-        """Rebuild a batch from :meth:`columns` output (trusted input)."""
-        return cls(*columns)
 
     # --- materialisation --------------------------------------------------
 

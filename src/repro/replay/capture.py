@@ -199,9 +199,9 @@ class CaptureWriter:
     """Append-only capture sink the live ingest paths tee into.
 
     Accepts a path (opened/closed by the writer) or an already-open
-    binary file object (left open). Thread-safe: a ``UdpFlowSource``
-    may iterate in a thread of its own while a DNS tap writes from
-    another, so every record takes the lock.
+    binary file object (left open). Thread-safe: it is a plain sink any
+    caller may share — e.g. two replay sources iterated in threads of
+    their own, each teeing its lane — so every record takes the lock.
 
     Items are stamped with ``clock.now()`` (default:
     :class:`~repro.util.clock.MonotonicClock`) unless the caller passes

@@ -358,9 +358,8 @@ class _LaneState:
 class FaultedSource:
     """An ingest source wrapped with per-item faults (one lane).
 
-    Implements the ingest-source protocol by proxy — ``ingest_stats``,
-    ``ingest_errors``, and ``close()`` pass through to the wrapped
-    source — so engines account the *unfaulted* arrivals while the items
+    Implements the ingest-source protocol by proxy — ``ingest_stats``
+    and ``close()`` pass through to the wrapped source — so engines account the *unfaulted* arrivals while the items
     they actually see are the perturbed ones. Items may be raw ``bytes``
     (flow lane) or ``(ts, payload)`` tuples (DNS lane); timing faults
     apply only where a timestamp exists to rewrite.
@@ -381,10 +380,6 @@ class FaultedSource:
     @property
     def ingest_stats(self):
         return getattr(self._source, "ingest_stats", None)
-
-    @property
-    def ingest_errors(self):
-        return getattr(self._source, "ingest_errors", ())
 
     def close(self) -> None:
         close = getattr(self._source, "close", None)

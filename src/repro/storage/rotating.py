@@ -9,7 +9,8 @@ answer is a three-tier store:
   clear-up ("buffer rotation"), so lookups shortly after a clear-up still
   hit recently-seen records;
 * **Long** — records whose TTL is at least the clear-up interval; never
-  cleared (or cleared much less frequently).
+  cleared (the paper also allows clearing them much less frequently;
+  this store does not).
 
 Lookups walk Active → Inactive → Long (Algorithm 2's ``deepLookUp``).
 
@@ -101,7 +102,6 @@ class StoreBank:
         rotation_enabled: bool = True,
         clear_up_enabled: bool = True,
         long_enabled: bool = True,
-        long_clear_every: int = 0,
         max_entries: int = 0,
     ):
         if clear_up_interval <= 0:
@@ -116,9 +116,6 @@ class StoreBank:
         self.rotation_enabled = rotation_enabled
         self.clear_up_enabled = clear_up_enabled
         self.long_enabled = long_enabled
-        # "never cleared or are cleared much less frequently": 0 = never;
-        # k > 0 = cleared on every k-th clear-up round.
-        self.long_clear_every = long_clear_every
         self.stats = RotatingStoreStats()
         #: The tiers. A clear-up rebinds them, so hold a tier only
         #: between clear-ups.
@@ -126,7 +123,6 @@ class StoreBank:
         self.inactive: Dict[str, str] = {}
         self.long: Dict[str, str] = {}
         self._last_clear_ts: Optional[float] = None
-        self._clear_rounds = 0
 
     def put(self, key: str, value: str, ttl: float, ts: float) -> None:
         """Insert one record, running the clear-up check first (Algorithm 1).
@@ -275,15 +271,11 @@ class StoreBank:
 
     def force_clear_up(self) -> None:
         """Run a clear-up round now (due rounds, tests, the A.8 harness)."""
-        self._clear_rounds += 1
         self.stats.entries_cleared += len(self.active)
         if self.rotation_enabled:
             self.inactive = self.active
             self.stats.entries_rotated += len(self.inactive)
         self.active = {}
-        if self.long_clear_every and self._clear_rounds % self.long_clear_every == 0:
-            self.stats.entries_cleared += len(self.long)
-            self.long = {}
         # A restored snapshot may hand over tiers above the bound.
         self._enforce_caps()
         self.stats.rotations += 1

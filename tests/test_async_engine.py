@@ -2,6 +2,7 @@
 live loopback ingest (NetFlow over UDP + DNS over TCP), bounded-buffer
 backpressure accounting, and graceful drain-then-shutdown."""
 
+import asyncio
 import io
 import socket
 import threading
@@ -469,16 +470,29 @@ class TestRequestStopIdempotency:
 
 class TestBackpressure:
     def test_udp_overflow_drops_are_counted(self):
-        """A full bounded ingest buffer drops whole batches and counts
-        them — deterministic, no event loop involved."""
-        ingest = UdpFlowIngest(capacity=2)
-        buffer = AsyncBuffer(2, name="netflow[0]")
-        ingest.connect_buffer(buffer)
+        """A full bounded ingest buffer drops whole datagrams and counts
+        them. The socket already holds every datagram when the receive
+        path drains it, and the loop never runs its reader, so the
+        outcome is deterministic."""
         flows = _wire_flows(count=5, extra_unmatched=0)
         datagrams = list(FlowExporter(version=5, batch_size=4).export(flows))
         assert len(datagrams) >= 5
-        for datagram in datagrams:
-            ingest.on_datagram(datagram)
+        ingest = UdpFlowIngest(capacity=2)
+        buffer = AsyncBuffer(2, name="netflow[0]")
+        ingest.connect_buffer(buffer)
+
+        async def drain():
+            await ingest.start(asyncio.get_running_loop())
+            try:
+                send_datagrams(datagrams, ingest.address)
+                deadline = time.monotonic() + 5.0
+                while ingest.ingest_stats.received < len(datagrams):
+                    assert time.monotonic() < deadline, "datagrams lost on loopback"
+                    ingest._on_readable()
+            finally:
+                ingest.close()
+
+        asyncio.run(drain())
         stats = ingest.ingest_stats
         assert stats.received == len(datagrams)
         assert stats.accepted == 2
@@ -533,3 +547,100 @@ class TestBackpressure:
         source2 = StatsSource("udp[test2]", list(flows))
         report2 = AsyncEngine(FlowDNSConfig()).run([[]], [source2], dns_first=True)
         assert report2.ingest["udp[test2]"].received == 1
+
+
+def _serve_udp(ingest, datagrams, send_to=None):
+    """Run a flow-only live engine on ``ingest``; send ``datagrams`` at
+    its bound address (or at ``send_to(address)``), wait until the socket
+    has received them all, then stop, drain and return the report."""
+    engine = AsyncEngine(FlowDNSConfig())
+    result = {}
+    thread = threading.Thread(
+        target=lambda: result.update(report=engine.run([], [ingest])),
+        daemon=True,
+    )
+    thread.start()
+    address = ingest.wait_ready()
+    try:
+        send_datagrams(datagrams, send_to(address) if send_to else address)
+        deadline = time.monotonic() + 10.0
+        while ingest.ingest_stats.received < len(datagrams):
+            assert time.monotonic() < deadline, "datagrams lost on loopback"
+            time.sleep(0.01)
+    finally:
+        engine.request_stop()
+        thread.join(timeout=20.0)
+    assert not thread.is_alive(), "async engine did not shut down"
+    return result["report"]
+
+
+def _can_bind_udp(host):
+    try:
+        with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as sock:
+            sock.bind((host, 0))
+    except OSError:
+        return False
+    return True
+
+
+class TestUdpFlowIngestSocket:
+    """The live UDP socket: address families, bind failure, and what it
+    counts and tees before the lane decodes."""
+
+    def test_ipv6_bind_and_receive(self):
+        if not _can_bind_udp("::1"):
+            pytest.skip("IPv6 loopback unavailable")
+        flows = _wire_flows(count=3, extra_unmatched=0)
+        datagrams = list(FlowExporter(version=9, batch_size=3).export(flows))
+        ingest = UdpFlowIngest(host="::1")
+        report = _serve_udp(ingest, datagrams)
+        assert ingest.address[0] == "::1"
+        assert report.flow_records == len(flows)
+        assert ingest.ingest_stats.accepted == len(datagrams)
+
+    def test_dual_stack_wildcard_bind(self):
+        """A ``::`` bind is one dual-stack socket: an IPv4 exporter
+        reaches it over loopback."""
+        if not _can_bind_udp("::"):
+            pytest.skip("IPv6 wildcard unavailable")
+        flows = _wire_flows(count=2, extra_unmatched=0)
+        datagrams = list(FlowExporter(version=5, batch_size=8).export(flows))
+        ingest = UdpFlowIngest(host="::")
+        report = _serve_udp(
+            ingest, datagrams, send_to=lambda address: ("127.0.0.1", address[1])
+        )
+        assert report.flow_records == len(flows)
+
+    def test_unresolvable_host_raises_on_start(self):
+        ingest = UdpFlowIngest(host="definitely-not-a-host.invalid")
+
+        async def start():
+            await ingest.start(asyncio.get_running_loop())
+
+        with pytest.raises((OSError, socket.gaierror)):
+            asyncio.run(start())
+        assert ingest.address is None
+
+    def test_malformed_datagram_counted_and_teed_before_decode(self, tmp_path):
+        """The capture tap records every received datagram as raw wire
+        bytes, malformed input included, so a replay reproduces the live
+        run's malformed counter too."""
+        from repro.replay.capture import LANE_FLOW, CaptureWriter, load_capture
+
+        flows = _wire_flows(count=2, extra_unmatched=0)
+        datagrams = list(
+            FlowExporter(version=9, batch_size=4).export(flows)
+        ) + [b"\xff" * 20]
+        path = str(tmp_path / "udp-tee.fdc")
+        writer = CaptureWriter(path)
+        ingest = UdpFlowIngest(capture=writer)
+        report = _serve_udp(ingest, datagrams)
+        writer.close()
+
+        stats = report.ingest[ingest.ingest_stats.name]
+        assert stats.received == len(datagrams)
+        assert stats.malformed == 1
+        assert report.flow_records == len(flows)
+        frames = load_capture(path)
+        assert [f.lane for f in frames] == [LANE_FLOW] * len(datagrams)
+        assert [f.payload for f in frames] == datagrams

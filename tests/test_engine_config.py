@@ -29,7 +29,7 @@ class TestOf:
     def test_none_gives_defaults(self):
         ec = EngineConfig.of(None)
         assert isinstance(ec.flowdns, FlowDNSConfig)
-        assert ec.ingest_workers == 1
+        assert ec.duration == 0.0
 
     def test_flowdns_config_is_wrapped(self):
         fc = FlowDNSConfig(num_split=3)
@@ -37,19 +37,19 @@ class TestOf:
         assert ec.flowdns is fc
 
     def test_engine_config_passes_through(self):
-        ec = EngineConfig(ingest_workers=2)
+        ec = EngineConfig(duration=2.0)
         assert EngineConfig.of(ec) is ec
 
     def test_replace_returns_modified_copy(self):
         ec = EngineConfig()
-        ec2 = ec.replace(ingest_workers=4)
-        assert ec2.ingest_workers == 4
-        assert ec.ingest_workers == 1
+        ec2 = ec.replace(duration=4.0)
+        assert ec2.duration == 4.0
+        assert ec.duration == 0.0
 
     @pytest.mark.parametrize("kw", [
         {"snapshot_interval": 0.0},
         {"stats_interval": -1.0},
-        {"ingest_workers": 0},
+        {"metrics_port": -1},
         {"duration": -1.0},
         {"recv_buffer_bytes": -1},
         {"speed": 0.0},
@@ -106,7 +106,7 @@ class TestFromArgs:
 
     def _live_ns(self, **kw):
         base = dict(host=None, flow_port=None, dns_port=None, duration=None,
-                    ingest_workers=None, capture=None)
+                    capture=None)
         base.update(kw)
         return ns(**base)
 
@@ -115,7 +115,6 @@ class TestFromArgs:
         assert ec.host == DEFAULT_LIVE_HOST
         assert ec.flow_port == DEFAULT_FLOW_PORT
         assert ec.duration == 0.0
-        assert ec.ingest_workers == 1
 
     def test_capture_default_duration_is_bounded(self):
         ec = EngineConfig.from_args(
@@ -139,15 +138,6 @@ class TestFromArgs:
         args = ns(engine="async", speed=-1.0, realtime=True)
         with pytest.raises(ConfigError, match="--speed must be positive"):
             EngineConfig.from_args(args, "replay")
-
-    def test_ingest_workers_lower_bound(self):
-        with pytest.raises(ConfigError, match="--ingest-workers"):
-            EngineConfig.from_args(self._live_ns(ingest_workers=0), "serve")
-
-    def test_ingest_workers_incompatible_with_capture(self):
-        args = self._live_ns(ingest_workers=2, capture="tee.fdc")
-        with pytest.raises(ConfigError, match="--capture cannot tee"):
-            EngineConfig.from_args(args, "serve")
 
     def test_scenario_rejects_explicit_live_flags(self):
         args = self._live_ns(scenario="bursts", seed=None, duration=5.0)

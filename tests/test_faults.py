@@ -273,7 +273,6 @@ def test_frame_conservation_property(seed, drop, dup, reorder):
 def test_faulted_source_proxies_ingest_protocol():
     class FakeSource:
         ingest_stats = object()
-        ingest_errors = ("boom",)
         closed = False
 
         def close(self):
@@ -285,7 +284,6 @@ def test_faulted_source_proxies_ingest_protocol():
     source = FakeSource()
     faulted = FaultedSource(source, LANE_FLOW, FaultPlan(), seed=0)
     assert faulted.ingest_stats is source.ingest_stats
-    assert faulted.ingest_errors == ("boom",)
     faulted.close()
     assert source.closed
     assert list(faulted) == [b"x", b"y"]

@@ -405,8 +405,8 @@ class TestCaptureWriter:
         assert [f.payload for f in load_capture(path)] == [b"kept"]
 
     def test_concurrent_writers_interleave_whole_frames(self, tmp_path):
-        """Two threads tee into one writer (a UDP iterator in a thread of
-        its own + a DNS tap); every frame must land intact."""
+        """Two threads tee into one writer (one flow tap, one DNS tap);
+        every frame must land intact."""
         path = str(tmp_path / "mt.fdc")
         writer = CaptureWriter(path)
 

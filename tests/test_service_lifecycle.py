@@ -1,6 +1,6 @@
 """Service-lifecycle tests for ``flowdns serve``.
 
-The supervised-service contract, end to end:
+The unattended-service contract, end to end:
 
 * the **kill-and-restart drill** the acceptance criteria mandate — a
   real ``serve`` subprocess snapshotting periodically, SIGKILLed (no
@@ -232,7 +232,6 @@ class TestMetricsEndpoint:
         assert metrics["flowdns_dns_records_total"] == 10.0
         assert metrics["flowdns_map_entries"] == 10.0
         assert metrics["flowdns_storage_evictions_total"] == 0.0
-        assert metrics["flowdns_worker_restarts_total"] == 0.0
         assert metrics["flowdns_snapshots_written_total"] == 0.0
         assert metrics["flowdns_snapshot_age_seconds"] == -1.0
         # Drained by the time the fill lane counted all 10 records.
@@ -350,7 +349,7 @@ class TestServeFlagValidation:
         import argparse
 
         base = dict(host=None, flow_port=None, dns_port=None, duration=None,
-                    ingest_workers=None, capture=None)
+                    capture=None)
         base.update(kw)
         return argparse.Namespace(**base)
 

@@ -116,14 +116,6 @@ class TestAblationFlags:
         b.put("x2", "y2", ttl=60, ts=8000.0)
         assert b.deep_lookup("5.5.5.5") == (None, None)
 
-    def test_long_clear_every(self):
-        b = bank(long_clear_every=2)
-        b.put("5.5.5.5", "long.example", ttl=86400, ts=0.0)
-        b.force_clear_up()
-        assert b.deep_lookup("5.5.5.5")[1] == Tier.LONG
-        b.force_clear_up()
-        assert b.deep_lookup("5.5.5.5") == (None, None)
-
 
 class TestAccounting:
     def test_entry_counts(self):
