@@ -20,7 +20,8 @@ import threading
 import time
 
 from repro import FlowDNSConfig, FlowExporter
-from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
+from repro.core.async_engine import AsyncEngine
+from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 from repro.core.writer import parse_result_line
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.tcp import frame_messages

@@ -315,7 +315,8 @@ def _run_live_session(engine_config, sink, capture):
     import asyncio
     import signal
 
-    from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
+    from repro.core.async_engine import AsyncEngine
+    from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 
     dns_ingest = TcpDnsIngest(
         host=engine_config.host, port=engine_config.dns_port, capture=capture

@@ -20,9 +20,10 @@ from repro.core.adapter import (
     load_mapping,
     load_mapping_file,
 )
-from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
+from repro.core.async_engine import AsyncEngine
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.flowdns import FlowDNS
+from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 from repro.core.monitor import render_report
 from repro.core.fillup import FillUpProcessor, FillUpStats
 from repro.core.lookup import CorrelationResult, LookUpProcessor, LookUpStats

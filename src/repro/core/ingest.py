@@ -1,607 +1,377 @@
-"""Multi-process UDP socket sharding via SO_REUSEPORT.
+"""The live ingest sources and the bounded buffer they feed.
 
-One socket on one event loop tops out at one core's worth of receive +
-decode. The paper's collectors scale past that the way production
-collectors do: *N sockets bound to the same port* with ``SO_REUSEPORT``,
-so the kernel load-balances export datagrams across N worker processes
-by flow hash — each exporter's (src, dst) 4-tuple consistently lands on
-the same worker, which keeps per-worker NetFlow v9/IPFIX template
-state coherent without any cross-process coordination.
+Everything the async engine reads from a socket enters through here:
 
-:class:`ReuseportUdpIngest` runs one receive + decode stack per worker
-process (bulk ``recv_into`` drains, batched
-:meth:`~repro.netflow.collector.FlowCollector.ingest_columns_many`
-decode) and ships ready-made :class:`FlowBatch` items to the parent as
-flat column tuples (:meth:`FlowBatch.columns`) over a bounded queue, so
-pickle never walks a record object graph and the parent never
-re-decodes.
-
-The source implements the ingest-source protocol
-(:mod:`repro.core.pipeline`): hand it to the async engine as a live
-source (``connect_buffer``/``start``/``stop``). Per-worker
-:class:`IngestStats` merge into one source-level view
-(:func:`repro.core.metrics.merge_ingest_stats`), and a worker that dies
-mid-ingest surfaces as an :attr:`ingest_errors` warning on the report —
-the run degrades loudly instead of hanging.
-
-**Supervision** (``supervise=True``, the default): a worker that dies
-without its stats sentinel — segfault, OOM kill, unhandled error — is
-respawned on the same port with capped exponential backoff, and the
-:attr:`restarts` counter records each respawn. Stats are kept per worker
-*generation*, so the merged counters keep summing across a respawn
-instead of resetting. When the whole source exceeds its restart budget
-(``max_restarts`` within ``restart_window`` seconds) the failing slot is
-abandoned and the source degrades to the surviving workers, loudly:
-every death, respawn, and abandonment lands in :attr:`ingest_errors`
-and from there in ``EngineReport.warnings``.
+* :class:`AsyncBuffer` — the bounded per-stream FIFO of the paper's
+  Section 2, whose overflow drops and counts;
+* :class:`UdpFlowIngest` — NetFlow/IPFIX datagrams off one nonblocking
+  UDP socket, drained in bulk on loop wakeups, decoded later in the
+  lookup lane;
+* :class:`TcpDnsIngest` — DNS messages over TCP (RFC 1035 §4.2.2
+  framing), stamped on arrival.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import queue as queue_mod
-import select
+import asyncio
+import socket
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import DEFAULT_RECV_BUFFER_BYTES
-from repro.core.metrics import IngestStats, merge_ingest_stats
+from repro.core.metrics import BufferStats, IngestStats
+from repro.dns.tcp import MAX_MESSAGE_SIZE, TcpFrameDecoder
 from repro.netflow.collector import FlowCollector
-from repro.netflow.records import FlowBatch
 from repro.netflow.udp import MAX_DATAGRAM, bind_udp_socket, set_recv_buffer
-from repro.util.errors import ConfigError
-
-#: Message tags on the worker output queue.
-_READY = "ready"
-_COLS = "cols"
-_STATS = "stats"
-_ERROR = "error"
-
-#: Bounded worker→parent queue depth (column batches in flight).
-_QUEUE_DEPTH = 64
+from repro.util.errors import ParseError
 
 
-def _ingest_worker(
-    wid: int,
-    host: str,
-    port: int,
-    reuseport: bool,
-    out_queue,
-    stop_event,
-    batch_rows: int,
-    recv_buffer_bytes: int,
-    max_recv_per_wakeup: int,
-    poll_interval: float,
-) -> None:
-    """One socket-sharding worker: recv → decode → columns over IPC.
+class AsyncBuffer:
+    """A bounded FIFO for one event loop, with drop accounting.
 
-    The loop is the async engine's batched socket layer without the
-    event loop: wait for readability (bounded, so the stop event is
-    polled), bulk-drain the kernel queue with ``recv_into``, batch-decode
-    the drained datagrams, and flush the accumulating :class:`FlowBatch`
-    once it reaches ``batch_rows`` (or on idle, bounding latency). The
-    final message is always this worker's :class:`IngestStats` — the
-    parent's merge/accounting sentinel.
+    The per-stream internal buffer of the paper's Section 2, single-loop,
+    so no locks — just events. Socket callbacks and paced (``realtime``)
+    replay offer items with the non-blocking :meth:`try_put` (overflow
+    drops the incoming item and counts it, the paper's loss semantics);
+    max-speed iterable pumps use the awaitable :meth:`put`, which applies
+    backpressure instead of dropping because an offline replay at max
+    speed has no real-time deadline.
     """
-    try:
-        sock = bind_udp_socket((host, port), reuseport=reuseport)
-    except (OSError, ConfigError) as exc:
-        out_queue.put((_ERROR, wid, f"{type(exc).__name__}: {exc}"))
-        return
-    stats = IngestStats(name=f"udp-worker[{wid}]")
-    try:
-        sock.setblocking(False)
-        stats.recv_buffer_bytes = set_recv_buffer(sock, recv_buffer_bytes)
-        out_queue.put((_READY, wid, sock.getsockname()[1], stats.recv_buffer_bytes))
-        collector = FlowCollector()
-        cstats = collector.stats
-        view = memoryview(bytearray(MAX_DATAGRAM))
-        batch = FlowBatch()
-        pending_datagrams = 0
 
-        def flush() -> None:
-            nonlocal batch, pending_datagrams
-            if not pending_datagrams:
-                return
-            if len(batch):
-                try:
-                    out_queue.put(
-                        (_COLS, wid, batch.columns(), pending_datagrams),
-                        timeout=1.0,
-                    )
-                    stats.accepted += pending_datagrams
-                except queue_mod.Full:
-                    # The parent is wedged or gone: drop-and-count, the
-                    # same loss semantics as a full engine buffer.
-                    stats.dropped += pending_datagrams
-                batch = FlowBatch()
-            else:
-                # Template-only (or all-malformed) window: consumed into
-                # session state / counters, nothing to ship.
-                stats.accepted += pending_datagrams
-            pending_datagrams = 0
+    def __init__(self, capacity: int, name: str = "buffer"):
+        self.capacity = capacity
+        self.name = name
+        self.stats = BufferStats()
+        self._items: deque = deque()
+        self._closed = False
+        self._not_empty = asyncio.Event()
+        self._not_full = asyncio.Event()
+        self._not_full.set()
 
-        while not stop_event.is_set():
-            readable, _, _ = select.select([sock], [], [], poll_interval)
-            if not readable:
-                flush()  # idle: bound the latency of a partial batch
-                continue
-            raws: List[bytes] = []
-            for _ in range(max_recv_per_wakeup):
-                try:
-                    n = sock.recv_into(view)
-                except (BlockingIOError, InterruptedError):
-                    break
-                raws.append(bytes(view[:n]))
-                stats.bytes_in += n
-            if raws:
-                stats.received += len(raws)
-                errors_before = cstats.malformed + cstats.unknown_version
-                batch.extend(collector.ingest_columns_many(raws))
-                stats.malformed += (
-                    cstats.malformed + cstats.unknown_version - errors_before
-                )
-                pending_datagrams += len(raws)
-            if len(batch) >= batch_rows:
-                flush()
-        flush()
-    except Exception as exc:  # pragma: no cover - defensive reporting
-        out_queue.put((_ERROR, wid, f"{type(exc).__name__}: {exc}"))
-    finally:
-        sock.close()
-        out_queue.put((_STATS, wid, stats))
+    def try_put(self, item) -> bool:
+        """Offer one item; False (and a counted drop) when full or closed."""
+        stats = self.stats
+        stats.offered += 1
+        if self._closed or len(self._items) >= self.capacity:
+            # A put after close would be silently lost (the lane task has
+            # already drained and exited), so it counts as a drop too.
+            stats.dropped += 1
+            return False
+        self._items.append(item)
+        stats.accepted += 1
+        self._not_empty.set()
+        return True
+
+    async def put(self, item) -> None:
+        """Backpressuring put: wait for space instead of dropping."""
+        while len(self._items) >= self.capacity and not self._closed:
+            self._not_full.clear()
+            await self._not_full.wait()
+        self.try_put(item)
+
+    async def get_many(self, max_items: int) -> List:
+        """Wait for at least one item; drain up to ``max_items``.
+
+        Returns an empty list only when the buffer is closed and drained
+        — the lane tasks' termination signal.
+        """
+        while not self._items:
+            if self._closed:
+                return []
+            self._not_empty.clear()
+            await self._not_empty.wait()
+        items = self._items
+        n = min(max_items, len(items))
+        batch = [items.popleft() for _ in range(n)]
+        self._not_full.set()
+        return batch
+
+    def close(self) -> None:
+        """Mark the producer side done; consumers drain then stop."""
+        self._closed = True
+        self._not_empty.set()
+        self._not_full.set()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def __len__(self) -> int:
+        return len(self._items)
 
 
-class ReuseportUdpIngest:
-    """N-worker SO_REUSEPORT UDP flow source (one port, N processes).
+class UdpFlowIngest:
+    """Live NetFlow/IPFIX-over-UDP source for the async engine.
 
-    A live source (``connect_buffer``/``start``/``stop``) for the async
-    engine, feeding it decoded :class:`FlowBatch` items. ``workers=1``
-    binds a plain socket —
-    no SO_REUSEPORT needed — so the single-worker configuration runs on
-    any platform and is the natural parity baseline for N.
+    The batched socket layer: ``(host, port)`` is bound as a
+    *nonblocking* UDP socket registered with the event loop through
+    ``add_reader``, and one readiness wakeup drains up to
+    ``max_recv_per_wakeup`` datagrams via ``recv_into`` on a reused
+    buffer — the ``recvmmsg`` shape, minus the syscall CPython does not
+    expose. The receive path does **no decoding**: each raw datagram is
+    offered to the engine's bounded buffer (overflow drops it and counts
+    it in :attr:`ingest_stats` — backpressure by loss, like the paper's
+    collectors under burst), and the engine's lookup lane batch-decodes
+    through :attr:`collector` off the hot callback. Malformed datagrams
+    are therefore charged to :attr:`ingest_stats` *by the lane* at
+    decode time, against the same collector counters as before.
 
-    ``capture`` is part of the ingest-source protocol signature but is
-    *rejected* here: datagrams are received inside worker processes the
-    parent's capture writer cannot observe. Record with a single-worker
-    source when a session must be replayable.
+    The achieved kernel receive buffer (``SO_RCVBUF`` after the
+    best-effort request — the kernel clamps to rmem_max) is recorded in
+    ``ingest_stats.recv_buffer_bytes``: export bursts ride out decode
+    latency in that buffer, so when it is silently small (CI hosts),
+    drop diagnostics must show it.
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 2,
-        batch_rows: int = 2048,
-        recv_buffer_bytes: int = DEFAULT_RECV_BUFFER_BYTES,
+        collector: Optional[FlowCollector] = None,
         capacity: Optional[int] = None,
+        recv_buffer_bytes: int = DEFAULT_RECV_BUFFER_BYTES,
         name: Optional[str] = None,
         capture=None,
         max_recv_per_wakeup: int = 256,
-        poll_interval: float = 0.05,
-        supervise: bool = True,
-        max_restarts: int = 5,
-        restart_window: float = 30.0,
-        restart_backoff: float = 0.05,
-        restart_backoff_cap: float = 2.0,
     ):
-        if workers < 1:
-            raise ConfigError("ingest workers must be at least 1")
-        if max_restarts < 0:
-            raise ConfigError("max_restarts must be non-negative")
-        if restart_window <= 0 or restart_backoff <= 0 or restart_backoff_cap <= 0:
-            raise ConfigError("restart window and backoffs must be positive")
-        if capture is not None:
-            raise ConfigError(
-                "ReuseportUdpIngest cannot tee a capture: datagrams are "
-                "received in worker processes; use a single-worker "
-                "UdpFlowIngest to record replayable sessions"
-            )
-        import socket as socket_mod
-
-        if workers > 1 and not hasattr(socket_mod, "SO_REUSEPORT"):
-            raise ConfigError(
-                "SO_REUSEPORT is not available on this platform; "
-                "multi-worker UDP ingest requires it"
-            )
         self.host = host
         self.port = port
-        self.workers = workers
-        self.batch_rows = batch_rows
-        self.recv_buffer_bytes = recv_buffer_bytes
-        #: Overrides the async engine's stream_buffer_capacity when set.
+        #: The lane-side decoder: the engine builds this source's
+        #: :class:`~repro.core.pipeline.LookupLane` around it, so
+        #: template state and malformed counting live with the source.
+        self.collector = collector if collector is not None else FlowCollector()
+        #: Overrides the engine's stream_buffer_capacity when set.
         self.capacity = capacity
-        self.capture = None
-        self.name = name or f"reuseport[{host}:{port} x{workers}]"
+        #: Optional :class:`repro.replay.capture.CaptureWriter` tee: every
+        #: datagram is recorded as received, before decode — malformed
+        #: input included, so a replay reproduces those counters too.
+        self.capture = capture
+        #: Requested SO_RCVBUF (best-effort; see class docstring).
+        self.recv_buffer_bytes = recv_buffer_bytes
+        #: Datagrams drained per readiness wakeup. Bounded so a sustained
+        #: flood cannot starve the decode lane sharing the loop.
         self.max_recv_per_wakeup = max_recv_per_wakeup
-        self.poll_interval = poll_interval
+        self.ingest_stats = IngestStats(name=name or f"udp[{host}:{port}]")
         self.address: Optional[Tuple[str, int]] = None
-        #: Partial-failure warnings (dead workers); folded into
-        #: ``EngineReport.warnings`` by ``pipeline.collect_ingest``.
-        self.ingest_errors: List[str] = []
-        self.processes: List = []
-        self._ctx = mp.get_context()
-        self._out_queue = None
-        self._stop_event = None
-        self._started = False
-        self._closed = False
-        #: Keyed by (wid, generation): a respawned worker's sentinel must
-        #: add to — not overwrite — its predecessor's counters.
-        self._stats_parts: Dict[Tuple[int, int], IngestStats] = {}
-        self._ready_rcvbuf: Dict[int, int] = {}
-        self._accounted: set = set()
-        # Supervision state.
-        self.supervise = supervise
-        self.max_restarts = max_restarts
-        self.restart_window = restart_window
-        self.restart_backoff = restart_backoff
-        self.restart_backoff_cap = restart_backoff_cap
-        #: Worker respawns performed (folded into
-        #: ``EngineReport.worker_restarts`` by ``pipeline.collect_ingest``).
-        self.restarts = 0
-        self._generation: Dict[int, int] = {}
-        self._respawn_at: Dict[int, float] = {}
-        self._backoff: Dict[int, float] = {}
-        self._restart_times: Deque[float] = deque()
-        self._abandoned: set = set()
-        self._stopping = False
-        self._resolved_port: Optional[int] = None
-        self._reuseport = workers > 1
-        self._salvaged: Deque[Tuple[FlowBatch, int]] = deque()
-        self._parent_dropped = 0
-        self._delivered_datagrams = 0
-        self._ready_evt = threading.Event()
-        # Async-mode state.
-        self._buffer = None
-        self._drain_task = None
+        self._buffer: Optional[AsyncBuffer] = None
+        self._sock: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._recv_view = memoryview(bytearray(MAX_DATAGRAM))
+        self._ready = threading.Event()
 
-    # --- merged observability -------------------------------------------
+    def connect_buffer(self, buffer: AsyncBuffer) -> None:
+        """Attach the engine buffer raw datagrams are offered to."""
+        self._buffer = buffer
 
-    @property
-    def ingest_stats(self) -> IngestStats:
-        """The merged per-worker counters (see ``merge_ingest_stats``).
-
-        Parent-side drops — batches a full engine buffer refused — move
-        from ``accepted`` to ``dropped``, keeping ``accepted`` honest as
-        "datagrams whose flows actually reached the pipeline".
-        """
-        merged = merge_ingest_stats(self.name, self._stats_parts.values())
-        if not merged.recv_buffer_bytes and self._ready_rcvbuf:
-            merged.recv_buffer_bytes = min(self._ready_rcvbuf.values())
-        if self._delivered_datagrams > merged.received:
-            # Workers ship their full counters only on exit; mid-run the
-            # parent still knows how many datagrams' decoded columns it
-            # has consumed, so expose that as a truthful lower bound —
-            # without it a caller polling progress would read 0 until
-            # shutdown.
-            delta = self._delivered_datagrams - merged.received
-            merged.received += delta
-            merged.accepted += delta
-        if self._parent_dropped:
-            merged.accepted -= self._parent_dropped
-            merged.dropped += self._parent_dropped
-        return merged
-
-    # --- worker lifecycle ------------------------------------------------
-
-    def _start_workers(self) -> None:
-        if self._started or self._closed:
+    def _on_readable(self) -> None:
+        """Drain the socket: many ``recv_into`` calls per loop wakeup."""
+        sock = self._sock
+        if sock is None:  # racing close(); the reader is being removed
             return
-        self._started = True
-        reuseport = self.workers > 1
-        port = self.port
-        if port == 0 and reuseport:
-            # Reserve a concrete port for all workers to share: a probe
-            # bind (REUSEPORT too, or the workers could not join it)
-            # discovers one, then closes before any worker binds so the
-            # kernel never balances traffic onto a dead socket.
-            probe = bind_udp_socket((self.host, 0), reuseport=True)
-            port = probe.getsockname()[1]
-            probe.close()
-        if port:
-            self._resolved_port = port
-        self._out_queue = self._ctx.Queue(maxsize=_QUEUE_DEPTH)
-        self._stop_event = self._ctx.Event()
-        self.processes = [self._make_worker(wid, port) for wid in range(self.workers)]
-        for process in self.processes:
-            process.start()
-
-    def _make_worker(self, wid: int, port: int):
-        return self._ctx.Process(
-            target=_ingest_worker,
-            args=(
-                wid,
-                self.host,
-                port,
-                self._reuseport,
-                self._out_queue,
-                self._stop_event,
-                self.batch_rows,
-                self.recv_buffer_bytes,
-                self.max_recv_per_wakeup,
-                self.poll_interval,
-            ),
-            daemon=True,
-        )
-
-    def _handle(self, message) -> None:
-        tag = message[0]
-        if tag == _COLS:
-            _tag, _wid, columns, ndatagrams = message
-            self._delivered_datagrams += ndatagrams
-            self._salvaged.append((FlowBatch.from_columns(columns), ndatagrams))
-        elif tag == _READY:
-            _tag, wid, bound_port, rcvbuf = message
-            self._ready_rcvbuf[wid] = rcvbuf
-            self._resolved_port = bound_port
-            if self.address is None:
-                self.address = (self.host, bound_port)
-            if len(self._ready_rcvbuf) == self.workers:
-                self._ready_evt.set()
-        elif tag == _STATS:
-            _tag, wid, stats = message
-            self._stats_parts[(wid, self._generation.get(wid, 0))] = stats
-            if self._supervisable(wid):
-                # The worker exited without being asked to stop: its
-                # sentinel is an epitaph, not completion — respawn it.
-                self._schedule_respawn(wid, "exited unexpectedly")
-            else:
-                self._accounted.add(wid)
-        elif tag == _ERROR:
-            _tag, wid, error = message
-            self.ingest_errors.append(f"ingest worker {wid} failed: {error}")
-            if self._supervisable(wid):
-                self._schedule_respawn(wid, error)
-            else:
-                self._accounted.add(wid)
-
-    def _drain_nowait(self) -> int:
-        out_queue = self._out_queue
-        if out_queue is None:
-            return 0
-        moved = 0
-        while True:
+        view = self._recv_view
+        stats = self.ingest_stats
+        buffer = self._buffer
+        capture = self.capture
+        for _ in range(self.max_recv_per_wakeup):
             try:
-                message = out_queue.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                return moved
-            self._handle(message)
-            moved += 1
+                n = sock.recv_into(view)
+            except (BlockingIOError, InterruptedError):
+                return  # kernel queue drained
+            except OSError:
+                return  # closing under our feet: stop() owns cleanup
+            data = bytes(view[:n])
+            stats.received += 1
+            stats.bytes_in += n
+            if capture is not None:
+                capture.record_flow(data)
+            if buffer.try_put(data):
+                stats.accepted += 1
+            else:
+                stats.dropped += 1
 
-    def _pump_blocking(self, timeout: float) -> bool:
-        out_queue = self._out_queue
-        if out_queue is None:
-            return False
-        try:
-            message = out_queue.get(timeout=timeout)
-        except (queue_mod.Empty, OSError, ValueError):
-            return False
-        self._handle(message)
-        return True
-
-    def _all_accounted(self) -> bool:
-        return len(self._accounted) >= self.workers
-
-    # --- supervision ------------------------------------------------------
-
-    def _supervisable(self, wid: int) -> bool:
-        """True when a dead worker in slot ``wid`` should be respawned."""
-        return (
-            self.supervise
-            and not self._stopping
-            and not self._closed
-            and wid not in self._abandoned
+    async def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        sock = bind_udp_socket((self.host, self.port))
+        sock.setblocking(False)
+        self.ingest_stats.recv_buffer_bytes = set_recv_buffer(
+            sock, self.recv_buffer_bytes
         )
+        self._sock = sock
+        self._loop = loop
+        self.address = sock.getsockname()[:2]
+        if self.ingest_stats.name == f"udp[{self.host}:{self.port}]":
+            self.ingest_stats.name = f"udp[{self.address[0]}:{self.address[1]}]"
+        loop.add_reader(sock.fileno(), self._on_readable)
+        self._ready.set()
 
-    def _schedule_respawn(self, wid: int, reason: str) -> None:
-        """Queue slot ``wid`` for respawn after its current backoff.
-
-        Enforces the source-wide restart budget: more than
-        ``max_restarts`` respawns inside ``restart_window`` seconds means
-        the failure is systemic (bad port, OOM pressure), and burning
-        CPU on respawn loops would starve the surviving workers — the
-        slot is abandoned instead, and the source degrades loudly.
-        """
-        if wid in self._respawn_at or wid in self._abandoned or wid in self._accounted:
-            return
-        now = time.monotonic()
-        while self._restart_times and now - self._restart_times[0] > self.restart_window:
-            self._restart_times.popleft()
-        if len(self._restart_times) >= self.max_restarts:
-            self._abandoned.add(wid)
-            self._accounted.add(wid)
-            self.ingest_errors.append(
-                f"ingest worker {wid} abandoned after {self.max_restarts} "
-                f"restarts in {self.restart_window:.0f}s; degraded to "
-                f"{self.workers - len(self._abandoned)} surviving worker(s)"
-            )
-            return
-        backoff = self._backoff.get(wid, self.restart_backoff)
-        self._backoff[wid] = min(backoff * 2.0, self.restart_backoff_cap)
-        self._respawn_at[wid] = now + backoff
-        self.ingest_errors.append(
-            f"ingest worker {wid} died ({reason}); respawning in {backoff:.2f}s"
-        )
-
-    def _maybe_respawn(self) -> None:
-        """Start replacement workers whose backoff has elapsed.
-
-        Called from every polling path (async drain, startup wait,
-        teardown), so supervision needs no thread of its own. Once
-        the source is stopping, pending respawns resolve to accounted
-        slots instead — a replacement spawned during teardown would
-        never be joined.
-        """
-        if not self._respawn_at:
-            return
-        now = time.monotonic()
-        for wid in list(self._respawn_at):
-            if self._stopping or self._closed:
-                del self._respawn_at[wid]
-                self._accounted.add(wid)
-                continue
-            if now < self._respawn_at[wid]:
-                continue
-            del self._respawn_at[wid]
-            old = self.processes[wid]
-            if old.pid is not None and not old.is_alive():
-                old.join(timeout=0)  # release the dead process record
-            port = self._resolved_port if self._resolved_port else self.port
-            self._generation[wid] = self._generation.get(wid, 0) + 1
-            replacement = self._make_worker(wid, port)
-            self.processes[wid] = replacement
-            replacement.start()
-            self.restarts += 1
-            self._restart_times.append(now)
-
-    def _reap_dead_workers(self) -> None:
-        """Handle workers that died without their stats sentinel.
-
-        Called only after an empty queue poll: a worker that exited
-        cleanly flushed its sentinel to the pipe *before* its exitcode
-        became observable, so anything still missing after a non-blocking
-        drain really did die mid-ingest. Supervised, that schedules a
-        respawn; otherwise it is accounted as a loud warning, not a hang.
-        """
-        dead = [
-            wid
-            for wid, process in enumerate(self.processes)
-            if wid not in self._accounted
-            and wid not in self._respawn_at
-            and process.pid is not None
-            and not process.is_alive()
-        ]
-        if dead:
-            self._drain_nowait()
-            for wid in dead:
-                if wid in self._accounted or wid in self._respawn_at:
-                    continue
-                exitcode = self.processes[wid].exitcode
-                if self._supervisable(wid):
-                    self._schedule_respawn(wid, f"exitcode {exitcode}")
-                else:
-                    self._accounted.add(wid)
-                    self.ingest_errors.append(
-                        f"ingest worker {wid} died mid-ingest (exitcode "
-                        f"{exitcode}); flows routed to its socket after the "
-                        f"death were lost"
-                    )
-        self._maybe_respawn()
-
-    def _join_workers(self) -> None:
-        for process in self.processes:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - defensive cleanup
-                process.terminate()
-        if self._out_queue is not None:
-            self._out_queue.cancel_join_thread()
-            self._out_queue.close()
-            self._out_queue = None
-
-    # --- teardown -----------------------------------------------------------
-
-    def _signal_stop(self) -> None:
-        """Ask the workers to flush and exit.
-
-        Stopping also ends supervision: pending respawns are cancelled
-        and dead slots account as final.
-        """
-        self._stopping = True
-        if self._stop_event is not None:
-            self._stop_event.set()
+    async def stop(self) -> None:
+        """Stop receiving; buffered datagrams still drain through the lane."""
+        self.close()
 
     def close(self) -> None:
         """Idempotent teardown (the ingest-source protocol's close())."""
-        if self._closed:
+        sock, self._sock = self._sock, None
+        if sock is None:
             return
-        self._closed = True
-        if not self._started:
-            return
-        self._signal_stop()
-        deadline_polls = 100  # 100 × 0.1s: never hang teardown
-        while not self._all_accounted() and deadline_polls:
-            if not self._pump_blocking(timeout=0.1):
-                self._reap_dead_workers()
-            deadline_polls -= 1
-        self._drain_nowait()
-        self._join_workers()
-
-    def __enter__(self) -> "ReuseportUdpIngest":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # --- the live face (async engine) -------------------------------------
+        if self._loop is not None:
+            try:
+                self._loop.remove_reader(sock.fileno())
+            except (RuntimeError, ValueError, OSError):
+                pass  # loop already closed; nothing left to wake
+        sock.close()
 
     def wait_ready(self, timeout: float = 10.0) -> Tuple[str, int]:
-        """Block (from another thread) until every worker has bound;
-        returns the shared address.
-
-        Readiness messages are consumed by the engine's startup wait —
-        hand the source to an engine run before waiting, exactly like
-        the other live ingests.
-        """
-        if not self._ready_evt.wait(timeout):
-            raise TimeoutError("reuseport ingest workers did not bind in time")
+        """Block (from another thread) until bound; returns the address."""
+        if not self._ready.wait(timeout):
+            raise TimeoutError("UDP ingest did not bind in time")
         return self.address
 
-    def connect_buffer(self, buffer) -> None:
+
+class TcpDnsIngest:
+    """Live DNS-over-TCP source for the async engine.
+
+    An asyncio server on ``(host, port)``; every connection gets its own
+    :class:`TcpFrameDecoder` reassembling length-prefixed messages from
+    arbitrary chunk boundaries. Complete messages are stamped with
+    ``clock()`` on arrival (the collector's receive time, like the
+    paper's live deployment) and offered to the bounded buffer as
+    ``(ts, wire_bytes)`` items — the fill lane's standard tuple form.
+    A frame claiming more than ``max_message_size`` bytes means the
+    stream desynchronised: the connection is dropped and counted, never
+    raised into the engine.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        clock=time.time,
+        capacity: Optional[int] = None,
+        max_message_size: int = MAX_MESSAGE_SIZE,
+        name: Optional[str] = None,
+        capture=None,
+    ):
+        self.host = host
+        self.port = port
+        self.clock = clock
+        self.capacity = capacity
+        self.max_message_size = max_message_size
+        #: Optional :class:`repro.replay.capture.CaptureWriter` tee. Each
+        #: reassembled message is recorded with the *same* arrival stamp
+        #: the fill lane gets, so a replayed capture stores records at
+        #: identical timestamps to the live session.
+        self.capture = capture
+        self.ingest_stats = IngestStats(name=name or f"tcp-dns[{host}:{port}]")
+        self.address: Optional[Tuple[str, int]] = None
+        self._buffer: Optional[AsyncBuffer] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._ready = threading.Event()
+        self._connections: set = set()
+        self._handler_tasks: set = set()
+
+    def connect_buffer(self, buffer: AsyncBuffer) -> None:
         self._buffer = buffer
 
-    async def start(self, loop) -> None:
-        """Spawn the workers and the queue→buffer drain task."""
-        import asyncio
+    def feed_chunk(self, decoder: TcpFrameDecoder, chunk: bytes) -> bool:
+        """Run one received chunk through a connection's decoder.
 
-        self._start_workers()
-        while not self._ready_evt.is_set():
-            self._drain_nowait()
-            if self._all_accounted():
-                # Every worker failed before binding (port in use, no
-                # permission): fail startup like a single socket would.
-                raise OSError(
-                    "; ".join(self.ingest_errors) or "ingest workers died at startup"
-                )
-            self._reap_dead_workers()
-            await asyncio.sleep(0.005)
-        self._drain_task = loop.create_task(self._drain_async())
-
-    async def _drain_async(self) -> None:
-        import asyncio
-
-        salvaged = self._salvaged
-        while True:
-            moved = self._drain_nowait()
-            while salvaged:
-                self._offer(*salvaged.popleft())
-            if self._all_accounted() and not moved:
-                return
-            self._maybe_respawn()
-            if not moved:
-                self._reap_dead_workers()
-                await asyncio.sleep(0.002)
+        Returns False when the stream is corrupt (oversized frame) and
+        the connection must be dropped. Shared by the live handler and
+        the deterministic unit tests.
+        """
+        stats = self.ingest_stats
+        empty_before = decoder.empty_frames
+        try:
+            messages = decoder.feed(chunk)
+        except ParseError:
+            stats.malformed += 1 + (decoder.empty_frames - empty_before)
+            return False
+        # Zero-length frames carry no parseable message; charge them as
+        # malformed so the frame-level accounting still sees them.
+        stats.malformed += decoder.empty_frames - empty_before
+        ts = self.clock()
+        for wire in messages:
+            stats.received += 1
+            stats.bytes_in += len(wire)
+            if self.capture is not None:
+                self.capture.record_dns(wire, ts=ts)
+            if self._buffer.try_put((ts, wire)):
+                stats.accepted += 1
             else:
-                await asyncio.sleep(0)
+                stats.dropped += 1
+        return True
 
-    def _offer(self, batch: FlowBatch, ndatagrams: int) -> None:
-        if self._buffer is None or not self._buffer.try_put(batch):
-            self._parent_dropped += ndatagrams
+    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handler_tasks.add(task)
+        self._connections.add(writer)
+        decoder = TcpFrameDecoder(max_message_size=self.max_message_size)
+        try:
+            while True:
+                chunk = await reader.read(65536)
+                if not chunk:
+                    break
+                if not self.feed_chunk(decoder, chunk):
+                    return  # corrupt stream: drop the connection
+            try:
+                decoder.close()
+            except ParseError:
+                # Truncated final frame: counted like any malformed input.
+                self.ingest_stats.malformed += 1
+        finally:
+            self._connections.discard(writer)
+            self._handler_tasks.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover - peer reset
+                pass
+
+    async def start(self, loop: asyncio.AbstractEventLoop) -> None:
+        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        self.address = self._server.sockets[0].getsockname()[:2]
+        if self.ingest_stats.name == f"tcp-dns[{self.host}:{self.port}]":
+            self.ingest_stats.name = f"tcp-dns[{self.address[0]}:{self.address[1]}]"
+        self._ready.set()
 
     async def stop(self) -> None:
-        """Async stop: workers flush, the drain task finishes, then join."""
-        import asyncio
+        """Stop accepting and close live connections (graceful drain:
+        messages already buffered still flow through the fill lane)."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        for writer in list(self._connections):
+            writer.close()
+        # Await the connection handlers before the engine closes the
+        # buffer: a handler woken by the close above may still hold
+        # already-received bytes, and those messages must reach the
+        # buffer while the fill lane is alive — otherwise they would be
+        # counted `accepted` yet never processed.
+        if self._handler_tasks:
+            await asyncio.gather(*list(self._handler_tasks), return_exceptions=True)
 
-        self._signal_stop()
-        if self._drain_task is not None:
-            try:
-                await asyncio.wait_for(self._drain_task, timeout=30.0)
-            except asyncio.TimeoutError:  # pragma: no cover - defensive
-                self._drain_task.cancel()
-                self.ingest_errors.append(
-                    "ingest drain did not finish within 30s of stop"
-                )
-            self._drain_task = None
-        self._join_workers()
-        self._closed = True
+    def close(self) -> None:
+        """Idempotent teardown (the ingest-source protocol's close()).
+
+        Best-effort from outside the loop: closes the listening server
+        socket. The graceful in-loop path — which also awaits live
+        connection handlers — is ``await stop()``.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for writer in list(self._connections):
+            writer.close()
+
+    def wait_ready(self, timeout: float = 10.0) -> Tuple[str, int]:
+        if not self._ready.wait(timeout):
+            raise TimeoutError("TCP ingest did not start in time")
+        return self.address
+
+
+#: The built-in live socket listeners. The engine itself duck-types via
+#: :func:`repro.core.pipeline.is_live_source`, so any object with the
+#: protocol's live hooks works as a source.
+LIVE_INGEST_TYPES = (UdpFlowIngest, TcpDnsIngest)

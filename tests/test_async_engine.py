@@ -10,12 +10,8 @@ import time
 
 import pytest
 
-from repro.core.async_engine import (
-    AsyncBuffer,
-    AsyncEngine,
-    TcpDnsIngest,
-    UdpFlowIngest,
-)
+from repro.core.async_engine import AsyncEngine
+from repro.core.ingest import AsyncBuffer, TcpDnsIngest, UdpFlowIngest
 from repro.core.config import FlowDNSConfig
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.stream import DnsRecord

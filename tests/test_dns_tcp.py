@@ -215,7 +215,7 @@ class TestEmptyFrameAccounting:
         assert decoder.messages_out == sum(1 for p in payloads if p)
 
     def test_ingest_surfaces_empty_frames_as_malformed(self):
-        from repro.core.async_engine import TcpDnsIngest
+        from repro.core.ingest import TcpDnsIngest
 
         class FakeBuffer:
             def __init__(self):

@@ -156,7 +156,8 @@ class TestLiveSessionInvariants:
     CLOCK_TS = 5.0
 
     def test_live_session_report_is_invariant_clean(self):
-        from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
+        from repro.core.async_engine import AsyncEngine
+        from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 
         wires = []
         for i in range(12):

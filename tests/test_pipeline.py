@@ -8,7 +8,7 @@ ingest-stat collection.
 
 import pytest
 
-from repro.core.async_engine import AsyncBuffer
+from repro.core.ingest import AsyncBuffer
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor

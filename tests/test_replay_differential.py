@@ -26,7 +26,8 @@ import time
 
 import pytest
 
-from repro.core.async_engine import AsyncEngine, TcpDnsIngest, UdpFlowIngest
+from repro.core.async_engine import AsyncEngine
+from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 from repro.core.config import FlowDNSConfig
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.tcp import frame_messages

@@ -24,7 +24,8 @@ import time
 
 import pytest
 
-from repro.core.async_engine import AsyncEngine, TcpDnsIngest
+from repro.core.async_engine import AsyncEngine
+from repro.core.ingest import TcpDnsIngest
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.monitor import MetricsHttpServer, parse_exposition
 from repro.core.storage_adapter import DnsStorage
