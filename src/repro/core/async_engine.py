@@ -6,20 +6,23 @@ collectors over TCP, continuously, while correlation keeps up in real
 time (Sections 2–3). This engine reproduces that shape inside one
 asyncio event loop:
 
-* a :class:`UdpFlowIngest` binds a nonblocking UDP socket registered
-  with the loop via ``add_reader``; one readiness wakeup drains *many*
-  datagrams with ``recv_into`` into a reused buffer (``recvmmsg``-style
-  bulk reads) instead of paying one callback per packet, and the
-  callback does **no decoding** — raw datagrams go straight to the
-  bounded buffer, and the engine's lookup lane batch-decodes them via
-  :meth:`FlowCollector.ingest_columns` exactly like the offline path,
-  so live UDP ingest rides the columnar fast lane off the event loop;
-* a :class:`TcpDnsIngest` runs an asyncio server speaking RFC 1035
-  §4.2.2 framing, reassembling messages with :class:`TcpFrameDecoder`
-  under arbitrary chunk boundaries and timestamping them on arrival;
-* both feed bounded buffers whose overflow *drops and counts* — the
-  paper's "streams start to drop data" loss point, surfaced per source
-  under :attr:`EngineReport.ingest` and in ``overall_loss_rate``;
+* a :class:`~repro.core.ingest.UdpFlowIngest` binds a nonblocking UDP
+  socket registered with the loop via ``add_reader``; one readiness
+  wakeup drains *many* datagrams with ``recv_into`` into a reused buffer
+  (``recvmmsg``-style bulk reads) instead of paying one callback per
+  packet, and the callback does **no decoding** — raw datagrams go
+  straight to the bounded buffer, and the engine's lookup lane
+  batch-decodes them via :meth:`FlowCollector.ingest_columns` exactly
+  like the offline path, so live UDP ingest rides the columnar fast
+  lane off the event loop;
+* a :class:`~repro.core.ingest.TcpDnsIngest` runs an asyncio server
+  speaking RFC 1035 §4.2.2 framing, reassembling messages with
+  :class:`TcpFrameDecoder` under arbitrary chunk boundaries and
+  timestamping them on arrival;
+* both feed bounded buffers (:class:`~repro.core.ingest.AsyncBuffer`)
+  whose overflow *drops and counts* — the paper's "streams start to
+  drop data" loss point, surfaced per source under
+  :attr:`EngineReport.ingest` and in ``overall_loss_rate``;
 * plain iterables (records, wire tuples, datagrams, batches) remain
   first-class sources, pumped cooperatively, so the engine also runs
   offline corpora and captures — that is what the parity suites compare
@@ -32,9 +35,9 @@ asyncio event loop:
   :mod:`repro.core.pipeline`) can serve as a live source; a live flow
   source also carries the ``collector`` its lane decodes through.
 
-The lane bodies are :mod:`repro.core.pipeline`'s :class:`FillLane` and
-:class:`LookupLane`; this module owns only the asyncio *scheduling
-policy*: one pump or
+The sources live in :mod:`repro.core.ingest` and the lane bodies are
+:mod:`repro.core.pipeline`'s :class:`FillLane` and :class:`LookupLane`;
+this module owns only the asyncio *scheduling policy*: one pump or
 socket server per source, one lane task per buffer, one write task, and
 graceful drain-then-shutdown — :meth:`AsyncEngine.request_stop` (safe
 from any thread or a signal handler) stops the listeners, every buffered
@@ -129,7 +132,6 @@ class AsyncEngine:
         self._last_snapshot_monotonic: Optional[float] = None
         self._snapshot_failed = False
         self._service_warnings: List[str] = []
-        self._run_sources: List = []
 
     # --- cross-thread control & observability ---------------------------------
 
@@ -380,7 +382,7 @@ class AsyncEngine:
         self._last_snapshot_monotonic = None
         self._snapshot_failed = False
         self._service_warnings = []
-        self._run_sources = list(dns_sources) + list(flow_sources)
+        sources = tuple(dns_sources) + tuple(flow_sources)
         self._restore_on_start()
 
         live_ingests = []
@@ -461,9 +463,8 @@ class AsyncEngine:
         if self.engine_config.metrics_port is not None:
             from repro.core.monitor import MetricsHttpServer, render_async_engine
 
-            sources_view = tuple(self._run_sources)
             metrics_server = MetricsHttpServer(
-                lambda: render_async_engine(self, sources_view),
+                lambda: render_async_engine(self, sources),
                 port=self.engine_config.metrics_port,
             )
             await metrics_server.start()
@@ -518,7 +519,7 @@ class AsyncEngine:
         self._stop_event = None
 
         report = self._build_report()
-        collect_ingest(report, list(dns_sources) + list(flow_sources))
+        collect_ingest(report, sources)
         return report
 
     def _build_report(self) -> EngineReport:

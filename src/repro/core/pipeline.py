@@ -36,9 +36,9 @@ from repro.netflow.records import FlowBatch, FlowRecord
 # --- the ingest-source protocol ---------------------------------------------
 #
 # Every socket- or capture-fed stream source — :class:`repro.replay.source
-# .ReplaySource` and the async engine's
-# :class:`~repro.core.async_engine.UdpFlowIngest` /
-# :class:`~repro.core.async_engine.TcpDnsIngest` — implements one
+# .ReplaySource` and the live
+# :class:`~repro.core.ingest.UdpFlowIngest` /
+# :class:`~repro.core.ingest.TcpDnsIngest` — implements one
 # protocol, so engines and the capture tee never special-case types:
 #
 # * ``ingest_stats`` — an :class:`IngestStats` of what arrived off the

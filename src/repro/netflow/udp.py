@@ -1,7 +1,7 @@
 """UDP socket helpers for NetFlow/IPFIX export collection.
 
 Routers export flow records over UDP. The live receiver is the async
-engine's :class:`repro.core.async_engine.UdpFlowIngest`; this module
+engine's :class:`repro.core.ingest.UdpFlowIngest`; this module
 holds the socket plumbing it and the tests share: a family-agnostic
 bind (dual-stack on ``::``), best-effort ``SO_RCVBUF`` sizing that
 reports the size the kernel actually granted, and a datagram sender.
