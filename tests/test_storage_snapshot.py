@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import FlowDNSConfig
 from repro.core.storage_adapter import DnsStorage
@@ -18,6 +20,7 @@ from repro.storage.snapshot import (
     load_snapshot,
     load_storage,
     save_snapshot,
+    snapshot_document,
     snapshot_saved_at,
     write_snapshot,
 )
@@ -398,3 +401,82 @@ class TestSnapshotFiles:
         assert lookup.stats.matched == 400
         assert report_restored.matched_flows == 400
         assert report_restored.final_map_entries == storage.total_entries()
+
+
+_IPS = [f"10.7.0.{i}" for i in range(1, 9)]
+_NAMES = [f"n{i}.example" for i in range(6)]
+
+#: One stream step: a fill batch (time advances per record), an IP
+#: lookup batch, a one-hop CNAME lookup, or a chain memoisation.
+_record = st.tuples(
+    st.sampled_from([0.0, 1.5, 4.0, 7.0]),  # seconds since the previous record
+    st.booleans(),  # True: A record (IP-NAME bank); False: CNAME
+    st.sampled_from([5, 30]),  # short TTL, or long enough for the Long tier
+    st.sampled_from(_NAMES),
+    st.integers(0, len(_IPS) - 1),
+)
+_step = st.one_of(
+    st.tuples(st.just("fill"), st.lists(_record, min_size=1, max_size=6)),
+    st.tuples(st.just("ips"), st.lists(st.sampled_from(_IPS), max_size=4)),
+    st.tuples(st.just("cname"), st.sampled_from(_NAMES)),
+    st.tuples(st.just("memo"), st.sampled_from(_NAMES)),
+)
+
+
+def _comparable_document(storage):
+    document = snapshot_document(storage)
+    document.pop("saved_at")
+    return json.dumps(document)  # keeps dict order: FIFO eviction reads it
+
+
+class TestRestoreIsExact:
+    """A store restored at any cut of a stream behaves from then on
+    exactly like the store that was never interrupted."""
+
+    CONFIG = FlowDNSConfig(
+        a_clear_up_interval=10.0, c_clear_up_interval=20.0, max_entries_per_map=3
+    )
+
+    @staticmethod
+    def _apply(storage, step, clock):
+        """Apply one step; return what a lookup answered (None for fills)."""
+        kind, arg = step
+        if kind == "fill":
+            records = []
+            for gap, is_address, ttl, name, ip in arg:
+                clock[0] += gap
+                if is_address:
+                    records.append(DnsRecord(clock[0], name, RRType.A, ttl, _IPS[ip]))
+                else:
+                    target = _NAMES[ip % len(_NAMES)]
+                    records.append(DnsRecord(clock[0], name, RRType.CNAME, ttl, target))
+            storage.add_many(records)
+            return None
+        if kind == "ips":
+            return storage.lookup_ips(arg, clock[0])
+        if kind == "cname":
+            return storage.lookup_cname(arg, clock[0])
+        storage.memoize_chain(arg, "final.example")
+        return None
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=st.lists(_step, min_size=1, max_size=30), data=st.data())
+    def test_restore_at_any_cut_matches_uninterrupted(self, steps, data):
+        cut = data.draw(st.integers(0, len(steps)), label="cut")
+        original = DnsStorage(self.CONFIG)
+        clock = [0.0]
+        for step in steps[:cut]:
+            self._apply(original, step, clock)
+
+        buffer = io.StringIO()
+        dump_storage(original, buffer)
+        buffer.seek(0)
+        restored = DnsStorage(self.CONFIG)
+        load_storage(restored, buffer)
+
+        restored_clock = list(clock)
+        for step in steps[cut:]:
+            expected = self._apply(original, step, clock)
+            assert self._apply(restored, step, restored_clock) == expected, step
+        assert restored.entry_counts() == original.entry_counts()
+        assert _comparable_document(restored) == _comparable_document(original)
