@@ -207,7 +207,7 @@ class FlowBatch:
             batch.append_record(flow)
         return batch
 
-    # --- slicing / IPC ----------------------------------------------------
+    # --- slicing ----------------------------------------------------------
 
     def select(self, indices: Sequence[int]) -> "FlowBatch":
         """A new batch holding the given rows, in the given order."""

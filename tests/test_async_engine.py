@@ -570,7 +570,7 @@ def _serve_udp(ingest, datagrams, send_to=None):
     return result["report"]
 
 
-def _can_bind_udp(host):
+def _can_bind_ipv6(host):
     try:
         with socket.socket(socket.AF_INET6, socket.SOCK_DGRAM) as sock:
             sock.bind((host, 0))
@@ -584,7 +584,7 @@ class TestUdpFlowIngestSocket:
     counts and tees before the lane decodes."""
 
     def test_ipv6_bind_and_receive(self):
-        if not _can_bind_udp("::1"):
+        if not _can_bind_ipv6("::1"):
             pytest.skip("IPv6 loopback unavailable")
         flows = _wire_flows(count=3, extra_unmatched=0)
         datagrams = list(FlowExporter(version=9, batch_size=3).export(flows))
@@ -597,7 +597,7 @@ class TestUdpFlowIngestSocket:
     def test_dual_stack_wildcard_bind(self):
         """A ``::`` bind is one dual-stack socket: an IPv4 exporter
         reaches it over loopback."""
-        if not _can_bind_udp("::"):
+        if not _can_bind_ipv6("::"):
             pytest.skip("IPv6 wildcard unavailable")
         flows = _wire_flows(count=2, extra_unmatched=0)
         datagrams = list(FlowExporter(version=5, batch_size=8).export(flows))
