@@ -617,7 +617,22 @@ class TestUdpFlowIngestSocket:
             asyncio.run(start())
         assert ingest.address is None
 
-    def test_malformed_datagram_counted_and_teed_before_decode(self, tmp_path):
+    def test_garbage_datagrams_counted_not_fatal(self):
+        """A malformed datagram is counted by the lane and the run goes
+        on: the valid datagrams sent after it still decode."""
+        flows = _wire_flows(count=2, extra_unmatched=0)
+        datagrams = [b"\xff" * 20] + list(
+            FlowExporter(version=9, batch_size=4).export(flows)
+        )
+        ingest = UdpFlowIngest()
+        report = _serve_udp(ingest, datagrams)
+
+        stats = report.ingest[ingest.ingest_stats.name]
+        assert stats.received == len(datagrams)
+        assert stats.malformed == 1
+        assert report.flow_records == len(flows)
+
+    def test_capture_tee_records_datagrams_pre_decode(self, tmp_path):
         """The capture tap records every received datagram as raw wire
         bytes, malformed input included, so a replay reproduces the live
         run's malformed counter too."""
@@ -630,13 +645,9 @@ class TestUdpFlowIngestSocket:
         path = str(tmp_path / "udp-tee.fdc")
         writer = CaptureWriter(path)
         ingest = UdpFlowIngest(capture=writer)
-        report = _serve_udp(ingest, datagrams)
+        _serve_udp(ingest, datagrams)
         writer.close()
 
-        stats = report.ingest[ingest.ingest_stats.name]
-        assert stats.received == len(datagrams)
-        assert stats.malformed == 1
-        assert report.flow_records == len(flows)
         frames = load_capture(path)
         assert [f.lane for f in frames] == [LANE_FLOW] * len(datagrams)
         assert [f.payload for f in frames] == datagrams
