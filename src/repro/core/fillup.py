@@ -86,18 +86,19 @@ class FillUpProcessor:
         self.stats.records_stored += 1
         return True
 
-    def process_batch(self, records: Iterable[DnsRecord]) -> int:
+    def process_batch(self, records: Iterable[DnsRecord], *, sweep: bool = True) -> int:
         """Batched steps 4–6: one storage round-trip for many records.
 
         Equivalent to calling :meth:`process` per record (same counters,
         same stored set) but through the store's batched writer
-        (:meth:`DnsStorage.add_many`). Returns how many records were stored.
+        (:meth:`DnsStorage.add_many`, which ``sweep`` is passed to).
+        Returns how many records were stored.
         """
         batch = records if isinstance(records, list) else list(records)
         if not batch:
             return 0
         storable = [r for r in batch if r.is_address or r.is_cname]
-        self.storage.add_many(storable)
+        self.storage.add_many(storable, sweep=sweep)
         self.stats.records_in += len(batch)
         self.stats.records_stored += len(storable)
         self.stats.records_skipped += len(batch) - len(storable)

@@ -42,7 +42,7 @@ class FlowDNS:
 
     def add_dns(self, record: DnsRecord) -> bool:
         """Insert one DNS stream record; True when it was stored."""
-        return self._fillup.process(record)
+        return self._fillup.process_batch((record,)) == 1
 
     def add_dns_many(self, records: Iterable[DnsRecord]) -> int:
         """Insert many records through the batched fast path.
@@ -61,7 +61,8 @@ class FlowDNS:
 
     def correlate(self, flow: FlowRecord) -> CorrelationResult:
         """Look one flow up; always returns a result (possibly NULL)."""
-        return self._lookup.process(flow)
+        batch = self._lookup.correlate_batch_columns(FlowBatch.from_records((flow,)))
+        return CorrelationResult(flow, batch.chains[0], flow.ts)
 
     def correlate_many(self, flows: Iterable[FlowRecord]) -> List[CorrelationResult]:
         """Correlate many flows through the batched fast path.

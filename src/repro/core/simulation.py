@@ -1,10 +1,20 @@
 """Deterministic simulation engine.
 
 Replays timestamp-ordered DNS and Netflow record streams through the same
-FillUp/LookUp processors the live engines use, entirely
+columnar FillUp/LookUp lanes the async engine runs, entirely
 single-threaded, with simulated time driven by record timestamps. A
 week-long ISP deployment (Figure 2) replays in seconds and is
 reproducible bit-for-bit from the workload seed.
+
+The merged stream reaches the lanes one same-lane run at a time: each
+maximal run of consecutive DNS (or flow) records, cut at every sampling
+and write-flush boundary, is one ``process_batch`` (or one
+``correlate_batch_columns``) call. A run never spans a record of the
+other lane, so stores and lookups happen in record order; what batching
+changes is that a flow run resolves each distinct IP once. So
+``cname_steps`` counts unique resolutions per run, and with chain
+memoisation on, a later flow of the run reports the full chain its IP's
+one walk found rather than the memoised two-name shortcut.
 
 Resource usage is produced by :class:`repro.core.metrics.CostModel` from
 the exact operation counts of each sampling interval; stream loss is the
@@ -18,11 +28,11 @@ same mechanics the paper describes.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, List, Optional, TextIO
 
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
-from repro.core.lookup import LookUpProcessor
+from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.metrics import (
     CostModel,
     CostModelParams,
@@ -33,7 +43,7 @@ from repro.core.metrics import (
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import DiscardSink, WriteWorker
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 
 
 class SimulationEngine:
@@ -99,21 +109,36 @@ class SimulationEngine:
         last_flush_ts: Optional[float] = None
         last_rotated = 0
         last_cname_steps = 0
+        last_swept = 0
         first_ts: Optional[float] = None
         last_ts: Optional[float] = None
+        run: list = []  # the current same-lane run of surviving records
+        run_kind = 0
+
+        def flush_run() -> None:
+            if not run:
+                return
+            if run_kind == 0:
+                self._fill(run, overloaded=current_loss > 0.0)
+            else:
+                self._correlate(run)
+            run.clear()
 
         def flush_writes(now: float) -> None:
-            for result in self._pending_writes:
-                self.writer.write(result, now=now)
-                self._counters.writes += 1
+            for batch in self._pending_writes:
+                self.writer.write_batch(batch, delay=now - batch.flows.ts[0])
+                self._counters.writes += len(batch)
             self._pending_writes.clear()
 
         def close_interval(t_end: float) -> None:
-            nonlocal interval_start, current_loss, last_rotated, last_cname_steps
+            nonlocal interval_start, current_loss, last_rotated, last_cname_steps, last_swept
             self._counters.duration = t_end - interval_start
-            rotated_total = self._rotated_entries()
+            rotated_total = self._store_stat("entries_rotated")
             self._counters.rotation_entries = rotated_total - last_rotated
             last_rotated = rotated_total
+            swept_total = self._store_stat("sweep_scanned")
+            self._counters.sweep_scanned = swept_total - last_swept
+            last_swept = swept_total
             self._counters.cname_steps = self.lookup.stats.cname_steps - last_cname_steps
             last_cname_steps = self.lookup.stats.cname_steps
             entries = self.storage.total_entries()
@@ -141,15 +166,21 @@ class SimulationEngine:
                 last_flush_ts = ts
             last_ts = ts
 
-            while ts >= interval_start + self.sample_interval:
-                boundary = interval_start + self.sample_interval
-                flush_writes(boundary)
-                last_flush_ts = boundary
-                close_interval(boundary)
-
-            if ts - last_flush_ts >= self.write_flush_interval:
-                flush_writes(ts)
-                last_flush_ts = ts
+            if (
+                ts >= interval_start + self.sample_interval
+                or ts - last_flush_ts >= self.write_flush_interval
+            ):
+                # Runs are cut at every boundary, so each lands in its
+                # own interval and is pending before its write flush.
+                flush_run()
+                while ts >= interval_start + self.sample_interval:
+                    boundary = interval_start + self.sample_interval
+                    flush_writes(boundary)
+                    last_flush_ts = boundary
+                    close_interval(boundary)
+                if ts - last_flush_ts >= self.write_flush_interval:
+                    flush_writes(ts)
+                    last_flush_ts = ts
 
             # Stream-buffer loss feedback: during overload the ingress
             # buffers drop the un-servable fraction before FlowDNS sees it.
@@ -168,20 +199,12 @@ class SimulationEngine:
                         self._counters.dns_records += 1
                     continue
 
-            if kind == 0:
-                self._process_dns(record, overloaded=current_loss > 0.0)
-                self._counters.dns_records += 1
-            else:
-                result = self.lookup.process(record)
-                self._counters.flow_records += 1
-                self._counters.flow_bytes += record.bytes_
-                if result.matched:
-                    self._counters.correlated_bytes += record.bytes_
-                    self._counters.matched_flows += 1
-                if self.on_result is not None:
-                    self.on_result(result)
-                self._pending_writes.append(result)
+            if kind != run_kind:
+                flush_run()
+                run_kind = kind
+            run.append(record)
 
+        flush_run()
         if first_ts is not None:
             flush_writes(last_ts)
             if last_ts > interval_start:
@@ -200,22 +223,27 @@ class SimulationEngine:
         report.duration = (last_ts - first_ts) if first_ts is not None else 0.0
         return report
 
-    def _process_dns(self, record: DnsRecord, overloaded: bool) -> None:
-        self.fillup.process(record)
-        if self.config.exact_ttl and not overloaded:
-            # The A.8 expiry sweeper is itself starved during overload:
-            # "the regular clear-up process not being fast enough to
-            # clear-up all the expired TTLs as the hashmaps grow".
-            self._counters.sweep_scanned += self.storage.tick(record.ts)
-        # Rotating-store clear-up runs inside StoreBank.put (record-time
-        # driven), so no extra tick is needed on that path.
+    def _fill(self, records: List[DnsRecord], overloaded: bool) -> None:
+        # The A.8 expiry sweeper is itself starved during overload: "the
+        # regular clear-up process not being fast enough to clear-up all
+        # the expired TTLs as the hashmaps grow". Rotating-store clear-up
+        # runs inside the fill (record-time driven) either way.
+        self.fillup.process_batch(records, sweep=not overloaded)
+        self._counters.dns_records += len(records)
 
-    def _rotated_entries(self) -> int:
-        ip_bank = self.storage.ip_bank
-        cname_bank = self.storage.cname_bank
-        total = 0
-        if ip_bank is not None:
-            total += ip_bank.stats.entries_rotated
-        if cname_bank is not None:
-            total += cname_bank.stats.entries_rotated
-        return total
+    def _correlate(self, flows: List[FlowRecord]) -> None:
+        batch = self.lookup.correlate_batch_columns(FlowBatch.from_records(flows))
+        counters = self._counters
+        counters.flow_records += len(batch)
+        counters.flow_bytes += batch.bytes_in
+        counters.correlated_bytes += batch.bytes_matched
+        counters.matched_flows += batch.matched
+        if self.on_result is not None:
+            for flow, chain in zip(flows, batch.chains):
+                self.on_result(CorrelationResult(flow, chain, flow.ts))
+        self._pending_writes.append(batch)
+
+    def _store_stat(self, name: str) -> int:
+        """A maintenance counter summed over both stores; 0 under the
+        expiry policy that has no such counter."""
+        return sum(getattr(store.stats, name, 0) for store in self.storage.stores)

@@ -71,16 +71,16 @@ class DnsStorage:
             self._cname_store.put(record.answer, record.query, record.ttl, record.ts)
         # Other record types were filtered before the FillUp queue.
 
-    def add_many(self, records: Iterable[DnsRecord]) -> None:
+    def add_many(self, records: Iterable[DnsRecord], *, sweep: bool = True) -> None:
         """Batched Algorithm-1 insert of stream records: the object-form
         entry to :meth:`add_many_columns`, rotation checks and all."""
         batch = DnsBatch()
         for record in records:
             if record.is_address or record.is_cname:
                 batch.append_row(record.ts, record.query, record.rtype, record.ttl, record.answer)
-        self.add_many_columns(batch)
+        self.add_many_columns(batch, sweep=sweep)
 
-    def add_many_columns(self, batch) -> None:
+    def add_many_columns(self, batch, *, sweep: bool = True) -> None:
         """Batched Algorithm-1 insert straight from DnsBatch columns.
 
         The one fill entry for both expiry policies. Every row is an
@@ -93,7 +93,8 @@ class DnsStorage:
         Under exact-TTL the rows are instead walked in arrival order,
         one put then one :meth:`tick` each: the per-record store+sweep
         cadence is what Appendix A.8 measures, so it is not amortised
-        over the batch.
+        over the batch. ``sweep=False`` drops the ticks: the simulation's
+        model of that sweeper starving while the engine is overloaded.
         """
         rtypes = batch.rtype
         columns = (batch.rdata_text, batch.name, batch.ttl, batch.ts)
@@ -103,7 +104,8 @@ class DnsStorage:
                     self._cname_exact.put(answer, name, ttl, ts)
                 else:
                     self._ip_exact.put(answer, name, ttl, ts)
-                self.tick(ts)
+                if sweep:
+                    self.tick(ts)
             return
         if _CNAME_TYPE not in rtypes:
             if rtypes:
@@ -188,6 +190,11 @@ class DnsStorage:
         if self._ip_bank is not None:
             return self._ip_bank.stats.overwrites
         return 0
+
+    @property
+    def stores(self) -> tuple:
+        """The (IP-NAME, NAME-CNAME) stores of whichever policy is in force."""
+        return (self._ip_store, self._cname_store)
 
     @property
     def ip_bank(self) -> Optional[StoreBank]:

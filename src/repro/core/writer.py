@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 from repro.core.lookup import CorrelationBatch, CorrelationResult
 
@@ -100,15 +100,10 @@ class WriteStats:
     rows: int = 0
     matched_rows: int = 0
     max_delay: float = 0.0
-    total_delay: float = 0.0
-
-    @property
-    def mean_delay(self) -> float:
-        return self.total_delay / self.rows if self.rows else 0.0
 
 
 class WriteWorker:
-    """Serialises results to a text sink, tracking write delay."""
+    """Serialises correlation batches to a text sink, tracking write delay."""
 
     def __init__(self, sink: Optional[TextIO] = None, write_header: bool = True):
         self.sink = sink if sink is not None else io.StringIO()
@@ -116,28 +111,12 @@ class WriteWorker:
         if write_header:
             self.sink.write(HEADER)
 
-    def write(self, result: CorrelationResult, now: Optional[float] = None) -> None:
-        """Write one row; ``now`` is the engine's current time for delay."""
-        self.sink.write(format_result(result))
-        self.stats.rows += 1
-        if result.matched:
-            self.stats.matched_rows += 1
-        if now is not None:
-            delay = max(0.0, now - result.flow.ts)
-            self.stats.max_delay = max(self.stats.max_delay, delay)
-            self.stats.total_delay += delay
-
-    def write_many(self, results: Iterable[CorrelationResult], now: Optional[float] = None) -> None:
-        for result in results:
-            self.write(result, now)
-
     def write_batch(self, batch: CorrelationBatch, delay: Optional[float] = None) -> None:
         """Write one correlation batch's rows without materialising results.
 
-        ``delay`` is the batch's queueing delay (the engines time-stamp a
-        batch once when it is enqueued, so every row in it shares the same
-        delay); matches the per-result path's ``now = flow.ts + delay``
-        bookkeeping.
+        ``delay`` is the batch's largest write delay: write time minus
+        the enqueue stamp (async engine) or minus the first row's ``ts``
+        (simulation, whose rows are in ``ts`` order).
         """
         rows = format_batch(batch)
         self.sink.write("".join(rows))
@@ -146,4 +125,3 @@ class WriteWorker:
         if delay is not None:
             delay = max(0.0, delay)
             self.stats.max_delay = max(self.stats.max_delay, delay)
-            self.stats.total_delay += delay * len(rows)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.util.interning import cached_ip_address, cached_ip_text
 
@@ -207,23 +207,6 @@ class FlowBatch:
             batch.append_record(flow)
         return batch
 
-    # --- slicing ----------------------------------------------------------
-
-    def select(self, indices: Sequence[int]) -> "FlowBatch":
-        """A new batch holding the given rows, in the given order."""
-        extras = self.extras
-        return FlowBatch(
-            [self.ts[i] for i in indices],
-            [self.src_ip_text[i] for i in indices],
-            [self.dst_ip_text[i] for i in indices],
-            [self.src_port[i] for i in indices],
-            [self.dst_port[i] for i in indices],
-            [self.protocol[i] for i in indices],
-            [self.packets[i] for i in indices],
-            [self.bytes_[i] for i in indices],
-            None if extras is None else [extras[i] for i in indices],
-        )
-
     # --- materialisation --------------------------------------------------
 
     def record(self, i: int) -> FlowRecord:
@@ -252,7 +235,3 @@ class FlowBatch:
     def to_records(self) -> List[FlowRecord]:
         """Materialise every row (tests and compat callers only)."""
         return [self.record(i) for i in range(len(self.ts))]
-
-    def iter_records(self) -> Iterator[FlowRecord]:
-        for i in range(len(self.ts)):
-            yield self.record(i)

@@ -1,15 +1,22 @@
 """Tests for the deterministic simulation engine."""
 
+import heapq
 import io
 
 import pytest
 
 from repro.core.config import FlowDNSConfig
+from repro.core.fillup import FillUpProcessor
+from repro.core.lookup import LookUpProcessor
+from repro.core.metrics import CostModelParams
 from repro.core.simulation import SimulationEngine
+from repro.core.storage_adapter import DnsStorage
 from repro.core.variants import Variant, config_for
+from repro.core.writer import format_result
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
+from repro.workloads.isp import small_isp
 
 
 def _dns(ts, query, rtype, ttl, answer):
@@ -188,3 +195,85 @@ class TestExactTtlInSimulation:
         ]
         report = SimulationEngine(FlowDNSConfig()).run(dns, [])
         assert report.overwrites == 1
+
+
+def _per_record_reference(config, dns, flows):
+    """The per-record oracle loop: one ``process`` per record in the
+    simulation's merge order (DNS first at equal ts), one ``format_result``
+    row per flow, and under exact-TTL a ``tick`` after every DNS record
+    (the rotating store's clear-up clock runs inside each put)."""
+    storage = DnsStorage(config)
+    fillup = FillUpProcessor(storage)
+    lookup = LookUpProcessor(storage, config)
+    rows = []
+    merged = heapq.merge(
+        ((rec.ts, 0, rec) for rec in dns),
+        ((rec.ts, 1, rec) for rec in flows),
+        key=lambda item: (item[0], item[1]),
+    )
+    for ts, kind, record in merged:
+        if kind == 0:
+            fillup.process(record)
+            if config.exact_ttl:
+                storage.tick(ts)
+        else:
+            rows.append(format_result(lookup.process(record)))
+    return rows, lookup.stats
+
+
+class TestMatchesPerRecordOracle:
+    """The simulation's same-lane runs through the columnar lanes give
+    the rows and correlation counters of the per-record oracle (chain
+    memoisation off: with it on, when a shortcut lands is batch-layout
+    dependent)."""
+
+    @pytest.mark.parametrize("variant", [Variant.MAIN, Variant.NO_ROTATION, Variant.EXACT_TTL])
+    def test_rows_and_counters_equal_the_oracle(self, variant):
+        config = config_for(variant, FlowDNSConfig(memoize_cname_chains=False))
+        workload = small_isp(duration=1800.0)
+        dns, flows = list(workload.dns_records()), list(workload.flow_records())
+        expected, stats = _per_record_reference(config, dns, flows)
+
+        sink = io.StringIO()
+        report = SimulationEngine(config, sample_interval=300.0, sink=sink).run(dns, flows)
+        rows = [line + "\n" for line in sink.getvalue().splitlines() if not line.startswith("#")]
+
+        assert report.overall_loss_rate == 0.0  # the oracle models no overload
+        assert stats.matched > 0 and max(stats.chain_lengths) > 1
+        assert sorted(rows) == sorted(expected)
+        assert report.matched_flows == stats.matched
+        assert report.correlated_bytes == stats.bytes_matched
+        assert report.chain_lengths == stats.chain_lengths
+
+
+class TestStarvedSweeper:
+    def test_exact_ttl_sweeps_stay_flat_while_overloaded(self):
+        config = config_for(Variant.EXACT_TTL, FlowDNSConfig(exact_ttl_sweep_interval=5.0))
+        dns = [_dns(float(i), f"n{i}.example", RRType.A, 10, f"10.0.{i // 250}.{i % 250 + 1}")
+               for i in range(600)]
+        # Far below the exact-TTL fill demand: every interval after the
+        # first is overloaded and drops part of the stream.
+        engine = SimulationEngine(
+            config, cost_params=CostModelParams(capacity_units_per_sec=20.0), sample_interval=100.0
+        )
+        exact_stores = engine.storage.stores
+        at_close = []  # (interval sweep_scanned, lifetime sweeps) per interval
+        loss_rate = engine.cost_model.loss_rate
+
+        def spy(counters):
+            at_close.append((counters.sweep_scanned, sum(s.stats.sweeps for s in exact_stores)))
+            return loss_rate(counters)
+
+        engine.cost_model.loss_rate = spy
+        report = engine.run(dns, [])
+
+        samples = report.samples
+        assert samples[0].loss_rate > 0.0
+        assert at_close[0][0] > 0  # the sweeper ran while the engine kept up
+        overloaded = [j for j in range(1, len(samples)) if samples[j - 1].loss_rate > 0.0]
+        assert len(overloaded) >= 4
+        for j in overloaded:
+            assert at_close[j][0] == 0
+            assert at_close[j][1] == at_close[j - 1][1]
+            # Records still fill while overloaded, so expired entries pile up.
+            assert samples[j].map_entries > samples[j - 1].map_entries

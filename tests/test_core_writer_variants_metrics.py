@@ -5,7 +5,7 @@ import io
 import pytest
 
 from repro.core.config import FlowDNSConfig
-from repro.core.lookup import CorrelationResult
+from repro.core.lookup import CorrelationBatch, CorrelationResult
 from repro.core.metrics import CostModel, CostModelParams, EngineReport, IntervalCounters, IntervalSample
 from repro.core.variants import FIGURE3_VARIANTS, FIGURE7_VARIANTS, Variant, config_for
 from repro.core.writer import (
@@ -15,7 +15,7 @@ from repro.core.writer import (
     format_result,
     parse_result_line,
 )
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 
 
 def _result(matched=True, bytes_=100, ts=10.0):
@@ -48,25 +48,32 @@ class TestFormatParse:
             parse_result_line("a\tb\tc")
 
 
+def _batch(*results):
+    """One CorrelationBatch holding the given results' rows."""
+    flows = FlowBatch.from_records(r.flow for r in results)
+    chains = [r.chain for r in results]
+    matched = sum(1 for chain in chains if chain)
+    return CorrelationBatch(flows, chains, matched=matched)
+
+
 class TestWriteWorker:
     def test_writes_header_and_rows(self):
         sink = io.StringIO()
         worker = WriteWorker(sink)
-        worker.write(_result())
+        worker.write_batch(_batch(_result()))
         lines = sink.getvalue().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == 2
 
     def test_delay_tracking(self):
         worker = WriteWorker(DiscardSink())
-        worker.write(_result(ts=10.0), now=40.0)
-        worker.write(_result(ts=10.0), now=25.0)
+        worker.write_batch(_batch(_result(ts=10.0)), delay=30.0)
+        worker.write_batch(_batch(_result(ts=10.0)), delay=15.0)
         assert worker.stats.max_delay == 30.0
-        assert worker.stats.mean_delay == 22.5
 
     def test_matched_rows_counted(self):
         worker = WriteWorker(DiscardSink())
-        worker.write_many([_result(), _result(matched=False)])
+        worker.write_batch(_batch(_result(), _result(matched=False)))
         assert worker.stats.rows == 2
         assert worker.stats.matched_rows == 1
 
