@@ -9,7 +9,7 @@
   benchmark harness.
 """
 
-from repro.analysis.accuracy import NamesPerIpReport, OverwriteReport, names_per_ip
+from repro.analysis.accuracy import NamesPerIpReport, names_per_ip
 from repro.analysis.figures import (
     figure2_rows,
     figure3_rows,
@@ -47,7 +47,6 @@ from repro.analysis.spamdbl import (
 __all__ = [
     "names_per_ip",
     "NamesPerIpReport",
-    "OverwriteReport",
     "analyze_invalid_domains",
     "InvalidDomainReport",
     "estimate_coverage",

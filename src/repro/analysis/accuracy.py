@@ -83,16 +83,3 @@ def names_per_ip(
         ips_per_name={name: len(ips) for name, ips in name_ips.items()},
         window=window,
     )
-
-
-@dataclass
-class OverwriteReport:
-    """Observed overwrite pressure in a running store (live counterpart
-    of the names-per-IP estimate)."""
-
-    puts: int
-    overwrites: int
-
-    @property
-    def overwrite_rate(self) -> float:
-        return self.overwrites / self.puts if self.puts else 0.0

@@ -28,22 +28,12 @@ class VariantRun:
     report: EngineReport
 
     @property
-    def mean_correlation_rate(self) -> float:
-        return self.report.correlation_rate
-
-    @property
     def mean_cpu_percent(self) -> float:
         return self.report.mean_cpu_percent
 
     @property
     def mean_memory_gb(self) -> float:
         return self.report.mean_memory_gb
-
-    @property
-    def final_memory_gb(self) -> float:
-        if not self.report.samples:
-            return 0.0
-        return self.report.samples[-1].memory_bytes / (1024.0**3)
 
 
 def run_variant(

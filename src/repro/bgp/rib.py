@@ -47,9 +47,6 @@ class Rib:
         self._trie.insert(route.prefix, route)
         self._routes.append(route)
 
-    def add_prefix(self, prefix: str, origin_asn: int, as_path: Tuple[int, ...] = ()) -> None:
-        self.add(Route(prefix=prefix, origin_asn=origin_asn, as_path=as_path))
-
     def lookup(self, address) -> Optional[Route]:
         """Best-match route for an address (None = not announced)."""
         return self._trie.lookup(address)

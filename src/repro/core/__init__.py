@@ -5,7 +5,7 @@ The pipeline (Figure 1) is assembled from:
 * :class:`FlowDNSConfig` — Table 1 parameters and engine knobs;
 * :class:`DnsStorage` — the shared Active/Inactive/Long (or exact-TTL)
   storage behind one facade;
-* :class:`FillUpProcessor` / :class:`LookUpProcessor` — the record-level
+* :class:`FillUpProcessor` / :class:`LookUpProcessor` — the batched
   worker logic (Algorithms 1 and 2);
 * :class:`AsyncEngine` — one asyncio loop with live socket ingest
   (NetFlow over UDP, DNS over TCP), the deployed-service shape;
@@ -49,7 +49,6 @@ from repro.core.variants import (
 from repro.core.writer import (
     DiscardSink,
     WriteWorker,
-    format_result,
     parse_result_line,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "config_for",
     "WriteWorker",
     "DiscardSink",
-    "format_result",
     "parse_result_line",
     "DnsAdapter",
     "FlowAdapter",

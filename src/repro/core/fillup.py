@@ -1,9 +1,9 @@
 """FillUp processing: DNS records into the shared storage (Section 3.2).
 
-The pure record-level logic lives in :class:`FillUpProcessor` so the
-live engines (which drive it from their fill lanes) and the simulation
-engine (which calls it inline) share one implementation — any divergence
-between them would make the ablation comparisons meaningless.
+The fill logic lives in :class:`FillUpProcessor` so the async engine
+(which drives it from its fill lane), the simulation engine and the
+facade share one implementation — any divergence between them would make
+the ablation comparisons meaningless.
 """
 
 from __future__ import annotations
@@ -72,27 +72,13 @@ class FillUpProcessor:
             self.stats.invalid += 1
         return records
 
-    def process(self, record: DnsRecord) -> bool:
-        """Steps 4–6: store one record; True when stored.
-
-        Only A/AAAA and CNAME records reach the hashmaps; anything else is
-        skipped (the FillUp queue normally only carries the former).
-        """
-        self.stats.records_in += 1
-        if not (record.is_address or record.is_cname):
-            self.stats.records_skipped += 1
-            return False
-        self.storage.add_record(record)
-        self.stats.records_stored += 1
-        return True
-
     def process_batch(self, records: Iterable[DnsRecord], *, sweep: bool = True) -> int:
-        """Batched steps 4–6: one storage round-trip for many records.
+        """Steps 4–6 for stream records: one storage round-trip.
 
-        Equivalent to calling :meth:`process` per record (same counters,
-        same stored set) but through the store's batched writer
-        (:meth:`DnsStorage.add_many`, which ``sweep`` is passed to).
-        Returns how many records were stored.
+        Only A/AAAA and CNAME records reach the hashmaps; the rest are
+        counted as skipped. The storable ones go through the store's
+        batched writer (:meth:`DnsStorage.add_many`, which ``sweep`` is
+        passed to). Returns how many records were stored.
         """
         batch = records if isinstance(records, list) else list(records)
         if not batch:

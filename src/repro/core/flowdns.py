@@ -22,7 +22,9 @@ from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import decode_fill_columns
 from repro.dns.stream import DnsRecord
+from repro.dns.wire import DnsMessage
 from repro.netflow.records import FlowBatch, FlowRecord
 
 
@@ -54,8 +56,14 @@ class FlowDNS:
         return self._fillup.process_batch(records)
 
     def add_dns_message(self, ts: float, payload) -> int:
-        """Filter + insert a wire-format response (bytes or DnsMessage)."""
-        return self._fillup.process_batch(self._fillup.filter_message(ts, payload))
+        """Filter + insert a response (wire bytes or a ``DnsMessage``).
+
+        Wire bytes take the engines' columnar fill lane; an already
+        decoded message goes through the object filter.
+        """
+        if isinstance(payload, DnsMessage):
+            return self._fillup.process_batch(self._fillup.filter_message(ts, payload))
+        return self._fillup.process_columns(decode_fill_columns((payload,), ts))
 
     # --- flow side ------------------------------------------------------------
 

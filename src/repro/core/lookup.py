@@ -8,7 +8,9 @@ multi-hop chains back into the Active CNAME map.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import List, Optional
 
 from repro.core.config import FlowDNSConfig
@@ -134,80 +136,40 @@ class LookUpProcessor:
         self.config = config
         self.stats = LookUpStats()
 
-    def is_valid(self, flow: FlowRecord) -> bool:
-        """Step 2's flow filter: discard flows without usable counters."""
-        return flow.bytes_ >= 0 and flow.packets >= 0
-
-    def process(self, flow: FlowRecord) -> CorrelationResult:
-        """Steps 4–7 for one flow record."""
-        self.stats.flows_in += 1
-        self.stats.bytes_in += flow.bytes_
-        if not self.is_valid(flow):
-            self.stats.invalid += 1
-            return CorrelationResult(flow, (), flow.ts)
-
-        direction = self.config.direction
-        if direction == FlowDirection.BOTH:
-            # Try the source first (the paper's primary interest), fall
-            # back to the destination.
-            chain = self._resolve(str(flow.src_ip), flow.ts)
-            if not chain:
-                chain = self._resolve(str(flow.dst_ip), flow.ts)
-        else:
-            chain = self._resolve(str(flow.lookup_ip(direction)), flow.ts)
-
-        if chain:
-            self.stats.matched += 1
-            self.stats.bytes_matched += flow.bytes_
-            self.stats.note_chain(len(chain))
-        else:
-            self.stats.unmatched += 1
-        return CorrelationResult(flow, tuple(chain), flow.ts)
-
     def correlate_batch_columns(self, flows: FlowBatch) -> CorrelationBatch:
-        """Batched steps 4–7: correlate one :class:`FlowBatch`.
+        """Steps 4–7 for one :class:`FlowBatch`.
 
-        Produces the same results and flow-level counters as calling
-        :meth:`process` per record, but the lookup keys come straight
-        from the batch's interned text columns — no ``FlowRecord``/
-        ``ipaddress``/``str()`` work per flow — and each distinct lookup
-        IP is resolved once per batch (in first-appearance order, at the
-        first row's ``ts``) with its chain shared across the batch's
-        flows. So the chain-walk counters (``cname_steps``,
-        ``chains_memoized``) count unique resolutions, and a multi-hop
-        chain memoised mid-batch shortens later *batches* rather than
-        later flows of the same batch. The per-batch deltas also ride on
-        the returned :class:`CorrelationBatch` so engines can report
-        without re-deriving them. Exact-TTL mode runs :meth:`process`
-        over each materialised record instead: expiry depends on each
-        flow's own timestamp, which makes sharing resolutions unsound.
+        The lookup keys come straight from the batch's interned text
+        columns, with no ``FlowRecord``/``ipaddress``/``str()`` work per
+        flow. The two expiry policies differ only in how a row's chain
+        is found:
+
+        * rotating store: each distinct lookup IP is resolved once per
+          batch (in first-appearance order, at the first row's ``ts``)
+          and its chain is shared across the batch's flows. So the
+          chain-walk counters (``cname_steps``, ``chains_memoized``)
+          count unique resolutions, and a multi-hop chain memoised
+          mid-batch shortens later *batches* rather than later flows of
+          the same batch;
+        * exact-TTL: each valid row is resolved on its own, at its own
+          ``ts``, in row order. Expiry depends on the flow's timestamp
+          and a lookup deletes the expired entries it meets, so rows
+          cannot share a resolution.
+
+        The per-batch deltas also ride on the returned
+        :class:`CorrelationBatch` so engines can report without
+        re-deriving them.
         """
         n = len(flows)
         if n == 0:
             return CorrelationBatch(flows, [])
-        stats = self.stats
-        if self.config.exact_ttl:
-            chains: List[tuple] = []
-            matched = invalid = bytes_matched = 0
-            before_invalid = stats.invalid
-            for i in range(n):
-                result = self.process(flows.record(i))
-                chains.append(result.chain)
-                if result.chain:
-                    matched += 1
-                    bytes_matched += result.flow.bytes_
-            invalid = stats.invalid - before_invalid
-            return CorrelationBatch(
-                flows, chains, matched, invalid, sum(flows.bytes_), bytes_matched
-            )
-
         direction = self.config.direction
         both = direction is FlowDirection.BOTH
         use_src = both or direction is FlowDirection.SOURCE
         ts_col = flows.ts
         bytes_col = flows.bytes_
         packets_col = flows.packets
-        now = ts_col[0]
+        dst_col = flows.dst_ip_text
 
         # Pass 1: validity filter + primary lookup key per flow, read
         # straight off the interned text columns. When no row has a
@@ -215,79 +177,77 @@ class LookUpProcessor:
         # formats carry unsigned counters — the key column itself serves
         # as the (read-only) primaries list and the per-row loop is two
         # C-speed min() scans.
-        keys = flows.src_ip_text if use_src else flows.dst_ip_text
+        keys = flows.src_ip_text if use_src else dst_col
         invalid = 0
         if min(bytes_col) >= 0 and min(packets_col) >= 0:
             primaries: List[Optional[str]] = keys
         else:
             primaries = [None] * n
             for i in range(n):
-                if bytes_col[i] < 0 or packets_col[i] < 0:  # is_valid(), inlined
+                if bytes_col[i] < 0 or packets_col[i] < 0:  # step 2's flow filter
                     invalid += 1
                     continue
                 primaries[i] = keys[i]
 
-        # Pass 2: one batched deepLookUp for the unique IPs, then one
-        # chain walk per unique hit, in first-appearance order (chain
-        # memoisation makes walk results order-sensitive).
-        if primaries is keys:
-            unique = dict.fromkeys(primaries)
-        else:
-            unique = dict.fromkeys(text for text in primaries if text is not None)
-        names = self.storage.lookup_ips(unique, now)
-        chains_by_ip: dict = {}
-        for text in unique:
-            name = names.get(text)
-            chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
-
-        fallbacks: List[Optional[str]] = []
-        if both:
-            # Destination fallback for flows whose source IP missed.
-            dst_col = flows.dst_ip_text
-            fallbacks = [None] * n
-            fb_unique: dict = {}
+        # Pass 2: each valid row's chain; () for a miss or an invalid row.
+        if self.config.exact_ttl:
+            chains: List[tuple] = [()] * n
+            resolve = self._resolve
             for i in range(n):
                 text = primaries[i]
-                if text is None or chains_by_ip[text]:
+                if text is None:
                     continue
-                dst = dst_col[i]
-                fallbacks[i] = dst
-                if dst not in chains_by_ip:
-                    fb_unique[dst] = None
-            fb_names = self.storage.lookup_ips(fb_unique, now)
-            for text in fb_unique:
-                name = fb_names.get(text)
-                chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
-
-        # Pass 3: the per-flow chain column and counters, flushed once.
-        # bytes_in counts every row, valid or not, so it sums at C speed.
-        bytes_in = sum(bytes_col)
-        chains = [()] * n
-        length_counts: dict = {}
-        matched = unmatched = bytes_matched = 0
-        for i in range(n):
-            text = primaries[i]
-            if text is None:
-                continue
-            chain = chains_by_ip[text]
-            if both and not chain and fallbacks[i] is not None:
-                chain = chains_by_ip[fallbacks[i]]
-            if chain:
-                chains[i] = chain
-                matched += 1
-                bytes_matched += bytes_col[i]
-                length = len(chain)
-                length_counts[length] = length_counts.get(length, 0) + 1
+                ts = ts_col[i]
+                chain = resolve(text, ts)
+                if both and not chain:
+                    # Destination fallback for a flow whose source missed.
+                    chain = resolve(dst_col[i], ts)
+                if chain:
+                    chains[i] = tuple(chain)
+        else:
+            # One batched deepLookUp for the unique IPs, then one chain
+            # walk per unique hit, in first-appearance order (chain
+            # memoisation makes walk results order-sensitive).
+            now = ts_col[0]
+            if primaries is keys:
+                unique = dict.fromkeys(primaries)
             else:
-                unmatched += 1
+                unique = dict.fromkeys(text for text in primaries if text is not None)
+            names = self.storage.lookup_ips(unique, now)
+            chains_by_ip: dict = {}
+            for text in unique:
+                name = names.get(text)
+                chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
+            chains = [chains_by_ip[text] if text is not None else () for text in primaries]
+            if both:
+                # Destination fallback for flows whose source IP missed.
+                fallbacks = {i: dst_col[i] for i, chain in enumerate(chains)
+                             if not chain and primaries[i] is not None}
+                fb_unique = dict.fromkeys(
+                    dst for dst in fallbacks.values() if dst not in chains_by_ip
+                )
+                fb_names = self.storage.lookup_ips(fb_unique, now)
+                for text in fb_unique:
+                    name = fb_names.get(text)
+                    chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
+                for i, dst in fallbacks.items():
+                    chains[i] = chains_by_ip[dst]
+
+        # Pass 3: the counters, flushed once. bytes_in counts every row,
+        # valid or not.
+        hits = list(filter(None, chains))
+        matched = len(hits)
+        bytes_in = sum(bytes_col)
+        bytes_matched = sum(compress(bytes_col, chains))
+        stats = self.stats
         stats.flows_in += n
         stats.bytes_in += bytes_in
         stats.invalid += invalid
         stats.matched += matched
-        stats.unmatched += unmatched
+        stats.unmatched += n - invalid - matched
         stats.bytes_matched += bytes_matched
         chain_lengths = stats.chain_lengths
-        for length, count in length_counts.items():
+        for length, count in Counter(map(len, hits)).items():
             chain_lengths[length] = chain_lengths.get(length, 0) + count
         return CorrelationBatch(flows, chains, matched, invalid, bytes_in, bytes_matched)
 

@@ -172,8 +172,7 @@ class LookupLane:
 
     Whatever mix of item types a stream carries, decode→correlate
     touches only :class:`FlowBatch` columns and per-record objects are
-    never materialised. The per-record oracle is the processor's
-    ``process``.
+    never materialised.
     """
 
     __slots__ = ("processor", "collector", "ingest_stats")

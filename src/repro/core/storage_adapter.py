@@ -63,14 +63,6 @@ class DnsStorage:
 
     # --- fill side -----------------------------------------------------------
 
-    def add_record(self, record: DnsRecord) -> None:
-        """Insert one DNS stream record (Algorithm 1's body)."""
-        if record.is_address:
-            self._ip_store.put(record.answer, record.query, record.ttl, record.ts)
-        elif record.is_cname:
-            self._cname_store.put(record.answer, record.query, record.ttl, record.ts)
-        # Other record types were filtered before the FillUp queue.
-
     def add_many(self, records: Iterable[DnsRecord], *, sweep: bool = True) -> None:
         """Batched Algorithm-1 insert of stream records: the object-form
         entry to :meth:`add_many_columns`, rotation checks and all."""
@@ -87,8 +79,8 @@ class DnsStorage:
         A/AAAA or CNAME answer; the key is the answer text, the value
         the owner name. Address rows go to the IP-NAME store and CNAME
         rows to the NAME-CNAME store, each as parallel columns through
-        ``put_rows``. Because the decoder interned every name and IP
-        text, the map keys share objects with the reference path.
+        ``put_rows``. The decoder interned every name and IP text, so
+        equal keys share one object.
 
         Under exact-TTL the rows are instead walked in arrival order,
         one put then one :meth:`tick` each: the per-record store+sweep

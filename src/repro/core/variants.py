@@ -18,7 +18,7 @@ system:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.core.config import EngineConfig, FlowDNSConfig
 
@@ -109,9 +109,3 @@ def config_for(variant: Variant, base: Optional[FlowDNSConfig] = None) -> FlowDN
     if variant == Variant.EXACT_TTL:
         return base.replace(exact_ttl=True)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def configs_for(
-    variants: Iterable[Variant], base: Optional[FlowDNSConfig] = None
-) -> List[FlowDNSConfig]:
-    return [config_for(v, base) for v in variants]

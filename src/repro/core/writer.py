@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from typing import List, Optional, TextIO
 
-from repro.core.lookup import CorrelationBatch, CorrelationResult
+from repro.core.lookup import CorrelationBatch
 
 #: Placeholder the output format uses for NULL results.
 NULL_SERVICE = "-"
@@ -21,25 +21,12 @@ NULL_SERVICE = "-"
 HEADER = "# ts\tsrc_ip\tdst_ip\tproto\tpackets\tbytes\tservice\tchain\n"
 
 
-def format_result(result: CorrelationResult) -> str:
-    """One output row for a correlation result."""
-    flow = result.flow
-    service = result.service if result.matched else NULL_SERVICE
-    chain = ">".join(result.chain) if result.matched else NULL_SERVICE
-    return (
-        f"{flow.ts:.3f}\t{flow.src_ip}\t{flow.dst_ip}\t{flow.protocol}\t"
-        f"{flow.packets}\t{flow.bytes_}\t{service}\t{chain}\n"
-    )
-
-
 def format_batch(batch: CorrelationBatch) -> List[str]:
     """Output rows for one correlation batch, straight from the columns.
 
-    Byte-identical to mapping :func:`format_result` over the batch's
-    materialised results (the address columns carry the same canonical
-    text ``str(flow.src_ip)`` would produce), without building a single
-    ``CorrelationResult``/``FlowRecord``/``ipaddress`` object — this is
-    the engines' columnar write path.
+    The address columns already carry the canonical text
+    ``str(flow.src_ip)`` would produce, so no ``CorrelationResult``/
+    ``FlowRecord``/``ipaddress`` object is built.
     """
     flows = batch.flows
     ts, src, dst = flows.ts, flows.src_ip_text, flows.dst_ip_text

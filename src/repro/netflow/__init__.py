@@ -9,7 +9,7 @@ into one common :class:`FlowRecord` the correlator consumes.
 """
 
 from repro.netflow.records import FlowRecord, FlowDirection
-from repro.netflow.v5 import decode_v5, encode_v5, V5_HEADER_LEN, V5_RECORD_LEN
+from repro.netflow.v5 import encode_v5, V5_HEADER_LEN, V5_RECORD_LEN
 from repro.netflow.v9 import (
     TemplateField,
     TemplateRecord,
@@ -25,7 +25,6 @@ from repro.netflow.udp import send_datagrams
 __all__ = [
     "FlowRecord",
     "FlowDirection",
-    "decode_v5",
     "encode_v5",
     "V5_HEADER_LEN",
     "V5_RECORD_LEN",

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List
 
 from repro.netflow.ipfix import IpfixSession
-from repro.netflow.records import FlowBatch, FlowRecord
-from repro.netflow.v5 import decode_v5, decode_v5_columns
+from repro.netflow.records import FlowBatch
+from repro.netflow.v5 import decode_v5_columns
 from repro.netflow.v9 import V9Session
 from repro.util.errors import ParseError
 
@@ -52,53 +51,30 @@ def probe_version(datagram: bytes) -> int:
 
 
 class FlowCollector:
-    """Decode NetFlow v5 / v9 / IPFIX datagrams into flow records."""
+    """Decode NetFlow v5 / v9 / IPFIX datagrams into flow batches."""
 
     def __init__(self) -> None:
-        self._v9 = V9Session()
-        self._ipfix = IpfixSession()
+        #: The per-dialect template sessions.
+        self.v9 = V9Session()
+        self.ipfix = IpfixSession()
         self.stats = CollectorStats()
 
-    def ingest(self, datagram: bytes) -> List[FlowRecord]:
-        """Decode one datagram per field; malformed input is counted, not raised.
-
-        The reference lane (:class:`FlowRecord` objects out) that the
-        parity tests hold :meth:`ingest_columns` to. Returns the decoded
-        flows (possibly empty, e.g. for a pure template datagram).
-        """
-        try:
-            version = probe_version(datagram)
-            if version == 5:
-                _, flows = decode_v5(datagram)
-            elif version == 9:
-                flows = self._v9.decode(datagram)
-            elif version == 10:
-                flows = self._ipfix.decode(datagram)
-            else:
-                self.stats.unknown_version += 1
-                return []
-        except ParseError:
-            self.stats.malformed += 1
-            return []
-        self.stats.note(version, len(flows))
-        return flows
-
     def ingest_columns(self, datagram: bytes) -> FlowBatch:
-        """Columnar :meth:`ingest`: decode one datagram into a FlowBatch.
+        """Decode one datagram into a FlowBatch; malformed input is
+        counted, not raised.
 
-        The production lane: same version sniffing, session state, and
-        counters as :meth:`ingest`, but v9/IPFIX data sets run the
-        compiled per-template decoders and the flows come out as columns
-        — what the engines' flow lanes feed on.
+        Sniffs the version, keeps the v9/IPFIX template state, and runs
+        the compiled per-template decoders. A pure template datagram
+        yields an empty batch.
         """
         try:
             version = probe_version(datagram)
             if version == 5:
                 _, batch = decode_v5_columns(datagram)
             elif version == 9:
-                batch = self._v9.decode_batch_columns(datagram)
+                batch = self.v9.decode_batch_columns(datagram)
             elif version == 10:
-                batch = self._ipfix.decode_batch_columns(datagram)
+                batch = self.ipfix.decode_batch_columns(datagram)
             else:
                 self.stats.unknown_version += 1
                 return FlowBatch()

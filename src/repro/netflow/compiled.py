@@ -1,12 +1,12 @@
 """Template-specialized compiled decoders for NetFlow v9 / IPFIX data sets.
 
-The per-field reference decoders (``V9Session._decode_data_reference``,
-``IpfixSession._decode_data_reference``) run a Python loop over the
-template for every record: one slice per field, a dict of named values,
-then a round of ``pop`` calls into :class:`FlowRecord`. They are what
-``decode()`` runs and what the differential tests compare against.
+The per-field test oracles (``repro.reference.decode_v9``/
+``decode_ipfix``) run a Python loop over the template for every record:
+one slice per field, a dict of named values, then a round of ``pop``
+calls into :class:`FlowRecord`. The differential tests compare against
+them.
 
-This module is the production twin. It compiles a template **once, at
+This module is the production decoder. It compiles a template **once, at
 registration time**, into
 
 * a single :class:`struct.Struct` covering the whole record (addresses

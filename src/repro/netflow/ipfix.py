@@ -10,7 +10,6 @@ timestamps (flowEndMilliseconds, IE 153) instead of uptime offsets.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -144,8 +143,8 @@ class IpfixSession:
     """Stateful IPFIX collector: template cache keyed by observation domain.
 
     Like :class:`repro.netflow.v9.V9Session`: :meth:`decode_batch_columns`
-    is the production path (compiled per-template decoder, columns out),
-    :meth:`decode` the per-field reference the parity tests compare it to.
+    runs each data set through the template's compiled decoder (columns
+    out).
     """
 
     def __init__(self) -> None:
@@ -156,13 +155,13 @@ class IpfixSession:
         return self._templates.get((domain_id, template_id))
 
     def _walk_sets(self, message: bytes, on_data) -> None:
-        """The one set walk both decode lanes share.
+        """The set walk: validates the header, learns template sets, and
+        hands each data set with a known template to
+        ``on_data(key, tmpl, payload, export_secs)``.
 
-        Validates the header, learns template sets, and hands each data
-        set with a known template to
-        ``on_data(key, tmpl, payload, export_secs)``. Per-set (not
-        per-record) indirection, so a shared walk costs nothing while
-        keeping the object and columnar lanes structurally identical.
+        Per-set (not per-record) indirection, so the per-field test
+        oracle runs on this same walk at no cost to the production
+        decoder.
         """
         if len(message) < IPFIX_HEADER.size:
             raise ParseError("IPFIX message shorter than header")
@@ -187,20 +186,10 @@ class IpfixSession:
                         on_data(key, tmpl, payload, export_secs)
                     except (ValueError, OverflowError) as exc:
                         # Same contract as V9Session._walk_flowsets: a
-                        # wire value either lane's record decode rejects
-                        # is malformed input.
+                        # wire value the record decode rejects is
+                        # malformed input.
                         raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
-
-    def decode(self, message: bytes) -> List[FlowRecord]:
-        """Decode one message per field (the reference lane)."""
-        flows: List[FlowRecord] = []
-
-        def on_data(key, tmpl, payload, export_secs):
-            flows.extend(self._decode_data_reference(tmpl, payload, export_secs))
-
-        self._walk_sets(message, on_data)
-        return flows
 
     def decode_batch_columns(self, message: bytes) -> FlowBatch:
         """Decode one message straight into a columnar :class:`FlowBatch`.
@@ -240,47 +229,3 @@ class IpfixSession:
             tmpl = TemplateRecord(template_id, tuple(fields))
             self._templates[key] = tmpl
             self._decoders[key] = compiled_ipfix_decoder(tmpl)
-
-    def _decode_data_reference(
-        self, tmpl: TemplateRecord, payload: bytes, export_secs: int
-    ) -> List[FlowRecord]:
-        """Per-field reference decoder (the compiled path's ground truth)."""
-        flows: List[FlowRecord] = []
-        rec_len = tmpl.record_length
-        if rec_len == 0:
-            return flows  # zero-field template: nothing to decode, don't spin
-        offset = 0
-        while offset + rec_len <= len(payload):
-            values: Dict[str, int] = {}
-            src_ip = dst_ip = None
-            ts_ms = None
-            for f in tmpl.fields:
-                raw = payload[offset : offset + f.length]
-                offset += f.length
-                if f.field_type in (IPV4_SRC_ADDR, IPV6_SRC_ADDR):
-                    src_ip = ipaddress.ip_address(raw)
-                elif f.field_type in (IPV4_DST_ADDR, IPV6_DST_ADDR):
-                    dst_ip = ipaddress.ip_address(raw)
-                elif f.field_type == FLOW_END_MILLISECONDS:
-                    ts_ms = int.from_bytes(raw, "big")
-                else:
-                    values[FIELD_NAMES.get(f.field_type, f"field_{f.field_type}")] = int.from_bytes(
-                        raw, "big"
-                    )
-            if src_ip is None or dst_ip is None:
-                continue
-            ts = (ts_ms / 1000.0) if ts_ms is not None else float(export_secs)
-            flows.append(
-                FlowRecord(
-                    ts=ts,
-                    src_ip=src_ip,
-                    dst_ip=dst_ip,
-                    src_port=values.pop("src_port", 0),
-                    dst_port=values.pop("dst_port", 0),
-                    protocol=values.pop("protocol", 0),
-                    packets=values.pop("packets", 0),
-                    bytes_=values.pop("bytes", 0),
-                    extra=values,
-                )
-            )
-        return flows

@@ -9,11 +9,11 @@ format defines; FlowDNS itself consumes only the subset carried into
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.util.errors import ParseError
-from repro.util.interning import cached_ip_address, cached_ip_text, ip_text_probe
+from repro.util.interning import cached_ip_text, ip_text_probe
 
 V5_HEADER = struct.Struct("!HHIIIIBBH")
 V5_RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -85,49 +85,6 @@ def encode_v5(
     return bytes(out)
 
 
-def decode_v5(datagram: bytes) -> Tuple[dict, List[FlowRecord]]:
-    """Decode a v5 datagram → (header dict, flow records).
-
-    Flow timestamps are reconstructed from the header's ``unix_secs``
-    anchor and each record's end-uptime offset, the inverse of
-    :func:`encode_v5`.
-    """
-    header, count, sys_uptime, unix_secs = _decode_v5_header(datagram)
-    flows: List[FlowRecord] = []
-    # One bulk iter_unpack pass over the record block instead of a
-    # per-record unpack_from; parsed addresses are shared via the
-    # bounded intern cache (exporter pools repeat a small IP set).
-    body = datagram[V5_HEADER_LEN : V5_HEADER_LEN + count * V5_RECORD_LEN]
-    for fields in V5_RECORD.iter_unpack(body):
-        (src, dst, _nexthop, in_if, out_if, packets, octets, _start, end,
-         sport, dport, _pad1, tcp_flags, proto, tos, src_as, dst_as,
-         src_mask, dst_mask, _pad2) = fields
-        ts = unix_secs + (end - sys_uptime) / 1000.0
-        flows.append(
-            FlowRecord(
-                ts=ts,
-                src_ip=cached_ip_address(src),
-                dst_ip=cached_ip_address(dst),
-                src_port=sport,
-                dst_port=dport,
-                protocol=proto,
-                packets=packets,
-                bytes_=octets,
-                extra={
-                    "input_if": in_if,
-                    "output_if": out_if,
-                    "tcp_flags": tcp_flags,
-                    "tos": tos,
-                    "src_as": src_as,
-                    "dst_as": dst_as,
-                    "src_mask": src_mask,
-                    "dst_mask": dst_mask,
-                },
-            )
-        )
-    return header, flows
-
-
 def _decode_v5_header(datagram: bytes) -> Tuple[dict, int, int, int]:
     """Validate the v5 header; returns (header dict, count, uptime, secs)."""
     if len(datagram) < V5_HEADER_LEN:
@@ -154,11 +111,11 @@ def _decode_v5_header(datagram: bytes) -> Tuple[dict, int, int, int]:
 def decode_v5_columns(datagram: bytes) -> Tuple[dict, FlowBatch]:
     """Decode a v5 datagram → (header dict, columnar flow batch).
 
-    Same wire walk as :func:`decode_v5` but filling :class:`FlowBatch`
-    columns: addresses go host-int → interned canonical text through the
-    bounded IP-text cache, and no ``FlowRecord``/``ipaddress`` objects
-    are built. ``FlowBatch.record(i)`` materialises records identical to
-    the object path's (the parity suite holds the two equal).
+    Flow timestamps are reconstructed from the header's ``unix_secs``
+    anchor and each record's end-uptime offset, the inverse of
+    :func:`encode_v5`. Addresses go host-int → interned canonical text
+    through the bounded IP-text cache, and no ``FlowRecord``/
+    ``ipaddress`` objects are built.
     """
     header, count, sys_uptime, unix_secs = _decode_v5_header(datagram)
     batch = FlowBatch(extras=[])

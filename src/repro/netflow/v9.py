@@ -9,7 +9,6 @@ is exactly what an ISP-side collector feeding FlowDNS does.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -220,11 +219,8 @@ def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]:
 class V9Session:
     """Stateful v9 collector side: caches templates, decodes data FlowSets.
 
-    Two decode lanes over one FlowSet walk: :meth:`decode_batch_columns`
-    is the production path (template-specialized compiled decoder,
-    columns out), :meth:`decode` the per-field reference that emits
-    :class:`FlowRecord` objects and that the parity tests compare the
-    compiled path against.
+    :meth:`decode_batch_columns` runs each data FlowSet through the
+    template's compiled decoder (columns out).
     """
 
     def __init__(self) -> None:
@@ -235,17 +231,15 @@ class V9Session:
         return self._templates.get((source_id, template_id))
 
     def _walk_flowsets(self, datagram: bytes, on_data) -> None:
-        """The one FlowSet walk both decode lanes share.
+        """The FlowSet walk: validates the header, learns template
+        FlowSets, and hands each data FlowSet with a known template to
+        ``on_data(key, tmpl, payload, unix_secs, sys_uptime)``.
 
-        Validates the header, learns template FlowSets, and hands each
-        data FlowSet with a known template to
-        ``on_data(key, tmpl, payload, unix_secs, sys_uptime)``. Data
-        FlowSets referencing an unknown template are skipped (the
+        Data FlowSets referencing an unknown template are skipped (the
         standard collector behaviour until the template refresh
         arrives). The callback runs per FlowSet, not per record, so the
-        indirection costs nothing measurable — and any future fix to
-        length validation or template learning lands in both lanes at
-        once.
+        per-field test oracle can run on this same walk at no cost to
+        the production decoder.
         """
         if len(datagram) < V9_HEADER.size:
             raise ParseError("v9 datagram shorter than header")
@@ -267,31 +261,18 @@ class V9Session:
                     try:
                         on_data(key, tmpl, payload, unix_secs, sys_uptime)
                     except (ValueError, OverflowError) as exc:
-                        # A wire value either lane's record decode
-                        # rejects — a port over 16 bits in a wide port
-                        # field, an address field that is not 4/16
-                        # bytes, a timestamp too wide for a float — is
-                        # malformed input, not a programming error.
+                        # A wire value the record decode rejects — a
+                        # port over 16 bits in a wide port field, an
+                        # address field that is not 4/16 bytes, a
+                        # timestamp too wide for a float — is malformed
+                        # input, not a programming error.
                         raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
-
-    def decode(self, datagram: bytes) -> List[FlowRecord]:
-        """Decode one datagram per field (the reference lane)."""
-        flows: List[FlowRecord] = []
-
-        def on_data(key, tmpl, payload, unix_secs, sys_uptime):
-            flows.extend(
-                self._decode_data_reference(tmpl, payload, unix_secs, sys_uptime)
-            )
-
-        self._walk_flowsets(datagram, on_data)
-        return flows
 
     def decode_batch_columns(self, datagram: bytes) -> FlowBatch:
         """Decode one datagram straight into a columnar :class:`FlowBatch`.
 
-        Same template learning and FlowSet walk as :meth:`decode`, but
-        data FlowSets run the compiled per-template decoder — no
+        Data FlowSets run the compiled per-template decoder — no
         ``FlowRecord`` or ``ipaddress`` objects are materialised.
         """
         batches: List[FlowBatch] = [FlowBatch()]
@@ -328,45 +309,3 @@ class V9Session:
             self._templates[key] = tmpl
             # Compile at registration so the first data FlowSet pays nothing.
             self._decoders[key] = compiled_v9_decoder(tmpl)
-
-    def _decode_data_reference(
-        self, tmpl: TemplateRecord, payload: bytes, unix_secs: int, sys_uptime: int
-    ) -> List[FlowRecord]:
-        """Per-field reference decoder (the compiled path's ground truth)."""
-        flows: List[FlowRecord] = []
-        rec_len = tmpl.record_length
-        if rec_len == 0:
-            return flows  # zero-field template: nothing to decode, don't spin
-        offset = 0
-        while offset + rec_len <= len(payload):
-            values: Dict[str, int] = {}
-            src_ip = dst_ip = None
-            for f in tmpl.fields:
-                raw = payload[offset : offset + f.length]
-                offset += f.length
-                if f.field_type in (IPV4_SRC_ADDR, IPV6_SRC_ADDR):
-                    src_ip = ipaddress.ip_address(raw)
-                elif f.field_type in (IPV4_DST_ADDR, IPV6_DST_ADDR):
-                    dst_ip = ipaddress.ip_address(raw)
-                else:
-                    values[FIELD_NAMES.get(f.field_type, f"field_{f.field_type}")] = int.from_bytes(
-                        raw, "big"
-                    )
-            if src_ip is None or dst_ip is None:
-                continue  # option/record without addresses is useless to FlowDNS
-            last = values.pop("last_switched", sys_uptime)
-            ts = unix_secs + (last - sys_uptime) / 1000.0
-            flows.append(
-                FlowRecord(
-                    ts=ts,
-                    src_ip=src_ip,
-                    dst_ip=dst_ip,
-                    src_port=values.pop("src_port", 0),
-                    dst_port=values.pop("dst_port", 0),
-                    protocol=values.pop("protocol", 0),
-                    packets=values.pop("packets", 0),
-                    bytes_=values.pop("bytes", 0),
-                    extra=values,
-                )
-            )
-        return flows

@@ -90,10 +90,10 @@ class StoreBank:
     """Active/Inactive/Long hashmap triple: the dicts :attr:`active`,
     :attr:`inactive` and :attr:`long`.
 
-    :meth:`put_rows`, :meth:`lookup` and :meth:`lookup_many` are the
-    production path. :meth:`put` / :meth:`deep_lookup` /
-    :meth:`put_active` are Algorithm 1/2 one record at a time — the
-    reference the batched path is tested against.
+    :meth:`put_rows`, :meth:`lookup`, :meth:`lookup_many` and
+    :meth:`put_active` (step 7's chain memo) are the production path.
+    :meth:`put` / :meth:`deep_lookup` are Algorithm 1/2 one record at a
+    time, the store's own API that the batched path is tested against.
     """
 
     def __init__(

@@ -10,6 +10,7 @@ from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
+from repro.reference import correlate_record, fill_record
 from repro.storage.rotating import StoreBank
 
 
@@ -100,9 +101,9 @@ class TestBatchEquivalence:
         storage = DnsStorage(config)
         fillup = FillUpProcessor(storage)
         for record in dns:
-            fillup.process(record)
+            fill_record(fillup, record)
         lookup = LookUpProcessor(storage, config)
-        results = [lookup.process(flow) for flow in flows]
+        results = [correlate_record(lookup, flow) for flow in flows]
         return storage, fillup, lookup, results
 
     def _run_batched(self, dns, flows, config, batch_size=128):

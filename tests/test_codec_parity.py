@@ -4,7 +4,8 @@ PR 2's parity contract: for every template and payload the collector can
 see, the template-specialized compiled v9/IPFIX decoders
 (``decode_batch_columns``, rows materialised through
 ``FlowBatch.record``) must produce records byte-for-byte identical to
-the per-field reference ``decode()``, and the memoryview/name-cache DNS
+the per-field references (``repro.reference.decode_v9``/
+``decode_ipfix``), and the memoryview/name-cache DNS
 decoder names identical to an uncached ``decode_name`` chase. Templates
 and payloads are randomized (hypothesis) so the parity claim covers odd
 field widths, unknown field types, duplicate fields, padding, and
@@ -46,6 +47,7 @@ from repro.netflow.v9 import (
     encode_v9_template,
     _pack_header,
 )
+from repro.reference import decode_ipfix, decode_v9
 
 # ---------------------------------------------------------------------------
 # Randomized template layouts. Address fields keep their wire-legal widths
@@ -107,8 +109,8 @@ def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_
     template_datagram = encode_v9_template([template], unix_secs=unix_secs)
 
     session = V9Session()
-    session.decode(template_datagram)
-    ref_flows = session.decode(datagram)
+    decode_v9(session, template_datagram)
+    ref_flows = decode_v9(session, datagram)
     comp_flows = session.decode_batch_columns(datagram).to_records()
     assert ref_flows == comp_flows
     for a, b in zip(ref_flows, comp_flows):
@@ -134,8 +136,8 @@ def test_ipfix_compiled_matches_reference(template, rng, n_records, trailing, ex
     template_message = encode_ipfix_template([template], export_secs=export_secs)
 
     session = IpfixSession()
-    session.decode(template_message)
-    ref_flows = session.decode(message)
+    decode_ipfix(session, template_message)
+    ref_flows = decode_ipfix(session, message)
     comp_flows = session.decode_batch_columns(message).to_records()
     assert ref_flows == comp_flows
     for a, b in zip(ref_flows, comp_flows):
@@ -158,8 +160,8 @@ def test_zero_field_template_decodes_to_nothing_on_both_paths():
         + b"\x00" * 8
     )
     session = V9Session()
-    session.decode(template_datagram)
-    assert session.decode(data_datagram) == []
+    decode_v9(session, template_datagram)
+    assert decode_v9(session, data_datagram) == []
     assert len(session.decode_batch_columns(data_datagram)) == 0
 
 
@@ -172,8 +174,8 @@ def test_compiled_decoder_skips_addressless_templates():
         + b"\x00" * 8
     )
     session = V9Session()
-    session.decode(encode_v9_template([template], unix_secs=1000))
-    assert session.decode(datagram) == []
+    decode_v9(session, encode_v9_template([template], unix_secs=1000))
+    assert decode_v9(session, datagram) == []
     assert len(session.decode_batch_columns(datagram)) == 0
 
 

@@ -2,10 +2,11 @@
 
 PR 3's parity contract: for any flow population the pipeline can see,
 ``correlate_batch_columns`` over a :class:`FlowBatch` must produce the
-same chains, the same :class:`LookUpStats`, and (when materialised) the
+same chains, the same :class:`LookUpStats`, the same store stats, and
+(when materialised) the
 same records — including ``FlowRecord.extra``, which is ``compare=False``
 and therefore asserted explicitly — as the per-record oracle
-(``LookUpProcessor.process`` / ``resolve``) applied under the batch
+(``repro.reference.correlate_record`` / ``resolve``) applied under the batch
 contract spelled out in :func:`_reference_correlate`. Randomization
 (hypothesis) covers IPv4+IPv6 pools, SOURCE/DESTINATION/BOTH directions,
 CNAME chains, invalid counters, per-flow extras, and the exact-TTL
@@ -26,11 +27,11 @@ from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
-from repro.core.writer import format_batch, format_result
+from repro.core.writer import format_batch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
-from repro.netflow.v5 import decode_v5, decode_v5_columns, encode_v5
+from repro.netflow.v5 import decode_v5_columns, encode_v5
 from repro.netflow.v9 import (
     STANDARD_V4_TEMPLATE,
     STANDARD_V6_TEMPLATE,
@@ -43,6 +44,15 @@ from repro.netflow.ipfix import (
     IpfixSession,
     encode_ipfix_data,
     encode_ipfix_template,
+)
+from repro.reference import (
+    correlate_record,
+    decode_ipfix,
+    decode_v5,
+    decode_v9,
+    fill_record,
+    format_result,
+    is_valid,
 )
 from repro.util.interning import cached_ip_address
 
@@ -136,7 +146,7 @@ def _filled_storage(config: FlowDNSConfig) -> DnsStorage:
     records = _dns_corpus()
     if config.exact_ttl:
         for record in records:
-            fillup.process(record)
+            fill_record(fillup, record)
             storage.tick(record.ts)
     else:
         fillup.process_batch(records)
@@ -146,28 +156,28 @@ def _filled_storage(config: FlowDNSConfig) -> DnsStorage:
 def _reference_correlate(processor: LookUpProcessor, flows):
     """The per-record oracle, run under the batch contract.
 
-    Exact-TTL: plain :meth:`LookUpProcessor.process` per flow, each at
+    Exact-TTL: plain :func:`correlate_record` per flow, each at
     its own timestamp. Otherwise the contract a batch adds on top of
-    ``process``: every *unique* lookup IP of the valid flows is resolved
+    ``correlate_record``: every *unique* lookup IP of the valid flows is resolved
     exactly once — one ``resolve()`` each, in first-appearance order, at
     ``now`` = the first row's ``ts`` — and the chain is shared by all the
     batch's flows carrying that IP; under ``BOTH`` the destination
     fallbacks of source-missed flows resolve after every source, again
     unique and in first-appearance order. ``resolve()`` moves only the
     chain-walk counters, so the flow-level counters are tallied here,
-    the way ``process`` tallies them per flow, and the processor's
+    the way ``correlate_record`` tallies them per flow, and the processor's
     ``stats`` end up comparable field for field.
     """
     if not flows:
         return []
     if processor.config.exact_ttl:
-        return [processor.process(flow) for flow in flows]
+        return [correlate_record(processor, flow) for flow in flows]
     direction = processor.config.direction
     both = direction is FlowDirection.BOTH
     now = flows[0].ts
     lookup_ips = [
         str(flow.src_ip if both else flow.lookup_ip(direction))
-        if processor.is_valid(flow) else None
+        if is_valid(flow) else None
         for flow in flows
     ]
     chains = {}
@@ -226,6 +236,11 @@ def test_correlate_batch_columns_matches_reference(rows, direction, exact_ttl):
     # Same counters — LookUpStats is a dataclass, so this compares every
     # field including the chain-length histogram.
     assert columnar.stats == reference.stats
+
+    # Same store-level state: under exact-TTL a lookup deletes the
+    # expired entries it meets, so this pins the order rows are resolved in.
+    assert [s.stats for s in col_storage.stores] == [s.stats for s in ref_storage.stores]
+    assert col_storage.total_entries() == ref_storage.total_entries()
 
     # The batch's stats deltas agree with the (fresh) processor counters.
     assert correlated.matched == columnar.stats.matched
@@ -299,9 +314,9 @@ def test_v9_columns_match_object_decode(fields, v6):
     template = STANDARD_V6_TEMPLATE if v6 else STANDARD_V4_TEMPLATE
     flows = _flows_from_fields(fields, v6)
     session = V9Session()
-    session.decode(encode_v9_template([template], unix_secs=1000))
+    decode_v9(session, encode_v9_template([template], unix_secs=1000))
     datagram = encode_v9_data(template, flows, unix_secs=1000, sequence=1)
-    _assert_record_parity(session.decode(datagram),
+    _assert_record_parity(decode_v9(session, datagram),
                           session.decode_batch_columns(datagram))
 
 
@@ -310,9 +325,9 @@ def test_v9_columns_match_object_decode(fields, v6):
 def test_ipfix_columns_match_object_decode(fields):
     flows = _flows_from_fields(fields)
     session = IpfixSession()
-    session.decode(encode_ipfix_template([IPFIX_V4_TEMPLATE], export_secs=1000))
+    decode_ipfix(session, encode_ipfix_template([IPFIX_V4_TEMPLATE], export_secs=1000))
     message = encode_ipfix_data(IPFIX_V4_TEMPLATE, flows, export_secs=1000, sequence=1)
-    _assert_record_parity(session.decode(message),
+    _assert_record_parity(decode_ipfix(session, message),
                           session.decode_batch_columns(message))
 
 
@@ -365,13 +380,13 @@ def test_template_refresh_invalidates_columnar_decoder_cache():
         ),
     )
     session = V9Session()
-    session.decode(encode_v9_template([layout_a], unix_secs=1000))
+    decode_v9(session, encode_v9_template([layout_a], unix_secs=1000))
     datagram_a = encode_v9_data(layout_a, flows, unix_secs=1000, sequence=1)
-    _assert_record_parity(session.decode(datagram_a),
+    _assert_record_parity(decode_v9(session, datagram_a),
                           session.decode_batch_columns(datagram_a))
-    session.decode(encode_v9_template([layout_b], unix_secs=1000))
+    decode_v9(session, encode_v9_template([layout_b], unix_secs=1000))
     datagram_b = encode_v9_data(layout_b, flows, unix_secs=1000, sequence=2)
-    objects = session.decode(datagram_b)
+    objects = decode_v9(session, datagram_b)
     assert objects == flows  # the refresh itself decoded correctly
     _assert_record_parity(objects, session.decode_batch_columns(datagram_b))
 
@@ -400,13 +415,13 @@ def test_ipfix_template_refresh_invalidates_columnar_decoder_cache():
         ),
     )
     session = IpfixSession()
-    session.decode(encode_ipfix_template([layout_a], export_secs=1000))
+    decode_ipfix(session, encode_ipfix_template([layout_a], export_secs=1000))
     message_a = encode_ipfix_data(layout_a, flows, export_secs=1000, sequence=1)
-    _assert_record_parity(session.decode(message_a),
+    _assert_record_parity(decode_ipfix(session, message_a),
                           session.decode_batch_columns(message_a))
-    session.decode(encode_ipfix_template([layout_b], export_secs=1000))
+    decode_ipfix(session, encode_ipfix_template([layout_b], export_secs=1000))
     message_b = encode_ipfix_data(layout_b, flows, export_secs=1000, sequence=2)
-    _assert_record_parity(session.decode(message_b),
+    _assert_record_parity(decode_ipfix(session, message_b),
                           session.decode_batch_columns(message_b))
 
 

@@ -9,7 +9,7 @@ from repro.core.storage_adapter import DnsStorage
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import DnsMessage, Header, Question, encode_message
-from repro.netflow.records import FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
 
 
 @pytest.fixture()
@@ -27,6 +27,11 @@ def lookup(storage):
     return LookUpProcessor(storage, FlowDNSConfig())
 
 
+def _correlate(lookup, flow):
+    """One flow through the production lookup entry."""
+    return lookup.correlate_batch_columns(FlowBatch.from_records([flow])).results()[0]
+
+
 def _fill_chain(fillup, ts=0.0):
     """service.com -> r0 -> edge, edge A 10.5.5.5"""
     records = [
@@ -34,8 +39,7 @@ def _fill_chain(fillup, ts=0.0):
         DnsRecord(ts, "r0.cdn.net", RRType.CNAME, 600, "edge.cdn.net"),
         DnsRecord(ts, "edge.cdn.net", RRType.A, 60, "10.5.5.5"),
     ]
-    for rec in records:
-        fillup.process(rec)
+    fillup.process_batch(records)
 
 
 class TestFillUpFilter:
@@ -65,16 +69,18 @@ class TestFillUpFilter:
 
 class TestFillUpProcess:
     def test_address_record_stored(self, fillup, storage):
-        fillup.process(DnsRecord(0.0, "a.example", RRType.A, 60, "10.1.1.1"))
+        fillup.process_batch([DnsRecord(0.0, "a.example", RRType.A, 60, "10.1.1.1")])
         assert storage.lookup_ip("10.1.1.1", now=0.0) == "a.example"
         assert fillup.stats.records_stored == 1
 
     def test_cname_record_stored(self, fillup, storage):
-        fillup.process(DnsRecord(0.0, "a.example", RRType.CNAME, 600, "edge.cdn.net"))
+        fillup.process_batch([DnsRecord(0.0, "a.example", RRType.CNAME, 600, "edge.cdn.net")])
         assert storage.lookup_cname("edge.cdn.net", now=0.0) == "a.example"
 
     def test_other_types_skipped(self, fillup):
-        stored = fillup.process(DnsRecord(0.0, "a.example", RRType.NS, 600, "ns.example"))
+        stored = fillup.process_batch(
+            [DnsRecord(0.0, "a.example", RRType.NS, 600, "ns.example")]
+        ) == 1
         assert stored is False
         assert fillup.stats.records_skipped == 1
 
@@ -83,22 +89,22 @@ class TestFillUpProcess:
             DnsRecord(0.0, f"a{i}.example", RRType.A, 60, f"10.0.0.{i + 1}")
             for i in range(5)
         ]
-        assert sum(fillup.process(record) for record in records) == 5
+        assert fillup.process_batch(records) == 5
         assert fillup.stats.records_stored == 5
 
 
 class TestLookUp:
     def test_unmatched_ip_gives_null_result(self, lookup):
         flow = FlowRecord(ts=0.0, src_ip="9.9.9.9", dst_ip="100.64.0.1", bytes_=100)
-        result = lookup.process(flow)
+        result = _correlate(lookup, flow)
         assert not result.matched
         assert result.service is None
         assert lookup.stats.unmatched == 1
 
     def test_direct_a_record_match(self, fillup, lookup):
-        fillup.process(DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
+        fillup.process_batch([DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1")])
         flow = FlowRecord(ts=1.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=500)
-        result = lookup.process(flow)
+        result = _correlate(lookup, flow)
         assert result.matched
         assert result.chain == ("site.example",)
         assert result.service == "site.example"
@@ -106,7 +112,7 @@ class TestLookUp:
     def test_cname_chain_unrolled_to_service(self, fillup, lookup):
         _fill_chain(fillup)
         flow = FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=900)
-        result = lookup.process(flow)
+        result = _correlate(lookup, flow)
         assert result.matched
         assert result.chain == ("edge.cdn.net", "r0.cdn.net", "service.com")
         assert result.service == "service.com"
@@ -114,8 +120,10 @@ class TestLookUp:
 
     def test_bytes_accounting(self, fillup, lookup):
         _fill_chain(fillup)
-        lookup.process(FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=700))
-        lookup.process(FlowRecord(ts=1.0, src_ip="8.8.8.8", dst_ip="100.64.0.1", bytes_=300))
+        _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1",
+                                      bytes_=700))
+        _correlate(lookup, FlowRecord(ts=1.0, src_ip="8.8.8.8", dst_ip="100.64.0.1",
+                                      bytes_=300))
         assert lookup.stats.bytes_in == 1000
         assert lookup.stats.bytes_matched == 700
         assert abs(lookup.stats.correlation_rate - 0.7) < 1e-9
@@ -125,22 +133,22 @@ class TestLookUp:
         config = FlowDNSConfig(cname_loop_limit=3)
         lookup = LookUpProcessor(storage, config)
         names = [f"n{i}.example" for i in range(10)]
-        fillup.process(DnsRecord(0.0, names[0], RRType.A, 60, "10.2.2.2"))
+        fillup.process_batch([DnsRecord(0.0, names[0], RRType.A, 60, "10.2.2.2")])
         for i in range(len(names) - 1):
-            fillup.process(DnsRecord(0.0, names[i + 1], RRType.CNAME, 600, names[i]))
-        result = lookup.process(
-            FlowRecord(ts=1.0, src_ip="10.2.2.2", dst_ip="100.64.0.1", bytes_=1)
+            fillup.process_batch([DnsRecord(0.0, names[i + 1], RRType.CNAME, 600, names[i])])
+        result = _correlate(
+            lookup, FlowRecord(ts=1.0, src_ip="10.2.2.2", dst_ip="100.64.0.1", bytes_=1)
         )
         # chain = A owner + at most 3 CNAME steps
         assert len(result.chain) == 4
         assert lookup.stats.loop_limit_hits == 1
 
     def test_cname_cycle_defused(self, storage, fillup, lookup):
-        fillup.process(DnsRecord(0.0, "x.example", RRType.A, 60, "10.3.3.3"))
-        fillup.process(DnsRecord(0.0, "y.example", RRType.CNAME, 600, "x.example"))
-        fillup.process(DnsRecord(0.0, "x.example", RRType.CNAME, 600, "y.example"))
-        result = lookup.process(
-            FlowRecord(ts=1.0, src_ip="10.3.3.3", dst_ip="100.64.0.1", bytes_=1)
+        fillup.process_batch([DnsRecord(0.0, "x.example", RRType.A, 60, "10.3.3.3")])
+        fillup.process_batch([DnsRecord(0.0, "y.example", RRType.CNAME, 600, "x.example")])
+        fillup.process_batch([DnsRecord(0.0, "x.example", RRType.CNAME, 600, "y.example")])
+        result = _correlate(
+            lookup, FlowRecord(ts=1.0, src_ip="10.3.3.3", dst_ip="100.64.0.1", bytes_=1)
         )
         assert result.matched  # terminates despite the poisoned loop
         assert len(result.chain) <= 3
@@ -148,7 +156,7 @@ class TestLookUp:
     def test_chain_memoized_for_later_use(self, storage, fillup, lookup):
         """Step 7: multi-hop results are added to NAME-CNAME active."""
         _fill_chain(fillup)
-        lookup.process(FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
+        _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
         assert lookup.stats.chains_memoized == 1
         assert storage.lookup_cname("edge.cdn.net", now=1.0) in ("r0.cdn.net", "service.com")
 
@@ -156,14 +164,14 @@ class TestLookUp:
         config = FlowDNSConfig(memoize_cname_chains=False)
         lookup = LookUpProcessor(storage, config)
         _fill_chain(fillup)
-        lookup.process(FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
+        _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
         assert lookup.stats.chains_memoized == 0
 
     def test_chain_length_histogram(self, fillup, lookup):
         _fill_chain(fillup)
-        fillup.process(DnsRecord(0.0, "plain.example", RRType.A, 60, "10.7.7.7"))
-        lookup.process(FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
-        lookup.process(FlowRecord(ts=1.0, src_ip="10.7.7.7", dst_ip="100.64.0.1", bytes_=1))
+        fillup.process_batch([DnsRecord(0.0, "plain.example", RRType.A, 60, "10.7.7.7")])
+        _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
+        _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.7.7.7", dst_ip="100.64.0.1", bytes_=1))
         assert lookup.stats.chain_lengths == {3: 1, 1: 1}
 
 
@@ -171,14 +179,14 @@ class TestDirection:
     def test_destination_lookup(self, fillup, storage):
         config = FlowDNSConfig(direction=FlowDirection.DESTINATION)
         lookup = LookUpProcessor(storage, config)
-        fillup.process(DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
+        fillup.process_batch([DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1")])
         flow = FlowRecord(ts=1.0, src_ip="100.64.0.1", dst_ip="10.1.1.1", bytes_=10)
-        assert lookup.process(flow).matched
+        assert _correlate(lookup, flow).matched
 
     def test_both_falls_back_to_destination(self, fillup, storage):
         config = FlowDNSConfig(direction=FlowDirection.BOTH)
         lookup = LookUpProcessor(storage, config)
-        fillup.process(DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
+        fillup.process_batch([DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1")])
         flow = FlowRecord(ts=1.0, src_ip="100.64.0.1", dst_ip="10.1.1.1", bytes_=10)
-        result = lookup.process(flow)
+        result = _correlate(lookup, flow)
         assert result.matched and result.service == "site.example"

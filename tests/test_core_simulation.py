@@ -12,10 +12,10 @@ from repro.core.metrics import CostModelParams
 from repro.core.simulation import SimulationEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.core.variants import Variant, config_for
-from repro.core.writer import format_result
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
+from repro.reference import correlate_record, fill_record, format_result
 from repro.workloads.isp import small_isp
 
 
@@ -198,10 +198,11 @@ class TestExactTtlInSimulation:
 
 
 def _per_record_reference(config, dns, flows):
-    """The per-record oracle loop: one ``process`` per record in the
-    simulation's merge order (DNS first at equal ts), one ``format_result``
-    row per flow, and under exact-TTL a ``tick`` after every DNS record
-    (the rotating store's clear-up clock runs inside each put)."""
+    """The per-record oracle loop: one ``fill_record``/``correlate_record``
+    per record in the simulation's merge order (DNS first at equal ts),
+    one ``format_result`` row per flow, and under exact-TTL a ``tick``
+    after every DNS record (the rotating store's clear-up clock runs
+    inside each put)."""
     storage = DnsStorage(config)
     fillup = FillUpProcessor(storage)
     lookup = LookUpProcessor(storage, config)
@@ -213,11 +214,11 @@ def _per_record_reference(config, dns, flows):
     )
     for ts, kind, record in merged:
         if kind == 0:
-            fillup.process(record)
+            fill_record(fillup, record)
             if config.exact_ttl:
                 storage.tick(ts)
         else:
-            rows.append(format_result(lookup.process(record)))
+            rows.append(format_result(correlate_record(lookup, record)))
     return rows, lookup.stats
 
 

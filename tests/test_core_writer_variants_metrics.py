@@ -12,7 +12,7 @@ from repro.core.writer import (
     NULL_SERVICE,
     DiscardSink,
     WriteWorker,
-    format_result,
+    format_batch,
     parse_result_line,
 )
 from repro.netflow.records import FlowBatch, FlowRecord
@@ -27,14 +27,14 @@ def _result(matched=True, bytes_=100, ts=10.0):
 
 class TestFormatParse:
     def test_matched_row_round_trip(self):
-        row = format_result(_result())
+        (row,) = format_batch(_batch(_result()))
         parsed = parse_result_line(row)
         assert parsed["service"] == "svc.example"
         assert parsed["chain"] == ("edge.cdn.net", "svc.example")
         assert parsed["bytes"] == 100
 
     def test_null_row(self):
-        row = format_result(_result(matched=False))
+        (row,) = format_batch(_batch(_result(matched=False)))
         assert f"\t{NULL_SERVICE}\t" in row
         parsed = parse_result_line(row)
         assert parsed["service"] is None and parsed["chain"] == ()

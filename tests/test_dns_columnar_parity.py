@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
+from repro.core.flowdns import FlowDNS
 from repro.core.pipeline import FillLane, dns_item_records
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
@@ -42,6 +43,7 @@ from repro.dns.wire import (
     encode_message,
 )
 from repro.netflow.records import FlowRecord
+from repro.reference import fill_record
 from repro.storage.snapshot import dump_storage
 
 # A deliberately tiny label pool: almost every generated name shares a
@@ -180,7 +182,8 @@ def test_decode_fill_columns_matches_reference_filter(payloads):
 @given(payloads=st.lists(_payloads(), max_size=10), scalar_ts=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_fill_lane_differential(payloads, scalar_ts):
-    """End-to-end lane parity: stats and stored state, mixed item kinds."""
+    """End-to-end lane parity: stats and stored state, mixed item kinds,
+    for the engines' fill lane and for the facade fed item by item."""
     if scalar_ts:
         batch = decode_fill_columns(payloads, 1000.0)
         assert batch.ts == [1000.0] * len(batch)
@@ -208,6 +211,15 @@ def test_fill_lane_differential(payloads, scalar_ts):
     assert processor.stats == reference.stats
     assert _dump_without_clock(storage) == _dump_without_clock(ref_storage)
 
+    facade = FlowDNS()
+    for item in items:
+        if isinstance(item, DnsRecord):
+            facade.add_dns(item)
+        else:
+            facade.add_dns_message(*item)
+    assert facade.fillup_stats == reference.stats
+    assert _dump_without_clock(facade.storage) == _dump_without_clock(ref_storage)
+
 
 def _exact_ttl_corpus():
     wires = []
@@ -225,7 +237,7 @@ def _exact_ttl_corpus():
 def test_exact_ttl_forces_reference_path():
     """A.8 exact-TTL semantics must not be amortised: a wire run through
     the lane keeps the per-record store+tick cadence of the reference
-    loop (``process`` then ``tick`` per record)."""
+    loop (``fill_record`` then ``tick`` per record)."""
     corpus = _exact_ttl_corpus()
     config = FlowDNSConfig(exact_ttl=True, exact_ttl_sweep_interval=5.0)
 
@@ -233,7 +245,7 @@ def test_exact_ttl_forces_reference_path():
     reference = FillUpProcessor(ref_storage)
     for ts, wire in corpus:
         for record in reference.filter_message(ts, wire):
-            reference.process(record)
+            fill_record(reference, record)
             ref_storage.tick(record.ts)
 
     storage = DnsStorage(config)

@@ -31,6 +31,7 @@ from repro.netflow.v9 import (
     _pack_header,
     encode_v9_template,
 )
+from repro import reference
 
 
 def _good_wire(i):
@@ -199,9 +200,10 @@ class TestHostileWidePortTemplate:
         ]
 
     def test_collector_counts_it_on_both_lanes(self):
-        for ingest in ("ingest", "ingest_columns"):
+        # The production collector entry and its per-field oracle.
+        for ingest in (FlowCollector.ingest_columns, reference.ingest):
             collector = FlowCollector()
-            decoded = [len(getattr(collector, ingest)(d)) for d in self._datagrams()]
+            decoded = [len(ingest(collector, d)) for d in self._datagrams()]
             assert decoded == [0, 0, 1]
             assert collector.stats.malformed == 1
             assert collector.stats.datagrams == 2

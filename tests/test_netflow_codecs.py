@@ -9,7 +9,7 @@ from repro.netflow.ipfix import (
     encode_ipfix_template,
 )
 from repro.netflow.records import FlowRecord
-from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD_LEN, decode_v5, encode_v5
+from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD_LEN, decode_v5_columns, encode_v5
 from repro.netflow.v9 import (
     STANDARD_V4_TEMPLATE,
     STANDARD_V6_TEMPLATE,
@@ -20,6 +20,17 @@ from repro.netflow.v9 import (
     encode_v9_template,
 )
 from repro.util.errors import ParseError
+
+
+def _decode_v5(datagram):
+    """A v5 datagram through the production decoder, flows as records."""
+    header, batch = decode_v5_columns(datagram)
+    return header, batch.to_records()
+
+
+def _decode(session, datagram):
+    """A v9/IPFIX datagram through the production decoder, as records."""
+    return session.decode_batch_columns(datagram).to_records()
 
 
 def _flows(n, v6=False):
@@ -43,7 +54,7 @@ def _flows(n, v6=False):
 class TestV5:
     def test_round_trip_fields(self):
         flows = _flows(5)
-        header, decoded = decode_v5(encode_v5(flows, unix_secs=1000))
+        header, decoded = _decode_v5(encode_v5(flows, unix_secs=1000))
         assert header["version"] == 5 and header["count"] == 5
         for orig, back in zip(flows, decoded):
             assert back.src_ip == orig.src_ip
@@ -70,19 +81,19 @@ class TestV5:
         wire = bytearray(encode_v5(_flows(1), unix_secs=1000))
         wire[1] = 9  # corrupt version field low byte
         with pytest.raises(ParseError):
-            decode_v5(bytes(wire))
+            _decode_v5(bytes(wire))
 
     def test_rejects_truncated(self):
         wire = encode_v5(_flows(2), unix_secs=1000)
         with pytest.raises(ParseError):
-            decode_v5(wire[: V5_HEADER_LEN + V5_RECORD_LEN])
+            _decode_v5(wire[: V5_HEADER_LEN + V5_RECORD_LEN])
 
     def test_extra_fields_preserved(self):
         flow = FlowRecord(
             ts=1000.0, src_ip="1.1.1.1", dst_ip="2.2.2.2",
             extra={"src_as": 64501, "dst_as": 64500, "tcp_flags": 0x12},
         )
-        _, decoded = decode_v5(encode_v5([flow], unix_secs=1000))
+        _, decoded = _decode_v5(encode_v5([flow], unix_secs=1000))
         assert decoded[0].extra["src_as"] == 64501
         assert decoded[0].extra["tcp_flags"] == 0x12
 
@@ -92,10 +103,10 @@ class TestV9:
         session = V9Session()
         flows = _flows(4)
         tmpl_dgram = encode_v9_template([STANDARD_V4_TEMPLATE], unix_secs=1000)
-        assert session.decode(tmpl_dgram) == []
+        assert _decode(session, tmpl_dgram) == []
         assert session.template_for(0, 256) is not None
         data_dgram = encode_v9_data(STANDARD_V4_TEMPLATE, flows, unix_secs=1000)
-        decoded = session.decode(data_dgram)
+        decoded = _decode(session, data_dgram)
         assert len(decoded) == 4
         assert decoded[0].src_ip == flows[0].src_ip
         assert decoded[3].bytes_ == flows[3].bytes_
@@ -103,12 +114,12 @@ class TestV9:
     def test_data_before_template_skipped(self):
         session = V9Session()
         data_dgram = encode_v9_data(STANDARD_V4_TEMPLATE, _flows(2), unix_secs=1000)
-        assert session.decode(data_dgram) == []
+        assert _decode(session, data_dgram) == []
 
     def test_ipv6_template(self):
         session = V9Session()
-        session.decode(encode_v9_template([STANDARD_V6_TEMPLATE], unix_secs=1000))
-        decoded = session.decode(
+        _decode(session, encode_v9_template([STANDARD_V6_TEMPLATE], unix_secs=1000))
+        decoded = _decode(session, 
             encode_v9_data(STANDARD_V6_TEMPLATE, _flows(2, v6=True), unix_secs=1000)
         )
         assert len(decoded) == 2
@@ -116,9 +127,9 @@ class TestV9:
 
     def test_timestamps_reconstructed(self):
         session = V9Session()
-        session.decode(encode_v9_template([STANDARD_V4_TEMPLATE], unix_secs=1000))
+        _decode(session, encode_v9_template([STANDARD_V4_TEMPLATE], unix_secs=1000))
         flows = _flows(1)
-        decoded = session.decode(encode_v9_data(STANDARD_V4_TEMPLATE, flows, unix_secs=1000))
+        decoded = _decode(session, encode_v9_data(STANDARD_V4_TEMPLATE, flows, unix_secs=1000))
         assert abs(decoded[0].ts - flows[0].ts) < 0.01
 
     def test_template_ids_below_256_rejected(self):
@@ -131,7 +142,7 @@ class TestV9:
 
     def test_templates_per_source_id(self):
         session = V9Session()
-        session.decode(encode_v9_template([STANDARD_V4_TEMPLATE], source_id=7))
+        _decode(session, encode_v9_template([STANDARD_V4_TEMPLATE], source_id=7))
         assert session.template_for(7, 256) is not None
         assert session.template_for(8, 256) is None
 
@@ -142,21 +153,21 @@ class TestV9:
         # Corrupt the first FlowSet's length to overrun.
         struct.pack_into("!H", wire, 22, 60000)
         with pytest.raises(ParseError):
-            V9Session().decode(bytes(wire))
+            _decode(V9Session(), bytes(wire))
 
     def test_wrong_version_rejected(self):
         wire = bytearray(encode_v9_template([STANDARD_V4_TEMPLATE]))
         wire[1] = 5
         with pytest.raises(ParseError):
-            V9Session().decode(bytes(wire))
+            _decode(V9Session(), bytes(wire))
 
 
 class TestIpfix:
     def test_template_then_data(self):
         session = IpfixSession()
         flows = _flows(3)
-        assert session.decode(encode_ipfix_template([IPFIX_V4_TEMPLATE], export_secs=1000)) == []
-        decoded = session.decode(encode_ipfix_data(IPFIX_V4_TEMPLATE, flows, export_secs=1000))
+        assert _decode(session, encode_ipfix_template([IPFIX_V4_TEMPLATE], export_secs=1000)) == []
+        decoded = _decode(session, encode_ipfix_data(IPFIX_V4_TEMPLATE, flows, export_secs=1000))
         assert len(decoded) == 3
         for orig, back in zip(flows, decoded):
             assert back.src_ip == orig.src_ip
@@ -164,29 +175,29 @@ class TestIpfix:
 
     def test_absolute_timestamps(self):
         session = IpfixSession()
-        session.decode(encode_ipfix_template([IPFIX_V4_TEMPLATE], export_secs=0))
+        _decode(session, encode_ipfix_template([IPFIX_V4_TEMPLATE], export_secs=0))
         flows = [FlowRecord(ts=123456.789, src_ip="1.1.1.1", dst_ip="2.2.2.2")]
-        decoded = session.decode(encode_ipfix_data(IPFIX_V4_TEMPLATE, flows, export_secs=0))
+        decoded = _decode(session, encode_ipfix_data(IPFIX_V4_TEMPLATE, flows, export_secs=0))
         assert abs(decoded[0].ts - 123456.789) < 0.01
 
     def test_unknown_template_skipped(self):
         session = IpfixSession()
-        decoded = session.decode(encode_ipfix_data(IPFIX_V4_TEMPLATE, _flows(1), export_secs=0))
+        decoded = _decode(session, encode_ipfix_data(IPFIX_V4_TEMPLATE, _flows(1), export_secs=0))
         assert decoded == []
 
     def test_wrong_version_rejected(self):
         wire = bytearray(encode_ipfix_template([IPFIX_V4_TEMPLATE]))
         wire[1] = 9
         with pytest.raises(ParseError):
-            IpfixSession().decode(bytes(wire))
+            _decode(IpfixSession(), bytes(wire))
 
     def test_truncated_message_rejected(self):
         wire = encode_ipfix_template([IPFIX_V4_TEMPLATE])
         with pytest.raises(ParseError):
-            IpfixSession().decode(wire[:10])
+            _decode(IpfixSession(), wire[:10])
 
     def test_domain_scoped_templates(self):
         session = IpfixSession()
-        session.decode(encode_ipfix_template([IPFIX_V4_TEMPLATE], domain_id=1))
+        _decode(session, encode_ipfix_template([IPFIX_V4_TEMPLATE], domain_id=1))
         assert session.template_for(1, 300) is not None
         assert session.template_for(2, 300) is None

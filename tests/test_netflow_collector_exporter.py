@@ -8,6 +8,11 @@ from repro.netflow.records import FlowRecord
 from repro.util.errors import ConfigError, ParseError
 
 
+def _ingest(collector, datagram):
+    """One datagram through the production collector entry, as records."""
+    return collector.ingest_columns(datagram).to_records()
+
+
 def _flows(n, v6_every=0):
     out = []
     for i in range(n):
@@ -48,7 +53,7 @@ class TestRoundTrip:
         collector = FlowCollector()
         decoded = []
         for datagram in exporter.export(flows):
-            decoded.extend(collector.ingest(datagram))
+            decoded.extend(_ingest(collector, datagram))
         assert len(decoded) == 100
         assert sum(f.bytes_ for f in decoded) == sum(f.bytes_ for f in flows)
 
@@ -57,7 +62,7 @@ class TestRoundTrip:
         exporter = FlowExporter(version=version, batch_size=10)
         collector = FlowCollector()
         for datagram in exporter.export(flows):
-            collector.ingest(datagram)
+            _ingest(collector, datagram)
         assert collector.stats.flows == 10
         assert collector.stats.malformed == 0
         assert (version if version != 10 else 10) in collector.stats.by_version
@@ -70,7 +75,7 @@ class TestV9Mixed:
         collector = FlowCollector()
         decoded = []
         for datagram in exporter.export(flows):
-            decoded.extend(collector.ingest(datagram))
+            decoded.extend(_ingest(collector, datagram))
         assert len(decoded) == 20
         assert sum(1 for f in decoded if f.src_ip.version == 6) == 5
 
@@ -80,20 +85,20 @@ class TestV9Mixed:
         datagrams = list(exporter.export(flows))
         # With refresh every 3 data flowsets there are multiple templates.
         collector = FlowCollector()
-        total = sum(len(collector.ingest(d)) for d in datagrams)
+        total = sum(len(_ingest(collector, d)) for d in datagrams)
         assert total == 200
 
 
 class TestCollectorRobustness:
     def test_garbage_counted_not_raised(self):
         collector = FlowCollector()
-        assert collector.ingest(b"\x00") == []
-        assert collector.ingest(b"\xff" * 40) == []
+        assert _ingest(collector, b"\x00") == []
+        assert _ingest(collector, b"\xff" * 40) == []
         assert collector.stats.malformed + collector.stats.unknown_version == 2
 
     def test_unknown_version_counted(self):
         collector = FlowCollector()
-        collector.ingest(b"\x00\x07" + b"\x00" * 30)
+        _ingest(collector, b"\x00\x07" + b"\x00" * 30)
         assert collector.stats.unknown_version == 1
 
     def test_truncated_v5_counted_malformed(self):
@@ -101,7 +106,7 @@ class TestCollectorRobustness:
         wire = FlowExporter(version=5, batch_size=2)
         datagram = next(iter(wire.export(flows)))
         collector = FlowCollector()
-        assert collector.ingest(datagram[:30]) == []
+        assert _ingest(collector, datagram[:30]) == []
         assert collector.stats.malformed == 1
 
     def test_probe_version_raises_parse_error_not_struct_error(self):
@@ -112,8 +117,8 @@ class TestCollectorRobustness:
 
     def test_short_datagram_counted_malformed(self):
         collector = FlowCollector()
-        assert collector.ingest(b"") == []
-        assert collector.ingest(b"\x09") == []
+        assert _ingest(collector, b"") == []
+        assert _ingest(collector, b"\x09") == []
         assert collector.stats.malformed == 2
         assert collector.stats.datagrams == 0
 
@@ -123,6 +128,6 @@ class TestCollectorRobustness:
         collector = FlowCollector()
         decoded = []
         for datagram in exporter.export(flows):
-            decoded.extend(collector.ingest(datagram))
-            collector.ingest(b"\xde\xad\xbe\xef")
+            decoded.extend(_ingest(collector, datagram))
+            _ingest(collector, b"\xde\xad\xbe\xef")
         assert len(decoded) == 50

@@ -14,7 +14,7 @@ from repro.netflow.ipfix import (
     IpfixSession,
     encode_ipfix_template,
 )
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.netflow.v9 import (
     IN_BYTES,
     IN_PKTS,
@@ -32,8 +32,9 @@ from repro.netflow.v9 import (
     _pack_header,
     encode_v9_template,
 )
+from repro.netflow.v5 import decode_v5_columns
+from repro.reference import decode_ipfix, decode_v9, ingest
 from repro.util.errors import ParseError
-from repro.netflow.v5 import decode_v5
 
 _octet = st.integers(min_value=1, max_value=254)
 _flow = st.builds(
@@ -56,7 +57,7 @@ def test_v9_export_ingest_preserves_flows(flows):
     collector = FlowCollector()
     decoded = []
     for datagram in exporter.export(flows):
-        decoded.extend(collector.ingest(datagram))
+        decoded.extend(collector.ingest_columns(datagram).to_records())
     assert len(decoded) == len(flows)
     for orig, back in zip(flows, decoded):
         assert back.src_ip == orig.src_ip
@@ -72,7 +73,7 @@ def test_v5_round_trip_volume_conserved(flows):
     collector = FlowCollector()
     decoded = []
     for datagram in exporter.export(flows):
-        decoded.extend(collector.ingest(datagram))
+        decoded.extend(collector.ingest_columns(datagram).to_records())
     assert sum(f.packets for f in decoded) == sum(f.packets & 0xFFFFFFFF for f in flows)
 
 
@@ -125,22 +126,26 @@ def _hostile_sessions(draw):
 @settings(max_examples=200, deadline=None)
 def test_decoders_never_crash_on_garbage(data, hostile):
     try:
-        decode_v5(data)
+        decode_v5_columns(data)
     except ParseError:
         pass
     try:
-        V9Session().decode(data)
+        V9Session().decode_batch_columns(data)
     except ParseError:
         pass
     try:
-        IpfixSession().decode(data)
+        IpfixSession().decode_batch_columns(data)
     except ParseError:
         pass
     version, template_datagram, datagrams = hostile
     session = V9Session() if version == 9 else IpfixSession()
-    session.decode(template_datagram)
+    session.decode_batch_columns(template_datagram)
+    oracle = decode_v9 if version == 9 else decode_ipfix
     for datagram in datagrams:
-        for decode in (session.decode_batch_columns, session.decode):
+        # The production decoder and the per-field oracle the parity
+        # suites hold it to.
+        for decode in (session.decode_batch_columns,
+                       lambda datagram: oracle(session, datagram)):
             try:
                 decode(datagram)
             except ParseError:
@@ -151,13 +156,12 @@ def test_decoders_never_crash_on_garbage(data, hostile):
 @settings(max_examples=100, deadline=None)
 def test_collector_never_raises(data, hostile):
     collector = FlowCollector()
-    assert isinstance(collector.ingest(data), list)
+    assert isinstance(collector.ingest_columns(data), FlowBatch)
     _version, template_datagram, datagrams = hostile
-    for lane in ("ingest_columns", "ingest"):
+    for lane in (FlowCollector.ingest_columns, ingest):
         collector = FlowCollector()
-        ingest = getattr(collector, lane)
         for datagram in [template_datagram] + datagrams:
-            ingest(datagram)
+            lane(collector, datagram)
         stats = collector.stats
         # Every datagram is either decoded or counted under a reason.
         assert stats.datagrams + stats.malformed + stats.unknown_version == 1 + len(datagrams)

@@ -98,7 +98,7 @@ class TestLookupLane:
     def test_correlates_and_skips_empty(self):
         config = FlowDNSConfig()
         storage = DnsStorage(config)
-        FillUpProcessor(storage).process(_a(1.0, "svc.example", "10.0.0.1"))
+        FillUpProcessor(storage).process_batch([_a(1.0, "svc.example", "10.0.0.1")])
         lane = LookupLane(LookUpProcessor(storage, config))
         assert lane.correlate_items([]) is None
         flow = FlowRecord(ts=2.0, src_ip="10.0.0.1", dst_ip="100.64.0.1", bytes_=7)
@@ -116,11 +116,11 @@ class TestReportAssembly:
         fillups = [FillUpProcessor(storage) for _ in range(2)]
         lookups = [LookUpProcessor(storage, config) for _ in range(2)]
         for offset, (fillup, lookup) in enumerate(zip(fillups, lookups)):
-            fillup.process(_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}"))
-            lookup.process(
+            fillup.process_batch([_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}")])
+            lookup.correlate_batch_columns(FlowBatch.from_records([
                 FlowRecord(ts=2.0, src_ip=f"10.0.0.{offset + 1}",
                            dst_ip="100.64.0.1", bytes_=100)
-            )
+            ]))
         report = stack_report(fillups, lookups, storage, variant_name="x")
         assert report.variant_name == "x"
         assert report.flow_records == 2

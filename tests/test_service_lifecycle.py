@@ -299,7 +299,7 @@ class TestRestoreDegradation:
     def test_mismatched_snapshot_warns_and_starts_empty(self, tmp_path):
         path = str(tmp_path / "snap.json")
         donor = DnsStorage(FlowDNSConfig(a_clear_up_interval=1800.0))
-        donor.add_record(self._record())
+        donor.add_many([self._record()])
         save_snapshot(donor, path)
         engine = AsyncEngine(EngineConfig(
             snapshot_path=path, flowdns=FlowDNSConfig(a_clear_up_interval=900.0)
@@ -323,8 +323,8 @@ class TestRestoreDegradation:
         path = str(tmp_path / "snap.json")
         donor = DnsStorage(FlowDNSConfig())
         for i in range(50):
-            donor.add_record(
-                DnsRecord(1.0, f"svc{i}.example", RRType.A, 300, f"10.5.0.{i + 1}")
+            donor.add_many(
+                [DnsRecord(1.0, f"svc{i}.example", RRType.A, 300, f"10.5.0.{i + 1}")]
             )
         save_snapshot(donor, path)
         flows = [

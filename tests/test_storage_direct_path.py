@@ -1,6 +1,7 @@
 """Fill and lookup paths through storage agree on every key form.
 
-``DnsStorage.add_record`` (per record), ``add_many`` (record objects)
+``repro.reference.add_record`` (per record), ``DnsStorage.add_many``
+(record objects)
 and ``add_many_columns`` (``DnsBatch`` columns, ``StoreBank.put_rows``)
 must store the same state, and every lookup entry — batched
 ``lookup_ips``, per-key ``lookup_ip``/``lookup_cname``, the bank's
@@ -19,6 +20,7 @@ from repro.dns.columnar import DnsBatch
 from repro.dns.name import decode_name
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
+from repro.reference import add_record
 from repro.storage.rotating import StoreBank
 
 _V4 = st.integers(0, 2**32 - 1).map(lambda n: str(ipaddress.IPv4Address(n)))
@@ -51,7 +53,7 @@ class TestRoutingAgreement:
             batch.append_row(r.ts, r.query, r.rtype, r.ttl, r.answer)
         one_by_one, objects, columns = (DnsStorage(FlowDNSConfig()) for _ in range(3))
         for r in records:
-            one_by_one.add_record(r)
+            add_record(one_by_one, r)
         objects.add_many(records)
         columns.add_many_columns(batch)
         # The names as storage holds them (DnsRecord normalizes them).

@@ -35,10 +35,10 @@ def _filled_storage():
         DnsRecord(0.0, "www.svc.com", RRType.CNAME, 600, "edge.cdn.net"),
     ]
     for rec in records:
-        storage.add_record(rec)
+        storage.add_many([rec])
     # Force one rotation so the inactive tier is populated too.
     storage.ip_bank.force_clear_up()
-    storage.add_record(DnsRecord(10.0, "b.example", RRType.A, 60, "10.3.3.3"))
+    storage.add_many([DnsRecord(10.0, "b.example", RRType.A, 60, "10.3.3.3")])
     return storage
 
 
@@ -73,17 +73,17 @@ class TestRoundTrip:
 
     def test_clear_up_clock_preserved(self):
         original = DnsStorage(FlowDNSConfig())
-        original.add_record(DnsRecord(1000.0, "a.example", RRType.A, 60, "10.1.1.1"))
+        original.add_many([DnsRecord(1000.0, "a.example", RRType.A, 60, "10.1.1.1")])
         buffer = io.StringIO()
         dump_storage(original, buffer)
         restored = DnsStorage(FlowDNSConfig())
         buffer.seek(0)
         load_storage(restored, buffer)
         # A put within the same interval must NOT trigger a rotation.
-        restored.add_record(DnsRecord(2000.0, "b.example", RRType.A, 60, "10.2.2.2"))
+        restored.add_many([DnsRecord(2000.0, "b.example", RRType.A, 60, "10.2.2.2")])
         assert restored.ip_bank.stats.rotations == 0
         # One past the interval must.
-        restored.add_record(DnsRecord(5000.0, "c.example", RRType.A, 60, "10.3.3.3"))
+        restored.add_many([DnsRecord(5000.0, "c.example", RRType.A, 60, "10.3.3.3")])
         assert restored.ip_bank.stats.rotations == 1
 
 
@@ -157,12 +157,12 @@ class TestVersion1:
     def test_split_objects_merge_into_one_tier(self):
         original = DnsStorage(FlowDNSConfig())
         for i in range(60):
-            original.add_record(DnsRecord(0.0, f"svc{i}.example", RRType.A,
-                                          86400 if i % 4 == 0 else 60, f"10.7.0.{i}"))
-            original.add_record(DnsRecord(0.0, f"www{i}.example", RRType.CNAME,
-                                          600, f"edge{i}.cdn.net"))
+            original.add_many([DnsRecord(0.0, f"svc{i}.example", RRType.A,
+                                         86400 if i % 4 == 0 else 60, f"10.7.0.{i}")])
+            original.add_many([DnsRecord(0.0, f"www{i}.example", RRType.CNAME,
+                                         600, f"edge{i}.cdn.net")])
         original.ip_bank.force_clear_up()
-        original.add_record(DnsRecord(10.0, "late.example", RRType.A, 60, "10.7.1.1"))
+        original.add_many([DnsRecord(10.0, "late.example", RRType.A, 60, "10.7.1.1")])
         document = self._v1_document(original)
         assert all(document["ip_name"]["tiers"]["inactive"])  # every split holds entries
 
@@ -380,7 +380,7 @@ class TestSnapshotFiles:
         config = FlowDNSConfig()
         storage = DnsStorage(config)
         for record in records:
-            storage.add_record(record)
+            storage.add_many([record])
         storage.ip_bank.force_clear_up()
         storage.cname_bank.force_clear_up()
         path = str(tmp_path / "rotated.json")

@@ -199,7 +199,7 @@ class TestFlowSizes:
         sizes = []
         for frame in WorkloadGenerator(params).frames():
             if frame.lane == LANE_FLOW:
-                sizes.extend(rec.bytes_ for rec in session.decode(frame.payload))
+                sizes.extend(session.decode_batch_columns(frame.payload).bytes_)
         n = len(sizes)
         assert n > 5000
         allowed = set(cdf.sizes)
@@ -221,7 +221,7 @@ class TestFlowSizes:
         for frame in WorkloadGenerator(params).frames():
             if frame.lane != LANE_FLOW:
                 continue
-            for rec in session.decode(frame.payload):
+            for rec in session.decode_batch_columns(frame.payload).to_records():
                 seen += 1
                 assert rec.packets == 1 + rec.bytes_ // 1448
         assert seen > 100
@@ -457,7 +457,7 @@ class TestPackedExporterEquivalence:
         for datagram in PackedV9Exporter(batch_size=16).export(
             _packed(f) for f in flows
         ):
-            decoded.extend(session.decode(datagram))
+            decoded.extend(session.decode_batch_columns(datagram).to_records())
         assert len(decoded) == len(flows)
 
         # Each batch emits its v4 FlowSet before its v6 one, so decode
