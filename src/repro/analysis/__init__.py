@@ -33,7 +33,6 @@ from repro.analysis.reports import (
     chain_length_ecdf,
     comparison_row,
     run_variant,
-    run_variants,
     strip_warmup,
 )
 from repro.analysis.spamdbl import (
@@ -55,7 +54,6 @@ __all__ = [
     "PublicResolverList",
     "DEFAULT_PUBLIC_RESOLVERS",
     "run_variant",
-    "run_variants",
     "strip_warmup",
     "VariantRun",
     "ServiceBytesCollector",

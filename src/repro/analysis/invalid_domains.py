@@ -69,12 +69,6 @@ class InvalidDomainReport:
         domains = {d for d in self.bytes_by_invalid_domain}
         return len(self.replied_domains) / len(domains) if domains else 0.0
 
-    @property
-    def bidirectional_packet_fraction(self) -> float:
-        if not self.packets_total:
-            return 0.0
-        return self.packets_bidirectional / self.packets_total
-
     def cumulative_curve(self) -> List[Tuple[int, float]]:
         """Figure 5's mal-formatted panel: (#domains, cum. byte share)."""
         total = sum(self.bytes_by_invalid_domain.values())

@@ -75,23 +75,6 @@ def strip_warmup(report: EngineReport, t0: float) -> EngineReport:
     return report
 
 
-def run_variants(
-    workload_factory,
-    variants,
-    sample_interval: float = 3600.0,
-) -> Dict[Variant, VariantRun]:
-    """Run several variants over *identical* workload replays.
-
-    ``workload_factory`` is called once per variant so each run gets
-    fresh generators with the same seed — the paper's "selectively
-    remove implementation features … on a one-day traffic capture".
-    """
-    out: Dict[Variant, VariantRun] = {}
-    for variant in variants:
-        out[variant] = run_variant(workload_factory(), variant, sample_interval=sample_interval)
-    return out
-
-
 class ServiceBytesCollector:
     """on_result hook aggregating correlated bytes per resolved service."""
 

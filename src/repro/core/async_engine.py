@@ -121,7 +121,6 @@ class AsyncEngine:
         #: deliver to latches only before the first run; afterwards it
         #: targets a run that already ended and is dropped.
         self._started = False
-        self._fill_finite_done = False
         #: ``(buffer_name, exception)`` per source that raised mid-pump.
         self._source_errors: List[Tuple[str, BaseException]] = []
         # Service-lifecycle state (serve --snapshot / --stats-interval /
@@ -169,12 +168,6 @@ class AsyncEngine:
     def flows_seen(self) -> int:
         """Flows correlated by the lookup lane so far (poll-safe)."""
         return sum(p.stats.flows_in for p in self._lookup_processors)
-
-    @property
-    def fillup_complete(self) -> bool:
-        """True once every *finite* DNS source has drained through the
-        fill lane (live DNS listeners never 'complete' until stop)."""
-        return self._fill_finite_done
 
     def snapshot_age(self) -> float:
         """Seconds since the last snapshot write this run (-1: none yet)."""
@@ -367,7 +360,6 @@ class AsyncEngine:
             # engine starts fresh.
             self._stop_pending = False
         self._started = True
-        self._fill_finite_done = False
         self._source_errors = []
         # Per-run state: a reused engine must not fold the previous
         # run's processors, stored records, or writer stats into this
@@ -484,9 +476,6 @@ class AsyncEngine:
         ]
 
         await asyncio.gather(*dns_pumps)
-        if finite_fill_tasks:
-            await asyncio.gather(*finite_fill_tasks)
-        self._fill_finite_done = True
         await asyncio.gather(*flow_pumps)
 
         if live_ingests:

@@ -223,30 +223,6 @@ class EngineConfig:
         """Return a copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
 
-    @classmethod
-    def for_replay_leg(
-        cls,
-        fault_profile: Optional[str] = None,
-        fault_seed: Optional[int] = None,
-    ) -> "EngineConfig":
-        """Build the config for one programmatic replay leg.
-
-        The sweep driver's (and differential harnesses') equivalent of
-        :meth:`from_args`: the same applicability rule — a fault seed
-        needs a fault plan — enforced for callers that assemble legs in
-        code rather than from flags, so a sweep axis that silently would
-        not apply fails loudly instead of producing a misleading row.
-        """
-        if fault_seed is not None and fault_profile is None:
-            raise ConfigError(
-                "fault_seed requires a fault_profile; a seed alone "
-                "injects nothing"
-            )
-        return cls(
-            fault_profile=fault_profile,
-            fault_seed=fault_seed if fault_profile is not None else None,
-        )
-
     # --- CLI flag interpretation ----------------------------------------
 
     @classmethod

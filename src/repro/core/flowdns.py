@@ -22,9 +22,8 @@ from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
-from repro.dns.columnar import decode_fill_columns
+from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.stream import DnsRecord
-from repro.dns.wire import DnsMessage
 from repro.netflow.records import FlowBatch, FlowRecord
 
 
@@ -44,25 +43,20 @@ class FlowDNS:
 
     def add_dns(self, record: DnsRecord) -> bool:
         """Insert one DNS stream record; True when it was stored."""
-        return self._fillup.process_batch((record,)) == 1
+        return self._fillup.process_columns(DnsBatch.from_records((record,))) == 1
 
     def add_dns_many(self, records: Iterable[DnsRecord]) -> int:
-        """Insert many records through the batched fast path.
+        """Insert many records in one batch.
 
         The rotation check is amortised and the rows go through the
         store's batched writer; same counters as per-record
         :meth:`add_dns` calls.
         """
-        return self._fillup.process_batch(records)
+        return self._fillup.process_columns(DnsBatch.from_records(records))
 
     def add_dns_message(self, ts: float, payload) -> int:
-        """Filter + insert a response (wire bytes or a ``DnsMessage``).
-
-        Wire bytes take the engines' columnar fill lane; an already
-        decoded message goes through the object filter.
-        """
-        if isinstance(payload, DnsMessage):
-            return self._fillup.process_batch(self._fillup.filter_message(ts, payload))
+        """Filter + insert one wire-format response (bytes), through the
+        engines' columnar decoder; returns how many records were stored."""
         return self._fillup.process_columns(decode_fill_columns((payload,), ts))
 
     # --- flow side ------------------------------------------------------------

@@ -3,11 +3,11 @@
 The live engine (:class:`repro.core.async_engine.AsyncEngine`, one
 asyncio loop) runs the two lanes from the paper's Figure 1:
 
-* the **fill lane** (DNS): batch a wake-up's raw wire payloads into one
-  :class:`~repro.dns.columnar.DnsBatch` via the selective columnar
-  decoder and store its columns directly (non-wire items — records,
-  decoded messages — take the object FillUp filter and land in the same
-  storage entry);
+* the **fill lane** (DNS): fold a wake-up's stream items (``(ts, wire)``
+  responses, or :class:`DnsRecord` objects) into one
+  :class:`~repro.dns.columnar.DnsBatch` — wire runs through the
+  selective columnar decoder — and store its columns in one
+  ``process_columns`` call;
 * the **lookup lane** (Netflow): normalise stream items (raw export
   datagrams, :class:`FlowRecord` objects, or whole :class:`FlowBatch`
   es) into one columnar batch per wake-up, correlate it, and hand the
@@ -28,7 +28,7 @@ from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationBatch, LookUpProcessor
 from repro.core.metrics import EngineReport, IngestStats, dedupe_warnings
 from repro.core.storage_adapter import DnsStorage
-from repro.dns.columnar import decode_fill_columns
+from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.stream import DnsRecord
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowBatch, FlowRecord
@@ -70,20 +70,39 @@ def is_live_source(source) -> bool:
 
 # --- item normalisation -----------------------------------------------------
 
+#: The payload types a ``(ts, payload)`` DNS item may carry.
+_WIRE_TYPES = (bytes, bytearray, memoryview)
 
-def dns_item_records(item, processor: FillUpProcessor) -> Sequence[DnsRecord]:
-    """Normalise one DNS stream item into stream records.
 
-    Accepts a :class:`DnsRecord` (passed through) or a ``(ts, payload)``
-    tuple whose payload is wire bytes or a decoded message — the FillUp
-    filter handles validation. Anything else normalises to nothing.
+def dns_items_to_batch(items: Iterable) -> DnsBatch:
+    """Accumulate a drained wake-up's items into one :class:`DnsBatch`.
+
+    Rows keep arrival order. Runs of ``(ts, wire)`` items batch-decode
+    through :func:`decode_fill_columns`; a :class:`DnsRecord` appends
+    as a row (or counts as skipped, see :meth:`DnsBatch.append_record`).
+    Any other item — ``(ts, x)`` with ``x`` not wire bytes included —
+    counts as one invalid message, as unparseable bytes do.
     """
-    if isinstance(item, DnsRecord):
-        return (item,)
-    if isinstance(item, tuple) and len(item) == 2:
-        ts, payload = item
-        return processor.filter_message(ts, payload)
-    return ()
+    batch = DnsBatch()
+    payloads: List = []
+    stamps: List[float] = []
+    for item in items:
+        if type(item) is tuple and len(item) == 2 and isinstance(item[1], _WIRE_TYPES):
+            stamps.append(item[0])
+            payloads.append(item[1])
+            continue
+        if payloads:
+            batch.extend(decode_fill_columns(payloads, stamps))
+            payloads = []
+            stamps = []
+        if isinstance(item, DnsRecord):
+            batch.append_record(item)
+        else:
+            batch.messages += 1
+            batch.invalid += 1
+    if payloads:
+        batch.extend(decode_fill_columns(payloads, stamps))
+    return batch
 
 
 def extend_flow_batch(batch: FlowBatch, item, collector: FlowCollector) -> None:
@@ -114,15 +133,12 @@ def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
 
 
 class FillLane:
-    """The DNS fill stage: items → validated rows → storage.
+    """The DNS fill stage: items → one columnar batch → storage.
 
-    A wake-up's raw wire payloads accumulate into one
-    :class:`~repro.dns.columnar.DnsBatch` (the DNS twin of the shape
-    :class:`LookupLane` feeds ``correlate_batch_columns``) and go to
-    storage without materialising a single per-record object. Items that
-    arrive already decoded — :class:`DnsRecord` objects, ``(ts,
-    DnsMessage)`` tuples — take the object filter and ``process_batch``,
-    which lays them out as the same columns.
+    A wake-up's items become one :class:`~repro.dns.columnar.DnsBatch`
+    (the DNS twin of the batch :class:`LookupLane` feeds
+    ``correlate_batch_columns``) and go to storage without
+    materialising a single per-record object.
     """
 
     __slots__ = ("processor",)
@@ -131,40 +147,8 @@ class FillLane:
         self.processor = processor
 
     def process_items(self, items: Iterable) -> None:
-        """Normalise and store one wake-up's worth of stream items.
-
-        Contiguous runs of (ts, wire) items batch-decode straight to
-        columns; anything else (DnsRecord objects, decoded messages)
-        takes the object path. Runs flush on kind switches so storage
-        sees items in arrival order — overwrite and clear-up semantics
-        are order-sensitive.
-        """
-        payloads: List = []
-        stamps: List[float] = []
-        records: List[DnsRecord] = []
-        for item in items:
-            if (
-                type(item) is tuple
-                and len(item) == 2
-                and isinstance(item[1], (bytes, bytearray, memoryview))
-            ):
-                if records:
-                    self.processor.process_batch(records)
-                    records = []
-                stamps.append(item[0])
-                payloads.append(item[1])
-                continue
-            if payloads:
-                self.processor.process_columns(
-                    decode_fill_columns(payloads, stamps)
-                )
-                payloads = []
-                stamps = []
-            records.extend(dns_item_records(item, self.processor))
-        if payloads:
-            self.processor.process_columns(decode_fill_columns(payloads, stamps))
-        if records:
-            self.processor.process_batch(records)
+        """Validate and store one wake-up's worth of stream items."""
+        self.processor.process_columns(dns_items_to_batch(items))
 
 
 class LookupLane:

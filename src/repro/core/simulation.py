@@ -8,7 +8,7 @@ reproducible bit-for-bit from the workload seed.
 
 The merged stream reaches the lanes one same-lane run at a time: each
 maximal run of consecutive DNS (or flow) records, cut at every sampling
-and write-flush boundary, is one ``process_batch`` (or one
+and write-flush boundary, is one ``process_columns`` (or one
 ``correlate_batch_columns``) call. A run never spans a record of the
 other lane, so stores and lookups happen in record order; what batching
 changes is that a flow run resolves each distinct IP once. So
@@ -42,6 +42,7 @@ from repro.core.metrics import (
 )
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import DiscardSink, WriteWorker
+from repro.dns.columnar import DnsBatch
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowRecord
 
@@ -228,7 +229,7 @@ class SimulationEngine:
         # regular clear-up process not being fast enough to clear-up all
         # the expired TTLs as the hashmaps grow". Rotating-store clear-up
         # runs inside the fill (record-time driven) either way.
-        self.fillup.process_batch(records, sweep=not overloaded)
+        self.fillup.process_columns(DnsBatch.from_records(records), sweep=not overloaded)
         self._counters.dns_records += len(records)
 
     def _correlate(self, flows: List[FlowRecord]) -> None:

@@ -10,12 +10,11 @@ the Appendix-A.8 exact-TTL experiment swaps in without touching them.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Collection, Dict, Iterable, Optional
+from typing import Collection, Dict, Optional
 
 from repro.core.config import FlowDNSConfig
 from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
-from repro.dns.stream import DnsRecord
 from repro.storage.exact_ttl import ExactTtlStore
 from repro.storage.rotating import StoreBank
 
@@ -63,16 +62,7 @@ class DnsStorage:
 
     # --- fill side -----------------------------------------------------------
 
-    def add_many(self, records: Iterable[DnsRecord], *, sweep: bool = True) -> None:
-        """Batched Algorithm-1 insert of stream records: the object-form
-        entry to :meth:`add_many_columns`, rotation checks and all."""
-        batch = DnsBatch()
-        for record in records:
-            if record.is_address or record.is_cname:
-                batch.append_row(record.ts, record.query, record.rtype, record.ttl, record.answer)
-        self.add_many_columns(batch, sweep=sweep)
-
-    def add_many_columns(self, batch, *, sweep: bool = True) -> None:
+    def add_many_columns(self, batch: DnsBatch, sweep: bool = True) -> None:
         """Batched Algorithm-1 insert straight from DnsBatch columns.
 
         The one fill entry for both expiry policies. Every row is an

@@ -1,13 +1,13 @@
 """Selective columnar DNS decode: wire payloads straight to column arrays.
 
-The object decode path (:func:`repro.dns.wire.decode_message` →
-:func:`repro.dns.stream.records_from_message`) materialises a
-``Header``, a ``DnsMessage``, a ``Question`` per question and a
-``ResourceRecord`` per record — then throws almost all of it away,
-because FillUp (Section 3.2 step 2) only keeps answer-section
-A/AAAA/CNAME records of NOERROR responses. That per-message object churn
-is why ``dns_decode_msgs_per_sec`` plateaued around 20K while the
-NetFlow lane's compiled/columnar path runs an order of magnitude hotter.
+The object decode (:func:`repro.dns.wire.decode_message` and the
+``repro.reference`` DNS filter) materialises a ``Header``, a
+``DnsMessage``, a ``Question`` per question and a ``ResourceRecord``
+per record — then throws almost all of it away, because FillUp
+(Section 3.2 step 2) only keeps answer-section A/AAAA/CNAME records of
+NOERROR responses. That per-message object churn is why
+``dns_decode_msgs_per_sec`` plateaued around 20K while the NetFlow
+lane's compiled/columnar path runs an order of magnitude hotter.
 
 :func:`decode_fill_columns` parses *only what FillUp needs*, straight
 into a :class:`DnsBatch` — the structure-of-arrays shape
@@ -24,16 +24,19 @@ A/AAAA/CNAME rows land in the columns, with name decoding feeding the
 :mod:`repro.util.interning` tables (``cached_ip_text`` turns packed
 rdata into the same interned canonical text the object path produces
 via ``str(ip_address)``), so downstream map keys hash-share with the
-reference path byte for byte.
+reference path byte for byte. Stream records that arrive already
+decoded enter the same shape through :meth:`DnsBatch.from_records`, so
+``FillUpProcessor.process_columns`` is the one fill entry.
 
 Parity contract (pinned by ``tests/test_dns_columnar_parity.py``): for
 any payload sequence, the rows, stored records and FillUp counters are
-identical to running each payload through ``filter_message`` and
-``process_batch``. That includes the all-or-nothing message semantics
-(a ParseError anywhere rolls back the whole message's rows), the
-"valid but yields no storable record → invalid" rule, and the
-unknown-RR tolerance (rtype/rclass outside the enums skip-and-count
-per record instead of invalidating the message, in both paths).
+identical to running each payload through the ``repro.reference`` DNS
+filter (``filter_message``) and filling its records one at a time.
+That includes the all-or-nothing message semantics (a ParseError
+anywhere rolls back the whole message's rows), the "valid but yields no
+storable record → invalid" rule, and the unknown-RR tolerance
+(rtype/rclass outside the enums skip-and-count per record instead of
+invalidating the message, in both paths).
 """
 
 from __future__ import annotations
@@ -70,9 +73,11 @@ class DnsBatch:
     per-message accounting FillUp needs: ``messages`` payloads consumed,
     ``invalid`` of them rejected (unparseable / queries / error rcodes /
     no storable answers), ``unknown_records`` RRs skipped for carrying
-    an rtype or rclass outside the enums. ``rtype`` holds the raw wire
-    integer (1/5/28), never an enum — :meth:`record` rehydrates a
-    :class:`DnsRecord` when parity tooling needs the object form.
+    an rtype or rclass outside the enums, and ``skipped`` stream records
+    appended that no hashmap holds (neither A/AAAA nor CNAME). ``rtype``
+    holds the raw wire integer (1/5/28), never an enum — :meth:`record`
+    rehydrates a :class:`DnsRecord` when parity tooling needs the object
+    form.
     """
 
     __slots__ = (
@@ -84,6 +89,7 @@ class DnsBatch:
         "messages",
         "invalid",
         "unknown_records",
+        "skipped",
     )
 
     def __init__(self):
@@ -95,6 +101,14 @@ class DnsBatch:
         self.messages: int = 0
         self.invalid: int = 0
         self.unknown_records: int = 0
+        self.skipped: int = 0
+
+    @classmethod
+    def from_records(cls, records: Iterable[DnsRecord]) -> "DnsBatch":
+        batch = cls()
+        for record in records:
+            batch.append_record(record)
+        return batch
 
     def __len__(self) -> int:
         return len(self.name)
@@ -108,6 +122,14 @@ class DnsBatch:
         self.ttl.append(ttl)
         self.rdata_text.append(rdata_text)
 
+    def append_record(self, record: DnsRecord) -> None:
+        """Append one stream record: a row if a hashmap holds its type,
+        else one more ``skipped``."""
+        if record.is_address or record.is_cname:
+            self.append_row(record.ts, record.query, record.rtype, record.ttl, record.answer)
+        else:
+            self.skipped += 1
+
     def extend(self, other: "DnsBatch") -> None:
         """Append all of ``other``'s rows and fold its message counters."""
         self.ts.extend(other.ts)
@@ -118,6 +140,7 @@ class DnsBatch:
         self.messages += other.messages
         self.invalid += other.invalid
         self.unknown_records += other.unknown_records
+        self.skipped += other.skipped
 
     def record(self, index: int) -> DnsRecord:
         """Materialise row ``index`` as the object path's record."""

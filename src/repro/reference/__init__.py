@@ -9,6 +9,7 @@ path to. Nothing under ``repro`` imports it;
 """
 
 from repro.reference.codecs import decode_ipfix, decode_v5, decode_v9, ingest
+from repro.reference.dns import filter_message, records_from_message
 from repro.reference.lanes import (
     add_record,
     correlate_record,
@@ -24,7 +25,9 @@ __all__ = [
     "decode_v5",
     "decode_v9",
     "fill_record",
+    "filter_message",
     "format_result",
     "ingest",
     "is_valid",
+    "records_from_message",
 ]

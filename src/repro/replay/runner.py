@@ -18,7 +18,7 @@ from repro.core.async_engine import AsyncEngine
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.metrics import EngineReport
 from repro.replay.capture import probe_capture
-from repro.replay.faults import FaultInjector, FaultPlan, resolve_fault_plan
+from repro.replay.faults import FaultInjector, resolve_fault_plan
 from repro.replay.source import CaptureLike, replay_sources
 
 
@@ -26,34 +26,24 @@ def replay_capture(
     capture: CaptureLike,
     config: Optional[FlowDNSConfig | EngineConfig] = None,
     sink: Optional[TextIO] = None,
-    realtime: Optional[bool] = None,
-    speed: Optional[float] = None,
-    faults: Optional[FaultPlan | str] = None,
-    fault_seed: Optional[int] = None,
 ) -> EngineReport:
     """Replay a capture (path or frames) through the async engine.
 
-    ``config`` may be a full :class:`EngineConfig`, in which case its
-    ``realtime``/``speed`` fields are the defaults and the explicit
-    keyword arguments override them (the keywords keep their
-    pre-EngineConfig behaviour for existing callers).
+    ``config`` may be a full :class:`EngineConfig`; its ``realtime``,
+    ``speed`` and fault fields then take effect. ``realtime=True`` paces
+    items by the recorded inter-arrival gaps (divided by ``speed``); the
+    default replays at max speed, which with the DNS-before-flows
+    ordering is fully deterministic. The pump task waits out each gap
+    with ``asyncio.sleep`` and offers paced items without backpressure,
+    so a recorded burst that overflows the bounded ingress buffer is
+    dropped and counted there (``overall_loss_rate`` plus a warning) —
+    the paper's buffer-loss behaviour, reproducible run after run.
 
-    ``realtime=True`` paces items by the recorded inter-arrival gaps
-    (divided by ``speed``); the default replays at max speed, which with
-    the DNS-before-flows ordering is fully deterministic. The pump task
-    waits out each gap with ``asyncio.sleep`` and offers paced items
-    without backpressure, so a recorded burst that overflows the bounded
-    ingress buffer is dropped and counted there (``overall_loss_rate``
-    plus a warning) — the paper's buffer-loss behaviour, reproducible
-    run after run.
-
-    ``faults`` perturbs the capture *before* it reaches the engine: a
-    :class:`~repro.replay.faults.FaultPlan`, a profile name from
-    :data:`~repro.replay.faults.FAULT_PROFILES`, or None to fall back
-    to the fault fields of an ``EngineConfig`` passed as ``config``.
-    Perturbation is deterministic in ``fault_seed`` — the same seed
-    over the same capture yields bit-identical faulted frames, so the
-    chaos differential harness can compare runs on equal footing.
+    A fault plan (``fault_profile`` / ``fault_rates``) perturbs the
+    capture *before* it reaches the engine, deterministically in
+    ``fault_seed`` — the same seed over the same capture yields
+    bit-identical faulted frames, so the chaos differential harness can
+    compare runs on equal footing.
     """
     if isinstance(capture, str):
         # Missing file / not-a-capture must fail here, cleanly — not
@@ -62,25 +52,16 @@ def replay_capture(
         # flows through and the failure lands in report.warnings.)
         probe_capture(capture)
     engine_config = EngineConfig.of(config)
-    if realtime is None:
-        realtime = engine_config.realtime
-    if speed is None:
-        speed = engine_config.speed
-    if faults is None and (
-        engine_config.fault_profile or engine_config.fault_rates
-    ):
+    if engine_config.fault_profile or engine_config.fault_rates:
         faults = resolve_fault_plan(
             engine_config.fault_profile, engine_config.fault_rates
         )
-    elif isinstance(faults, str):
-        faults = resolve_fault_plan(faults, None)
-    if fault_seed is None:
-        fault_seed = engine_config.fault_seed
-    if faults is not None and faults.active:
-        injector = FaultInjector(
-            faults, seed=fault_seed if fault_seed is not None else 0
-        )
-        capture = injector.apply(capture)
+        if faults.active:
+            seed = engine_config.fault_seed
+            injector = FaultInjector(faults, seed=seed if seed is not None else 0)
+            capture = injector.apply(capture)
     engine = AsyncEngine(engine_config, sink=sink)
-    dns_sources, flow_sources = replay_sources(capture, realtime=realtime, speed=speed)
+    dns_sources, flow_sources = replay_sources(
+        capture, realtime=engine_config.realtime, speed=engine_config.speed
+    )
     return engine.run(dns_sources, flow_sources, dns_first=True)

@@ -1,7 +1,8 @@
 """Storage substrate: the hashmaps at the heart of FlowDNS.
 
-* :class:`RotatingStore` — the Active / Inactive / Long triple with
-  buffer rotation and clear-up (Section 3.1, Table 1);
+* :class:`StoreBank` — the Active / Inactive / Long triple with
+  buffer rotation and clear-up (Section 3.1, Table 1), one per record
+  family;
 * :class:`ExactTtlStore` — the per-record TTL-expiry store the paper
   rejects in Appendix A.8, kept here so the A.8 experiment can be run.
 
@@ -11,12 +12,11 @@ every tier is one plain dict; a snapshot copies the tiers on that thread
 before anything else touches them.
 """
 
-from repro.storage.rotating import RotatingStore, RotatingStoreStats, StoreBank
+from repro.storage.rotating import RotatingStoreStats, StoreBank
 from repro.storage.exact_ttl import ExactTtlStore
 from repro.storage.snapshot import dump_storage, load_storage
 
 __all__ = [
-    "RotatingStore",
     "RotatingStoreStats",
     "StoreBank",
     "ExactTtlStore",

@@ -291,24 +291,3 @@ class StoreBank:
     def total_entries(self) -> int:
         return len(self.active) + len(self.inactive) + len(self.long)
 
-
-class RotatingStore:
-    """The full FlowDNS internal storage: IP-NAME and NAME-CNAME banks.
-
-    Keys follow the paper exactly: the hashmap key is the DNS *answer*
-    (the IP address for A/AAAA, the canonical name for CNAME) and the
-    value is the *query* name.
-    """
-
-    def __init__(self, ip_name: StoreBank, name_cname: StoreBank):
-        self.ip_name = ip_name
-        self.name_cname = name_cname
-
-    def total_entries(self) -> int:
-        return self.ip_name.total_entries() + self.name_cname.total_entries()
-
-    def entry_counts(self) -> Dict[str, Dict[str, int]]:
-        return {
-            "ip_name": self.ip_name.entry_counts(),
-            "name_cname": self.name_cname.entry_counts(),
-        }

@@ -40,10 +40,9 @@ class SweepSpec:
     """One sweep: workload axes × replay legs over a shared base config.
 
     ``fault_profiles`` may contain ``None`` for the fault-free baseline
-    leg (the default). ``fault_seed`` follows
-    :meth:`EngineConfig.for_replay_leg` applicability rules — it is
-    applied only to the fault legs, and the spec rejects a seed with no
-    fault leg to apply to.
+    leg (the default). ``fault_seed`` is applied only to the fault legs
+    (a seed needs a fault plan, as :class:`EngineConfig` enforces), and
+    the spec rejects a seed with no fault leg to apply to.
     """
 
     # --- workload axes ---------------------------------------------------
@@ -80,7 +79,7 @@ class SweepSpec:
 
     def leg_config(self, fault_profile: Optional[str]) -> EngineConfig:
         """The :class:`EngineConfig` for one fault-profile leg."""
-        return EngineConfig.for_replay_leg(
+        return EngineConfig(
             fault_profile=fault_profile,
             fault_seed=self.fault_seed if fault_profile is not None else None,
         )

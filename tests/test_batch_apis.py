@@ -1,5 +1,5 @@
 """Tests for the batched hot path: storage batch ops and the processor-level
-``process_batch``/``correlate_batch_columns`` — including equivalence
+``process_columns``/``correlate_batch_columns`` — including equivalence
 against the per-record path."""
 
 from repro.core.config import FlowDNSConfig
@@ -7,6 +7,7 @@ from repro.core.fillup import FillUpProcessor
 from repro.core.flowdns import FlowDNS
 from repro.core.lookup import LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
@@ -110,7 +111,7 @@ class TestBatchEquivalence:
         storage = DnsStorage(config)
         fillup = FillUpProcessor(storage)
         for i in range(0, len(dns), batch_size):
-            fillup.process_batch(dns[i:i + batch_size])
+            fillup.process_columns(DnsBatch.from_records(dns[i:i + batch_size]))
         lookup = LookUpProcessor(storage, config)
         results = []
         for i in range(0, len(flows), batch_size):
@@ -152,14 +153,14 @@ class TestBatchEquivalence:
         config = FlowDNSConfig()
         storage = DnsStorage(config)
         fillup = FillUpProcessor(storage)
-        assert fillup.process_batch([]) == 0
+        assert fillup.process_columns(DnsBatch.from_records([])) == 0
         assert fillup.stats.records_in == 0
         # Non-storable record types are counted but skipped.
         mixed = [
             DnsRecord(1.0, "a.example", RRType.A, 60, "10.1.1.1"),
             DnsRecord(1.0, "ns.example", RRType.NS, 60, "ns1.example"),
         ]
-        assert fillup.process_batch(mixed) == 1
+        assert fillup.process_columns(DnsBatch.from_records(mixed)) == 1
         assert fillup.stats.records_skipped == 1
         lookup = LookUpProcessor(storage, config)
         assert lookup.correlate_batch_columns(FlowBatch()).results() == []
@@ -168,9 +169,9 @@ class TestBatchEquivalence:
     def test_exact_ttl_falls_back_to_per_record(self):
         config = FlowDNSConfig(exact_ttl=True)
         storage = DnsStorage(config)
-        FillUpProcessor(storage).process_batch(
+        FillUpProcessor(storage).process_columns(DnsBatch.from_records(
             [DnsRecord(0.0, "a.example", RRType.A, 10, "10.1.1.1")]
-        )
+        ))
         lookup = LookUpProcessor(storage, config)
         flows = [
             FlowRecord(ts=5.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10),

@@ -28,6 +28,7 @@ from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import format_batch
+from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
@@ -149,7 +150,7 @@ def _filled_storage(config: FlowDNSConfig) -> DnsStorage:
             fill_record(fillup, record)
             storage.tick(record.ts)
     else:
-        fillup.process_batch(records)
+        fillup.process_columns(DnsBatch.from_records(records))
     return storage
 
 

@@ -6,10 +6,12 @@ from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import DnsMessage, Header, Question, encode_message
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
+from repro.reference import filter_message
 
 
 @pytest.fixture()
@@ -32,6 +34,11 @@ def _correlate(lookup, flow):
     return lookup.correlate_batch_columns(FlowBatch.from_records([flow])).results()[0]
 
 
+def _fill(fillup, *records):
+    """Records through the production fill entry; returns how many stored."""
+    return fillup.process_columns(DnsBatch.from_records(records))
+
+
 def _fill_chain(fillup, ts=0.0):
     """service.com -> r0 -> edge, edge A 10.5.5.5"""
     records = [
@@ -39,7 +46,15 @@ def _fill_chain(fillup, ts=0.0):
         DnsRecord(ts, "r0.cdn.net", RRType.CNAME, 600, "edge.cdn.net"),
         DnsRecord(ts, "edge.cdn.net", RRType.A, 60, "10.5.5.5"),
     ]
-    fillup.process_batch(records)
+    _fill(fillup, *records)
+
+
+def _filter(fillup, ts, wire):
+    """One wire payload through the production decode + fill; returns
+    the rows it stored."""
+    batch = decode_fill_columns((wire,), ts)
+    fillup.process_columns(batch)
+    return batch.to_records()
 
 
 class TestFillUpFilter:
@@ -47,40 +62,40 @@ class TestFillUpFilter:
         msg = DnsMessage()
         msg.questions.append(Question("a.example", RRType.A))
         msg.answers.append(a_record("a.example", "10.1.1.1", 60))
-        records = fillup.filter_message(5.0, encode_message(msg))
+        records = _filter(fillup, 5.0, encode_message(msg))
         assert len(records) == 1
         assert records[0].answer == "10.1.1.1"
 
     def test_garbage_bytes_counted_invalid(self, fillup):
-        assert fillup.filter_message(0.0, b"\xff" * 30) == []
+        assert _filter(fillup, 0.0, b"\xff" * 30) == []
         assert fillup.stats.invalid == 1
 
     def test_query_message_filtered(self, fillup):
         msg = DnsMessage(header=Header(qr=False))
         msg.questions.append(Question("a.example", RRType.A))
-        assert fillup.filter_message(0.0, msg) == []
+        assert _filter(fillup, 0.0, encode_message(msg)) == []
+        assert fillup.stats.invalid == 1
 
     def test_message_object_accepted(self, fillup):
+        """The reference filter also takes an already-decoded message."""
         msg = DnsMessage()
         msg.answers.append(cname_record("a.example", "b.example", 60))
-        records = fillup.filter_message(1.0, msg)
+        records = filter_message(fillup, 1.0, msg)
         assert records[0].is_cname
 
 
 class TestFillUpProcess:
     def test_address_record_stored(self, fillup, storage):
-        fillup.process_batch([DnsRecord(0.0, "a.example", RRType.A, 60, "10.1.1.1")])
+        _fill(fillup, DnsRecord(0.0, "a.example", RRType.A, 60, "10.1.1.1"))
         assert storage.lookup_ip("10.1.1.1", now=0.0) == "a.example"
         assert fillup.stats.records_stored == 1
 
     def test_cname_record_stored(self, fillup, storage):
-        fillup.process_batch([DnsRecord(0.0, "a.example", RRType.CNAME, 600, "edge.cdn.net")])
+        _fill(fillup, DnsRecord(0.0, "a.example", RRType.CNAME, 600, "edge.cdn.net"))
         assert storage.lookup_cname("edge.cdn.net", now=0.0) == "a.example"
 
     def test_other_types_skipped(self, fillup):
-        stored = fillup.process_batch(
-            [DnsRecord(0.0, "a.example", RRType.NS, 600, "ns.example")]
-        ) == 1
+        stored = _fill(fillup, DnsRecord(0.0, "a.example", RRType.NS, 600, "ns.example")) == 1
         assert stored is False
         assert fillup.stats.records_skipped == 1
 
@@ -89,7 +104,7 @@ class TestFillUpProcess:
             DnsRecord(0.0, f"a{i}.example", RRType.A, 60, f"10.0.0.{i + 1}")
             for i in range(5)
         ]
-        assert fillup.process_batch(records) == 5
+        assert _fill(fillup, *records) == 5
         assert fillup.stats.records_stored == 5
 
 
@@ -102,7 +117,7 @@ class TestLookUp:
         assert lookup.stats.unmatched == 1
 
     def test_direct_a_record_match(self, fillup, lookup):
-        fillup.process_batch([DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1")])
+        _fill(fillup, DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
         flow = FlowRecord(ts=1.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=500)
         result = _correlate(lookup, flow)
         assert result.matched
@@ -133,9 +148,9 @@ class TestLookUp:
         config = FlowDNSConfig(cname_loop_limit=3)
         lookup = LookUpProcessor(storage, config)
         names = [f"n{i}.example" for i in range(10)]
-        fillup.process_batch([DnsRecord(0.0, names[0], RRType.A, 60, "10.2.2.2")])
+        _fill(fillup, DnsRecord(0.0, names[0], RRType.A, 60, "10.2.2.2"))
         for i in range(len(names) - 1):
-            fillup.process_batch([DnsRecord(0.0, names[i + 1], RRType.CNAME, 600, names[i])])
+            _fill(fillup, DnsRecord(0.0, names[i + 1], RRType.CNAME, 600, names[i]))
         result = _correlate(
             lookup, FlowRecord(ts=1.0, src_ip="10.2.2.2", dst_ip="100.64.0.1", bytes_=1)
         )
@@ -144,9 +159,9 @@ class TestLookUp:
         assert lookup.stats.loop_limit_hits == 1
 
     def test_cname_cycle_defused(self, storage, fillup, lookup):
-        fillup.process_batch([DnsRecord(0.0, "x.example", RRType.A, 60, "10.3.3.3")])
-        fillup.process_batch([DnsRecord(0.0, "y.example", RRType.CNAME, 600, "x.example")])
-        fillup.process_batch([DnsRecord(0.0, "x.example", RRType.CNAME, 600, "y.example")])
+        _fill(fillup, DnsRecord(0.0, "x.example", RRType.A, 60, "10.3.3.3"))
+        _fill(fillup, DnsRecord(0.0, "y.example", RRType.CNAME, 600, "x.example"))
+        _fill(fillup, DnsRecord(0.0, "x.example", RRType.CNAME, 600, "y.example"))
         result = _correlate(
             lookup, FlowRecord(ts=1.0, src_ip="10.3.3.3", dst_ip="100.64.0.1", bytes_=1)
         )
@@ -169,7 +184,7 @@ class TestLookUp:
 
     def test_chain_length_histogram(self, fillup, lookup):
         _fill_chain(fillup)
-        fillup.process_batch([DnsRecord(0.0, "plain.example", RRType.A, 60, "10.7.7.7")])
+        _fill(fillup, DnsRecord(0.0, "plain.example", RRType.A, 60, "10.7.7.7"))
         _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=1))
         _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.7.7.7", dst_ip="100.64.0.1", bytes_=1))
         assert lookup.stats.chain_lengths == {3: 1, 1: 1}
@@ -179,14 +194,14 @@ class TestDirection:
     def test_destination_lookup(self, fillup, storage):
         config = FlowDNSConfig(direction=FlowDirection.DESTINATION)
         lookup = LookUpProcessor(storage, config)
-        fillup.process_batch([DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1")])
+        _fill(fillup, DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
         flow = FlowRecord(ts=1.0, src_ip="100.64.0.1", dst_ip="10.1.1.1", bytes_=10)
         assert _correlate(lookup, flow).matched
 
     def test_both_falls_back_to_destination(self, fillup, storage):
         config = FlowDNSConfig(direction=FlowDirection.BOTH)
         lookup = LookUpProcessor(storage, config)
-        fillup.process_batch([DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1")])
+        _fill(fillup, DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
         flow = FlowRecord(ts=1.0, src_ip="100.64.0.1", dst_ip="10.1.1.1", bytes_=10)
         result = _correlate(lookup, flow)
         assert result.matched and result.service == "site.example"

@@ -50,12 +50,13 @@ class TestDnsBatch:
         assert batch.to_records() == [batch.record(0), batch.record(1)]
 
     def test_extend_folds_rows_and_counters(self):
-        a, b = DnsBatch(), DnsBatch()
+        a = DnsBatch.from_records([DnsRecord(1.0, "x.example", RRType.TXT, 5, "t")])
         a.messages, a.invalid, a.unknown_records = 1, 1, 0
+        b = DnsBatch()
         b.append_row(2.0, "y.example", int(RRType.A), 5, "192.0.2.8")
-        b.messages, b.invalid, b.unknown_records = 4, 2, 5
+        b.messages, b.invalid, b.unknown_records, b.skipped = 4, 2, 5, 2
         a.extend(b)
-        assert (a.messages, a.invalid, a.unknown_records) == (5, 3, 5)
+        assert (a.messages, a.invalid, a.unknown_records, a.skipped) == (5, 3, 5, 3)
         assert len(a) == 1 and a.record(0) == b.record(0)
 
     def test_scalar_and_sequence_timestamps(self):
@@ -170,7 +171,8 @@ class TestUnknownRRTolerance:
                              answers=[unknown])
         processor = FillUpProcessor(DnsStorage(FlowDNSConfig()))
         for msg in (query, refused):
-            assert processor.filter_message(1.0, encode_message(msg)) == []
+            batch = decode_fill_columns((encode_message(msg),), 1.0)
+            assert processor.process_columns(batch) == 0
         assert processor.stats.records_unknown_type == 0
         assert processor.stats.invalid == 2
 

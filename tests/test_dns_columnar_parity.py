@@ -1,11 +1,13 @@
 """Differential tests: the columnar DNS fill path vs the object reference.
 
-PR 9's parity contract: for any payload sequence,
+The parity contract: for any payload sequence,
 :func:`repro.dns.columnar.decode_fill_columns` →
 ``FillUpProcessor.process_columns`` must produce the same stored
 records, the same :class:`FillUpStats` (including ``invalid`` and the
 unknown-RR tolerance counter), and the same storage state as running
-each payload through ``filter_message`` → ``process_batch``.
+each payload through the ``repro.reference`` DNS filter
+(``filter_message``) and filling its records one at a time
+(``fill_record``).
 Randomization (hypothesis) covers compression pointers (a small label
 pool makes the encoder emit them constantly), CNAME chains, unknown RR
 types and classes (including EDNS OPT, whose class field is a UDP
@@ -16,7 +18,7 @@ Storage snapshots are compared minus ``saved_at`` — the only field of a
 dump that is wall-clock, not state. Engine-level legs pin the async
 engine, under several batch layouts, to identical output rows and
 reports whether it is fed the capture as ``(ts, wire)`` tuples
-(columnar decode) or as the object filter's ``DnsRecord`` s.
+(columnar decode) or as the reference filter's ``DnsRecord`` s.
 """
 
 import io
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.flowdns import FlowDNS
-from repro.core.pipeline import FillLane, dns_item_records
+from repro.core.pipeline import FillLane
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import decode_fill_columns
@@ -43,7 +45,7 @@ from repro.dns.wire import (
     encode_message,
 )
 from repro.netflow.records import FlowRecord
-from repro.reference import fill_record
+from repro.reference import fill_record, filter_message
 from repro.storage.snapshot import dump_storage
 
 # A deliberately tiny label pool: almost every generated name shares a
@@ -164,7 +166,7 @@ def test_decode_fill_columns_matches_reference_filter(payloads):
     reference = FillUpProcessor(DnsStorage(FlowDNSConfig()))
     ref_rows = []
     for t, payload in zip(stamps, payloads):
-        ref_rows.extend(reference.filter_message(t, payload))
+        ref_rows.extend(filter_message(reference, t, payload))
 
     batch = decode_fill_columns(payloads, stamps)
     assert batch.messages == len(payloads) == reference.stats.raw_messages
@@ -188,21 +190,23 @@ def test_fill_lane_differential(payloads, scalar_ts):
         batch = decode_fill_columns(payloads, 1000.0)
         assert batch.ts == [1000.0] * len(batch)
     stamps = [1000.0 + i for i in range(len(payloads))]
-    # Interleave object records so the columnar lane's run-splitting
-    # (wire runs vs record runs, order preserved) is exercised too.
+    # Interleave object records so the lane's one batch is built from
+    # wire runs and records alike, in arrival order.
     extra = [
         DnsRecord(2000.0 + i, f"obj{i}.example", RRType.A, 60, f"192.0.2.{i + 1}")
         for i in range(3)
-    ]
+    ] + [DnsRecord(2003.0, "obj.example", RRType.NS, 60, "ns1.example")]
     items = [(t, p) for t, p in zip(stamps, payloads)]
     items = items[: len(items) // 2] + extra + items[len(items) // 2 :]
 
-    # Reference: every item through the object filter, one process_batch.
+    # Reference: every item through the object filter, then one record
+    # at a time into storage.
     ref_storage = DnsStorage(FlowDNSConfig())
     reference = FillUpProcessor(ref_storage)
-    reference.process_batch(
-        [r for item in items for r in dns_item_records(item, reference)]
-    )
+    for item in items:
+        records = [item] if isinstance(item, DnsRecord) else filter_message(reference, *item)
+        for record in records:
+            fill_record(reference, record)
 
     storage = DnsStorage(FlowDNSConfig())
     processor = FillUpProcessor(storage)
@@ -244,7 +248,7 @@ def test_exact_ttl_forces_reference_path():
     ref_storage = DnsStorage(config)
     reference = FillUpProcessor(ref_storage)
     for ts, wire in corpus:
-        for record in reference.filter_message(ts, wire):
+        for record in filter_message(reference, ts, wire):
             fill_record(reference, record)
             ref_storage.tick(record.ts)
 
@@ -366,7 +370,7 @@ def test_engines_agree_columnar_vs_reference():
     # messages never become items, so dns_invalid is held to the
     # filter's own count instead of the reference run's.
     dns_filter = FillUpProcessor(storage=None)
-    records = [r for ts, wire in wires for r in dns_filter.filter_message(ts, wire)]
+    records = [r for ts, wire in wires for r in filter_message(dns_filter, ts, wire)]
     baseline = None
     for batch_size in BATCH_SIZES:
         layout = f"batch size {batch_size}"

@@ -1,9 +1,10 @@
-"""Tests for repro.dns.stream and repro.dns.ttl."""
+"""Tests for repro.dns.stream, repro.dns.ttl and the reference DNS filter's
+message flattening."""
 
 import pytest
 
 from repro.dns.rr import RRType
-from repro.dns.stream import DnsRecord, is_address_type, records_from_message
+from repro.dns.stream import DnsRecord, is_address_type
 from repro.dns.ttl import (
     CANONICAL_TTL_TICKS,
     address_fraction_below,
@@ -12,6 +13,7 @@ from repro.dns.ttl import (
 )
 from repro.dns.wire import DnsMessage, Header, Question, Rcode
 from repro.dns.rr import a_record, cname_record
+from repro.reference import records_from_message
 
 
 class TestDnsRecord:

@@ -103,7 +103,7 @@ def generated_captures(tmp_path_factory):
 def _leg_config(memoize=True, batch_size=None, **overrides):
     """A replay leg, optionally with CNAME-chain memoisation off (see
     module docstring) and a non-default lane batch size."""
-    config = EngineConfig.for_replay_leg(**overrides)
+    config = EngineConfig(**overrides)
     changes = {}
     if not memoize:
         changes["memoize_cname_chains"] = False

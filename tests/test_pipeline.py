@@ -8,6 +8,7 @@ ingest-stat collection.
 
 import pytest
 
+from repro.core.async_engine import AsyncEngine
 from repro.core.ingest import AsyncBuffer
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
@@ -18,11 +19,12 @@ from repro.core.pipeline import (
     LookupLane,
     buffer_loss_rate,
     collect_ingest,
-    dns_item_records,
+    dns_items_to_batch,
     flow_items_to_batch,
     stack_report,
 )
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType, a_record
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import DnsMessage, Question, encode_message
@@ -37,19 +39,41 @@ def _a(ts, name, ip, ttl=300):
 
 class TestNormalisation:
     def test_dns_item_forms(self):
-        processor = FillUpProcessor(storage=None)
         record = _a(1.0, "x.example", "10.0.0.1")
-        assert dns_item_records(record, processor) == (record,)
-
         msg = DnsMessage()
         msg.questions.append(Question("w.example", RRType.A))
         msg.answers.append(a_record("w.example", "10.0.0.2", 60))
         wire = encode_message(msg)
-        records = dns_item_records((2.0, wire), processor)
-        assert [r.query for r in records] == ["w.example"]
+        batch = dns_items_to_batch([
+            record,
+            (2.0, wire),
+            (3.0, memoryview(wire)),
+            DnsRecord(4.0, "t.example", RRType.TXT, 60, "x"),
+            (5.0, msg),  # a decoded message is not a stream item
+            (6.0, "garbage"),
+            "garbage",
+            (1.0, 2.0, 3.0),
+        ])
+        # Rows in arrival order; the TXT record is skipped, not stored.
+        assert [r.query for r in batch.to_records()] == [
+            "x.example", "w.example", "w.example"
+        ]
+        assert batch.ts == [1.0, 2.0, 3.0]
+        assert batch.skipped == 1
+        # Two wire messages plus four items that are neither a record
+        # nor (ts, wire): each of those counts as one invalid message.
+        assert batch.messages == 6
+        assert batch.invalid == 4
 
-        assert dns_item_records("garbage", processor) == ()
-        assert dns_item_records((1.0, 2.0, 3.0), processor) == ()
+    def test_non_wire_dns_payload_counted_invalid_not_raised(self):
+        """A ``(ts, x)`` DNS item whose ``x`` is not wire bytes is one
+        invalid message, like unparseable bytes; the run completes."""
+        report = AsyncEngine(FlowDNSConfig()).run(
+            [[(1.0, "garbage"), _a(2.0, "ok.example", "10.0.0.9")]], [[]]
+        )
+        assert report.dns_invalid == 1
+        assert report.dns_records == 1
+        assert report.final_map_entries == 1
 
     def test_flow_item_mix_accumulates(self):
         flows = [
@@ -98,7 +122,9 @@ class TestLookupLane:
     def test_correlates_and_skips_empty(self):
         config = FlowDNSConfig()
         storage = DnsStorage(config)
-        FillUpProcessor(storage).process_batch([_a(1.0, "svc.example", "10.0.0.1")])
+        FillUpProcessor(storage).process_columns(
+            DnsBatch.from_records([_a(1.0, "svc.example", "10.0.0.1")])
+        )
         lane = LookupLane(LookUpProcessor(storage, config))
         assert lane.correlate_items([]) is None
         flow = FlowRecord(ts=2.0, src_ip="10.0.0.1", dst_ip="100.64.0.1", bytes_=7)
@@ -116,7 +142,9 @@ class TestReportAssembly:
         fillups = [FillUpProcessor(storage) for _ in range(2)]
         lookups = [LookUpProcessor(storage, config) for _ in range(2)]
         for offset, (fillup, lookup) in enumerate(zip(fillups, lookups)):
-            fillup.process_batch([_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}")])
+            fillup.process_columns(DnsBatch.from_records(
+                [_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}")]
+            ))
             lookup.correlate_batch_columns(FlowBatch.from_records([
                 FlowRecord(ts=2.0, src_ip=f"10.0.0.{offset + 1}",
                            dst_ip="100.64.0.1", bytes_=100)

@@ -3,8 +3,9 @@
 Each pipeline layer has one production path. Its per-record twin, the
 oracle the parity and differential suites compare against, sits in the
 ``repro.reference`` package. These checks keep it there: no production
-module (nor the benchmark harness) imports the package, and no moved
-oracle name has crept back onto its production class or module.
+module (nor the benchmark harness, nor an example) imports the package,
+and no moved oracle name has crept back onto its production class or
+module.
 """
 
 import ast
@@ -12,7 +13,9 @@ from pathlib import Path
 
 import repro
 import repro.core
+import repro.core.pipeline
 import repro.core.writer
+import repro.dns.stream
 import repro.netflow
 import repro.netflow.v5
 from repro.core.fillup import FillUpProcessor
@@ -23,7 +26,7 @@ from repro.netflow.ipfix import IpfixSession
 from repro.netflow.v9 import V9Session
 
 _PACKAGE = Path(repro.__file__).parent
-_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported_modules(tree: ast.AST):
@@ -42,7 +45,8 @@ def _production_files():
     for path in sorted(_PACKAGE.rglob("*.py")):
         if path.relative_to(_PACKAGE).parts[0] != "reference":
             yield path
-    yield from sorted(_BENCH.rglob("*.py"))
+    for top in ("bench", "examples"):
+        yield from sorted((_ROOT / top).rglob("*.py"))
 
 
 def test_no_production_module_imports_the_reference_package():
@@ -58,7 +62,12 @@ def test_no_production_module_imports_the_reference_package():
 #: The oracles that moved to ``repro.reference``, by their old home.
 _MOVED = [
     (FillUpProcessor, "process"),
+    (FillUpProcessor, "filter_message"),
+    (FillUpProcessor, "process_batch"),
     (DnsStorage, "add_record"),
+    (DnsStorage, "add_many"),
+    (repro.core.pipeline, "dns_item_records"),
+    (repro.dns.stream, "records_from_message"),
     (LookUpProcessor, "process"),
     (LookUpProcessor, "is_valid"),
     (repro.core.writer, "format_result"),

@@ -31,7 +31,7 @@ from repro.replay.capture import (
     write_capture,
 )
 from repro.core.async_engine import AsyncEngine
-from repro.core.config import FlowDNSConfig
+from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.invariants import assert_invariants
 from repro.dns.rr import RRType, a_record
 from repro.dns.wire import DnsMessage, Question, encode_message
@@ -560,14 +560,15 @@ class TestRealtimeAsyncReplay:
         overflows, while the steady gaps (5 ms at speed 50) leave time to
         drain. The loss is the same on every run, visible, and accounted."""
         path = str(GOLDEN_DIR / "bursts.fdc")
-        config = FlowDNSConfig(stream_buffer_capacity=4)
+        config = EngineConfig(
+            flowdns=FlowDNSConfig(stream_buffer_capacity=4),
+            realtime=True,
+            speed=50.0,
+        )
         rates = set()
         for _ in range(5):
             sink = io.StringIO()
-            report = replay_capture(
-                path, config=config, sink=sink,
-                realtime=True, speed=50.0,
-            )
+            report = replay_capture(path, config=config, sink=sink)
             rows = sum(
                 1 for line in sink.getvalue().splitlines()
                 if line and not line.startswith("#")

@@ -29,6 +29,7 @@ from repro.core.ingest import TcpDnsIngest
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.monitor import MetricsHttpServer, parse_exposition
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType, a_record
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
@@ -299,7 +300,7 @@ class TestRestoreDegradation:
     def test_mismatched_snapshot_warns_and_starts_empty(self, tmp_path):
         path = str(tmp_path / "snap.json")
         donor = DnsStorage(FlowDNSConfig(a_clear_up_interval=1800.0))
-        donor.add_many([self._record()])
+        donor.add_many_columns(DnsBatch.from_records([self._record()]))
         save_snapshot(donor, path)
         engine = AsyncEngine(EngineConfig(
             snapshot_path=path, flowdns=FlowDNSConfig(a_clear_up_interval=900.0)
@@ -323,9 +324,9 @@ class TestRestoreDegradation:
         path = str(tmp_path / "snap.json")
         donor = DnsStorage(FlowDNSConfig())
         for i in range(50):
-            donor.add_many(
+            donor.add_many_columns(DnsBatch.from_records(
                 [DnsRecord(1.0, f"svc{i}.example", RRType.A, 300, f"10.5.0.{i + 1}")]
-            )
+            ))
         save_snapshot(donor, path)
         flows = [
             FlowRecord(ts=30.0, src_ip=f"10.5.0.{i + 1}",

@@ -1,9 +1,9 @@
 """Fill and lookup paths through storage agree on every key form.
 
-``repro.reference.add_record`` (per record), ``DnsStorage.add_many``
-(record objects)
-and ``add_many_columns`` (``DnsBatch`` columns, ``StoreBank.put_rows``)
-must store the same state, and every lookup entry — batched
+``repro.reference.add_record`` (per record), ``DnsBatch.from_records``
+(record objects) and ``DnsBatch.append_row`` (bare columns), both through
+``add_many_columns`` (``StoreBank.put_rows``), must store the same
+state, and every lookup entry — batched
 ``lookup_ips``, per-key ``lookup_ip``/``lookup_cname``, the bank's
 ``deep_lookup`` — must find each key whichever path wrote it, for IPv4,
 IPv6 and names carrying undecodable bytes.
@@ -42,8 +42,9 @@ class TestRoutingAgreement:
     )
     @settings(max_examples=40, deadline=None)
     def test_object_and_columnar_fills_answer_every_lookup(self, ips, names):
-        """add_record, add_many and add_many_columns store the same state,
-        and the lookup side finds each key whichever path wrote it."""
+        """add_record and add_many_columns, fed from records or from bare
+        columns, store the same state, and the lookup side finds each key
+        whichever path wrote it."""
         records = [DnsRecord(1.0, "owner.example", RRType.AAAA if ":" in ip else RRType.A,
                              60, ip) for ip in ips]
         records += [DnsRecord(1.0, "alias.example", RRType.CNAME, 600, name)
@@ -54,7 +55,7 @@ class TestRoutingAgreement:
         one_by_one, objects, columns = (DnsStorage(FlowDNSConfig()) for _ in range(3))
         for r in records:
             add_record(one_by_one, r)
-        objects.add_many(records)
+        objects.add_many_columns(DnsBatch.from_records(records))
         columns.add_many_columns(batch)
         # The names as storage holds them (DnsRecord normalizes them).
         stored = [r.answer for r in records if r.is_cname]

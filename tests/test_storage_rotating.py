@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.exact_ttl import ExactTtlStore
-from repro.storage.rotating import RotatingStore, StoreBank, Tier
+from repro.storage.rotating import StoreBank, Tier
 from repro.util.errors import ConfigError
 
 
@@ -171,13 +171,3 @@ class TestExactFifo:
         assert list(store.entries) == self.KEYS[-self.CAP:]
         assert store.stats.evictions == self.N - self.CAP
 
-
-class TestRotatingStore:
-    def test_aggregates_banks(self):
-        store = RotatingStore(bank(), bank(clear_up_interval=7200.0))
-        store.ip_name.put("1.1.1.1", "a", ttl=60, ts=0.0)
-        store.name_cname.put("edge", "svc", ttl=600, ts=0.0)
-        assert store.total_entries() == 2
-        counts = store.entry_counts()
-        assert counts["ip_name"]["active"] == 1
-        assert counts["name_cname"]["active"] == 1

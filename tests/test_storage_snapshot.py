@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import FlowDNSConfig
 from repro.core.storage_adapter import DnsStorage
+from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.storage.snapshot import (
@@ -27,6 +28,11 @@ from repro.storage.snapshot import (
 from repro.util.errors import ParseError
 
 
+def _add(storage, *records):
+    """Records through the storage's one fill entry."""
+    storage.add_many_columns(DnsBatch.from_records(records))
+
+
 def _filled_storage():
     storage = DnsStorage(FlowDNSConfig())
     records = [
@@ -35,10 +41,10 @@ def _filled_storage():
         DnsRecord(0.0, "www.svc.com", RRType.CNAME, 600, "edge.cdn.net"),
     ]
     for rec in records:
-        storage.add_many([rec])
+        _add(storage, rec)
     # Force one rotation so the inactive tier is populated too.
     storage.ip_bank.force_clear_up()
-    storage.add_many([DnsRecord(10.0, "b.example", RRType.A, 60, "10.3.3.3")])
+    _add(storage, DnsRecord(10.0, "b.example", RRType.A, 60, "10.3.3.3"))
     return storage
 
 
@@ -73,17 +79,17 @@ class TestRoundTrip:
 
     def test_clear_up_clock_preserved(self):
         original = DnsStorage(FlowDNSConfig())
-        original.add_many([DnsRecord(1000.0, "a.example", RRType.A, 60, "10.1.1.1")])
+        _add(original, DnsRecord(1000.0, "a.example", RRType.A, 60, "10.1.1.1"))
         buffer = io.StringIO()
         dump_storage(original, buffer)
         restored = DnsStorage(FlowDNSConfig())
         buffer.seek(0)
         load_storage(restored, buffer)
         # A put within the same interval must NOT trigger a rotation.
-        restored.add_many([DnsRecord(2000.0, "b.example", RRType.A, 60, "10.2.2.2")])
+        _add(restored, DnsRecord(2000.0, "b.example", RRType.A, 60, "10.2.2.2"))
         assert restored.ip_bank.stats.rotations == 0
         # One past the interval must.
-        restored.add_many([DnsRecord(5000.0, "c.example", RRType.A, 60, "10.3.3.3")])
+        _add(restored, DnsRecord(5000.0, "c.example", RRType.A, 60, "10.3.3.3"))
         assert restored.ip_bank.stats.rotations == 1
 
 
@@ -157,12 +163,12 @@ class TestVersion1:
     def test_split_objects_merge_into_one_tier(self):
         original = DnsStorage(FlowDNSConfig())
         for i in range(60):
-            original.add_many([DnsRecord(0.0, f"svc{i}.example", RRType.A,
-                                         86400 if i % 4 == 0 else 60, f"10.7.0.{i}")])
-            original.add_many([DnsRecord(0.0, f"www{i}.example", RRType.CNAME,
-                                         600, f"edge{i}.cdn.net")])
+            _add(original, DnsRecord(0.0, f"svc{i}.example", RRType.A,
+                                 86400 if i % 4 == 0 else 60, f"10.7.0.{i}"))
+            _add(original, DnsRecord(0.0, f"www{i}.example", RRType.CNAME,
+                                 600, f"edge{i}.cdn.net"))
         original.ip_bank.force_clear_up()
-        original.add_many([DnsRecord(10.0, "late.example", RRType.A, 60, "10.7.1.1")])
+        _add(original, DnsRecord(10.0, "late.example", RRType.A, 60, "10.7.1.1"))
         document = self._v1_document(original)
         assert all(document["ip_name"]["tiers"]["inactive"])  # every split holds entries
 
@@ -380,7 +386,7 @@ class TestSnapshotFiles:
         config = FlowDNSConfig()
         storage = DnsStorage(config)
         for record in records:
-            storage.add_many([record])
+            _add(storage, record)
         storage.ip_bank.force_clear_up()
         storage.cname_bank.force_clear_up()
         path = str(tmp_path / "rotated.json")
@@ -450,7 +456,7 @@ class TestRestoreIsExact:
                 else:
                     target = _NAMES[ip % len(_NAMES)]
                     records.append(DnsRecord(clock[0], name, RRType.CNAME, ttl, target))
-            storage.add_many(records)
+            storage.add_many_columns(DnsBatch.from_records(records))
             return None
         if kind == "ips":
             return storage.lookup_ips(arg, clock[0])
