@@ -12,7 +12,8 @@ asyncio event loop:
   (``recvmmsg``-style bulk reads) instead of paying one callback per
   packet, and the callback does **no decoding** — raw datagrams go
   straight to the bounded buffer, and the engine's lookup lane
-  batch-decodes them via :meth:`FlowCollector.ingest_columns` exactly
+  batch-decodes each run of them in one
+  :meth:`FlowCollector.ingest_columns_many` call exactly
   like the offline path, so live UDP ingest rides the columnar fast
   lane off the event loop;
 * a :class:`~repro.core.ingest.TcpDnsIngest` runs an asyncio server

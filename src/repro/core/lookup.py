@@ -218,7 +218,10 @@ class LookUpProcessor:
             for text in unique:
                 name = names.get(text)
                 chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
-            chains = [chains_by_ip[text] if text is not None else () for text in primaries]
+            if primaries is keys:
+                chains = list(map(chains_by_ip.__getitem__, keys))
+            else:
+                chains = [chains_by_ip[text] if text is not None else () for text in primaries]
             if both:
                 # Destination fallback for flows whose source IP missed.
                 fallbacks = {i: dst_col[i] for i, chain in enumerate(chains)

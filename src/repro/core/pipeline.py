@@ -105,27 +105,32 @@ def dns_items_to_batch(items: Iterable) -> DnsBatch:
     return batch
 
 
-def extend_flow_batch(batch: FlowBatch, item, collector: FlowCollector) -> None:
-    """Fold one flow stream item into a columnar accumulator.
-
-    Raw export datagrams decode through the (stateful, template-holding)
-    ``collector`` straight to columns; records and batches append without
-    materialising anything. Unknown item types are ignored, matching the
-    engines' historical tolerance.
-    """
-    if isinstance(item, FlowBatch):
-        batch.extend(item)
-    elif isinstance(item, FlowRecord):
-        batch.append_record(item)
-    elif isinstance(item, (bytes, bytearray)):
-        batch.extend(collector.ingest_columns(bytes(item)))
-
-
 def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
-    """Accumulate a drained wake-up's items into one :class:`FlowBatch`."""
+    """Accumulate a drained wake-up's items into one :class:`FlowBatch`.
+
+    Rows keep arrival order. Each run of raw export datagrams decodes
+    in one :meth:`FlowCollector.ingest_columns_many` call through the
+    (stateful, template-holding) ``collector``; records and batches
+    append without materialising anything. Unknown item types are
+    ignored, matching the engines' historical tolerance.
+    """
     batch = FlowBatch()
+    datagrams: List[bytes] = []
     for item in items:
-        extend_flow_batch(batch, item, collector)
+        if isinstance(item, (bytes, bytearray)):
+            datagrams.append(bytes(item))
+            continue
+        if datagrams:
+            batch.extend(collector.ingest_columns_many(datagrams))
+            datagrams = []
+        if isinstance(item, FlowBatch):
+            batch.extend(item)
+        elif isinstance(item, FlowRecord):
+            batch.append_record(item)
+    if datagrams:
+        if not len(batch):
+            return collector.ingest_columns_many(datagrams)
+        batch.extend(collector.ingest_columns_many(datagrams))
     return batch
 
 

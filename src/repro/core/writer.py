@@ -5,6 +5,11 @@ name (or ``-`` for uncorrelated flows) plus the discovered chain. The
 writer tracks the delay between a flow's timestamp and the moment its row
 is written — the paper reports "results are written to disk by a maximum
 delay of 45 seconds" as a headline property.
+
+Rows are built per batch, not per flow: :func:`format_batch` formats
+each distinct timestamp and each distinct chain's tail once, then joins
+every row from those fragments and the batch's columns in one
+comprehension.
 """
 
 from __future__ import annotations
@@ -26,24 +31,39 @@ def format_batch(batch: CorrelationBatch) -> List[str]:
 
     The address columns already carry the canonical text
     ``str(flow.src_ip)`` would produce, so no ``CorrelationResult``/
-    ``FlowRecord``/``ipaddress`` object is built.
+    ``FlowRecord``/``ipaddress`` object is built. A batch repeats few
+    timestamps and fewer chains, so each distinct ``ts`` is formatted
+    once and each distinct chain's ``\\tservice\\tchain\\n`` tail is
+    built once; a row is then one f-string over those fragments.
     """
     flows = batch.flows
-    ts, src, dst = flows.ts, flows.src_ip_text, flows.dst_ip_text
-    proto, packets, bytes_ = flows.protocol, flows.packets, flows.bytes_
-    rows: List[str] = []
-    append = rows.append
-    for i, chain in enumerate(batch.chains):
+    chains = batch.chains
+    ts = flows.ts
+    stamp_of = {t: f"{t:.3f}" for t in dict.fromkeys(ts)}
+    stamps = list(map(stamp_of.__getitem__, ts))
+    if 0.0 in stamp_of:
+        # 0.0 and -0.0 are one key but print differently.
+        for i, t in enumerate(ts):
+            if t == 0.0:
+                stamps[i] = f"{t:.3f}"
+    tail_of = dict.fromkeys(chains)
+    for chain in tail_of:
         if chain:
-            service = chain[-1]
-            chain_text = ">".join(chain)
+            tail_of[chain] = f"\t{chain[-1]}\t{'>'.join(chain)}\n"
         else:
-            service = chain_text = NULL_SERVICE
-        append(
-            f"{ts[i]:.3f}\t{src[i]}\t{dst[i]}\t{proto[i]}\t"
-            f"{packets[i]}\t{bytes_[i]}\t{service}\t{chain_text}\n"
+            tail_of[chain] = f"\t{NULL_SERVICE}\t{NULL_SERVICE}\n"
+    return [
+        f"{stamp}\t{src}\t{dst}\t{proto}\t{packets}\t{bytes_}{tail}"
+        for stamp, src, dst, proto, packets, bytes_, tail in zip(
+            stamps,
+            flows.src_ip_text,
+            flows.dst_ip_text,
+            flows.protocol,
+            flows.packets,
+            flows.bytes_,
+            map(tail_of.__getitem__, chains),
         )
-    return rows
+    ]
 
 
 def parse_result_line(line: str) -> Optional[dict]:

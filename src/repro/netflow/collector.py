@@ -5,34 +5,26 @@ NetFlow dialects. :class:`FlowCollector` sniffs the 16-bit version field and
 dispatches to the right codec, maintaining per-protocol session state
 (templates) and drop counters for undecodable datagrams — a collector must
 never let one malformed export kill the pipeline feeding FlowDNS.
+
+The unit of work is a *burst*: :meth:`FlowCollector.ingest_columns_many`
+walks many datagrams into one :class:`FlowBatch`, each data set's
+compiled decoder appending its columns straight onto it. Per-datagram
+work is the version probe and the set walk; a datagram found malformed
+is rolled back out of the batch, and the burst's counters reach
+:class:`CollectorStats` in one fold at its end.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.netflow.ipfix import IpfixSession
 from repro.netflow.records import FlowBatch
+from repro.netflow.stats import CollectorStats
 from repro.netflow.v5 import decode_v5_columns
 from repro.netflow.v9 import V9Session
 from repro.util.errors import ParseError
-
-
-@dataclass
-class CollectorStats:
-    """Counters for observability of the collector itself."""
-
-    datagrams: int = 0
-    flows: int = 0
-    malformed: int = 0
-    unknown_version: int = 0
-    by_version: dict = field(default_factory=dict)
-
-    def note(self, version: int, flow_count: int) -> None:
-        self.datagrams += 1
-        self.flows += flow_count
-        self.by_version[version] = self.by_version.get(version, 0) + 1
 
 
 def probe_version(datagram: bytes) -> int:
@@ -54,45 +46,61 @@ class FlowCollector:
     """Decode NetFlow v5 / v9 / IPFIX datagrams into flow batches."""
 
     def __init__(self) -> None:
-        #: The per-dialect template sessions.
-        self.v9 = V9Session()
-        self.ipfix = IpfixSession()
         self.stats = CollectorStats()
+        #: The per-dialect template sessions; they count the data sets
+        #: they skip on the collector's stats.
+        self.v9 = V9Session(self.stats)
+        self.ipfix = IpfixSession(self.stats)
 
     def ingest_columns(self, datagram: bytes) -> FlowBatch:
-        """Decode one datagram into a FlowBatch; malformed input is
-        counted, not raised.
+        """Decode one datagram into a FlowBatch: the one-datagram case of
+        :meth:`ingest_columns_many`. A pure template datagram yields an
+        empty batch."""
+        return self.ingest_columns_many((datagram,))
 
-        Sniffs the version, keeps the v9/IPFIX template state, and runs
-        the compiled per-template decoders. A pure template datagram
-        yields an empty batch.
-        """
-        try:
-            version = probe_version(datagram)
-            if version == 5:
-                _, batch = decode_v5_columns(datagram)
-            elif version == 9:
-                batch = self.v9.decode_batch_columns(datagram)
-            elif version == 10:
-                batch = self.ipfix.decode_batch_columns(datagram)
-            else:
-                self.stats.unknown_version += 1
-                return FlowBatch()
-        except ParseError:
-            self.stats.malformed += 1
-            return FlowBatch()
-        self.stats.note(version, len(batch))
-        return batch
+    def ingest_columns_many(self, datagrams: Iterable[bytes]) -> FlowBatch:
+        """Decode a burst of datagrams into one FlowBatch; malformed input
+        is counted, not raised.
 
-    def ingest_columns_many(self, datagrams) -> FlowBatch:
-        """Decode a burst of datagrams into one accumulated FlowBatch.
-
-        The bulk shape the batched socket layers drain in: N raw
-        datagrams in, one columnar batch out, with the usual per-datagram
-        session state and malformed/unknown-version counting. Callers
-        that need a malformed delta snapshot ``stats`` around the call.
+        Sniffs each datagram's version and keeps the v9/IPFIX template
+        state; every data set's compiled decoder appends straight to the
+        one accumulator. A datagram that turns out malformed — even in
+        a FlowSet after ones that decoded — is rolled back, so none of
+        its rows survive, and counts under ``stats.malformed``. The
+        burst's counters are folded into ``stats`` once, at the end;
+        callers that need a malformed delta snapshot ``stats`` around
+        the call.
         """
         batch = FlowBatch()
+        rows = batch.ts
+        decode_v9 = self.v9.decode_into
+        decode_ipfix = self.ipfix.decode_into
+        versions: dict = {}
+        malformed = unknown = 0
         for datagram in datagrams:
-            batch.extend(self.ingest_columns(datagram))
+            mark = len(rows)
+            try:
+                version = probe_version(datagram)
+                if version == 9:
+                    decode_v9(batch, datagram)
+                elif version == 10:
+                    decode_ipfix(batch, datagram)
+                elif version == 5:
+                    batch.extend(decode_v5_columns(datagram)[1])
+                else:
+                    unknown += 1
+                    continue
+            except ParseError:
+                malformed += 1
+                batch.truncate(mark)
+                continue
+            versions[version] = versions.get(version, 0) + 1
+        stats = self.stats
+        stats.datagrams += sum(versions.values())
+        stats.flows += len(rows)
+        stats.malformed += malformed
+        stats.unknown_version += unknown
+        by_version = stats.by_version
+        for version, count in versions.items():
+            by_version[version] = by_version.get(version, 0) + count
         return batch

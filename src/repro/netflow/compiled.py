@@ -9,34 +9,38 @@ them.
 This module is the production decoder. It compiles a template **once, at
 registration time**, into
 
-* a single :class:`struct.Struct` covering the whole record (addresses
-  and odd-length integers as ``Ns`` byte slots, 1/2/4/8-byte integers as
-  ``B/H/I/Q``), so a data FlowSet decodes with one ``iter_unpack`` bulk
-  pass instead of a per-field loop; and
+* a small table of multi-record :class:`struct.Struct` objects, one per
+  power of two up to 32 records (addresses and odd-length integers as
+  ``Ns`` byte slots, 1/2/4/8-byte integers as ``B/H/I/Q``), so a data
+  FlowSet of n records unpacks into one flat value list in at most
+  log₂ n pieces — not one tuple per record; and
 * a generated straight-line function specialised to the template's slot
-  layout — constant tuple indices, no per-record dict of field names —
-  that appends straight into the parallel lists of a :class:`FlowBatch`:
-  no ``FlowRecord``, no ``ipaddress`` objects (addresses go packed
-  bytes → interned canonical text through a bounded cache).
+  layout that fills each column of the caller's :class:`FlowBatch` with
+  one extended slice of that list (``values[i::nfields]``): timestamps
+  through one comprehension, addresses through one C-level ``map`` over
+  the packed-bytes → interned-text probe (only the probe's misses go
+  through :func:`cached_ip_text`, row by row). No ``FlowRecord``, no
+  ``ipaddress`` object and no per-record bytecode loop.
 
 ``FlowBatch.record(i)`` over the generated decoder's output equals the
 reference decoder's records field for field (``tests/test_codec_parity
-.py``), and a payload the reference rejects — a port wider than 16 bits,
-an address field that is not 4 or 16 bytes — raises the same
-``ValueError`` here, which the sessions' shared FlowSet walk reports as
-:class:`ParseError`. One deliberate deviation, on *statically
+.py``), and a payload the reference rejects — a port wider than 16 bits
+in any record, an address field that is not 4 or 16 bytes — raises the
+same ``ValueError`` here, which the sessions' shared FlowSet walk
+reports as :class:`ParseError`. A decoder that raises may already have
+appended part of the set; :meth:`FlowCollector.ingest_columns_many`
+rolls the whole datagram back. One deliberate deviation, on *statically
 degenerate* templates only: a template with no source or no destination
 address field can never produce a record, so the compiled decoder
-returns an empty batch without touching the payload (the reference walks
-it and drops every record).
+appends nothing without touching the payload (the reference walks it and
+drops every record).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, FrozenSet, Mapping
+from typing import Callable, FrozenSet, List, Mapping, Tuple
 
-from repro.netflow.records import FlowBatch
 from repro.util.interning import cached_ip_text, ip_text_probe
 
 #: struct codes for the integer widths the format can express directly.
@@ -56,12 +60,42 @@ _CORE_FIELDS = {
 #: range when the template declares them wider than their natural size.
 _PORT_FIELDS = ("src_port", "dst_port")
 
+#: The largest multi-record struct covers this many records ...
+MAX_PIECE_RECORDS = 32
+#: ... and no multi-record struct has more than this many struct codes,
+#: so a template's table stays under twice this many codes (or just its
+#: one-record struct, for a record with more fields than this).
+MAX_PIECE_CODES = 256
 
-def _slot_expr(index: int, is_bytes: bool) -> str:
-    """Expression for slot ``index`` of the unpacked record tuple."""
+
+def _piece_sizes(field_count: int) -> List[int]:
+    """Record counts of a template's multi-record structs, largest first:
+    powers of two up to 32 records and :data:`MAX_PIECE_CODES` codes."""
+    largest = 1
+    while largest < MAX_PIECE_RECORDS and 2 * largest * field_count <= MAX_PIECE_CODES:
+        largest *= 2
+    sizes = []
+    while largest:
+        sizes.append(largest)
+        largest //= 2
+    return sizes
+
+
+def _fill_misses(texts: list, raws) -> None:
+    """Replace each ``None`` (a probe miss) in ``texts`` with the
+    validated, interned text of the matching packed address."""
+    index = -1
+    for _ in range(texts.count(None)):
+        index = texts.index(None, index + 1)
+        texts[index] = cached_ip_text(raws[index])
+
+
+def _column_expr(index: int, is_bytes: bool) -> str:
+    """Expression for the column of slot ``index`` in the flat values."""
+    column = f"_v[{index}::_NF]"
     if is_bytes:
-        return f'_fb(r[{index}], "big")'
-    return f"r[{index}]"
+        return f'[_fb(x, "big") for x in {column}]'
+    return column
 
 
 def compile_decoder(
@@ -71,19 +105,23 @@ def compile_decoder(
     dst_types: FrozenSet[int],
     ts_type: int,
     ts_mode: str,
-) -> Callable[..., FlowBatch]:
+) -> Callable[..., None]:
     """Compile ``template`` into a bulk FlowSet → :class:`FlowBatch` decoder.
 
     ``ts_mode`` selects the timestamp semantics: ``"uptime_ms"`` generates
-    ``decode(payload, unix_secs, sys_uptime)`` (NetFlow v9 LAST_SWITCHED
-    offsets), ``"absolute_ms"`` generates ``decode(payload, export_secs)``
-    (IPFIX flowEndMilliseconds). Both trim trailing FlowSet padding the
-    same way the reference loop does (whole records only).
+    ``decode(out, payload, unix_secs, sys_uptime)`` (NetFlow v9
+    LAST_SWITCHED offsets, their difference to the header's uptime taken
+    as a signed 32-bit value so a flow that ended just before the uptime
+    counter wrapped lands in the past), ``"absolute_ms"`` generates
+    ``decode(out, payload, export_secs)`` (IPFIX flowEndMilliseconds).
+    Both append the set's whole records to the batch ``out`` (trailing
+    FlowSet padding is ignored, as the reference loop does). The decoder
+    carries its struct table as ``decode.structs``.
     """
     if ts_mode not in ("uptime_ms", "absolute_ms"):
         raise ValueError(f"unknown ts_mode {ts_mode!r}")
 
-    fmt = ["!"]
+    codes = []
     src_idx = dst_idx = ts_idx = -1
     ts_is_bytes = False
     named: dict = {}  # field name -> (index, is_bytes); later fields win
@@ -91,10 +129,10 @@ def compile_decoder(
         ftype, length = f.field_type, f.length
         is_addr = ftype in src_types or ftype in dst_types
         if is_addr or length not in _INT_CODES:
-            fmt.append(f"{length}s")
+            codes.append(f"{length}s")
             is_bytes = True
         else:
-            fmt.append(_INT_CODES[length])
+            codes.append(_INT_CODES[length])
             is_bytes = False
         if ftype in src_types:
             src_idx = i
@@ -105,116 +143,155 @@ def compile_decoder(
         else:
             named[field_names.get(ftype, f"field_{ftype}")] = (i, is_bytes)
 
-    record_struct = struct.Struct("".join(fmt))
-    assert record_struct.size == template.record_length
-    rec_len = record_struct.size
+    record_code = "".join(codes)
+    rec_len = struct.calcsize("!" + record_code)
+    assert rec_len == template.record_length
 
     if src_idx < 0 or dst_idx < 0 or rec_len == 0:
         # Statically address-less (or empty): no record can ever emerge.
-        def decode_nothing(payload, *_ts_args) -> FlowBatch:
-            return FlowBatch()
+        def decode_nothing(out, payload, *_ts_args) -> None:
+            return None
 
+        decode_nothing.structs = ()
         return decode_nothing
 
-    # ---- generate the per-record body ------------------------------------
-    if ts_mode == "uptime_ms":
-        signature = "payload, unix_secs, sys_uptime"
-        if ts_idx >= 0:
-            ts_expr = f"unix_secs + ({_slot_expr(ts_idx, ts_is_bytes)} - sys_uptime) / 1000.0"
-        else:
-            ts_expr = "unix_secs + 0.0"
-        preamble = ""
-    else:
-        signature = "payload, export_secs"
-        if ts_idx >= 0:
-            ts_expr = f"{_slot_expr(ts_idx, ts_is_bytes)} / 1000.0"
-            preamble = ""
-        else:
-            ts_expr = "_ts_default"
-            preamble = "    _ts_default = float(export_secs)\n"
+    # ---- the multi-record struct table and its piece plans ---------------
+    structs = tuple(struct.Struct("!" + record_code * k) for k in _piece_sizes(len(codes)))
+    pieces = tuple((s.unpack_from, s.size) for s in structs)
 
-    guards = []
-    core_exprs = {}
+    def plan_for(count: int) -> Tuple[Tuple[Callable, int], ...]:
+        """The ``(unpack_from, offset)`` calls that unpack ``count``
+        records, in order."""
+        plan = []
+        offset = 0
+        for unpack_from, size in pieces:
+            per_piece = size // rec_len
+            while count >= per_piece:
+                plan.append((unpack_from, offset))
+                offset += size
+                count -= per_piece
+        return tuple(plan)
+
+    # Every count below two of the largest piece has its plan ready
+    # (a few dozen small tuples over the shared structs); larger sets,
+    # which a 1500-byte datagram never carries, plan on the fly.
+    plans = tuple(plan_for(count) for count in range(2 * (structs[0].size // rec_len)))
+
+    # ---- generate the column fills ---------------------------------------
+    if ts_mode == "uptime_ms":
+        signature = "out, payload, unix_secs, sys_uptime"
+        if ts_idx >= 0:
+            # The uptime offset as a signed 32-bit value. A sane export's
+            # offsets lie within 2**31 ms (24.8 days) of the header's
+            # uptime, where the wrap arithmetic is a no-op; for a 4-byte
+            # field one C-level scan proves that for the whole set (with
+            # the uptime below 2**31 only a max can wrap, above it only a
+            # min). ``unix_secs`` as a float adds the same bits.
+            wrapped = (
+                "[_secs + (((x - sys_uptime + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
+                " / 1000.0 for x in _col]"
+            )
+            lines = [
+                f"    _col = {_column_expr(ts_idx, ts_is_bytes)}",
+                "    _secs = float(unix_secs)",
+            ]
+            if template.fields[ts_idx].length == 4:
+                lines += [
+                    "    if (max(_col) - sys_uptime < 0x80000000 if sys_uptime < 0x80000000"
+                    " else min(_col) >= sys_uptime - 0x80000000):",
+                    "        out.ts.extend([_secs + (x - sys_uptime) / 1000.0 for x in _col])",
+                    "    else:",
+                    f"        out.ts.extend({wrapped})",
+                ]
+            else:
+                lines.append(f"    out.ts.extend({wrapped})")
+        else:
+            lines = ["    out.ts.extend([unix_secs + 0.0] * _n)"]
+    else:
+        signature = "out, payload, export_secs"
+        if ts_idx >= 0:
+            ts_fill = f"[x / 1000.0 for x in {_column_expr(ts_idx, ts_is_bytes)}]"
+        else:
+            ts_fill = "[float(export_secs)] * _n"
+        lines = [f"    out.ts.extend({ts_fill})"]
+
+    for column, index in (("src_ip_text", src_idx), ("dst_ip_text", dst_idx)):
+        # The bytes->text probe runs over the whole column in C; misses
+        # fall back to the bounded cached_ip_text, which validates,
+        # interns, and fills the table.
+        lines += [
+            f"    _raw = _v[{index}::_NF]",
+            "    _texts = list(map(_tg, _raw))",
+            "    if None in _texts:",
+            "        _fill_misses(_texts, _raw)",
+            f"    out.{column}.extend(_texts)",
+        ]
     for name, kwarg in _CORE_FIELDS.items():
         slot = named.pop(name, None)
         if slot is None:
-            core_exprs[kwarg] = "0"
+            lines.append(f"    out.{kwarg}.extend([0] * _n)")
         elif name in _PORT_FIELDS and (slot[1] or template.fields[slot[0]].length > 2):
             # The only reference-constructor check a wire value can trip.
-            var = kwarg
-            guards.append(f"        {var} = {_slot_expr(slot[0], slot[1])}")
-            guards.append(f"        if {var} > 65535:")
-            guards.append('            raise ValueError("ports must fit in 16 bits")')
-            core_exprs[kwarg] = var
+            lines += [
+                f"    _col = {_column_expr(*slot)}",
+                "    if max(_col) > 65535:",
+                '        raise ValueError("ports must fit in 16 bits")',
+                f"    out.{kwarg}.extend(_col)",
+            ]
         else:
-            core_exprs[kwarg] = _slot_expr(*slot)
+            lines.append(f"    out.{kwarg}.extend({_column_expr(*slot)})")
 
-    extra_items = ", ".join(
-        f"{name!r}: {_slot_expr(index, is_bytes)}" for name, (index, is_bytes) in named.items()
-    )
-    guard_block = "\n".join(guards) + "\n" if guards else ""
-
-    # ---- generate the function ---------------------------------------------
-    # Appends into parallel lists: no per-record dict unless the template
-    # has extra fields, addresses as interned text straight from the
-    # packed bytes.
     if named:
-        extras_init = "    _ex = []\n    _a_ex = _ex.append\n"
-        extras_append = f"        _a_ex({{{extra_items}}})\n"
-        extras_ret = "_ex"
+        # One dict per record for the fields FlowRecord has no slot for.
+        names = list(named)
+        targets = ", ".join(f"_x{j}" for j in range(len(names)))
+        items = ", ".join(
+            f"{name!r}: " + (f'_fb(_x{j}, "big")' if named[name][1] else f"_x{j}")
+            for j, name in enumerate(names)
+        )
+        if len(names) == 1:
+            source_iter = f"_v[{named[names[0]][0]}::_NF]"
+        else:
+            source_iter = "zip(" + ", ".join(f"_v[{named[name][0]}::_NF]" for name in names) + ")"
+        lines += [
+            f"    _ex = [{{{items}}} for {targets} in {source_iter}]",
+            "    if out.extras is None:",
+            "        out.extras = [None] * (len(out.ts) - _n) + _ex",
+            "    else:",
+            "        out.extras.extend(_ex)",
+        ]
     else:
-        extras_init = ""
-        extras_append = ""
-        extras_ret = "None"
-    source = (
-        f"def _decode({signature}):\n"
-        f"{preamble}"
-        f"    _ts = []\n    _src = []\n    _dst = []\n    _sp = []\n"
-        f"    _dp = []\n    _pr = []\n    _pk = []\n    _by = []\n"
-        f"{extras_init}"
-        f"    _a_ts = _ts.append\n    _a_src = _src.append\n"
-        f"    _a_dst = _dst.append\n    _a_sp = _sp.append\n"
-        f"    _a_dp = _dp.append\n    _a_pr = _pr.append\n"
-        f"    _a_pk = _pk.append\n    _a_by = _by.append\n"
-        f"    for r in _iter_unpack(payload):\n"
-        f"{guard_block}"
-        f"        _a_ts({ts_expr})\n"
-        # The bytes->text cache probe is inlined (one dict .get instead
-        # of a Python call per address); misses fall back to the bounded
-        # cached_ip_text, which validates, interns, and fills the table.
-        f"        _k = r[{src_idx}]\n"
-        f"        _v = _tg(_k)\n"
-        f"        _a_src(_v if _v is not None else _ip_text(_k))\n"
-        f"        _k = r[{dst_idx}]\n"
-        f"        _v = _tg(_k)\n"
-        f"        _a_dst(_v if _v is not None else _ip_text(_k))\n"
-        f"        _a_sp({core_exprs['src_port']})\n"
-        f"        _a_dp({core_exprs['dst_port']})\n"
-        f"        _a_pr({core_exprs['protocol']})\n"
-        f"        _a_pk({core_exprs['packets']})\n"
-        f"        _a_by({core_exprs['bytes_']})\n"
-        f"{extras_append}"
-        f"    return (_ts, _src, _dst, _sp, _dp, _pr, _pk, _by, {extras_ret})\n"
-    )
+        lines += [
+            "    if out.extras is not None:",
+            "        out.extras.extend([None] * _n)",
+        ]
 
+    source = "\n".join(
+        [
+            f"def _decode({signature}):",
+            f"    _n = len(payload) // {rec_len}",
+            "    if not _n:",
+            "        return",
+            f"    _plan = _plans[_n] if _n < {len(plans)} else _plan_for(_n)",
+            "    if len(_plan) == 1:",
+            "        _v = _plan[0][0](payload)",
+            "    else:",
+            "        _v = []",
+            "        for _unpack_from, _offset in _plan:",
+            "            _v += _unpack_from(payload, _offset)",
+            *lines,
+            "",
+        ]
+    )
     namespace = {
-        "_iter_unpack": record_struct.iter_unpack,
-        "_ip_text": cached_ip_text,
+        "_NF": len(codes),
+        "_plans": plans,
+        "_plan_for": plan_for,
         "_tg": ip_text_probe,
+        "_fill_misses": _fill_misses,
         "_fb": int.from_bytes,
     }
     exec(compile(source, f"<compiled-template-{template.template_id}>", "exec"), namespace)
-    inner = namespace["_decode"]
-
-    def decode(payload, *ts_args) -> FlowBatch:
-        count = len(payload) // rec_len
-        if count == 0:
-            return FlowBatch()
-        end = count * rec_len
-        if end != len(payload):
-            # memoryview trim: FlowSet padding must not copy the payload
-            # (iter_unpack still hands the Ns slots out as bytes).
-            payload = memoryview(payload)[:end]
-        return FlowBatch(*inner(payload, *ts_args))
-
+    decode = namespace["_decode"]
+    decode.structs = structs
     return decode

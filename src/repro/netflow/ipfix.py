@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.netflow.compiled import compile_decoder
 from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.stats import CollectorStats
 from repro.netflow.v9 import (
     FIELD_NAMES,
     IPV4_DST_ADDR,
@@ -27,6 +28,7 @@ from repro.netflow.v9 import (
     L4_DST_PORT,
     L4_SRC_PORT,
     PROTOCOL,
+    SET_HEADER,
     TemplateField,
     TemplateRecord,
 )
@@ -37,6 +39,9 @@ IPFIX_VERSION = 10
 TEMPLATE_SET_ID = 2
 
 FLOW_END_MILLISECONDS = 153
+
+#: A template field length meaning "variable length" (RFC 7011 §7).
+VARIABLE_LENGTH = 65535
 
 #: Default IPFIX template for IPv4 flows in this reproduction.
 IPFIX_V4_TEMPLATE = TemplateRecord(
@@ -127,8 +132,8 @@ def encode_ipfix_data(
 
 
 @lru_cache(maxsize=256)
-def compiled_ipfix_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]:
-    """One compiled ``decode(payload, export_secs)`` per template."""
+def compiled_ipfix_decoder(template: TemplateRecord) -> Callable[..., None]:
+    """One compiled ``decode(out, payload, export_secs)`` per template."""
     return compile_decoder(
         template,
         FIELD_NAMES,
@@ -142,26 +147,32 @@ def compiled_ipfix_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]
 class IpfixSession:
     """Stateful IPFIX collector: template cache keyed by observation domain.
 
-    Like :class:`repro.netflow.v9.V9Session`: :meth:`decode_batch_columns`
-    runs each data set through the template's compiled decoder (columns
-    out).
+    Like :class:`repro.netflow.v9.V9Session`: :meth:`decode_into` runs
+    each data set through the template's compiled decoder, appending to
+    a caller's :class:`FlowBatch`, and skipped data sets count on
+    ``stats``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[CollectorStats] = None) -> None:
+        self.stats = stats if stats is not None else CollectorStats()
         self._templates: Dict[Tuple[int, int], TemplateRecord] = {}
-        self._decoders: Dict[Tuple[int, int], Callable[..., FlowBatch]] = {}
+        self._decoders: Dict[Tuple[int, int], Callable[..., None]] = {}
 
     def template_for(self, domain_id: int, template_id: int) -> Optional[TemplateRecord]:
         return self._templates.get((domain_id, template_id))
 
-    def _walk_sets(self, message: bytes, on_data) -> None:
-        """The set walk: validates the header, learns template sets, and
-        hands each data set with a known template to
-        ``on_data(key, tmpl, payload, export_secs)``.
+    def decode_into(self, out: FlowBatch, message: bytes, on_data=None) -> None:
+        """Decode one message's data sets onto the end of ``out``.
 
-        Per-set (not per-record) indirection, so the per-field test
-        oracle runs on this same walk at no cost to the production
-        decoder.
+        The one set walk, as :meth:`V9Session.decode_into`: validates the
+        header, learns template sets, and hands each data set with a
+        decodable template to the template's compiled decoder — or, when
+        given, to ``on_data(out, tmpl, payload, export_secs)``, the
+        per-field test oracle.
+
+        A data set is skipped, and counted under ``stats.sets_skipped``,
+        when its template is unknown or has a variable-length field
+        (length 65535, RFC 7011 §7), which neither decoder reads.
         """
         if len(message) < IPFIX_HEADER.size:
             raise ParseError("IPFIX message shorter than header")
@@ -172,7 +183,7 @@ class IpfixSession:
             raise ParseError("IPFIX message truncated")
         offset = IPFIX_HEADER.size
         while offset + 4 <= length:
-            set_id, set_len = struct.unpack_from("!HH", message, offset)
+            set_id, set_len = SET_HEADER.unpack_from(message, offset)
             if set_len < 4 or offset + set_len > length:
                 raise ParseError("malformed IPFIX set length")
             payload = message[offset + 4 : offset + set_len]
@@ -180,36 +191,28 @@ class IpfixSession:
                 self._learn_templates(domain_id, payload)
             elif set_id >= 256:
                 key = (domain_id, set_id)
-                tmpl = self._templates.get(key)
-                if tmpl is not None:
+                decoder = self._decoders.get(key)
+                if decoder is None:
+                    self.stats.sets_skipped += 1
+                else:
                     try:
-                        on_data(key, tmpl, payload, export_secs)
+                        if on_data is None:
+                            decoder(out, payload, export_secs)
+                        else:
+                            on_data(out, self._templates[key], payload, export_secs)
                     except (ValueError, OverflowError) as exc:
-                        # Same contract as V9Session._walk_flowsets: a
-                        # wire value the record decode rejects is
-                        # malformed input.
+                        # Same contract as V9Session.decode_into: a
+                        # wire value the record decode rejects — or a
+                        # timestamp too wide for a float — is malformed
+                        # input.
                         raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
 
     def decode_batch_columns(self, message: bytes) -> FlowBatch:
-        """Decode one message straight into a columnar :class:`FlowBatch`.
-
-        The IPFIX analogue of :meth:`V9Session.decode_batch_columns`:
-        data sets run the compiled per-template decoder, template sets
-        are learned as usual.
-        """
-        batches: List[FlowBatch] = [FlowBatch()]
-
-        def on_data(key, tmpl, payload, export_secs):
-            decoded = self._decoders[key](payload, export_secs)
-            batch = batches[0]
-            if len(batch):
-                batch.extend(decoded)
-            elif len(decoded):
-                batches[0] = decoded
-
-        self._walk_sets(message, on_data)
-        return batches[0]
+        """Decode one message into a fresh columnar :class:`FlowBatch`."""
+        batch = FlowBatch()
+        self.decode_into(batch, message)
+        return batch
 
     def _learn_templates(self, domain_id: int, payload: bytes) -> None:
         offset = 0
@@ -228,4 +231,7 @@ class IpfixSession:
             key = (domain_id, template_id)
             tmpl = TemplateRecord(template_id, tuple(fields))
             self._templates[key] = tmpl
-            self._decoders[key] = compiled_ipfix_decoder(tmpl)
+            if any(f.length == VARIABLE_LENGTH for f in fields):
+                self._decoders.pop(key, None)
+            else:
+                self._decoders[key] = compiled_ipfix_decoder(tmpl)

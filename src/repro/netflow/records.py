@@ -200,6 +200,27 @@ class FlowBatch:
         self.packets.extend(other.packets)
         self.bytes_.extend(other.bytes_)
 
+    def truncate(self, length: int) -> None:
+        """Drop every row from ``length`` on (rolls back a datagram that
+        turned out malformed after some of its rows were appended).
+
+        Columns a failed decode left at different lengths are all cut to
+        ``length``; ``extras`` goes back to ``None`` when no kept row
+        has one.
+        """
+        del self.ts[length:]
+        del self.src_ip_text[length:]
+        del self.dst_ip_text[length:]
+        del self.src_port[length:]
+        del self.dst_port[length:]
+        del self.protocol[length:]
+        del self.packets[length:]
+        del self.bytes_[length:]
+        if self.extras is not None:
+            del self.extras[length:]
+            if not any(self.extras):
+                self.extras = None
+
     @classmethod
     def from_records(cls, flows: Iterable[FlowRecord]) -> "FlowBatch":
         batch = cls()

@@ -113,7 +113,9 @@ def decode_v5_columns(datagram: bytes) -> Tuple[dict, FlowBatch]:
 
     Flow timestamps are reconstructed from the header's ``unix_secs``
     anchor and each record's end-uptime offset, the inverse of
-    :func:`encode_v5`. Addresses go host-int → interned canonical text
+    :func:`encode_v5`; the offset is taken as a signed 32-bit value, so
+    a flow that ended just before the uptime counter wrapped lands in
+    the past. Addresses go host-int → interned canonical text
     through the bounded IP-text cache, and no ``FlowRecord``/
     ``ipaddress`` objects are built.
     """
@@ -129,7 +131,8 @@ def decode_v5_columns(datagram: bytes) -> Tuple[dict, FlowBatch]:
         (src, dst, _nexthop, in_if, out_if, packets, octets, _start, end,
          sport, dport, _pad1, tcp_flags, proto, tos, src_as, dst_as,
          src_mask, dst_mask, _pad2) = fields
-        ts_col.append(unix_secs + (end - sys_uptime) / 1000.0)
+        delta = (end - sys_uptime + 0x80000000) & 0xFFFFFFFF
+        ts_col.append(unix_secs + (delta - 0x80000000) / 1000.0)
         text = probe(src)
         src_col.append(text if text is not None else ip_text(src))
         text = probe(dst)

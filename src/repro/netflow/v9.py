@@ -12,13 +12,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.netflow.compiled import compile_decoder
 from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.stats import CollectorStats
 from repro.util.errors import ParseError
 
 V9_HEADER = struct.Struct("!HHIIII")
+#: A FlowSet (IPFIX: set) header: set id, set length.
+SET_HEADER = struct.Struct("!HH")
 
 # Field type numbers from RFC 3954 §8.
 IN_BYTES = 1
@@ -200,8 +203,9 @@ _DST_ADDR_TYPES = frozenset({IPV4_DST_ADDR, IPV6_DST_ADDR})
 
 
 @lru_cache(maxsize=256)
-def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]:
-    """One compiled ``decode(payload, unix_secs, sys_uptime)`` per template.
+def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., None]:
+    """One compiled ``decode(out, payload, unix_secs, sys_uptime)`` per
+    template.
 
     Memoised so periodic template refreshes (re-learning an identical
     layout) never recompile.
@@ -219,27 +223,35 @@ def compiled_v9_decoder(template: TemplateRecord) -> Callable[..., FlowBatch]:
 class V9Session:
     """Stateful v9 collector side: caches templates, decodes data FlowSets.
 
-    :meth:`decode_batch_columns` runs each data FlowSet through the
-    template's compiled decoder (columns out).
+    :meth:`decode_into` runs each data FlowSet through the template's
+    compiled decoder, appending to a caller's :class:`FlowBatch`.
+    Skipped data FlowSets count on ``stats`` (the owning collector's
+    :class:`CollectorStats`; a session of its own otherwise).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, stats: Optional[CollectorStats] = None) -> None:
+        self.stats = stats if stats is not None else CollectorStats()
         self._templates: Dict[Tuple[int, int], TemplateRecord] = {}
-        self._decoders: Dict[Tuple[int, int], Callable[..., FlowBatch]] = {}
+        self._decoders: Dict[Tuple[int, int], Callable[..., None]] = {}
 
     def template_for(self, source_id: int, template_id: int) -> Optional[TemplateRecord]:
         return self._templates.get((source_id, template_id))
 
-    def _walk_flowsets(self, datagram: bytes, on_data) -> None:
-        """The FlowSet walk: validates the header, learns template
+    def decode_into(self, out: FlowBatch, datagram: bytes, on_data=None) -> None:
+        """Decode one datagram's data FlowSets onto the end of ``out``.
+
+        The one FlowSet walk: validates the header, learns template
         FlowSets, and hands each data FlowSet with a known template to
-        ``on_data(key, tmpl, payload, unix_secs, sys_uptime)``.
+        the template's compiled decoder — or, when given, to
+        ``on_data(out, tmpl, payload, unix_secs, sys_uptime)``, the
+        per-field test oracle, which so runs on this same walk.
 
         Data FlowSets referencing an unknown template are skipped (the
         standard collector behaviour until the template refresh
-        arrives). The callback runs per FlowSet, not per record, so the
-        per-field test oracle can run on this same walk at no cost to
-        the production decoder.
+        arrives) and counted under ``stats.sets_skipped``. Malformed
+        input raises :class:`ParseError`, possibly after rows of earlier
+        FlowSets were appended (:meth:`FlowBatch.truncate` rolls them
+        back).
         """
         if len(datagram) < V9_HEADER.size:
             raise ParseError("v9 datagram shorter than header")
@@ -247,48 +259,38 @@ class V9Session:
         if version != 9:
             raise ParseError(f"not a v9 datagram (version={version})")
         offset = V9_HEADER.size
-        while offset + 4 <= len(datagram):
-            set_id, set_len = struct.unpack_from("!HH", datagram, offset)
-            if set_len < 4 or offset + set_len > len(datagram):
+        end = len(datagram)
+        while offset + 4 <= end:
+            set_id, set_len = SET_HEADER.unpack_from(datagram, offset)
+            if set_len < 4 or offset + set_len > end:
                 raise ParseError("malformed FlowSet length")
             payload = datagram[offset + 4 : offset + set_len]
             if set_id == 0:
                 self._learn_templates(source_id, payload)
             elif set_id >= 256:
                 key = (source_id, set_id)
-                tmpl = self._templates.get(key)
-                if tmpl is not None:
+                decoder = self._decoders.get(key)
+                if decoder is None:
+                    self.stats.sets_skipped += 1
+                else:
                     try:
-                        on_data(key, tmpl, payload, unix_secs, sys_uptime)
+                        if on_data is None:
+                            decoder(out, payload, unix_secs, sys_uptime)
+                        else:
+                            on_data(out, self._templates[key], payload, unix_secs, sys_uptime)
                     except (ValueError, OverflowError) as exc:
                         # A wire value the record decode rejects — a
                         # port over 16 bits in a wide port field, an
-                        # address field that is not 4/16 bytes, a
-                        # timestamp too wide for a float — is malformed
-                        # input, not a programming error.
+                        # address field that is not 4/16 bytes — is
+                        # malformed input, not a programming error.
                         raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
 
     def decode_batch_columns(self, datagram: bytes) -> FlowBatch:
-        """Decode one datagram straight into a columnar :class:`FlowBatch`.
-
-        Data FlowSets run the compiled per-template decoder — no
-        ``FlowRecord`` or ``ipaddress`` objects are materialised.
-        """
-        batches: List[FlowBatch] = [FlowBatch()]
-
-        def on_data(key, tmpl, payload, unix_secs, sys_uptime):
-            decoded = self._decoders[key](payload, unix_secs, sys_uptime)
-            batch = batches[0]
-            if len(batch):
-                batch.extend(decoded)
-            elif len(decoded):
-                # Adopt the first non-empty set's batch outright — the
-                # single-data-FlowSet datagram needs no copy at all.
-                batches[0] = decoded
-
-        self._walk_flowsets(datagram, on_data)
-        return batches[0]
+        """Decode one datagram into a fresh columnar :class:`FlowBatch`."""
+        batch = FlowBatch()
+        self.decode_into(batch, datagram)
+        return batch
 
     def _learn_templates(self, source_id: int, payload: bytes) -> None:
         offset = 0

@@ -30,6 +30,14 @@ from repro.util.errors import ParseError
 from repro.util.interning import cached_ip_address
 
 
+def _uptime_delta(uptime_ms: int, sys_uptime: int) -> int:
+    """``uptime_ms - sys_uptime`` as a signed 32-bit value: the uptime
+    counter wraps every 2**32 ms (about 49.7 days), so a flow that ended
+    just before the wrap is slightly in the past, not weeks ahead."""
+    delta = (uptime_ms - sys_uptime) % (1 << 32)
+    return delta - (1 << 32) if delta >= (1 << 31) else delta
+
+
 def decode_v5(datagram: bytes) -> Tuple[dict, List[FlowRecord]]:
     """Decode a v5 datagram → (header dict, flow records).
 
@@ -45,7 +53,7 @@ def decode_v5(datagram: bytes) -> Tuple[dict, List[FlowRecord]]:
          src_mask, dst_mask, _pad2) = fields
         flows.append(
             FlowRecord(
-                ts=unix_secs + (end - sys_uptime) / 1000.0,
+                ts=unix_secs + _uptime_delta(end, sys_uptime) / 1000.0,
                 src_ip=cached_ip_address(src),
                 dst_ip=cached_ip_address(dst),
                 src_port=sport,
@@ -115,14 +123,14 @@ def decode_v9(session: V9Session, datagram: bytes) -> List[FlowRecord]:
     """Decode one v9 datagram per field, learning its templates."""
     flows: List[FlowRecord] = []
 
-    def on_data(key, tmpl, payload, unix_secs, sys_uptime):
+    def on_data(out, tmpl, payload, unix_secs, sys_uptime):
         def timestamp(values):
             last = values.pop("last_switched", sys_uptime)
-            return unix_secs + (last - sys_uptime) / 1000.0
+            return unix_secs + _uptime_delta(last, sys_uptime) / 1000.0
 
-        flows.extend(_decode_records(tmpl, payload, timestamp))
+        out.extend(_decode_records(tmpl, payload, timestamp))
 
-    session._walk_flowsets(datagram, on_data)
+    session.decode_into(flows, datagram, on_data)
     return flows
 
 
@@ -133,14 +141,14 @@ def decode_ipfix(session: IpfixSession, message: bytes) -> List[FlowRecord]:
     """Decode one IPFIX message per field, learning its templates."""
     flows: List[FlowRecord] = []
 
-    def on_data(key, tmpl, payload, export_secs):
+    def on_data(out, tmpl, payload, export_secs):
         def timestamp(values):
             ts_ms = values.pop(_FLOW_END_NAME, None)
             return ts_ms / 1000.0 if ts_ms is not None else float(export_secs)
 
-        flows.extend(_decode_records(tmpl, payload, timestamp))
+        out.extend(_decode_records(tmpl, payload, timestamp))
 
-    session._walk_sets(message, on_data)
+    session.decode_into(flows, message, on_data)
     return flows
 
 

@@ -13,6 +13,7 @@ re-interns within one batch.
 from __future__ import annotations
 
 import ipaddress
+from socket import inet_ntoa
 from typing import Dict, Union
 
 IPAddressLike = Union[str, bytes, int, ipaddress.IPv4Address, ipaddress.IPv6Address]
@@ -97,11 +98,11 @@ def cached_ip_text(raw: IPAddressLike) -> str:
     if text is None:
         if type(raw) is bytes and len(raw) == 4:
             # Packed IPv4: every 4-byte value is a valid address and its
-            # canonical spelling is plain dotted-quad — no need to round
-            # trip through an ipaddress object on first sight. (IPv6
+            # canonical spelling is plain dotted-quad, which inet_ntoa
+            # writes in C — no ipaddress object on first sight. (IPv6
             # stays on ipaddress: its :: compression rules are not worth
             # reimplementing.)
-            text = intern_string("%d.%d.%d.%d" % (raw[0], raw[1], raw[2], raw[3]))
+            text = intern_string(inet_ntoa(raw))
         elif isinstance(raw, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
             text = intern_string(str(raw))
         else:

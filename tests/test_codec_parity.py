@@ -10,13 +10,25 @@ decoder names identical to an uncached ``decode_name`` chase. Templates
 and payloads are randomized (hypothesis) so the parity claim covers odd
 field widths, unknown field types, duplicate fields, padding, and
 compression-pointer-heavy DNS messages — not just the standard layouts.
+Sets of up to 70 records cross the compiled decoder's multi-record
+struct pieces (powers of two up to 32 records), a wide port field
+carrying a value over 65535 must be rejected by both sides, and a burst
+through ``FlowCollector.ingest_columns_many`` must equal the per-datagram
+oracle, malformed datagram included.
 """
 
+import dataclasses
+import random
 import string
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro import reference
+from repro.core.lookup import CorrelationBatch, CorrelationResult
+from repro.core.writer import format_batch
 
 from repro.dns.name import decode_name, encode_name
 from repro.dns.rr import RRType, a_record, cname_record
@@ -24,10 +36,15 @@ from repro.dns.wire import DnsMessage, Header, Question, decode_message, encode_
 from repro.netflow.ipfix import (
     FLOW_END_MILLISECONDS,
     IPFIX_HEADER,
+    IPFIX_V4_TEMPLATE,
     IPFIX_VERSION,
     IpfixSession,
+    encode_ipfix_data,
     encode_ipfix_template,
 )
+from repro.netflow.collector import FlowCollector
+from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.v5 import encode_v5
 from repro.netflow.v9 import (
     IN_BYTES,
     IN_PKTS,
@@ -41,13 +58,18 @@ from repro.netflow.v9 import (
     FIRST_SWITCHED,
     PROTOCOL,
     SRC_AS,
+    STANDARD_V4_TEMPLATE,
     TemplateField,
     TemplateRecord,
     V9Session,
+    compiled_v9_decoder,
+    encode_v9_data,
     encode_v9_template,
     _pack_header,
 )
 from repro.reference import decode_ipfix, decode_v9
+from repro.util.errors import ParseError
+from repro.util.interning import cached_ip_text, clear_intern_tables
 
 # ---------------------------------------------------------------------------
 # Randomized template layouts. Address fields keep their wire-legal widths
@@ -96,7 +118,7 @@ def _record_block(template, payload_rng, n_records, trailing):
 @given(
     template=_templates(),
     rng=st.randoms(use_true_random=False),
-    n_records=st.integers(min_value=0, max_value=5),
+    n_records=st.integers(min_value=0, max_value=70),
     trailing=st.integers(min_value=0, max_value=3),
     unix_secs=st.integers(min_value=0, max_value=2**31),
     sys_uptime=st.integers(min_value=0, max_value=2**31),
@@ -121,7 +143,7 @@ def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_
 @given(
     template=_templates(ts_type=FLOW_END_MILLISECONDS, ts_lengths=(4, 6, 8)),
     rng=st.randoms(use_true_random=False),
-    n_records=st.integers(min_value=0, max_value=5),
+    n_records=st.integers(min_value=0, max_value=70),
     trailing=st.integers(min_value=0, max_value=3),
     export_secs=st.integers(min_value=0, max_value=2**31),
 )
@@ -177,6 +199,231 @@ def test_compiled_decoder_skips_addressless_templates():
     decode_v9(session, encode_v9_template([template], unix_secs=1000))
     assert decode_v9(session, datagram) == []
     assert len(session.decode_batch_columns(datagram)) == 0
+
+
+def _v9_datagram(flowsets, unix_secs=1000, sys_uptime=5000):
+    """A v9 datagram carrying ``(set_id, payload)`` FlowSets, unpadded."""
+    body = b"".join(struct.pack("!HH", set_id, 4 + len(payload)) + payload
+                    for set_id, payload in flowsets)
+    return _pack_header(len(flowsets), sys_uptime, unix_secs, 0, 0) + body
+
+
+def _ipfix_message(set_id, payload, export_secs=1000):
+    data_set = struct.pack("!HH", set_id, 4 + len(payload)) + payload
+    return IPFIX_HEADER.pack(IPFIX_VERSION, IPFIX_HEADER.size + len(data_set),
+                             export_secs, 0, 0) + data_set
+
+
+@given(packed=st.binary(min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_ipv4_text_miss_spells_dotted_quad(packed):
+    """``cached_ip_text`` spells a packed IPv4 miss with ``inet_ntoa``;
+    that is the plain dotted quad for every 4-byte input."""
+    clear_intern_tables()
+    assert cached_ip_text(packed) == "%d.%d.%d.%d" % tuple(packed)
+
+
+# ---------------------------------------------------------------------------
+# Wide port fields: a value over 65535 in any record rejects the datagram.
+# ---------------------------------------------------------------------------
+
+
+@given(
+    ipfix=st.booleans(),
+    port_type=st.sampled_from([L4_SRC_PORT, L4_DST_PORT]),
+    port_len=st.sampled_from([3, 4]),
+    n_records=st.integers(min_value=1, max_value=70),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_wide_port_over_16_bits_rejected_on_both_sides(ipfix, port_type, port_len,
+                                                        n_records, data):
+    template = TemplateRecord(320, (
+        TemplateField(IPV4_SRC_ADDR, 4),
+        TemplateField(IPV4_DST_ADDR, 4),
+        TemplateField(port_type, port_len),
+        TemplateField(IN_BYTES, 4),
+    ))
+    bad = data.draw(st.integers(min_value=0, max_value=n_records - 1))
+    rng = data.draw(st.randoms(use_true_random=False))
+    records = []
+    for i in range(n_records):
+        if i == bad:
+            port = rng.randint(65536, 2 ** (8 * port_len) - 1)
+        else:
+            port = rng.randint(0, 65535)
+        records.append(rng.randbytes(8) + port.to_bytes(port_len, "big") + rng.randbytes(4))
+    payload = b"".join(records)
+    if ipfix:
+        sessions, oracle = (IpfixSession(), IpfixSession()), decode_ipfix
+        template_message = encode_ipfix_template([template])
+        message = _ipfix_message(320, payload)
+    else:
+        sessions, oracle = (V9Session(), V9Session()), decode_v9
+        template_message = encode_v9_template([template])
+        message = _v9_datagram([(320, payload)])
+    production, reference_session = sessions
+    production.decode_batch_columns(template_message)
+    oracle(reference_session, template_message)
+    with pytest.raises(ParseError):
+        production.decode_batch_columns(message)
+    with pytest.raises(ParseError):
+        oracle(reference_session, message)
+
+
+# ---------------------------------------------------------------------------
+# Bursts: one accumulator, malformed datagrams rolled back.
+# ---------------------------------------------------------------------------
+
+#: A template with a 4-byte port (so a record can be malformed) and an
+#: extra field (so its rows carry ``extras``).
+_WIDE_TEMPLATE = TemplateRecord(330, (
+    TemplateField(IPV4_SRC_ADDR, 4),
+    TemplateField(IPV4_DST_ADDR, 4),
+    TemplateField(L4_SRC_PORT, 4),
+    TemplateField(SRC_AS, 2),
+    TemplateField(IN_BYTES, 4),
+    TemplateField(LAST_SWITCHED, 4),
+))
+
+
+def _wide_records(rng, count, bad_port=False):
+    out = []
+    for i in range(count):
+        port = 70000 if bad_port and i == count - 1 else rng.randint(0, 65535)
+        out.append(rng.randbytes(8) + struct.pack("!IHII", port, rng.randint(0, 65535),
+                                                  rng.randint(0, 2 ** 32 - 1),
+                                                  rng.randint(4000, 6000)))
+    return b"".join(out)
+
+
+def _flows(rng, count):
+    return [
+        FlowRecord(ts=1000.0 + rng.randint(0, 3000) / 1000.0,
+                   src_ip=f"10.{rng.randint(0, 3)}.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
+                   dst_ip=f"100.64.0.{rng.randint(1, 254)}", src_port=rng.randint(0, 65535),
+                   dst_port=443, protocol=6, packets=rng.randint(1, 99),
+                   bytes_=rng.randint(0, 10**6))
+        for _ in range(count)
+    ]
+
+
+@st.composite
+def _bursts(draw):
+    """A burst of mixed datagrams with one malformed v9 datagram in the
+    middle: its first FlowSet decodes, its second carries a port over
+    65535."""
+    rng = draw(st.randoms(use_true_random=False))
+
+    def some_traffic():
+        kind = draw(st.sampled_from(["v9", "wide", "v5", "ipfix", "late", "unknown"]))
+        count = draw(st.integers(min_value=0, max_value=45))
+        if kind == "v9":
+            return encode_v9_data(STANDARD_V4_TEMPLATE, _flows(rng, count),
+                                  sys_uptime_ms=5000, unix_secs=1000)
+        if kind == "wide":
+            return _v9_datagram([(330, _wide_records(rng, count))])
+        if kind == "v5":
+            return encode_v5(_flows(rng, min(count, 30)), sys_uptime_ms=5000, unix_secs=1000)
+        if kind == "ipfix":
+            return encode_ipfix_data(IPFIX_V4_TEMPLATE, _flows(rng, count), export_secs=1000)
+        if kind == "late":  # a data FlowSet whose template never came
+            return _v9_datagram([(400, rng.randbytes(25 * count))])
+        return b"\x00\x07" + rng.randbytes(count)  # unknown version
+
+    head = [some_traffic() for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    tail = [some_traffic() for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+    first = draw(st.sampled_from([330, STANDARD_V4_TEMPLATE.template_id]))
+    first_count = draw(st.integers(min_value=1, max_value=40))
+    if first == 330:
+        first_payload = _wide_records(rng, first_count)
+    else:
+        first_payload = encode_v9_data(STANDARD_V4_TEMPLATE, _flows(rng, first_count))[24:]
+    malformed = _v9_datagram([
+        (first, first_payload),
+        (330, _wide_records(rng, draw(st.integers(min_value=1, max_value=40)), bad_port=True)),
+    ])
+    templates = [
+        encode_v9_template([STANDARD_V4_TEMPLATE, _WIDE_TEMPLATE]),
+        encode_ipfix_template([IPFIX_V4_TEMPLATE]),
+    ]
+    return templates + head + [malformed] + tail
+
+
+@given(datagrams=_bursts())
+@settings(max_examples=60, deadline=None)
+def test_burst_matches_per_datagram_oracle(datagrams):
+    collector = FlowCollector()
+    batch = collector.ingest_columns_many(datagrams)
+    oracle = FlowCollector()
+    expected = [flow for d in datagrams for flow in reference.ingest(oracle, d)]
+    records = batch.to_records()
+    assert records == expected
+    assert [(r.ts, r.extra) for r in records] == [(r.ts, r.extra) for r in expected]
+    assert dataclasses.asdict(collector.stats) == dataclasses.asdict(oracle.stats)
+    assert collector.stats.malformed >= 1
+    if batch.extras is not None:
+        assert len(batch.extras) == len(batch)
+
+
+# ---------------------------------------------------------------------------
+# The multi-record struct table stays small for any set size.
+# ---------------------------------------------------------------------------
+
+
+def test_struct_table_bounded_for_every_set_size():
+    rec_len = STANDARD_V4_TEMPLATE.record_length
+    session = V9Session()
+    session.decode_batch_columns(encode_v9_template([STANDARD_V4_TEMPLATE]))
+    decoder = compiled_v9_decoder(STANDARD_V4_TEMPLATE)
+    structs = decoder.structs
+    assert [s.size // rec_len for s in structs] == [32, 16, 8, 4, 2, 1]
+    rng = random.Random(5)
+    flows = _flows(rng, 200)
+    for count in range(1, 201):
+        datagram = encode_v9_data(STANDARD_V4_TEMPLATE, flows[:count],
+                                  sys_uptime_ms=5000, unix_secs=1000)
+        decoded = session.decode_batch_columns(datagram).to_records()
+        assert len(decoded) == count
+        assert decoded == decode_v9(session, datagram)
+    assert decoder.structs is structs
+    assert sum(s.size for s in structs) == 63 * rec_len
+
+
+def test_struct_table_of_a_wide_template_stays_small():
+    fields = [TemplateField(IPV4_SRC_ADDR, 4), TemplateField(IPV4_DST_ADDR, 4)]
+    fields += [TemplateField(1000 + i, 2) for i in range(100)]
+    template = TemplateRecord(340, tuple(fields))
+    structs = compiled_v9_decoder(template).structs
+    # 102 fields: only the 1- and 2-record structs fit in 256 codes.
+    assert [s.size // template.record_length for s in structs] == [2, 1]
+    session = V9Session()
+    session.decode_batch_columns(encode_v9_template([template]))
+    payload = random.Random(7).randbytes(template.record_length * 7)
+    datagram = _v9_datagram([(340, payload)])
+    assert session.decode_batch_columns(datagram).to_records() == decode_v9(session, datagram)
+
+
+# ---------------------------------------------------------------------------
+# Rows: per-batch fragments vs the per-result oracle.
+# ---------------------------------------------------------------------------
+
+
+def test_format_batch_keeps_signed_zero_timestamps_apart():
+    """``0.0 == -0.0`` share a memo key but print as ``0.000`` and
+    ``-0.000``; a FlowRecord-fed batch (a CSV time of ``-0``) has both."""
+    chains = [("a.example",), (), ("edge.cdn.net", "svc.example"), ("a.example",), ()]
+    results = [
+        CorrelationResult(
+            FlowRecord(ts=ts, src_ip="10.0.0.1", dst_ip="100.64.0.2", packets=2, bytes_=70),
+            chain, ts,
+        )
+        for ts, chain in zip((0.0, -0.0, 1.25, -0.0, 0.0), chains)
+    ]
+    batch = CorrelationBatch(FlowBatch.from_records(r.flow for r in results), chains)
+    rows = format_batch(batch)
+    assert rows == [reference.format_result(r) for r in results]
+    assert [row.split("\t")[0] for row in rows] == ["0.000", "-0.000", "1.250", "-0.000", "0.000"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Tests for the NetFlow v5 / v9 / IPFIX codecs."""
 
+import struct
+
 import pytest
 
+from repro import reference
+from repro.netflow.collector import FlowCollector
 from repro.netflow.ipfix import (
     IPFIX_V4_TEMPLATE,
     IpfixSession,
@@ -9,13 +13,24 @@ from repro.netflow.ipfix import (
     encode_ipfix_template,
 )
 from repro.netflow.records import FlowRecord
-from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD_LEN, decode_v5_columns, encode_v5
+from repro.netflow.v5 import (
+    V5_HEADER,
+    V5_HEADER_LEN,
+    V5_RECORD,
+    V5_RECORD_LEN,
+    decode_v5_columns,
+    encode_v5,
+)
 from repro.netflow.v9 import (
+    IN_BYTES,
+    IPV4_DST_ADDR,
+    IPV4_SRC_ADDR,
     STANDARD_V4_TEMPLATE,
     STANDARD_V6_TEMPLATE,
     TemplateField,
     TemplateRecord,
     V9Session,
+    _pack_header,
     encode_v9_data,
     encode_v9_template,
 )
@@ -201,3 +216,104 @@ class TestIpfix:
         _decode(session, encode_ipfix_template([IPFIX_V4_TEMPLATE], domain_id=1))
         assert session.template_for(1, 300) is not None
         assert session.template_for(2, 300) is None
+
+
+class TestUptimeWrap:
+    """v5 end and v9 LAST_SWITCHED are 32-bit uptime counters that wrap
+    every 2**32 ms (about 49.7 days). A flow that ended 1 s before the
+    export, just before the counter wrapped, must land 1 s in the past —
+    not 49.7 days in the future."""
+
+    SYS_UPTIME = 300
+    LAST = 2**32 - 700
+    UNIX_SECS = 1_600_000_000
+    EXPECTED = UNIX_SECS - 1.0
+
+    def _v9(self):
+        record = struct.pack("!4s4sHHBIII", bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]),
+                             443, 50000, 6, 1, 900, self.LAST)
+        flowset = struct.pack("!HH", 256, 4 + len(record) + 3) + record + b"\x00" * 3
+        return _pack_header(1, self.SYS_UPTIME, self.UNIX_SECS, 0, 0) + flowset
+
+    def _v5(self):
+        header = V5_HEADER.pack(5, 1, self.SYS_UPTIME, self.UNIX_SECS, 0, 0, 0, 0, 0)
+        record = V5_RECORD.pack(0x0A000001, 0x0A000002, 0, 0, 0, 1, 900, self.LAST, self.LAST,
+                                443, 50000, 0, 0, 6, 0, 0, 0, 0, 0, 0)
+        return header + record
+
+    def test_v9_compiled_and_oracle(self):
+        template = encode_v9_template([STANDARD_V4_TEMPLATE])
+        session = V9Session()
+        _decode(session, template)
+        assert [f.ts for f in _decode(session, self._v9())] == [self.EXPECTED]
+        oracle = V9Session()
+        reference.decode_v9(oracle, template)
+        assert [f.ts for f in reference.decode_v9(oracle, self._v9())] == [self.EXPECTED]
+
+    def test_v5_columns_and_oracle(self):
+        assert [f.ts for f in _decode_v5(self._v5())[1]] == [self.EXPECTED]
+        assert [f.ts for f in reference.decode_v5(self._v5())[1]] == [self.EXPECTED]
+
+    def test_offsets_under_2_to_the_31_are_unchanged(self):
+        """The signed reading moves nothing a sane export carries."""
+        session = V9Session()
+        _decode(session, encode_v9_template([STANDARD_V4_TEMPLATE]))
+        flows = [FlowRecord(ts=self.UNIX_SECS - 86400.0 * days, src_ip="10.0.0.1",
+                            dst_ip="10.0.0.2") for days in (0, 1, 24)]
+        datagram = encode_v9_data(STANDARD_V4_TEMPLATE, flows, sys_uptime_ms=2**31 + 5,
+                                  unix_secs=self.UNIX_SECS)
+        assert [f.ts for f in _decode(session, datagram)] == [f.ts for f in flows]
+
+
+class TestSkippedSetsCounted:
+    """A data set the walk passes over undecoded counts under
+    ``CollectorStats.sets_skipped``, on the production collector and on
+    its per-field oracle alike."""
+
+    INGESTS = (FlowCollector.ingest_columns, reference.ingest)
+
+    @pytest.mark.parametrize("ingest", INGESTS)
+    def test_v9_late_join(self, ingest):
+        collector = FlowCollector()
+        data = encode_v9_data(STANDARD_V4_TEMPLATE, _flows(3), unix_secs=1000)
+        assert len(ingest(collector, data)) == 0
+        assert collector.stats.sets_skipped == 1
+        assert collector.stats.datagrams == 1 and collector.stats.malformed == 0
+        ingest(collector, encode_v9_template([STANDARD_V4_TEMPLATE], unix_secs=1000))
+        assert len(ingest(collector, data)) == 3
+        assert collector.stats.sets_skipped == 1
+
+    @pytest.mark.parametrize("ingest", INGESTS)
+    def test_ipfix_late_join(self, ingest):
+        collector = FlowCollector()
+        data = encode_ipfix_data(IPFIX_V4_TEMPLATE, _flows(2), export_secs=1000)
+        assert len(ingest(collector, data)) == 0
+        assert collector.stats.sets_skipped == 1
+
+    @pytest.mark.parametrize("ingest", INGESTS)
+    def test_ipfix_variable_length_template(self, ingest):
+        """RFC 7011 §7: length 65535 marks a variable-length field, which
+        neither decoder reads."""
+        template = TemplateRecord(310, (
+            TemplateField(IPV4_SRC_ADDR, 4),
+            TemplateField(IPV4_DST_ADDR, 4),
+            TemplateField(IN_BYTES, 4),
+            TemplateField(96, 65535),  # applicationName, variable length
+        ))
+        collector = FlowCollector()
+        ingest(collector, encode_ipfix_template([template], export_secs=1000))
+        record = bytes([10, 0, 0, 1, 10, 0, 0, 2]) + struct.pack("!I", 900) + b"\x03abc"
+        data_set = struct.pack("!HH", 310, 4 + len(record)) + record
+        message = struct.pack("!HHIII", 10, 16 + len(data_set), 1000, 0, 0) + data_set
+        assert len(ingest(collector, message)) == 0
+        stats = collector.stats
+        assert (stats.sets_skipped, stats.datagrams, stats.flows, stats.malformed) == (1, 2, 0, 0)
+
+    def test_a_known_set_beside_an_unknown_one_still_decodes(self):
+        collector = FlowCollector()
+        collector.ingest_columns(encode_v9_template([STANDARD_V4_TEMPLATE]))
+        known = encode_v9_data(STANDARD_V4_TEMPLATE, _flows(2), unix_secs=1000)[20:]
+        unknown = struct.pack("!HH", 999, 8) + b"\x00" * 4
+        datagram = _pack_header(2, 0, 1000, 0, 0) + unknown + known
+        assert len(collector.ingest_columns(datagram)) == 2
+        assert collector.stats.sets_skipped == 1
