@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro import reference
 from repro.core.lookup import CorrelationBatch, CorrelationResult
 from repro.core.writer import format_batch
-
 from repro.dns.name import decode_name, encode_name
 from repro.dns.rr import RRType, a_record, cname_record
 from repro.dns.wire import DnsMessage, Header, Question, decode_message, encode_message
