@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from typing import List, Optional
 
 from repro.core.config import FlowDNSConfig
@@ -218,10 +218,7 @@ class LookUpProcessor:
             for text in unique:
                 name = names.get(text)
                 chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
-            if primaries is keys:
-                chains = list(map(chains_by_ip.__getitem__, keys))
-            else:
-                chains = [chains_by_ip[text] if text is not None else () for text in primaries]
+            chains = list(map(chains_by_ip.get, primaries, repeat((), n)))
             if both:
                 # Destination fallback for flows whose source IP missed.
                 fallbacks = {i: dst_col[i] for i, chain in enumerate(chains)

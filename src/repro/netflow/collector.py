@@ -17,14 +17,32 @@ is rolled back out of the batch, and the burst's counters reach
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.netflow.ipfix import IpfixSession
 from repro.netflow.records import FlowBatch
-from repro.netflow.stats import CollectorStats
 from repro.netflow.v5 import decode_v5_columns
 from repro.netflow.v9 import V9Session
 from repro.util.errors import ParseError
+
+
+@dataclass
+class CollectorStats:
+    """Counters for observability of the collector itself.
+
+    ``sets_skipped`` counts data sets the sessions' set walk passed over
+    undecoded: a set whose template has not arrived yet (an exporter
+    joined mid-stream), or an IPFIX set whose template has a
+    variable-length field. Their datagrams still count as decoded.
+    """
+
+    datagrams: int = 0
+    flows: int = 0
+    malformed: int = 0
+    unknown_version: int = 0
+    sets_skipped: int = 0
+    by_version: dict = field(default_factory=dict)
 
 
 def probe_version(datagram: bytes) -> int:
@@ -46,11 +64,10 @@ class FlowCollector:
     """Decode NetFlow v5 / v9 / IPFIX datagrams into flow batches."""
 
     def __init__(self) -> None:
+        #: The per-dialect template sessions.
+        self.v9 = V9Session()
+        self.ipfix = IpfixSession()
         self.stats = CollectorStats()
-        #: The per-dialect template sessions; they count the data sets
-        #: they skip on the collector's stats.
-        self.v9 = V9Session(self.stats)
-        self.ipfix = IpfixSession(self.stats)
 
     def ingest_columns(self, datagram: bytes) -> FlowBatch:
         """Decode one datagram into a FlowBatch: the one-datagram case of
@@ -76,15 +93,15 @@ class FlowCollector:
         decode_v9 = self.v9.decode_into
         decode_ipfix = self.ipfix.decode_into
         versions: dict = {}
-        malformed = unknown = 0
+        malformed = unknown = skipped = 0
         for datagram in datagrams:
             mark = len(rows)
             try:
                 version = probe_version(datagram)
                 if version == 9:
-                    decode_v9(batch, datagram)
+                    skipped += decode_v9(batch, datagram)
                 elif version == 10:
-                    decode_ipfix(batch, datagram)
+                    skipped += decode_ipfix(batch, datagram)
                 elif version == 5:
                     batch.extend(decode_v5_columns(datagram)[1])
                 else:
@@ -100,6 +117,7 @@ class FlowCollector:
         stats.flows += len(rows)
         stats.malformed += malformed
         stats.unknown_version += unknown
+        stats.sets_skipped += skipped
         by_version = stats.by_version
         for version, count in versions.items():
             by_version[version] = by_version.get(version, 0) + count

@@ -181,30 +181,15 @@ def compile_decoder(
     if ts_mode == "uptime_ms":
         signature = "out, payload, unix_secs, sys_uptime"
         if ts_idx >= 0:
-            # The uptime offset as a signed 32-bit value. A sane export's
-            # offsets lie within 2**31 ms (24.8 days) of the header's
-            # uptime, where the wrap arithmetic is a no-op; for a 4-byte
-            # field one C-level scan proves that for the whole set (with
-            # the uptime below 2**31 only a max can wrap, above it only a
-            # min). ``unix_secs`` as a float adds the same bits.
-            wrapped = (
-                "[_secs + (((x - sys_uptime + 0x80000000) & 0xFFFFFFFF) - 0x80000000)"
-                " / 1000.0 for x in _col]"
-            )
+            # The uptime offset as a signed 32-bit value: a no-op within
+            # 2**31 ms (24.8 days) of the header's uptime. ``unix_secs``
+            # as a float adds the same bits as the reference's int.
             lines = [
                 f"    _col = {_column_expr(ts_idx, ts_is_bytes)}",
                 "    _secs = float(unix_secs)",
+                "    out.ts.extend([_secs + (((x - sys_uptime + 0x80000000) & 0xFFFFFFFF)"
+                " - 0x80000000) / 1000.0 for x in _col])",
             ]
-            if template.fields[ts_idx].length == 4:
-                lines += [
-                    "    if (max(_col) - sys_uptime < 0x80000000 if sys_uptime < 0x80000000"
-                    " else min(_col) >= sys_uptime - 0x80000000):",
-                    "        out.ts.extend([_secs + (x - sys_uptime) / 1000.0 for x in _col])",
-                    "    else:",
-                    f"        out.ts.extend({wrapped})",
-                ]
-            else:
-                lines.append(f"    out.ts.extend({wrapped})")
         else:
             lines = ["    out.ts.extend([unix_secs + 0.0] * _n)"]
     else:

@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.netflow.compiled import compile_decoder
 from repro.netflow.records import FlowBatch, FlowRecord
-from repro.netflow.stats import CollectorStats
 from repro.netflow.v9 import (
     FIELD_NAMES,
     IPV4_DST_ADDR,
@@ -149,19 +148,17 @@ class IpfixSession:
 
     Like :class:`repro.netflow.v9.V9Session`: :meth:`decode_into` runs
     each data set through the template's compiled decoder, appending to
-    a caller's :class:`FlowBatch`, and skipped data sets count on
-    ``stats``.
+    a caller's :class:`FlowBatch`.
     """
 
-    def __init__(self, stats: Optional[CollectorStats] = None) -> None:
-        self.stats = stats if stats is not None else CollectorStats()
+    def __init__(self) -> None:
         self._templates: Dict[Tuple[int, int], TemplateRecord] = {}
         self._decoders: Dict[Tuple[int, int], Callable[..., None]] = {}
 
     def template_for(self, domain_id: int, template_id: int) -> Optional[TemplateRecord]:
         return self._templates.get((domain_id, template_id))
 
-    def decode_into(self, out: FlowBatch, message: bytes, on_data=None) -> None:
+    def decode_into(self, out: FlowBatch, message: bytes, on_data=None) -> int:
         """Decode one message's data sets onto the end of ``out``.
 
         The one set walk, as :meth:`V9Session.decode_into`: validates the
@@ -170,9 +167,9 @@ class IpfixSession:
         given, to ``on_data(out, tmpl, payload, export_secs)``, the
         per-field test oracle.
 
-        A data set is skipped, and counted under ``stats.sets_skipped``,
-        when its template is unknown or has a variable-length field
-        (length 65535, RFC 7011 §7), which neither decoder reads.
+        A data set is skipped when its template is unknown or has a
+        variable-length field (length 65535, RFC 7011 §7), which neither
+        decoder reads; the return value is how many were.
         """
         if len(message) < IPFIX_HEADER.size:
             raise ParseError("IPFIX message shorter than header")
@@ -182,6 +179,7 @@ class IpfixSession:
         if length > len(message):
             raise ParseError("IPFIX message truncated")
         offset = IPFIX_HEADER.size
+        skipped = 0
         while offset + 4 <= length:
             set_id, set_len = SET_HEADER.unpack_from(message, offset)
             if set_len < 4 or offset + set_len > length:
@@ -193,7 +191,7 @@ class IpfixSession:
                 key = (domain_id, set_id)
                 decoder = self._decoders.get(key)
                 if decoder is None:
-                    self.stats.sets_skipped += 1
+                    skipped += 1
                 else:
                     try:
                         if on_data is None:
@@ -207,6 +205,7 @@ class IpfixSession:
                         # input.
                         raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
+        return skipped
 
     def decode_batch_columns(self, message: bytes) -> FlowBatch:
         """Decode one message into a fresh columnar :class:`FlowBatch`."""

@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.netflow.compiled import compile_decoder
 from repro.netflow.records import FlowBatch, FlowRecord
-from repro.netflow.stats import CollectorStats
 from repro.util.errors import ParseError
 
 V9_HEADER = struct.Struct("!HHIIII")
@@ -225,19 +224,16 @@ class V9Session:
 
     :meth:`decode_into` runs each data FlowSet through the template's
     compiled decoder, appending to a caller's :class:`FlowBatch`.
-    Skipped data FlowSets count on ``stats`` (the owning collector's
-    :class:`CollectorStats`; a session of its own otherwise).
     """
 
-    def __init__(self, stats: Optional[CollectorStats] = None) -> None:
-        self.stats = stats if stats is not None else CollectorStats()
+    def __init__(self) -> None:
         self._templates: Dict[Tuple[int, int], TemplateRecord] = {}
         self._decoders: Dict[Tuple[int, int], Callable[..., None]] = {}
 
     def template_for(self, source_id: int, template_id: int) -> Optional[TemplateRecord]:
         return self._templates.get((source_id, template_id))
 
-    def decode_into(self, out: FlowBatch, datagram: bytes, on_data=None) -> None:
+    def decode_into(self, out: FlowBatch, datagram: bytes, on_data=None) -> int:
         """Decode one datagram's data FlowSets onto the end of ``out``.
 
         The one FlowSet walk: validates the header, learns template
@@ -248,7 +244,7 @@ class V9Session:
 
         Data FlowSets referencing an unknown template are skipped (the
         standard collector behaviour until the template refresh
-        arrives) and counted under ``stats.sets_skipped``. Malformed
+        arrives); the return value is how many were. Malformed
         input raises :class:`ParseError`, possibly after rows of earlier
         FlowSets were appended (:meth:`FlowBatch.truncate` rolls them
         back).
@@ -260,6 +256,7 @@ class V9Session:
             raise ParseError(f"not a v9 datagram (version={version})")
         offset = V9_HEADER.size
         end = len(datagram)
+        skipped = 0
         while offset + 4 <= end:
             set_id, set_len = SET_HEADER.unpack_from(datagram, offset)
             if set_len < 4 or offset + set_len > end:
@@ -271,7 +268,7 @@ class V9Session:
                 key = (source_id, set_id)
                 decoder = self._decoders.get(key)
                 if decoder is None:
-                    self.stats.sets_skipped += 1
+                    skipped += 1
                 else:
                     try:
                         if on_data is None:
@@ -285,6 +282,7 @@ class V9Session:
                         # malformed input, not a programming error.
                         raise ParseError(f"undecodable flow record: {exc}") from exc
             offset += set_len
+        return skipped
 
     def decode_batch_columns(self, datagram: bytes) -> FlowBatch:
         """Decode one datagram into a fresh columnar :class:`FlowBatch`."""

@@ -119,36 +119,36 @@ def _decode_records(tmpl: TemplateRecord, payload: bytes, timestamp) -> List[Flo
     return flows
 
 
+def _v9_records(out, tmpl, payload, unix_secs, sys_uptime) -> None:
+    def timestamp(values):
+        last = values.pop("last_switched", sys_uptime)
+        return unix_secs + _uptime_delta(last, sys_uptime) / 1000.0
+
+    out.extend(_decode_records(tmpl, payload, timestamp))
+
+
 def decode_v9(session: V9Session, datagram: bytes) -> List[FlowRecord]:
     """Decode one v9 datagram per field, learning its templates."""
     flows: List[FlowRecord] = []
-
-    def on_data(out, tmpl, payload, unix_secs, sys_uptime):
-        def timestamp(values):
-            last = values.pop("last_switched", sys_uptime)
-            return unix_secs + _uptime_delta(last, sys_uptime) / 1000.0
-
-        out.extend(_decode_records(tmpl, payload, timestamp))
-
-    session.decode_into(flows, datagram, on_data)
+    session.decode_into(flows, datagram, _v9_records)
     return flows
 
 
 _FLOW_END_NAME = FIELD_NAMES.get(FLOW_END_MILLISECONDS, f"field_{FLOW_END_MILLISECONDS}")
 
 
+def _ipfix_records(out, tmpl, payload, export_secs) -> None:
+    def timestamp(values):
+        ts_ms = values.pop(_FLOW_END_NAME, None)
+        return ts_ms / 1000.0 if ts_ms is not None else float(export_secs)
+
+    out.extend(_decode_records(tmpl, payload, timestamp))
+
+
 def decode_ipfix(session: IpfixSession, message: bytes) -> List[FlowRecord]:
     """Decode one IPFIX message per field, learning its templates."""
     flows: List[FlowRecord] = []
-
-    def on_data(out, tmpl, payload, export_secs):
-        def timestamp(values):
-            ts_ms = values.pop(_FLOW_END_NAME, None)
-            return ts_ms / 1000.0 if ts_ms is not None else float(export_secs)
-
-        out.extend(_decode_records(tmpl, payload, timestamp))
-
-    session.decode_into(flows, message, on_data)
+    session.decode_into(flows, message, _ipfix_records)
     return flows
 
 
@@ -158,19 +158,25 @@ def ingest(collector: FlowCollector, datagram: bytes) -> List[FlowRecord]:
     Malformed input and unknown versions are counted on the collector's
     stats, not raised; a pure template datagram returns no flows.
     """
+    flows: List[FlowRecord] = []
+    skipped = 0
+    stats = collector.stats
     try:
         version = probe_version(datagram)
         if version == 5:
             _, flows = decode_v5(datagram)
         elif version == 9:
-            flows = decode_v9(collector.v9, datagram)
+            skipped = collector.v9.decode_into(flows, datagram, _v9_records)
         elif version == 10:
-            flows = decode_ipfix(collector.ipfix, datagram)
+            skipped = collector.ipfix.decode_into(flows, datagram, _ipfix_records)
         else:
-            collector.stats.unknown_version += 1
+            stats.unknown_version += 1
             return []
     except ParseError:
-        collector.stats.malformed += 1
+        stats.malformed += 1
         return []
-    collector.stats.note(version, len(flows))
+    stats.datagrams += 1
+    stats.flows += len(flows)
+    stats.sets_skipped += skipped
+    stats.by_version[version] = stats.by_version.get(version, 0) + 1
     return flows
