@@ -93,14 +93,37 @@ def main_day():
     }
 
 
+class RecordedWorkload:
+    """A workload whose DNS and flow streams are generated once and then
+    replayed, unchanged, to every run; everything else is the workload's.
+
+    The streams are a pure function of the workload's seed, so replaying
+    the stored records equals regenerating them.
+    """
+
+    def __init__(self, workload):
+        self._workload = workload
+        self._dns = list(workload.dns_records())
+        self._flows = list(workload.flow_records())
+
+    def __getattr__(self, name):
+        return getattr(self._workload, name)
+
+    def dns_records(self):
+        return iter(self._dns)
+
+    def flow_records(self):
+        return iter(self._flows)
+
+
 @pytest.fixture(scope="session")
 def variant_runs():
     """All Figure 3 variants over identical half-day replays."""
-    out = {}
-    for variant in FIGURE3_VARIANTS:
-        workload = large_isp(seed=7, duration=HALF_DAY)
-        out[variant] = run_variant(workload, variant, sample_interval=3600.0).report
-    return out
+    workload = RecordedWorkload(large_isp(seed=7, duration=HALF_DAY))
+    return {
+        variant: run_variant(workload, variant, sample_interval=3600.0).report
+        for variant in FIGURE3_VARIANTS
+    }
 
 
 def print_rows(title, rows):

@@ -47,7 +47,6 @@ from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
 from repro.util.errors import ConfigError, ParseError
-from repro.util.interning import intern_string
 
 _TIME_UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 
@@ -138,10 +137,8 @@ class FlowAdapter:
         """Convert one record; raises ParseError on malformed input."""
         self.stats.records_in += 1
         ts = self.specs["ts"].extract_time(record)
-        # Interned so FlowRecord's address parse cache keys on shared
-        # objects (CSV/JSON replays repeat a small set of hot IP texts).
-        src_ip = intern_string(str(self.specs["src_ip"].extract(record)))
-        dst_ip = intern_string(str(self.specs["dst_ip"].extract(record)))
+        src_ip = str(self.specs["src_ip"].extract(record))
+        dst_ip = str(self.specs["dst_ip"].extract(record))
         ints = {}
         for name, default in self.OPTIONAL_INTS.items():
             spec = self.specs.get(name)
@@ -198,8 +195,8 @@ class DnsAdapter:
         ttl = self.specs["ttl"].extract_int(record)
         if ttl < 0:
             raise ParseError(f"negative TTL {ttl}")
-        # DnsRecord.__post_init__ interns the normalized query/answer, so
-        # the raw spellings need no table entry of their own.
+        # DnsRecord.__post_init__ interns the normalized names, so the
+        # raw spellings need no table entry of their own.
         out = DnsRecord(
             ts=self.specs["ts"].extract_time(record),
             query=str(self.specs["query"].extract(record)),

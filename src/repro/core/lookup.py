@@ -139,7 +139,7 @@ class LookUpProcessor:
     def correlate_batch_columns(self, flows: FlowBatch) -> CorrelationBatch:
         """Steps 4–7 for one :class:`FlowBatch`.
 
-        The lookup keys come straight from the batch's interned text
+        The lookup keys come straight from the batch's address text
         columns, with no ``FlowRecord``/``ipaddress``/``str()`` work per
         flow. The two expiry policies differ only in how a row's chain
         is found:
@@ -172,7 +172,7 @@ class LookUpProcessor:
         dst_col = flows.dst_ip_text
 
         # Pass 1: validity filter + primary lookup key per flow, read
-        # straight off the interned text columns. When no row has a
+        # straight off the address text columns. When no row has a
         # negative counter — every flow decoded from the wire, since the
         # formats carry unsigned counters — the key column itself serves
         # as the (read-only) primaries list and the per-row loop is two

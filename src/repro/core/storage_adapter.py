@@ -69,8 +69,8 @@ class DnsStorage:
         A/AAAA or CNAME answer; the key is the answer text, the value
         the owner name. Address rows go to the IP-NAME store and CNAME
         rows to the NAME-CNAME store, each as parallel columns through
-        ``put_rows``. The decoder interned every name and IP text, so
-        equal keys share one object.
+        ``put_rows``. The decoder interned every name, so equal name
+        keys share one object.
 
         Under exact-TTL the rows are instead walked in arrival order,
         one put then one :meth:`tick` each: the per-record store+sweep

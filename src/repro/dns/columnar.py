@@ -21,11 +21,12 @@ additional bodies are *walked by offset arithmetic* — names advance
 through the shared per-message name-offset cache, fixed RR headers are
 single unpacks — but never produce objects. Only answer-section
 A/AAAA/CNAME rows land in the columns, with name decoding feeding the
-:mod:`repro.util.interning` tables (``cached_ip_text`` turns packed
-rdata into the same interned canonical text the object path produces
-via ``str(ip_address)``), so downstream map keys hash-share with the
-reference path byte for byte. Stream records that arrive already
-decoded enter the same shape through :meth:`DnsBatch.from_records`, so
+:mod:`repro.util.interning` name tables and packed A/AAAA rdata spelled
+by :func:`repro.util.interning.ip_text` (the same canonical text the
+object path produces via ``str(ip_address)``, written in C and kept in
+no table), so downstream map keys equal the reference path's byte for
+byte. Stream records that arrive already decoded enter the same shape
+through :meth:`DnsBatch.from_records`, so
 ``FillUpProcessor.process_columns`` is the one fill entry.
 
 Parity contract (pinned by ``tests/test_dns_columnar_parity.py``): for
@@ -48,7 +49,7 @@ from repro.dns.rr import RClass, RRType
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import HEADER, QFIXED, RRFIXED, Opcode
 from repro.util.errors import ParseError
-from repro.util.interning import cached_ip_text, intern_string, ip_text_probe
+from repro.util.interning import intern_string, ip_text
 
 _TYPE_A = int(RRType.A)
 _TYPE_NS = int(RRType.NS)
@@ -206,7 +207,6 @@ def _decode_answers_into(
     known_types = _KNOWN_TYPES
     known_classes = _KNOWN_CLASSES
     unpack_rr = RRFIXED.unpack_from
-    ip_probe = ip_text_probe
     ts_append = out_ts.append
     name_append = out_name.append
     rtype_append = out_rtype.append
@@ -249,13 +249,11 @@ def _decode_answers_into(
             if rt == _TYPE_A:
                 if rdlength != 4:
                     raise ParseError(f"A record rdlength {rdlength} != 4")
-                raw = data[offset:end]
-                text = ip_probe(raw)
                 ts_append(t)
                 name_append(owner)
                 rtype_append(_TYPE_A)
                 ttl_append(ttl)
-                rdata_append(text if text is not None else cached_ip_text(raw))
+                rdata_append(ip_text(data[offset:end]))
             elif rt == _TYPE_CNAME:
                 target, _ = decode_name(data, offset, cache)
                 ts_append(t)
@@ -266,13 +264,11 @@ def _decode_answers_into(
             elif rt == _TYPE_AAAA:
                 if rdlength != 16:
                     raise ParseError(f"AAAA record rdlength {rdlength} != 16")
-                raw = data[offset:end]
-                text = ip_probe(raw)
                 ts_append(t)
                 name_append(owner)
                 rtype_append(_TYPE_AAAA)
                 ttl_append(ttl)
-                rdata_append(text if text is not None else cached_ip_text(raw))
+                rdata_append(ip_text(data[offset:end]))
             elif rt == _TYPE_NS or rt == _TYPE_PTR:
                 # Name-typed rdata the object path decodes (and can
                 # reject): validate, keep nothing.

@@ -39,14 +39,12 @@ class DnsRecord:
     answer: str
 
     def __post_init__(self):
-        # Interned: the query/answer strings are the storage layer's map
-        # keys, and sharing one object per distinct name keeps the maps
-        # free of duplicate key storage.
+        # Names are interned: they are the storage layer's map keys, and
+        # sharing one object per distinct name keeps the maps free of
+        # duplicate key storage. Address answers are kept as given.
         object.__setattr__(self, "query", intern_string(normalize_name(self.query)))
         if self.rtype == RRType.CNAME:
             object.__setattr__(self, "answer", intern_string(normalize_name(self.answer)))
-        else:
-            object.__setattr__(self, "answer", intern_string(self.answer))
 
     @property
     def is_address(self) -> bool:

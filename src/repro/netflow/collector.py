@@ -8,10 +8,12 @@ never let one malformed export kill the pipeline feeding FlowDNS.
 
 The unit of work is a *burst*: :meth:`FlowCollector.ingest_columns_many`
 walks many datagrams into one :class:`FlowBatch`, each data set's
-compiled decoder appending its columns straight onto it. Per-datagram
-work is the version probe and the set walk; a datagram found malformed
-is rolled back out of the batch, and the burst's counters reach
-:class:`CollectorStats` in one fold at its end.
+compiled decoder appending its columns straight onto it, addresses as
+packed bytes. Per-datagram work is the version probe and the set walk;
+a datagram found malformed is rolled back out of the batch. At the end
+of the burst the two address columns become text, each distinct
+address converted once (:meth:`FlowBatch.addresses_to_text`), and the
+burst's counters reach :class:`CollectorStats` in one fold.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable
 
 from repro.netflow.ipfix import IpfixSession
 from repro.netflow.records import FlowBatch
-from repro.netflow.v5 import decode_v5_columns
+from repro.netflow.v5 import decode_v5_into
 from repro.netflow.v9 import V9Session
 from repro.util.errors import ParseError
 
@@ -84,7 +86,8 @@ class FlowCollector:
         one accumulator. A datagram that turns out malformed — even in
         a FlowSet after ones that decoded — is rolled back, so none of
         its rows survive, and counts under ``stats.malformed``. The
-        burst's counters are folded into ``stats`` once, at the end;
+        address columns are converted to text, and the burst's counters
+        folded into ``stats``, once, at the end;
         callers that need a malformed delta snapshot ``stats`` around
         the call.
         """
@@ -103,7 +106,7 @@ class FlowCollector:
                 elif version == 10:
                     skipped += decode_ipfix(batch, datagram)
                 elif version == 5:
-                    batch.extend(decode_v5_columns(datagram)[1])
+                    decode_v5_into(batch, datagram)
                 else:
                     unknown += 1
                     continue
@@ -112,6 +115,7 @@ class FlowCollector:
                 batch.truncate(mark)
                 continue
             versions[version] = versions.get(version, 0) + 1
+        batch.addresses_to_text()
         stats = self.stats
         stats.datagrams += sum(versions.values())
         stats.flows += len(rows)

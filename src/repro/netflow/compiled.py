@@ -17,17 +17,19 @@ registration time**, into
 * a generated straight-line function specialised to the template's slot
   layout that fills each column of the caller's :class:`FlowBatch` with
   one extended slice of that list (``values[i::nfields]``): timestamps
-  through one comprehension, addresses through one C-level ``map`` over
-  the packed-bytes → interned-text probe (only the probe's misses go
-  through :func:`cached_ip_text`, row by row). No ``FlowRecord``, no
-  ``ipaddress`` object and no per-record bytecode loop.
+  through one comprehension, addresses as their packed 4- or 16-byte
+  values. No ``FlowRecord``, no ``ipaddress`` object and no per-record
+  bytecode loop. The caller turns the address columns into text once
+  per burst (:meth:`FlowBatch.addresses_to_text`), so a decoder never
+  converts the same address twice.
 
 ``FlowBatch.record(i)`` over the generated decoder's output equals the
 reference decoder's records field for field (``tests/test_codec_parity
 .py``), and a payload the reference rejects — a port wider than 16 bits
-in any record, an address field that is not 4 or 16 bytes — raises the
-same ``ValueError`` here, which the sessions' shared FlowSet walk
-reports as :class:`ParseError`. A decoder that raises may already have
+in any record, an address field that is not 4 or 16 bytes (a template
+property, so checked at compile time and raised for any non-empty set)
+— raises the same ``ValueError`` here, which the sessions' shared
+FlowSet walk reports as :class:`ParseError`. A decoder that raises may already have
 appended part of the set; :meth:`FlowCollector.ingest_columns_many`
 rolls the whole datagram back. One deliberate deviation, on *statically
 degenerate* templates only: a template with no source or no destination
@@ -40,8 +42,6 @@ from __future__ import annotations
 
 import struct
 from typing import Callable, FrozenSet, List, Mapping, Tuple
-
-from repro.util.interning import cached_ip_text, ip_text_probe
 
 #: struct codes for the integer widths the format can express directly.
 _INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -79,15 +79,6 @@ def _piece_sizes(field_count: int) -> List[int]:
         sizes.append(largest)
         largest //= 2
     return sizes
-
-
-def _fill_misses(texts: list, raws) -> None:
-    """Replace each ``None`` (a probe miss) in ``texts`` with the
-    validated, interned text of the matching packed address."""
-    index = -1
-    for _ in range(texts.count(None)):
-        index = texts.index(None, index + 1)
-        texts[index] = cached_ip_text(raws[index])
 
 
 def _column_expr(index: int, is_bytes: bool) -> str:
@@ -155,6 +146,16 @@ def compile_decoder(
         decode_nothing.structs = ()
         return decode_nothing
 
+    widths = {template.fields[src_idx].length, template.fields[dst_idx].length}
+    if not widths <= {4, 16}:
+        # An address of another width never decodes, whatever the bytes.
+        def decode_bad_address(out, payload, *_ts_args) -> None:
+            if len(payload) >= rec_len:
+                raise ValueError(f"address field widths {sorted(widths)}, not 4 or 16")
+
+        decode_bad_address.structs = ()
+        return decode_bad_address
+
     # ---- the multi-record struct table and its piece plans ---------------
     structs = tuple(struct.Struct("!" + record_code * k) for k in _piece_sizes(len(codes)))
     pieces = tuple((s.unpack_from, s.size) for s in structs)
@@ -201,16 +202,7 @@ def compile_decoder(
         lines = [f"    out.ts.extend({ts_fill})"]
 
     for column, index in (("src_ip_text", src_idx), ("dst_ip_text", dst_idx)):
-        # The bytes->text probe runs over the whole column in C; misses
-        # fall back to the bounded cached_ip_text, which validates,
-        # interns, and fills the table.
-        lines += [
-            f"    _raw = _v[{index}::_NF]",
-            "    _texts = list(map(_tg, _raw))",
-            "    if None in _texts:",
-            "        _fill_misses(_texts, _raw)",
-            f"    out.{column}.extend(_texts)",
-        ]
+        lines.append(f"    out.{column}.extend(_v[{index}::_NF])")
     for name, kwarg in _CORE_FIELDS.items():
         slot = named.pop(name, None)
         if slot is None:
@@ -272,8 +264,6 @@ def compile_decoder(
         "_NF": len(codes),
         "_plans": plans,
         "_plan_for": plan_for,
-        "_tg": ip_text_probe,
-        "_fill_misses": _fill_misses,
         "_fb": int.from_bytes,
     }
     exec(compile(source, f"<compiled-template-{template.template_id}>", "exec"), namespace)

@@ -185,7 +185,7 @@ class PackedV9Exporter:
                 [
                     pack(
                         f[1], f[2], f[3], f[4], f[5], f[6] & _M32, f[7] & _M32,
-                        max(0, int((f[0] - anchor) * 1000.0)) & _M32,
+                        int((f[0] - anchor) * 1000.0) & _M32,
                     )
                     for f in group
                 ]

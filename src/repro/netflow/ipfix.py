@@ -148,7 +148,7 @@ class IpfixSession:
 
     Like :class:`repro.netflow.v9.V9Session`: :meth:`decode_into` runs
     each data set through the template's compiled decoder, appending to
-    a caller's :class:`FlowBatch`.
+    a caller's :class:`FlowBatch` with packed addresses.
     """
 
     def __init__(self) -> None:
@@ -211,6 +211,7 @@ class IpfixSession:
         """Decode one message into a fresh columnar :class:`FlowBatch`."""
         batch = FlowBatch()
         self.decode_into(batch, message)
+        batch.addresses_to_text()
         return batch
 
     def _learn_templates(self, domain_id: int, payload: bytes) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.util.interning import cached_ip_address, cached_ip_text
+from repro.util.interning import cached_ip_address, ip_text, ip_texts
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -88,12 +88,15 @@ class FlowRecord:
 class FlowBatch:
     """A batch of flows as parallel columns (structure-of-arrays).
 
-    Addresses are carried as canonical interned *text* (what the
-    correlator keys its map lookups on anyway), so the decode→correlate
-    path never touches ``ipaddress``. ``extras`` is ``None`` when every
-    flow's ``extra`` dict is empty — the common case for the standard
-    v9/IPFIX templates — otherwise a parallel list of per-flow dicts
-    (``None`` entries meaning empty).
+    Addresses are carried as canonical *text* (what the correlator keys
+    its map lookups on anyway), so the decode→correlate path never
+    touches ``ipaddress``. Inside :mod:`repro.netflow` a decode burst
+    first fills the address columns with packed 4- or 16-byte values,
+    and :meth:`addresses_to_text` turns them into text before the batch
+    is returned. ``extras`` is ``None`` when every flow's ``extra`` dict
+    is empty — the common case for the standard v9/IPFIX templates —
+    otherwise a parallel list of per-flow dicts (``None`` entries
+    meaning empty).
     """
 
     __slots__ = (
@@ -170,8 +173,8 @@ class FlowBatch:
         """Append one :class:`FlowRecord` (compat lane for object sources)."""
         self.append_row(
             flow.ts,
-            cached_ip_text(flow.src_ip),
-            cached_ip_text(flow.dst_ip),
+            ip_text(flow.src_ip.packed),
+            ip_text(flow.dst_ip.packed),
             flow.src_port,
             flow.dst_port,
             flow.protocol,
@@ -199,6 +202,12 @@ class FlowBatch:
         self.protocol.extend(other.protocol)
         self.packets.extend(other.packets)
         self.bytes_.extend(other.bytes_)
+
+    def addresses_to_text(self) -> None:
+        """Replace the packed address columns with their text, converting
+        each distinct address once (a decoder's last step)."""
+        self.src_ip_text = ip_texts(self.src_ip_text)
+        self.dst_ip_text = ip_texts(self.dst_ip_text)
 
     def truncate(self, length: int) -> None:
         """Drop every row from ``length`` on (rolls back a datagram that

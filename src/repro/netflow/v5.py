@@ -13,7 +13,6 @@ from typing import Iterable, Tuple
 
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.util.errors import ParseError
-from repro.util.interning import cached_ip_text, ip_text_probe
 
 V5_HEADER = struct.Struct("!HHIIIIBBH")
 V5_RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
@@ -33,7 +32,9 @@ def encode_v5(
 
     Flow start/end are expressed as SysUptime offsets; we anchor the export
     at ``unix_secs`` and place each flow's end at its ``ts`` relative to
-    that anchor (clamped at 0 for flows older than the uptime window).
+    that anchor, wrapped to 32 bits (a flow that ended before the uptime
+    counter started lands just below the wrap, which the decoder reads
+    back as a negative offset).
     """
     flows = list(flows)
     if len(flows) > V5_MAX_RECORDS:
@@ -56,7 +57,7 @@ def encode_v5(
     )
     for f in flows:
         delta_ms = int((f.ts - unix_secs) * 1000.0)
-        end_uptime = max(0, sys_uptime_ms + delta_ms) & 0xFFFFFFFF
+        end_uptime = (sys_uptime_ms + delta_ms) & 0xFFFFFFFF
         start_uptime = end_uptime
         out.extend(
             V5_RECORD.pack(
@@ -108,35 +109,32 @@ def _decode_v5_header(datagram: bytes) -> Tuple[dict, int, int, int]:
     return header, count, sys_uptime, unix_secs
 
 
-def decode_v5_columns(datagram: bytes) -> Tuple[dict, FlowBatch]:
-    """Decode a v5 datagram → (header dict, columnar flow batch).
+def decode_v5_into(out: FlowBatch, datagram: bytes) -> dict:
+    """Append a v5 datagram's flows to ``out``; returns the header dict.
 
     Flow timestamps are reconstructed from the header's ``unix_secs``
     anchor and each record's end-uptime offset, the inverse of
     :func:`encode_v5`; the offset is taken as a signed 32-bit value, so
     a flow that ended just before the uptime counter wrapped lands in
-    the past. Addresses go host-int → interned canonical text
-    through the bounded IP-text cache, and no ``FlowRecord``/
-    ``ipaddress`` objects are built.
+    the past. Addresses are appended as 4-byte packed values, as the
+    v9/IPFIX decoders append theirs, and no ``FlowRecord``/``ipaddress``
+    objects are built.
     """
     header, count, sys_uptime, unix_secs = _decode_v5_header(datagram)
-    batch = FlowBatch(extras=[])
-    ts_col, src_col, dst_col = batch.ts, batch.src_ip_text, batch.dst_ip_text
-    sp_col, dp_col, pr_col = batch.src_port, batch.dst_port, batch.protocol
-    pk_col, by_col, ex_col = batch.packets, batch.bytes_, batch.extras
+    if count and out.extras is None:
+        out.extras = [None] * len(out.ts)
+    ts_col, src_col, dst_col = out.ts, out.src_ip_text, out.dst_ip_text
+    sp_col, dp_col, pr_col = out.src_port, out.dst_port, out.protocol
+    pk_col, by_col, ex_col = out.packets, out.bytes_, out.extras
     body = datagram[V5_HEADER_LEN : V5_HEADER_LEN + count * V5_RECORD_LEN]
-    ip_text = cached_ip_text
-    probe = ip_text_probe
     for fields in V5_RECORD.iter_unpack(body):
         (src, dst, _nexthop, in_if, out_if, packets, octets, _start, end,
          sport, dport, _pad1, tcp_flags, proto, tos, src_as, dst_as,
          src_mask, dst_mask, _pad2) = fields
         delta = (end - sys_uptime + 0x80000000) & 0xFFFFFFFF
         ts_col.append(unix_secs + (delta - 0x80000000) / 1000.0)
-        text = probe(src)
-        src_col.append(text if text is not None else ip_text(src))
-        text = probe(dst)
-        dst_col.append(text if text is not None else ip_text(dst))
+        src_col.append(src.to_bytes(4, "big"))
+        dst_col.append(dst.to_bytes(4, "big"))
         sp_col.append(sport)
         dp_col.append(dport)
         pr_col.append(proto)
@@ -152,4 +150,12 @@ def decode_v5_columns(datagram: bytes) -> Tuple[dict, FlowBatch]:
             "src_mask": src_mask,
             "dst_mask": dst_mask,
         })
+    return header
+
+
+def decode_v5_columns(datagram: bytes) -> Tuple[dict, FlowBatch]:
+    """Decode a v5 datagram → (header dict, columnar flow batch)."""
+    batch = FlowBatch(extras=[])
+    header = decode_v5_into(batch, datagram)
+    batch.addresses_to_text()
     return header, batch

@@ -158,10 +158,10 @@ def _flow_to_field_bytes(flow: FlowRecord, f: TemplateField, unix_secs: int, sys
         return struct.pack("!I", flow.bytes_ & 0xFFFFFFFF)
     if f.field_type == LAST_SWITCHED:
         delta_ms = int((flow.ts - unix_secs) * 1000.0)
-        return struct.pack("!I", max(0, sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
+        return struct.pack("!I", (sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
     if f.field_type == FIRST_SWITCHED:
         delta_ms = int((flow.ts - unix_secs) * 1000.0)
-        return struct.pack("!I", max(0, sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
+        return struct.pack("!I", (sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
     value = flow.extra.get(FIELD_NAMES.get(f.field_type, f"field_{f.field_type}"), 0)
     return int(value).to_bytes(f.length, "big")
 
@@ -223,7 +223,9 @@ class V9Session:
     """Stateful v9 collector side: caches templates, decodes data FlowSets.
 
     :meth:`decode_into` runs each data FlowSet through the template's
-    compiled decoder, appending to a caller's :class:`FlowBatch`.
+    compiled decoder, appending to a caller's :class:`FlowBatch` with
+    packed addresses, which :meth:`FlowBatch.addresses_to_text` turns
+    into text at the end of the burst.
     """
 
     def __init__(self) -> None:
@@ -288,6 +290,7 @@ class V9Session:
         """Decode one datagram into a fresh columnar :class:`FlowBatch`."""
         batch = FlowBatch()
         self.decode_into(batch, datagram)
+        batch.addresses_to_text()
         return batch
 
     def _learn_templates(self, source_id: int, payload: bytes) -> None:

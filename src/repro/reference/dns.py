@@ -32,7 +32,6 @@ def records_from_message(ts: float, msg: DnsMessage) -> List[DnsRecord]:
     out: List[DnsRecord] = []
     for rr in msg.answers:
         if rr.is_address:
-            # DnsRecord.__post_init__ interns the answer text itself.
             out.append(DnsRecord(ts, rr.name, rr.rtype, rr.ttl, str(rr.rdata)))
         elif rr.is_cname:
             out.append(DnsRecord(ts, rr.name, rr.rtype, rr.ttl, rr.rdata))

@@ -1,20 +1,26 @@
-"""Bounded intern tables for hot-path strings and parsed IP addresses.
+"""Bounded intern tables for hot-path names, and address text.
 
-FlowDNS pushes the same few thousand distinct strings (domain names, IP
-texts) and packed addresses through the pipeline millions of times. The
-codecs and adapters intern them here so every downstream dict operation
-(map writes and lookups, chain walks) sees one shared object whose
-``hash()`` is computed once. All tables are bounded: at the cap they are
-dropped wholesale — an O(1) reset that keeps worst-case memory flat
-while the steady-state working set (names live in the DNS maps anyway)
-re-interns within one batch.
+FlowDNS pushes the same few thousand distinct domain names through the
+pipeline millions of times. The DNS codecs and records intern them here
+so every downstream dict operation (map writes and lookups, chain walks)
+sees one shared object whose ``hash()`` is computed once. The tables
+are bounded: at the cap they are dropped wholesale — an O(1) reset that
+keeps worst-case memory flat while the steady-state working set (names
+live in the DNS maps anyway) re-interns within one batch.
+
+Addresses are not interned. :func:`ip_text` spells a packed 4- or
+16-byte address in C, and :func:`ip_texts` converts a decode burst's
+address column once per distinct address; nothing outlives the burst,
+so no table grows with the number of addresses a process sees.
+:func:`cached_ip_address` remains for the object lanes (``FlowRecord``
+construction and materialisation), which tests and object sources use.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from socket import inet_ntoa
-from typing import Dict, Union
+from socket import AF_INET6, inet_ntoa, inet_ntop
+from typing import Dict, List, Sequence, Union
 
 IPAddressLike = Union[str, bytes, int, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -24,7 +30,6 @@ INTERN_TABLE_MAX = 1 << 16
 _strings: Dict[str, str] = {}
 _wire_names: Dict[bytes, str] = {}
 _addresses: Dict[object, object] = {}
-_ip_texts: Dict[object, str] = {}
 
 
 def intern_string(text: str) -> str:
@@ -75,42 +80,30 @@ def cached_ip_address(raw: IPAddressLike):
     return ip
 
 
-#: The raw text table's probe, for decoders that inline the cache hit
-#: path into generated code (one dict .get per address instead of a
-#: Python call). Tables are only ever cleared in place, so this bound
-#: method stays valid across clear_intern_tables()/overflow clears.
-#: Misses must fall back to cached_ip_text, which validates and fills.
-ip_text_probe = _ip_texts.get
+def ip_text(raw: bytes) -> str:
+    """Canonical text of a packed 4- or 16-byte address:
+    ``str(ipaddress.ip_address(raw))``, spelled in C.
 
-
-def cached_ip_text(raw: IPAddressLike) -> str:
-    """Canonical interned text for an address, without the address object.
-
-    The columnar flow path keys its DNS-map lookups on IP *text*; going
-    straight from the wire representation (packed bytes for v9/IPFIX,
-    host int for v5) to the interned text skips the ``ipaddress`` object
-    the per-record path materialises. The text is the same canonical
-    spelling ``str(ip_address(raw))`` produces, so it hash-matches the
-    keys FillUp interned. Raises ``ValueError`` on invalid input;
-    failures are never cached.
+    IPv6 goes through ``inet_ntop``, whose compression matches
+    ``ipaddress``; only a dotted IPv4 tail (which ``inet_ntop`` writes
+    for ``::ffff:0:0/96`` and ``::/96``, and ``ipaddress`` spells by
+    Python version) takes the ``ipaddress`` path. Raises ``ValueError``
+    for any other length.
     """
-    text = _ip_texts.get(raw)
-    if text is None:
-        if type(raw) is bytes and len(raw) == 4:
-            # Packed IPv4: every 4-byte value is a valid address and its
-            # canonical spelling is plain dotted-quad, which inet_ntoa
-            # writes in C — no ipaddress object on first sight. (IPv6
-            # stays on ipaddress: its :: compression rules are not worth
-            # reimplementing.)
-            text = intern_string(inet_ntoa(raw))
-        elif isinstance(raw, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
-            text = intern_string(str(raw))
-        else:
-            text = intern_string(str(ipaddress.ip_address(raw)))
-        if len(_ip_texts) >= INTERN_TABLE_MAX:
-            _ip_texts.clear()
-        _ip_texts[raw] = text
+    if len(raw) == 4:
+        return inet_ntoa(raw)
+    text = inet_ntop(AF_INET6, raw)
+    if "." in text:
+        return str(ipaddress.IPv6Address(raw))
     return text
+
+
+def ip_texts(raws: Sequence[bytes]) -> List[str]:
+    """:func:`ip_text` of every packed address in ``raws``, converting
+    each distinct address once."""
+    distinct = dict.fromkeys(raws)
+    texts = dict(zip(distinct, map(ip_text, distinct)))
+    return list(map(texts.__getitem__, raws))
 
 
 def clear_intern_tables() -> None:
@@ -118,4 +111,3 @@ def clear_intern_tables() -> None:
     _strings.clear()
     _wire_names.clear()
     _addresses.clear()
-    _ip_texts.clear()

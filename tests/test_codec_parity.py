@@ -68,7 +68,7 @@ from repro.netflow.v9 import (
 )
 from repro.reference import decode_ipfix, decode_v9
 from repro.util.errors import ParseError
-from repro.util.interning import cached_ip_text, clear_intern_tables
+from repro.util.interning import ip_text
 
 # ---------------------------------------------------------------------------
 # Randomized template layouts. Address fields keep their wire-legal widths
@@ -108,10 +108,31 @@ def _templates(draw, ts_type=LAST_SWITCHED, ts_lengths=(4,)):
     return TemplateRecord(template_id=draw(st.integers(min_value=256, max_value=400)), fields=tuple(fields))
 
 
-def _record_block(template, payload_rng, n_records, trailing):
+#: Prefixes laid over the random IPv6 addresses: none, the IPv4-mapped
+#: ``::ffff:0:0/96``, and ``::/96`` (12 or 14 zero bytes). The last ones
+#: are where ``inet_ntop`` writes a dotted tail that ``ipaddress`` spells
+#: differently, so both decoders' text must agree there too.
+_v6_prefixes = st.sampled_from([b"", bytes(10) + b"\xff\xff", bytes(12), bytes(14)])
+
+
+def _record_block(template, payload_rng, n_records, trailing, v6_prefix=b""):
     size = template.record_length * n_records
-    raw = payload_rng.getrandbits(8 * size).to_bytes(size, "big") if size else b""
-    return raw + b"\x00" * trailing
+    raw = bytearray(payload_rng.getrandbits(8 * size).to_bytes(size, "big") if size else b"")
+    if v6_prefix:
+        offset = 0
+        for _ in range(n_records):
+            for f in template.fields:
+                if f.field_type in (IPV6_SRC_ADDR, IPV6_DST_ADDR):
+                    raw[offset : offset + len(v6_prefix)] = v6_prefix
+                offset += f.length
+    return bytes(raw) + b"\x00" * trailing
+
+
+def _assert_same_address_text(batch, ref_flows):
+    """The compiled path's address text is ``str`` of the reference's
+    ``ipaddress`` objects, not merely an equal address."""
+    assert batch.src_ip_text == [str(r.src_ip) for r in ref_flows]
+    assert batch.dst_ip_text == [str(r.dst_ip) for r in ref_flows]
 
 
 @given(
@@ -121,10 +142,11 @@ def _record_block(template, payload_rng, n_records, trailing):
     trailing=st.integers(min_value=0, max_value=3),
     unix_secs=st.integers(min_value=0, max_value=2**31),
     sys_uptime=st.integers(min_value=0, max_value=2**31),
+    v6_prefix=_v6_prefixes,
 )
 @settings(max_examples=120, deadline=None)
-def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_secs, sys_uptime):
-    payload = _record_block(template, rng, n_records, trailing)
+def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_secs, sys_uptime, v6_prefix):
+    payload = _record_block(template, rng, n_records, trailing, v6_prefix)
     flowset = struct.pack("!HH", template.template_id, 4 + len(payload)) + payload
     datagram = _pack_header(n_records, sys_uptime, unix_secs, 0, 0) + flowset
     template_datagram = encode_v9_template([template], unix_secs=unix_secs)
@@ -132,8 +154,10 @@ def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_
     session = V9Session()
     decode_v9(session, template_datagram)
     ref_flows = decode_v9(session, datagram)
-    comp_flows = session.decode_batch_columns(datagram).to_records()
+    batch = session.decode_batch_columns(datagram)
+    comp_flows = batch.to_records()
     assert ref_flows == comp_flows
+    _assert_same_address_text(batch, ref_flows)
     for a, b in zip(ref_flows, comp_flows):
         assert a.ts == b.ts
         assert a.extra == b.extra
@@ -145,10 +169,11 @@ def test_v9_compiled_matches_reference(template, rng, n_records, trailing, unix_
     n_records=st.integers(min_value=0, max_value=70),
     trailing=st.integers(min_value=0, max_value=3),
     export_secs=st.integers(min_value=0, max_value=2**31),
+    v6_prefix=_v6_prefixes,
 )
 @settings(max_examples=120, deadline=None)
-def test_ipfix_compiled_matches_reference(template, rng, n_records, trailing, export_secs):
-    payload = _record_block(template, rng, n_records, trailing)
+def test_ipfix_compiled_matches_reference(template, rng, n_records, trailing, export_secs, v6_prefix):
+    payload = _record_block(template, rng, n_records, trailing, v6_prefix)
     data_set = struct.pack("!HH", template.template_id, 4 + len(payload)) + payload
     message = (
         IPFIX_HEADER.pack(IPFIX_VERSION, IPFIX_HEADER.size + len(data_set), export_secs, 0, 0)
@@ -159,8 +184,10 @@ def test_ipfix_compiled_matches_reference(template, rng, n_records, trailing, ex
     session = IpfixSession()
     decode_ipfix(session, template_message)
     ref_flows = decode_ipfix(session, message)
-    comp_flows = session.decode_batch_columns(message).to_records()
+    batch = session.decode_batch_columns(message)
+    comp_flows = batch.to_records()
     assert ref_flows == comp_flows
+    _assert_same_address_text(batch, ref_flows)
     for a, b in zip(ref_flows, comp_flows):
         assert a.ts == b.ts
         assert a.extra == b.extra
@@ -184,6 +211,28 @@ def test_zero_field_template_decodes_to_nothing_on_both_paths():
     decode_v9(session, template_datagram)
     assert decode_v9(session, data_datagram) == []
     assert len(session.decode_batch_columns(data_datagram)) == 0
+
+
+@pytest.mark.parametrize("width", [1, 3, 5, 8, 15, 17])
+@pytest.mark.parametrize("field", ["src", "dst"])
+def test_bad_address_width_rejects_any_record_on_both_paths(width, field):
+    """An address field neither 4 nor 16 bytes wide rejects a set with
+    a record in it, on both paths; a set too short for one record
+    decodes to nothing."""
+    fields = [TemplateField(IPV4_SRC_ADDR, width if field == "src" else 4),
+              TemplateField(IPV4_DST_ADDR, width if field == "dst" else 4),
+              TemplateField(IN_BYTES, 4)]
+    template = TemplateRecord(320, tuple(fields))
+    session = V9Session()
+    decode_v9(session, encode_v9_template([template]))
+    short = _v9_datagram([(320, bytes(template.record_length - 1))])
+    assert decode_v9(session, short) == []
+    assert len(session.decode_batch_columns(short)) == 0
+    full = _v9_datagram([(320, bytes(template.record_length * 2))])
+    with pytest.raises(ParseError):
+        decode_v9(session, full)
+    with pytest.raises(ParseError):
+        session.decode_batch_columns(full)
 
 
 def test_compiled_decoder_skips_addressless_templates():
@@ -215,11 +264,10 @@ def _ipfix_message(set_id, payload, export_secs=1000):
 
 @given(packed=st.binary(min_size=4, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_ipv4_text_miss_spells_dotted_quad(packed):
-    """``cached_ip_text`` spells a packed IPv4 miss with ``inet_ntoa``;
-    that is the plain dotted quad for every 4-byte input."""
-    clear_intern_tables()
-    assert cached_ip_text(packed) == "%d.%d.%d.%d" % tuple(packed)
+def test_ipv4_text_spells_dotted_quad(packed):
+    """``ip_text`` spells a packed IPv4 address with ``inet_ntoa``; that
+    is the plain dotted quad for every 4-byte input."""
+    assert ip_text(packed) == "%d.%d.%d.%d" % tuple(packed)
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,13 @@ def test_decode_fill_columns_matches_reference_filter(payloads):
     assert batch.unknown_records == reference.stats.records_unknown_type
     ours = batch.to_records()
     assert ours == ref_rows
-    # Not just equal — the *same interned objects*, so downstream map
-    # keys hash-share across the two paths.
+    # Names are not just equal but the *same interned objects*, so
+    # downstream map keys hash-share across the two paths. Address
+    # answers are equal text, converted per message and interned nowhere.
     for mine, theirs in zip(ours, ref_rows):
         assert mine.query is theirs.query
-        assert mine.answer is theirs.answer
+        if mine.is_cname:
+            assert mine.answer is theirs.answer
 
 
 @given(payloads=st.lists(_payloads(), max_size=10), scalar_ts=st.booleans())

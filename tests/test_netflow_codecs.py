@@ -264,6 +264,22 @@ class TestUptimeWrap:
                                   unix_secs=self.UNIX_SECS)
         assert [f.ts for f in _decode(session, datagram)] == [f.ts for f in flows]
 
+    def test_v9_encoder_wraps_an_offset_before_uptime_zero(self):
+        """A flow that ended 10 s before the export, when the exporter
+        had been up 5 s, is written below the wrap and read back as
+        10 s in the past, not clamped to uptime 0."""
+        session = V9Session()
+        _decode(session, encode_v9_template([STANDARD_V4_TEMPLATE]))
+        flow = FlowRecord(ts=990.0, src_ip="10.0.0.1", dst_ip="10.0.0.2")
+        datagram = encode_v9_data(STANDARD_V4_TEMPLATE, [flow], sys_uptime_ms=5000,
+                                  unix_secs=1000)
+        assert [f.ts for f in _decode(session, datagram)] == [990.0]
+
+    def test_v5_encoder_wraps_an_offset_before_uptime_zero(self):
+        flow = FlowRecord(ts=990.0, src_ip="10.0.0.1", dst_ip="10.0.0.2")
+        datagram = encode_v5([flow], sys_uptime_ms=5000, unix_secs=1000)
+        assert [f.ts for f in _decode_v5(datagram)[1]] == [990.0]
+
 
 class TestSkippedSetsCounted:
     """A data set the walk passes over undecoded counts under
