@@ -15,6 +15,7 @@ Run with:  python examples/live_async_pipeline.py
 """
 
 import io
+import ipaddress
 import socket
 import threading
 import time
@@ -23,9 +24,9 @@ from repro import FlowDNSConfig, FlowExporter
 from repro.core.async_engine import AsyncEngine
 from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 from repro.core.writer import parse_result_line
-from repro.dns.rr import RRType, a_record, cname_record
+from repro.dns.rr import RRType
 from repro.dns.tcp import frame_messages
-from repro.dns.wire import DnsMessage, Question, encode_message
+from repro.dns.wire import encode_response
 from repro.netflow.records import FlowRecord
 
 N_SERVICES = 120
@@ -37,14 +38,12 @@ def build_dns_wires():
     wires = []
     for i in range(N_SERVICES):
         name = f"svc{i}.example"
-        msg = DnsMessage()
-        msg.questions.append(Question(name, RRType.A))
+        address = ipaddress.IPv4Address(f"10.44.{i // 250}.{i % 250 + 1}").packed
         if i % 4 == 0:
-            msg.answers.append(cname_record(name, f"edge{i}.cdn.net", 600))
-            msg.answers.append(a_record(f"edge{i}.cdn.net", f"10.44.{i // 250}.{i % 250 + 1}", 120))
+            wire = encode_response(0, (name, f"edge{i}.cdn.net"), RRType.A, (address,), 600, 120)
         else:
-            msg.answers.append(a_record(name, f"10.44.{i // 250}.{i % 250 + 1}", 300))
-        wires.append(encode_message(msg))
+            wire = encode_response(0, (name,), RRType.A, (address,), 300, 300)
+        wires.append(wire)
     return wires
 
 

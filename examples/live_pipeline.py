@@ -12,13 +12,14 @@ Run with:  python examples/live_pipeline.py
 """
 
 import io
+import ipaddress
 import time
 from itertools import islice
 
 from repro import AsyncEngine, FlowDNSConfig, FlowExporter
 from repro.core.writer import parse_result_line
-from repro.dns.wire import encode_message, DnsMessage, Question
-from repro.dns.rr import RRType, a_record, cname_record
+from repro.dns.rr import RRType
+from repro.dns.wire import encode_response
 from repro.workloads.isp import large_isp
 
 
@@ -28,17 +29,14 @@ def dns_wire_stream(workload, limit=3000):
     for resolution in islice(workload._resolutions(), limit):
         if not resolution.visible:
             continue
-        msg = DnsMessage()
-        msg.questions.append(Question(resolution.chain[0], resolution.rtype))
-        cname_ttl = resolution.cname_ttl
-        for owner, target in zip(resolution.chain, resolution.chain[1:]):
-            msg.answers.append(cname_record(owner, target, cname_ttl))
-        for ip in resolution.ips:
-            if resolution.rtype == RRType.A:
-                msg.answers.append(a_record(resolution.chain[-1], ip, resolution.a_ttl))
-        if not msg.answers:
+        addresses = ()
+        if resolution.rtype == RRType.A:
+            addresses = tuple(ipaddress.IPv4Address(ip).packed for ip in resolution.ips)
+        if len(resolution.chain) == 1 and not addresses:
             continue
-        out.append((resolution.ts, encode_message(msg)))
+        wire = encode_response(0, resolution.chain, resolution.rtype, addresses,
+                               resolution.cname_ttl, resolution.a_ttl)
+        out.append((resolution.ts, wire))
     return out
 
 

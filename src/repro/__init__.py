@@ -38,7 +38,7 @@ from repro.core import (
     Variant,
     config_for,
 )
-from repro.dns import DnsRecord, DnsMessage, RRType, check_domain, is_valid_domain
+from repro.dns import DnsRecord, RRType, check_domain, is_valid_domain
 from repro.netflow import FlowCollector, FlowExporter, FlowRecord
 from repro.storage import StoreBank
 from repro.workloads import large_isp, small_isp, two_site_capture
@@ -62,7 +62,6 @@ __all__ = [
     "Variant",
     "config_for",
     "DnsRecord",
-    "DnsMessage",
     "RRType",
     "check_domain",
     "is_valid_domain",

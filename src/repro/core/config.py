@@ -78,9 +78,11 @@ class FlowDNSConfig:
     direction: FlowDirection = FlowDirection.SOURCE
     stream_buffer_capacity: int = 65536
     memoize_cname_chains: bool = True
-    #: Records drained per lane wake-up on the batched fast path. Larger
-    #: batches amortise per-wake-up overhead and deduplicate repeated
-    #: lookup IPs better, at the cost of coarser rotation/tick granularity.
+    #: Cap on items a lane takes per wake-up; it takes what is buffered.
+    #: A max-speed replay's pump yields every 512 items (``_PUMP_CHUNK``),
+    #: so its lanes see at most 512. Larger batches amortise per-wake-up
+    #: overhead and deduplicate repeated lookup IPs better, at the cost
+    #: of coarser rotation/tick granularity.
     engine_batch_size: int = 2048
 
     def __post_init__(self):

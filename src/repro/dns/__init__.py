@@ -7,8 +7,9 @@ generators need from the DNS side:
 * :mod:`repro.dns.name` — RFC 1035 domain-name encoding/decoding;
 * :mod:`repro.dns.validation` — the three RFC 1035 validity rules the
   paper's Section 5 checks (length 255, label 63, LDH characters);
-* :mod:`repro.dns.rr` — typed resource records (A/AAAA/CNAME/...);
-* :mod:`repro.dns.wire` — full message codec with name compression;
+* :mod:`repro.dns.rr` — resource-record TYPE and CLASS values;
+* :mod:`repro.dns.wire` — wire layouts and the one writer, :func:`encode_response`;
+* :mod:`repro.dns.columnar` — the collector's decode, wire to FillUp columns;
 * :mod:`repro.dns.stream` — the lightweight ``DnsRecord`` tuples that flow
   through FlowDNS queues;
 * :mod:`repro.dns.ttl` — TTL bucketing/analysis used for Figure 8.
@@ -20,14 +21,7 @@ from repro.dns.name import (
     labels_of,
     normalize_name,
 )
-from repro.dns.rr import (
-    RRType,
-    RClass,
-    ResourceRecord,
-    a_record,
-    aaaa_record,
-    cname_record,
-)
+from repro.dns.rr import RClass, RRType
 from repro.dns.stream import DnsRecord, is_address_type
 from repro.dns.validation import (
     DomainViolation,
@@ -35,15 +29,7 @@ from repro.dns.validation import (
     check_domain,
     is_valid_domain,
 )
-from repro.dns.wire import (
-    DnsMessage,
-    Header,
-    Opcode,
-    Question,
-    Rcode,
-    decode_message,
-    encode_message,
-)
+from repro.dns.wire import Opcode, encode_response
 from repro.dns.tcp import TcpFrameDecoder, frame_message, frame_messages, iter_framed
 from repro.dns.ttl import TtlSummary, summarize_ttls
 
@@ -54,23 +40,14 @@ __all__ = [
     "normalize_name",
     "RRType",
     "RClass",
-    "ResourceRecord",
-    "a_record",
-    "aaaa_record",
-    "cname_record",
     "DnsRecord",
     "is_address_type",
     "DomainViolation",
     "ViolationKind",
     "check_domain",
     "is_valid_domain",
-    "DnsMessage",
-    "Header",
-    "Question",
     "Opcode",
-    "Rcode",
-    "encode_message",
-    "decode_message",
+    "encode_response",
     "TtlSummary",
     "summarize_ttls",
     "TcpFrameDecoder",

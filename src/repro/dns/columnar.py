@@ -1,7 +1,7 @@
 """Selective columnar DNS decode: wire payloads straight to column arrays.
 
-The object decode (:func:`repro.dns.wire.decode_message` and the
-``repro.reference`` DNS filter) materialises a ``Header``, a
+The object decode (the ``repro.reference`` DNS filter over
+:func:`repro.reference.wire.decode_message`) materialises a ``Header``, a
 ``DnsMessage``, a ``Question`` per question and a ``ResourceRecord``
 per record — then throws almost all of it away, because FillUp
 (Section 3.2 step 2) only keeps answer-section A/AAAA/CNAME records of
@@ -21,13 +21,14 @@ additional bodies are *walked by offset arithmetic* — names advance
 through the shared per-message name-offset cache, fixed RR headers are
 single unpacks — but never produce objects. Only answer-section
 A/AAAA/CNAME rows land in the columns, with name decoding feeding the
-:mod:`repro.util.interning` name tables and packed A/AAAA rdata spelled
-by :func:`repro.util.interning.ip_text` (the same canonical text the
-object path produces via ``str(ip_address)``, written in C and kept in
-no table), so downstream map keys equal the reference path's byte for
-byte. Stream records that arrive already decoded enter the same shape
-through :meth:`DnsBatch.from_records`, so
-``FillUpProcessor.process_columns`` is the one fill entry.
+:mod:`repro.util.interning` name tables. A/AAAA rdata is appended packed
+and spelled once per distinct address of the batch at the end by
+:func:`repro.util.interning.ip_text` (the object path's
+``str(ip_address)``, written in C and kept in no table), so rows with one
+address share one string and map keys equal the reference path's.
+Stream records that arrive already decoded enter the same shape through
+:meth:`DnsBatch.from_records`, so ``FillUpProcessor.process_columns`` is
+the one fill entry.
 
 Parity contract (pinned by ``tests/test_dns_columnar_parity.py``): for
 any payload sequence, the rows, stored records and FillUp counters are
@@ -165,9 +166,11 @@ def _decode_answers_into(
     out_name: List[str],
     out_rtype: List[int],
     out_ttl: List[int],
-    out_rdata: List[str],
+    out_rdata: List[Union[str, bytes]],
 ):
     """Parse one payload's storable answers into the columns.
+
+    A/AAAA rdata is appended packed; the caller spells it.
 
     Returns the message's unknown-RR count, or ``None`` when the message
     is invalid — in which case any rows it contributed are rolled back,
@@ -253,7 +256,7 @@ def _decode_answers_into(
                 name_append(owner)
                 rtype_append(_TYPE_A)
                 ttl_append(ttl)
-                rdata_append(ip_text(data[offset:end]))
+                rdata_append(data[offset:end])
             elif rt == _TYPE_CNAME:
                 target, _ = decode_name(data, offset, cache)
                 ts_append(t)
@@ -268,7 +271,7 @@ def _decode_answers_into(
                 name_append(owner)
                 rtype_append(_TYPE_AAAA)
                 ttl_append(ttl)
-                rdata_append(ip_text(data[offset:end]))
+                rdata_append(data[offset:end])
             elif rt == _TYPE_NS or rt == _TYPE_PTR:
                 # Name-typed rdata the object path decodes (and can
                 # reject): validate, keep nothing.
@@ -360,7 +363,7 @@ def decode_fill_columns(
         messages += 1
         # Normalise to bytes once: indexing and slicing bytes is the
         # fastest of the WirePayload forms, and the A/AAAA rdata slices
-        # below become direct dict keys without a second copy.
+        # become direct dict keys without a second copy.
         if type(payload) is not bytes:
             payload = bytes(payload)
         unknown = decode_one(
@@ -376,6 +379,9 @@ def decode_fill_columns(
             # object path counts that message invalid too.
             invalid += 1
         rows = new_rows
+    # Spell each distinct packed A/AAAA rdata once; CNAME targets map to themselves.
+    texts = {v: ip_text(v) if type(v) is bytes else v for v in dict.fromkeys(out_rdata)}
+    batch.rdata_text = list(map(texts.__getitem__, out_rdata))
     batch.messages = messages
     batch.invalid = invalid
     batch.unknown_records = unknown_total

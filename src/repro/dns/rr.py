@@ -1,22 +1,15 @@
-"""Typed DNS resource records.
+"""DNS resource-record TYPE and CLASS values.
 
-FlowDNS only *uses* A, AAAA and CNAME records, but the wire codec must be
-able to carry the other common types found in real resolver traffic (NS,
-MX, TXT, SOA, PTR, SRV) because the FillUp filter's job is precisely to
-discard them (Section 3.2 step 2 "go through a filter").
+FlowDNS only *uses* A, AAAA and CNAME records, but real resolver traffic
+carries the other common types too (NS, MX, TXT, SOA, PTR, SRV), because
+the FillUp filter's job is precisely to discard them (Section 3.2 step 2
+"go through a filter"). The typed record objects are the test-side
+oracle's (``repro.reference``); the collector works on the wire values.
 """
 
 from __future__ import annotations
 
-import ipaddress
-import struct
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Union
-
-from repro.dns.name import NameCache, WireData, decode_name, normalize_name
-from repro.util.errors import ParseError
-from repro.util.interning import cached_ip_address, intern_string
 
 
 class RRType(IntEnum):
@@ -42,101 +35,3 @@ class RClass(IntEnum):
     CH = 3
     HS = 4
     ANY = 255
-
-
-@dataclass(frozen=True)
-class ResourceRecord:
-    """One decoded resource record.
-
-    ``rdata`` is typed per RR type: an :mod:`ipaddress` address for A/AAAA,
-    a normalized domain-name string for CNAME/NS/PTR, raw ``bytes`` for
-    anything else. TTL is seconds remaining as reported by the resolver.
-    """
-
-    name: str
-    rtype: RRType
-    rclass: RClass
-    ttl: int
-    rdata: Union[str, bytes, ipaddress.IPv4Address, ipaddress.IPv6Address]
-
-    def __post_init__(self):
-        if self.ttl < 0:
-            raise ParseError(f"negative TTL on {self.name!r}")
-        # Interned: owner names and name-typed rdata feed the storage maps,
-        # where one shared object per distinct name keeps hashing cached.
-        object.__setattr__(self, "name", intern_string(normalize_name(self.name)))
-        if self.rtype == RRType.A and not isinstance(self.rdata, ipaddress.IPv4Address):
-            object.__setattr__(self, "rdata", ipaddress.IPv4Address(self.rdata))
-        elif self.rtype == RRType.AAAA and not isinstance(self.rdata, ipaddress.IPv6Address):
-            object.__setattr__(self, "rdata", ipaddress.IPv6Address(self.rdata))
-        elif self.rtype in _NAME_RDATA_TYPES and isinstance(self.rdata, str):
-            object.__setattr__(self, "rdata", intern_string(normalize_name(self.rdata)))
-
-    @property
-    def is_address(self) -> bool:
-        return self.rtype in (RRType.A, RRType.AAAA)
-
-    @property
-    def is_cname(self) -> bool:
-        return self.rtype == RRType.CNAME
-
-    def rdata_text(self) -> str:
-        """Presentation form of the rdata (for output files / reports)."""
-        if isinstance(self.rdata, bytes):
-            return self.rdata.hex()
-        return str(self.rdata)
-
-
-_NAME_RDATA_TYPES = {RRType.CNAME, RRType.NS, RRType.PTR}
-
-
-def a_record(name: str, address: str, ttl: int) -> ResourceRecord:
-    """Convenience constructor for an IN A record."""
-    return ResourceRecord(name, RRType.A, RClass.IN, ttl, ipaddress.IPv4Address(address))
-
-
-def aaaa_record(name: str, address: str, ttl: int) -> ResourceRecord:
-    """Convenience constructor for an IN AAAA record."""
-    return ResourceRecord(name, RRType.AAAA, RClass.IN, ttl, ipaddress.IPv6Address(address))
-
-
-def cname_record(name: str, target: str, ttl: int) -> ResourceRecord:
-    """Convenience constructor for an IN CNAME record."""
-    return ResourceRecord(name, RRType.CNAME, RClass.IN, ttl, normalize_name(target))
-
-
-def decode_rdata(
-    rtype: RRType,
-    data: WireData,
-    offset: int,
-    rdlength: int,
-    cache: Optional[NameCache] = None,
-):
-    """Decode the RDATA section of one record from a full message buffer.
-
-    Needs the whole message (not just the RDATA slice) because name-typed
-    RDATA may contain compression pointers into earlier parts. ``data``
-    may be bytes or a memoryview; ``cache`` is the message's shared name
-    cache (see :func:`repro.dns.name.decode_name`).
-    """
-    end = offset + rdlength
-    if end > len(data):
-        raise ParseError("RDATA overruns message")
-    if rtype == RRType.A:
-        if rdlength != 4:
-            raise ParseError(f"A record rdlength {rdlength} != 4")
-        return cached_ip_address(bytes(data[offset:end]))
-    if rtype == RRType.AAAA:
-        if rdlength != 16:
-            raise ParseError(f"AAAA record rdlength {rdlength} != 16")
-        return cached_ip_address(bytes(data[offset:end]))
-    if rtype in _NAME_RDATA_TYPES:
-        name, _ = decode_name(data, offset, cache)
-        return name
-    if rtype == RRType.MX:
-        if rdlength < 3:
-            raise ParseError("MX record too short")
-        pref = struct.unpack_from("!H", data, offset)[0]
-        exchange, _ = decode_name(data, offset + 2, cache)
-        return (pref, exchange)
-    return bytes(data[offset:end])

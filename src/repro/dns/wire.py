@@ -1,35 +1,32 @@
-"""DNS message wire-format codec (RFC 1035 §4).
+"""DNS wire layouts (RFC 1035 §4) and the one response writer.
 
-Implements full message encode/decode with header flags, question section,
-and answer/authority/additional records, including name compression on
-encode and pointer-chasing on decode. The workload generators emit real
-wire-format messages so the FlowDNS ingest path is exercised end to end,
-exactly as the ISP resolvers would feed it.
+:mod:`repro.dns.columnar` decodes with the ``struct`` layouts below.
+:func:`encode_response` writes every DNS message the generator, the
+scenario corpus and the examples emit: question, CNAME chain, address
+answers. The general object codec is the test-side oracle in
+``repro.reference``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Optional, Tuple
+from typing import Sequence
 
-from repro.dns.name import (
-    NameCache,
-    NameCompressor,
-    WireData,
-    decode_name,
-    encode_name,
-    normalize_name,
-)
-from repro.dns.rr import RClass, RRType, ResourceRecord, decode_rdata
-from repro.util.errors import ParseError
+from repro.dns.name import NameCompressor, encode_name, normalize_name
+from repro.dns.rr import RClass, RRType
 
-#: Header, question tail (type, class) and RR head (type, class, TTL,
-#: rdlength) layouts; the generator's direct writer packs with them too.
+#: Header, question tail (type, class), RR head (type, class, TTL, rdlength).
 HEADER = struct.Struct("!HHHHHH")
 QFIXED = struct.Struct("!HH")
 RRFIXED = struct.Struct("!HHIH")
+
+#: A recursive NOERROR response's flag word: QR, RD, RA, opcode QUERY.
+_RESPONSE_FLAGS = 0x8180
+
+_IN = int(RClass.IN)
+_CNAME = int(RRType.CNAME)
+_ADDRESS_LENGTH = {int(RRType.A): 4, int(RRType.AAAA): 16}
 
 
 class Opcode(IntEnum):
@@ -40,218 +37,43 @@ class Opcode(IntEnum):
     UPDATE = 5
 
 
-class Rcode(IntEnum):
-    NOERROR = 0
-    FORMERR = 1
-    SERVFAIL = 2
-    NXDOMAIN = 3
-    NOTIMP = 4
-    REFUSED = 5
+def encode_response(
+    msg_id: int,
+    chain: Sequence[str],
+    rtype: int,
+    addresses: Sequence[bytes],
+    cname_ttl: int,
+    a_ttl: int,
+) -> bytes:
+    """One NOERROR response resolving ``chain[0]`` through its CNAME chain.
 
-
-@dataclass
-class Header:
-    """DNS header: 16-bit id plus the flag word, section counts derived."""
-
-    msg_id: int = 0
-    qr: bool = True  # FlowDNS only ever sees responses
-    opcode: Opcode = Opcode.QUERY
-    aa: bool = False
-    tc: bool = False
-    rd: bool = True
-    ra: bool = True
-    rcode: Rcode = Rcode.NOERROR
-
-    def flags_word(self) -> int:
-        word = 0
-        if self.qr:
-            word |= 0x8000
-        word |= (int(self.opcode) & 0xF) << 11
-        if self.aa:
-            word |= 0x0400
-        if self.tc:
-            word |= 0x0200
-        if self.rd:
-            word |= 0x0100
-        if self.ra:
-            word |= 0x0080
-        word |= int(self.rcode) & 0xF
-        return word
-
-    @classmethod
-    def from_flags_word(cls, msg_id: int, word: int) -> "Header":
-        try:
-            opcode = Opcode((word >> 11) & 0xF)
-        except ValueError as exc:
-            raise ParseError(f"unknown opcode {(word >> 11) & 0xF}") from exc
-        try:
-            rcode = Rcode(word & 0xF)
-        except ValueError as exc:
-            raise ParseError(f"unknown rcode {word & 0xF}") from exc
-        return cls(
-            msg_id=msg_id,
-            qr=bool(word & 0x8000),
-            opcode=opcode,
-            aa=bool(word & 0x0400),
-            tc=bool(word & 0x0200),
-            rd=bool(word & 0x0100),
-            ra=bool(word & 0x0080),
-            rcode=rcode,
-        )
-
-
-@dataclass(frozen=True)
-class Question:
-    """One entry of the question section."""
-
-    qname: str
-    qtype: RRType
-    qclass: RClass = RClass.IN
-
-    def __post_init__(self):
-        object.__setattr__(self, "qname", normalize_name(self.qname))
-
-
-@dataclass
-class DnsMessage:
-    """A decoded (or to-be-encoded) DNS message."""
-
-    header: Header = field(default_factory=Header)
-    questions: List[Question] = field(default_factory=list)
-    answers: List[ResourceRecord] = field(default_factory=list)
-    authorities: List[ResourceRecord] = field(default_factory=list)
-    additionals: List[ResourceRecord] = field(default_factory=list)
-    #: Records skipped during decode for carrying an rtype or rclass
-    #: outside the enums (SVCB/HTTPS/EDNS-class OPT in real resolver
-    #: traffic). Skip-and-count, never ParseError: one exotic record
-    #: must not discard the A/CNAME answers riding in the same message.
-    unknown_records: int = 0
-
-    @property
-    def is_response(self) -> bool:
-        return self.header.qr
-
-    def address_answers(self) -> List[ResourceRecord]:
-        return [rr for rr in self.answers if rr.is_address]
-
-    def cname_answers(self) -> List[ResourceRecord]:
-        return [rr for rr in self.answers if rr.is_cname]
-
-
-def _encode_rr(rr: ResourceRecord, compressor: NameCompressor, offset: int) -> bytes:
-    out = bytearray(compressor.encode(rr.name, offset))
-    rdata = _encode_rdata(rr)
-    out.extend(RRFIXED.pack(int(rr.rtype), int(rr.rclass), rr.ttl, len(rdata)))
-    out.extend(rdata)
-    return bytes(out)
-
-
-def _encode_rdata(rr: ResourceRecord) -> bytes:
-    if rr.rtype in (RRType.A, RRType.AAAA):
-        return rr.rdata.packed
-    if isinstance(rr.rdata, str):
-        # Name-typed rdata. We do not compress inside RDATA: RFC 3597
-        # forbids compression for unknown types and modern encoders avoid
-        # it for CNAME as well for middlebox safety.
-        return encode_name(rr.rdata)
-    if isinstance(rr.rdata, tuple) and rr.rtype == RRType.MX:
-        pref, exchange = rr.rdata
-        return struct.pack("!H", pref) + encode_name(exchange)
-    if isinstance(rr.rdata, bytes):
-        return rr.rdata
-    raise ParseError(f"cannot encode rdata of type {type(rr.rdata).__name__}")
-
-
-def encode_message(msg: DnsMessage) -> bytes:
-    """Serialize a message to wire format with name compression."""
+    Question ``(chain[0], rtype)``, one CNAME answer per hop
+    ``chain[i] → chain[i + 1]`` (TTL ``cname_ttl``), and one ``rtype``
+    answer owned by ``chain[-1]`` per packed address (TTL ``a_ttl``).
+    Owner names are compressed, CNAME targets are not. A name the wire
+    cannot carry raises :class:`ParseError`; an address whose length does
+    not fit ``rtype`` (4 for A, 16 for AAAA) raises ``ValueError``.
+    """
+    chain = [normalize_name(name) for name in chain]
+    hops = len(chain) - 1
+    rtype = int(rtype)
+    width = _ADDRESS_LENGTH.get(rtype)
+    encode = NameCompressor().encode
     out = bytearray(
-        HEADER.pack(
-            msg.header.msg_id & 0xFFFF,
-            msg.header.flags_word(),
-            len(msg.questions),
-            len(msg.answers),
-            len(msg.authorities),
-            len(msg.additionals),
-        )
+        HEADER.pack(msg_id, _RESPONSE_FLAGS, 1, hops + len(addresses), 0, 0)
     )
-    compressor = NameCompressor()
-    for q in msg.questions:
-        out.extend(compressor.encode(q.qname, len(out)))
-        out.extend(QFIXED.pack(int(q.qtype), int(q.qclass)))
-    for section in (msg.answers, msg.authorities, msg.additionals):
-        for rr in section:
-            out.extend(_encode_rr(rr, compressor, len(out)))
+    out += encode(chain[0], len(out))
+    out += QFIXED.pack(rtype, _IN)
+    for i in range(hops):
+        out += encode(chain[i], len(out))
+        rdata = encode_name(chain[i + 1])
+        out += RRFIXED.pack(_CNAME, _IN, cname_ttl, len(rdata))
+        out += rdata
+    owner = chain[-1]
+    for packed in addresses:
+        if len(packed) != width:
+            raise ValueError(f"answer {packed!r} does not fit rtype {rtype}")
+        out += encode(owner, len(out))
+        out += RRFIXED.pack(rtype, _IN, a_ttl, len(packed))
+        out += packed
     return bytes(out)
-
-
-def _decode_question(
-    data: WireData, offset: int, cache: Optional[NameCache]
-) -> Tuple[Question, int]:
-    qname, offset = decode_name(data, offset, cache)
-    if offset + QFIXED.size > len(data):
-        raise ParseError("truncated question")
-    qtype_raw, qclass_raw = QFIXED.unpack_from(data, offset)
-    try:
-        qtype = RRType(qtype_raw)
-        qclass = RClass(qclass_raw)
-    except ValueError as exc:
-        raise ParseError(f"unknown qtype/qclass {qtype_raw}/{qclass_raw}") from exc
-    return Question(qname, qtype, qclass), offset + QFIXED.size
-
-
-def _decode_rr(
-    data: WireData, offset: int, cache: Optional[NameCache]
-) -> Tuple[Optional[ResourceRecord], int]:
-    """Decode one RR; ``(None, next_offset)`` for unknown rtype/rclass.
-
-    Real resolver traffic carries OPT (EDNS puts the UDP size in the
-    class field), SVCB/HTTPS and other types outside the enums alongside
-    the A/CNAME answers FillUp wants — those records skip by rdlength
-    (and count into :attr:`DnsMessage.unknown_records`) instead of
-    invalidating the whole message. The structural bounds checks still
-    apply: a skipped record whose rdlength overruns the message is
-    corruption, not exotica.
-    """
-    name, offset = decode_name(data, offset, cache)
-    if offset + RRFIXED.size > len(data):
-        raise ParseError("truncated resource record")
-    rtype_raw, rclass_raw, ttl, rdlength = RRFIXED.unpack_from(data, offset)
-    offset += RRFIXED.size
-    if offset + rdlength > len(data):
-        raise ParseError("RDATA overruns message")
-    try:
-        rtype = RRType(rtype_raw)
-        rclass = RClass(rclass_raw)
-    except ValueError:
-        return None, offset + rdlength
-    rdata = decode_rdata(rtype, data, offset, rdlength, cache)
-    return ResourceRecord(name, rtype, rclass, ttl, rdata), offset + rdlength
-
-
-def decode_message(data: WireData) -> DnsMessage:
-    """Parse a wire-format DNS message; raises ParseError on corruption.
-
-    ``data`` may be ``bytes``, ``bytearray`` or a ``memoryview`` — the
-    decoder reads through one memoryview without copying section slices,
-    and one per-message name-offset cache means a compression chain is
-    chased once however many records point into it.
-    """
-    if len(data) < HEADER.size:
-        raise ParseError("message shorter than header")
-    buf = data if isinstance(data, memoryview) else memoryview(data)
-    msg_id, flags, qd, an, ns, ar = HEADER.unpack_from(buf, 0)
-    header = Header.from_flags_word(msg_id, flags)
-    msg = DnsMessage(header=header)
-    cache: NameCache = {}
-    offset = HEADER.size
-    for _ in range(qd):
-        question, offset = _decode_question(buf, offset, cache)
-        msg.questions.append(question)
-    for count, section in ((an, msg.answers), (ns, msg.authorities), (ar, msg.additionals)):
-        for _ in range(count):
-            rr, offset = _decode_rr(buf, offset, cache)
-            if rr is None:
-                msg.unknown_records += 1
-            else:
-                section.append(rr)
-    return msg

@@ -5,21 +5,23 @@ Section 2 of the paper describes the flow input as Netflow records carrying
 notes "the system is not bound to NetFlow data and can be adapted to use
 other data formats containing IP addresses and timestamps in a
 configuration file" — we mirror that by decoding v5, v9 and IPFIX datagrams
-into one common :class:`FlowRecord` the correlator consumes.
+into one common :class:`FlowRecord` the correlator consumes. The
+``v5``/``v9``/``ipfix`` modules decode; :mod:`repro.netflow.export` writes.
 """
 
 from repro.netflow.records import FlowRecord, FlowDirection
-from repro.netflow.v5 import encode_v5, V5_HEADER_LEN, V5_RECORD_LEN
-from repro.netflow.v9 import (
-    TemplateField,
-    TemplateRecord,
-    V9Session,
+from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD_LEN
+from repro.netflow.v9 import TemplateField, TemplateRecord, V9Session
+from repro.netflow.ipfix import IpfixSession
+from repro.netflow.collector import FlowCollector
+from repro.netflow.export import (
+    FlowExporter,
+    encode_ipfix_data,
+    encode_ipfix_template,
+    encode_v5,
     encode_v9_data,
     encode_v9_template,
 )
-from repro.netflow.ipfix import IpfixSession, encode_ipfix_data, encode_ipfix_template
-from repro.netflow.collector import FlowCollector
-from repro.netflow.exporter import FlowExporter
 from repro.netflow.udp import send_datagrams
 
 __all__ = [

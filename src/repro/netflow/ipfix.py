@@ -1,21 +1,22 @@
-"""IPFIX (RFC 7011) wire codec, sharing field semantics with NetFlow v9.
+"""IPFIX (RFC 7011) decode, sharing field semantics with NetFlow v9.
 
 The paper cites IPFIX alongside Netflow as the flow formats ISPs collect.
 IPFIX differs from v9 in its message header (no record count or uptime; a
 direct export-time field) and its set numbering (template set id 2). Field
 types are inherited from v9's information elements, so we reuse them, with
-one semantic difference: our IPFIX exporter ships absolute millisecond
-timestamps (flowEndMilliseconds, IE 153) instead of uptime offsets.
+one semantic difference: our IPFIX exporter (:mod:`repro.netflow.export`)
+ships absolute millisecond timestamps (flowEndMilliseconds, IE 153)
+instead of uptime offsets.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.netflow.compiled import compile_decoder
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowBatch
 from repro.netflow.v9 import (
     FIELD_NAMES,
     IPV4_DST_ADDR,
@@ -56,78 +57,6 @@ IPFIX_V4_TEMPLATE = TemplateRecord(
         TemplateField(FLOW_END_MILLISECONDS, 8),
     ),
 )
-
-
-def _pack_message(body: bytes, export_secs: int, sequence: int, domain_id: int) -> bytes:
-    return (
-        IPFIX_HEADER.pack(
-            IPFIX_VERSION,
-            IPFIX_HEADER.size + len(body),
-            export_secs & 0xFFFFFFFF,
-            sequence & 0xFFFFFFFF,
-            domain_id & 0xFFFFFFFF,
-        )
-        + body
-    )
-
-
-def encode_ipfix_template(
-    templates: Iterable[TemplateRecord],
-    export_secs: int = 0,
-    sequence: int = 0,
-    domain_id: int = 0,
-) -> bytes:
-    """Encode one IPFIX message carrying a template set."""
-    body = bytearray()
-    for tmpl in templates:
-        body.extend(struct.pack("!HH", tmpl.template_id, len(tmpl.fields)))
-        for f in tmpl.fields:
-            body.extend(struct.pack("!HH", f.field_type, f.length))
-    set_header = struct.pack("!HH", TEMPLATE_SET_ID, 4 + len(body))
-    return _pack_message(set_header + bytes(body), export_secs, sequence, domain_id)
-
-
-def _field_bytes(flow: FlowRecord, f: TemplateField) -> bytes:
-    if f.field_type in (IPV4_SRC_ADDR, IPV6_SRC_ADDR):
-        return flow.src_ip.packed
-    if f.field_type in (IPV4_DST_ADDR, IPV6_DST_ADDR):
-        return flow.dst_ip.packed
-    if f.field_type == L4_SRC_PORT:
-        return struct.pack("!H", flow.src_port)
-    if f.field_type == L4_DST_PORT:
-        return struct.pack("!H", flow.dst_port)
-    if f.field_type == PROTOCOL:
-        return struct.pack("!B", flow.protocol)
-    if f.field_type == IN_PKTS:
-        return flow.packets.to_bytes(f.length, "big")
-    if f.field_type == IN_BYTES:
-        return flow.bytes_.to_bytes(f.length, "big")
-    if f.field_type == FLOW_END_MILLISECONDS:
-        return int(flow.ts * 1000.0).to_bytes(f.length, "big")
-    value = flow.extra.get(FIELD_NAMES.get(f.field_type, f"field_{f.field_type}"), 0)
-    return int(value).to_bytes(f.length, "big")
-
-
-def encode_ipfix_data(
-    template: TemplateRecord,
-    flows: Iterable[FlowRecord],
-    export_secs: int = 0,
-    sequence: int = 0,
-    domain_id: int = 0,
-) -> bytes:
-    """Encode flows as a data set against ``template``."""
-    body = bytearray()
-    for flow in flows:
-        for f in template.fields:
-            chunk = _field_bytes(flow, f)
-            if len(chunk) != f.length:
-                raise ParseError(
-                    f"field {f.field_type} produced {len(chunk)} bytes, template says {f.length}"
-                )
-            body.extend(chunk)
-    padding = (-(4 + len(body))) % 4
-    set_header = struct.pack("!HH", template.template_id, 4 + len(body) + padding)
-    return _pack_message(set_header + bytes(body) + b"\x00" * padding, export_secs, sequence, domain_id)
 
 
 @lru_cache(maxsize=256)

@@ -1,17 +1,18 @@
-"""NetFlow version 5 wire codec (fixed 48-byte records, RFC-less Cisco spec).
+"""NetFlow version 5 decode (fixed 48-byte records, RFC-less Cisco spec).
 
 v5 is IPv4-only and templateless: a 24-byte header followed by up to 30
-fixed-layout records. The encoder/decoder here round-trips every field the
-format defines; FlowDNS itself consumes only the subset carried into
-:class:`repro.netflow.records.FlowRecord`.
+fixed-layout records. The decoder reads every field the format defines;
+FlowDNS itself consumes only the subset carried into
+:class:`repro.netflow.records.FlowRecord`. The writer is
+:func:`repro.netflow.export.encode_v5`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Tuple
+from typing import Tuple
 
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowBatch
 from repro.util.errors import ParseError
 
 V5_HEADER = struct.Struct("!HHIIIIBBH")
@@ -19,71 +20,6 @@ V5_RECORD = struct.Struct("!IIIHHIIIIHHBBBBHHBBH")
 V5_HEADER_LEN = V5_HEADER.size  # 24
 V5_RECORD_LEN = V5_RECORD.size  # 48
 V5_MAX_RECORDS = 30
-
-
-def encode_v5(
-    flows: Iterable[FlowRecord],
-    sys_uptime_ms: int = 0,
-    unix_secs: int = 0,
-    flow_sequence: int = 0,
-    engine_id: int = 0,
-) -> bytes:
-    """Encode up to 30 IPv4 flows as one v5 export datagram.
-
-    Flow start/end are expressed as SysUptime offsets; we anchor the export
-    at ``unix_secs`` and place each flow's end at its ``ts`` relative to
-    that anchor, wrapped to 32 bits (a flow that ended before the uptime
-    counter started lands just below the wrap, which the decoder reads
-    back as a negative offset).
-    """
-    flows = list(flows)
-    if len(flows) > V5_MAX_RECORDS:
-        raise ParseError(f"v5 datagram limited to {V5_MAX_RECORDS} records")
-    for f in flows:
-        if f.src_ip.version != 4 or f.dst_ip.version != 4:
-            raise ParseError("NetFlow v5 carries IPv4 flows only")
-    out = bytearray(
-        V5_HEADER.pack(
-            5,
-            len(flows),
-            sys_uptime_ms & 0xFFFFFFFF,
-            unix_secs & 0xFFFFFFFF,
-            0,  # unix_nsecs
-            flow_sequence & 0xFFFFFFFF,
-            0,  # engine_type
-            engine_id & 0xFF,
-            0,  # sampling interval
-        )
-    )
-    for f in flows:
-        delta_ms = int((f.ts - unix_secs) * 1000.0)
-        end_uptime = (sys_uptime_ms + delta_ms) & 0xFFFFFFFF
-        start_uptime = end_uptime
-        out.extend(
-            V5_RECORD.pack(
-                int(f.src_ip),
-                int(f.dst_ip),
-                0,  # nexthop
-                f.extra.get("input_if", 0) & 0xFFFF,
-                f.extra.get("output_if", 0) & 0xFFFF,
-                f.packets & 0xFFFFFFFF,
-                f.bytes_ & 0xFFFFFFFF,
-                start_uptime,
-                end_uptime,
-                f.src_port,
-                f.dst_port,
-                0,  # pad1
-                f.extra.get("tcp_flags", 0) & 0xFF,
-                f.protocol & 0xFF,
-                f.extra.get("tos", 0) & 0xFF,
-                f.extra.get("src_as", 0) & 0xFFFF,
-                f.extra.get("dst_as", 0) & 0xFFFF,
-                f.extra.get("src_mask", 0) & 0xFF,
-                f.extra.get("dst_mask", 0) & 0xFF,
-                0,  # pad2
-            )
-        )
-    return bytes(out)
 
 
 def _decode_v5_header(datagram: bytes) -> Tuple[dict, int, int, int]:
@@ -114,9 +50,9 @@ def decode_v5_into(out: FlowBatch, datagram: bytes) -> dict:
 
     Flow timestamps are reconstructed from the header's ``unix_secs``
     anchor and each record's end-uptime offset, the inverse of
-    :func:`encode_v5`; the offset is taken as a signed 32-bit value, so
-    a flow that ended just before the uptime counter wrapped lands in
-    the past. Addresses are appended as 4-byte packed values, as the
+    ``encode_v5``; the offset is taken as a signed 32-bit value, so a
+    flow that ended just before the uptime counter wrapped lands in the
+    past. Addresses are appended as 4-byte packed values, as the
     v9/IPFIX decoders append theirs, and no ``FlowRecord``/``ipaddress``
     objects are built.
     """

@@ -1,10 +1,11 @@
-"""NetFlow version 9 wire codec (RFC 3954): template-driven records.
+"""NetFlow version 9 decode (RFC 3954): template-driven records.
 
 Unlike v5, a v9 exporter first describes its record layout in a *template
 FlowSet* and then ships *data FlowSets* that reference the template id. A
 collector must therefore be stateful: :class:`V9Session` caches templates
 per (source-id, template-id) and decodes data FlowSets against them, which
-is exactly what an ISP-side collector feeding FlowDNS does.
+is exactly what an ISP-side collector feeding FlowDNS does. The writer
+is :mod:`repro.netflow.export`.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.netflow.compiled import compile_decoder
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowBatch
 from repro.util.errors import ParseError
 
 V9_HEADER = struct.Struct("!HHIIII")
@@ -112,89 +113,6 @@ STANDARD_V6_TEMPLATE = TemplateRecord(
         TemplateField(LAST_SWITCHED, 4),
     ),
 )
-
-
-def _pack_header(count: int, sys_uptime_ms: int, unix_secs: int, sequence: int, source_id: int) -> bytes:
-    return V9_HEADER.pack(9, count, sys_uptime_ms & 0xFFFFFFFF, unix_secs & 0xFFFFFFFF,
-                          sequence & 0xFFFFFFFF, source_id & 0xFFFFFFFF)
-
-
-def encode_v9_template(
-    templates: Iterable[TemplateRecord],
-    sys_uptime_ms: int = 0,
-    unix_secs: int = 0,
-    sequence: int = 0,
-    source_id: int = 0,
-) -> bytes:
-    """Encode a datagram containing one template FlowSet (id 0)."""
-    templates = list(templates)
-    body = bytearray()
-    for tmpl in templates:
-        body.extend(struct.pack("!HH", tmpl.template_id, len(tmpl.fields)))
-        for f in tmpl.fields:
-            body.extend(struct.pack("!HH", f.field_type, f.length))
-    flowset = struct.pack("!HH", 0, 4 + len(body)) + bytes(body)
-    return _pack_header(len(templates), sys_uptime_ms, unix_secs, sequence, source_id) + flowset
-
-
-def _flow_to_field_bytes(flow: FlowRecord, f: TemplateField, unix_secs: int, sys_uptime_ms: int) -> bytes:
-    if f.field_type == IPV4_SRC_ADDR:
-        return flow.src_ip.packed
-    if f.field_type == IPV4_DST_ADDR:
-        return flow.dst_ip.packed
-    if f.field_type == IPV6_SRC_ADDR:
-        return flow.src_ip.packed
-    if f.field_type == IPV6_DST_ADDR:
-        return flow.dst_ip.packed
-    if f.field_type == L4_SRC_PORT:
-        return struct.pack("!H", flow.src_port)
-    if f.field_type == L4_DST_PORT:
-        return struct.pack("!H", flow.dst_port)
-    if f.field_type == PROTOCOL:
-        return struct.pack("!B", flow.protocol)
-    if f.field_type == IN_PKTS:
-        return struct.pack("!I", flow.packets & 0xFFFFFFFF)
-    if f.field_type == IN_BYTES:
-        return struct.pack("!I", flow.bytes_ & 0xFFFFFFFF)
-    if f.field_type == LAST_SWITCHED:
-        delta_ms = int((flow.ts - unix_secs) * 1000.0)
-        return struct.pack("!I", (sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
-    if f.field_type == FIRST_SWITCHED:
-        delta_ms = int((flow.ts - unix_secs) * 1000.0)
-        return struct.pack("!I", (sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
-    value = flow.extra.get(FIELD_NAMES.get(f.field_type, f"field_{f.field_type}"), 0)
-    return int(value).to_bytes(f.length, "big")
-
-
-def encode_v9_data(
-    template: TemplateRecord,
-    flows: Iterable[FlowRecord],
-    sys_uptime_ms: int = 0,
-    unix_secs: int = 0,
-    sequence: int = 0,
-    source_id: int = 0,
-) -> bytes:
-    """Encode flows as one data FlowSet against ``template``."""
-    body = bytearray()
-    count = 0
-    for flow in flows:
-        for f in template.fields:
-            chunk = _flow_to_field_bytes(flow, f, unix_secs, sys_uptime_ms)
-            if len(chunk) != f.length:
-                raise ParseError(
-                    f"field {f.field_type} produced {len(chunk)} bytes, template says {f.length}"
-                )
-            body.extend(chunk)
-        count += 1
-    # Pad FlowSet to a 4-byte boundary per RFC 3954 §5.3.
-    padding = (-(4 + len(body))) % 4
-    flowset = struct.pack("!HH", template.template_id, 4 + len(body) + padding)
-    return (
-        _pack_header(count, sys_uptime_ms, unix_secs, sequence, source_id)
-        + flowset
-        + bytes(body)
-        + b"\x00" * padding
-    )
 
 
 _SRC_ADDR_TYPES = frozenset({IPV4_SRC_ADDR, IPV6_SRC_ADDR})

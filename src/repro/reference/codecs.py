@@ -1,19 +1,21 @@
-"""Per-field NetFlow v5 / v9 / IPFIX decoders emitting FlowRecord objects.
+"""Per-field NetFlow v5 / v9 / IPFIX decoders, and the per-field v9 exporter.
 
 The production decoders are compiled per template and fill FlowBatch
 columns (:mod:`repro.netflow.compiled`). These walk each record field
 by field into a dict of named values and build one :class:`FlowRecord`
 per flow. The v9/IPFIX oracles run on the production session's own set
 walk and template table, so header checks and template learning are
-shared and only the record decode differs.
+shared and only the record decode differs. :func:`export_v9` is the v9
+writer's oracle, per-field ``encode_v9_data`` calls.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.netflow.collector import FlowCollector, probe_version
+from repro.netflow.export import _batched, encode_v9_data, encode_v9_template
 from repro.netflow.ipfix import FLOW_END_MILLISECONDS, IpfixSession
 from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD, V5_RECORD_LEN, _decode_v5_header
@@ -23,6 +25,8 @@ from repro.netflow.v9 import (
     IPV4_SRC_ADDR,
     IPV6_DST_ADDR,
     IPV6_SRC_ADDR,
+    STANDARD_V4_TEMPLATE,
+    STANDARD_V6_TEMPLATE,
     TemplateRecord,
     V9Session,
 )
@@ -180,3 +184,26 @@ def ingest(collector: FlowCollector, datagram: bytes) -> List[FlowRecord]:
     stats.sets_skipped += skipped
     stats.by_version[version] = stats.by_version.get(version, 0) + 1
     return flows
+
+
+def export_v9(
+    flows: Iterable[FlowRecord], batch_size: int = 24, template_refresh: int = 64
+) -> Iterator[bytes]:
+    """``FlowExporter(version=9).export(flows)``, one field at a time."""
+    sequence = 0
+    sent_since_template = None  # force template first
+    for batch in _batched(flows, batch_size):
+        anchor = int(batch[0].ts)
+        if sent_since_template is None or sent_since_template >= template_refresh:
+            yield encode_v9_template(
+                [STANDARD_V4_TEMPLATE, STANDARD_V6_TEMPLATE], unix_secs=anchor,
+                sequence=sequence,
+            )
+            sent_since_template = 0
+        v4 = [f for f in batch if f.src_ip.version == 4 and f.dst_ip.version == 4]
+        v6 = [f for f in batch if f.src_ip.version == 6 and f.dst_ip.version == 6]
+        for template, group in ((STANDARD_V4_TEMPLATE, v4), (STANDARD_V6_TEMPLATE, v6)):
+            if group:
+                yield encode_v9_data(template, group, unix_secs=anchor, sequence=sequence)
+                sequence += len(group)
+                sent_since_template += 1

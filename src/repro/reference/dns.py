@@ -2,7 +2,7 @@
 
 The production fill lane decodes wire payloads straight to
 :class:`~repro.dns.columnar.DnsBatch` columns. This is the object twin:
-a full :func:`~repro.dns.wire.decode_message`, then one
+a full :func:`~repro.reference.wire.decode_message`, then one
 :class:`DnsRecord` per A/AAAA/CNAME answer of a NOERROR response,
 counted into a production :class:`FillUpProcessor`'s stats.
 """
@@ -13,7 +13,7 @@ from typing import List
 
 from repro.core.fillup import FillUpProcessor
 from repro.dns.stream import DnsRecord
-from repro.dns.wire import DnsMessage, decode_message
+from repro.reference.wire import DnsMessage, decode_message
 from repro.util.errors import ParseError
 
 
@@ -24,7 +24,7 @@ def records_from_message(ts: float, msg: DnsMessage) -> List[DnsRecord]:
     filter from Section 3.2 step 2. Non-responses, error rcodes and empty
     answer sections yield nothing.
     """
-    if not msg.is_response or msg.header.rcode != 0:
+    if not msg.header.qr or msg.header.rcode != 0:
         return []
     # The query name associated with each answer RR is the RR owner name,
     # which for CDN chains differs from the original question as the chain
@@ -55,7 +55,7 @@ def filter_message(processor: FillUpProcessor, ts: float, payload) -> List[DnsRe
     else:
         message = payload
     records = records_from_message(ts, message)
-    if message.is_response and message.header.rcode == 0:
+    if message.header.qr and message.header.rcode == 0:
         # The columnar decoder never walks the sections of a rejected
         # message (query, error rcode), so its unknown RRs go uncounted.
         stats.records_unknown_type += message.unknown_records

@@ -21,9 +21,9 @@ the ROADMAP's "as many scenarios as you can imagine" goal cares about:
   (same-IP variant: the second site's A record overwrites the first),
   straight from :func:`repro.workloads.two_site_capture`.
 
-Scenarios synthesize *wire bytes* — DNS messages via
-:mod:`repro.dns.wire`, export datagrams via
-:class:`~repro.netflow.exporter.FlowExporter` — because a capture
+Scenarios synthesize *wire bytes* — DNS responses via
+:func:`~repro.dns.wire.encode_response`, export datagrams via
+:class:`~repro.netflow.export.FlowExporter` — because a capture
 records what the sockets saw, not decoded objects. The golden corpus
 under ``tests/data/golden/`` is these scenarios at seed 7; regenerate
 with ``python -m repro.replay.scenarios <dir>`` or
@@ -32,13 +32,14 @@ with ``python -m repro.replay.scenarios <dir>`` or
 
 from __future__ import annotations
 
+import ipaddress
 from typing import Callable, Dict, Iterable, List, Sequence
 
-from repro.dns.rr import ResourceRecord, RRType, a_record, cname_record
-from repro.dns.wire import DnsMessage, Question, encode_message
-from repro.netflow.exporter import FlowExporter
+from repro.dns.rr import RRType
+from repro.dns.wire import encode_response
+from repro.netflow.export import FlowExporter, encode_v9_data
 from repro.netflow.records import FlowRecord
-from repro.netflow.v9 import STANDARD_V4_TEMPLATE, encode_v9_data
+from repro.netflow.v9 import STANDARD_V4_TEMPLATE
 from repro.replay.capture import CaptureFrame, LANE_DNS, LANE_FLOW, write_capture
 from repro.util.errors import ConfigError
 from repro.util.rng import derive_rng
@@ -50,28 +51,21 @@ GOLDEN_SEED = 7
 # --- wire-building helpers ---------------------------------------------------
 
 
-def _message_wire(qname: str, answers: Sequence[ResourceRecord]) -> bytes:
-    msg = DnsMessage()
-    msg.questions.append(Question(qname, RRType.A))
-    msg.answers.extend(answers)
-    return encode_message(msg)
+def _message_wire(chain: Sequence[str], ip: str, ttl: int) -> bytes:
+    """One A response resolving ``chain[0]`` through ``chain`` to ``ip``."""
+    packed = ipaddress.IPv4Address(ip).packed
+    return encode_response(0, chain, RRType.A, (packed,), ttl, ttl)
 
 
 def _a_frame(ts: float, name: str, ip: str, ttl: int) -> CaptureFrame:
-    return CaptureFrame(ts, LANE_DNS, _message_wire(name, [a_record(name, ip, ttl)]))
+    return CaptureFrame(ts, LANE_DNS, _message_wire((name,), ip, ttl))
 
 
 def _chain_frame(
     ts: float, name: str, targets: Sequence[str], ip: str, ttl: int
 ) -> CaptureFrame:
     """One response resolving ``name`` through a CNAME chain to ``ip``."""
-    answers: List[ResourceRecord] = []
-    owner = name
-    for target in targets:
-        answers.append(cname_record(owner, target, ttl))
-        owner = target
-    answers.append(a_record(owner, ip, ttl))
-    return CaptureFrame(ts, LANE_DNS, _message_wire(name, answers))
+    return CaptureFrame(ts, LANE_DNS, _message_wire((name, *targets), ip, ttl))
 
 
 def _flow_frames(
@@ -206,7 +200,7 @@ def scenario_malformed(seed: int) -> List[CaptureFrame]:
             # Undecodable DNS payloads: pure garbage, and a truncated
             # copy of a real message — both count as invalid, not fatal.
             frames.append(CaptureFrame(0.25 + 0.2 * i, LANE_DNS, b"\xde\xad\xbe\xef" * 3))
-    good_wire = _message_wire("trunc.mal.example", [a_record("trunc.mal.example", "10.22.9.9", 60)])
+    good_wire = _message_wire(("trunc.mal.example",), "10.22.9.9", 60)
     frames.append(CaptureFrame(1.9, LANE_DNS, good_wire[: len(good_wire) // 2]))
 
     flows = sorted(

@@ -44,10 +44,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.dns.name import NameCompressor, encode_name, normalize_name
-from repro.dns.rr import RClass, RRType
-from repro.dns.wire import HEADER, QFIXED, RRFIXED, Header
-from repro.netflow.exporter import PackedV9Exporter
+from repro.dns.wire import encode_response
+from repro.netflow.export import PackedV9Exporter
 from repro.replay.capture import LANE_DNS, LANE_FLOW, CaptureFrame, CaptureWriter
 from repro.util.errors import ConfigError, ParseError
 from repro.util.rng import derive_rng
@@ -63,12 +61,6 @@ from repro.workloads.ttl_model import TtlModel
 CLIENT_V4_BASE = 0x64400000  # 100.64.0.0
 CLIENT_V6_BASE = 0x20010DB8FEED0000 << 64  # 2001:db8:feed::/64
 MAX_CLIENTS = 1 << 22
-
-#: The flag word ``encode_message`` writes for a default :class:`Header`
-#: (a recursive response: QR, RD, RA).
-_RESPONSE_FLAGS = Header().flags_word()
-_IN = int(RClass.IN)
-_CNAME = int(RRType.CNAME)
 
 #: Named flow-size CDFs: ``(size_bytes, probability)`` points, in the
 #: style of rotorsim's ``SizeDistribution`` tables. ``websearch`` is the
@@ -447,55 +439,13 @@ class WorkloadGenerator:
     def _answer_addresses(self, res: Resolution) -> Tuple[bytes, ...]:
         """Packed A/AAAA rdata for ``res.ips``, each text parsed once."""
         table = self._packed
-        width = 4 if res.rtype == RRType.A else 16
         out = []
         for ip in res.ips:
             packed = table.get(ip)
             if packed is None:
                 packed = table[ip] = ipaddress.ip_address(ip).packed
-            if len(packed) != width:
-                raise ValueError(f"{res.rtype.name} answer {ip!r} has the wrong family")
             out.append(packed)
         return tuple(out)
-
-    def _resolution_wire(
-        self, res: Resolution, msg_id: int, addresses: Tuple[bytes, ...]
-    ) -> bytes:
-        """One DNS response for ``res``, written straight to wire bytes.
-
-        Byte for byte what ``encode_message`` writes for ``DnsMessage`` +
-        ``Question(chain[0], rtype)`` + one ``cname_record`` per chain hop
-        + one ``a_record``/``aaaa_record`` per address (id ``msg_id``,
-        default response flags). Owner names go through one
-        :class:`NameCompressor` and CNAME targets through
-        :func:`encode_name`, in that path's order, so the compression
-        pointers match and a name the wire cannot carry raises the same
-        :class:`ParseError`. ``addresses`` is :meth:`_answer_addresses`.
-        """
-        # Question and ResourceRecord normalised every name once before
-        # encoding; the compressor and encode_name normalise again.
-        chain = [normalize_name(name) for name in res.chain]
-        hops = len(chain) - 1
-        cname_ttl = res.cname_ttl
-        a_ttl = res.a_ttl
-        rtype = int(res.rtype)
-        encode = NameCompressor().encode
-        out = bytearray(
-            HEADER.pack(msg_id, _RESPONSE_FLAGS, 1, hops + len(addresses), 0, 0)
-        )
-        out += encode(chain[0], len(out))
-        out += QFIXED.pack(rtype, _IN)
-        for i in range(hops):
-            out += encode(chain[i], len(out))
-            rdata = encode_name(chain[i + 1])
-            out += RRFIXED.pack(_CNAME, _IN, cname_ttl, len(rdata))
-            out += rdata
-        owner = chain[-1]
-        for packed in addresses:
-            out += encode(owner, len(out))
-            out += RRFIXED.pack(rtype, _IN, a_ttl, len(packed))
-            out += packed
-        return bytes(out)
 
     # --- frame stream -----------------------------------------------------
 
@@ -601,7 +551,10 @@ class WorkloadGenerator:
                     res = self.hosting.resolve(service, t, rng_dns)
                     servers = self._answer_addresses(res)
                     try:
-                        wire = self._resolution_wire(res, rng_dns.getrandbits(16), servers)
+                        wire = encode_response(
+                            rng_dns.getrandbits(16), res.chain, res.rtype, servers,
+                            res.cname_ttl, res.a_ttl,
+                        )
                     except ParseError:
                         # The abuse population's mal-formatted category
                         # violates RFC 1035 on purpose (labels over 63

@@ -13,11 +13,11 @@ import pytest
 from repro.core.async_engine import AsyncEngine
 from repro.core.ingest import AsyncBuffer, TcpDnsIngest, UdpFlowIngest
 from repro.core.config import FlowDNSConfig
-from repro.dns.rr import RRType, a_record, cname_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, cname_record, encode_message
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
-from repro.dns.wire import DnsMessage, Question, encode_message
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
 from repro.netflow.udp import send_datagrams
 

@@ -30,21 +30,37 @@ from repro import reference
 from repro.core.lookup import CorrelationBatch, CorrelationResult
 from repro.core.writer import format_batch
 from repro.dns.name import decode_name, encode_name
-from repro.dns.rr import RRType, a_record, cname_record
-from repro.dns.wire import DnsMessage, Header, Question, decode_message, encode_message
+from repro.dns.rr import RRType
+from repro.reference import (
+    DnsMessage,
+    Header,
+    Question,
+    a_record,
+    cname_record,
+    decode_ipfix,
+    decode_message,
+    decode_v9,
+    encode_message,
+)
 from repro.netflow.ipfix import (
     FLOW_END_MILLISECONDS,
     IPFIX_HEADER,
     IPFIX_V4_TEMPLATE,
     IPFIX_VERSION,
     IpfixSession,
+)
+from repro.netflow.export import (
+    _pack_header,
     encode_ipfix_data,
     encode_ipfix_template,
+    encode_v5,
+    encode_v9_data,
+    encode_v9_template,
 )
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowBatch, FlowRecord
-from repro.netflow.v5 import encode_v5
 from repro.netflow.v9 import (
+    FIRST_SWITCHED,
     IN_BYTES,
     IN_PKTS,
     IPV4_DST_ADDR,
@@ -54,7 +70,6 @@ from repro.netflow.v9 import (
     L4_DST_PORT,
     L4_SRC_PORT,
     LAST_SWITCHED,
-    FIRST_SWITCHED,
     PROTOCOL,
     SRC_AS,
     STANDARD_V4_TEMPLATE,
@@ -62,11 +77,7 @@ from repro.netflow.v9 import (
     TemplateRecord,
     V9Session,
     compiled_v9_decoder,
-    encode_v9_data,
-    encode_v9_template,
-    _pack_header,
 )
-from repro.reference import decode_ipfix, decode_v9
 from repro.util.errors import ParseError
 from repro.util.interning import ip_text
 

@@ -32,20 +32,16 @@ from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
-from repro.netflow.v5 import decode_v5_columns, encode_v5
-from repro.netflow.v9 import (
-    STANDARD_V4_TEMPLATE,
-    STANDARD_V6_TEMPLATE,
-    V9Session,
+from repro.netflow.v5 import decode_v5_columns
+from repro.netflow.export import (
+    encode_ipfix_data,
+    encode_ipfix_template,
+    encode_v5,
     encode_v9_data,
     encode_v9_template,
 )
-from repro.netflow.ipfix import (
-    IPFIX_V4_TEMPLATE,
-    IpfixSession,
-    encode_ipfix_data,
-    encode_ipfix_template,
-)
+from repro.netflow.v9 import STANDARD_V4_TEMPLATE, STANDARD_V6_TEMPLATE, V9Session
+from repro.netflow.ipfix import IPFIX_V4_TEMPLATE, IpfixSession
 from repro.reference import (
     correlate_record,
     decode_ipfix,

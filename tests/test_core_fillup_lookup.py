@@ -7,11 +7,18 @@ from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch, decode_fill_columns
-from repro.dns.rr import RRType, a_record, cname_record
+from repro.dns.rr import RRType
+from repro.reference import (
+    DnsMessage,
+    Header,
+    Question,
+    a_record,
+    cname_record,
+    encode_message,
+    filter_message,
+)
 from repro.dns.stream import DnsRecord
-from repro.dns.wire import DnsMessage, Header, Question, encode_message
 from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
-from repro.reference import filter_message
 
 
 @pytest.fixture()

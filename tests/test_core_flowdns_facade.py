@@ -5,9 +5,9 @@ import io
 import pytest
 
 from repro import FlowDNS, FlowDNSConfig
-from repro.dns.rr import RRType, a_record, cname_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, cname_record, encode_message
 from repro.dns.stream import DnsRecord
-from repro.dns.wire import DnsMessage, Question, encode_message
 from repro.netflow.records import FlowRecord
 
 

@@ -14,15 +14,16 @@ from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch, decode_fill_columns
-from repro.dns.rr import RClass, RRType, ResourceRecord
-from repro.dns.stream import DnsRecord
-from repro.dns.wire import (
+from repro.dns.rr import RClass, RRType
+from repro.reference import (
     DnsMessage,
     Header,
     Question,
+    ResourceRecord,
     decode_message,
     encode_message,
 )
+from repro.dns.stream import DnsRecord
 from repro.util.errors import ParseError
 
 
@@ -65,6 +66,17 @@ class TestDnsBatch:
         assert scalar.ts == [50.0, 50.0]
         spread = decode_fill_columns([wire, wire], [50.0, 51.0])
         assert spread.ts == [50.0, 51.0]
+
+    def test_equal_rdata_shares_one_string(self):
+        """Each distinct address of a batch is spelled once: rows that
+        carry it, in one message or across messages, share the string."""
+        first = encode_message(_response(answers=[
+            _a("a.example", b"\n\x00\x00\x01"), _a("a.example", b"\n\x00\x00\x01"),
+        ]))
+        second = encode_message(_response(answers=[_a("b.example", b"\n\x00\x00\x01")]))
+        batch = decode_fill_columns([first, second], 1.0)
+        assert batch.rdata_text == ["10.0.0.1"] * 3
+        assert batch.rdata_text[0] is batch.rdata_text[1] is batch.rdata_text[2]
 
     def test_empty_payloads(self):
         batch = decode_fill_columns([], 1.0)

@@ -34,18 +34,20 @@ from repro.core.pipeline import FillLane
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import decode_fill_columns
-from repro.dns.rr import RClass, RRType, ResourceRecord
-from repro.dns.stream import DnsRecord
-from repro.dns.wire import (
+from repro.dns.rr import RClass, RRType
+from repro.reference import (
     DnsMessage,
     Header,
-    Opcode,
     Question,
     Rcode,
+    ResourceRecord,
     encode_message,
+    fill_record,
+    filter_message,
 )
+from repro.dns.stream import DnsRecord
+from repro.dns.wire import Opcode
 from repro.netflow.records import FlowRecord
-from repro.reference import fill_record, filter_message
 from repro.storage.snapshot import dump_storage
 
 # A deliberately tiny label pool: almost every generated name shares a

@@ -9,8 +9,8 @@ from repro.dns.name import (
     labels_of,
     normalize_name,
 )
-from repro.dns.rr import RRType, a_record
-from repro.dns.wire import DnsMessage, Question, decode_message, encode_message
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, decode_message, encode_message
 from repro.util.errors import ParseError
 
 #: Four labels whose uncompressed wire form is exactly 255 octets

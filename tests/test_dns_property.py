@@ -6,9 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dns.name import decode_name, encode_name, normalize_name
-from repro.dns.rr import RRType, a_record, aaaa_record, cname_record
+from repro.dns.rr import RRType
+from repro.reference import (
+    DnsMessage,
+    Question,
+    a_record,
+    aaaa_record,
+    cname_record,
+    decode_message,
+    encode_message,
+)
 from repro.dns.validation import check_domain
-from repro.dns.wire import DnsMessage, Question, decode_message, encode_message
 from repro.util.errors import ParseError
 
 _label = st.text(alphabet=string.ascii_lowercase + string.digits + "-_", min_size=1, max_size=20)

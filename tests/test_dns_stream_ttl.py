@@ -11,9 +11,15 @@ from repro.dns.ttl import (
     combined_fraction_below,
     summarize_ttls,
 )
-from repro.dns.wire import DnsMessage, Header, Question, Rcode
-from repro.dns.rr import a_record, cname_record
-from repro.reference import records_from_message
+from repro.reference import (
+    DnsMessage,
+    Header,
+    Question,
+    Rcode,
+    a_record,
+    cname_record,
+    records_from_message,
+)
 
 
 class TestDnsRecord:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dns.rr import RRType, a_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, decode_message, encode_message
 from repro.dns.tcp import (
     MAX_MESSAGE_SIZE,
     TcpFrameDecoder,
@@ -12,7 +13,6 @@ from repro.dns.tcp import (
     frame_messages,
     iter_framed,
 )
-from repro.dns.wire import DnsMessage, Question, decode_message, encode_message
 from repro.util.errors import ParseError
 
 

@@ -1,19 +1,23 @@
-"""Tests for repro.dns.wire (message codec) and repro.dns.rr."""
+"""Tests for the reference DNS object codec (repro.reference.wire)."""
 
 import ipaddress
 
 import pytest
 
-from repro.dns.rr import RClass, RRType, ResourceRecord, a_record, aaaa_record, cname_record
-from repro.dns.wire import (
+from repro.dns.rr import RClass, RRType
+from repro.reference import (
     DnsMessage,
     Header,
-    Opcode,
     Question,
     Rcode,
+    ResourceRecord,
+    a_record,
+    aaaa_record,
+    cname_record,
     decode_message,
     encode_message,
 )
+from repro.dns.wire import Opcode
 from repro.util.errors import ParseError
 
 
@@ -142,18 +146,6 @@ class TestMessageRoundTrip:
         )
         decoded = decode_message(encode_message(msg))
         assert decoded.answers[0].rdata == b"\x07v=spf1\x20"
-
-
-class TestMessageHelpers:
-    def test_address_and_cname_answers_filters(self):
-        msg = _response(
-            [
-                cname_record("a.example", "b.example", 60),
-                a_record("b.example", "10.1.1.1", 60),
-            ]
-        )
-        assert len(msg.address_answers()) == 1
-        assert len(msg.cname_answers()) == 1
 
 
 class TestDecodeErrors:

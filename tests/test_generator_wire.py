@@ -1,15 +1,18 @@
-"""The generator's direct DNS writer against the object path it replaced.
+"""The one DNS writer against the reference object codec.
 
-``WorkloadGenerator._resolution_wire`` packs a resolution's header,
-question and answers straight into one buffer. Before it, the generator
-built ``DnsMessage`` + ``Question`` + ``cname_record``/``a_record``/
-``aaaa_record`` objects and called ``encode_message``; the capture pins
-in ``tests/test_workload_generator.py`` hold that the two agree on every
-generated answer, and this file holds it over resolution-shaped inputs
-the generator never draws: deep chains, ephemeral tokens, upper case,
-trailing dots, empty, 63- and 64-octet labels, underscores and
-non-ASCII labels, and TTLs at both ends of their range. Either both
-paths write the same bytes or both raise :class:`ParseError`.
+:func:`repro.dns.wire.encode_response` packs a response's header,
+question and answers straight into one buffer; the generator, the
+scenario corpus and the examples all write DNS through it. The
+reference writer builds ``DnsMessage`` + ``Question`` +
+``cname_record``/``a_record``/``aaaa_record`` objects and calls
+``encode_message``. The capture pins in
+``tests/test_workload_generator.py`` and the golden corpus hold that the
+two agree on every message those write, and this file holds it over
+resolution-shaped inputs the generator never draws: deep chains,
+ephemeral tokens, upper case, trailing dots, empty, 63- and 64-octet
+labels, underscores and non-ASCII labels, and TTLs at both ends of their
+range. Either both paths write the same bytes or both raise
+:class:`ParseError`.
 
 It also holds the single-pass :class:`NameCompressor` to the
 label-list implementation it replaced (copied below), over random name
@@ -31,8 +34,17 @@ from repro.dns.name import (
     encode_name,
     labels_of,
 )
-from repro.dns.rr import RRType, a_record, aaaa_record, cname_record
-from repro.dns.wire import DnsMessage, Question, decode_message, encode_message
+from repro.dns.rr import RRType
+from repro.dns.wire import encode_response
+from repro.reference import (
+    DnsMessage,
+    Question,
+    a_record,
+    aaaa_record,
+    cname_record,
+    decode_message,
+    encode_message,
+)
 from repro.util.errors import ParseError
 from repro.workloads.cdn import Resolution
 from repro.workloads.generator import GeneratorParams, WorkloadGenerator
@@ -97,7 +109,7 @@ def resolutions(draw):
 
 
 def _object_path(res: Resolution, msg_id: int) -> bytes:
-    """The generator's encoder before the direct writer."""
+    """The reference writer's message for ``res``."""
     answers = []
     for owner, target in zip(res.chain, res.chain[1:]):
         answers.append(cname_record(owner, target, res.cname_ttl))
@@ -124,7 +136,10 @@ class TestResolutionWire:
     def test_matches_object_path(self, res, msg_id):
         expected = _outcome(_object_path, res, msg_id)
         addresses = _GENERATOR._answer_addresses(res)
-        got = _outcome(_GENERATOR._resolution_wire, res, msg_id, addresses)
+        got = _outcome(
+            encode_response, msg_id, res.chain, res.rtype, addresses,
+            res.cname_ttl, res.a_ttl,
+        )
         assert got == expected
         if got is not ParseError:
             # And the bytes are a message the decoder accepts.
@@ -141,11 +156,17 @@ class TestResolutionWire:
         assert len(gen._packed) == 2
 
     def test_wrong_family_is_refused(self):
-        """``a_record`` refused a v6 text; so does the address table."""
-        res = Resolution(0.0, None, ("a.example",), ("2001:db8::1",),
-                         RRType.A, 60, 60)
+        """``a_record`` refuses a v6 address; so does the writer, for
+        every address length that does not fit the answer type."""
+        v6 = _GENERATOR._answer_addresses(
+            Resolution(0.0, None, ("a.example",), ("2001:db8::1",), RRType.A, 60, 60)
+        )
         with pytest.raises(ValueError):
-            _GENERATOR._answer_addresses(res)
+            a_record("a.example", "2001:db8::1", 60)
+        for rtype, addresses in ((RRType.A, v6), (RRType.AAAA, (bytes(4),)),
+                                 (RRType.CNAME, (bytes(4),))):
+            with pytest.raises(ValueError):
+                encode_response(0, ("a.example",), rtype, addresses, 60, 60)
 
 
 class _LabelListCompressor:

@@ -14,12 +14,12 @@ from repro.core.async_engine import AsyncEngine
 from repro.core.config import FlowDNSConfig
 from repro.core.flowdns import FlowDNS
 from repro.core.simulation import SimulationEngine
-from repro.dns.rr import RRType, a_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import TcpFrameDecoder, frame_messages
-from repro.dns.wire import DnsMessage, Question, encode_message
 from repro.netflow.collector import FlowCollector
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter, _pack_header, encode_v9_template
 from repro.netflow.records import FlowRecord
 from repro.netflow.v9 import (
     IN_BYTES,
@@ -28,8 +28,6 @@ from repro.netflow.v9 import (
     L4_SRC_PORT,
     TemplateField,
     TemplateRecord,
-    _pack_header,
-    encode_v9_template,
 )
 from repro import reference
 

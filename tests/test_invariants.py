@@ -22,10 +22,10 @@ from repro.core.invariants import (
     check_report,
 )
 from repro.core.metrics import EngineReport, IngestStats, dedupe_warnings
-from repro.dns.rr import RRType, a_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.dns.tcp import frame_messages
-from repro.dns.wire import DnsMessage, Question, encode_message
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
 from repro.netflow.udp import send_datagrams
 from repro.replay import SCENARIOS, replay_capture

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.dns.columnar import decode_fill_columns
 from repro.netflow.collector import FlowCollector
-from repro.netflow.exporter import PackedV9Exporter
+from repro.netflow.export import PackedV9Exporter
 from repro.util import interning
 from repro.util.interning import ip_text, ip_texts
 

@@ -6,21 +6,17 @@ import pytest
 
 from repro import reference
 from repro.netflow.collector import FlowCollector
-from repro.netflow.ipfix import (
-    IPFIX_V4_TEMPLATE,
-    IpfixSession,
+from repro.netflow.ipfix import IPFIX_V4_TEMPLATE, IpfixSession
+from repro.netflow.export import (
+    _pack_header,
     encode_ipfix_data,
     encode_ipfix_template,
+    encode_v5,
+    encode_v9_data,
+    encode_v9_template,
 )
 from repro.netflow.records import FlowRecord
-from repro.netflow.v5 import (
-    V5_HEADER,
-    V5_HEADER_LEN,
-    V5_RECORD,
-    V5_RECORD_LEN,
-    decode_v5_columns,
-    encode_v5,
-)
+from repro.netflow.v5 import V5_HEADER, V5_HEADER_LEN, V5_RECORD, V5_RECORD_LEN, decode_v5_columns
 from repro.netflow.v9 import (
     IN_BYTES,
     IPV4_DST_ADDR,
@@ -30,9 +26,6 @@ from repro.netflow.v9 import (
     TemplateField,
     TemplateRecord,
     V9Session,
-    _pack_header,
-    encode_v9_data,
-    encode_v9_template,
 )
 from repro.util.errors import ParseError
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netflow.collector import FlowCollector, probe_version
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
 from repro.util.errors import ConfigError, ParseError
 
@@ -43,6 +43,11 @@ class TestExporterConfig:
     def test_v5_batch_cap(self):
         with pytest.raises(ConfigError):
             FlowExporter(version=5, batch_size=31)
+
+    @pytest.mark.parametrize("version", [5, 9, 10])
+    def test_rejects_non_positive_template_refresh(self, version):
+        with pytest.raises(ConfigError):
+            FlowExporter(version=version, template_refresh=0)
 
 
 @pytest.mark.parametrize("version", [5, 9, 10])

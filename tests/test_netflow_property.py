@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netflow.collector import FlowCollector
-from repro.netflow.exporter import FlowExporter
-from repro.netflow.ipfix import (
-    FLOW_END_MILLISECONDS,
-    IPFIX_HEADER,
-    IPFIX_VERSION,
-    IpfixSession,
+from repro.netflow.export import (
+    FlowExporter,
+    _pack_header,
     encode_ipfix_template,
+    encode_v9_template,
 )
+from repro.netflow.ipfix import FLOW_END_MILLISECONDS, IPFIX_HEADER, IPFIX_VERSION, IpfixSession
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.netflow.v9 import (
     IN_BYTES,
@@ -29,8 +28,6 @@ from repro.netflow.v9 import (
     TemplateField,
     TemplateRecord,
     V9Session,
-    _pack_header,
-    encode_v9_template,
 )
 from repro.netflow.v5 import decode_v5_columns
 from repro.reference import decode_ipfix, decode_v9, ingest

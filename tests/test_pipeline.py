@@ -25,11 +25,11 @@ from repro.core.pipeline import (
 )
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch
-from repro.dns.rr import RRType, a_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.dns.stream import DnsRecord
-from repro.dns.wire import DnsMessage, Question, encode_message
 from repro.netflow.collector import FlowCollector
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowBatch, FlowRecord
 
 

@@ -5,7 +5,8 @@ oracle the parity and differential suites compare against, sits in the
 ``repro.reference`` package. These checks keep it there: no production
 module (nor the benchmark harness, nor an example) imports the package,
 and no moved oracle name has crept back onto its production class or
-module.
+module. The same holds for the write side: the DNS object codec is
+reference-only, and the NetFlow collector modules define no writer.
 """
 
 import ast
@@ -15,9 +16,15 @@ import repro
 import repro.core
 import repro.core.pipeline
 import repro.core.writer
+import repro.dns
+import repro.dns.rr
 import repro.dns.stream
+import repro.dns.wire
 import repro.netflow
+import repro.netflow.ipfix
 import repro.netflow.v5
+import repro.netflow.v9
+import repro.reference.wire
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
@@ -81,7 +88,62 @@ _MOVED = [
     (repro.netflow, "decode_v5"),
 ]
 
+#: The DNS object codec: the test-side writer and the decode oracle.
+_DNS_CODEC = [
+    "Header",
+    "Question",
+    "DnsMessage",
+    "Rcode",
+    "encode_message",
+    "_encode_rr",
+    "_encode_rdata",
+    "decode_message",
+    "_decode_question",
+    "_decode_rr",
+    "ResourceRecord",
+    "a_record",
+    "aaaa_record",
+    "cname_record",
+    "decode_rdata",
+]
+_MOVED += [
+    (module, name)
+    for module in (repro.dns, repro.dns.wire, repro.dns.rr, repro)
+    for name in _DNS_CODEC
+]
+_MOVED += [
+    (repro.reference.wire.DnsMessage, "is_response"),
+    (repro.reference.wire.DnsMessage, "address_answers"),
+    (repro.reference.wire.DnsMessage, "cname_answers"),
+]
+
+#: The collector modules decode only; every writer is in netflow.export.
+_NETFLOW_WRITERS = [
+    "encode_v5",
+    "encode_v9_template",
+    "encode_v9_data",
+    "_flow_to_field_bytes",
+    "_pack_header",
+    "encode_ipfix_template",
+    "encode_ipfix_data",
+    "_field_bytes",
+    "_pack_message",
+    "FlowExporter",
+    "PackedV9Exporter",
+]
+_MOVED += [
+    (module, name)
+    for module in (repro.netflow.v5, repro.netflow.v9, repro.netflow.ipfix)
+    for name in _NETFLOW_WRITERS
+]
+
 
 def test_moved_oracles_are_gone_from_production():
     left = [f"{owner.__name__}.{name}" for owner, name in _MOVED if hasattr(owner, name)]
     assert left == []
+
+
+def test_moved_names_are_not_exported():
+    """No package ``__all__`` offers a moved name either."""
+    assert set(repro.__all__).isdisjoint(_DNS_CODEC)
+    assert set(repro.dns.__all__).isdisjoint(_DNS_CODEC)

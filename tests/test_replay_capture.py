@@ -33,8 +33,8 @@ from repro.replay.capture import (
 from repro.core.async_engine import AsyncEngine
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.invariants import assert_invariants
-from repro.dns.rr import RRType, a_record
-from repro.dns.wire import DnsMessage, Question, encode_message
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.replay.runner import replay_capture
 from repro.replay.source import ReplaySource, replay_sources
 from repro.util.errors import ConfigError, ParseError

@@ -29,10 +29,10 @@ import pytest
 from repro.core.async_engine import AsyncEngine
 from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
 from repro.core.config import FlowDNSConfig
-from repro.dns.rr import RRType, a_record, cname_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, cname_record, encode_message
 from repro.dns.tcp import frame_messages
-from repro.dns.wire import DnsMessage, Question, encode_message
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
 from repro.netflow.udp import send_datagrams
 from repro.replay import (
@@ -44,6 +44,7 @@ from repro.replay import (
     load_capture,
     replay_capture,
     SCENARIOS,
+    write_scenario,
 )
 from repro.util.errors import ParseError
 
@@ -117,6 +118,14 @@ class TestGoldenCorpus:
         """Each checked-in capture is exactly its scenario at the golden
         seed — the corpus can never drift from the library that built it."""
         assert load_capture(golden_path(name)) == build_scenario(name, GOLDEN_SEED)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_corpus_regenerates_byte_for_byte(self, name, tmp_path):
+        """Rewriting a scenario reproduces its checked-in file exactly:
+        every DNS message and export datagram the writers emit."""
+        path = tmp_path / f"{name}.fdc"
+        write_scenario(name, str(path), GOLDEN_SEED)
+        assert path.read_bytes() == pathlib.Path(golden_path(name)).read_bytes()
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_corpus_has_both_kinds_of_rows(self, name):

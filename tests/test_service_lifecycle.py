@@ -30,11 +30,11 @@ from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.monitor import MetricsHttpServer, parse_exposition
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch
-from repro.dns.rr import RRType, a_record
+from repro.dns.rr import RRType
+from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
-from repro.dns.wire import DnsMessage, Question, encode_message
-from repro.netflow.exporter import FlowExporter
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
 from repro.netflow.udp import send_datagrams
 from repro.storage.snapshot import load_snapshot, save_snapshot

@@ -18,9 +18,10 @@ Four layers of pinning:
   traced peak of a few MiB, because the footprint is the domain universe
   plus the reorder buffer, never the client population; the capture then
   replays with a row per flow and clean accounting.
-* **Equivalence** — :class:`PackedV9Exporter` (the generator's fast
-  encode path) is byte-identical to ``FlowExporter(version=9)`` over
-  mixed-family batches, odd lengths, and template-refresh cadences.
+* **Equivalence** — :class:`PackedV9Exporter` (the one v9 writer) is
+  byte-identical to the per-field oracle ``repro.reference.export_v9``
+  over mixed-family batches, odd lengths, and template-refresh cadences,
+  and ``FlowExporter(version=9)`` is that writer.
 """
 
 import hashlib
@@ -37,7 +38,8 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.invariants import assert_invariants
-from repro.netflow.exporter import FlowExporter, PackedV9Exporter
+from repro.netflow.export import FlowExporter, PackedV9Exporter
+from repro.reference import export_v9
 from repro.netflow.records import FlowRecord
 from repro.netflow.v9 import V9Session
 from repro.replay.capture import LANE_FLOW, MAGIC
@@ -431,21 +433,22 @@ class TestPackedExporterEquivalence:
     ])
     @pytest.mark.parametrize("count", [1, 53, 240])
     def test_byte_identical_to_flow_exporter(self, batch_size, template_refresh, count):
-        """The generator's fast path and the reference exporter emit the
-        same datagram stream: template cadence, sequence accounting,
-        v4/v6 split, mixed-family drops, field packing — everything."""
+        """The one v9 writer and the per-field oracle emit the same
+        datagram stream: template cadence, sequence accounting, v4/v6
+        split, mixed-family drops, field packing — everything. The
+        FlowRecord front end writes the same stream."""
         flows = _random_flows(count, seed=batch_size * 1000 + count)
-        reference = list(
-            FlowExporter(
-                version=9, batch_size=batch_size, template_refresh=template_refresh
-            ).export(flows)
-        )
+        reference = list(export_v9(flows, batch_size, template_refresh))
         packed = list(
             PackedV9Exporter(
                 batch_size=batch_size, template_refresh=template_refresh
             ).export(_packed(f) for f in flows)
         )
         assert packed == reference
+        records = FlowExporter(
+            version=9, batch_size=batch_size, template_refresh=template_refresh
+        )
+        assert list(records.export(flows)) == reference
 
     def test_decode_round_trip(self):
         """Packed datagrams decode back to the fields that went in (for
