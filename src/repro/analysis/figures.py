@@ -74,11 +74,6 @@ def figure7_rows(reports: Dict[str, EngineReport]) -> List[Tuple[str, float, flo
     return out
 
 
-def ecdf_rows(points: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Pass-through for ECDF point lists (uniform writer interface)."""
-    return [(float(x), float(y)) for x, y in points]
-
-
 def render_report_summary(report: EngineReport, title: str = "FlowDNS run") -> str:
     """A terminal dashboard for one engine run."""
     cpu = [s.cpu_percent for s in report.samples]

@@ -42,9 +42,9 @@ def run_variant(
     base_config: Optional[FlowDNSConfig] = None,
     sample_interval: float = 3600.0,
     on_result=None,
-    drop_warmup: bool = True,
 ) -> VariantRun:
-    """Run one variant over a workload with the preset's cost model."""
+    """Run one variant over a workload with the preset's cost model,
+    its warm-up samples dropped (:func:`strip_warmup`)."""
     config = config_for(variant, base_config)
     engine = SimulationEngine(
         config=config,
@@ -55,9 +55,7 @@ def run_variant(
         on_result=on_result,
     )
     report = engine.run(workload.dns_records(), workload.flow_records())
-    if drop_warmup:
-        report = strip_warmup(report, workload.t0)
-    return VariantRun(variant=variant, report=report)
+    return VariantRun(variant=variant, report=strip_warmup(report, workload.t0))
 
 
 def strip_warmup(report: EngineReport, t0: float) -> EngineReport:

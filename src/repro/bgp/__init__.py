@@ -6,12 +6,7 @@ see which ASes serve which services.
 """
 
 from repro.bgp.asn import DEFAULT_AS_REGISTRY, AsInfo, AsRegistry
-from repro.bgp.correlate import (
-    HandoverMatrix,
-    ServiceAsSeries,
-    correlate_with_bgp,
-    handover_matrix,
-)
+from repro.bgp.correlate import ServiceAsSeries, correlate_with_bgp
 from repro.bgp.prefix_trie import PrefixTrie
 from repro.bgp.rib import Rib, Route
 
@@ -24,6 +19,4 @@ __all__ = [
     "DEFAULT_AS_REGISTRY",
     "ServiceAsSeries",
     "correlate_with_bgp",
-    "HandoverMatrix",
-    "handover_matrix",
 ]

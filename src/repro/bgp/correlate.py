@@ -38,15 +38,6 @@ class ServiceAsSeries:
             out[asn] += nbytes
         return dict(out)
 
-    def series_for(self, asn: int) -> List[Tuple[int, int]]:
-        """Sorted (bucket_index, bytes) pairs for one AS."""
-        pairs = [
-            (bucket, nbytes)
-            for (a, bucket), nbytes in self.buckets.items()
-            if a == asn
-        ]
-        return sorted(pairs)
-
     def dominant_asns(self, coverage: float = 0.95) -> List[int]:
         """The smallest AS set carrying ``coverage`` of the service's bytes.
 
@@ -63,60 +54,6 @@ class ServiceAsSeries:
             if grand > 0 and acc / grand >= coverage:
                 break
         return out
-
-
-@dataclass
-class HandoverMatrix:
-    """Per (origin AS, hand-over AS) byte totals.
-
-    The paper's planning use case looks at "source AS, destination AS,
-    hand-over AS" to find fallback paths: if a peering link to one
-    hand-over AS breaks, this matrix shows which origins' traffic must
-    shift and how much of it there is.
-    """
-
-    bytes_by_pair: Dict[Tuple[int, Optional[int]], int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    unrouted_bytes: int = 0
-
-    def add(self, route, nbytes: int) -> None:
-        if route is None:
-            self.unrouted_bytes += nbytes
-            return
-        self.bytes_by_pair[(route.origin_asn, route.handover_asn)] += nbytes
-
-    def by_handover(self) -> Dict[Optional[int], int]:
-        out: Dict[Optional[int], int] = defaultdict(int)
-        for (_origin, handover), nbytes in self.bytes_by_pair.items():
-            out[handover] += nbytes
-        return dict(out)
-
-    def origins_behind(self, handover_asn: int) -> List[int]:
-        """Which origin ASes are reached through one hand-over AS."""
-        return sorted(
-            origin
-            for (origin, handover), _ in self.bytes_by_pair.items()
-            if handover == handover_asn
-        )
-
-    def shift_if_broken(self, handover_asn: int) -> int:
-        """Bytes that must re-route if this hand-over AS's link breaks."""
-        return sum(
-            nbytes
-            for (_origin, handover), nbytes in self.bytes_by_pair.items()
-            if handover == handover_asn
-        )
-
-
-def handover_matrix(results: Iterable[CorrelationResult], rib: Rib) -> HandoverMatrix:
-    """Aggregate all correlated traffic into a hand-over matrix."""
-    matrix = HandoverMatrix()
-    for result in results:
-        if not result.matched:
-            continue
-        matrix.add(rib.lookup(result.flow.src_ip), result.flow.bytes_)
-    return matrix
 
 
 def correlate_with_bgp(

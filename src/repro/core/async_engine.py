@@ -49,6 +49,7 @@ after the write sink has drained.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import sys
 import time
@@ -77,6 +78,12 @@ from repro.util.errors import ParseError
 
 #: How many items an iterable pump moves before yielding to the loop.
 _PUMP_CHUNK = 512
+
+
+
+def _cancel(tasks: Iterable[asyncio.Task]) -> None:
+    for task in tasks:
+        task.cancel()
 
 
 class AsyncEngine:
@@ -391,77 +398,87 @@ class AsyncEngine:
             self._buffers.append(buffer)
             return buffer
 
-        # DNS lanes: one fill task per source.
-        dns_finite: List[Tuple[Iterable, AsyncBuffer]] = []
-        for i, source in enumerate(dns_sources):
-            processor = FillUpProcessor(self.storage)
-            self._fillup_processors.append(processor)
-            lane = FillLane(processor)
-            if is_live_source(source):
-                buffer = make_buffer(f"dns[{i}]", source.capacity)
-                source.connect_buffer(buffer)
-                await source.start(loop)
-                live_ingests.append((source, buffer))
-                lane_tasks.append(loop.create_task(self._fill_task(buffer, lane)))
-            else:
-                buffer = make_buffer(f"dns[{i}]", None)
-                dns_finite.append((source, buffer))
-                task = loop.create_task(self._fill_task(buffer, lane))
-                finite_fill_tasks.append(task)
-                lane_tasks.append(task)
+        # A start that fails (a port already taken) stops whatever started
+        # before it, so a failed session leaves no listener bound.
+        async with contextlib.AsyncExitStack() as startup:
+            startup.callback(_cancel, lane_tasks)
+            # DNS lanes: one fill task per source.
+            dns_finite: List[Tuple[Iterable, AsyncBuffer]] = []
+            for i, source in enumerate(dns_sources):
+                processor = FillUpProcessor(self.storage)
+                self._fillup_processors.append(processor)
+                lane = FillLane(processor)
+                if is_live_source(source):
+                    buffer = make_buffer(f"dns[{i}]", source.capacity)
+                    source.connect_buffer(buffer)
+                    await source.start(loop)
+                    startup.push_async_callback(source.stop)
+                    live_ingests.append((source, buffer))
+                    lane_tasks.append(loop.create_task(self._fill_task(buffer, lane)))
+                else:
+                    buffer = make_buffer(f"dns[{i}]", None)
+                    dns_finite.append((source, buffer))
+                    task = loop.create_task(self._fill_task(buffer, lane))
+                    finite_fill_tasks.append(task)
+                    lane_tasks.append(task)
 
-        # Flow lanes: one lookup task per source.
-        flow_finite: List[Tuple[Iterable, AsyncBuffer]] = []
-        for i, source in enumerate(flow_sources):
-            processor = LookUpProcessor(self.storage, cfg)
-            self._lookup_processors.append(processor)
-            if is_live_source(source):
-                buffer = make_buffer(f"netflow[{i}]", source.capacity)
-                source.connect_buffer(buffer)
-                await source.start(loop)
-                live_ingests.append((source, buffer))
-                # Off-loop decode: the source buffers *raw* datagrams and
-                # this lane batch-decodes them through the source's
-                # collector, charging malformed input to the source's
-                # ingest stats at decode time.
-                lane = LookupLane(
-                    processor, source.collector, ingest_stats=source.ingest_stats
+            # Flow lanes: one lookup task per source.
+            flow_finite: List[Tuple[Iterable, AsyncBuffer]] = []
+            for i, source in enumerate(flow_sources):
+                processor = LookUpProcessor(self.storage, cfg)
+                self._lookup_processors.append(processor)
+                if is_live_source(source):
+                    buffer = make_buffer(f"netflow[{i}]", source.capacity)
+                    source.connect_buffer(buffer)
+                    await source.start(loop)
+                    startup.push_async_callback(source.stop)
+                    live_ingests.append((source, buffer))
+                    # Off-loop decode: the source buffers *raw* datagrams and
+                    # this lane batch-decodes them through the source's
+                    # collector, charging malformed input to the source's
+                    # ingest stats at decode time.
+                    lane = LookupLane(
+                        processor, source.collector, ingest_stats=source.ingest_stats
+                    )
+                else:
+                    buffer = make_buffer(f"netflow[{i}]", None)
+                    flow_finite.append((source, buffer))
+                    collector = FlowCollector()
+                    self._flow_collectors.append(collector)
+                    lane = LookupLane(processor, collector)
+                lane_tasks.append(
+                    loop.create_task(self._lookup_task(buffer, lane, write_buffer))
                 )
-            else:
-                buffer = make_buffer(f"netflow[{i}]", None)
-                flow_finite.append((source, buffer))
-                collector = FlowCollector()
-                self._flow_collectors.append(collector)
-                lane = LookupLane(processor, collector)
-            lane_tasks.append(
-                loop.create_task(self._lookup_task(buffer, lane, write_buffer))
-            )
 
-        # Every live listener has bound by here, so the header this
-        # writes cannot land in (or truncate) a file for a session that
-        # failed at bind time.
-        self.writer = WriteWorker(self.sink)
-        write_task = loop.create_task(self._write_task(write_buffer))
+            # Every live listener has bound by here, so the header this
+            # writes cannot land in (or truncate) a file for a session that
+            # failed at bind time.
+            self.writer = WriteWorker(self.sink)
+            write_task = loop.create_task(self._write_task(write_buffer))
+            startup.callback(write_task.cancel)
 
-        # Service surface: periodic snapshots, the stats heartbeat, and
-        # the scrape endpoint all start once the session is actually up
-        # (listeners bound), and run for offline replays too — a soak
-        # through ReplaySource exercises the same lifecycle as live.
-        service_tasks: List[asyncio.Task] = []
-        metrics_server = None
-        if self.engine_config.snapshot_path:
-            service_tasks.append(loop.create_task(self._snapshot_task()))
-        if self.engine_config.stats_interval > 0:
-            service_tasks.append(loop.create_task(self._stats_task()))
-        if self.engine_config.metrics_port is not None:
-            from repro.core.monitor import MetricsHttpServer, render_async_engine
+            # Service surface: periodic snapshots, the stats heartbeat, and
+            # the scrape endpoint all start once the session is actually up
+            # (listeners bound), and run for offline replays too — a soak
+            # through ReplaySource exercises the same lifecycle as live.
+            service_tasks: List[asyncio.Task] = []
+            metrics_server = None
+            if self.engine_config.snapshot_path:
+                service_tasks.append(loop.create_task(self._snapshot_task()))
+            if self.engine_config.stats_interval > 0:
+                service_tasks.append(loop.create_task(self._stats_task()))
+            startup.callback(_cancel, service_tasks)
+            if self.engine_config.metrics_port is not None:
+                from repro.core.monitor import MetricsHttpServer, render_async_engine
 
-            metrics_server = MetricsHttpServer(
-                lambda: render_async_engine(self, sources),
-                port=self.engine_config.metrics_port,
-            )
-            await metrics_server.start()
-            self.metrics_address = metrics_server.address
+                metrics_server = MetricsHttpServer(
+                    lambda: render_async_engine(self, sources),
+                    port=self.engine_config.metrics_port,
+                )
+                await metrics_server.start()
+                startup.push_async_callback(metrics_server.stop)
+                self.metrics_address = metrics_server.address
+            startup.pop_all()
 
         # Pump finite sources; optionally barrier DNS before flows.
         dns_pumps = [

@@ -29,7 +29,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from repro.netflow.records import FlowDirection
 from repro.util.errors import ConfigError
 
 #: Paper values (Appendix A.6).
@@ -75,7 +74,6 @@ class FlowDNSConfig:
     max_entries_per_map: int = 0
 
     # --- engine knobs --------------------------------------------------------
-    direction: FlowDirection = FlowDirection.SOURCE
     stream_buffer_capacity: int = 65536
     memoize_cname_chains: bool = True
     #: Cap on items a lane takes per wake-up; it takes what is buffered.

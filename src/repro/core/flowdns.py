@@ -16,13 +16,13 @@ storage is plain dicts with no locks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, TextIO
+from typing import Optional
 
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
-from repro.dns.columnar import DnsBatch, decode_fill_columns
+from repro.dns.columnar import DnsBatch
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowRecord
 
@@ -45,36 +45,12 @@ class FlowDNS:
         """Insert one DNS stream record; True when it was stored."""
         return self._fillup.process_columns(DnsBatch.from_records((record,))) == 1
 
-    def add_dns_many(self, records: Iterable[DnsRecord]) -> int:
-        """Insert many records in one batch.
-
-        The rotation check is amortised and the rows go through the
-        store's batched writer; same counters as per-record
-        :meth:`add_dns` calls.
-        """
-        return self._fillup.process_columns(DnsBatch.from_records(records))
-
-    def add_dns_message(self, ts: float, payload) -> int:
-        """Filter + insert one wire-format response (bytes), through the
-        engines' columnar decoder; returns how many records were stored."""
-        return self._fillup.process_columns(decode_fill_columns((payload,), ts))
-
     # --- flow side ------------------------------------------------------------
 
     def correlate(self, flow: FlowRecord) -> CorrelationResult:
         """Look one flow up; always returns a result (possibly NULL)."""
         batch = self._lookup.correlate_batch_columns(FlowBatch.from_records((flow,)))
         return CorrelationResult(flow, batch.chains[0], flow.ts)
-
-    def correlate_many(self, flows: Iterable[FlowRecord]) -> List[CorrelationResult]:
-        """Correlate many flows through the batched fast path.
-
-        Each distinct lookup IP is resolved once for the whole batch (see
-        :meth:`LookUpProcessor.correlate_batch_columns` for the exact
-        semantics).
-        """
-        batch = FlowBatch.from_records(flows)
-        return self._lookup.correlate_batch_columns(batch).results()
 
     def service_of(self, ip, now: float) -> Optional[str]:
         """Resolve one bare IP to its service name (or None).
@@ -98,10 +74,6 @@ class FlowDNS:
         self.storage.tick(ts)
 
     @property
-    def fillup_stats(self):
-        return self._fillup.stats
-
-    @property
     def lookup_stats(self):
         return self._lookup.stats
 
@@ -111,14 +83,3 @@ class FlowDNS:
 
     def entry_counts(self):
         return self.storage.entry_counts()
-
-    def save_state(self, sink: TextIO) -> int:
-        """Snapshot the DNS maps (see :mod:`repro.storage.snapshot`)."""
-        from repro.storage.snapshot import dump_storage
-
-        return dump_storage(self.storage, sink)
-
-    def load_state(self, source: TextIO) -> int:
-        from repro.storage.snapshot import load_storage
-
-        return load_storage(self.storage, source)

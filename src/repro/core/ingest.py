@@ -94,10 +94,6 @@ class AsyncBuffer:
         self._not_empty.set()
         self._not_full.set()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __len__(self) -> int:
         return len(self._items)
 

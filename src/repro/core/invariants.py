@@ -27,16 +27,11 @@ Conservation semantics, as the engines actually account:
   restored records;
 * loss visibility — any dropped item or non-zero ``overall_loss_rate``
   must be accompanied by at least one warning.
-
-:func:`call_with_deadline` is the watchdog the chaos suite wraps every
-engine run in: a hang becomes a :class:`WatchdogTimeout` failure with
-the offending label, not a CI-level timeout.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.core.metrics import EngineReport
 
@@ -153,37 +148,3 @@ def assert_invariants(report: EngineReport, rows: Optional[int] = None) -> None:
             f"(variant={report.variant_name!r}):\n  - "
             + "\n  - ".join(violations)
         )
-
-
-class WatchdogTimeout(RuntimeError):
-    """A watchdogged call exceeded its deadline (a hang, surfaced)."""
-
-
-def call_with_deadline(fn: Callable, timeout: float, label: str = "call"):
-    """Run ``fn()`` under a hard deadline; a hang fails, never blocks CI.
-
-    The call runs in a daemon thread; if it does not finish within
-    ``timeout`` seconds, :class:`WatchdogTimeout` is raised and the
-    daemon thread is abandoned (it cannot block interpreter exit). An
-    exception inside ``fn`` propagates unchanged.
-    """
-    outcome: dict = {}
-    done = threading.Event()
-
-    def body() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - re-raised in caller
-            outcome["error"] = exc
-        finally:
-            done.set()
-
-    worker = threading.Thread(target=body, daemon=True, name=f"watchdog:{label}")
-    worker.start()
-    if not done.wait(timeout):
-        raise WatchdogTimeout(
-            f"{label} still running after {timeout:.1f}s watchdog deadline"
-        )
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome.get("value")

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from repro.core.config import FlowDNSConfig
 from repro.core.storage_adapter import DnsStorage
-from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ class CorrelationResult:
     @property
     def service(self) -> Optional[str]:
         return self.chain[-1] if self.chain else None
-
-    @property
-    def dns_name(self) -> Optional[str]:
-        """The direct IP→NAME hit, before any CNAME unrolling."""
-        return self.chain[0] if self.chain else None
 
 
 class CorrelationBatch:
@@ -77,9 +72,6 @@ class CorrelationBatch:
 
     def __len__(self) -> int:
         return len(self.chains)
-
-    def matched_mask(self) -> List[bool]:
-        return [bool(chain) for chain in self.chains]
 
     def results(self, only_matched: bool = False) -> List[CorrelationResult]:
         """Materialise per-flow results (sinks/analysis hand-off).
@@ -124,9 +116,6 @@ class LookUpStats:
         total = self.matched + self.unmatched
         return self.matched / total if total else 0.0
 
-    def note_chain(self, length: int) -> None:
-        self.chain_lengths[length] = self.chain_lengths.get(length, 0) + 1
-
 
 class LookUpProcessor:
     """Correlates flow records against the DNS storage (Algorithm 2)."""
@@ -139,8 +128,8 @@ class LookUpProcessor:
     def correlate_batch_columns(self, flows: FlowBatch) -> CorrelationBatch:
         """Steps 4–7 for one :class:`FlowBatch`.
 
-        The lookup keys come straight from the batch's address text
-        columns, with no ``FlowRecord``/``ipaddress``/``str()`` work per
+        The lookup keys come straight from the batch's source address
+        text column, with no ``FlowRecord``/``ipaddress``/``str()`` work per
         flow. The two expiry policies differ only in how a row's chain
         is found:
 
@@ -163,21 +152,17 @@ class LookUpProcessor:
         n = len(flows)
         if n == 0:
             return CorrelationBatch(flows, [])
-        direction = self.config.direction
-        both = direction is FlowDirection.BOTH
-        use_src = both or direction is FlowDirection.SOURCE
         ts_col = flows.ts
         bytes_col = flows.bytes_
         packets_col = flows.packets
-        dst_col = flows.dst_ip_text
 
-        # Pass 1: validity filter + primary lookup key per flow, read
-        # straight off the address text columns. When no row has a
-        # negative counter — every flow decoded from the wire, since the
-        # formats carry unsigned counters — the key column itself serves
-        # as the (read-only) primaries list and the per-row loop is two
-        # C-speed min() scans.
-        keys = flows.src_ip_text if use_src else dst_col
+        # Pass 1: validity filter + lookup key per flow, read straight
+        # off the source address column (the paper analyses traffic
+        # sources). When no row has a negative counter — every flow
+        # decoded from the wire, since the formats carry unsigned
+        # counters — the key column itself serves as the (read-only)
+        # primaries list and the per-row loop is two C-speed min() scans.
+        keys = flows.src_ip_text
         invalid = 0
         if min(bytes_col) >= 0 and min(packets_col) >= 0:
             primaries: List[Optional[str]] = keys
@@ -197,11 +182,7 @@ class LookUpProcessor:
                 text = primaries[i]
                 if text is None:
                     continue
-                ts = ts_col[i]
-                chain = resolve(text, ts)
-                if both and not chain:
-                    # Destination fallback for a flow whose source missed.
-                    chain = resolve(dst_col[i], ts)
+                chain = resolve(text, ts_col[i])
                 if chain:
                     chains[i] = tuple(chain)
         else:
@@ -219,19 +200,6 @@ class LookUpProcessor:
                 name = names.get(text)
                 chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
             chains = list(map(chains_by_ip.get, primaries, repeat((), n)))
-            if both:
-                # Destination fallback for flows whose source IP missed.
-                fallbacks = {i: dst_col[i] for i, chain in enumerate(chains)
-                             if not chain and primaries[i] is not None}
-                fb_unique = dict.fromkeys(
-                    dst for dst in fallbacks.values() if dst not in chains_by_ip
-                )
-                fb_names = self.storage.lookup_ips(fb_unique, now)
-                for text in fb_unique:
-                    name = fb_names.get(text)
-                    chains_by_ip[text] = tuple(self._walk_chain(name, now)) if name else ()
-                for i, dst in fallbacks.items():
-                    chains[i] = chains_by_ip[dst]
 
         # Pass 3: the counters, flushed once. bytes_in counts every row,
         # valid or not.

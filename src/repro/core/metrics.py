@@ -308,12 +308,6 @@ class EngineReport:
         return sum(s.cpu_percent for s in self.samples) / len(self.samples)
 
     @property
-    def peak_memory_gb(self) -> float:
-        if not self.samples:
-            return 0.0
-        return max(s.memory_bytes for s in self.samples) / GIB
-
-    @property
     def mean_memory_gb(self) -> float:
         if not self.samples:
             return 0.0

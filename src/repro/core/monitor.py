@@ -26,24 +26,19 @@ class MetricsRenderer:
         self._seen_headers = set()
 
     def gauge(self, name: str, value: float, help_text: str = "", labels: Optional[Dict[str, str]] = None) -> None:
-        full = f"{_PREFIX}_{name}"
-        if full not in self._seen_headers:
-            if help_text:
-                self._lines.append(f"# HELP {full} {help_text}")
-            self._lines.append(f"# TYPE {full} gauge")
-            self._seen_headers.add(full)
-        label_text = ""
-        if labels:
-            inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-            label_text = "{" + inner + "}"
-        self._lines.append(f"{full}{label_text} {value}")
+        self._sample(f"{_PREFIX}_{name}", "gauge", value, help_text, labels)
 
     def counter(self, name: str, value: float, help_text: str = "", labels: Optional[Dict[str, str]] = None) -> None:
-        full = f"{_PREFIX}_{name}_total"
+        self._sample(f"{_PREFIX}_{name}_total", "counter", value, help_text, labels)
+
+    def _sample(self, full: str, kind: str, value: float, help_text: str,
+                labels: Optional[Dict[str, str]]) -> None:
+        """One sample line, after the metric's HELP/TYPE header the first
+        time ``full`` appears."""
         if full not in self._seen_headers:
             if help_text:
                 self._lines.append(f"# HELP {full} {help_text}")
-            self._lines.append(f"# TYPE {full} counter")
+            self._lines.append(f"# TYPE {full} {kind}")
             self._seen_headers.add(full)
         label_text = ""
         if labels:

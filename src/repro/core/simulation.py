@@ -46,6 +46,9 @@ from repro.dns.columnar import DnsBatch
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowBatch, FlowRecord
 
+#: Simulated seconds between write-worker flushes.
+WRITE_FLUSH_INTERVAL = 30.0
+
 
 class SimulationEngine:
     """Single-threaded, deterministic FlowDNS replay with modelled resources."""
@@ -55,7 +58,6 @@ class SimulationEngine:
         config: Optional[FlowDNSConfig] = None,
         cost_params: Optional[CostModelParams] = None,
         sample_interval: float = 3600.0,
-        write_flush_interval: float = 30.0,
         sink: Optional[TextIO] = None,
         worker_count: int = 8,
         variant_name: str = "main",
@@ -64,7 +66,6 @@ class SimulationEngine:
         self.config = config if config is not None else FlowDNSConfig()
         self.cost_params = cost_params if cost_params is not None else CostModelParams()
         self.sample_interval = float(sample_interval)
-        self.write_flush_interval = float(write_flush_interval)
         self.worker_count = worker_count
         self.variant_name = variant_name
         self.storage = DnsStorage(self.config)
@@ -169,7 +170,7 @@ class SimulationEngine:
 
             if (
                 ts >= interval_start + self.sample_interval
-                or ts - last_flush_ts >= self.write_flush_interval
+                or ts - last_flush_ts >= WRITE_FLUSH_INTERVAL
             ):
                 # Runs are cut at every boundary, so each lands in its
                 # own interval and is pending before its write flush.
@@ -179,7 +180,7 @@ class SimulationEngine:
                     flush_writes(boundary)
                     last_flush_ts = boundary
                     close_interval(boundary)
-                if ts - last_flush_ts >= self.write_flush_interval:
+                if ts - last_flush_ts >= WRITE_FLUSH_INTERVAL:
                     flush_writes(ts)
                     last_flush_ts = ts
 

@@ -9,7 +9,7 @@ into one common :class:`FlowRecord` the correlator consumes. The
 ``v5``/``v9``/``ipfix`` modules decode; :mod:`repro.netflow.export` writes.
 """
 
-from repro.netflow.records import FlowRecord, FlowDirection
+from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD_LEN
 from repro.netflow.v9 import TemplateField, TemplateRecord, V9Session
 from repro.netflow.ipfix import IpfixSession
@@ -18,27 +18,20 @@ from repro.netflow.export import (
     FlowExporter,
     encode_ipfix_data,
     encode_ipfix_template,
-    encode_v5,
-    encode_v9_data,
     encode_v9_template,
 )
-from repro.netflow.udp import send_datagrams
 
 __all__ = [
     "FlowRecord",
-    "FlowDirection",
-    "encode_v5",
     "V5_HEADER_LEN",
     "V5_RECORD_LEN",
     "TemplateField",
     "TemplateRecord",
     "V9Session",
     "encode_v9_template",
-    "encode_v9_data",
     "IpfixSession",
     "encode_ipfix_template",
     "encode_ipfix_data",
     "FlowCollector",
     "FlowExporter",
-    "send_datagrams",
 ]

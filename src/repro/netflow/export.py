@@ -1,8 +1,10 @@
-"""Flow export: flow records to NetFlow v5 / v9 and IPFIX datagrams.
+"""Flow export: flow records to NetFlow v9 and IPFIX datagrams.
 
 The collector modules (``v5``, ``v9``, ``ipfix``) only decode; every
-writer is here. :class:`PackedV9Exporter` is the one v9 writer, and
-:class:`FlowExporter` converts :class:`FlowRecord` objects onto it.
+production writer is here. :class:`PackedV9Exporter` is the one v9
+writer, and :class:`FlowExporter` converts :class:`FlowRecord` objects
+onto it. The v5 writer and the per-field v9 data writer have no
+production caller; they are test-side, in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from repro.netflow.ipfix import (
     TEMPLATE_SET_ID,
 )
 from repro.netflow.records import FlowRecord
-from repro.netflow.v5 import V5_HEADER, V5_MAX_RECORDS, V5_RECORD
 from repro.netflow.v9 import (
     FIELD_NAMES,
-    FIRST_SWITCHED,
     IN_BYTES,
     IN_PKTS,
     IPV4_DST_ADDR,
@@ -30,7 +30,6 @@ from repro.netflow.v9 import (
     IPV6_SRC_ADDR,
     L4_DST_PORT,
     L4_SRC_PORT,
-    LAST_SWITCHED,
     PROTOCOL,
     SET_HEADER,
     STANDARD_V4_TEMPLATE,
@@ -42,72 +41,6 @@ from repro.netflow.v9 import (
 from repro.util.errors import ConfigError, ParseError
 
 _M32 = 0xFFFFFFFF
-
-
-def encode_v5(
-    flows: Iterable[FlowRecord],
-    sys_uptime_ms: int = 0,
-    unix_secs: int = 0,
-    flow_sequence: int = 0,
-    engine_id: int = 0,
-) -> bytes:
-    """Encode up to 30 IPv4 flows as one v5 export datagram.
-
-    Flow start/end are expressed as SysUptime offsets; we anchor the export
-    at ``unix_secs`` and place each flow's end at its ``ts`` relative to
-    that anchor, wrapped to 32 bits (a flow that ended before the uptime
-    counter started lands just below the wrap, which the decoder reads
-    back as a negative offset).
-    """
-    flows = list(flows)
-    if len(flows) > V5_MAX_RECORDS:
-        raise ParseError(f"v5 datagram limited to {V5_MAX_RECORDS} records")
-    for f in flows:
-        if f.src_ip.version != 4 or f.dst_ip.version != 4:
-            raise ParseError("NetFlow v5 carries IPv4 flows only")
-    out = bytearray(
-        V5_HEADER.pack(
-            5,
-            len(flows),
-            sys_uptime_ms & 0xFFFFFFFF,
-            unix_secs & 0xFFFFFFFF,
-            0,  # unix_nsecs
-            flow_sequence & 0xFFFFFFFF,
-            0,  # engine_type
-            engine_id & 0xFF,
-            0,  # sampling interval
-        )
-    )
-    for f in flows:
-        delta_ms = int((f.ts - unix_secs) * 1000.0)
-        end_uptime = (sys_uptime_ms + delta_ms) & 0xFFFFFFFF
-        start_uptime = end_uptime
-        out.extend(
-            V5_RECORD.pack(
-                int(f.src_ip),
-                int(f.dst_ip),
-                0,  # nexthop
-                f.extra.get("input_if", 0) & 0xFFFF,
-                f.extra.get("output_if", 0) & 0xFFFF,
-                f.packets & 0xFFFFFFFF,
-                f.bytes_ & 0xFFFFFFFF,
-                start_uptime,
-                end_uptime,
-                f.src_port,
-                f.dst_port,
-                0,  # pad1
-                f.extra.get("tcp_flags", 0) & 0xFF,
-                f.protocol & 0xFF,
-                f.extra.get("tos", 0) & 0xFF,
-                f.extra.get("src_as", 0) & 0xFFFF,
-                f.extra.get("dst_as", 0) & 0xFFFF,
-                f.extra.get("src_mask", 0) & 0xFF,
-                f.extra.get("dst_mask", 0) & 0xFF,
-                0,  # pad2
-            )
-        )
-    return bytes(out)
-
 
 _PAIR = struct.Struct("!HH")
 
@@ -163,10 +96,8 @@ def encode_v9_template(
             + _template_set(0, templates))
 
 
-def _field_bytes(flow: FlowRecord, f: TemplateField, uptime=None) -> bytes:
-    """One field of ``flow``. v9 passes ``uptime = (unix_secs,
-    sys_uptime_ms)``: its counters are 32-bit and its time fields uptime
-    offsets. IPFIX passes none: counters fill the field, and time is
+def _field_bytes(flow: FlowRecord, f: TemplateField) -> bytes:
+    """One IPFIX field of ``flow``: counters fill the field, and time is
     flowEndMilliseconds."""
     t = f.field_type
     if t in (IPV4_SRC_ADDR, IPV6_SRC_ADDR):
@@ -179,36 +110,14 @@ def _field_bytes(flow: FlowRecord, f: TemplateField, uptime=None) -> bytes:
         return struct.pack("!H", flow.dst_port)
     if t == PROTOCOL:
         return struct.pack("!B", flow.protocol)
-    if uptime is not None:
-        if t == IN_PKTS:
-            return struct.pack("!I", flow.packets & 0xFFFFFFFF)
-        if t == IN_BYTES:
-            return struct.pack("!I", flow.bytes_ & 0xFFFFFFFF)
-        if t in (LAST_SWITCHED, FIRST_SWITCHED):
-            delta_ms = int((flow.ts - uptime[0]) * 1000.0)
-            return struct.pack("!I", (uptime[1] + delta_ms) & 0xFFFFFFFF)
-    elif t == IN_PKTS:
+    if t == IN_PKTS:
         return flow.packets.to_bytes(f.length, "big")
-    elif t == IN_BYTES:
+    if t == IN_BYTES:
         return flow.bytes_.to_bytes(f.length, "big")
-    elif t == FLOW_END_MILLISECONDS:
+    if t == FLOW_END_MILLISECONDS:
         return int(flow.ts * 1000.0).to_bytes(f.length, "big")
     value = flow.extra.get(FIELD_NAMES.get(t, f"field_{t}"), 0)
     return int(value).to_bytes(f.length, "big")
-
-
-def encode_v9_data(
-    template: TemplateRecord,
-    flows: Iterable[FlowRecord],
-    sys_uptime_ms: int = 0,
-    unix_secs: int = 0,
-    sequence: int = 0,
-    source_id: int = 0,
-) -> bytes:
-    """Encode flows as one data FlowSet against ``template``."""
-    uptime = (unix_secs, sys_uptime_ms)
-    count, flowset = _data_set(template, flows, lambda flow, f: _field_bytes(flow, f, uptime))
-    return _pack_header(count, sys_uptime_ms, unix_secs, sequence, source_id) + flowset
 
 
 def _pack_message(body: bytes, export_secs: int, sequence: int, domain_id: int) -> bytes:
@@ -340,19 +249,17 @@ def packed_flow(flow: FlowRecord) -> PackedFlow:
 class FlowExporter:
     """Encode flow records as a sequence of export datagrams.
 
-    ``version`` selects the dialect (5, 9 or 10/IPFIX). For template-based
-    dialects the first datagram out is the template export, and templates
-    are re-announced every ``template_refresh`` data datagrams, mirroring
-    router behaviour so late-joining collectors can synchronise. Sequence
+    ``version`` selects the dialect (9 or 10/IPFIX). The first datagram
+    out is the template export, and templates are re-announced every
+    ``template_refresh`` data datagrams, mirroring router behaviour so
+    late-joining collectors can synchronise. Sequence
     numbers and the template cadence run on across :meth:`export` calls.
     Version 9 is :class:`PackedV9Exporter` over :func:`packed_flow` tuples.
     """
 
     def __init__(self, version: int = 9, batch_size: int = 24, template_refresh: int = 64):
-        if version not in (5, 9, 10):
+        if version not in (9, 10):
             raise ConfigError(f"unsupported NetFlow version {version}")
-        if version == 5 and batch_size > V5_MAX_RECORDS:
-            raise ConfigError(f"v5 batches are limited to {V5_MAX_RECORDS} records")
         # Validates batch_size and template_refresh for every version.
         self._v9 = PackedV9Exporter(batch_size, template_refresh)
         self.version = version
@@ -365,10 +272,6 @@ class FlowExporter:
         """Yield datagrams covering all ``flows``."""
         if self.version == 9:
             yield from self._v9.export(map(packed_flow, flows))
-        elif self.version == 5:
-            for batch in _batched(flows, self.batch_size):
-                yield encode_v5(batch, unix_secs=int(batch[0].ts), flow_sequence=self._sequence)
-                self._sequence += len(batch)
         else:
             yield from self._export_ipfix(flows)
 

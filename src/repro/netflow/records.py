@@ -15,25 +15,11 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.util.interning import cached_ip_address, ip_text, ip_texts
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
-
-
-class FlowDirection(Enum):
-    """Which endpoint FlowDNS should look up in the DNS map.
-
-    The paper analyses traffic *sources* ("we are interested in analyzing
-    the source of the traffic, hence we use the source IP address") but
-    notes the destination or both can be used with minor modifications.
-    """
-
-    SOURCE = "source"
-    DESTINATION = "destination"
-    BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -64,14 +50,6 @@ class FlowRecord:
             raise ValueError("flow counters must be non-negative")
         if not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
             raise ValueError("ports must fit in 16 bits")
-
-    def lookup_ip(self, direction: FlowDirection = FlowDirection.SOURCE) -> IPAddress:
-        """The address FlowDNS keys its hashmap lookup on."""
-        if direction == FlowDirection.SOURCE:
-            return self.src_ip
-        if direction == FlowDirection.DESTINATION:
-            return self.dst_ip
-        raise ValueError("FlowDirection.BOTH requires two separate lookups")
 
     @property
     def is_dns_port(self) -> bool:

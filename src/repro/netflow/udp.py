@@ -2,9 +2,9 @@
 
 Routers export flow records over UDP. The live receiver is the async
 engine's :class:`repro.core.ingest.UdpFlowIngest`; this module
-holds the socket plumbing it and the tests share: a family-agnostic
-bind (dual-stack on ``::``), best-effort ``SO_RCVBUF`` sizing that
-reports the size the kernel actually granted, and a datagram sender.
+holds its socket plumbing: a family-agnostic bind (dual-stack on
+``::``) and best-effort ``SO_RCVBUF`` sizing that reports the size the
+kernel actually granted.
 """
 
 from __future__ import annotations
@@ -65,15 +65,3 @@ def set_recv_buffer(sock: socket.socket, requested: int) -> int:
         return sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
     except OSError:  # pragma: no cover - platform without the getter
         return 0
-
-
-def send_datagrams(datagrams, address: Tuple[str, int]) -> int:
-    """Test/exporter helper: push datagrams at a collector address."""
-    host, _port = address
-    family = socket.AF_INET6 if ":" in host else socket.AF_INET
-    sent = 0
-    with socket.socket(family, socket.SOCK_DGRAM) as sock:
-        for datagram in datagrams:
-            sock.sendto(datagram, address)
-            sent += 1
-    return sent

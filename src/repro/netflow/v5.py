@@ -3,8 +3,8 @@
 v5 is IPv4-only and templateless: a 24-byte header followed by up to 30
 fixed-layout records. The decoder reads every field the format defines;
 FlowDNS itself consumes only the subset carried into
-:class:`repro.netflow.records.FlowRecord`. The writer is
-:func:`repro.netflow.export.encode_v5`.
+:class:`repro.netflow.records.FlowRecord`. No production code writes
+v5; the test-side writer is ``repro.reference.encode_v5``.
 """
 
 from __future__ import annotations

@@ -5,11 +5,21 @@ Every pipeline layer has one production path, columnar and batched
 per-record twin of each, as plain functions over the production
 objects, for the parity and differential suites to hold the production
 path to, and the writers' oracles: the DNS object codec
-(:mod:`repro.reference.wire`) and the per-field v9 exporter. Nothing under ``repro`` imports it;
+(:mod:`repro.reference.wire`), the v5 writer and the per-field v9
+writer and exporter. Nothing under ``repro`` imports it;
 ``tests/test_reference_boundary.py`` keeps it that way.
 """
 
-from repro.reference.codecs import decode_ipfix, decode_v5, decode_v9, export_v9, ingest
+from repro.reference.codecs import (
+    decode_ipfix,
+    decode_v5,
+    decode_v9,
+    encode_v5,
+    encode_v9_data,
+    export_v5,
+    export_v9,
+    ingest,
+)
 from repro.reference.dns import filter_message, records_from_message
 from repro.reference.lanes import (
     add_record,
@@ -49,6 +59,9 @@ __all__ = [
     "decode_v5",
     "decode_v9",
     "encode_message",
+    "encode_v5",
+    "encode_v9_data",
+    "export_v5",
     "export_v9",
     "fill_record",
     "filter_message",

@@ -1,36 +1,60 @@
-"""Per-field NetFlow v5 / v9 / IPFIX decoders, and the per-field v9 exporter.
+"""Per-field NetFlow v5 / v9 / IPFIX decoders, and the test-side writers.
 
 The production decoders are compiled per template and fill FlowBatch
 columns (:mod:`repro.netflow.compiled`). These walk each record field
 by field into a dict of named values and build one :class:`FlowRecord`
 per flow. The v9/IPFIX oracles run on the production session's own set
 walk and template table, so header checks and template learning are
-shared and only the record decode differs. :func:`export_v9` is the v9
-writer's oracle, per-field ``encode_v9_data`` calls.
+shared and only the record decode differs.
+
+The writers have no production caller: :func:`encode_v5` and
+:func:`export_v5` feed v5 datagrams to the collector's tests, and
+:func:`encode_v9_data` writes one v9 data datagram field by field.
+:func:`export_v9`, per-field ``encode_v9_data`` calls, is the oracle of
+the production v9 writer (:class:`repro.netflow.export.PackedV9Exporter`).
 """
 
 from __future__ import annotations
 
 import ipaddress
+import struct
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.netflow.collector import FlowCollector, probe_version
-from repro.netflow.export import _batched, encode_v9_data, encode_v9_template
+from repro.netflow.export import (
+    _batched,
+    _data_set,
+    _field_bytes,
+    _pack_header,
+    encode_v9_template,
+)
 from repro.netflow.ipfix import FLOW_END_MILLISECONDS, IpfixSession
 from repro.netflow.records import FlowRecord
-from repro.netflow.v5 import V5_HEADER_LEN, V5_RECORD, V5_RECORD_LEN, _decode_v5_header
+from repro.netflow.v5 import (
+    V5_HEADER,
+    V5_HEADER_LEN,
+    V5_MAX_RECORDS,
+    V5_RECORD,
+    V5_RECORD_LEN,
+    _decode_v5_header,
+)
 from repro.netflow.v9 import (
     FIELD_NAMES,
+    FIRST_SWITCHED,
+    IN_BYTES,
+    IN_PKTS,
     IPV4_DST_ADDR,
     IPV4_SRC_ADDR,
     IPV6_DST_ADDR,
     IPV6_SRC_ADDR,
+    LAST_SWITCHED,
     STANDARD_V4_TEMPLATE,
     STANDARD_V6_TEMPLATE,
+    TemplateField,
     TemplateRecord,
     V9Session,
 )
-from repro.util.errors import ParseError
+from repro.util.errors import ConfigError, ParseError
 from repro.util.interning import cached_ip_address
 
 
@@ -207,3 +231,110 @@ def export_v9(
                 yield encode_v9_data(template, group, unix_secs=anchor, sequence=sequence)
                 sequence += len(group)
                 sent_since_template += 1
+
+
+def encode_v5(
+    flows: Iterable[FlowRecord],
+    sys_uptime_ms: int = 0,
+    unix_secs: int = 0,
+    flow_sequence: int = 0,
+    engine_id: int = 0,
+) -> bytes:
+    """Encode up to 30 IPv4 flows as one v5 export datagram.
+
+    Flow start/end are expressed as SysUptime offsets; we anchor the export
+    at ``unix_secs`` and place each flow's end at its ``ts`` relative to
+    that anchor, wrapped to 32 bits (a flow that ended before the uptime
+    counter started lands just below the wrap, which the decoder reads
+    back as a negative offset).
+    """
+    flows = list(flows)
+    if len(flows) > V5_MAX_RECORDS:
+        raise ParseError(f"v5 datagram limited to {V5_MAX_RECORDS} records")
+    for f in flows:
+        if f.src_ip.version != 4 or f.dst_ip.version != 4:
+            raise ParseError("NetFlow v5 carries IPv4 flows only")
+    out = bytearray(
+        V5_HEADER.pack(
+            5,
+            len(flows),
+            sys_uptime_ms & 0xFFFFFFFF,
+            unix_secs & 0xFFFFFFFF,
+            0,  # unix_nsecs
+            flow_sequence & 0xFFFFFFFF,
+            0,  # engine_type
+            engine_id & 0xFF,
+            0,  # sampling interval
+        )
+    )
+    for f in flows:
+        delta_ms = int((f.ts - unix_secs) * 1000.0)
+        end_uptime = (sys_uptime_ms + delta_ms) & 0xFFFFFFFF
+        start_uptime = end_uptime
+        out.extend(
+            V5_RECORD.pack(
+                int(f.src_ip),
+                int(f.dst_ip),
+                0,  # nexthop
+                f.extra.get("input_if", 0) & 0xFFFF,
+                f.extra.get("output_if", 0) & 0xFFFF,
+                f.packets & 0xFFFFFFFF,
+                f.bytes_ & 0xFFFFFFFF,
+                start_uptime,
+                end_uptime,
+                f.src_port,
+                f.dst_port,
+                0,  # pad1
+                f.extra.get("tcp_flags", 0) & 0xFF,
+                f.protocol & 0xFF,
+                f.extra.get("tos", 0) & 0xFF,
+                f.extra.get("src_as", 0) & 0xFFFF,
+                f.extra.get("dst_as", 0) & 0xFFFF,
+                f.extra.get("src_mask", 0) & 0xFF,
+                f.extra.get("dst_mask", 0) & 0xFF,
+                0,  # pad2
+            )
+        )
+    return bytes(out)
+
+
+def export_v5(flows: Iterable[FlowRecord], batch_size: int = 24) -> List[bytes]:
+    """v5 datagrams of ``batch_size`` flows each, sequence numbers counting
+    flows, each anchored at its first flow's second."""
+    if not 0 < batch_size <= V5_MAX_RECORDS:
+        raise ConfigError(f"v5 batches hold 1 to {V5_MAX_RECORDS} records")
+    datagrams = []
+    sequence = 0
+    for batch in _batched(flows, batch_size):
+        datagrams.append(encode_v5(batch, unix_secs=int(batch[0].ts), flow_sequence=sequence))
+        sequence += len(batch)
+    return datagrams
+
+
+def _v9_field_bytes(flow: FlowRecord, f: TemplateField, unix_secs: int, sys_uptime_ms: int):
+    """One v9 field of ``flow``: 32-bit counters, and time fields as
+    uptime offsets; the rest as IPFIX writes them."""
+    t = f.field_type
+    if t == IN_PKTS:
+        return struct.pack("!I", flow.packets & 0xFFFFFFFF)
+    if t == IN_BYTES:
+        return struct.pack("!I", flow.bytes_ & 0xFFFFFFFF)
+    if t in (LAST_SWITCHED, FIRST_SWITCHED):
+        delta_ms = int((flow.ts - unix_secs) * 1000.0)
+        return struct.pack("!I", (sys_uptime_ms + delta_ms) & 0xFFFFFFFF)
+    return _field_bytes(flow, f)
+
+
+def encode_v9_data(
+    template: TemplateRecord,
+    flows: Iterable[FlowRecord],
+    sys_uptime_ms: int = 0,
+    unix_secs: int = 0,
+    sequence: int = 0,
+    source_id: int = 0,
+) -> bytes:
+    """Encode flows as one v9 data FlowSet against ``template``."""
+    count, flowset = _data_set(
+        template, flows, lambda flow, f: _v9_field_bytes(flow, f, unix_secs, sys_uptime_ms)
+    )
+    return _pack_header(count, sys_uptime_ms, unix_secs, sequence, source_id) + flowset

@@ -12,7 +12,7 @@ from repro.core.lookup import CorrelationResult, LookUpProcessor
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import NULL_SERVICE
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowDirection, FlowRecord
+from repro.netflow.records import FlowRecord
 
 
 def add_record(storage: DnsStorage, record: DnsRecord) -> None:
@@ -55,20 +55,11 @@ def correlate_record(processor: LookUpProcessor, flow: FlowRecord) -> Correlatio
         stats.invalid += 1
         return CorrelationResult(flow, (), flow.ts)
 
-    direction = processor.config.direction
-    if direction == FlowDirection.BOTH:
-        # Try the source first (the paper's primary interest), fall
-        # back to the destination.
-        chain = processor.resolve(str(flow.src_ip), flow.ts)
-        if not chain:
-            chain = processor.resolve(str(flow.dst_ip), flow.ts)
-    else:
-        chain = processor.resolve(str(flow.lookup_ip(direction)), flow.ts)
-
+    chain = processor.resolve(str(flow.src_ip), flow.ts)
     if chain:
         stats.matched += 1
         stats.bytes_matched += flow.bytes_
-        stats.note_chain(len(chain))
+        stats.chain_lengths[len(chain)] = stats.chain_lengths.get(len(chain), 0) + 1
     else:
         stats.unmatched += 1
     return CorrelationResult(flow, tuple(chain), flow.ts)

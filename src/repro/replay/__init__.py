@@ -29,14 +29,12 @@ from repro.replay.capture import (
     CaptureFrame,
     CaptureWriter,
     encode_frame,
-    load_capture,
     probe_capture,
     read_capture,
     write_capture,
 )
 from repro.replay.faults import (
     FAULT_PROFILES,
-    FaultedSource,
     FaultInjector,
     FaultPlan,
     FaultStats,
@@ -61,7 +59,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultStats",
-    "FaultedSource",
     "GOLDEN_SEED",
     "LaneFaults",
     "LANES",
@@ -73,7 +70,6 @@ __all__ = [
     "SCENARIOS",
     "build_scenario",
     "encode_frame",
-    "load_capture",
     "parse_fault_specs",
     "probe_capture",
     "read_capture",

@@ -382,8 +382,3 @@ def read_capture(
                 break
             yield from decoder.feed(chunk)
     decoder.close()
-
-
-def load_capture(path: str) -> List[CaptureFrame]:
-    """Read a whole capture file into memory."""
-    return list(read_capture(path))

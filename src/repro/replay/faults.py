@@ -1,4 +1,4 @@
-"""Deterministic, seeded fault injection for captures and ingest sources.
+"""Deterministic, seeded fault injection for captures.
 
 The paper's collection points see hostile input by default: UDP export
 loses, duplicates, and reorders datagrams; TCP DNS streams corrupt and
@@ -9,7 +9,7 @@ those failure modes into a reproducible instrument:
   duplicate, bounded-window reorder, byte corruption, frame truncation,
   stall (cumulative timing gaps), and clock skew;
 * a :class:`FaultInjector` applies a plan to a capture (path or frame
-  iterable) or wraps a single ingest source, using
+  iterable), using
   :func:`repro.util.rng.derive_rng` with a per-lane label so the two
   lanes perturb **independently** — adding faults to one lane never
   changes the other lane's byte stream;
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.replay.capture import LANE_DNS, LANES, CaptureFrame, read_capture
 from repro.util.errors import ConfigError
@@ -124,12 +124,6 @@ class FaultPlan:
     def active(self) -> bool:
         return self.dns.active or self.flow.active
 
-    @classmethod
-    def symmetric(cls, description: str = "", **rates) -> "FaultPlan":
-        """The same :class:`LaneFaults` knobs applied to both lanes."""
-        return cls(
-            dns=LaneFaults(**rates), flow=LaneFaults(**rates), description=description
-        )
 
 
 #: The curated profile library (``flowdns replay --fault-profile``).
@@ -265,9 +259,8 @@ class _LaneState:
     """The per-lane perturbation pipeline over ``(ts, payload)`` pairs.
 
     One RNG per lane, derived from ``(seed, lane)`` — consuming draws
-    only for this lane's frames, so the same lane produces the same
-    perturbation whether it is faulted alone (a wrapped source) or
-    interleaved with the other lane (a whole capture).
+    only for this lane's frames, so a lane's perturbation does not
+    depend on how the other lane's frames interleave with it.
 
     Per frame, decision draws happen in a fixed order (drop → corrupt →
     truncate → duplicate → stall → reorder); the output permutation and
@@ -355,58 +348,11 @@ class _LaneState:
         return out
 
 
-class FaultedSource:
-    """An ingest source wrapped with per-item faults (one lane).
-
-    Implements the ingest-source protocol by proxy — ``ingest_stats``
-    and ``close()`` pass through to the wrapped source — so engines account the *unfaulted* arrivals while the items
-    they actually see are the perturbed ones. Items may be raw ``bytes``
-    (flow lane) or ``(ts, payload)`` tuples (DNS lane); timing faults
-    apply only where a timestamp exists to rewrite.
-
-    Each iteration re-derives the lane RNG, so one wrapper replays the
-    identical perturbation across several engine runs.
-    """
-
-    def __init__(self, source, lane: str, plan: FaultPlan, seed: int = 0):
-        if lane not in LANES:
-            raise ConfigError(f"unknown fault lane {lane!r}; known: {LANES}")
-        self._source = source
-        self.lane = lane
-        self.plan = plan
-        self.seed = seed
-        self.fault_stats = FaultStats()
-
-    @property
-    def ingest_stats(self):
-        return getattr(self._source, "ingest_stats", None)
-
-    def close(self) -> None:
-        close = getattr(self._source, "close", None)
-        if close is not None:
-            close()
-
-    def __iter__(self) -> Iterator:
-        state = _LaneState(self.plan.lane(self.lane), self.seed, self.lane)
-        self.fault_stats = state.stats
-        tupled = self.lane == LANE_DNS
-        for item in self._source:
-            if isinstance(item, tuple) and len(item) == 2:
-                ts, payload = item
-            else:
-                ts, payload = 0.0, item
-            for out_ts, out_payload in state.feed(ts, payload):
-                yield (out_ts, out_payload) if tupled else out_payload
-        for out_ts, out_payload in state.flush():
-            yield (out_ts, out_payload) if tupled else out_payload
-
-
 class FaultInjector:
     """Apply one :class:`FaultPlan` deterministically.
 
     ``apply`` perturbs a whole capture into a materialised frame list
-    (both lanes, independently seeded); ``wrap_source`` wraps a single
-    ingest source lazily. Either way the output is a pure function of
+    (both lanes, independently seeded). The output is a pure function of
     ``(input, plan, seed)`` — :attr:`stats` (per-lane
     :class:`FaultStats`) describes the most recent application.
     """
@@ -446,7 +392,3 @@ class FaultInjector:
                 out.append(CaptureFrame(ts=ts, lane=lane, payload=payload))
         self.stats = {lane: states[lane].stats for lane in LANES}
         return out
-
-    def wrap_source(self, source, lane: str) -> FaultedSource:
-        """Wrap one ingest source with this plan's faults for ``lane``."""
-        return FaultedSource(source, lane, self.plan, seed=self.seed)

@@ -37,9 +37,8 @@ from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.dns.rr import RRType
 from repro.dns.wire import encode_response
-from repro.netflow.export import FlowExporter, encode_v9_data
+from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
-from repro.netflow.v9 import STANDARD_V4_TEMPLATE
 from repro.replay.capture import CaptureFrame, LANE_DNS, LANE_FLOW, write_capture
 from repro.util.errors import ConfigError
 from repro.util.rng import derive_rng
@@ -167,15 +166,11 @@ def scenario_template_reannounce(seed: int) -> List[CaptureFrame]:
     ]
     # Late join: the capture starts with a DATA datagram for a template
     # this collector has never seen — dropped and counted, identically,
-    # by every engine's collector.
+    # by every engine's collector. It is an exporter's first data
+    # datagram with the template announcement before it left out.
     orphans = _client_flows(rng, ips, 6, t0=4.0, span=0.5)
-    frames.append(
-        CaptureFrame(
-            4.0,
-            LANE_FLOW,
-            encode_v9_data(STANDARD_V4_TEMPLATE, orphans, unix_secs=4, sequence=0),
-        )
-    )
+    _template, orphan_data = FlowExporter(batch_size=len(orphans)).export(orphans)
+    frames.append(CaptureFrame(4.0, LANE_FLOW, orphan_data))
     # Then the proper streams; template_refresh=2 forces re-announces
     # every two data datagrams — mid-stream template churn.
     v9_flows = _client_flows(rng, ips, 96, t0=5.0, span=10.0)

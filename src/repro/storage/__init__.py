@@ -14,12 +14,11 @@ before anything else touches them.
 
 from repro.storage.rotating import RotatingStoreStats, StoreBank
 from repro.storage.exact_ttl import ExactTtlStore
-from repro.storage.snapshot import dump_storage, load_storage
+from repro.storage.snapshot import load_storage
 
 __all__ = [
     "RotatingStoreStats",
     "StoreBank",
     "ExactTtlStore",
-    "dump_storage",
     "load_storage",
 ]

@@ -76,15 +76,6 @@ class RotatingStoreStats:
     hits: Dict[str, int] = field(default_factory=lambda: {t.value: 0 for t in Tier})
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.misses + sum(self.hits.values())
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return (lookups - self.misses) / lookups if lookups else 0.0
-
 
 class StoreBank:
     """Active/Inactive/Long hashmap triple: the dicts :attr:`active`,

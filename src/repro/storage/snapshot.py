@@ -14,8 +14,8 @@ Three layers:
 * :func:`snapshot_document` — the state as a document of copied plain
   dicts. Taking it is one ``dict.copy()`` per tier, so it runs on the
   thread that owns the store; everything after it can run elsewhere.
-* :func:`dump_storage` / :func:`load_storage` — stream-level, used by
-  tests and callers that manage their own files. Restore is
+* :func:`load_storage` — stream-level restore, for callers that
+  manage their own files. Restore is
   **all-or-nothing**: the whole document is validated against the target
   storage before any map is touched, so a mismatched or truncated
   snapshot can never leave the store half-wiped.
@@ -74,15 +74,6 @@ def _document_entries(document: Dict) -> int:
         for bank_name in _BANK_NAMES
         for entries in document[bank_name]["tiers"].values()
     )
-
-
-def dump_storage(storage, sink: TextIO) -> int:
-    """Write a JSON snapshot of a DnsStorage's rotating banks.
-
-    Returns the number of entries written.
-    """
-    json.dump(snapshot_document(storage), sink)
-    return storage.total_entries()
 
 
 def _tier_entries(tier_state, version: int, where: str) -> Dict[str, str]:
@@ -164,16 +155,6 @@ def load_storage(storage, source: TextIO) -> int:
         for tier_name, entries in state["tiers"].items():
             setattr(bank, tier_name, entries)
     return storage.total_entries()
-
-
-def snapshot_saved_at(path: str) -> float:
-    """The ``saved_at`` wall-clock stamp of a snapshot file (0.0 if absent)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        return float(document.get("saved_at") or 0.0)
-    except (OSError, ValueError):
-        return 0.0
 
 
 def write_snapshot(document: Dict, path: str) -> int:

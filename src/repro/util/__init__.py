@@ -10,7 +10,6 @@ from repro.util.errors import ReproError, ConfigError, ParseError
 from repro.util.rng import make_rng, derive_rng, zipf_sampler
 from repro.util.stats import (
     Ecdf,
-    RunningStats,
     percentile,
     quantiles,
     cumulative_share,
@@ -35,7 +34,6 @@ __all__ = [
     "derive_rng",
     "zipf_sampler",
     "Ecdf",
-    "RunningStats",
     "percentile",
     "quantiles",
     "cumulative_share",

@@ -1,10 +1,11 @@
 """Clock abstractions.
 
 FlowDNS's mechanisms are all time-driven: clear-up intervals, buffer
-rotation, TTL expiry, diurnal load. To reproduce week-long deployments
-(Figure 2) in seconds, the simulation engine runs against a
-:class:`SimClock` whose time is advanced by record timestamps, while
-live operation can use a :class:`SystemClock`.
+rotation, TTL expiry, diurnal load. The engines take their time from
+record timestamps; a :class:`repro.replay.capture.CaptureWriter` stamps
+frames with a :class:`MonotonicClock` unless given another
+:class:`Clock` (a :class:`SimClock` advanced by hand, or the wall-clock
+:class:`SystemClock`).
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ class SimClock(Clock):
     def advance_to(self, ts: float) -> None:
         if ts > self._now:
             self._now = float(ts)
-
-    def advance_by(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance a SimClock backwards")
-        self._now += seconds
 
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.3f})"

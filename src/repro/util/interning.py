@@ -104,10 +104,3 @@ def ip_texts(raws: Sequence[bytes]) -> List[str]:
     distinct = dict.fromkeys(raws)
     texts = dict(zip(distinct, map(ip_text, distinct)))
     return list(map(texts.__getitem__, raws))
-
-
-def clear_intern_tables() -> None:
-    """Drop all tables (tests and long-lived processes)."""
-    _strings.clear()
-    _wire_names.clear()
-    _addresses.clear()

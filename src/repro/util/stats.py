@@ -1,4 +1,4 @@
-"""Statistics helpers: ECDFs, running moments, cumulative shares.
+"""Statistics helpers: ECDFs, percentiles, cumulative shares.
 
 The paper reports most of its evidence as ECDFs (Figures 6, 8, 9) and
 cumulative traffic-share curves (Figures 4, 5). These helpers are the single
@@ -56,54 +56,6 @@ class Ecdf:
     @property
     def max(self) -> float:
         return self._sorted[-1]
-
-
-class RunningStats:
-    """Welford online mean/variance plus min/max, O(1) memory.
-
-    Used by the simulation engine to summarise per-interval CPU and memory
-    samples without retaining week-long series in RAM.
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def add(self, x: float) -> None:
-        x = float(x)
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def min(self) -> float:
-        return self._min if self.n else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self.n else 0.0
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

@@ -177,14 +177,6 @@ class SizeCdf:
     def sample(self, rng) -> int:
         return self.sizes[bisect.bisect_left(self.cumulative, rng.random())]
 
-    def cdf_at(self, size: int) -> float:
-        """Exact P(flow size <= ``size``) — the tests' reference curve."""
-        frac = 0.0
-        for s, cum in zip(self.sizes, self.cumulative):
-            if s <= size:
-                frac = cum
-        return frac
-
     def mean(self) -> float:
         prev = 0.0
         out = 0.0
@@ -283,10 +275,6 @@ class GeneratorParams:
         if self.base_rate is not None:
             return self.base_rate
         return self.clients * self.per_client_rate
-
-    def expected_flows(self) -> float:
-        mean_burst = sum(k * w for k, w in self.flow_burst_weights)
-        return self.duration * self.resolution_rate * mean_burst
 
     def replace(self, **changes) -> "GeneratorParams":
         return replace(self, **changes)

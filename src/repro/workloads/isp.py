@@ -165,10 +165,6 @@ class IspWorkload:
             if resolution.visible:
                 yield from resolution.records()
 
-    def dns_record_streams(self, n_streams: int) -> List[Iterator[DnsRecord]]:
-        """Shard the DNS stream the way the ISP's load balancer does."""
-        return _shard_stream(self.dns_records, n_streams, key=lambda r: hash(r.answer))
-
     # --- flow stream ----------------------------------------------------------
 
     def _flows_for(self, resolution: Resolution, rng: random.Random, seq_start: int) -> List[Tuple[float, int, FlowRecord]]:
@@ -321,9 +317,6 @@ class IspWorkload:
                 heapq.heappush(heap, item)
         yield from emit_up_to(float("inf"))
 
-    def flow_record_streams(self, n_streams: int) -> List[Iterator[FlowRecord]]:
-        """Shard the flow stream like the ISP's 26-way load balancing."""
-        return _shard_stream(self.flow_records, n_streams, key=lambda f: hash(f.src_ip))
 
 
 def _name_coin(name: str) -> int:
@@ -336,25 +329,6 @@ def _name_coin(name: str) -> int:
     for byte in name.encode("utf-8", errors="surrogateescape"):
         h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
     return h
-
-
-def _shard_stream(factory, n_streams: int, key) -> List[Iterator]:
-    """Split one generator into n round-robin-by-key sub-streams.
-
-    Each shard re-creates the underlying generator and filters it, which
-    keeps shards independent (safe to consume from different threads) at
-    the cost of n-fold generation work — acceptable for the stream counts
-    the tests use.
-    """
-    if n_streams <= 0:
-        raise ConfigError("n_streams must be positive")
-
-    def shard(idx: int) -> Iterator:
-        for item in factory():
-            if key(item) % n_streams == idx:
-                yield item
-
-    return [shard(i) for i in range(n_streams)]
 
 
 # --- presets -------------------------------------------------------------------

@@ -131,12 +131,6 @@ class AbusePopulation:
             out.extend(names)
         return out
 
-    def category_of(self, name: str) -> str:
-        for category, names in self.by_category.items():
-            if name in names:
-                return category
-        return "benign"
-
 
 def build_abuse_population(
     rng: random.Random,

@@ -12,14 +12,21 @@ import pytest
 
 from repro.core.async_engine import AsyncEngine
 from repro.core.ingest import AsyncBuffer, TcpDnsIngest, UdpFlowIngest
-from repro.core.config import FlowDNSConfig
+from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.dns.rr import RRType
-from repro.reference import DnsMessage, Question, a_record, cname_record, encode_message
+from repro.reference import (
+    DnsMessage,
+    Question,
+    a_record,
+    cname_record,
+    encode_message,
+    export_v5,
+)
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
 from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
-from repro.netflow.udp import send_datagrams
+from testkit import send_datagrams
 
 #: The fixed "arrival time" the live DNS listener stamps messages with,
 #: chosen inside the corpus' validity window so live and offline runs
@@ -284,7 +291,7 @@ class TestAsyncLiveLoopback:
         """request_stop drains buffered work before reporting: every
         ingested datagram's flows are correlated, none abandoned."""
         flows = _wire_flows(count=10, extra_unmatched=0)
-        datagrams = list(FlowExporter(version=5, batch_size=20).export(flows))
+        datagrams = export_v5(flows, batch_size=20)
         report, _dns, flow_ingest = self._run_live(
             FlowDNSConfig(), [], datagrams,
             expected_dns_records=0,
@@ -363,7 +370,7 @@ class TestRequestStopIdempotency:
         """Extra stops racing the drain phase change nothing: every
         accepted datagram's flows are still correlated exactly once."""
         flows = _wire_flows(count=8, extra_unmatched=0)
-        datagrams = list(FlowExporter(version=5, batch_size=4).export(flows))
+        datagrams = export_v5(flows, batch_size=4)
         ingest = UdpFlowIngest()
         engine = AsyncEngine(FlowDNSConfig())
         thread, result = self._live_run_in_thread(engine, [], [ingest])
@@ -471,7 +478,7 @@ class TestBackpressure:
         path drains it, and the loop never runs its reader, so the
         outcome is deterministic."""
         flows = _wire_flows(count=5, extra_unmatched=0)
-        datagrams = list(FlowExporter(version=5, batch_size=4).export(flows))
+        datagrams = export_v5(flows, batch_size=4)
         assert len(datagrams) >= 5
         ingest = UdpFlowIngest(capacity=2)
         buffer = AsyncBuffer(2, name="netflow[0]")
@@ -600,7 +607,7 @@ class TestUdpFlowIngestSocket:
         if not _can_bind_ipv6("::"):
             pytest.skip("IPv6 wildcard unavailable")
         flows = _wire_flows(count=2, extra_unmatched=0)
-        datagrams = list(FlowExporter(version=5, batch_size=8).export(flows))
+        datagrams = export_v5(flows, batch_size=8)
         ingest = UdpFlowIngest(host="::")
         report = _serve_udp(
             ingest, datagrams, send_to=lambda address: ("127.0.0.1", address[1])
@@ -636,7 +643,7 @@ class TestUdpFlowIngestSocket:
         """The capture tap records every received datagram as raw wire
         bytes, malformed input included, so a replay reproduces the live
         run's malformed counter too."""
-        from repro.replay.capture import LANE_FLOW, CaptureWriter, load_capture
+        from repro.replay.capture import LANE_FLOW, CaptureWriter, read_capture
 
         flows = _wire_flows(count=2, extra_unmatched=0)
         datagrams = list(
@@ -648,6 +655,45 @@ class TestUdpFlowIngestSocket:
         _serve_udp(ingest, datagrams)
         writer.close()
 
-        frames = load_capture(path)
+        frames = list(read_capture(path))
         assert [f.lane for f in frames] == [LANE_FLOW] * len(datagrams)
         assert [f.payload for f in frames] == datagrams
+
+
+class TestFailedBindReleasesListeners:
+    """A listener that cannot bind fails the run, and every listener (and
+    the metrics endpoint) that did start is stopped before the error
+    leaves ``run``: its port can be bound again at once."""
+
+    @staticmethod
+    def _rebind_tcp(address):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.bind(address)
+
+    @staticmethod
+    def _rebind_udp(address):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(address)
+
+    def test_taken_flow_port_stops_the_dns_listener(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            dns = TcpDnsIngest()
+            flows = UdpFlowIngest(port=taken.getsockname()[1])
+            with pytest.raises(OSError):
+                AsyncEngine(FlowDNSConfig()).run([dns], [flows])
+        assert dns._server is None
+        self._rebind_tcp(dns.address)
+
+    def test_taken_metrics_port_stops_both_listeners(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            dns = TcpDnsIngest()
+            flows = UdpFlowIngest()
+            engine = AsyncEngine(EngineConfig(metrics_port=taken.getsockname()[1]))
+            with pytest.raises(OSError):
+                engine.run([dns], [flows])
+        assert dns._server is None and flows._sock is None
+        self._rebind_tcp(dns.address)
+        self._rebind_udp(flows.address)

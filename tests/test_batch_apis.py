@@ -10,7 +10,7 @@ from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.reference import correlate_record, fill_record
 from repro.storage.rotating import StoreBank
 
@@ -134,21 +134,6 @@ class TestBatchEquivalence:
         assert s1.total_entries() == s2.total_entries()
         assert s1.overwrites() == s2.overwrites()
 
-    def test_direction_both_fallback(self):
-        dns = [DnsRecord(1.0, "dst.example", RRType.A, 300, "10.7.7.7")]
-        flows = [
-            # src misses, dst hits → fallback path
-            FlowRecord(ts=2.0, src_ip="172.16.0.1", dst_ip="10.7.7.7", bytes_=50),
-            # both miss
-            FlowRecord(ts=2.0, src_ip="172.16.0.2", dst_ip="172.16.0.3", bytes_=10),
-        ]
-        config = FlowDNSConfig(direction=FlowDirection.BOTH)
-        _, _, l1, r1 = self._run_per_record(dns, flows, config)
-        _, _, l2, r2 = self._run_batched(dns, flows, config)
-        assert [r.chain for r in r1] == [r.chain for r in r2]
-        assert r2[0].service == "dst.example"
-        assert l1.stats.matched == l2.stats.matched == 1
-
     def test_empty_and_partial_batches(self):
         config = FlowDNSConfig()
         storage = DnsStorage(config)
@@ -184,16 +169,6 @@ class TestBatchEquivalence:
 
 
 class TestFacadeBatchPath:
-    def test_add_dns_many_and_correlate_many(self):
-        fd = FlowDNS()
-        dns, flows = _dns_records(), _flows(services=40)
-        stored = fd.add_dns_many(dns)
-        assert stored == len(dns)
-        results = fd.correlate_many(flows)
-        assert len(results) == len(flows)
-        assert all(r.matched for r in results)
-        assert fd.lookup_stats.flows_in == len(flows)
-
     def test_service_of_uses_probe_not_flow_stats(self):
         fd = FlowDNS()
         fd.add_dns(DnsRecord(1.0, "svc.example", RRType.A, 300, "10.1.1.1"))

@@ -192,7 +192,7 @@ class TestCorrelateWithBgp:
             _result("198.51.100.1", "s1.tv", ts=3700.0, bytes_=20),
         ]
         series = correlate_with_bgp(results, self._rib(), ["s1.tv"], bucket_seconds=3600.0)
-        assert series["s1.tv"].series_for(64501) == [(0, 10), (1, 20)]
+        assert dict(series["s1.tv"].buckets) == {(64501, 0): 10, (64501, 1): 20}
 
     def test_dominant_asns(self):
         series = ServiceAsSeries(service="x", bucket_seconds=3600.0)

@@ -28,14 +28,15 @@ import pathlib
 import pytest
 
 from repro.core.config import EngineConfig, FlowDNSConfig
-from repro.core.invariants import assert_invariants, call_with_deadline
+from repro.core.invariants import assert_invariants
 from repro.replay import (
     FAULT_PROFILES,
     SCENARIOS,
     FaultInjector,
-    load_capture,
+    read_capture,
     replay_capture,
 )
+from testkit import call_with_deadline
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -88,7 +89,7 @@ def _run_engine(frames, label, config=BASE_CONFIG):
 
 
 def _faulted_frames(scenario: str, profile: str):
-    capture = load_capture(str(GOLDEN_DIR / f"{scenario}.fdc"))
+    capture = list(read_capture(str(GOLDEN_DIR / f"{scenario}.fdc")))
     injector = FaultInjector(FAULT_PROFILES[profile], seed=CHAOS_SEED)
     frames = injector.apply(capture)
     # Seed reproducibility: the perturbed stream is a pure function of
@@ -151,7 +152,7 @@ class TestChaosEdgeCases:
         non-hanging report under every batch layout."""
         from repro.replay import FaultPlan, LaneFaults
 
-        capture = load_capture(str(GOLDEN_DIR / "two-site.fdc"))
+        capture = list(read_capture(str(GOLDEN_DIR / "two-site.fdc")))
         plan = FaultPlan(flow=LaneFaults(drop_rate=1.0))
         frames = FaultInjector(plan, seed=0).apply(capture)
         for batch_size in (BASE_CONFIG.engine_batch_size, 1):
@@ -167,10 +168,11 @@ class TestChaosEdgeCases:
         """truncate_rate=1.0 produces zero-length frames on both lanes;
         the capture codec and every decode path must account for them
         rather than choke."""
-        from repro.replay import FaultPlan
+        from repro.replay import FaultPlan, LaneFaults
 
-        capture = load_capture(str(GOLDEN_DIR / "malformed.fdc"))
-        plan = FaultPlan.symmetric(truncate_rate=1.0)
+        capture = list(read_capture(str(GOLDEN_DIR / "malformed.fdc")))
+        truncate_all = LaneFaults(truncate_rate=1.0)
+        plan = FaultPlan(dns=truncate_all, flow=truncate_all)
         frames = FaultInjector(plan, seed=0).apply(capture)
         assert any(len(f.payload) == 0 for f in frames)
         baseline, baseline_rows = _run_engine(frames, "default:all-truncated")
@@ -185,13 +187,13 @@ class TestChaosEdgeCases:
         streams can be persisted and replayed like any capture."""
         from repro.replay import write_capture
 
-        capture = load_capture(str(GOLDEN_DIR / "bursts.fdc"))
+        capture = list(read_capture(str(GOLDEN_DIR / "bursts.fdc")))
         frames = FaultInjector(
             FAULT_PROFILES["everything"], seed=CHAOS_SEED
         ).apply(capture)
         path = str(tmp_path / "faulted.fdc")
         write_capture(path, frames)
-        assert load_capture(path) == frames
+        assert list(read_capture(path)) == frames
         direct, direct_rows = _run_engine(frames, "in-memory")
         from_disk, disk_rows = _run_engine(path, "from-disk")
         assert disk_rows == direct_rows

@@ -260,9 +260,9 @@ class TestCaptureReplay:
         rc = main(["capture", str(capture), "--scenario", "two-site"])
         assert rc == 0
         assert "scenario 'two-site'" in capsys.readouterr().err
-        from repro.replay import load_capture
+        from repro.replay import read_capture
 
-        assert len(load_capture(str(capture))) > 0
+        assert len(list(read_capture(str(capture)))) > 0
 
         output = tmp_path / "replayed.tsv"
         rc = main(["replay", str(capture), "--engine", "async",
@@ -402,9 +402,9 @@ class TestCaptureReplay:
                    "--flow-port", "0", "--dns-port", "0"])
         assert rc == 0
         assert "capture written" in capsys.readouterr().err
-        from repro.replay import load_capture
+        from repro.replay import read_capture
 
-        assert load_capture(str(capture)) == []
+        assert list(read_capture(str(capture))) == []
 
     def test_capture_bind_failure_preserves_existing_file(self, tmp_path,
                                                           capsys):
@@ -432,9 +432,9 @@ class TestCaptureReplay:
                    "--dns-port", "0", "--capture", str(capture)])
         assert rc == 0
         assert "capture written" in capsys.readouterr().err
-        from repro.replay import load_capture
+        from repro.replay import read_capture
 
-        assert load_capture(str(capture)) == []
+        assert list(read_capture(str(capture))) == []
 
 
 class TestFaultCli:

@@ -41,6 +41,8 @@ from repro.reference import (
     decode_message,
     decode_v9,
     encode_message,
+    encode_v5,
+    encode_v9_data,
 )
 from repro.netflow.ipfix import (
     FLOW_END_MILLISECONDS,
@@ -53,8 +55,6 @@ from repro.netflow.export import (
     _pack_header,
     encode_ipfix_data,
     encode_ipfix_template,
-    encode_v5,
-    encode_v9_data,
     encode_v9_template,
 )
 from repro.netflow.collector import FlowCollector

@@ -31,13 +31,11 @@ from repro.core.writer import format_batch
 from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.netflow.v5 import decode_v5_columns
 from repro.netflow.export import (
     encode_ipfix_data,
     encode_ipfix_template,
-    encode_v5,
-    encode_v9_data,
     encode_v9_template,
 )
 from repro.netflow.v9 import STANDARD_V4_TEMPLATE, STANDARD_V6_TEMPLATE, V9Session
@@ -47,6 +45,8 @@ from repro.reference import (
     decode_ipfix,
     decode_v5,
     decode_v9,
+    encode_v5,
+    encode_v9_data,
     fill_record,
     format_result,
     is_valid,
@@ -158,9 +158,7 @@ def _reference_correlate(processor: LookUpProcessor, flows):
     ``correlate_record``: every *unique* lookup IP of the valid flows is resolved
     exactly once — one ``resolve()`` each, in first-appearance order, at
     ``now`` = the first row's ``ts`` — and the chain is shared by all the
-    batch's flows carrying that IP; under ``BOTH`` the destination
-    fallbacks of source-missed flows resolve after every source, again
-    unique and in first-appearance order. ``resolve()`` moves only the
+    batch's flows carrying that IP. ``resolve()`` moves only the
     chain-walk counters, so the flow-level counters are tallied here,
     the way ``correlate_record`` tallies them per flow, and the processor's
     ``stats`` end up comparable field for field.
@@ -169,23 +167,12 @@ def _reference_correlate(processor: LookUpProcessor, flows):
         return []
     if processor.config.exact_ttl:
         return [correlate_record(processor, flow) for flow in flows]
-    direction = processor.config.direction
-    both = direction is FlowDirection.BOTH
     now = flows[0].ts
-    lookup_ips = [
-        str(flow.src_ip if both else flow.lookup_ip(direction))
-        if is_valid(flow) else None
-        for flow in flows
-    ]
+    lookup_ips = [str(flow.src_ip) if is_valid(flow) else None for flow in flows]
     chains = {}
     for ip in lookup_ips:
         if ip is not None and ip not in chains:
             chains[ip] = tuple(processor.resolve(ip, now))
-    if both:
-        for flow, ip in zip(flows, lookup_ips):
-            dst = str(flow.dst_ip)
-            if ip is not None and not chains[ip] and dst not in chains:
-                chains[dst] = tuple(processor.resolve(dst, now))
     stats = processor.stats
     results = []
     for flow, ip in zip(flows, lookup_ips):
@@ -195,11 +182,11 @@ def _reference_correlate(processor: LookUpProcessor, flows):
         if ip is None:
             stats.invalid += 1
         else:
-            chain = chains[ip] or (chains[str(flow.dst_ip)] if both else ())
+            chain = chains[ip]
             if chain:
                 stats.matched += 1
                 stats.bytes_matched += flow.bytes_
-                stats.note_chain(len(chain))
+                stats.chain_lengths[len(chain)] = stats.chain_lengths.get(len(chain), 0) + 1
             else:
                 stats.unmatched += 1
         results.append(CorrelationResult(flow, chain, flow.ts))
@@ -208,12 +195,11 @@ def _reference_correlate(processor: LookUpProcessor, flows):
 
 @given(
     rows=st.lists(_rows(), min_size=0, max_size=14),
-    direction=st.sampled_from(list(FlowDirection)),
     exact_ttl=st.booleans(),
 )
 @settings(max_examples=120, deadline=None)
-def test_correlate_batch_columns_matches_reference(rows, direction, exact_ttl):
-    config = FlowDNSConfig(direction=direction, exact_ttl=exact_ttl)
+def test_correlate_batch_columns_matches_reference(rows, exact_ttl):
+    config = FlowDNSConfig(exact_ttl=exact_ttl)
     # Two identically-filled storages: chain-walk memoisation writes back
     # into storage, so sharing one would let the first run distort the
     # second's counters.
@@ -226,9 +212,8 @@ def test_correlate_batch_columns_matches_reference(rows, direction, exact_ttl):
     columnar = LookUpProcessor(col_storage, config)
     correlated = columnar.correlate_batch_columns(_batch_from_rows(rows))
 
-    # Same chains, row for row; same matched mask.
+    # Same chains, row for row.
     assert correlated.chains == [r.chain for r in results]
-    assert correlated.matched_mask() == [r.matched for r in results]
 
     # Same counters — LookUpStats is a dataclass, so this compares every
     # field including the chain-length histogram.

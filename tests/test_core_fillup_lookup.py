@@ -18,7 +18,7 @@ from repro.reference import (
     filter_message,
 )
 from repro.dns.stream import DnsRecord
-from repro.netflow.records import FlowBatch, FlowDirection, FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 
 
 @pytest.fixture()
@@ -138,7 +138,6 @@ class TestLookUp:
         assert result.matched
         assert result.chain == ("edge.cdn.net", "r0.cdn.net", "service.com")
         assert result.service == "service.com"
-        assert result.dns_name == "edge.cdn.net"
 
     def test_bytes_accounting(self, fillup, lookup):
         _fill_chain(fillup)
@@ -196,19 +195,8 @@ class TestLookUp:
         _correlate(lookup, FlowRecord(ts=1.0, src_ip="10.7.7.7", dst_ip="100.64.0.1", bytes_=1))
         assert lookup.stats.chain_lengths == {3: 1, 1: 1}
 
-
-class TestDirection:
-    def test_destination_lookup(self, fillup, storage):
-        config = FlowDNSConfig(direction=FlowDirection.DESTINATION)
-        lookup = LookUpProcessor(storage, config)
+    def test_destination_address_is_not_a_lookup_key(self, fillup, lookup):
+        # The paper analyses traffic sources: only the source IP is looked up.
         _fill(fillup, DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
         flow = FlowRecord(ts=1.0, src_ip="100.64.0.1", dst_ip="10.1.1.1", bytes_=10)
-        assert _correlate(lookup, flow).matched
-
-    def test_both_falls_back_to_destination(self, fillup, storage):
-        config = FlowDNSConfig(direction=FlowDirection.BOTH)
-        lookup = LookUpProcessor(storage, config)
-        _fill(fillup, DnsRecord(0.0, "site.example", RRType.A, 60, "10.1.1.1"))
-        flow = FlowRecord(ts=1.0, src_ip="100.64.0.1", dst_ip="10.1.1.1", bytes_=10)
-        result = _correlate(lookup, flow)
-        assert result.matched and result.service == "site.example"
+        assert not _correlate(lookup, flow).matched

@@ -1,12 +1,9 @@
 """Tests for the FlowDNS facade (the embeddable correlator object)."""
 
-import io
-
 import pytest
 
 from repro import FlowDNS, FlowDNSConfig
 from repro.dns.rr import RRType
-from repro.reference import DnsMessage, Question, a_record, cname_record, encode_message
 from repro.dns.stream import DnsRecord
 from repro.netflow.records import FlowRecord
 
@@ -39,21 +36,12 @@ class TestFacadeBasics:
         fd.service_of("10.5.5.5", now=1.0)
         assert fd.lookup_stats.flows_in == 0
 
-    def test_wire_message_ingest(self, fd):
-        msg = DnsMessage()
-        msg.questions.append(Question("a.example", RRType.A))
-        msg.answers.append(cname_record("a.example", "b.cdn.net", 300))
-        msg.answers.append(a_record("b.cdn.net", "10.7.7.7", 60))
-        stored = fd.add_dns_message(5.0, encode_message(msg))
-        assert stored == 2
-        assert fd.service_of("10.7.7.7", now=5.0) == "a.example"
-
     def test_correlate_many_and_rate(self, fd):
         _chain(fd)
-        results = fd.correlate_many([
+        results = [fd.correlate(flow) for flow in (
             FlowRecord(ts=1.0, src_ip="10.5.5.5", dst_ip="100.64.0.1", bytes_=800),
             FlowRecord(ts=1.0, src_ip="172.16.0.1", dst_ip="100.64.0.1", bytes_=200),
-        ])
+        )]
         assert [r.matched for r in results] == [True, False]
         assert fd.correlation_rate == 0.8
 
@@ -79,16 +67,3 @@ class TestFacadeTick:
         fd.add_dns(DnsRecord(0.0, "x.example", RRType.A, 60, "10.1.1.1"))
         assert fd.service_of("10.1.1.1", now=30.0) == "x.example"
         assert fd.service_of("10.1.1.1", now=120.0) is None
-
-
-class TestFacadeState:
-    def test_save_and_load_state(self, fd):
-        _chain(fd)
-        buffer = io.StringIO()
-        saved = fd.save_state(buffer)
-        assert saved == 2
-
-        fresh = FlowDNS()
-        buffer.seek(0)
-        assert fresh.load_state(buffer) == 2
-        assert fresh.service_of("10.5.5.5", now=1.0) == "www.svc.com"

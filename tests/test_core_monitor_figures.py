@@ -3,7 +3,6 @@
 import io
 
 from repro.analysis.figures import (
-    ecdf_rows,
     figure2_rows,
     figure3_rows,
     figure7_rows,
@@ -113,9 +112,6 @@ class TestFigureRows:
         lines = sink.getvalue().splitlines()
         assert lines[0] == "# a\tb"
         assert lines[1] == "1\t2"
-
-    def test_ecdf_rows(self):
-        assert ecdf_rows([(1, 0.5), (2, 1.0)]) == [(1.0, 0.5), (2.0, 1.0)]
 
     def test_render_summary_mentions_key_numbers(self):
         text = render_report_summary(_report(), title="test run")

@@ -101,9 +101,7 @@ class TestSampling:
     def test_write_delay_bounded_by_flush_interval(self):
         dns = [_dns(0.0, "x.example", RRType.A, 60, "10.1.1.1")]
         flows = [_flow(float(t), "10.1.1.1") for t in range(0, 500, 5)]
-        engine = SimulationEngine(
-            FlowDNSConfig(), sample_interval=1000.0, write_flush_interval=30.0
-        )
+        engine = SimulationEngine(FlowDNSConfig(), sample_interval=1000.0)
         report = engine.run(dns, flows)
         assert 0.0 < report.max_write_delay <= 45.0
 

@@ -189,7 +189,6 @@ class TestEngineReport:
         report = EngineReport()
         assert report.correlation_rate == 0.0
         assert report.mean_cpu_percent == 0.0
-        assert report.peak_memory_gb == 0.0
 
     def test_sample_aggregates(self):
         samples = [
@@ -202,7 +201,6 @@ class TestEngineReport:
         ]
         report = EngineReport(samples=samples)
         assert report.mean_cpu_percent == 200
-        assert report.peak_memory_gb == 3.0
         assert report.hourly_correlation_rates() == [0.5, 1.0]
 
     def test_interval_sample_properties(self):

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
-from repro.core.flowdns import FlowDNS
 from repro.core.pipeline import FillLane
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
@@ -48,7 +47,7 @@ from repro.reference import (
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import Opcode
 from repro.netflow.records import FlowRecord
-from repro.storage.snapshot import dump_storage
+from repro.storage.snapshot import snapshot_document
 
 # A deliberately tiny label pool: almost every generated name shares a
 # suffix with an earlier one, so NameCompressor emits compression
@@ -153,9 +152,7 @@ def _payloads(draw):
 
 
 def _dump_without_clock(storage: DnsStorage) -> dict:
-    sink = io.StringIO()
-    dump_storage(storage, sink)
-    state = json.loads(sink.getvalue())
+    state = json.loads(json.dumps(snapshot_document(storage)))
     state.pop("saved_at", None)
     return state
 
@@ -189,7 +186,7 @@ def test_decode_fill_columns_matches_reference_filter(payloads):
 @settings(max_examples=60, deadline=None)
 def test_fill_lane_differential(payloads, scalar_ts):
     """End-to-end lane parity: stats and stored state, mixed item kinds,
-    for the engines' fill lane and for the facade fed item by item."""
+    for the engines' fill lane."""
     if scalar_ts:
         batch = decode_fill_columns(payloads, 1000.0)
         assert batch.ts == [1000.0] * len(batch)
@@ -218,15 +215,6 @@ def test_fill_lane_differential(payloads, scalar_ts):
 
     assert processor.stats == reference.stats
     assert _dump_without_clock(storage) == _dump_without_clock(ref_storage)
-
-    facade = FlowDNS()
-    for item in items:
-        if isinstance(item, DnsRecord):
-            facade.add_dns(item)
-        else:
-            facade.add_dns_message(*item)
-    assert facade.fillup_stats == reference.stats
-    assert _dump_without_clock(facade.storage) == _dump_without_clock(ref_storage)
 
 
 def _exact_ttl_corpus():

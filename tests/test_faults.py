@@ -6,8 +6,6 @@ replays the identical perturbation, and faulting one lane never consumes
 draws that would change the other lane's byte stream.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +17,6 @@ from repro.replay import (
     CaptureFrame,
     FaultInjector,
     FaultPlan,
-    FaultedSource,
     LaneFaults,
     parse_fault_specs,
     resolve_fault_plan,
@@ -143,21 +140,16 @@ class TestDeterminism:
                    if f.lane == LANE_FLOW]
         assert flows_a == flows_b
 
-    def test_apply_matches_wrapped_source_per_lane(self):
-        """A lane faulted through ``wrap_source`` sees the identical
-        perturbation the whole-capture ``apply`` gives that lane."""
+    def test_reapplying_one_injector_repeats_the_stream(self):
+        """One injector applied twice re-derives its lane RNGs, so every
+        application is the identical perturbation."""
         frames = _frames(60)
         plan = FaultPlan(flow=LaneFaults(
             drop_rate=0.2, duplicate_rate=0.1, reorder_rate=0.2, corrupt_rate=0.1,
         ))
         injector = FaultInjector(plan, seed=9)
-        applied = [f.payload for f in injector.apply(frames)]
-        wrapped = FaultedSource(
-            [f.payload for f in frames], LANE_FLOW, plan, seed=9
-        )
-        assert list(wrapped) == applied
-        # and the wrapper re-derives its RNG per iteration
-        assert list(wrapped) == applied
+        first = injector.apply(frames)
+        assert injector.apply(frames) == first
 
 
 class TestPerFaultBehaviour:
@@ -270,34 +262,13 @@ def test_frame_conservation_property(seed, drop, dup, reorder):
     assert len(out) == stats.frames_out
 
 
-def test_faulted_source_proxies_ingest_protocol():
-    class FakeSource:
-        ingest_stats = object()
-        closed = False
-
-        def close(self):
-            self.closed = True
-
-        def __iter__(self):
-            return iter([b"x", b"y"])
-
-    source = FakeSource()
-    faulted = FaultedSource(source, LANE_FLOW, FaultPlan(), seed=0)
-    assert faulted.ingest_stats is source.ingest_stats
-    faulted.close()
-    assert source.closed
-    assert list(faulted) == [b"x", b"y"]
-
-
-def test_dns_lane_preserves_tuples():
-    source = [(1.0, b"aa"), (2.0, b"bb")]
+def test_dns_lane_clock_skew_shifts_timestamps():
+    frames = [
+        CaptureFrame(ts=1.0, lane=LANE_DNS, payload=b"aa"),
+        CaptureFrame(ts=2.0, lane=LANE_DNS, payload=b"bb"),
+    ]
     plan = FaultPlan(dns=LaneFaults(clock_skew=10.0))
-    faulted = FaultedSource(source, LANE_DNS, plan, seed=0)
-    assert list(faulted) == [(11.0, b"aa"), (12.0, b"bb")]
-
-
-def test_symmetric_constructor():
-    plan = FaultPlan.symmetric(drop_rate=0.1, description="both lanes")
-    assert plan.dns.drop_rate == plan.flow.drop_rate == 0.1
-    assert plan.description == "both lanes"
-    assert dataclasses.asdict(plan.dns) == dataclasses.asdict(plan.flow)
+    out = FaultInjector(plan, seed=0).apply(frames)
+    assert [(f.ts, f.lane, f.payload) for f in out] == [
+        (11.0, LANE_DNS, b"aa"), (12.0, LANE_DNS, b"bb"),
+    ]

@@ -69,12 +69,12 @@ class TestVariantOrdering:
     """Figure 7's ordering on a shared 4-hour workload."""
 
     @pytest.fixture(scope="class")
-    def rates(self):
-        out = {}
-        for variant in (Variant.MAIN, Variant.NO_CLEAR_UP, Variant.NO_ROTATION, Variant.NO_LONG):
-            workload = large_isp(seed=21, duration=4 * 3600.0, n_benign=600)
-            out[variant] = run_variant(workload, variant).report
-        return out
+    def rates(self, record_workload):
+        workload = record_workload(large_isp(seed=21, duration=4 * 3600.0, n_benign=600))
+        return {
+            variant: run_variant(workload, variant).report
+            for variant in (Variant.MAIN, Variant.NO_CLEAR_UP, Variant.NO_ROTATION, Variant.NO_LONG)
+        }
 
     def test_no_clear_up_at_least_main(self, rates):
         assert rates[Variant.NO_CLEAR_UP].correlation_rate >= rates[Variant.MAIN].correlation_rate - 0.002

@@ -15,7 +15,7 @@ from repro.core.config import FlowDNSConfig
 from repro.core.flowdns import FlowDNS
 from repro.core.simulation import SimulationEngine
 from repro.dns.rr import RRType
-from repro.reference import DnsMessage, Question, a_record, encode_message
+from repro.reference import DnsMessage, Question, a_record, encode_message, export_v5
 from repro.dns.stream import DnsRecord
 from repro.dns.tcp import TcpFrameDecoder, frame_messages
 from repro.netflow.collector import FlowCollector
@@ -159,7 +159,7 @@ class TestMixedVersionDatagramStream:
                        bytes_=50) for i in range(10)
         ]
         datagrams = (
-            list(FlowExporter(version=5, batch_size=10).export(flows_a))
+            export_v5(flows_a, batch_size=10)
             + list(FlowExporter(version=9, batch_size=10).export(flows_b))
             + list(FlowExporter(version=10, batch_size=10).export(flows_c))
             + [b"\x00\x63garbage"]

@@ -15,20 +15,15 @@ import time
 import pytest
 
 from repro.core.config import FlowDNSConfig
-from repro.core.invariants import (
-    WatchdogTimeout,
-    assert_invariants,
-    call_with_deadline,
-    check_report,
-)
+from repro.core.invariants import assert_invariants, check_report
 from repro.core.metrics import EngineReport, IngestStats, dedupe_warnings
 from repro.dns.rr import RRType
 from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.dns.tcp import frame_messages
 from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
-from repro.netflow.udp import send_datagrams
 from repro.replay import SCENARIOS, replay_capture
+from testkit import WatchdogTimeout, call_with_deadline, send_datagrams
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 

@@ -75,12 +75,21 @@ def test_ip_texts_is_ip_text_per_element(pool, data):
     assert ip_texts(column) == [ip_text(raw) for raw in column]
 
 
-def _table_sizes():
+def _tables():
     return {
-        name: len(value)
+        name: value
         for name, value in vars(interning).items()
         if isinstance(value, dict) and not name.startswith("__")
     }
+
+
+def _table_sizes():
+    return {name: len(value) for name, value in _tables().items()}
+
+
+def _clear_tables():
+    for table in _tables().values():
+        table.clear()
 
 
 def _dns_response(msg_id, name, addresses):
@@ -96,7 +105,7 @@ class TestMemoryBoundedByBurst:
     addresses pass through the decoders."""
 
     def test_netflow_bursts(self):
-        interning.clear_intern_tables()
+        _clear_tables()
         before = _table_sizes()
         distinct = 200_000
         flows = [
@@ -115,7 +124,7 @@ class TestMemoryBoundedByBurst:
         assert _table_sizes() == before
 
     def test_dns_a_records(self):
-        interning.clear_intern_tables()
+        _clear_tables()
         before = _table_sizes()
         distinct, per_message = 50_000, 50
         payloads = [

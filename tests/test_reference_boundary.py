@@ -12,6 +12,8 @@ reference-only, and the NetFlow collector modules define no writer.
 import ast
 from pathlib import Path
 
+import pytest
+
 import repro
 import repro.core
 import repro.core.pipeline
@@ -21,6 +23,7 @@ import repro.dns.rr
 import repro.dns.stream
 import repro.dns.wire
 import repro.netflow
+import repro.netflow.export
 import repro.netflow.ipfix
 import repro.netflow.v5
 import repro.netflow.v9
@@ -31,6 +34,7 @@ from repro.core.storage_adapter import DnsStorage
 from repro.netflow.collector import FlowCollector
 from repro.netflow.ipfix import IpfixSession
 from repro.netflow.v9 import V9Session
+from repro.util.errors import ConfigError
 
 _PACKAGE = Path(repro.__file__).parent
 _ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +141,14 @@ _MOVED += [
     for name in _NETFLOW_WRITERS
 ]
 
+#: Writers no production code calls: test-side, in ``repro.reference``.
+_TEST_SIDE_WRITERS = ["encode_v5", "encode_v9_data", "export_v5", "_v9_field_bytes"]
+_MOVED += [
+    (module, name)
+    for module in (repro.netflow, repro.netflow.export, repro.netflow.v5, repro.netflow.v9)
+    for name in _TEST_SIDE_WRITERS
+]
+
 
 def test_moved_oracles_are_gone_from_production():
     left = [f"{owner.__name__}.{name}" for owner, name in _MOVED if hasattr(owner, name)]
@@ -147,3 +159,10 @@ def test_moved_names_are_not_exported():
     """No package ``__all__`` offers a moved name either."""
     assert set(repro.__all__).isdisjoint(_DNS_CODEC)
     assert set(repro.dns.__all__).isdisjoint(_DNS_CODEC)
+    assert set(repro.netflow.__all__).isdisjoint(_TEST_SIDE_WRITERS)
+
+
+def test_flow_exporter_writes_no_v5():
+    """v5 export is the test-side ``repro.reference.export_v5`` only."""
+    with pytest.raises(ConfigError):
+        repro.netflow.export.FlowExporter(version=5)

@@ -26,7 +26,6 @@ from repro.replay.capture import (
     CaptureFrame,
     CaptureWriter,
     encode_frame,
-    load_capture,
     read_capture,
     write_capture,
 )
@@ -150,7 +149,7 @@ class TestZeroLengthPayloads:
         ]
         path = str(tmp_path / "empty.fdc")
         write_capture(path, frames)
-        assert load_capture(path) == frames
+        assert list(read_capture(path)) == frames
         dns_sources, flow_sources = replay_sources(frames)
         assert list(dns_sources[0]) == [(1.0, b"")]
         assert list(flow_sources[0]) == [b"", b"data"]
@@ -230,7 +229,7 @@ class TestDecoderProperty:
     def test_file_round_trip(self, frames, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("cap") / "roundtrip.fdc")
         assert write_capture(path, frames) == len(frames)
-        assert load_capture(path) == frames
+        assert list(read_capture(path)) == frames
 
 
 class TestLaneFilter:
@@ -347,7 +346,7 @@ class TestCaptureWriter:
             writer.record_flow(b"dgram", ts=1.0)
             writer.record_dns(b"msg", ts=2.0)
         assert writer.frames_written == 2
-        assert load_capture(path) == [
+        assert list(read_capture(path)) == [
             CaptureFrame(1.0, LANE_FLOW, b"dgram"),
             CaptureFrame(2.0, LANE_DNS, b"msg"),
         ]
@@ -393,7 +392,7 @@ class TestCaptureWriter:
         writer = CaptureWriter(path)
         writer.ensure_open()
         writer.close()
-        assert load_capture(path) == []
+        assert list(read_capture(path)) == []
 
     def test_record_after_close_is_noop(self, tmp_path):
         path = str(tmp_path / "closed.fdc")
@@ -402,7 +401,7 @@ class TestCaptureWriter:
         writer.close()
         writer.record_flow(b"dropped", ts=2.0)
         writer.close()  # double-close is fine too
-        assert [f.payload for f in load_capture(path)] == [b"kept"]
+        assert [f.payload for f in read_capture(path)] == [b"kept"]
 
     def test_concurrent_writers_interleave_whole_frames(self, tmp_path):
         """Two threads tee into one writer (one flow tap, one DNS tap);
@@ -423,7 +422,7 @@ class TestCaptureWriter:
         for t in threads:
             t.join()
         writer.close()
-        frames = load_capture(path)
+        frames = list(read_capture(path))
         assert len(frames) == 400
         by_lane = {LANE_FLOW: [], LANE_DNS: []}
         for frame in frames:

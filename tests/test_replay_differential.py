@@ -34,19 +34,19 @@ from repro.reference import DnsMessage, Question, a_record, cname_record, encode
 from repro.dns.tcp import frame_messages
 from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
-from repro.netflow.udp import send_datagrams
 from repro.replay import (
     GOLDEN_SEED,
     LANE_DNS,
     LANE_FLOW,
     CaptureWriter,
     build_scenario,
-    load_capture,
+    read_capture,
     replay_capture,
     SCENARIOS,
     write_scenario,
 )
 from repro.util.errors import ParseError
+from testkit import send_datagrams
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
@@ -117,7 +117,7 @@ class TestGoldenCorpus:
     def test_corpus_is_regenerable(self, name):
         """Each checked-in capture is exactly its scenario at the golden
         seed — the corpus can never drift from the library that built it."""
-        assert load_capture(golden_path(name)) == build_scenario(name, GOLDEN_SEED)
+        assert list(read_capture(golden_path(name))) == build_scenario(name, GOLDEN_SEED)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_corpus_regenerates_byte_for_byte(self, name, tmp_path):
@@ -172,7 +172,6 @@ class TestDifferential:
         """CaptureLike admits any frame iterable; a generator input must
         produce the same results as the list or path forms instead of
         being silently race-split between the two lanes."""
-        from repro.replay import read_capture
 
         path = golden_path("two-site")
         baseline, baseline_rows = _replay(path)
@@ -309,7 +308,7 @@ class TestLiveRoundTrip:
         )
 
         # The tap recorded exactly what the listeners received.
-        frames = load_capture(capture_path)
+        frames = list(read_capture(capture_path))
         assert sum(f.lane == LANE_DNS for f in frames) == len(wires)
         assert sum(f.lane == LANE_FLOW for f in frames) == len(datagrams)
         assert [f.payload for f in frames if f.lane == LANE_DNS] == wires

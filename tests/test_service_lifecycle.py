@@ -36,9 +36,9 @@ from repro.dns.stream import DnsRecord
 from repro.dns.tcp import frame_messages
 from repro.netflow.export import FlowExporter
 from repro.netflow.records import FlowRecord
-from repro.netflow.udp import send_datagrams
 from repro.storage.snapshot import load_snapshot, save_snapshot
 from repro.util.errors import ConfigError, ParseError
+from testkit import send_datagrams
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 

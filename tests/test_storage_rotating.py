@@ -126,13 +126,6 @@ class TestAccounting:
         assert counts["active"] == 1 and counts["long"] == 1 and counts["inactive"] == 0
         assert b.total_entries() == 2
 
-    def test_hit_rate(self):
-        b = bank()
-        b.put("1.1.1.1", "a", ttl=60, ts=0.0)
-        b.deep_lookup("1.1.1.1")
-        b.deep_lookup("miss")
-        assert b.stats.hit_rate == 0.5
-
     def test_put_active_direct(self):
         b = bank()
         b.put_active("memo", "result")

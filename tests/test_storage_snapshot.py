@@ -17,15 +17,19 @@ from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.dns.stream import DnsRecord
 from repro.storage.snapshot import (
-    dump_storage,
     load_snapshot,
     load_storage,
     save_snapshot,
     snapshot_document,
-    snapshot_saved_at,
     write_snapshot,
 )
 from repro.util.errors import ParseError
+
+
+def dump_storage(storage, sink):
+    """The stream twin of ``load_storage``: one snapshot document as JSON."""
+    json.dump(snapshot_document(storage), sink)
+    return storage.total_entries()
 
 
 def _add(storage, *records):
@@ -252,7 +256,8 @@ class TestSnapshotFiles:
         original = _filled_storage()
         written = save_snapshot(original, path)
         assert written == original.total_entries()
-        assert snapshot_saved_at(path) > 0.0
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle)["saved_at"] > 0.0
         restored = DnsStorage(FlowDNSConfig())
         assert load_snapshot(restored, path) == original.total_entries()
         assert restored.entry_counts() == original.entry_counts()

@@ -2,8 +2,6 @@
 
 import time
 
-import pytest
-
 from repro.util.clock import MonotonicClock, SimClock, SystemClock
 
 
@@ -28,16 +26,6 @@ class TestSimClock:
         clock = SimClock(5.0)
         clock.advance_to(5.0)
         assert clock.now() == 5.0
-
-    def test_advance_by_accumulates(self):
-        clock = SimClock()
-        clock.advance_by(10.0)
-        clock.advance_by(2.5)
-        assert clock.now() == 12.5
-
-    def test_advance_by_negative_raises(self):
-        with pytest.raises(ValueError):
-            SimClock().advance_by(-1.0)
 
     def test_repr_mentions_time(self):
         assert "3.000" in repr(SimClock(3.0))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.util.stats import Ecdf, RunningStats, cumulative_share, gini, percentile, quantiles
+from repro.util.stats import Ecdf, cumulative_share, gini, percentile, quantiles
 
 
 class TestEcdf:
@@ -43,34 +43,6 @@ class TestEcdf:
 
     def test_len(self):
         assert len(Ecdf([1, 2, 3])) == 3
-
-
-class TestRunningStats:
-    def test_empty_stats_are_zero(self):
-        stats = RunningStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-        assert stats.min == 0.0 and stats.max == 0.0
-
-    def test_mean_and_variance_match_closed_form(self):
-        stats = RunningStats()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        stats.extend(data)
-        mean = sum(data) / len(data)
-        var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
-        assert math.isclose(stats.mean, mean)
-        assert math.isclose(stats.variance, var)
-        assert math.isclose(stats.stdev, math.sqrt(var))
-
-    def test_min_max_tracked(self):
-        stats = RunningStats()
-        stats.extend([3.0, -1.0, 10.0])
-        assert stats.min == -1.0 and stats.max == 10.0
-
-    def test_single_sample_variance_zero(self):
-        stats = RunningStats()
-        stats.add(5.0)
-        assert stats.variance == 0.0
 
 
 class TestPercentile:

@@ -190,6 +190,15 @@ class TestPoissonArrivals:
         assert max(per_hour) > 3 * min(per_hour)
 
 
+def _cdf_at(cdf: SizeCdf, size: int) -> float:
+    """Exact P(flow size <= ``size``) from the CDF's table."""
+    frac = 0.0
+    for s, cum in zip(cdf.sizes, cdf.cumulative):
+        if s <= size:
+            frac = cum
+    return frac
+
+
 class TestFlowSizes:
     @pytest.mark.parametrize("name", ["websearch", "datamining"])
     def test_sizes_follow_named_cdf(self, name):
@@ -208,7 +217,7 @@ class TestFlowSizes:
         assert set(sizes) <= allowed
         for point in cdf.sizes:
             observed = sum(1 for s in sizes if s <= point) / n
-            expected = cdf.cdf_at(point)
+            expected = _cdf_at(cdf, point)
             sigma = math.sqrt(max(expected * (1 - expected), 1e-6) / n)
             assert abs(observed - expected) < 5 * sigma + 0.005, (
                 f"P(size<={point}): observed {observed:.4f}, table {expected:.4f}"
@@ -231,9 +240,9 @@ class TestFlowSizes:
     def test_size_cdf_mean_matches_table(self):
         cdf = SizeCdf.named("uniform")
         assert cdf.mean() == pytest.approx((1024 + 2048 + 4096 + 8192) / 4)
-        assert cdf.cdf_at(2048) == pytest.approx(0.5)
-        assert cdf.cdf_at(1) == 0.0
-        assert cdf.cdf_at(1 << 20) == 1.0
+        assert _cdf_at(cdf, 2048) == pytest.approx(0.5)
+        assert _cdf_at(cdf, 1) == 0.0
+        assert _cdf_at(cdf, 1 << 20) == 1.0
 
 
 #: Configs the byte-determinism tests sweep — one per materially
@@ -599,7 +608,8 @@ class TestValidation:
         params = GeneratorParams(seed=43, clients=1000, duration=100.0)
         out = io.BytesIO()
         report = generate_capture(params, out)
-        expected = params.expected_flows()
+        mean_burst = sum(k * w for k, w in params.flow_burst_weights)
+        expected = params.duration * params.resolution_rate * mean_burst
         assert abs(report.flows - expected) < 0.1 * expected
 
 

@@ -108,25 +108,6 @@ class TestComposition:
         assert dns_count < sum(len(r.records()) for r in resolutions)
 
 
-class TestSharding:
-    def test_dns_shards_partition_stream(self, tiny_workload):
-        shards = tiny_workload.dns_record_streams(3)
-        total = sum(1 for shard in shards for _ in shard)
-        assert total == sum(1 for _ in tiny_workload.dns_records())
-
-    def test_flow_shards_keyed_by_src_ip(self, tiny_workload):
-        shards = tiny_workload.flow_record_streams(2)
-        seen = [set(), set()]
-        for idx, shard in enumerate(shards):
-            for flow in shard:
-                seen[idx].add(str(flow.src_ip))
-        assert not (seen[0] & seen[1])
-
-    def test_invalid_shard_count(self, tiny_workload):
-        with pytest.raises(ConfigError):
-            tiny_workload.dns_record_streams(0)
-
-
 class TestLagModel:
     def test_immediate_lags_short(self):
         import random

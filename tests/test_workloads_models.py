@@ -125,13 +125,6 @@ class TestMaliciousNames:
         for category in PAPER_DBL_COUNTS_PER_MILLION:
             assert len(pop.by_category[category]) >= 3
 
-    def test_category_of(self):
-        rng = random.Random(8)
-        pop = build_abuse_population(rng, benign_universe_size=1000)
-        some_spam = pop.by_category["spam"][0]
-        assert pop.category_of(some_spam) == "spam"
-        assert pop.category_of("innocent.example.com") == "benign"
-
     def test_all_names_unique(self):
         rng = random.Random(9)
         pop = build_abuse_population(rng, benign_universe_size=10000)

@@ -77,12 +77,3 @@ def test_universe_invariants_for_any_seed(seed):
     abuse_bytes = sum(s.byte_weight for s in universe.services if s.category != "benign")
     total = sum(s.byte_weight for s in universe.services)
     assert 0 < abuse_bytes / total < 0.02
-
-
-@given(_seed, st.integers(min_value=2, max_value=6))
-@settings(max_examples=8, deadline=None)
-def test_stream_sharding_partitions_for_any_seed(seed, n_shards):
-    workload = _small_workload(seed)
-    total = sum(1 for _ in workload.dns_records())
-    sharded = sum(1 for shard in workload.dns_record_streams(n_shards) for _ in shard)
-    assert sharded == total
