@@ -21,7 +21,9 @@ _PACKAGE = Path(repro.__file__).parent
 _ROOT = Path(__file__).resolve().parents[1]
 
 _FACADE = "the FlowDNS facade, the package's embedding API (repro.FlowDNS)"
-_SEAM = "a test seam: the one-call form of a production path the codec suites drive"
+_DECODE = "test seam: one datagram through the production decode, as the codec suites drive it"
+_RECORDS = "test seam: a columnar batch back as records, for the parity suites to compare"
+_STATE = "test seam: reads state the production path keeps, for the framing and codec tests"
 _DEFERRED = "to delete with its own tests in a later change (ROADMAP item 8)"
 
 #: ``module:qualified name`` -> why it stays.
@@ -32,15 +34,15 @@ KEPT = {
     "core/flowdns.py:FlowDNS.lookup_stats": _FACADE,
     "core/writer.py:DiscardSink.writable": "io.TextIOBase protocol method",
     "util/clock.py:Clock.advance_to": "the Clock interface method SimClock implements",
-    "dns/columnar.py:DnsBatch.to_records": _SEAM,
-    "netflow/records.py:FlowBatch.to_records": _SEAM,
-    "netflow/v5.py:decode_v5_columns": _SEAM,
-    "netflow/v9.py:V9Session.decode_batch_columns": _SEAM,
-    "netflow/ipfix.py:IpfixSession.decode_batch_columns": _SEAM,
-    "netflow/v9.py:V9Session.template_for": _SEAM,
-    "netflow/ipfix.py:IpfixSession.template_for": _SEAM,
-    "dns/tcp.py:TcpFrameDecoder.pending_bytes": _SEAM,
-    "replay/capture.py:CaptureDecoder.pending_bytes": _SEAM,
+    "dns/columnar.py:DnsBatch.to_records": _RECORDS,
+    "netflow/records.py:FlowBatch.to_records": _RECORDS,
+    "netflow/v5.py:decode_v5_columns": _DECODE,
+    "netflow/v9.py:V9Session.decode_batch_columns": _DECODE,
+    "netflow/ipfix.py:IpfixSession.decode_batch_columns": _DECODE,
+    "netflow/v9.py:V9Session.template_for": _STATE,
+    "netflow/ipfix.py:IpfixSession.template_for": _STATE,
+    "dns/tcp.py:TcpFrameDecoder.pending_bytes": _STATE,
+    "replay/capture.py:CaptureDecoder.pending_bytes": _STATE,
     "bgp/prefix_trie.py:PrefixTrie.remove": _DEFERRED,
     "bgp/rib.py:Route.handover_asn": _DEFERRED,
     "dns/name.py:labels_of": _DEFERRED,
