@@ -65,7 +65,7 @@ def main() -> None:
     engine = AsyncEngine(FlowDNSConfig(), sink=sink)
 
     runner = threading.Thread(
-        target=lambda: setattr(main, "report", engine.run([dns_ingest], [flow_ingest])),
+        target=lambda: setattr(main, "report", engine.run(dns_ingest, flow_ingest)),
         daemon=True,
     )
     runner.start()

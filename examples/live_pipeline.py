@@ -56,7 +56,7 @@ def main() -> None:
     engine = AsyncEngine(FlowDNSConfig(), sink=sink)
 
     start = time.perf_counter()
-    report = engine.run([dns_stream], [datagrams], dns_first=True)
+    report = engine.run(dns_stream, datagrams)
     elapsed = time.perf_counter() - start
 
     print(f"\npipeline drained in {elapsed:.2f} s wall time")

@@ -36,7 +36,7 @@ def main() -> None:
 
     # --- 1. first run + metrics scrape ------------------------------------
     engine = AsyncEngine(FlowDNSConfig())
-    report1 = engine.run([dns], [flows_before], dns_first=True)
+    report1 = engine.run(dns, flows_before)
     print(f"run 1: correlated {report1.correlation_rate:.1%} of bytes "
           f"({report1.matched_flows}/{report1.flow_records} flows)")
     print("\nscraped metrics (excerpt):")
@@ -52,9 +52,9 @@ def main() -> None:
               f"{os.path.getsize(path) / 1024:.0f} KiB of JSON")
 
         # --- 3. cold restart vs restored restart ----------------------------
-        cold_report = AsyncEngine(FlowDNSConfig()).run([[]], [flows_after])
+        cold_report = AsyncEngine(FlowDNSConfig()).run([], flows_after)
         restored = AsyncEngine(EngineConfig(snapshot_path=path))
-        restored_report = restored.run([[]], [flows_after])
+        restored_report = restored.run([], flows_after)
 
     print(f"\nafter restart (no new DNS records yet):")
     print(f"  cold engine     : {cold_report.correlation_rate:6.1%} of bytes correlated")

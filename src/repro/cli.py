@@ -45,13 +45,7 @@ from repro.core.config import (
     EngineConfig,
 )
 from repro.core.simulation import SimulationEngine
-from repro.core.variants import (
-    ENGINE_VARIANTS,
-    FIGURE3_VARIANTS,
-    Variant,
-    config_for,
-    engine_for,
-)
+from repro.core.variants import FIGURE3_VARIANTS, Variant, config_for
 from repro.core.writer import parse_result_line
 from repro.dns.validation import is_valid_domain
 from repro.util.units import format_bytes
@@ -149,12 +143,6 @@ def _add_correlate(subparsers) -> None:
     p.add_argument("--flows", required=True, help="flow records file (CSV or JSONL)")
     p.add_argument("--mapping", required=True, help="field-mapping JSON config")
     p.add_argument("--output", default="-", help="output TSV ('-' = stdout)")
-    p.add_argument(
-        "--engine", choices=sorted(ENGINE_VARIANTS), default="simulation",
-        help="engine variant: " + "; ".join(
-            f"{name} = {desc}" for name, desc in sorted(ENGINE_VARIANTS.items())
-        ),
-    )
     p.set_defaults(func=cmd_correlate)
 
 
@@ -195,16 +183,12 @@ def cmd_correlate(args) -> int:
     flow_handle, flow_rows = _open_rows(args.flows)
     sink = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     try:
-        dns_records = dns_adapter.adapt_many(dns_rows)
-        flow_records = flow_adapter.adapt_many(flow_rows)
-        if args.engine == "simulation":
-            engine = SimulationEngine(engine_config.flowdns, sink=sink)
-            report = engine.run(dns_records, flow_records)
-        else:
-            engine = engine_for(args.engine, config=engine_config, sink=sink)
-            # dns_first gives the hard DNS-before-flows ordering offline
-            # correlation expects (the async fill barrier).
-            report = engine.run([dns_records], [flow_records], dns_first=True)
+        # The simulation merges DNS and flows by timestamp, so a file
+        # longer than a clear-up interval still matches its early flows.
+        engine = SimulationEngine(engine_config.flowdns, sink=sink)
+        report = engine.run(
+            dns_adapter.adapt_many(dns_rows), flow_adapter.adapt_many(flow_rows)
+        )
     finally:
         dns_handle.close()
         flow_handle.close()
@@ -332,7 +316,7 @@ def _run_live_session(engine_config, sink, capture):
 
     async def serve() -> "object":
         loop = asyncio.get_running_loop()
-        run = loop.create_task(engine.run_async([dns_ingest], [flow_ingest]))
+        run = loop.create_task(engine.run_async(dns_ingest, flow_ingest))
         # Let the listeners bind before announcing the addresses; if the
         # engine task dies first (port already in use), surface that as
         # a startup failure instead of polling forever. Only this phase

@@ -39,12 +39,10 @@ from repro.core.pipeline import is_live_source
 from repro.core.simulation import SimulationEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.core.variants import (
-    ENGINE_VARIANTS,
     FIGURE3_VARIANTS,
     FIGURE7_VARIANTS,
     Variant,
     config_for,
-    engine_for,
 )
 from repro.core.writer import (
     DiscardSink,
@@ -62,8 +60,6 @@ __all__ = [
     "SimulationEngine",
     "IngestStats",
     "is_live_source",
-    "ENGINE_VARIANTS",
-    "engine_for",
     "DnsStorage",
     "FillUpProcessor",
     "FillUpStats",

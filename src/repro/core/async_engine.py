@@ -24,8 +24,8 @@ asyncio event loop:
   whose overflow *drops and counts* — the paper's "streams start to
   drop data" loss point, surfaced per source under
   :attr:`EngineReport.ingest` and in ``overall_loss_rate``;
-* plain iterables (records, wire tuples, datagrams, batches) remain
-  first-class sources, pumped cooperatively, so the engine also runs
+* a plain iterable (records, wire tuples, export datagrams) remains a
+  first-class source, pumped cooperatively, so the engine also runs
   offline corpora and captures — that is what the parity suites compare
   across batch layouts and against the simulation engine. A ``realtime`` replay
   source is paced in its pump task with ``asyncio.sleep`` and offered
@@ -36,14 +36,19 @@ asyncio event loop:
   :mod:`repro.core.pipeline`) can serve as a live source; a live flow
   source also carries the ``collector`` its lane decodes through.
 
-The sources live in :mod:`repro.core.ingest` and the lane bodies are
-:mod:`repro.core.pipeline`'s :class:`FillLane` and :class:`LookupLane`;
-this module owns only the asyncio *scheduling policy*: one pump or
-socket server per source, one lane task per buffer, one write task, and
-graceful drain-then-shutdown — :meth:`AsyncEngine.request_stop` (safe
-from any thread or a signal handler) stops the listeners, every buffered
-item still flows through its lane, and the report is assembled only
-after the write sink has drained.
+One instance takes one DNS source and one flow source, as the paper's
+Figure 1 does, and both lanes share one store. A finite DNS source is
+pumped and stored before a finite flow source is pumped, so offline
+output is a function of the input alone.
+
+The sources live in :mod:`repro.core.ingest`, and item normalisation
+and loss accounting in :mod:`repro.core.pipeline`; this module owns the
+asyncio *scheduling policy*: one pump or socket server per source, one
+lane task per buffer, one write task, and graceful drain-then-shutdown —
+:meth:`AsyncEngine.request_stop` (safe from any thread or a signal
+handler) stops the listeners, every buffered item still flows through
+its lane, and the report is assembled only after the write sink has
+drained.
 """
 
 from __future__ import annotations
@@ -53,22 +58,21 @@ import contextlib
 import os
 import sys
 import time
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, List, Optional, TextIO, Tuple
 
 from repro.core.config import EngineConfig, FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
 from repro.core.ingest import AsyncBuffer
 from repro.core.lookup import LookUpProcessor
-from repro.core.metrics import EngineReport
+from repro.core.metrics import EngineReport, IngestStats
 from repro.core.pipeline import (
-    FillLane,
-    LookupLane,
     buffer_loss_rate,
     buffer_loss_warning,
     collect_ingest,
+    dns_items_to_batch,
+    flow_items_to_batch,
     is_live_source,
     source_failure_warning,
-    stack_report,
 )
 from repro.core.storage_adapter import DnsStorage
 from repro.core.writer import DiscardSink, WriteWorker
@@ -80,7 +84,6 @@ from repro.util.errors import ParseError
 _PUMP_CHUNK = 512
 
 
-
 def _cancel(tasks: Iterable[asyncio.Task]) -> None:
     for task in tasks:
         task.cancel()
@@ -89,12 +92,14 @@ def _cancel(tasks: Iterable[asyncio.Task]) -> None:
 class AsyncEngine:
     """Run FlowDNS inside one asyncio loop, with live socket sources.
 
-    ``run()`` (or ``await run_async()``) accepts iterables of records /
-    wire tuples / export datagrams / batches, plus :class:`TcpDnsIngest` (DNS sources) and
-    :class:`UdpFlowIngest` (flow sources) for live traffic. A run with
-    only finite sources terminates when they drain; a run with live
-    listeners keeps serving until :meth:`request_stop`, then drains
-    every buffer through its lane before reporting.
+    ``run(dns, flows)`` (or ``await run_async(dns, flows)``) takes one
+    source per lane: an iterable of records / wire tuples / export
+    datagrams (an empty one is no input), a realtime replay source, or
+    a live listener — :class:`TcpDnsIngest` for DNS,
+    :class:`UdpFlowIngest` for flows. A run with only finite sources
+    terminates when they drain; a run with a live listener keeps serving
+    until :meth:`request_stop`, then drains both buffers through their
+    lanes before reporting.
     """
 
     def __init__(
@@ -111,14 +116,15 @@ class AsyncEngine:
         #: backed by a real file must stay untouched when the session
         #: dies at bind time.
         self.writer: Optional[WriteWorker] = None
-        self._fillup_processors: List[FillUpProcessor] = []
-        self._lookup_processors: List[LookUpProcessor] = []
-        #: Decode collectors for *finite* flow sources (offline/replay):
-        #: their malformed counts are not charged to any ingest stats, so
-        #: the report surfaces them as flow_decode_errors. Live sources'
-        #: collectors are excluded — their decode failures already land
+        #: The lanes' processors over the one store, fresh per run.
+        self._fill = FillUpProcessor(self.storage)
+        self._lookup = LookUpProcessor(self.storage, self.config)
+        #: The decode collector of a *finite* flow source (offline/replay):
+        #: its malformed counts are charged to no ingest stats, so the
+        #: report surfaces them as flow_decode_errors. A live source's
+        #: collector is not kept here — its decode failures already land
         #: in the source's own IngestStats via the lane.
-        self._flow_collectors: List[FlowCollector] = []
+        self._finite_collector: Optional[FlowCollector] = None
         #: Ingress stream buffers only (the write buffer is not loss-
         #: accounted and lives in run_async's scope).
         self._buffers: List[AsyncBuffer] = []
@@ -170,12 +176,12 @@ class AsyncEngine:
     @property
     def dns_records_seen(self) -> int:
         """Records accepted by the fill lane so far (poll-safe)."""
-        return sum(p.stats.records_in for p in self._fillup_processors)
+        return self._fill.stats.records_in
 
     @property
     def flows_seen(self) -> int:
         """Flows correlated by the lookup lane so far (poll-safe)."""
-        return sum(p.stats.flows_in for p in self._lookup_processors)
+        return self._lookup.stats.flows_in
 
     def snapshot_age(self) -> float:
         """Seconds since the last snapshot write this run (-1: none yet)."""
@@ -294,26 +300,47 @@ class AsyncEngine:
         finally:
             buffer.close()
 
-    async def _fill_task(self, buffer: AsyncBuffer, lane: FillLane) -> None:
+    async def _fill_task(self, buffer: AsyncBuffer) -> None:
         batch_size = self.config.engine_batch_size
+        fill = self._fill
         while True:
             items = await buffer.get_many(batch_size)
             if not items:
                 return
-            lane.process_items(items)
+            fill.process_columns(dns_items_to_batch(items))
             await asyncio.sleep(0)  # let receivers breathe between batches
 
     async def _lookup_task(
-        self, buffer: AsyncBuffer, lane: LookupLane, write_buffer: AsyncBuffer
+        self,
+        buffer: AsyncBuffer,
+        collector: FlowCollector,
+        ingest_stats: Optional[IngestStats],
+        write_buffer: AsyncBuffer,
     ) -> None:
+        """Decode each wake-up's items through ``collector``, correlate
+        them, and hand the rows to the write task.
+
+        A live source defers datagram decode to this lane; its
+        ``ingest_stats`` ride along so its malformed datagrams are still
+        charged to it — decode moved off the socket callback, the
+        accounting must not move with it.
+        """
         batch_size = self.config.engine_batch_size
         loop = asyncio.get_running_loop()
+        lookup = self._lookup
+        cstats = collector.stats
         while True:
             items = await buffer.get_many(batch_size)
             if not items:
                 return
-            correlated = lane.correlate_items(items)
-            if correlated is not None:
+            errors_before = cstats.malformed + cstats.unknown_version
+            batch = flow_items_to_batch(items, collector)
+            if ingest_stats is not None:
+                ingest_stats.malformed += (
+                    cstats.malformed + cstats.unknown_version - errors_before
+                )
+            if len(batch):
+                correlated = lookup.correlate_batch_columns(batch)
                 await write_buffer.put((correlated, loop.time()))
             await asyncio.sleep(0)
 
@@ -330,30 +357,20 @@ class AsyncEngine:
 
     # --- orchestration --------------------------------------------------------
 
-    def run(
-        self,
-        dns_sources: Sequence,
-        flow_sources: Sequence,
-        dns_first: bool = False,
-    ) -> EngineReport:
+    def run(self, dns, flows) -> EngineReport:
         """Synchronous wrapper: run the pipeline in a fresh event loop."""
-        return asyncio.run(self.run_async(dns_sources, flow_sources, dns_first))
+        return asyncio.run(self.run_async(dns, flows))
 
-    async def run_async(
-        self,
-        dns_sources: Sequence,
-        flow_sources: Sequence,
-        dns_first: bool = False,
-    ) -> EngineReport:
-        """Run until every finite source drains — and, when live
-        listeners are present, until :meth:`request_stop` — then drain
-        and report.
+    async def run_async(self, dns, flows) -> EngineReport:
+        """Run until both finite sources drain — and, when a live
+        listener is present, until :meth:`request_stop` — then drain and
+        report.
 
-        ``dns_first=True`` holds flow pumping back until every *finite*
-        DNS source has been stored (the deterministic offline-replay
-        barrier; FIFO buffers make storage ordering exact). Live DNS
-        listeners are exempt — a service cannot wait for an endless
-        stream to finish.
+        A finite DNS source is pumped and stored before a finite flow
+        source is pumped: the first flow lookup sees every DNS record,
+        and FIFO buffers make the storage order exact. A live DNS
+        listener is exempt — a service cannot wait for an endless stream
+        to finish.
         """
         cfg = self.config
         loop = asyncio.get_running_loop()
@@ -372,83 +389,58 @@ class AsyncEngine:
         # Per-run state: a reused engine must not fold the previous
         # run's processors, stored records, or writer stats into this
         # run's report.
-        self._fillup_processors = []
-        self._lookup_processors = []
-        self._flow_collectors = []
         self.storage = DnsStorage(cfg)
+        self._fill = FillUpProcessor(self.storage)
+        self._lookup = LookUpProcessor(self.storage, cfg)
+        self._finite_collector = None
         self.snapshots_written = 0
         self.restored_entries = 0
         self.metrics_address = None
         self._last_snapshot_monotonic = None
         self._snapshot_failed = False
         self._service_warnings = []
-        sources = tuple(dns_sources) + tuple(flow_sources)
+        sources = (dns, flows)
+        dns_live = is_live_source(dns)
+        flows_live = is_live_source(flows)
         self._restore_on_start()
 
-        live_ingests = []
         lane_tasks: List[asyncio.Task] = []
-        finite_fill_tasks: List[asyncio.Task] = []
         # The write buffer is internal plumbing, deliberately kept out of
         # self._buffers: only ingress buffers feed loss accounting.
         write_buffer = AsyncBuffer(1 << 30, name="write")
         self._buffers = []
 
-        def make_buffer(name: str, capacity: Optional[int]) -> AsyncBuffer:
-            buffer = AsyncBuffer(capacity or cfg.stream_buffer_capacity, name=name)
-            self._buffers.append(buffer)
-            return buffer
-
         # A start that fails (a port already taken) stops whatever started
         # before it, so a failed session leaves no listener bound.
         async with contextlib.AsyncExitStack() as startup:
             startup.callback(_cancel, lane_tasks)
-            # DNS lanes: one fill task per source.
-            dns_finite: List[Tuple[Iterable, AsyncBuffer]] = []
-            for i, source in enumerate(dns_sources):
-                processor = FillUpProcessor(self.storage)
-                self._fillup_processors.append(processor)
-                lane = FillLane(processor)
-                if is_live_source(source):
-                    buffer = make_buffer(f"dns[{i}]", source.capacity)
-                    source.connect_buffer(buffer)
-                    await source.start(loop)
-                    startup.push_async_callback(source.stop)
-                    live_ingests.append((source, buffer))
-                    lane_tasks.append(loop.create_task(self._fill_task(buffer, lane)))
-                else:
-                    buffer = make_buffer(f"dns[{i}]", None)
-                    dns_finite.append((source, buffer))
-                    task = loop.create_task(self._fill_task(buffer, lane))
-                    finite_fill_tasks.append(task)
-                    lane_tasks.append(task)
 
-            # Flow lanes: one lookup task per source.
-            flow_finite: List[Tuple[Iterable, AsyncBuffer]] = []
-            for i, source in enumerate(flow_sources):
-                processor = LookUpProcessor(self.storage, cfg)
-                self._lookup_processors.append(processor)
-                if is_live_source(source):
-                    buffer = make_buffer(f"netflow[{i}]", source.capacity)
+            async def open_lane(source, live: bool, name: str) -> AsyncBuffer:
+                capacity = source.capacity if live else None
+                buffer = AsyncBuffer(capacity or cfg.stream_buffer_capacity, name=name)
+                self._buffers.append(buffer)
+                if live:
                     source.connect_buffer(buffer)
                     await source.start(loop)
                     startup.push_async_callback(source.stop)
-                    live_ingests.append((source, buffer))
-                    # Off-loop decode: the source buffers *raw* datagrams and
-                    # this lane batch-decodes them through the source's
-                    # collector, charging malformed input to the source's
-                    # ingest stats at decode time.
-                    lane = LookupLane(
-                        processor, source.collector, ingest_stats=source.ingest_stats
-                    )
-                else:
-                    buffer = make_buffer(f"netflow[{i}]", None)
-                    flow_finite.append((source, buffer))
-                    collector = FlowCollector()
-                    self._flow_collectors.append(collector)
-                    lane = LookupLane(processor, collector)
-                lane_tasks.append(
-                    loop.create_task(self._lookup_task(buffer, lane, write_buffer))
-                )
+                return buffer
+
+            dns_buffer = await open_lane(dns, dns_live, "dns[0]")
+            fill_task = loop.create_task(self._fill_task(dns_buffer))
+            lane_tasks.append(fill_task)
+
+            flow_buffer = await open_lane(flows, flows_live, "netflow[0]")
+            if flows_live:
+                # Off-loop decode: the source buffers *raw* datagrams and
+                # the lane batch-decodes them through the source's
+                # collector, charging malformed input to its ingest stats.
+                collector, ingest_stats = flows.collector, flows.ingest_stats
+            else:
+                collector, ingest_stats = FlowCollector(), None
+                self._finite_collector = collector
+            lane_tasks.append(loop.create_task(
+                self._lookup_task(flow_buffer, collector, ingest_stats, write_buffer)
+            ))
 
             # Every live listener has bound by here, so the header this
             # writes cannot land in (or truncate) a file for a session that
@@ -480,29 +472,25 @@ class AsyncEngine:
                 self.metrics_address = metrics_server.address
             startup.pop_all()
 
-        # Pump finite sources; optionally barrier DNS before flows.
-        dns_pumps = [
-            loop.create_task(self._pump(source, buffer))
-            for source, buffer in dns_finite
-        ]
-        if dns_first:
-            await asyncio.gather(*dns_pumps)
-            await asyncio.gather(*finite_fill_tasks)
-        flow_pumps = [
-            loop.create_task(self._pump(source, buffer))
-            for source, buffer in flow_finite
-        ]
+        # Finite sources: DNS is pumped and stored before flows start.
+        if not dns_live:
+            await self._pump(dns, dns_buffer)
+            await fill_task
+        if not flows_live:
+            await self._pump(flows, flow_buffer)
 
-        await asyncio.gather(*dns_pumps)
-        await asyncio.gather(*flow_pumps)
-
-        if live_ingests:
+        live = [
+            (source, buffer)
+            for source, buffer in ((dns, dns_buffer), (flows, flow_buffer))
+            if is_live_source(source)
+        ]
+        if live:
             # Serve until asked to stop, then close the listeners; what
             # is already buffered still drains through the lanes below.
             await self._stop_event.wait()
-            for ingest, _buffer in live_ingests:
+            for ingest, _buffer in live:
                 await ingest.stop()
-            for _ingest, buffer in live_ingests:
+            for _ingest, buffer in live:
                 buffer.close()
 
         await asyncio.gather(*lane_tasks)
@@ -530,14 +518,23 @@ class AsyncEngine:
         return report
 
     def _build_report(self) -> EngineReport:
-        report = stack_report(
-            self._fillup_processors, self._lookup_processors, self.storage,
-            variant_name="async",
-        )
-        report.flow_decode_errors = sum(
-            c.stats.malformed + c.stats.unknown_version
-            for c in self._flow_collectors
-        )
+        report = EngineReport(variant_name="async")
+        lookup = self._lookup.stats
+        report.flow_records = lookup.flows_in
+        report.total_bytes = lookup.bytes_in
+        report.correlated_bytes = lookup.bytes_matched
+        report.matched_flows = lookup.matched
+        report.chain_lengths.update(lookup.chain_lengths)
+        report.dns_records = self._fill.stats.records_in
+        report.dns_invalid = self._fill.stats.invalid
+        report.final_map_entries = self.storage.total_entries()
+        report.overwrites = self.storage.overwrites()
+        report.evictions = self.storage.evictions()
+        collector = self._finite_collector
+        if collector is not None:
+            report.flow_decode_errors = (
+                collector.stats.malformed + collector.stats.unknown_version
+            )
         report.overall_loss_rate = buffer_loss_rate(self._buffers)
         if report.overall_loss_rate > 0:
             report.warnings.append(buffer_loss_warning(report.overall_loss_rate))

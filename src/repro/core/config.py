@@ -15,8 +15,7 @@ variants; :mod:`repro.core.variants` sets them.
 :class:`FlowDNSConfig` describes *correlation* behaviour; on top of it,
 :class:`EngineConfig` describes one *deployment* of an engine —
 live-session bind addresses, socket buffer sizing, capture tap, replay
-pacing. Every engine constructor and
-:func:`repro.core.variants.engine_for` accept either
+pacing. The async engine's constructor accepts either
 (:meth:`EngineConfig.of` normalises), and the CLI's per-mode flag
 validation is :meth:`EngineConfig.from_args` — presence-based rejection
 of flags that do not apply to the selected mode lives here, not in

@@ -18,7 +18,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DEFAULT_RECV_BUFFER_BYTES
 from repro.core.metrics import BufferStats, IngestStats
@@ -26,6 +26,11 @@ from repro.dns.tcp import MAX_MESSAGE_SIZE, TcpFrameDecoder
 from repro.netflow.collector import FlowCollector
 from repro.netflow.udp import MAX_DATAGRAM, bind_udp_socket, set_recv_buffer
 from repro.util.errors import ParseError
+
+#: Chunks read from each connection at stop: a full kernel receive
+#: buffer's worth, bounded so a peer that keeps sending cannot hold the
+#: stop open.
+_STOP_READS = 128
 
 
 class AsyncBuffer:
@@ -134,9 +139,9 @@ class UdpFlowIngest:
     ):
         self.host = host
         self.port = port
-        #: The lane-side decoder: the engine builds this source's
-        #: :class:`~repro.core.pipeline.LookupLane` around it, so
-        #: template state and malformed counting live with the source.
+        #: The lane-side decoder: the engine's lookup lane decodes this
+        #: source's datagrams through it, so template state and
+        #: malformed counting live with the source.
         self.collector = collector if collector is not None else FlowCollector()
         #: Overrides the engine's stream_buffer_capacity when set.
         self.capacity = capacity
@@ -227,7 +232,9 @@ class UdpFlowIngest:
 class TcpDnsIngest:
     """Live DNS-over-TCP source for the async engine.
 
-    An asyncio server on ``(host, port)``; every connection gets its own
+    A nonblocking listening socket on ``(host, port)`` registered with
+    the loop through ``add_reader``, like :class:`UdpFlowIngest`; every
+    accepted connection is read the same way and gets its own
     :class:`TcpFrameDecoder` reassembling length-prefixed messages from
     arbitrary chunk boundaries. Complete messages are stamped with
     ``clock()`` on arrival (the collector's receive time, like the
@@ -261,10 +268,11 @@ class TcpDnsIngest:
         self.ingest_stats = IngestStats(name=name or f"tcp-dns[{host}:{port}]")
         self.address: Optional[Tuple[str, int]] = None
         self._buffer: Optional[AsyncBuffer] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._sock: Optional[socket.socket] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
-        self._connections: set = set()
-        self._handler_tasks: set = set()
+        #: Open connections, each with its frame decoder.
+        self._connections: Dict[socket.socket, TcpFrameDecoder] = {}
 
     def connect_buffer(self, buffer: AsyncBuffer) -> None:
         self._buffer = buffer
@@ -298,76 +306,110 @@ class TcpDnsIngest:
                 stats.dropped += 1
         return True
 
-    async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._handler_tasks.add(task)
-        self._connections.add(writer)
-        decoder = TcpFrameDecoder(max_message_size=self.max_message_size)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                if not self.feed_chunk(decoder, chunk):
-                    return  # corrupt stream: drop the connection
+    def _on_accept(self) -> None:
+        """Take every connection the kernel has established."""
+        while self._sock is not None:
+            try:
+                conn, _peer = self._sock.accept()
+            except (BlockingIOError, InterruptedError):
+                return
+            except ConnectionAbortedError:
+                continue  # the peer gave up while queued
+            except OSError:
+                return  # out of descriptors or closing: retried on wakeup
+            conn.setblocking(False)
+            self._connections[conn] = TcpFrameDecoder(
+                max_message_size=self.max_message_size
+            )
+            self._loop.add_reader(conn.fileno(), self._read, conn, 1)
+
+    def _read(self, conn: socket.socket, reads: int) -> None:
+        """Read up to ``reads`` chunks the peer already delivered; end the
+        connection at EOF, on a reset, or on a corrupt stream."""
+        decoder = self._connections.get(conn)
+        for _ in range(reads):
+            if decoder is None:
+                return
+            try:
+                chunk = conn.recv(65536)
+            except (BlockingIOError, InterruptedError):
+                return
+            except OSError:  # reset by the peer
+                chunk = None
+            if not chunk:
+                self._end(conn, at_eof=chunk is not None)
+                return
+            if not self.feed_chunk(decoder, chunk):
+                self._end(conn, at_eof=False)  # corrupt stream: drop it
+                return
+
+    def _end(self, conn: socket.socket, at_eof: bool) -> None:
+        """Close one connection; at EOF a partial final frame is counted
+        as malformed, like any truncated input."""
+        decoder = self._connections.pop(conn, None)
+        if decoder is None:
+            return
+        if at_eof:
             try:
                 decoder.close()
             except ParseError:
-                # Truncated final frame: counted like any malformed input.
                 self.ingest_stats.malformed += 1
-        finally:
-            self._connections.discard(writer)
-            self._handler_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - peer reset
-                pass
+        try:
+            self._loop.remove_reader(conn.fileno())
+        except (RuntimeError, ValueError, OSError):
+            pass  # loop already closed; nothing left to wake
+        conn.close()
 
     async def start(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.address = self._server.sockets[0].getsockname()[:2]
+        family, _type, _proto, _canon, sockaddr = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+        )[0]
+        sock = socket.create_server(sockaddr, family=family, backlog=100)
+        sock.setblocking(False)
+        self._sock = sock
+        self._loop = loop
+        self.address = sock.getsockname()[:2]
         if self.ingest_stats.name == f"tcp-dns[{self.host}:{self.port}]":
             self.ingest_stats.name = f"tcp-dns[{self.address[0]}:{self.address[1]}]"
+        loop.add_reader(sock.fileno(), self._on_accept)
         self._ready.set()
 
     async def stop(self) -> None:
-        """Stop accepting and close live connections (graceful drain:
-        messages already buffered still flow through the fill lane)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
-        # Await the connection handlers before the engine closes the
-        # buffer: a handler woken by the close above may still hold
-        # already-received bytes, and those messages must reach the
-        # buffer while the fill lane is alive — otherwise they would be
-        # counted `accepted` yet never processed.
-        if self._handler_tasks:
-            await asyncio.gather(*list(self._handler_tasks), return_exceptions=True)
+        """Stop accepting and end every connection (graceful drain).
+
+        Every connection the kernel established before the stop is
+        taken, even one the loop has not been woken for yet. The bytes
+        each peer already delivered are read without waiting for more,
+        their messages counted and offered to the buffer, and the
+        connection is closed as at EOF. Messages already buffered still
+        flow through the fill lane.
+        """
+        self._on_accept()
+        for conn in list(self._connections):
+            self._read(conn, _STOP_READS)
+        for conn in list(self._connections):
+            self._end(conn, at_eof=True)
+        self.close()
 
     def close(self) -> None:
         """Idempotent teardown (the ingest-source protocol's close()).
 
-        Best-effort from outside the loop: closes the listening server
-        socket. The graceful in-loop path — which also awaits live
-        connection handlers — is ``await stop()``.
+        Closes the listening socket and every connection without
+        reading what they still hold; the graceful in-loop path is
+        ``await stop()``.
         """
-        server, self._server = self._server, None
-        if server is not None:
-            server.close()
-        for writer in list(self._connections):
-            writer.close()
+        for conn in list(self._connections):
+            self._end(conn, at_eof=False)
+        sock, self._sock = self._sock, None
+        if sock is None:
+            return
+        try:
+            self._loop.remove_reader(sock.fileno())
+        except (RuntimeError, ValueError, OSError):
+            pass  # loop already closed; nothing left to wake
+        sock.close()
 
     def wait_ready(self, timeout: float = 10.0) -> Tuple[str, int]:
         if not self._ready.wait(timeout):
             raise TimeoutError("TCP ingest did not start in time")
         return self.address
-
-
-#: The built-in live socket listeners. The engine itself duck-types via
-#: :func:`repro.core.pipeline.is_live_source`, so any object with the
-#: protocol's live hooks works as a source.
-LIVE_INGEST_TYPES = (UdpFlowIngest, TcpDnsIngest)

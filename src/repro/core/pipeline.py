@@ -1,33 +1,30 @@
-"""Pipeline runtime for the live engine (stages and lanes).
+"""The lane-side pieces of the live engine that are not scheduling.
 
 The live engine (:class:`repro.core.async_engine.AsyncEngine`, one
 asyncio loop) runs the two lanes from the paper's Figure 1:
 
-* the **fill lane** (DNS): fold a wake-up's stream items (``(ts, wire)``
+* the **fill lane** (DNS) folds a wake-up's stream items (``(ts, wire)``
   responses, or :class:`DnsRecord` objects) into one
-  :class:`~repro.dns.columnar.DnsBatch` — wire runs through the
-  selective columnar decoder — and store its columns in one
-  ``process_columns`` call;
-* the **lookup lane** (Netflow): normalise stream items (raw export
-  datagrams, :class:`FlowRecord` objects, or whole :class:`FlowBatch`
-  es) into one columnar batch per wake-up, correlate it, and hand the
-  resulting :class:`CorrelationBatch` to the write sink.
+  :class:`~repro.dns.columnar.DnsBatch` with :func:`dns_items_to_batch`
+  — wire runs go through the selective columnar decoder — and stores its
+  columns in one ``process_columns`` call;
+* the **lookup lane** (NetFlow) folds a wake-up's items (raw export
+  datagrams or :class:`FlowRecord` objects) into one columnar batch with
+  :func:`flow_items_to_batch`, correlates it, and hands the resulting
+  :class:`CorrelationBatch` to the write sink.
 
-The engine module supplies only *scheduling policy* — how lane
-invocations map onto asyncio tasks — and everything else (item
-normalisation, stats plumbing, report assembly) lives here, pinned by
-one parity suite. Which expiry policy the storage runs is the storage's
+The engine module owns how those lanes map onto asyncio tasks. This
+module holds what they share with the rest of the package: item
+normalisation, the ingest-source protocol, the report warnings and the
+loss accounting. Which expiry policy the storage runs is the storage's
 business (:meth:`DnsStorage.add_many_columns`), not a lane's.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
-from repro.core.fillup import FillUpProcessor
-from repro.core.lookup import CorrelationBatch, LookUpProcessor
 from repro.core.metrics import EngineReport, IngestStats, dedupe_warnings
-from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import DnsBatch, decode_fill_columns
 from repro.dns.stream import DnsRecord
 from repro.netflow.collector import FlowCollector
@@ -110,9 +107,9 @@ def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
 
     Rows keep arrival order. Each run of raw export datagrams decodes
     in one :meth:`FlowCollector.ingest_columns_many` call through the
-    (stateful, template-holding) ``collector``; records and batches
-    append without materialising anything. Unknown item types are
-    ignored, matching the engines' historical tolerance.
+    (stateful, template-holding) ``collector``; a :class:`FlowRecord`
+    appends as a row. Unknown item types are ignored, matching the
+    engines' historical tolerance.
     """
     batch = FlowBatch()
     datagrams: List[bytes] = []
@@ -123,9 +120,7 @@ def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
         if datagrams:
             batch.extend(collector.ingest_columns_many(datagrams))
             datagrams = []
-        if isinstance(item, FlowBatch):
-            batch.extend(item)
-        elif isinstance(item, FlowRecord):
+        if isinstance(item, FlowRecord):
             batch.append_record(item)
     if datagrams:
         if not len(batch):
@@ -134,66 +129,7 @@ def flow_items_to_batch(items: Iterable, collector: FlowCollector) -> FlowBatch:
     return batch
 
 
-# --- lanes ------------------------------------------------------------------
-
-
-class FillLane:
-    """The DNS fill stage: items → one columnar batch → storage.
-
-    A wake-up's items become one :class:`~repro.dns.columnar.DnsBatch`
-    (the DNS twin of the batch :class:`LookupLane` feeds
-    ``correlate_batch_columns``) and go to storage without
-    materialising a single per-record object.
-    """
-
-    __slots__ = ("processor",)
-
-    def __init__(self, processor: FillUpProcessor):
-        self.processor = processor
-
-    def process_items(self, items: Iterable) -> None:
-        """Validate and store one wake-up's worth of stream items."""
-        self.processor.process_columns(dns_items_to_batch(items))
-
-
-class LookupLane:
-    """The flow lookup stage: items → one columnar batch → correlation.
-
-    Whatever mix of item types a stream carries, decode→correlate
-    touches only :class:`FlowBatch` columns and per-record objects are
-    never materialised.
-    """
-
-    __slots__ = ("processor", "collector", "ingest_stats")
-
-    def __init__(
-        self,
-        processor: LookUpProcessor,
-        collector: Optional[FlowCollector] = None,
-        ingest_stats: Optional[IngestStats] = None,
-    ):
-        self.processor = processor
-        self.collector = collector if collector is not None else FlowCollector()
-        #: When a live source defers datagram decode to this lane (the
-        #: off-loop batched path), its per-source stats ride along so the
-        #: malformed-input count lands where operators look for it —
-        #: decode moved off the socket callback, the accounting must not
-        #: move with it.
-        self.ingest_stats = ingest_stats
-
-    def correlate_items(self, items: Iterable) -> Optional[CorrelationBatch]:
-        """Fold one wake-up's items into a batch and correlate it; None
-        when the items carried no flows."""
-        cstats = self.collector.stats
-        errors_before = cstats.malformed + cstats.unknown_version
-        batch = flow_items_to_batch(items, self.collector)
-        if self.ingest_stats is not None:
-            self.ingest_stats.malformed += (
-                cstats.malformed + cstats.unknown_version - errors_before
-            )
-        if not len(batch):
-            return None
-        return self.processor.correlate_batch_columns(batch)
+# --- report warnings ----------------------------------------------------
 
 
 def source_failure_warning(name: str, exc: BaseException) -> str:
@@ -261,39 +197,6 @@ def collect_ingest(report: EngineReport, sources: Iterable) -> None:
         if stats.dropped > 0:
             report.warnings.append(ingest_drop_warning(key, stats))
     report.warnings[:] = dedupe_warnings(report.warnings)
-
-
-# --- report assembly --------------------------------------------------------
-
-def stack_report(
-    fillup_processors: Sequence[FillUpProcessor],
-    lookup_processors: Sequence[LookUpProcessor],
-    storage: DnsStorage,
-    variant_name: str,
-) -> EngineReport:
-    """Fold one fill/lookup/storage stack into an :class:`EngineReport`.
-
-    The stack is every lane processor of one run over their shared
-    storage: lane counters sum across the processors; resident entries,
-    overwrites and evictions are the storage's own.
-    """
-    report = EngineReport(variant_name=variant_name)
-    chain_lengths = report.chain_lengths
-    for processor in lookup_processors:
-        stats = processor.stats
-        report.flow_records += stats.flows_in
-        report.total_bytes += stats.bytes_in
-        report.correlated_bytes += stats.bytes_matched
-        report.matched_flows += stats.matched
-        for length, count in stats.chain_lengths.items():
-            chain_lengths[length] = chain_lengths.get(length, 0) + count
-    for processor in fillup_processors:
-        report.dns_records += processor.stats.records_in
-        report.dns_invalid += processor.stats.invalid
-    report.final_map_entries = storage.total_entries()
-    report.overwrites = storage.overwrites()
-    report.evictions = storage.evictions()
-    return report
 
 
 def buffer_loss_rate(buffers: Iterable) -> float:

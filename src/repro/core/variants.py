@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from repro.core.config import EngineConfig, FlowDNSConfig
+from repro.core.config import FlowDNSConfig
 
 
 class Variant(Enum):
@@ -48,43 +48,6 @@ FIGURE7_VARIANTS = (
     Variant.NO_LONG,
     Variant.NO_ROTATION,
 )
-
-
-#: Engine implementations, for CLI/embedding selection. ``simulation``
-#: replays flat record iterables deterministically with modelled
-#: resources; ``async`` takes sequences of stream sources and runs the
-#: single-loop asyncio pipeline whose sources may also be live
-#: loopback/network listeners (NetFlow over UDP, DNS over TCP).
-ENGINE_VARIANTS = {
-    "simulation": "deterministic single-threaded replay, modelled resources",
-    "async": "asyncio pipeline with live UDP/TCP socket ingest",
-}
-
-
-def engine_for(
-    name: str,
-    config: Optional[FlowDNSConfig | EngineConfig] = None,
-    sink=None,
-):
-    """Instantiate an engine variant by registry name.
-
-    ``config`` may be a bare :class:`FlowDNSConfig` (correlator knobs
-    only) or a full :class:`EngineConfig` (runtime knobs too); every
-    engine normalises via :meth:`EngineConfig.of`. Note the run()
-    signatures differ: ``simulation`` consumes flat record iterables;
-    ``async`` consumes sequences of sources and takes ``dns_first=True``
-    for deterministic DNS-before-flows ordering.
-    """
-    engine_config = EngineConfig.of(config)
-    if name == "simulation":
-        from repro.core.simulation import SimulationEngine
-
-        return SimulationEngine(engine_config.flowdns, sink=sink)
-    if name == "async":
-        from repro.core.async_engine import AsyncEngine
-
-        return AsyncEngine(engine_config, sink=sink)
-    raise ValueError(f"unknown engine {name!r}; known: {sorted(ENGINE_VARIANTS)}")
 
 
 def config_for(variant: Variant, base: Optional[FlowDNSConfig] = None) -> FlowDNSConfig:

@@ -1,8 +1,8 @@
 """Run a capture through the live engine, deterministically.
 
-One entry point — :func:`replay_capture` — runs the async engine with
-``dns_first=True``: the fill barrier stores every DNS record before the
-first flow correlates, which is what makes offline replay reproducible.
+One entry point — :func:`replay_capture` — runs the async engine, which
+stores every DNS record of a finite source before the first flow
+correlates; that is what makes offline replay reproducible.
 
 With identical ordering and identical wire bytes, every batch layout
 must produce identical output rows and report stats — that is the
@@ -61,7 +61,7 @@ def replay_capture(
             injector = FaultInjector(faults, seed=seed if seed is not None else 0)
             capture = injector.apply(capture)
     engine = AsyncEngine(engine_config, sink=sink)
-    dns_sources, flow_sources = replay_sources(
+    dns, flows = replay_sources(
         capture, realtime=engine_config.realtime, speed=engine_config.speed
     )
-    return engine.run(dns_sources, flow_sources, dns_first=True)
+    return engine.run(dns, flows)

@@ -28,7 +28,7 @@ loop. Plain iteration yields the items without waiting.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from repro.core.metrics import IngestStats
 from repro.replay.capture import LANE_DNS, LANE_FLOW, LANES, CaptureFrame, read_capture
@@ -127,11 +127,11 @@ def replay_sources(
     capture: CaptureLike,
     realtime: bool = False,
     speed: float = 1.0,
-) -> Tuple[List[ReplaySource], List[ReplaySource]]:
-    """Both lanes of a capture as ``(dns_sources, flow_sources)``.
+) -> Tuple[ReplaySource, ReplaySource]:
+    """Both lanes of a capture as ``(dns_source, flow_source)``.
 
-    Always returns one source per lane — a lane absent from the capture
-    simply yields nothing, which every engine treats as an empty stream.
+    A lane absent from the capture simply yields nothing, which the
+    engine treats as an empty stream.
 
     A one-shot iterator (a generator, ``read_capture(path)``) is
     materialized first: the two lanes iterate independently, and letting
@@ -140,16 +140,16 @@ def replay_sources(
 
     For a path capture each lane streams the file independently (two
     reads, two decodes). That is deliberate, not an oversight: the
-    engines drain the lanes on *their* schedule — ``dns_first=True``
-    pulls nothing from the flow lane until the DNS lane has fully
-    drained — so a shared single pass would have to buffer one lane's
-    entire frame set in memory anyway. Two O(1)-memory streams beat one
+    engine drains the lanes on *its* schedule — it pulls nothing from
+    the flow lane until the DNS lane has fully drained — so a shared
+    single pass would have to buffer one lane's entire frame set in
+    memory anyway. Two O(1)-memory streams beat one
     whole-file buffer; callers that already hold frames in memory pass
     the list and pay a single decode.
     """
     if not isinstance(capture, str) and iter(capture) is capture:
         capture = list(capture)
     return (
-        [ReplaySource(capture, LANE_DNS, realtime=realtime, speed=speed)],
-        [ReplaySource(capture, LANE_FLOW, realtime=realtime, speed=speed)],
+        ReplaySource(capture, LANE_DNS, realtime=realtime, speed=speed),
+        ReplaySource(capture, LANE_FLOW, realtime=realtime, speed=speed),
     )

@@ -4,8 +4,7 @@ FlowDNS's mechanisms are all time-driven: clear-up intervals, buffer
 rotation, TTL expiry, diurnal load. The engines take their time from
 record timestamps; a :class:`repro.replay.capture.CaptureWriter` stamps
 frames with a :class:`MonotonicClock` unless given another
-:class:`Clock` (a :class:`SimClock` advanced by hand, or the wall-clock
-:class:`SystemClock`).
+:class:`Clock`.
 """
 
 from __future__ import annotations
@@ -18,16 +17,6 @@ class Clock:
 
     def now(self) -> float:
         raise NotImplementedError
-
-    def advance_to(self, ts: float) -> None:
-        """Move time forward. No-op for real clocks."""
-
-
-class SystemClock(Clock):
-    """Wall-clock time, for live operation."""
-
-    def now(self) -> float:
-        return _time.time()
 
 
 class MonotonicClock(Clock):
@@ -47,25 +36,3 @@ class MonotonicClock(Clock):
     def now(self) -> float:
         return _time.monotonic()
 
-
-class SimClock(Clock):
-    """A manually advanced clock driven by record timestamps.
-
-    Time never moves backwards: :meth:`advance_to` with an older timestamp
-    leaves the clock unchanged, which mirrors how FlowDNS tracks the
-    newest-seen record timestamp to decide when a clear-up interval has
-    elapsed (Algorithm 1 uses ``d.ts - lastAClearUpTs``).
-    """
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def advance_to(self, ts: float) -> None:
-        if ts > self._now:
-            self._now = float(ts)
-
-    def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.3f})"

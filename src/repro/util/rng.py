@@ -31,12 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence
-
-
-def make_rng(seed: int) -> random.Random:
-    """Return a :class:`random.Random` seeded deterministically."""
-    return random.Random(seed)
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
@@ -48,46 +42,3 @@ def derive_rng(seed: int, label: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
-
-def zipf_sampler(n: int, alpha: float, rng: random.Random):
-    """Return a zero-arg callable sampling ranks ``0..n-1`` Zipf(alpha).
-
-    Domain-name popularity at an ISP is heavy-tailed: a handful of CDN
-    hostnames dominate the query stream. We precompute the CDF once and
-    sample by bisection, which is O(log n) per draw and exact.
-    """
-    if n <= 0:
-        raise ValueError("zipf_sampler needs n >= 1")
-    if alpha < 0:
-        raise ValueError("zipf_sampler needs alpha >= 0")
-    weights = [1.0 / (rank + 1) ** alpha for rank in range(n)]
-    total = sum(weights)
-    cdf = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    cdf[-1] = 1.0  # guard against floating point shortfall
-
-    import bisect
-
-    def sample() -> int:
-        return bisect.bisect_left(cdf, rng.random())
-
-    return sample
-
-
-def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float]):
-    """Pick one item with the given relative weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    x = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if x < acc:
-            return item
-    return items[-1]

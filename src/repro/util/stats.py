@@ -1,16 +1,16 @@
-"""Statistics helpers: ECDFs, percentiles, cumulative shares.
+"""The empirical CDF.
 
-The paper reports most of its evidence as ECDFs (Figures 6, 8, 9) and
-cumulative traffic-share curves (Figures 4, 5). These helpers are the single
-implementation used by both the benchmark harness and the analysis modules,
-so paper-vs-measured comparisons always use the same quantile semantics.
+The paper reports most of its evidence as ECDFs (Figures 6, 8, 9). This
+class is the single implementation used by both the benchmark harness
+and the analysis modules, so paper-vs-measured comparisons always use
+the same quantile semantics.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 
 class Ecdf:
@@ -57,63 +57,3 @@ class Ecdf:
     def max(self) -> float:
         return self._sorted[-1]
 
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100])."""
-    if not samples:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    data = sorted(samples)
-    if q == 0.0:
-        return data[0]
-    idx = math.ceil(q / 100.0 * len(data)) - 1
-    return data[max(0, idx)]
-
-
-def quantiles(samples: Sequence[float], qs: Sequence[float]) -> List[float]:
-    """Nearest-rank quantiles for several q values (each in [0, 1])."""
-    ecdf = Ecdf(samples)
-    return [ecdf.quantile(q) for q in qs]
-
-
-def cumulative_share(values: Dict[str, float], descending: bool = True) -> List[Tuple[str, float]]:
-    """Return (key, cumulative fraction) sorted by value.
-
-    This is the transform behind Figure 5: "how many domain names contribute
-    to what fraction of the traffic volume". Keys are ordered by their
-    contribution (largest first by default) and the second element is the
-    running share of the total.
-    """
-    total = float(sum(values.values()))
-    items = sorted(values.items(), key=lambda kv: kv[1], reverse=descending)
-    out: List[Tuple[str, float]] = []
-    acc = 0.0
-    for key, val in items:
-        acc += val
-        out.append((key, acc / total if total > 0 else 0.0))
-    return out
-
-
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative sample (0 = equal, →1 = skewed).
-
-    Used by tests to assert that synthetic traffic volume is heavy-tailed in
-    the way Figure 5's "few domains carry most bytes" requires.
-    """
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("gini of empty sequence")
-    if any(v < 0 for v in data):
-        raise ValueError("gini requires non-negative values")
-    n = len(data)
-    total = sum(data)
-    if total == 0:
-        return 0.0
-    cum = 0.0
-    weighted = 0.0
-    for i, v in enumerate(data, start=1):
-        cum += v
-        weighted += cum
-    # Standard formula: G = (n + 1 - 2 * sum(cum_i)/total) / n
-    return (n + 1 - 2 * weighted / total) / n

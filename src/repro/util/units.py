@@ -1,22 +1,10 @@
-"""Byte/rate/duration unit helpers used across reports and configs."""
+"""Byte unit helpers used across reports."""
 
 from __future__ import annotations
-
-import re
 
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
-
-_DURATION_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h|d|w)?\s*$")
-_DURATION_FACTORS = {
-    "ms": 0.001,
-    "s": 1.0,
-    "m": 60.0,
-    "h": 3600.0,
-    "d": 86400.0,
-    "w": 604800.0,
-}
 
 
 def format_bytes(n: float) -> str:
@@ -29,27 +17,3 @@ def format_bytes(n: float) -> str:
             return f"{sign}{n / factor:.1f} {unit}"
     return f"{sign}{n:.0f} B"
 
-
-def format_rate(per_second: float) -> str:
-    """Human-readable record rate, e.g. ``'75.0K rec/s'``."""
-    per_second = float(per_second)
-    if per_second >= 1e6:
-        return f"{per_second / 1e6:.1f}M rec/s"
-    if per_second >= 1e3:
-        return f"{per_second / 1e3:.1f}K rec/s"
-    return f"{per_second:.0f} rec/s"
-
-
-def parse_duration(text) -> float:
-    """Parse ``'90s'``, ``'2h'``, ``'1d'``, bare numbers (seconds) → seconds."""
-    if isinstance(text, (int, float)):
-        value = float(text)
-        if value < 0:
-            raise ValueError("durations must be non-negative")
-        return value
-    match = _DURATION_RE.match(str(text))
-    if not match:
-        raise ValueError(f"unparseable duration: {text!r}")
-    value = float(match.group(1))
-    unit = match.group(2) or "s"
-    return value * _DURATION_FACTORS[unit]

@@ -121,7 +121,7 @@ class TestAsyncOffline:
                 engine_batch_size=batch_size, memoize_cname_chains=False
             )
             report = AsyncEngine(config, sink=sink).run(
-                [list(dns)], [list(flows)], dns_first=True
+                list(dns), list(flows)
             )
             return report, _rows(sink)
 
@@ -143,36 +143,47 @@ class TestAsyncOffline:
                             bytes_=500)]
         datagrams = list(FlowExporter(version=9, batch_size=10).export(flows))
         report = AsyncEngine(FlowDNSConfig()).run(
-            [[(1.0, wire)]], [datagrams], dns_first=True
+            [(1.0, wire)], datagrams
         )
         assert report.dns_records == 2
         assert report.matched_flows == 1
         assert report.chain_lengths.get(2) == 1
 
-    def test_multiple_streams_share_storage(self):
-        """Every lane shares one storage: each flow stream matches only
-        records learned on the *other* DNS stream."""
+    def test_finite_dns_is_stored_before_the_first_flow_is_pulled(self):
+        """No option asks for it: a finite DNS source is drained and its
+        records stored before the flow source yields its first item. A
+        failed check inside the flow source surfaces as a source-failure
+        warning, so the run must end with none."""
         dns = _dns_records()
-        learned_on_0 = FlowRecord(ts=1.0, src_ip="10.9.9.9", dst_ip="100.64.0.1",
-                                  bytes_=7)
-        learned_on_1 = FlowRecord(ts=1.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
-                                  bytes_=7)
-        report = AsyncEngine(FlowDNSConfig()).run(
-            [dns[-2:], dns[:-2]], [[learned_on_1], [learned_on_0]],
-            dns_first=True,
-        )
+        flows = _flows()
+        engine = AsyncEngine(FlowDNSConfig())
+        progress = {"dns_exhausted": False, "flows_pulled": False}
+
+        def dns_source():
+            yield from dns
+            progress["dns_exhausted"] = True
+
+        def flow_source():
+            assert progress["dns_exhausted"]
+            assert engine.dns_records_seen == len(dns)
+            assert engine.storage.total_entries() > 0
+            progress["flows_pulled"] = True
+            yield from flows
+
+        report = engine.run(dns_source(), flow_source())
+        assert progress["flows_pulled"]
+        assert report.warnings == []
         assert report.dns_records == len(dns)
-        assert report.matched_flows == 2
+        assert report.flow_records == len(flows)
 
     def test_exact_ttl_mode_runs(self):
         report = AsyncEngine(FlowDNSConfig(exact_ttl=True)).run(
-            [_dns_records()[:10]], [_flows(matched=20, unmatched=5)],
-            dns_first=True,
+            _dns_records()[:10], _flows(matched=20, unmatched=5),
         )
         assert report.flow_records == 26
 
     def test_empty_run_terminates(self):
-        report = AsyncEngine(FlowDNSConfig()).run([[]], [[]])
+        report = AsyncEngine(FlowDNSConfig()).run([], [])
         assert report.flow_records == 0
         assert report.dns_records == 0
         assert report.overall_loss_rate == 0.0
@@ -188,7 +199,7 @@ class TestAsyncLiveLoopback:
         result = {}
 
         def runner():
-            result["report"] = engine.run([dns_ingest], [flow_ingest])
+            result["report"] = engine.run(dns_ingest, flow_ingest)
 
         thread = threading.Thread(target=runner, daemon=True)
         thread.start()
@@ -244,9 +255,8 @@ class TestAsyncLiveLoopback:
 
         offline_sink = io.StringIO()
         offline_report = AsyncEngine(FlowDNSConfig(), sink=offline_sink).run(
-            [[(_CLOCK_TS, w) for w in wires]],
-            [list(datagrams)],
-            dns_first=True,
+            [(_CLOCK_TS, w) for w in wires],
+            list(datagrams),
         )
         _assert_reports_equal(report, offline_report)
         assert _rows(live_sink) == _rows(offline_sink)
@@ -261,17 +271,18 @@ class TestAsyncLiveLoopback:
         assert udp_stats.recv_buffer_bytes > 0
 
     def test_stop_burst_race_loses_nothing_accepted(self):
-        """Messages sent right before request_stop must either be dropped
-        (counted) or fully processed — never accepted-then-lost. The
-        listener awaits its connection handlers before the fill buffer
-        closes, so every accepted message reaches storage."""
+        """Messages sent right before request_stop are all taken: the
+        stop accepts every connection the kernel already established,
+        reads what its peer delivered, and offers each message before
+        the fill buffer closes, so every accepted message reaches
+        storage."""
         wires = _dns_wires(count=30)  # one A record per message... plus CNAMEs
         wires = [w for i, w in enumerate(wires) if i % 5]  # A-only messages
         dns_ingest = TcpDnsIngest(clock=lambda: _CLOCK_TS)
         engine = AsyncEngine(FlowDNSConfig())
         result = {}
         thread = threading.Thread(
-            target=lambda: result.update(report=engine.run([dns_ingest], [])),
+            target=lambda: result.update(report=engine.run(dns_ingest, [])),
             daemon=True,
         )
         thread.start()
@@ -284,6 +295,7 @@ class TestAsyncLiveLoopback:
         assert not thread.is_alive()
         stats = dns_ingest.ingest_stats
         report = result["report"]
+        assert stats.received == len(wires)
         assert stats.accepted == report.dns_records
         assert stats.received == stats.accepted + stats.dropped
 
@@ -306,11 +318,11 @@ class TestRequestStopIdempotency:
     point in the run's life: before start (latched), repeatedly during a
     run, while the drain is in flight, and after the loop is gone."""
 
-    def _live_run_in_thread(self, engine, dns_sources, flow_sources):
+    def _live_run_in_thread(self, engine, dns, flows):
         result = {}
         thread = threading.Thread(
             target=lambda: result.update(
-                report=engine.run(dns_sources, flow_sources)
+                report=engine.run(dns, flows)
             ),
             daemon=True,
         )
@@ -324,7 +336,7 @@ class TestRequestStopIdempotency:
         engine = AsyncEngine(FlowDNSConfig())
         engine.request_stop()
         engine.request_stop()  # latching twice is fine too
-        thread, result = self._live_run_in_thread(engine, [ingest], [])
+        thread, result = self._live_run_in_thread(engine, ingest, [])
         thread.join(timeout=20.0)
         assert not thread.is_alive(), "latched stop was lost"
         assert result["report"].dns_records == 0
@@ -335,7 +347,7 @@ class TestRequestStopIdempotency:
         engine = AsyncEngine(FlowDNSConfig())
         engine.request_stop()
         flows = _flows(matched=30, unmatched=5)
-        report = engine.run([_dns_records()[:50]], [flows], dns_first=True)
+        report = engine.run(_dns_records()[:50], flows)
         assert report.dns_records == 50
         assert report.flow_records == len(flows)
 
@@ -346,7 +358,7 @@ class TestRequestStopIdempotency:
         expected = len(wires) + len(wires) // 5
         ingest = TcpDnsIngest(clock=lambda: _CLOCK_TS)
         engine = AsyncEngine(FlowDNSConfig())
-        thread, result = self._live_run_in_thread(engine, [ingest], [])
+        thread, result = self._live_run_in_thread(engine, ingest, [])
         dns_addr = ingest.wait_ready()
         with socket.create_connection(dns_addr, timeout=5.0) as conn:
             conn.sendall(frame_messages(wires))
@@ -373,7 +385,7 @@ class TestRequestStopIdempotency:
         datagrams = export_v5(flows, batch_size=4)
         ingest = UdpFlowIngest()
         engine = AsyncEngine(FlowDNSConfig())
-        thread, result = self._live_run_in_thread(engine, [], [ingest])
+        thread, result = self._live_run_in_thread(engine, [], ingest)
         flow_addr = ingest.wait_ready()
         for datagram in datagrams:
             send_datagrams([datagram], flow_addr)
@@ -415,26 +427,26 @@ class TestRequestStopIdempotency:
         ingest = TcpDnsIngest(clock=lambda: _CLOCK_TS)
         engine = AsyncEngine(FlowDNSConfig())
         engine.request_stop()
-        thread, result = self._live_run_in_thread(engine, [ingest], [])
+        thread, result = self._live_run_in_thread(engine, ingest, [])
         thread.join(timeout=20.0)
         assert not thread.is_alive()
         assert engine._stop_pending is False
         # A later offline run on the same engine completes normally.
         flows = _flows(matched=10, unmatched=2)
-        report = engine.run([[]], [flows], dns_first=True)
+        report = engine.run([], flows)
         assert report.flow_records == len(flows)
 
     def test_stop_after_run_completes_is_noop(self):
         """A post-completion stop is dropped, not latched: it must not
         poison a reused engine's next run into stopping at startup."""
         engine = AsyncEngine(FlowDNSConfig())
-        report = engine.run([[]], [[]])
+        report = engine.run([], [])
         engine.request_stop()
         engine.request_stop()
         assert report.flow_records == 0
         assert engine._stop_pending is False
         flows = _flows(matched=10, unmatched=2)
-        second = engine.run([[]], [flows], dns_first=True)
+        second = engine.run([], flows)
         assert second.flow_records == len(flows)
 
     def test_stop_works_on_reused_engine_second_live_run(self):
@@ -442,9 +454,9 @@ class TestRequestStopIdempotency:
         stop event: a request_stop during run 2 has to set run 2's own
         event, or the stop would be silently lost."""
         engine = AsyncEngine(FlowDNSConfig())
-        engine.run([[]], [[]])  # run 1 completes
+        engine.run([], [])  # run 1 completes
         ingest = TcpDnsIngest(clock=lambda: _CLOCK_TS)
-        thread, result = self._live_run_in_thread(engine, [ingest], [])
+        thread, result = self._live_run_in_thread(engine, ingest, [])
         ingest.wait_ready()
         engine.request_stop()
         thread.join(timeout=20.0)
@@ -457,14 +469,12 @@ class TestRequestStopIdempotency:
         correlate against the first run's stored records."""
         engine = AsyncEngine(FlowDNSConfig())
         dns = _dns_records()[:50]
-        first = engine.run([list(dns)], [_flows(matched=30, unmatched=5)],
-                           dns_first=True)
+        first = engine.run(list(dns), _flows(matched=30, unmatched=5))
         assert first.dns_records == 50
         assert first.matched_flows > 0
         # Same flows, but NO dns this time: nothing may match, and the
         # first run's counts must not leak in.
-        second = engine.run([[]], [_flows(matched=30, unmatched=5)],
-                            dns_first=True)
+        second = engine.run([], _flows(matched=30, unmatched=5))
         assert second.dns_records == 0
         assert second.matched_flows == 0
         assert second.flow_records == first.flow_records
@@ -530,7 +540,7 @@ class TestBackpressure:
 
     def test_ingest_stats_surfaced_by_async(self):
         """Any source exposing ingest_stats lands in EngineReport.ingest,
-        finite sources included, with or without the DNS barrier."""
+        finite sources included, with or without DNS input."""
         from repro.core.metrics import IngestStats
 
         class StatsSource:
@@ -544,11 +554,11 @@ class TestBackpressure:
         flows = [FlowRecord(ts=1.0, src_ip="10.0.0.1", dst_ip="100.64.0.1",
                             bytes_=10)]
         source = StatsSource("udp[test]", flows)
-        report = AsyncEngine(FlowDNSConfig()).run([[]], [source])
+        report = AsyncEngine(FlowDNSConfig()).run([], source)
         assert report.ingest["udp[test]"].received == 1
 
         source2 = StatsSource("udp[test2]", list(flows))
-        report2 = AsyncEngine(FlowDNSConfig()).run([[]], [source2], dns_first=True)
+        report2 = AsyncEngine(FlowDNSConfig()).run(_dns_records()[:5], source2)
         assert report2.ingest["udp[test2]"].received == 1
 
 
@@ -559,7 +569,7 @@ def _serve_udp(ingest, datagrams, send_to=None):
     engine = AsyncEngine(FlowDNSConfig())
     result = {}
     thread = threading.Thread(
-        target=lambda: result.update(report=engine.run([], [ingest])),
+        target=lambda: result.update(report=engine.run([], ingest)),
         daemon=True,
     )
     thread.start()
@@ -681,8 +691,8 @@ class TestFailedBindReleasesListeners:
             dns = TcpDnsIngest()
             flows = UdpFlowIngest(port=taken.getsockname()[1])
             with pytest.raises(OSError):
-                AsyncEngine(FlowDNSConfig()).run([dns], [flows])
-        assert dns._server is None
+                AsyncEngine(FlowDNSConfig()).run(dns, flows)
+        assert dns._sock is None
         self._rebind_tcp(dns.address)
 
     def test_taken_metrics_port_stops_both_listeners(self):
@@ -693,7 +703,7 @@ class TestFailedBindReleasesListeners:
             flows = UdpFlowIngest()
             engine = AsyncEngine(EngineConfig(metrics_port=taken.getsockname()[1]))
             with pytest.raises(OSError):
-                engine.run([dns], [flows])
-        assert dns._server is None and flows._sock is None
+                engine.run(dns, flows)
+        assert dns._sock is None and flows._sock is None
         self._rebind_tcp(dns.address)
         self._rebind_udp(flows.address)

@@ -143,29 +143,16 @@ class TestCorrelate:
         assert rc == 0
         assert "a.example" in output.read_text()
 
-    def test_correlate_async_engine(self, mapping_file, csv_inputs, tmp_path,
-                                    capsys):
-        dns, flows = csv_inputs
-        output = tmp_path / "out.tsv"
-        rc = main([
-            "correlate", "--dns", dns, "--flows", flows,
-            "--mapping", mapping_file, "--output", str(output),
-            "--engine", "async",
-        ])
-        assert rc == 0
-        lines = [line for line in output.read_text().splitlines()
-                 if not line.startswith("#")]
-        assert len(lines) == 3
-        assert any("svc.example" in line for line in lines)
-        assert "correlated 2/3 flows" in capsys.readouterr().err
-
-    def test_correlate_rejects_unknown_engine(self, mapping_file, csv_inputs):
+    def test_correlate_rejects_unknown_engine(self, mapping_file, csv_inputs,
+                                             capsys):
+        """correlate runs the simulation only: --engine is no flag of it."""
         dns, flows = csv_inputs
         with pytest.raises(SystemExit):
             main([
                 "correlate", "--dns", dns, "--flows", flows,
-                "--mapping", mapping_file, "--engine", "warp",
+                "--mapping", mapping_file, "--engine", "async",
             ])
+        assert "unrecognized arguments: --engine async" in capsys.readouterr().err
 
     def test_mapping_without_flow_section_fails(self, tmp_path, csv_inputs, capsys):
         dns, flows = csv_inputs

@@ -408,8 +408,8 @@ def test_ipfix_template_refresh_invalidates_columnar_decoder_cache():
 
 
 # ---------------------------------------------------------------------------
-# Engine lanes across batch layouts, mixed stream item types (records,
-# whole batches, raw datagrams — a v9 template among them).
+# Engine lanes across batch layouts, mixed stream item types (records and
+# raw datagrams — a v9 template among them).
 # ---------------------------------------------------------------------------
 
 def test_engine_lanes_agree_across_batch_layouts():
@@ -422,10 +422,11 @@ def test_engine_lanes_agree_across_batch_layouts():
                    bytes_=1400 + i)
         for i in range(400)
     ]
-    prebatched = FlowBatch.from_records(
-        [FlowRecord(ts=500.0 + i, src_ip=f"10.0.{i % 40}.5", dst_ip="100.64.0.2",
-                    bytes_=900) for i in range(50)]
-    )
+    later = [
+        FlowRecord(ts=500.0 + i, src_ip=f"10.0.{i % 40}.5", dst_ip="100.64.0.2",
+                   bytes_=900)
+        for i in range(50)
+    ]
     session_flows = [
         FlowRecord(ts=600.0 + i, src_ip=f"10.0.{i % 13}.5", dst_ip="203.0.113.9",
                    src_port=443, dst_port=50000 + i, protocol=6, packets=2,
@@ -437,7 +438,7 @@ def test_engine_lanes_agree_across_batch_layouts():
     v5_data = encode_v5(session_flows, unix_secs=600, sys_uptime_ms=0)
 
     def flow_items():
-        return list(flows) + [prebatched, v9_template, v9_data, v5_data]
+        return list(flows) + later + [v9_template, v9_data, v5_data]
 
     def run(batch_size):
         sink = io.StringIO()
@@ -445,14 +446,14 @@ def test_engine_lanes_agree_across_batch_layouts():
             engine_batch_size=batch_size, memoize_cname_chains=False
         )
         report = AsyncEngine(config, sink=sink).run(
-            [list(dns)], [flow_items()], dns_first=True
+            list(dns), flow_items()
         )
         rows = sorted(line for line in sink.getvalue().splitlines()
                       if line and not line.startswith("#"))
         return report, rows
 
     baseline_report, baseline_rows = run(FlowDNSConfig().engine_batch_size)
-    expected_flows = len(flows) + len(prebatched) + 2 * len(session_flows)
+    expected_flows = len(flows) + len(later) + 2 * len(session_flows)
     assert baseline_report.flow_records == expected_flows
     for batch_size in (1, 7):
         report, rows = run(batch_size)

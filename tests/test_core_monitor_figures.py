@@ -58,7 +58,7 @@ class TestRenderEngine:
 
         engine = AsyncEngine(FlowDNSConfig())
         flows = [FlowRecord(ts=2.0, src_ip="10.1.1.1", dst_ip="100.64.0.1", bytes_=10)]
-        engine.run([dns], [flows], dns_first=True)
+        engine.run(dns, flows)
         metrics = parse_exposition(render_async_engine(engine))
         assert metrics['flowdns_stream_offered_total{stream="dns[0]"}'] == 1.0
         assert metrics['flowdns_stream_buffer_fill{stream="netflow[0]"}'] == 0.0

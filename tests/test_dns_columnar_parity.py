@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
-from repro.core.pipeline import FillLane
+from repro.core.pipeline import dns_items_to_batch
 from repro.core.async_engine import AsyncEngine
 from repro.core.storage_adapter import DnsStorage
 from repro.dns.columnar import decode_fill_columns
@@ -211,7 +211,7 @@ def test_fill_lane_differential(payloads, scalar_ts):
 
     storage = DnsStorage(FlowDNSConfig())
     processor = FillUpProcessor(storage)
-    FillLane(processor).process_items(list(items))
+    processor.process_columns(dns_items_to_batch(items))
 
     assert processor.stats == reference.stats
     assert _dump_without_clock(storage) == _dump_without_clock(ref_storage)
@@ -246,7 +246,7 @@ def test_exact_ttl_forces_reference_path():
 
     storage = DnsStorage(config)
     processor = FillUpProcessor(storage)
-    FillLane(processor).process_items(list(corpus))
+    processor.process_columns(dns_items_to_batch(corpus))
 
     def state(store):
         # Exact-TTL storages are not snapshot-able (entries expire by
@@ -337,7 +337,7 @@ def _run_one(batch_size: int, dns):
     )
     sink = io.StringIO()
     report = AsyncEngine(config, sink=sink).run(
-        [dns], [_golden_flows()], dns_first=True
+        dns, _golden_flows()
     )
     return report, _rows(sink)
 

@@ -16,7 +16,6 @@ from repro.core.config import (
     EngineConfig,
     FlowDNSConfig,
 )
-from repro.core.variants import ENGINE_VARIANTS, engine_for
 from repro.util.errors import ConfigError
 
 
@@ -70,12 +69,6 @@ class TestEnginesAcceptEngineConfig:
         assert engine.engine_config is ec
         assert engine.config.num_split == 5
 
-    @pytest.mark.parametrize("name", ["simulation", "async"])
-    def test_engine_for_normalises(self, name):
-        engine = engine_for(name, config=EngineConfig(flowdns=FlowDNSConfig(
-            num_split=7)))
-        assert engine.config.num_split == 7
-
     def test_bare_flowdns_config_still_works(self):
         from repro.core.async_engine import AsyncEngine
 
@@ -83,22 +76,6 @@ class TestEnginesAcceptEngineConfig:
         engine = AsyncEngine(fc)
         assert engine.config is fc
         assert engine.engine_config.flowdns is fc
-
-
-class TestEngineRegistry:
-    def test_registry_names(self):
-        assert set(ENGINE_VARIANTS) == {"simulation", "async"}
-
-    def test_engine_for_instantiates(self):
-        from repro.core.async_engine import AsyncEngine
-        from repro.core.simulation import SimulationEngine
-
-        assert isinstance(engine_for("simulation"), SimulationEngine)
-        assert isinstance(engine_for("async"), AsyncEngine)
-
-    def test_engine_for_unknown(self):
-        with pytest.raises(ValueError):
-            engine_for("quantum")
 
 
 class TestFromArgs:

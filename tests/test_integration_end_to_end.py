@@ -178,7 +178,7 @@ class TestAsyncMatchesSimulation:
         flows = list(tiny_workload.flow_records())
         sim = SimulationEngine(FlowDNSConfig()).run(iter(dns), iter(flows))
 
-        live = AsyncEngine(FlowDNSConfig()).run([dns], [flows], dns_first=True)
+        live = AsyncEngine(FlowDNSConfig()).run(dns, flows)
         # The simulation interleaves DNS and flows by timestamp, the live
         # engine stores all DNS first: totals match, rates differ only at
         # the margin.

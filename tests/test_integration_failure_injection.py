@@ -54,18 +54,17 @@ class TestCorruptedDnsStream:
             for i in range(40)
         ]
         engine = AsyncEngine(FlowDNSConfig())
-        report = engine.run([items], [flows], dns_first=True)
+        report = engine.run(items, flows)
         # At least the 30 untouched messages must correlate. (A flipped
         # message may still parse if the flips hit benign fields.)
         assert report.matched_flows >= 28
-        invalid = sum(p.stats.invalid for p in engine._fillup_processors)
-        assert invalid + report.matched_flows >= 38
+        assert report.dns_invalid + report.matched_flows >= 38
 
     def test_truncated_messages_counted(self):
         items = [(0.0, _good_wire(0)[:10]), (1.0, _good_wire(1))]
         engine = AsyncEngine(FlowDNSConfig())
         flows = [FlowRecord(ts=10.0, src_ip="10.9.0.2", dst_ip="100.64.0.1", bytes_=5)]
-        report = engine.run([items], [flows], dns_first=True)
+        report = engine.run(items, flows)
         assert report.matched_flows == 1
 
 
@@ -170,7 +169,7 @@ class TestMixedVersionDatagramStream:
             for i in range(10)
         ]
         engine = AsyncEngine(FlowDNSConfig())
-        report = engine.run([dns], [datagrams], dns_first=True)
+        report = engine.run(dns, datagrams)
         assert report.flow_records == 30
         assert report.matched_flows == 30
 
@@ -210,7 +209,7 @@ class TestHostileWidePortTemplate:
         dns = [DnsRecord(0.0, "wide.example", RRType.A, 3600, "10.7.0.1")]
         sink = io.StringIO()
         report = AsyncEngine(FlowDNSConfig(), sink=sink).run(
-            [dns], [self._datagrams()], dns_first=True
+            dns, self._datagrams()
         )
         assert report.flow_decode_errors == 1
         assert report.flow_records == 1

@@ -175,7 +175,7 @@ class TestLiveSessionInvariants:
         result = {}
         thread = threading.Thread(
             target=lambda: result.update(
-                report=engine.run([dns_ingest], [flow_ingest])
+                report=engine.run(dns_ingest, flow_ingest)
             ),
             daemon=True,
         )

@@ -1,8 +1,9 @@
-"""Unit tests for the shared pipeline runtime (repro.core.pipeline).
+"""Unit tests for the lane-side pieces of the live engine
+(repro.core.pipeline).
 
-The engines exercise the lanes end-to-end (and the parity suites pin
-them equal); these tests cover the runtime's pieces directly — item
-normalisation, exact-TTL fill semantics, report assembly, and
+The engine exercises the lanes end-to-end (and the parity suites pin
+them equal); these tests cover the pieces directly — item
+normalisation, exact-TTL fill semantics, loss accounting, and
 ingest-stat collection.
 """
 
@@ -12,24 +13,19 @@ from repro.core.async_engine import AsyncEngine
 from repro.core.ingest import AsyncBuffer
 from repro.core.config import FlowDNSConfig
 from repro.core.fillup import FillUpProcessor
-from repro.core.lookup import LookUpProcessor
 from repro.core.metrics import EngineReport, IngestStats
 from repro.core.pipeline import (
-    FillLane,
-    LookupLane,
     buffer_loss_rate,
     collect_ingest,
     dns_items_to_batch,
     flow_items_to_batch,
-    stack_report,
 )
 from repro.core.storage_adapter import DnsStorage
-from repro.dns.columnar import DnsBatch
 from repro.dns.rr import RRType
 from repro.reference import DnsMessage, Question, a_record, encode_message, export_v5
 from repro.dns.stream import DnsRecord
 from repro.netflow.collector import FlowCollector
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowRecord
 
 
 def _a(ts, name, ip, ttl=300):
@@ -68,7 +64,7 @@ class TestNormalisation:
         """A ``(ts, x)`` DNS item whose ``x`` is not wire bytes is one
         invalid message, like unparseable bytes; the run completes."""
         report = AsyncEngine(FlowDNSConfig()).run(
-            [[(1.0, "garbage"), _a(2.0, "ok.example", "10.0.0.9")]], [[]]
+            [(1.0, "garbage"), _a(2.0, "ok.example", "10.0.0.9")], []
         )
         assert report.dns_invalid == 1
         assert report.dns_records == 1
@@ -80,27 +76,27 @@ class TestNormalisation:
             FlowRecord(ts=2.0, src_ip="10.0.0.2", dst_ip="100.64.0.2", bytes_=20),
         ]
         datagrams = export_v5(flows, batch_size=2)
-        premade = FlowBatch()
-        premade.append_record(flows[0])
-        items = [flows[1], premade, *datagrams, object()]  # unknown item ignored
+        items = [flows[1], *datagrams, object()]  # unknown item ignored
         batch = flow_items_to_batch(items, FlowCollector())
-        assert len(batch) == 4  # 1 record + 1 batched + 2 decoded
-        assert batch.src_ip_text.count("10.0.0.1") == 2
+        assert len(batch) == 3  # 1 record + 2 decoded
+        assert batch.src_ip_text == ["10.0.0.2", "10.0.0.1", "10.0.0.2"]
 
 
-class TestFillLane:
+class TestFill:
+    """What the engine's fill lane does with one wake-up's items."""
+
     def test_exact_ttl_processes_per_record_with_sweeps(self):
         config = FlowDNSConfig(exact_ttl=True)
         storage = DnsStorage(config)
         processor = FillUpProcessor(storage)
         # The exact-TTL cadence lives behind the storage's one fill
         # entry, so the lane carries no policy of its own.
-        FillLane(processor).process_items([
+        processor.process_columns(dns_items_to_batch([
             _a(0.0, "a.example", "10.0.0.1", ttl=30),
             # 200s later: the first record's TTL has expired and the
             # per-row tick sweeps it out — an amortised fill would not.
             _a(200.0, "b.example", "10.0.0.2", ttl=300),
-        ])
+        ]))
         assert processor.stats.records_stored == 2
         assert storage.total_entries() == 1
         assert storage._ip_exact.stats.sweeps == 1
@@ -109,76 +105,22 @@ class TestFillLane:
         config = FlowDNSConfig()
         storage = DnsStorage(config)
         processor = FillUpProcessor(storage)
-        lane = FillLane(processor)
         records = [_a(float(i), f"n{i}.example", f"10.0.0.{i + 1}") for i in range(5)]
-        lane.process_items(records + [DnsRecord(9.0, "t.example", RRType.TXT, 60, "x")])
+        processor.process_columns(dns_items_to_batch(
+            records + [DnsRecord(9.0, "t.example", RRType.TXT, 60, "x")]
+        ))
         assert processor.stats.records_in == 6
         assert processor.stats.records_stored == 5
         assert processor.stats.records_skipped == 1
 
 
-class TestLookupLane:
-    def test_correlates_and_skips_empty(self):
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        FillUpProcessor(storage).process_columns(
-            DnsBatch.from_records([_a(1.0, "svc.example", "10.0.0.1")])
-        )
-        lane = LookupLane(LookUpProcessor(storage, config))
-        assert lane.correlate_items([]) is None
-        flow = FlowRecord(ts=2.0, src_ip="10.0.0.1", dst_ip="100.64.0.1", bytes_=7)
-        correlated = lane.correlate_items([flow])
-        assert correlated.matched == 1
-        assert correlated.chains[0] == ("svc.example",)
-
-
 class TestReportAssembly:
-    def test_stack_report_sums_every_lane_processor(self):
-        """Two fill and two lookup lanes over one storage (two sources
-        per lane): lane counters sum, storage counters are counted once."""
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        fillups = [FillUpProcessor(storage) for _ in range(2)]
-        lookups = [LookUpProcessor(storage, config) for _ in range(2)]
-        for offset, (fillup, lookup) in enumerate(zip(fillups, lookups)):
-            fillup.process_columns(DnsBatch.from_records(
-                [_a(1.0, f"s{offset}.example", f"10.0.0.{offset + 1}")]
-            ))
-            lookup.correlate_batch_columns(FlowBatch.from_records([
-                FlowRecord(ts=2.0, src_ip=f"10.0.0.{offset + 1}",
-                           dst_ip="100.64.0.1", bytes_=100)
-            ]))
-        report = stack_report(fillups, lookups, storage, variant_name="x")
-        assert report.variant_name == "x"
-        assert report.flow_records == 2
-        assert report.matched_flows == 2
-        assert report.dns_records == 2
-        assert report.total_bytes == 200
-        assert report.correlated_bytes == 200
-        assert report.chain_lengths == {1: 2}
-        assert report.final_map_entries == storage.total_entries() == 2
-
     def test_buffer_loss_rate(self):
         buffer = AsyncBuffer(2, name="small")
         for i in range(5):
             buffer.try_put(i)
         assert buffer_loss_rate([buffer]) == pytest.approx(3 / 5)
         assert buffer_loss_rate([]) == 0.0
-
-    def test_stack_report_with_no_processors(self):
-        """A run with no sources reports all zeros over empty processor
-        sequences, not a crash."""
-        config = FlowDNSConfig()
-        storage = DnsStorage(config)
-        report = stack_report([], [], storage, variant_name="x")
-        assert report.flow_records == 0
-        assert report.dns_records == 0
-        assert report.matched_flows == 0
-        assert report.total_bytes == 0
-        assert report.chain_lengths == {}
-        assert report.final_map_entries == 0
-        assert report.overwrites == 0
-        assert report.correlation_rate == 0.0
 
 
 class TestCollectIngest:

@@ -33,7 +33,6 @@ KEPT = {
     "core/flowdns.py:FlowDNS.service_of": _FACADE,
     "core/flowdns.py:FlowDNS.lookup_stats": _FACADE,
     "core/writer.py:DiscardSink.writable": "io.TextIOBase protocol method",
-    "util/clock.py:Clock.advance_to": "the Clock interface method SimClock implements",
     "dns/columnar.py:DnsBatch.to_records": _RECORDS,
     "netflow/records.py:FlowBatch.to_records": _RECORDS,
     "netflow/v5.py:decode_v5_columns": _DECODE,
@@ -48,17 +47,6 @@ KEPT = {
     "dns/name.py:labels_of": _DEFERRED,
     "dns/tcp.py:iter_framed": _DEFERRED,
     "netflow/records.py:FlowRecord.is_dns_port": _DEFERRED,
-    "util/clock.py:SystemClock": _DEFERRED,
-    "util/clock.py:SimClock": _DEFERRED,
-    "util/clock.py:SimClock.advance_to": _DEFERRED,
-    "util/rng.py:make_rng": _DEFERRED,
-    "util/rng.py:zipf_sampler": _DEFERRED,
-    "util/rng.py:weighted_choice": _DEFERRED,
-    "util/stats.py:percentile": _DEFERRED,
-    "util/stats.py:cumulative_share": _DEFERRED,
-    "util/stats.py:gini": _DEFERRED,
-    "util/units.py:format_rate": _DEFERRED,
-    "util/units.py:parse_duration": _DEFERRED,
     "workloads/cdn.py:CdnProvider.asn_for": _DEFERRED,
     "workloads/cdn.py:CdnHosting.provider_of": _DEFERRED,
     "workloads/cdn.py:CdnHosting.chain_of": _DEFERRED,

@@ -150,9 +150,9 @@ class TestZeroLengthPayloads:
         path = str(tmp_path / "empty.fdc")
         write_capture(path, frames)
         assert list(read_capture(path)) == frames
-        dns_sources, flow_sources = replay_sources(frames)
-        assert list(dns_sources[0]) == [(1.0, b"")]
-        assert list(flow_sources[0]) == [b"", b"data"]
+        dns, flows = replay_sources(frames)
+        assert list(dns) == [(1.0, b"")]
+        assert list(flows) == [b"", b"data"]
 
     @given(
         frames=_FRAMES,
@@ -500,17 +500,17 @@ class TestReplaySource:
     def test_replay_sources_covers_both_lanes(self, tmp_path):
         path = str(tmp_path / "both.fdc")
         write_capture(path, self.FRAMES)
-        (dns_sources, flow_sources) = replay_sources(path)
-        assert [list(s) for s in dns_sources] == [[(1.0, b"d0"), (2.0, b"d1")]]
-        assert [list(s) for s in flow_sources] == [[b"f0", b"f1"]]
+        dns, flows = replay_sources(path)
+        assert list(dns) == [(1.0, b"d0"), (2.0, b"d1")]
+        assert list(flows) == [b"f0", b"f1"]
 
     def test_replay_sources_materializes_one_shot_iterators(self):
         """Two lanes iterate independently; a shared generator must not
         be race-split between them (each lane would silently see only
         the frames the other skipped)."""
-        (dns_sources, flow_sources) = replay_sources(iter(self.FRAMES))
-        assert list(dns_sources[0]) == [(1.0, b"d0"), (2.0, b"d1")]
-        assert list(flow_sources[0]) == [b"f0", b"f1"]
+        dns, flows = replay_sources(iter(self.FRAMES))
+        assert list(dns) == [(1.0, b"d0"), (2.0, b"d1")]
+        assert list(flows) == [b"f0", b"f1"]
 
 
 def _a_wire(name, ip):
@@ -532,15 +532,13 @@ class TestRealtimeAsyncReplay:
             CaptureFrame(0.0, LANE_DNS, _a_wire("first.example", "10.0.0.1")),
             CaptureFrame(gap, LANE_DNS, _a_wire("second.example", "10.0.0.2")),
         ]
-        dns_sources, flow_sources = replay_sources(frames, realtime=True)
+        dns, flows = replay_sources(frames, realtime=True)
         engine = AsyncEngine(FlowDNSConfig())
 
         async def first_record_seen_after():
             loop = asyncio.get_running_loop()
             start = loop.time()
-            run = loop.create_task(
-                engine.run_async(dns_sources, flow_sources, dns_first=True)
-            )
+            run = loop.create_task(engine.run_async(dns, flows))
             seen = None
             while not run.done():
                 if seen is None and engine.dns_records_seen > 0:

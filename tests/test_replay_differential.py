@@ -262,7 +262,7 @@ class TestLiveRoundTrip:
         result = {}
         thread = threading.Thread(
             target=lambda: result.update(
-                report=engine.run([dns_ingest], [flow_ingest])
+                report=engine.run(dns_ingest, flow_ingest)
             ),
             daemon=True,
         )

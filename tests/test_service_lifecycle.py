@@ -116,6 +116,7 @@ class _ServeSession:
             self.proc.kill()
             self.proc.wait(timeout=10.0)
         self._reader.join(timeout=10.0)
+        self.proc.stderr.close()
 
 
 class TestKillRestartDrill:
@@ -197,10 +198,8 @@ class TestKillRestartDrill:
         # Non-degraded: every single flow correlated after the restart.
         assert f"flows correlated     : {count * 3}/{count * 3}" in stderr
         assert f"restored from snap   : {count} entries" in stderr
-        rows = [
-            line for line in open(out, encoding="utf-8")
-            if not line.startswith("#")
-        ]
+        with open(out, encoding="utf-8") as handle:
+            rows = [line for line in handle if not line.startswith("#")]
         assert len(rows) == count * 3
         assert all("drill" in row for row in rows)
 
@@ -212,7 +211,7 @@ class TestMetricsEndpoint:
         dns_ingest = TcpDnsIngest(clock=lambda: 5.0)
         result = {}
         thread = threading.Thread(
-            target=lambda: result.update(report=engine.run([dns_ingest], [])),
+            target=lambda: result.update(report=engine.run(dns_ingest, [])),
             daemon=True,
         )
         thread.start()
@@ -286,7 +285,7 @@ class TestRestoreDegradation:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{broken json")
         engine = AsyncEngine(EngineConfig(snapshot_path=path))
-        report = engine.run([[self._record()]], [[]], dns_first=True)
+        report = engine.run([self._record()], [])
         assert report.restored_entries == 0
         assert any(
             "snapshot restore" in w and "starting empty" in w
@@ -305,7 +304,7 @@ class TestRestoreDegradation:
         engine = AsyncEngine(EngineConfig(
             snapshot_path=path, flowdns=FlowDNSConfig(a_clear_up_interval=900.0)
         ))
-        report = engine.run([[]], [[]])
+        report = engine.run([], [])
         assert report.restored_entries == 0
         assert any("clear_up_interval" in w and "starting empty" in w
                    for w in report.warnings)
@@ -313,7 +312,7 @@ class TestRestoreDegradation:
     def test_missing_snapshot_is_a_quiet_cold_start(self, tmp_path):
         path = str(tmp_path / "absent.json")
         engine = AsyncEngine(EngineConfig(snapshot_path=path))
-        report = engine.run([[self._record()]], [[]], dns_first=True)
+        report = engine.run([self._record()], [])
         assert report.restored_entries == 0
         assert report.warnings == []
         # The final-on-drain snapshot pins the run's state for next time.
@@ -334,7 +333,7 @@ class TestRestoreDegradation:
             for i in range(50)
         ]
         engine = AsyncEngine(EngineConfig(snapshot_path=path))
-        report = engine.run([], [list(flows)])
+        report = engine.run([], list(flows))
         assert report.restored_entries == 50
         assert report.matched_flows == 50
 

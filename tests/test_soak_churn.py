@@ -66,7 +66,7 @@ class TestChurnSoak:
                        dst_ip="100.64.0.1", bytes_=10)
             for i in recent
         ]
-        report = engine.run([sampled()], [flows], dns_first=True)
+        report = engine.run(sampled(), flows)
 
         assert report.dns_records == steps * 2
         assert report.evictions > 0
@@ -90,13 +90,13 @@ class TestChurnSoak:
         """The same churn without a cap blows through the envelope —
         proof the soak's workload actually exercises eviction."""
         engine = AsyncEngine(_config(0))
-        report = engine.run([_churn_records(2000)], [])
+        report = engine.run(_churn_records(2000), [])
         assert report.evictions == 0
         assert report.final_map_entries > _BOUND
 
     def test_eviction_counter_reaches_the_report(self):
         """Evictions surface in the report, exactly the storage's count."""
         engine = AsyncEngine(_config(50))
-        report = engine.run([_churn_records(1000)], [])
+        report = engine.run(_churn_records(1000), [])
         assert report.evictions > 0
         assert report.evictions == engine.storage.evictions()

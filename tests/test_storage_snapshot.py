@@ -318,7 +318,7 @@ class TestSnapshotFiles:
                                          f"svc{i}.example")
 
         engine = AsyncEngine(EngineConfig(snapshot_path=path, snapshot_interval=0.005))
-        report = engine.run([PacedFill()], [])
+        report = engine.run(PacedFill(), [])
 
         assert report.warnings == []
         assert len(written) >= 3
@@ -360,7 +360,7 @@ class TestSnapshotFiles:
 
         monkeypatch.setattr(async_engine, "write_snapshot", slow_write)
         engine = AsyncEngine(EngineConfig(snapshot_path=path, snapshot_interval=0.001))
-        report = engine.run([LateRecord()], [])
+        report = engine.run(LateRecord(), [])
 
         assert len(seen) >= 2  # a periodic write, then the final one
         assert max(seen) == 1
@@ -405,7 +405,7 @@ class TestSnapshotFiles:
 
         sink_restored = io.StringIO()
         engine = AsyncEngine(EngineConfig(snapshot_path=path), sink=sink_restored)
-        report_restored = engine.run([], [flows])
+        report_restored = engine.run([], flows)
         assert report_restored.restored_entries == storage.total_entries()
         assert (sorted(sink_orig.getvalue().splitlines())
                 == sorted(sink_restored.getvalue().splitlines()))

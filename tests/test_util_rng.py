@@ -1,18 +1,6 @@
 """Tests for repro.util.rng."""
 
-import pytest
-
-from repro.util.rng import derive_rng, make_rng, weighted_choice, zipf_sampler
-
-
-class TestMakeRng:
-    def test_same_seed_same_sequence(self):
-        a = make_rng(7)
-        b = make_rng(7)
-        assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
-
-    def test_different_seeds_differ(self):
-        assert make_rng(1).random() != make_rng(2).random()
+from repro.util.rng import derive_rng
 
 
 class TestDeriveRng:
@@ -28,54 +16,3 @@ class TestDeriveRng:
 
     def test_seed_changes_stream(self):
         assert derive_rng(1, "x").random() != derive_rng(2, "x").random()
-
-
-class TestZipfSampler:
-    def test_rejects_bad_args(self):
-        rng = make_rng(0)
-        with pytest.raises(ValueError):
-            zipf_sampler(0, 1.0, rng)
-        with pytest.raises(ValueError):
-            zipf_sampler(10, -0.5, rng)
-
-    def test_samples_in_range(self):
-        rng = make_rng(0)
-        sample = zipf_sampler(100, 1.0, rng)
-        for _ in range(1000):
-            assert 0 <= sample() < 100
-
-    def test_head_is_heavier_than_tail(self):
-        rng = make_rng(0)
-        sample = zipf_sampler(50, 1.0, rng)
-        draws = [sample() for _ in range(5000)]
-        head = sum(1 for d in draws if d < 5)
-        tail = sum(1 for d in draws if d >= 45)
-        assert head > tail * 3
-
-    def test_alpha_zero_is_uniformish(self):
-        rng = make_rng(0)
-        sample = zipf_sampler(10, 0.0, rng)
-        draws = [sample() for _ in range(10000)]
-        counts = [draws.count(i) for i in range(10)]
-        assert max(counts) < 2 * min(counts)
-
-
-class TestWeightedChoice:
-    def test_honours_zero_weight(self):
-        rng = make_rng(1)
-        for _ in range(100):
-            assert weighted_choice(rng, ["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), ["a"], [1.0, 2.0])
-
-    def test_rejects_non_positive_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0), ["a", "b"], [0.0, 0.0])
-
-    def test_distribution_roughly_matches_weights(self):
-        rng = make_rng(2)
-        draws = [weighted_choice(rng, ["x", "y"], [3.0, 1.0]) for _ in range(4000)]
-        x_share = draws.count("x") / len(draws)
-        assert 0.70 < x_share < 0.80

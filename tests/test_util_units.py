@@ -1,8 +1,6 @@
 """Tests for repro.util.units."""
 
-import pytest
-
-from repro.util.units import GIB, KIB, MIB, format_bytes, format_rate, parse_duration
+from repro.util.units import GIB, KIB, MIB, format_bytes
 
 
 class TestFormatBytes:
@@ -21,37 +19,3 @@ class TestFormatBytes:
     def test_negative(self):
         assert format_bytes(-GIB) == "-1.0 GiB"
 
-
-class TestFormatRate:
-    def test_plain(self):
-        assert format_rate(42) == "42 rec/s"
-
-    def test_kilo(self):
-        assert format_rate(75_000) == "75.0K rec/s"
-
-    def test_mega(self):
-        assert format_rate(1_000_000) == "1.0M rec/s"
-
-
-class TestParseDuration:
-    def test_bare_number_is_seconds(self):
-        assert parse_duration(90) == 90.0
-        assert parse_duration("90") == 90.0
-
-    def test_units(self):
-        assert parse_duration("250ms") == 0.25
-        assert parse_duration("2m") == 120.0
-        assert parse_duration("1.5h") == 5400.0
-        assert parse_duration("1d") == 86400.0
-        assert parse_duration("1w") == 604800.0
-
-    def test_whitespace_tolerated(self):
-        assert parse_duration("  3 h ") == 10800.0
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_duration("soon")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            parse_duration(-5)

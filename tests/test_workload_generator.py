@@ -29,6 +29,7 @@ import io
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -45,7 +46,6 @@ from repro.netflow.v9 import V9Session
 from repro.replay.capture import LANE_FLOW, MAGIC
 from repro.replay.runner import replay_capture
 from repro.util.errors import ConfigError
-from repro.util.rng import make_rng
 from repro.workloads.generator import (
     GeneratorParams,
     SIZE_CDFS,
@@ -407,7 +407,7 @@ def _packed(flow: FlowRecord):
 
 
 def _random_flows(n: int, seed: int = 0):
-    rng = make_rng(seed)
+    rng = random.Random(seed)
     flows = []
     for i in range(n):
         roll = rng.random()
