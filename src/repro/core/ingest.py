@@ -327,9 +327,9 @@ class TcpDnsIngest:
         """Read up to ``reads`` chunks the peer already delivered; end the
         connection at EOF, on a reset, or on a corrupt stream."""
         decoder = self._connections.get(conn)
+        if decoder is None:  # ended after this wakeup was queued
+            return
         for _ in range(reads):
-            if decoder is None:
-                return
             try:
                 chunk = conn.recv(65536)
             except (BlockingIOError, InterruptedError):
