@@ -32,6 +32,11 @@ from repro.util.errors import ParseError
 #: stop open.
 _STOP_READS = 128
 
+#: Seconds the listener pauses after an accept fails for want of
+#: descriptors or buffers, as asyncio's own server does: the listening
+#: socket stays readable, so retrying at once would spin the loop.
+_ACCEPT_RETRY_DELAY = 1.0
+
 
 class AsyncBuffer:
     """A bounded FIFO for one event loop, with drop accounting.
@@ -315,13 +320,19 @@ class TcpDnsIngest:
                 return
             except ConnectionAbortedError:
                 continue  # the peer gave up while queued
-            except OSError:
-                return  # out of descriptors or closing: retried on wakeup
+            except OSError:  # out of descriptors or buffers
+                self._loop.remove_reader(self._sock.fileno())
+                self._loop.call_later(_ACCEPT_RETRY_DELAY, self._resume_accept)
+                return
             conn.setblocking(False)
             self._connections[conn] = TcpFrameDecoder(
                 max_message_size=self.max_message_size
             )
             self._loop.add_reader(conn.fileno(), self._read, conn, 1)
+
+    def _resume_accept(self) -> None:
+        if self._sock is not None:
+            self._loop.add_reader(self._sock.fileno(), self._on_accept)
 
     def _read(self, conn: socket.socket, reads: int) -> None:
         """Read up to ``reads`` chunks the peer already delivered; end the

@@ -3,6 +3,7 @@ live loopback ingest (NetFlow over UDP + DNS over TCP), bounded-buffer
 backpressure accounting, and graceful drain-then-shutdown."""
 
 import asyncio
+import errno
 import io
 import socket
 import threading
@@ -298,6 +299,53 @@ class TestAsyncLiveLoopback:
         assert stats.received == len(wires)
         assert stats.accepted == report.dns_records
         assert stats.received == stats.accepted + stats.dropped
+
+    def test_accept_out_of_descriptors_pauses_then_resumes(self, monkeypatch):
+        """An accept that fails for want of descriptors pauses the
+        listener for the retry delay instead of spinning on the
+        still-readable socket, then takes the waiting connection."""
+        import repro.core.ingest as ingest_module
+
+        monkeypatch.setattr(ingest_module, "_ACCEPT_RETRY_DELAY", 0.2)
+
+        class Exhausted:
+            """The listening socket, with accept failing until `fail` drops."""
+
+            def __init__(self, sock):
+                self.sock, self.fail, self.accepts = sock, True, 0
+
+            def fileno(self):
+                return self.sock.fileno()
+
+            def accept(self):
+                self.accepts += 1
+                if self.fail:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return self.sock.accept()
+
+            def close(self):
+                self.sock.close()
+
+        wires = [w for i, w in enumerate(_dns_wires(count=10)) if i % 5]
+        ingest = TcpDnsIngest(clock=lambda: _CLOCK_TS)
+        ingest.connect_buffer(AsyncBuffer(64, name="dns[0]"))
+
+        async def scenario():
+            await ingest.start(asyncio.get_running_loop())
+            listener = ingest._sock = Exhausted(ingest._sock)
+            with socket.create_connection(ingest.address, timeout=5.0) as conn:
+                conn.sendall(frame_messages(wires))
+                await asyncio.sleep(0.1)
+                assert listener.accepts == 1  # paused, not spinning
+                listener.fail = False
+                deadline = time.monotonic() + 5.0
+                while ingest.ingest_stats.received < len(wires):
+                    assert time.monotonic() < deadline, "listener never resumed"
+                    await asyncio.sleep(0.01)
+            await ingest.stop()
+
+        asyncio.run(scenario())
+        assert ingest.ingest_stats.received == len(wires)
 
     def test_graceful_drain_on_stop(self):
         """request_stop drains buffered work before reporting: every
