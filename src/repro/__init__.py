@@ -22,57 +22,20 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured comparison of every experiment.
 """
 
-from repro.core import (
-    AsyncEngine,
-    CorrelationResult,
-    CostModel,
-    CostModelParams,
-    DnsStorage,
-    EngineReport,
-    FillUpProcessor,
-    FlowDNS,
-    FlowDNSConfig,
-    IntervalSample,
-    LookUpProcessor,
-    SimulationEngine,
-    Variant,
-    config_for,
-)
-from repro.dns import DnsRecord, RRType, check_domain, is_valid_domain
-from repro.netflow import FlowCollector, FlowExporter, FlowRecord
-from repro.storage import StoreBank
-from repro.workloads import large_isp, small_isp, two_site_capture
-from repro.bgp import PrefixTrie, Rib
+from repro.util import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "FlowDNS",
-    "FlowDNSConfig",
-    "SimulationEngine",
-    "AsyncEngine",
-    "DnsStorage",
-    "FillUpProcessor",
-    "LookUpProcessor",
-    "CorrelationResult",
-    "CostModel",
-    "CostModelParams",
-    "EngineReport",
-    "IntervalSample",
-    "Variant",
-    "config_for",
-    "DnsRecord",
-    "RRType",
-    "check_domain",
-    "is_valid_domain",
-    "FlowRecord",
-    "FlowCollector",
-    "FlowExporter",
-    "StoreBank",
-    "large_isp",
-    "small_isp",
-    "two_site_capture",
-    "PrefixTrie",
-    "Rib",
-    "__version__",
-]
+# Names resolve on first use, so importing one subpackage (the CLI's
+# replay path, say) loads none of the others.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core": "FlowDNS FlowDNSConfig SimulationEngine AsyncEngine DnsStorage "
+    "FillUpProcessor LookUpProcessor CorrelationResult CostModel CostModelParams "
+    "EngineReport IntervalSample Variant config_for",
+    "repro.dns": "DnsRecord RRType check_domain is_valid_domain",
+    "repro.netflow": "FlowRecord FlowCollector FlowExporter",
+    "repro.storage": "StoreBank",
+    "repro.workloads": "large_isp small_isp two_site_capture",
+    "repro.bgp": "PrefixTrie Rib",
+})
+__all__.append("__version__")

@@ -33,30 +33,55 @@ Run ``flowdns <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from collections import defaultdict
 
-from repro.core.adapter import iter_csv, iter_jsonl, load_mapping_file
 from repro.core.config import (
     DEFAULT_DNS_PORT,
     DEFAULT_FLOW_PORT,
     DEFAULT_LIVE_HOST,
     EngineConfig,
 )
-from repro.core.simulation import SimulationEngine
 from repro.core.variants import FIGURE3_VARIANTS, Variant, config_for
-from repro.core.writer import parse_result_line
-from repro.dns.validation import is_valid_domain
 from repro.util.units import format_bytes
-from repro.workloads.isp import large_isp, small_isp
 
-PRESETS = {"large": large_isp, "small": small_isp}
+# Each subcommand imports what it runs inside its own functions, so a
+# `flowdns replay` process loads the replay path and nothing else.
+
+PRESETS = ("large", "small")
+
+
+def _preset(name: str, **kwargs):
+    """The named ISP preset's workload."""
+    from repro.workloads.isp import large_isp, small_isp
+
+    return {"large": large_isp, "small": small_isp}[name](**kwargs)
+
+
+class _Choices:
+    """The sorted keys of ``module.attribute`` as argparse choices, read
+    only when argparse checks a value or reports a bad one (an option
+    using it names a ``metavar``, so building the parser reads nothing)."""
+
+    def __init__(self, module: str, attribute: str):
+        self._module = module
+        self._attribute = attribute
+
+    def _names(self):
+        return sorted(getattr(importlib.import_module(self._module), self._attribute))
+
+    def __contains__(self, value) -> bool:
+        return value in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def _add_simulate(subparsers) -> None:
     p = subparsers.add_parser("simulate", help="run a preset deployment")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="large")
+    p.add_argument("--preset", choices=PRESETS, default="large")
     p.add_argument("--hours", type=float, default=4.0, help="simulated hours")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--variant", choices=[v.value for v in Variant], default="main")
@@ -69,7 +94,9 @@ def _add_simulate(subparsers) -> None:
 
 
 def cmd_simulate(args) -> int:
-    workload = PRESETS[args.preset](seed=args.seed, duration=args.hours * 3600.0)
+    from repro.core.simulation import SimulationEngine
+
+    workload = _preset(args.preset, seed=args.seed, duration=args.hours * 3600.0)
     variant = Variant(args.variant)
     config = config_for(variant)
     sink = open(args.output, "w", encoding="utf-8") if args.output else None
@@ -112,16 +139,18 @@ def cmd_simulate(args) -> int:
 
 def _add_ablation(subparsers) -> None:
     p = subparsers.add_parser("ablation", help="run the Section 4 variants")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="large")
+    p.add_argument("--preset", choices=PRESETS, default="large")
     p.add_argument("--hours", type=float, default=4.0)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_ablation)
 
 
 def cmd_ablation(args) -> int:
+    from repro.core.simulation import SimulationEngine
+
     print(f"{'variant':<14s} {'corr':>7s} {'CPU %':>8s} {'mem GiB':>8s} {'loss':>7s}")
     for variant in FIGURE3_VARIANTS + (Variant.EXACT_TTL,):
-        workload = PRESETS[args.preset](seed=args.seed, duration=args.hours * 3600.0)
+        workload = _preset(args.preset, seed=args.seed, duration=args.hours * 3600.0)
         engine = SimulationEngine(
             config_for(variant),
             cost_params=workload.cost_params,
@@ -163,6 +192,8 @@ def _engine_config(args, command: str):
 
 
 def _open_rows(path):
+    from repro.core.adapter import iter_csv, iter_jsonl
+
     handle = open(path, "r", encoding="utf-8")
     if path.endswith((".jsonl", ".json", ".ndjson")):
         return handle, iter_jsonl(handle)
@@ -170,6 +201,9 @@ def _open_rows(path):
 
 
 def cmd_correlate(args) -> int:
+    from repro.core.adapter import load_mapping_file
+    from repro.core.simulation import SimulationEngine
+
     engine_config, rc = _engine_config(args, "correlate")
     if rc:
         return rc
@@ -430,8 +464,6 @@ def cmd_serve(args) -> int:
 
 
 def _add_capture(subparsers) -> None:
-    from repro.replay.scenarios import GOLDEN_SEED, SCENARIOS
-
     p = subparsers.add_parser(
         "capture",
         help="produce a capture file: record live sockets for a bounded "
@@ -439,14 +471,14 @@ def _add_capture(subparsers) -> None:
     )
     p.add_argument("output", nargs="?", default=None,
                    help="capture file to write")
-    p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
+    p.add_argument("--scenario", choices=_Choices("repro.replay.scenarios", "SCENARIOS"),
+                   default=None, metavar="NAME",
                    help="synthesize this scenario instead of recording live "
-                        "sockets")
+                        "sockets (see --list-scenarios)")
     p.add_argument("--list-scenarios", action="store_true",
                    help="list the scenario library and exit")
     p.add_argument("--seed", type=int, default=None,
-                   help=f"scenario seed (default: {GOLDEN_SEED}, the golden "
-                        "corpus seed)")
+                   help="scenario seed (default: the golden corpus seed)")
     _add_live_options(p, default_duration=60.0)
     p.set_defaults(func=cmd_capture)
 
@@ -582,8 +614,6 @@ def cmd_replay(args) -> int:
 def _add_workload_base_options(p) -> None:
     """Workload knobs `generate` and `sweep` share (None defaults:
     :meth:`GeneratorParams.from_args` owns the effective values)."""
-    from repro.workloads.generator import SIZE_CDFS, TTL_PROFILES
-
     p.add_argument("--seed", type=int, default=None,
                    help="workload seed (default: 0); with the same config, "
                         "the output capture is byte-identical per seed")
@@ -596,10 +626,14 @@ def _add_workload_base_options(p) -> None:
                    help="resolution events/s per client (default: 0.02)")
     p.add_argument("--domains", type=int, default=None, dest="n_domains",
                    help="benign domain-universe size (default: 400)")
-    p.add_argument("--flow-size-cdf", choices=sorted(SIZE_CDFS), default=None,
-                   help="flow-size distribution (default: websearch)")
-    p.add_argument("--ttl-profile", choices=sorted(TTL_PROFILES), default=None,
-                   help="TTL distribution profile (default: paper)")
+    p.add_argument("--flow-size-cdf", default=None, metavar="NAME",
+                   choices=_Choices("repro.workloads.generator", "SIZE_CDFS"),
+                   help="flow-size distribution (default: websearch; "
+                        "`flowdns generate --list-size-cdfs` lists them)")
+    p.add_argument("--ttl-profile", default=None, metavar="NAME",
+                   choices=_Choices("repro.workloads.generator", "TTL_PROFILES"),
+                   help="TTL distribution profile (default: paper; "
+                        "`flowdns generate --list-ttl-profiles` lists them)")
     p.add_argument("--cdn-count", type=int, default=None,
                    help="shared-pool CDN providers on top of the dedicated "
                         "streaming CDNs (default: 3)")
@@ -770,6 +804,9 @@ def _add_analyze(subparsers) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from repro.core.writer import parse_result_line
+    from repro.dns.validation import is_valid_domain
+
     bytes_by_service = defaultdict(int)
     total_bytes = 0
     correlated_bytes = 0
@@ -823,6 +860,8 @@ def cmd_figures(args) -> int:
         figure7_rows,
         write_tsv,
     )
+    from repro.core.simulation import SimulationEngine
+    from repro.workloads.isp import large_isp
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,73 +14,22 @@ The pipeline (Figure 1) is assembled from:
 * :class:`Variant` — the paper's ablation benchmarks.
 """
 
-from repro.core.adapter import (
-    DnsAdapter,
-    FlowAdapter,
-    load_mapping,
-    load_mapping_file,
-)
-from repro.core.async_engine import AsyncEngine
-from repro.core.config import EngineConfig, FlowDNSConfig
-from repro.core.flowdns import FlowDNS
-from repro.core.ingest import TcpDnsIngest, UdpFlowIngest
-from repro.core.monitor import render_report
-from repro.core.fillup import FillUpProcessor, FillUpStats
-from repro.core.lookup import CorrelationResult, LookUpProcessor, LookUpStats
-from repro.core.metrics import (
-    CostModel,
-    CostModelParams,
-    EngineReport,
-    IngestStats,
-    IntervalCounters,
-    IntervalSample,
-)
-from repro.core.pipeline import is_live_source
-from repro.core.simulation import SimulationEngine
-from repro.core.storage_adapter import DnsStorage
-from repro.core.variants import (
-    FIGURE3_VARIANTS,
-    FIGURE7_VARIANTS,
-    Variant,
-    config_for,
-)
-from repro.core.writer import (
-    DiscardSink,
-    WriteWorker,
-    parse_result_line,
-)
+from repro.util import lazy_exports
 
-__all__ = [
-    "FlowDNS",
-    "FlowDNSConfig",
-    "EngineConfig",
-    "AsyncEngine",
-    "UdpFlowIngest",
-    "TcpDnsIngest",
-    "SimulationEngine",
-    "IngestStats",
-    "is_live_source",
-    "DnsStorage",
-    "FillUpProcessor",
-    "FillUpStats",
-    "LookUpProcessor",
-    "LookUpStats",
-    "CorrelationResult",
-    "CostModel",
-    "CostModelParams",
-    "EngineReport",
-    "IntervalCounters",
-    "IntervalSample",
-    "Variant",
-    "FIGURE3_VARIANTS",
-    "FIGURE7_VARIANTS",
-    "config_for",
-    "WriteWorker",
-    "DiscardSink",
-    "parse_result_line",
-    "DnsAdapter",
-    "FlowAdapter",
-    "load_mapping",
-    "load_mapping_file",
-    "render_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.flowdns": "FlowDNS",
+    "repro.core.config": "FlowDNSConfig EngineConfig",
+    "repro.core.async_engine": "AsyncEngine",
+    "repro.core.ingest": "UdpFlowIngest TcpDnsIngest",
+    "repro.core.simulation": "SimulationEngine",
+    "repro.core.pipeline": "is_live_source",
+    "repro.core.storage_adapter": "DnsStorage",
+    "repro.core.fillup": "FillUpProcessor FillUpStats",
+    "repro.core.lookup": "LookUpProcessor LookUpStats CorrelationResult",
+    "repro.core.metrics": "CostModel CostModelParams EngineReport IngestStats "
+    "IntervalCounters IntervalSample",
+    "repro.core.variants": "Variant FIGURE3_VARIANTS FIGURE7_VARIANTS config_for",
+    "repro.core.writer": "WriteWorker DiscardSink parse_result_line",
+    "repro.core.adapter": "DnsAdapter FlowAdapter load_mapping load_mapping_file",
+    "repro.core.monitor": "render_report",
+})

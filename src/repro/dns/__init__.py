@@ -18,7 +18,6 @@ generators need from the DNS side:
 from repro.dns.name import (
     decode_name,
     encode_name,
-    labels_of,
     normalize_name,
 )
 from repro.dns.rr import RClass, RRType
@@ -30,13 +29,12 @@ from repro.dns.validation import (
     is_valid_domain,
 )
 from repro.dns.wire import Opcode, encode_response
-from repro.dns.tcp import TcpFrameDecoder, frame_message, frame_messages, iter_framed
+from repro.dns.tcp import TcpFrameDecoder, frame_message, frame_messages
 from repro.dns.ttl import TtlSummary, summarize_ttls
 
 __all__ = [
     "encode_name",
     "decode_name",
-    "labels_of",
     "normalize_name",
     "RRType",
     "RClass",
@@ -53,5 +51,4 @@ __all__ = [
     "TcpFrameDecoder",
     "frame_message",
     "frame_messages",
-    "iter_framed",
 ]

@@ -20,8 +20,9 @@ short-circuit before any section walk; question, authority and
 additional bodies are *walked by offset arithmetic* — names advance
 through the shared per-message name-offset cache, fixed RR headers are
 single unpacks — but never produce objects. Only answer-section
-A/AAAA/CNAME rows land in the columns, with name decoding feeding the
-:mod:`repro.util.interning` name tables. A/AAAA rdata is appended packed
+A/AAAA/CNAME rows land in the columns. Names are spelled once per call
+from their uncompressed wire bytes, through one table the call creates
+and drops (no process-wide name table). A/AAAA rdata is appended packed
 and spelled once per distinct address of the batch at the end by
 :func:`repro.util.interning.ip_text` (the object path's
 ``str(ip_address)``, written in C and kept in no table), so rows with one
@@ -45,12 +46,12 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
-from repro.dns.name import decode_name
+from repro.dns.name import NameTable, decode_name
 from repro.dns.rr import RClass, RRType
 from repro.dns.stream import DnsRecord
 from repro.dns.wire import HEADER, QFIXED, RRFIXED, Opcode
 from repro.util.errors import ParseError
-from repro.util.interning import intern_string, ip_text
+from repro.util.interning import ip_text
 
 _TYPE_A = int(RRType.A)
 _TYPE_NS = int(RRType.NS)
@@ -167,10 +168,12 @@ def _decode_answers_into(
     out_rtype: List[int],
     out_ttl: List[int],
     out_rdata: List[Union[str, bytes]],
+    names: NameTable,
 ):
     """Parse one payload's storable answers into the columns.
 
-    A/AAAA rdata is appended packed; the caller spells it.
+    A/AAAA rdata is appended packed; the caller spells it. ``names`` is
+    the batch's name table (see :func:`repro.dns.name.decode_name`).
 
     Returns the message's unknown-RR count, or ``None`` when the message
     is invalid — in which case any rows it contributed are rolled back,
@@ -194,7 +197,7 @@ def _decode_answers_into(
     offset = 12
     try:
         for _ in range(qd):
-            _qname, offset = decode_name(data, offset, cache)
+            _qname, offset = decode_name(data, offset, cache, names)
             if offset + 4 > n:
                 return None  # truncated question
             qtype, qclass = QFIXED.unpack_from(data, offset)
@@ -221,8 +224,8 @@ def _decode_answers_into(
             # compression pointer at a previously-decoded target — one
             # cache probe instead of the full decode_name walk. The
             # output is identical: decode_name would chase the pointer,
-            # hit the same cache entry, and splice an empty label list
-            # onto it. Anything else (inline labels, uncached or chained
+            # hit the same cache entry, and take its wire form whole
+            # for the same name. Anything else (inline labels, uncached or chained
             # targets, truncation) falls through to decode_name, which
             # also owns every malformation check.
             if offset + 1 < n and data[offset] >= 0xC0:
@@ -231,13 +234,13 @@ def _decode_answers_into(
                     owner = hit[0]
                     offset += 2
                 else:
-                    owner, offset = decode_name(data, offset, cache)
+                    owner, offset = decode_name(data, offset, cache, names)
             elif offset < n and data[offset] == 0:
                 # Root owner (EDNS OPT rides on "."): one zero byte.
-                owner = intern_string(".")
+                owner = "."
                 offset += 1
             else:
-                owner, offset = decode_name(data, offset, cache)
+                owner, offset = decode_name(data, offset, cache, names)
             if offset + 10 > n:
                 raise ParseError("truncated resource record")
             rt, rc, ttl, rdlength = unpack_rr(data, offset)
@@ -258,7 +261,7 @@ def _decode_answers_into(
                 ttl_append(ttl)
                 rdata_append(data[offset:end])
             elif rt == _TYPE_CNAME:
-                target, _ = decode_name(data, offset, cache)
+                target, _ = decode_name(data, offset, cache, names)
                 ts_append(t)
                 name_append(owner)
                 rtype_append(_TYPE_CNAME)
@@ -275,11 +278,11 @@ def _decode_answers_into(
             elif rt == _TYPE_NS or rt == _TYPE_PTR:
                 # Name-typed rdata the object path decodes (and can
                 # reject): validate, keep nothing.
-                decode_name(data, offset, cache)
+                decode_name(data, offset, cache, names)
             elif rt == _TYPE_MX:
                 if rdlength < 3:
                     raise ParseError("MX record too short")
-                decode_name(data, offset + 2, cache)
+                decode_name(data, offset + 2, cache, names)
             # Remaining known types (SOA/TXT/SRV/OPT/ANY) carry opaque
             # rdata: bounds already checked, nothing to materialise.
             offset = end
@@ -291,11 +294,11 @@ def _decode_answers_into(
                 if cache_get(((data[offset] & 0x3F) << 8) | data[offset + 1]) is not None:
                     offset += 2
                 else:
-                    _owner, offset = decode_name(data, offset, cache)
+                    _owner, offset = decode_name(data, offset, cache, names)
             elif offset < n and data[offset] == 0:
                 offset += 1  # root owner, nothing to keep
             else:
-                _owner, offset = decode_name(data, offset, cache)
+                _owner, offset = decode_name(data, offset, cache, names)
             if offset + 10 > n:
                 raise ParseError("truncated resource record")
             rt, rc, _ttl, rdlength = unpack_rr(data, offset)
@@ -312,11 +315,11 @@ def _decode_answers_into(
                 if rdlength != 16:
                     raise ParseError(f"AAAA record rdlength {rdlength} != 16")
             elif rt == _TYPE_CNAME or rt == _TYPE_NS or rt == _TYPE_PTR:
-                decode_name(data, offset, cache)
+                decode_name(data, offset, cache, names)
             elif rt == _TYPE_MX:
                 if rdlength < 3:
                     raise ParseError("MX record too short")
-                decode_name(data, offset + 2, cache)
+                decode_name(data, offset + 2, cache, names)
             offset = end
     except ParseError:
         if len(out_name) > start:
@@ -355,6 +358,9 @@ def decode_fill_columns(
     out_ttl = batch.ttl
     out_rdata = batch.rdata_text
     decode_one = _decode_answers_into
+    # Names are spelled once per batch from their wire bytes; the table
+    # goes with the batch, so no name outlives it here.
+    names: NameTable = {}
     messages = 0
     invalid = 0
     unknown_total = 0
@@ -367,7 +373,7 @@ def decode_fill_columns(
         if type(payload) is not bytes:
             payload = bytes(payload)
         unknown = decode_one(
-            payload, t, out_ts, out_name, out_rtype, out_ttl, out_rdata
+            payload, t, out_ts, out_name, out_rtype, out_ttl, out_rdata, names
         )
         if unknown is None:
             invalid += 1

@@ -7,12 +7,14 @@ backwards, so malicious or corrupt messages with pointer loops raise
 :class:`ParseError` instead of spinning.
 
 The decoder works over ``bytes`` or ``memoryview`` alike (so a whole
-message can be parsed without intermediate copies), takes an optional
-per-message offset cache so a compression-pointer chain is chased once
-per message rather than once per referring record, and interns decoded
-names so identical names across messages are one shared string object:
-a wire spelling seen before resolves to its canonical name in one table
-probe, with no per-label decoding or re-normalisation.
+message can be parsed without intermediate copies) and takes an optional
+per-message offset cache, so a compression-pointer chain is chased once
+per message rather than once per referring record. A caller that decodes
+many messages (the columnar decoder, one batch at a time) also passes a
+table keyed by each name's uncompressed wire bytes: a name seen earlier
+in the batch is one slice and one probe, and a new one is spelled once,
+in one pass over its bytes. The table is the caller's, so nothing about
+names outlives the batch that decoded them.
 """
 
 from __future__ import annotations
@@ -20,18 +22,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.util.errors import ParseError
-from repro.util.interning import intern_wire_name, wire_name_probe
 
 WireData = Union[bytes, bytearray, memoryview]
 
-#: Per-message name cache: start offset -> (name, next_offset, wire_len,
-#: raw). ``wire_len`` is the name's uncompressed encoded length
-#: including the root byte (keeps the 255-byte limit exact on cache
-#: hits); ``raw`` is the dot-joined label bytes *before* decoding and
-#: normalization (empty for the root), so a pointer splicing a cached
-#: suffix under new head labels normalizes the combined name exactly
+#: Per-message name cache: start offset -> (name, next_offset, wire).
+#: ``wire`` is the name's uncompressed wire form, root byte included: its
+#: length keeps the 255-byte limit exact when a pointer splices it under
+#: new head labels, and the combined wire form is spelled and normalised
 #: once, the way the uncached path does.
-NameCache = Dict[int, Tuple[str, int, int, bytes]]
+NameCache = Dict[int, Tuple[str, int, bytes]]
+
+#: Per-batch spelling table: uncompressed wire form -> name.
+NameTable = Dict[bytes, str]
 
 MAX_NAME_WIRE_LENGTH = 255
 MAX_LABEL_LENGTH = 63
@@ -44,14 +46,6 @@ def normalize_name(name: str) -> str:
     if name in ("", "."):
         return "."
     return name.rstrip(".").lower()
-
-
-def labels_of(name: str) -> List[str]:
-    """Split a presentation-format name into its labels (root → [])."""
-    norm = normalize_name(name)
-    if norm == ".":
-        return []
-    return norm.split(".")
 
 
 def encode_name(name: str) -> bytes:
@@ -81,8 +75,34 @@ def encode_name(name: str) -> bytes:
     return bytes(out)
 
 
+def _spell(wire: bytes) -> Optional[str]:
+    """The name ``wire`` spells if it is exactly one pointer-free
+    uncompressed name of at most 255 bytes, root byte included; else None.
+
+    One pass over one copy of the bytes checks each length byte and makes
+    it a dot; the labels then decode and normalise together.
+    """
+    end = len(wire) - 1
+    if end >= MAX_NAME_WIRE_LENGTH:
+        return None
+    text = bytearray(wire)
+    pos = 0
+    while pos < end:
+        length = text[pos]
+        if length >= 0x40:
+            return None
+        text[pos] = 0x2E
+        pos += length + 1
+    if pos != end:
+        return None
+    return normalize_name(text[1:end].decode("utf-8", "surrogateescape"))
+
+
 def decode_name(
-    data: WireData, offset: int, cache: Optional[NameCache] = None
+    data: WireData,
+    offset: int,
+    cache: Optional[NameCache] = None,
+    names: Optional[NameTable] = None,
 ) -> Tuple[str, int]:
     """Decode a (possibly compressed) name starting at ``offset``.
 
@@ -95,7 +115,15 @@ def decode_name(
     lifetime of one message: a pointer landing on a previously decoded
     name's offset splices the cached suffix instead of re-chasing the
     chain, and the 255-byte wire limit stays exact because the cache
-    carries each name's uncompressed encoded length.
+    carries each name's uncompressed wire form.
+
+    ``names``, when given (``data`` must then be ``bytes``), spells each
+    distinct uncompressed wire form once for as long as the caller keeps
+    the table. The bytes from ``offset`` to the next zero byte are tried
+    first: every key is a complete name with no pointer in it, so a hit
+    is that name, and a miss that is one whole pointer-free name is
+    spelled from those bytes. Anything else (a pointer, a zero byte
+    inside a label, a malformation) walks as below.
 
     The walk always ends. A pointer must target a strictly lower offset
     (anything else is a forward pointer), so a run of pointers only
@@ -107,11 +135,25 @@ def decode_name(
         hit = cache.get(offset)
         if hit is not None:
             return hit[0], hit[1]
-    labels: List[bytes] = []
-    pos = offset
+    if names is not None:
+        wire = data[offset : data.find(0, offset) + 1]
+        name = names.get(wire)
+        if name is None:
+            name = _spell(wire)
+            if name is not None:
+                names[wire] = name
+        if name is not None:
+            next_offset = offset + len(wire)
+            if cache is not None:
+                cache[offset] = (name, next_offset, wire)
+            return name, next_offset
+    # The uncompressed wire form, collected as the contiguous label runs
+    # the walk crosses (empty runs skipped: a pointer hop reads two bytes
+    # and nothing more) plus a cached tail's wire form.
+    runs: List[WireData] = []
+    run_start = pos = offset
     next_offset = -1
     wire_budget = 0
-    tail: Optional[Tuple[str, int, int, bytes]] = None
     data_len = len(data)
     while True:
         if pos >= data_len:
@@ -121,6 +163,7 @@ def decode_name(
             if length == 0:
                 if next_offset < 0:
                     next_offset = pos + 1
+                runs.append(data[run_start : pos + 1])
                 break
             end = pos + 1 + length
             if end > data_len:
@@ -128,7 +171,6 @@ def decode_name(
             wire_budget += 1 + length
             if wire_budget + 1 > MAX_NAME_WIRE_LENGTH:
                 raise ParseError("decoded name exceeds 255 bytes")
-            labels.append(data[pos + 1 : end])
             pos = end
             continue
         if length < _POINTER_MASK:
@@ -140,26 +182,27 @@ def decode_name(
             next_offset = pos + 2
         if target >= pos:
             raise ParseError("forward compression pointer")
+        if pos > run_start:
+            runs.append(data[run_start:pos])
         if cache is not None:
             tail = cache.get(target)
             if tail is not None:
+                # The tail's wire form includes the root byte; the total
+                # must still fit 255.
+                wire_budget += len(tail[2]) - 1
+                if wire_budget + 1 > MAX_NAME_WIRE_LENGTH:
+                    raise ParseError("decoded name exceeds 255 bytes")
+                runs.append(tail[2])
                 break
-        pos = target
-    if tail is not None:
-        # tail wire length includes the root byte; total must still fit 255.
-        wire_budget += tail[2] - 1
-        if wire_budget + 1 > MAX_NAME_WIRE_LENGTH:
-            raise ParseError("decoded name exceeds 255 bytes")
-        if tail[3]:
-            labels.append(tail[3])
-    raw = b".".join(labels)
-    name = wire_name_probe(raw)
+        pos = run_start = target
+    wire = b"".join(runs)
+    name = None if names is None else names.get(wire)
     if name is None:
-        name = intern_wire_name(
-            raw, normalize_name(str(raw, "utf-8", "surrogateescape"))
-        )
+        name = _spell(wire)
+        if names is not None:
+            names[wire] = name
     if cache is not None:
-        cache[offset] = (name, next_offset, wire_budget + 1, raw)
+        cache[offset] = (name, next_offset, wire)
     return name, next_offset
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.dns.name import normalize_name
 from repro.dns.rr import RRType
-from repro.util.interning import intern_string
 
 
 def is_address_type(rtype: RRType) -> bool:
@@ -39,12 +38,11 @@ class DnsRecord:
     answer: str
 
     def __post_init__(self):
-        # Names are interned: they are the storage layer's map keys, and
-        # sharing one object per distinct name keeps the maps free of
-        # duplicate key storage. Address answers are kept as given.
-        object.__setattr__(self, "query", intern_string(normalize_name(self.query)))
+        # Names are normalised the way the wire decoder spells them.
+        # Address answers are kept as given.
+        object.__setattr__(self, "query", normalize_name(self.query))
         if self.rtype == RRType.CNAME:
-            object.__setattr__(self, "answer", intern_string(normalize_name(self.answer)))
+            object.__setattr__(self, "answer", normalize_name(self.answer))
 
     @property
     def is_address(self) -> bool:

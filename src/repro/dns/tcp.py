@@ -11,7 +11,7 @@ truncation by surfacing whatever is complete.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 from repro.util.errors import ParseError
 
@@ -122,10 +122,3 @@ class TcpFrameDecoder:
                 f"TCP stream ended mid-frame with {len(self._buffer)} bytes pending"
             )
 
-
-def iter_framed(stream: Iterable[bytes]) -> Iterator[bytes]:
-    """Decode a chunk iterable into messages; raises on truncated tail."""
-    decoder = TcpFrameDecoder()
-    for chunk in stream:
-        yield from decoder.feed(chunk)
-    decoder.close()

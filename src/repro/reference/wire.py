@@ -26,7 +26,7 @@ from repro.dns.name import (
 from repro.dns.rr import RClass, RRType
 from repro.dns.wire import HEADER, QFIXED, RRFIXED, Opcode
 from repro.util.errors import ParseError
-from repro.util.interning import cached_ip_address, intern_string
+from repro.util.interning import cached_ip_address
 
 
 class Rcode(IntEnum):
@@ -56,15 +56,13 @@ class ResourceRecord:
     def __post_init__(self):
         if self.ttl < 0:
             raise ParseError(f"negative TTL on {self.name!r}")
-        # Interned: owner names and name-typed rdata feed the storage maps,
-        # where one shared object per distinct name keeps hashing cached.
-        object.__setattr__(self, "name", intern_string(normalize_name(self.name)))
+        object.__setattr__(self, "name", normalize_name(self.name))
         if self.rtype == RRType.A and not isinstance(self.rdata, ipaddress.IPv4Address):
             object.__setattr__(self, "rdata", ipaddress.IPv4Address(self.rdata))
         elif self.rtype == RRType.AAAA and not isinstance(self.rdata, ipaddress.IPv6Address):
             object.__setattr__(self, "rdata", ipaddress.IPv6Address(self.rdata))
         elif self.rtype in _NAME_RDATA_TYPES and isinstance(self.rdata, str):
-            object.__setattr__(self, "rdata", intern_string(normalize_name(self.rdata)))
+            object.__setattr__(self, "rdata", normalize_name(self.rdata))
 
     @property
     def is_address(self) -> bool:

@@ -19,63 +19,15 @@ subpackage turns a feed into a file and a file back into a feed:
   --fault-profile`` and :func:`replay_capture`'s ``faults=`` hook.
 """
 
-from repro.replay.capture import (
-    LANE_DNS,
-    LANE_FLOW,
-    LANES,
-    MAGIC,
-    MAX_FRAME_PAYLOAD,
-    CaptureDecoder,
-    CaptureFrame,
-    CaptureWriter,
-    encode_frame,
-    probe_capture,
-    read_capture,
-    write_capture,
-)
-from repro.replay.faults import (
-    FAULT_PROFILES,
-    FaultInjector,
-    FaultPlan,
-    FaultStats,
-    LaneFaults,
-    parse_fault_specs,
-    resolve_fault_plan,
-)
-from repro.replay.runner import replay_capture
-from repro.replay.scenarios import (
-    GOLDEN_SEED,
-    SCENARIOS,
-    build_scenario,
-    write_scenario,
-)
-from repro.replay.source import ReplaySource, replay_sources
+from repro.util import lazy_exports
 
-__all__ = [
-    "CaptureDecoder",
-    "CaptureFrame",
-    "CaptureWriter",
-    "FAULT_PROFILES",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultStats",
-    "GOLDEN_SEED",
-    "LaneFaults",
-    "LANES",
-    "LANE_DNS",
-    "LANE_FLOW",
-    "MAGIC",
-    "MAX_FRAME_PAYLOAD",
-    "ReplaySource",
-    "SCENARIOS",
-    "build_scenario",
-    "encode_frame",
-    "parse_fault_specs",
-    "probe_capture",
-    "read_capture",
-    "replay_capture",
-    "replay_sources",
-    "resolve_fault_plan",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.replay.capture": "CaptureDecoder CaptureFrame CaptureWriter LANES LANE_DNS "
+    "LANE_FLOW MAGIC MAX_FRAME_PAYLOAD encode_frame probe_capture read_capture "
     "write_capture",
-    "write_scenario",
-]
+    "repro.replay.faults": "FAULT_PROFILES FaultInjector FaultPlan FaultStats LaneFaults "
+    "parse_fault_specs resolve_fault_plan",
+    "repro.replay.runner": "replay_capture",
+    "repro.replay.scenarios": "GOLDEN_SEED SCENARIOS build_scenario write_scenario",
+    "repro.replay.source": "ReplaySource replay_sources",
+})

@@ -1,19 +1,14 @@
-"""Bounded intern tables for hot-path names, and address text.
+"""Address text, and one bounded address cache for the object lanes.
 
-FlowDNS pushes the same few thousand distinct domain names through the
-pipeline millions of times. The DNS codecs and records intern them here
-so every downstream dict operation (map writes and lookups, chain walks)
-sees one shared object whose ``hash()`` is computed once. The tables
-are bounded: at the cap they are dropped wholesale — an O(1) reset that
-keeps worst-case memory flat while the steady-state working set (names
-live in the DNS maps anyway) re-interns within one batch.
-
-Addresses are not interned. :func:`ip_text` spells a packed 4- or
-16-byte address in C, and :func:`ip_texts` converts a decode burst's
-address column once per distinct address; nothing outlives the burst,
-so no table grows with the number of addresses a process sees.
-:func:`cached_ip_address` remains for the object lanes (``FlowRecord``
-construction and materialisation), which tests and object sources use.
+Nothing here grows with the traffic a process sees. :func:`ip_text`
+spells a packed 4- or 16-byte address in C, and :func:`ip_texts`
+converts a decode burst's address column once per distinct address;
+nothing outlives the burst. DNS names are not kept here either: the
+columnar decoder spells them once per batch from their wire bytes
+(:func:`repro.dns.name.decode_name`). :func:`cached_ip_address`
+remains for the object lanes (``FlowRecord`` construction and
+materialisation), which tests and object sources use; its table is
+dropped wholesale at :data:`INTERN_TABLE_MAX` entries.
 """
 
 from __future__ import annotations
@@ -24,44 +19,10 @@ from typing import Dict, List, Sequence, Union
 
 IPAddressLike = Union[str, bytes, int, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
-#: Cap on each table; 64K entries comfortably covers an ISP's hot set.
+#: Cap on the address cache; 64K entries comfortably covers an ISP's hot set.
 INTERN_TABLE_MAX = 1 << 16
 
-_strings: Dict[str, str] = {}
-_wire_names: Dict[bytes, str] = {}
 _addresses: Dict[object, object] = {}
-
-
-def intern_string(text: str) -> str:
-    """Return the canonical shared object for ``text``."""
-    cached = _strings.get(text)
-    if cached is not None:
-        return cached
-    if len(_strings) >= INTERN_TABLE_MAX:
-        _strings.clear()
-        # A wire spelling must never resolve to a retired object.
-        _wire_names.clear()
-    _strings[text] = text
-    return text
-
-
-#: Probe by wire spelling (the dot-joined raw label bytes): the canonical
-#: interned name, or None. Misses fill through :func:`intern_wire_name`.
-wire_name_probe = _wire_names.get
-
-
-def intern_wire_name(raw: bytes, name: str) -> str:
-    """Intern ``name`` and remember it as what ``raw`` decodes to.
-
-    ``name`` must be a pure function of ``raw`` (decode + normalize). The
-    entry lives no longer than the string table's current generation, so
-    the probe always returns the object :func:`intern_string` would.
-    """
-    name = intern_string(name)
-    if len(_wire_names) >= INTERN_TABLE_MAX:
-        _wire_names.clear()
-    _wire_names[raw] = name
-    return name
 
 
 def cached_ip_address(raw: IPAddressLike):

@@ -18,79 +18,20 @@ substitution table):
   that replays a generated grid through the async engine.
 """
 
-from repro.workloads.cdn import CdnHosting, CdnProvider, Resolution, default_providers
-from repro.workloads.diurnal import DiurnalPattern, FlatPattern
-from repro.workloads.domains import (
-    CHAIN_LENGTH_WEIGHTS,
-    DomainUniverse,
-    ServiceSpec,
-    build_universe,
-    chain_weights_for_depth,
-)
-from repro.workloads.generator import (
-    SIZE_CDFS,
-    TTL_PROFILES,
-    GeneratorParams,
-    GeneratorReport,
-    SizeCdf,
-    WorkloadGenerator,
-    generate_capture,
-)
-from repro.workloads.isp import (
-    ISP_RESOLVER_IPS,
-    PUBLIC_RESOLVER_FRACTION,
-    PUBLIC_RESOLVER_IPS,
-    IspWorkload,
-    LagModel,
-    large_isp,
-    small_isp,
-)
-from repro.workloads.malicious import (
-    PAPER_DBL_COUNTS_PER_MILLION,
-    PAPER_MALFORMED_FRACTION,
-    AbusePopulation,
-    build_abuse_population,
-    malformed_name,
-)
-from repro.workloads.pcaplike import TwoSiteCapture, two_site_capture
-from repro.workloads.sweep import SweepSpec, run_sweep, sweep_points
-from repro.workloads.ttl_model import TtlModel
+from repro.util import lazy_exports
 
-__all__ = [
-    "IspWorkload",
-    "LagModel",
-    "large_isp",
-    "small_isp",
-    "two_site_capture",
-    "TwoSiteCapture",
-    "CdnHosting",
-    "CdnProvider",
-    "Resolution",
-    "default_providers",
-    "DiurnalPattern",
-    "FlatPattern",
-    "DomainUniverse",
-    "ServiceSpec",
-    "build_universe",
-    "chain_weights_for_depth",
-    "CHAIN_LENGTH_WEIGHTS",
-    "GeneratorParams",
-    "GeneratorReport",
-    "SizeCdf",
-    "SIZE_CDFS",
-    "TTL_PROFILES",
-    "WorkloadGenerator",
-    "generate_capture",
-    "SweepSpec",
-    "run_sweep",
-    "sweep_points",
-    "TtlModel",
-    "AbusePopulation",
-    "build_abuse_population",
-    "malformed_name",
-    "PAPER_DBL_COUNTS_PER_MILLION",
-    "PAPER_MALFORMED_FRACTION",
-    "PUBLIC_RESOLVER_FRACTION",
-    "PUBLIC_RESOLVER_IPS",
-    "ISP_RESOLVER_IPS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.isp": "IspWorkload LagModel large_isp small_isp "
+    "PUBLIC_RESOLVER_FRACTION PUBLIC_RESOLVER_IPS ISP_RESOLVER_IPS",
+    "repro.workloads.pcaplike": "two_site_capture TwoSiteCapture",
+    "repro.workloads.cdn": "CdnHosting CdnProvider Resolution default_providers",
+    "repro.workloads.diurnal": "DiurnalPattern FlatPattern",
+    "repro.workloads.domains": "DomainUniverse ServiceSpec build_universe "
+    "chain_weights_for_depth CHAIN_LENGTH_WEIGHTS",
+    "repro.workloads.generator": "GeneratorParams GeneratorReport SizeCdf SIZE_CDFS "
+    "TTL_PROFILES WorkloadGenerator generate_capture",
+    "repro.workloads.sweep": "SweepSpec run_sweep sweep_points",
+    "repro.workloads.ttl_model": "TtlModel",
+    "repro.workloads.malicious": "AbusePopulation build_abuse_population malformed_name "
+    "PAPER_DBL_COUNTS_PER_MILLION PAPER_MALFORMED_FRACTION",
+})

@@ -1,6 +1,10 @@
 """Tests for the flowdns CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,14 +224,14 @@ class TestSimulate:
 class TestFigures:
     def test_figures_writes_tsvs(self, tmp_path, capsys, monkeypatch):
         # Patch the preset to a tiny universe so the run stays fast.
-        import repro.cli as cli
+        from repro.workloads import isp
         from repro.workloads.isp import large_isp as real_large
 
         def tiny_large(seed=7, duration=3600.0, **kw):
             kw.setdefault("n_benign", 120)
             return real_large(seed=seed, duration=min(duration, 1800.0), **kw)
 
-        monkeypatch.setattr(cli, "large_isp", tiny_large)
+        monkeypatch.setattr(isp, "large_isp", tiny_large)
         rc = main(["figures", "--out-dir", str(tmp_path), "--hours", "0.4"])
         assert rc == 0
         for name in ("fig2_week_usage.tsv", "fig3_variant_usage.tsv",
@@ -525,3 +529,60 @@ class TestFaultCli:
         assert rc == 0
         err = capsys.readouterr().err
         assert "profile=custom" in err and "seed=0" in err
+
+
+_REPLAY_IMPORTS = """
+import json, sys
+import repro.cli
+repro.cli.build_parser().parse_args(["replay", "X.fdc"])
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro"))))
+"""
+
+#: What a replay child never runs: the analysis and BGP use cases, the
+#: test-side reference codecs, the simulation engine, the ISP presets,
+#: the sweep harness and the scenario library.
+_NOT_ON_THE_REPLAY_PATH = (
+    "repro.analysis",
+    "repro.bgp",
+    "repro.reference",
+    "repro.core.simulation",
+    "repro.workloads.isp",
+    "repro.workloads.sweep",
+    "repro.replay.scenarios",
+)
+
+
+class TestReplayImports:
+    def test_parsing_a_replay_loads_only_the_replay_path(self):
+        """A fresh interpreter that builds the parser and parses
+        ``replay X.fdc`` has imported none of what replay never runs."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", _REPLAY_IMPORTS],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        assert "repro.cli" in loaded
+        assert [
+            name for name in loaded
+            if any(name == banned or name.startswith(banned + ".")
+                   for banned in _NOT_ON_THE_REPLAY_PATH)
+        ] == []
+
+    def test_package_exports_still_resolve(self):
+        import repro
+        import repro.core
+        from repro import FlowDNSConfig, SimulationEngine
+        from repro.core.config import FlowDNSConfig as config_class
+        from repro.core.simulation import SimulationEngine as engine_class
+
+        assert FlowDNSConfig is config_class
+        assert SimulationEngine is engine_class
+        assert "SimulationEngine" in repro.__all__ and "__version__" in repro.__all__
+        for package in (repro, repro.core):
+            for name in package.__all__:
+                getattr(package, name)
+        with pytest.raises(AttributeError):
+            repro.core.NoSuchName

@@ -592,16 +592,3 @@ def test_name_cache_splice_preserves_raw_labels():
     ref, _ = decode_name(wire, second_start)
     assert spliced == ref
     assert primed == decode_name(wire, 0)[0]
-
-
-def test_interned_names_are_shared_objects():
-    """Two messages carrying the same names decode to identical objects."""
-    msg = DnsMessage(
-        header=Header(msg_id=1),
-        questions=[Question("www.shared.example", RRType.A)],
-        answers=[a_record("www.shared.example", "198.51.100.7", 60)],
-    )
-    wire = encode_message(msg)
-    first = decode_message(wire)
-    second = decode_message(bytes(wire))
-    assert first.answers[0].name is second.answers[0].name

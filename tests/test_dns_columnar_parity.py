@@ -171,15 +171,7 @@ def test_decode_fill_columns_matches_reference_filter(payloads):
     assert batch.messages == len(payloads) == reference.stats.raw_messages
     assert batch.invalid == reference.stats.invalid
     assert batch.unknown_records == reference.stats.records_unknown_type
-    ours = batch.to_records()
-    assert ours == ref_rows
-    # Names are not just equal but the *same interned objects*, so
-    # downstream map keys hash-share across the two paths. Address
-    # answers are equal text, converted per message and interned nowhere.
-    for mine, theirs in zip(ours, ref_rows):
-        assert mine.query is theirs.query
-        if mine.is_cname:
-            assert mine.answer is theirs.answer
+    assert batch.to_records() == ref_rows
 
 
 @given(payloads=st.lists(_payloads(), max_size=10), scalar_ts=st.booleans())

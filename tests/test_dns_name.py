@@ -6,7 +6,6 @@ from repro.dns.name import (
     NameCompressor,
     decode_name,
     encode_name,
-    labels_of,
     normalize_name,
 )
 from repro.dns.rr import RRType
@@ -32,14 +31,6 @@ class TestNormalizeName:
 
     def test_strips_whitespace(self):
         assert normalize_name("  a.b  ") == "a.b"
-
-
-class TestLabelsOf:
-    def test_splits(self):
-        assert labels_of("a.b.c.com") == ["a", "b", "c", "com"]
-
-    def test_root_is_empty(self):
-        assert labels_of(".") == []
 
 
 class TestEncodeName:

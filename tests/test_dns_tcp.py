@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dns.rr import RRType
-from repro.reference import DnsMessage, Question, a_record, decode_message, encode_message
+from repro.reference import DnsMessage, Question, a_record, encode_message
 from repro.dns.tcp import (
     MAX_MESSAGE_SIZE,
     TcpFrameDecoder,
     frame_message,
     frame_messages,
-    iter_framed,
 )
 from repro.util.errors import ParseError
 
@@ -237,18 +236,3 @@ class TestEmptyFrameAccounting:
         assert ingest.ingest_stats.received == 1
         assert ingest.ingest_stats.accepted == 1
         assert buffer.items == [(1.0, wire)]
-
-
-class TestIterFramed:
-    def test_end_to_end_with_wire_decode(self):
-        wires = [_wire(f"svc{i}.example", f"10.1.0.{i + 1}") for i in range(5)]
-        stream = frame_messages(wires)
-        chunks = [stream[i : i + 7] for i in range(0, len(stream), 7)]
-        decoded = [decode_message(w) for w in iter_framed(chunks)]
-        assert len(decoded) == 5
-        assert str(decoded[2].answers[0].rdata) == "10.1.0.3"
-
-    def test_truncated_tail_raises(self):
-        stream = frame_messages([_wire()])[:-3]
-        with pytest.raises(ParseError):
-            list(iter_framed([stream]))

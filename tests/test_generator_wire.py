@@ -32,7 +32,7 @@ from repro.dns.name import (
     MAX_LABEL_LENGTH,
     NameCompressor,
     encode_name,
-    labels_of,
+    normalize_name,
 )
 from repro.dns.rr import RRType
 from repro.dns.wire import encode_response
@@ -169,6 +169,12 @@ class TestResolutionWire:
                 encode_response(0, ("a.example",), rtype, addresses, 60, 60)
 
 
+def _labels(name):
+    """The labels of a presentation-format name (the root has none)."""
+    norm = normalize_name(name)
+    return [] if norm == "." else norm.split(".")
+
+
 class _LabelListCompressor:
     """``NameCompressor.encode`` as it was: a label list and one
     ``".".join`` per suffix, and no 255-octet check."""
@@ -178,7 +184,7 @@ class _LabelListCompressor:
 
     def encode(self, name, current_offset):
         out = bytearray()
-        labels = labels_of(name)
+        labels = _labels(name)
         for i in range(len(labels)):
             suffix = ".".join(labels[i:])
             known = self._offsets.get(suffix)
@@ -217,7 +223,7 @@ def _write_sequence(compressor, items, start):
 def _wire_length(name):
     """Uncompressed wire octets of ``name``, whatever its labels."""
     return sum(len(label.encode("utf-8", "surrogateescape")) + 1
-               for label in labels_of(name)) + 1
+               for label in _labels(name)) + 1
 
 
 def _shared_suffix_names():

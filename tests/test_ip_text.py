@@ -6,7 +6,8 @@ running Python: IPv4 through ``inet_ntoa``, IPv6 through ``inet_ntop``
 with any dotted tail (the IPv4-mapped and IPv4-compatible ranges, which
 ``ipaddress`` spells differently by version) sent through ``ipaddress``.
 Conversion keeps no table: decoding any number of distinct addresses
-must not grow a module-level dict in :mod:`repro.util.interning`.
+or DNS names must not grow a module-level dict in
+:mod:`repro.util.interning` or in the DNS name decoders.
 """
 
 import ipaddress
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dns import columnar, name
 from repro.dns.columnar import decode_fill_columns
 from repro.netflow.collector import FlowCollector
 from repro.netflow.export import PackedV9Exporter
@@ -77,14 +79,15 @@ def test_ip_texts_is_ip_text_per_element(pool, data):
 
 def _tables():
     return {
-        name: value
-        for name, value in vars(interning).items()
-        if isinstance(value, dict) and not name.startswith("__")
+        f"{module.__name__}.{attr}": value
+        for module in (interning, name, columnar)
+        for attr, value in vars(module).items()
+        if isinstance(value, dict) and not attr.startswith("__")
     }
 
 
 def _table_sizes():
-    return {name: len(value) for name, value in _tables().items()}
+    return {key: len(value) for key, value in _tables().items()}
 
 
 def _clear_tables():
@@ -101,8 +104,8 @@ def _dns_response(msg_id, name, addresses):
 
 
 class TestMemoryBoundedByBurst:
-    """No address reaches a process-wide table, however many distinct
-    addresses pass through the decoders."""
+    """No address or name reaches a process-wide table, however many
+    distinct addresses and names pass through the decoders."""
 
     def test_netflow_bursts(self):
         _clear_tables()
@@ -136,6 +139,21 @@ class TestMemoryBoundedByBurst:
         ]
         batch = decode_fill_columns(payloads, 1000.0)
         assert len(set(batch.rdata_text)) == distinct
-        grown = {name: size - before[name] for name, size in _table_sizes().items()}
-        # The one owner name may be interned; no address is.
-        assert all(growth <= 2 for growth in grown.values()), grown
+        assert set(batch.name) == {"svc.example"}
+        assert _table_sizes() == before
+
+    def test_dns_names(self):
+        """Names are spelled per batch: 50 K distinct owners leave no
+        name in any module-level table."""
+        _clear_tables()
+        before = _table_sizes()
+        distinct = 50_000
+        payloads = [
+            _dns_response(m, f"host{m}.svc.example", [(0x0A000000 + m).to_bytes(4, "big")])
+            for m in range(distinct)
+        ]
+        seen = set()
+        for start in range(0, distinct, 512):
+            seen.update(decode_fill_columns(payloads[start : start + 512], 1000.0).name)
+        assert len(seen) == distinct
+        assert _table_sizes() == before

@@ -44,8 +44,6 @@ KEPT = {
     "replay/capture.py:CaptureDecoder.pending_bytes": _STATE,
     "bgp/prefix_trie.py:PrefixTrie.remove": _DEFERRED,
     "bgp/rib.py:Route.handover_asn": _DEFERRED,
-    "dns/name.py:labels_of": _DEFERRED,
-    "dns/tcp.py:iter_framed": _DEFERRED,
     "netflow/records.py:FlowRecord.is_dns_port": _DEFERRED,
     "workloads/cdn.py:CdnProvider.asn_for": _DEFERRED,
     "workloads/cdn.py:CdnHosting.provider_of": _DEFERRED,
